@@ -21,29 +21,39 @@ Pre-impulse limits are estimated by evaluating just before the instant and
 extrapolating the offset to zero (two Richardson stages over offsets
 1e-4, 5e-5, 2.5e-5), which pushes the O(offset) bias far below the default
 tolerances.
+
+The corrected jump check and the periodicity check compare the period-table
+kernel of :mod:`impulsive_logistic.closed_form` on one side against the
+scalar forcing quadrature at twice the panel count on the other, so neither
+check can pass by reading the same table twice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .closed_form import (
+    BOUNDARY_SNAP,
     ModelParams,
     NoPeriodicSolutionError,
+    SolutionConstants,
     derive_constants,
     legacy_periodic_at,
     one_sided_limits,
-    periodic_solution_at,
+    period_table,
+    periodic_grid,
     poincare_map,
-    solution_at,
+    solution_grid,
 )
 from .coefficients import (
     DEFAULT_PANELS_PER_UNIT,
     PeriodicCoefficient,
     compute_A,
+    forcing_integral,
 )
 from .integrator import StepControl, Trajectory, integrate
 
@@ -57,6 +67,7 @@ __all__ = [
     "critical_harvest",
     "fixed_point_scan",
     "left_limit",
+    "trajectory_closed_form",
     "verify_impulse_condition",
     "verify_periodicity",
 ]
@@ -139,6 +150,46 @@ def left_limit(
     return (8.0 * u3 - 6.0 * u2 + u1) / 3.0
 
 
+def _reference_panels(panels_per_unit: int) -> int:
+    """Panel count of the independent side of the periodicity and jump checks."""
+    return 2 * panels_per_unit
+
+
+def _orbit_by_quadrature(
+    params: ModelParams, consts: SolutionConstants, t: float, panels_per_unit: int
+) -> float:
+    """x*(t) from the scalar forcing quadrature over [t0 + k, t].
+
+    Shares no period table with the kernel: the independent side of the
+    periodicity and jump checks.
+    """
+    anchor = params.t0 + math.floor(t - params.t0 + BOUNDARY_SNAP)
+    te = max(t, anchor)
+    qm1 = consts.q - 1.0
+    decay = math.exp(-params.r.integral(anchor, te))
+    forcing = forcing_integral(params.pair, anchor, te, panels_per_unit)
+    return qm1 / (consts.A * consts.B * decay + qm1 * forcing)
+
+
+def _corrected_limits(
+    params: ModelParams, panels_per_unit: int
+) -> Callable[[float], tuple[float, float]]:
+    """One-sided values of the corrected orbit at an impulse instant tau.
+
+    Pre side: the period table just below the end of a period, extrapolated
+    by ``left_limit`` (the orbit is periodic, so one table serves every
+    impulse).  Post side: the scalar quadrature at tau itself.
+    """
+    consts = derive_constants(params, panels_per_unit)
+    d = RICHARDSON_OFFSETS[0]
+    below = (1.0 - d, 1.0 - d / 2.0, 1.0 - d / 4.0)  # the offsets left_limit forms
+    table = period_table(params, below, panels_per_unit)
+    orbit = dict(zip(below, periodic_grid(params, table, panels_per_unit).tolist()))
+    pre = left_limit(orbit.__getitem__, 1.0)
+    reference = _reference_panels(panels_per_unit)
+    return lambda tau: (pre, _orbit_by_quadrature(params, consts, tau, reference))
+
+
 def verify_impulse_condition(
     which: str,
     params: ModelParams,
@@ -165,15 +216,19 @@ def verify_impulse_condition(
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"impulse indices must be positive, got {ks!r}")
 
-    formula = periodic_solution_at if which == "corrected" else legacy_periodic_at
-    keep = 1.0 - params.E
+    if which == "corrected":
+        one_sided = _corrected_limits(params, panels_per_unit)
+    else:
 
+        def one_sided(tau: float) -> tuple[float, float]:
+            pre = left_limit(lambda s: legacy_periodic_at(params, s, panels_per_unit), tau)
+            return pre, legacy_periodic_at(params, tau, panels_per_unit)
+
+    keep = 1.0 - params.E
     records: list[CheckRecord] = []
     estimates: dict[str, dict[str, float]] = {}
     for k in ks:
-        tau = params.impulse_time(k)
-        pre = left_limit(lambda s: formula(params, s, panels_per_unit), tau)
-        post = formula(params, tau, panels_per_unit)
+        pre, post = one_sided(params.impulse_time(k))
         estimates[f"k={k}"] = {"pre": float(pre), "post": float(post)}
         if which == "corrected":
             residual = abs(post - keep * pre) / pre
@@ -197,6 +252,7 @@ def verify_impulse_condition(
         "estimates": estimates,
     }
     if which == "corrected":
+        metadata["reference_panels_per_unit"] = _reference_panels(panels_per_unit)
         limits = one_sided_limits(params, ks[0])
         metadata["analytic_pre"] = limits.pre
         metadata["analytic_post"] = limits.post
@@ -212,7 +268,11 @@ def verify_periodicity(
     tol: float = DEFAULT_PERIODICITY_TOL,
     panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
 ) -> VerificationReport:
-    """Check x*(t + 1) = x*(t) at t = t0 + k + offset for k < periods."""
+    """Check x*(t + 1) = x*(t) at t = t0 + k + offset for k < periods.
+
+    x*(t) comes from one period table over the grid; x*(t + 1), in period
+    k + 1 >= 1, from the scalar quadrature at an independent panel count.
+    """
     if grid is None:
         grid = tuple(j / 16.0 for j in range(16))
     grid = tuple(float(o) for o in grid)
@@ -221,12 +281,16 @@ def verify_periodicity(
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods!r}")
 
+    consts = derive_constants(params, panels_per_unit)
+    offsets, where = np.unique(grid, return_inverse=True)
+    table = period_table(params, offsets, panels_per_unit)
+    orbit = periodic_grid(params, table, panels_per_unit)[where].tolist()
+    reference = _reference_panels(panels_per_unit)
     records = []
     for k in range(periods):
-        for off in grid:
+        for off, now in zip(grid, orbit):
             t = params.t0 + k + off
-            now = periodic_solution_at(params, t, panels_per_unit)
-            shifted = periodic_solution_at(params, t + 1.0, panels_per_unit)
+            shifted = _orbit_by_quadrature(params, consts, t + 1.0, reference)
             residual = abs(shifted - now) / now
             records.append(CheckRecord(f"k={k} offset={off:g}", float(residual), tol))
     metadata = {
@@ -235,22 +299,77 @@ def verify_periodicity(
         "periods": periods,
         "tolerance": tol,
         "panels_per_unit": panels_per_unit,
+        "reference_panels_per_unit": reference,
     }
     return VerificationReport(check="periodicity", records=tuple(records), metadata=metadata)
 
 
-def _comparison_nodes(traj: Trajectory, grid_per_period: int) -> list[tuple[float, float]]:
-    """Decimated (t, value) samples, post-impulse rows at the boundaries."""
+def trajectory_closed_form(
+    traj: Trajectory,
+    periodic: bool = False,
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
+) -> list[np.ndarray]:
+    """Closed form at every sample of every piece of an integrated path.
+
+    One array per piece, aligned with ``piece.times``: the solution from
+    ``traj.x0``, or with ``periodic=True`` the periodic orbit.  Every piece
+    whose offsets into its period match the first piece's reads the first
+    piece's period table, so a whole trajectory costs one table.  The last
+    sample of a piece that ends at an impulse is the pre-impulse value,
+    post / (1 - E) with post the next piece's first value.
+    """
+    params = traj.params
+
+    def offsets(piece) -> np.ndarray:
+        # the end of a stretch may round a few ulp past offset 1
+        return np.minimum(piece.times - piece.times[0], 1.0)
+
+    base = offsets(traj.pieces[0])
+    shared = period_table(params, base, panels_per_unit)
+    values = []
+    for piece in traj.pieces:
+        own = offsets(piece)
+        if own.size == base.size and np.allclose(own, base, rtol=0.0, atol=BOUNDARY_SNAP):
+            table = shared
+        else:
+            table = period_table(params, own, panels_per_unit)
+        if periodic:
+            row = periodic_grid(params, table, panels_per_unit)
+        else:
+            row = solution_grid(params, traj.x0, (piece.segment,), table, panels_per_unit)[0]
+        values.append(row)
+    keep = 1.0 - params.E
+    for before, after in zip(values, values[1:]):
+        before[-1] = after[0] / keep
+    return values
+
+
+def _worst_deviation(
+    traj: Trajectory, closed: list[np.ndarray], grid_per_period: int
+) -> tuple[float, float]:
+    """Worst relative deviation of the samples from the closed form, and its time.
+
+    Samples are decimated to grid_per_period per period; at every impulse
+    both the pre and the post value count.
+    """
     stride = max(1, traj.ctrl.steps_per_unit // grid_per_period)
-    out = []
     last = len(traj.pieces) - 1
-    for i, piece in enumerate(traj.pieces):
-        times, values = piece.times, piece.values
-        if i < last:
-            times, values = times[:-1], values[:-1]  # pre-impulse row handled via events
-        for t, v in zip(times[::stride], values[::stride]):
-            out.append((float(t), float(v)))
-    return out
+    times, nums, refs = [], [], []
+    for i, (piece, ref) in enumerate(zip(traj.pieces, closed)):
+        stop = -1 if i < last else None  # pre-impulse row handled via events
+        times.append(piece.times[:stop][::stride])
+        nums.append(piece.values[:stop][::stride])
+        refs.append(ref[:stop][::stride])
+    for i, event in enumerate(traj.events):
+        times.append((event.time, event.time))
+        nums.append((event.pre_value, event.post_value))
+        refs.append((closed[i][-1], closed[i + 1][0]))
+    ref = np.concatenate(refs)
+    residual = np.abs(ref - np.concatenate(nums)) / ref
+    worst = int(np.argmax(residual))
+    if not residual[worst] > 0.0:
+        return 0.0, traj.t_start
+    return float(residual[worst]), float(np.concatenate(times)[worst])
 
 
 def compare_solutions(
@@ -264,7 +383,7 @@ def compare_solutions(
 ) -> VerificationReport:
     """Closed form against the RK4 oracle over a whole horizon.
 
-    Records the worst relative deviation between ``solution_at`` and the
+    Records the worst relative deviation between the closed form and the
     integrated trajectory started at x0 (sampled at step boundaries,
     including the pre/post values at every impulse), and the same for the
     periodic formula against a trajectory started at the fixed-point anchor
@@ -276,27 +395,10 @@ def compare_solutions(
         ctrl = StepControl()
     consts = derive_constants(params, panels_per_unit)
     t_end = params.t0 + horizon_periods
-    keep = 1.0 - params.E
-
-    def worst_against(traj: Trajectory, reference: Callable[[float], float]):
-        worst, worst_t = 0.0, traj.t_start
-        for t, num in _comparison_nodes(traj, grid_per_period):
-            ref = reference(t)
-            residual = abs(ref - num) / ref
-            if residual > worst:
-                worst, worst_t = residual, t
-        for event in traj.events:
-            ref_post = reference(event.time)
-            ref_pre = ref_post / keep
-            for num, ref in ((event.pre_value, ref_pre), (event.post_value, ref_post)):
-                residual = abs(ref - num) / ref
-                if residual > worst:
-                    worst, worst_t = residual, event.time
-        return worst, worst_t
 
     traj = integrate(params, x0, t_end, ctrl)
-    worst, worst_t = worst_against(
-        traj, lambda t: solution_at(params, x0, t, panels_per_unit)
+    worst, worst_t = _worst_deviation(
+        traj, trajectory_closed_form(traj, panels_per_unit=panels_per_unit), grid_per_period
     )
     records = [
         CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)
@@ -313,8 +415,10 @@ def compare_solutions(
     }
     if consts.x0_star is not None:
         orbit_traj = integrate(params, consts.x0_star, t_end, ctrl)
-        worst_p, worst_pt = worst_against(
-            orbit_traj, lambda t: periodic_solution_at(params, t, panels_per_unit)
+        worst_p, worst_pt = _worst_deviation(
+            orbit_traj,
+            trajectory_closed_form(orbit_traj, periodic=True, panels_per_unit=panels_per_unit),
+            grid_per_period,
         )
         records.append(
             CheckRecord(

@@ -25,7 +25,8 @@ Outputs are deterministic: identical configs produce byte-identical files
 
 Exit status: 0 on success and for ``verify``/``counterexample`` when every
 check lands as expected; 1 when a check fails or the requested orbit does
-not exist; 2 for configuration or usage errors.
+not exist; 2 for configuration or usage errors, including a growth rate
+whose integral over one period overflows A = exp(integral of r).
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     compare_solutions,
     critical_harvest,
     fixed_point_scan,
+    trajectory_closed_form,
     verify_impulse_condition,
     verify_periodicity,
 )
@@ -49,9 +53,9 @@ from .closed_form import (
     ModelParams,
     NoPeriodicSolutionError,
     derive_constants,
+    period_table,
+    periodic_grid,
     periodic_orbit_mean,
-    periodic_solution_at,
-    solution_at,
 )
 from .coefficients import (
     CoefficientPair,
@@ -173,6 +177,9 @@ def _parse_coefficient(data, where: str) -> PeriodicCoefficient:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# A = exp(growth integral of r over one period) overflows a float past this.
+_MAX_GROWTH = math.log(sys.float_info.max)
+
 _TOLERANCE_FIELDS = {f.name for f in dataclasses.fields(Tolerances)}
 _TOP_FIELDS = {
     "r",
@@ -215,6 +222,12 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}: missing required field '{required}'")
 
     r = _parse_coefficient(data["r"], f"{source}.r")
+    growth = antiderivative_between(r, 0.0, 1.0)
+    if growth > _MAX_GROWTH:
+        raise ConfigError(
+            f"{source}.r: growth integral {growth!r} exceeds {_MAX_GROWTH:.2f} "
+            "(A overflows a float)"
+        )
     big_k = _parse_coefficient(data["K"], f"{source}.K")
     e_hold = _require_number(data["E"], f"{source}.E", unit_interval=True)
     t0 = _require_number(data.get("t0", 0.5), f"{source}.t0", positive=True)
@@ -282,7 +295,26 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(lines: list[str]) -> str:
+_CSV_CELL = {
+    float: repr,
+    int: str,
+    str: str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "",
+}
+
+
+def _table(columns: list[str], rows, fmt: str) -> str:
+    """A table as CSV or JSON.
+
+    CSV cells: floats in shortest round-trip form, booleans as true/false,
+    None as an empty cell, strings verbatim (so callers may pass cells they
+    formatted once).  JSON: {"columns": [...], "rows": [[...], ...]}.
+    """
+    if fmt == "json":
+        return _dump_json({"columns": columns, "rows": list(rows)})
+    lines = [",".join(columns)]
+    lines += [",".join([_CSV_CELL.get(type(v), _fmt)(v) for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -319,40 +351,30 @@ def cmd_constants(config: ScenarioConfig, fmt: str = "text") -> str:
 def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
     """Numeric trajectory next to the closed form, with paired impulse rows."""
     params = config.params()
-    x0 = config.resolved_x0()
     t_end = params.t0 + config.horizon_periods
-    traj = integrate(params, x0, t_end, config.step_control())
-    keep = 1.0 - params.E
+    traj = integrate(params, config.resolved_x0(), t_end, config.step_control())
+    pieces = traj.pieces
 
+    events: list[str] = []
+    for i, piece in enumerate(pieces):
+        marks = [""] * len(piece.times)
+        if i > 0:
+            marks[0] = "post"
+        if i < len(pieces) - 1:
+            marks[-1] = "pre"
+        events += marks
+    numeric = np.concatenate([piece.values for piece in pieces])
+    closed = np.concatenate(trajectory_closed_form(traj))
+    rows = zip(
+        np.concatenate([piece.times for piece in pieces]).tolist(),
+        [piece.segment for piece in pieces for _ in piece.times],
+        numeric.tolist(),
+        closed.tolist(),
+        (np.abs(numeric - closed) / closed).tolist(),
+        events,
+    )
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
-    rows: list[tuple] = []
-    last = len(traj.pieces) - 1
-    for i, piece in enumerate(traj.pieces):
-        times, values = piece.times, piece.values
-        count = len(times)
-        for j in range(count):
-            t = float(times[j])
-            num = float(values[j])
-            if i < last and j == count - 1:
-                event = "pre"
-                closed = solution_at(params, x0, t) / keep
-            else:
-                event = "post" if (i > 0 and j == 0) else ""
-                closed = solution_at(params, x0, t)
-            rel = abs(num - closed) / closed
-            rows.append((t, piece.segment, num, closed, rel, event))
-
-    if fmt == "json":
-        return _dump_json(
-            {
-                "columns": columns,
-                "rows": [[t, k, num, closed, rel, event] for t, k, num, closed, rel, event in rows],
-            }
-        )
-    lines = [",".join(columns)]
-    for t, k, num, closed, rel, event in rows:
-        lines.append(f"{_fmt(t)},{k},{_fmt(num)},{_fmt(closed)},{_fmt(rel)},{event}")
-    return _csv(lines)
+    return _table(columns, rows, fmt)
 
 
 def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
@@ -360,21 +382,16 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
     params = config.params()
     n = config.step_control().steps_per_unit
     offsets = [i / n for i in range(n)]
-    base = [periodic_solution_at(params, params.t0 + off) for off in offsets]
-
-    columns = ["t", "period", "offset", "x_star"]
-    if fmt == "json":
-        rows = [
-            [params.t0 + p + off, p, off, val]
-            for p in range(config.horizon_periods)
-            for off, val in zip(offsets, base)
-        ]
-        return _dump_json({"columns": columns, "rows": rows})
-    lines = [",".join(columns)]
-    for p in range(config.horizon_periods):
-        for off, val in zip(offsets, base):
-            lines.append(f"{_fmt(params.t0 + p + off)},{p},{_fmt(off)},{_fmt(val)}")
-    return _csv(lines)
+    orbit = periodic_grid(params, period_table(params, offsets)).tolist()
+    cells = list(zip(offsets, orbit))
+    if fmt == "csv":  # format each offset's cells once; every period reuses them
+        cells = [(_fmt(off), _fmt(val)) for off, val in cells]
+    rows = (
+        (params.t0 + p + off, p, *cell)
+        for p in range(config.horizon_periods)
+        for off, cell in zip(offsets, cells)
+    )
+    return _table(["t", "period", "offset", "x_star"], rows, fmt)
 
 
 def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
@@ -473,7 +490,6 @@ def cmd_sweep(
     Rows keep their input order; fractions at or above the critical harvest
     produce empty orbit fields.
     """
-    columns = ["E", "exists", "x0_star", "x_star_mean"]
     rows = []
     for e_val in e_values:
         params = config.params(E=e_val)
@@ -482,20 +498,7 @@ def cmd_sweep(
             rows.append((e_val, False, None, None))
         else:
             rows.append((e_val, True, consts.x0_star, periodic_orbit_mean(params)))
-    if fmt == "json":
-        return _dump_json(
-            {
-                "columns": columns,
-                "rows": [[e, exists, anchor, mean] for e, exists, anchor, mean in rows],
-            }
-        )
-    lines = [",".join(columns)]
-    for e_val, exists, anchor, mean in rows:
-        if exists:
-            lines.append(f"{_fmt(e_val)},true,{_fmt(anchor)},{_fmt(mean)}")
-        else:
-            lines.append(f"{_fmt(e_val)},false,,")
-    return _csv(lines)
+    return _table(["E", "exists", "x0_star", "x_star_mean"], rows, fmt)
 
 
 # --------------------------------------------------------------------------

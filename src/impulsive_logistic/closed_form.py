@@ -9,7 +9,15 @@ linearizes the growth law to y' + r y = r/K, so on the interval
 [t0 + k, t0 + k + 1) the reciprocal of the solution is an explicit
 combination of the per-period growth factor A, the unit-window forcing
 integral B, the net per-period multiplier q = (1 - E) A, and one running
-forcing integral.  See ``solution_at`` for the exact expression.
+forcing integral.  See ``solution_grid`` for the exact expression.
+
+By periodicity the running integrals depend only on the offset s = t - (t0 + k)
+into the period, never on k.  ``period_table`` computes them for a whole grid
+of offsets in one cumulative quadrature pass, and ``solution_grid`` /
+``periodic_grid`` evaluate the closed form over (period index, offset) pairs
+from that table, so the cost grows with the number of output points, not with
+points times quadrature panels.  The scalar functions are that kernel at a
+single offset.
 
 When q > 1 the model has a unique positive period-1 orbit; its post-impulse
 anchor value is x0_star = (q - 1) / (A B), the fixed point of the
@@ -35,6 +43,7 @@ from .coefficients import (
     compute_B,
     forcing_integral,
     gauss_panels,
+    panel_rule,
 )
 
 __all__ = [
@@ -42,15 +51,19 @@ __all__ = [
     "ImpulseLimits",
     "ModelParams",
     "NoPeriodicSolutionError",
+    "PeriodTable",
     "SolutionConstants",
     "derive_constants",
     "fixed_point_x0",
     "legacy_periodic_at",
     "one_sided_limits",
+    "period_table",
+    "periodic_grid",
     "periodic_orbit_mean",
     "periodic_solution_at",
     "poincare_map",
     "solution_at",
+    "solution_grid",
 ]
 
 #: Times within this distance of an impulse instant evaluate on the
@@ -190,6 +203,139 @@ def _geometric_sum(q: float, k: int) -> float:
     return (grow - 1.0) / (1.0 - q)
 
 
+class PeriodTable(NamedTuple):
+    """Running integrals from an impulse anchor t0 + k, at sorted offsets s.
+
+    growth = R(s), the integral of r over [t0 + k, t0 + k + s]; decay =
+    exp(-R(s)); forcing = C(s), the forcing integral over the same window.
+    By periodicity none of them depends on k.
+    """
+
+    offsets: np.ndarray
+    growth: np.ndarray
+    decay: np.ndarray
+    forcing: np.ndarray
+
+
+def _jump_offsets(params: ModelParams) -> np.ndarray:
+    """Offsets from t0 (mod 1) at which r or K may jump."""
+    phase = params.t0 - math.floor(params.t0)
+    return np.sort((np.asarray(params.pair.breakpoints_mod1()) - phase) % 1.0)
+
+
+def period_table(
+    params: ModelParams,
+    offsets,
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
+) -> PeriodTable:
+    """R(s) and C(s) at every offset of a sorted grid in [0, 1], in one pass.
+
+    The grid points, offset 0 and every coefficient jump between them bound
+    the steps of one cumulative pass; each step gets
+    ceil(width * panels_per_unit) order-10 Gauss-Legendre panels, all
+    evaluated in one numpy call.  With R(s) the growth integral,
+
+        C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du,
+
+    so the step integrals of (r/K) exp(R) are summed cumulatively.  They are
+    scaled by exp(-R/2) at the largest offset first, which keeps every term
+    within float range for any growth integral that A itself survives.
+    Coefficients are evaluated at the phase frac(t0) + s, never at
+    t0 + k + s.
+    """
+    s = np.asarray(offsets, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("offsets must be a non-empty 1-d sequence")
+    if not (s[0] >= 0.0 and s[-1] <= 1.0) or np.any(np.diff(s) < 0.0):
+        raise ValueError("offsets must be sorted and lie in [0, 1]")
+    pair = params.pair
+    phase = params.t0 - math.floor(params.t0)
+
+    cuts = _jump_offsets(params)
+    edges = np.unique(np.concatenate(([0.0], s, cuts[cuts < s[-1]])))
+    nodes, weights, first = panel_rule(edges, panels_per_unit)
+    u = phase + nodes
+
+    big_r = pair.r.antiderivative(phase + edges)
+    growth = big_r - big_r[0]
+    shift = 0.5 * growth[-1]
+    weighted = pair.r(u) / pair.K(u) * np.exp(pair.r.antiderivative(u) - big_r[0] - shift)
+    steps = np.add.reduceat((weights * weighted).sum(axis=1), first) if first.size else first
+    forcing = np.concatenate(([0.0], np.cumsum(steps))) * np.exp(shift - growth)
+
+    at = np.searchsorted(edges, s)
+    growth = growth[at]
+    return PeriodTable(offsets=s, growth=growth, decay=np.exp(-growth), forcing=forcing[at])
+
+
+def solution_grid(
+    params: ModelParams,
+    x0: float,
+    periods,
+    table: PeriodTable,
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
+) -> np.ndarray:
+    """Solution started at x(t0) = x0, at t = t0 + k + s for every period
+    index k in ``periods`` and every offset s of ``table``.
+
+    Returns an array of shape (len(periods), len(table.offsets)).  With
+    q = (1 - E) A, R and C from the table and S = sum of q**-j, j = 1..k,
+
+        1/x = exp(-R) / (x0 q**k)  +  A B S exp(-R)  +  C.
+
+    The decaying exponential multiplies the middle term as well as the
+    first; see the sign-regression tests before touching it.  For large k
+    the first term is formed in log space.
+    """
+    if not x0 > 0.0:
+        raise ValueError(f"x0 must be positive, got {x0!r}")
+    consts = derive_constants(params, panels_per_unit)
+    q = consts.q
+    ln_q = math.log(q)
+    recip = np.empty((len(periods), table.offsets.size))
+    for row, k in enumerate(periods):
+        k = int(k)
+        if k > _LOG_SPACE_K or k * abs(ln_q) > 600.0:
+            ln_lead = -math.log(x0) - k * ln_q - table.growth
+            lead = np.where(
+                ln_lead <= _EXP_MAX, np.exp(np.minimum(ln_lead, _EXP_MAX)), math.inf
+            )
+        else:
+            lead = table.decay / (x0 * q**k)
+        recip[row] = (
+            lead + consts.A * consts.B * _geometric_sum(q, k) * table.decay + table.forcing
+        )
+    return 1.0 / recip
+
+
+def periodic_grid(
+    params: ModelParams,
+    table: PeriodTable,
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
+) -> np.ndarray:
+    """The period-1 orbit at every offset of ``table``; requires q > 1.
+
+        x*(s) = (q - 1) / (A B exp(-R) + (q - 1) C),
+
+    which is ``solution_grid`` at the fixed-point anchor x0_star, for any k.
+    At offset 0 (R = C = 0) it returns x0_star bit for bit.
+    """
+    consts = derive_constants(params, panels_per_unit)
+    _require_orbit(params, consts)
+    qm1 = consts.q - 1.0
+    return qm1 / (consts.A * consts.B * table.decay + qm1 * table.forcing)
+
+
+def _table_at(
+    params: ModelParams, t: float, panels_per_unit: int
+) -> tuple[int, PeriodTable]:
+    """Period index of t and the one-offset table for its place in the period."""
+    k = _interval_index(params, t)
+    anchor = params.t0 + k
+    # t may sit a few ulp below the snapped anchor
+    return k, period_table(params, [max(t, anchor) - anchor], panels_per_unit)
+
+
 def solution_at(
     params: ModelParams,
     x0: float,
@@ -198,34 +344,14 @@ def solution_at(
 ) -> float:
     """Value at time t >= t0 of the solution started at x(t0) = x0 > 0.
 
-    With k impulses in (t0, t], q = (1 - E) A, R = integral of r from
-    t0 + k to t, S = sum of q**-j for j = 1..k, and C the forcing integral
-    over [t0 + k, t], the reciprocal of the solution is
-
-        1/x(t) = exp(-R) / (x0 q**k)  +  A B S exp(-R)  +  C.
-
-    The decaying exponential multiplies the middle term as well as the
-    first; see the sign-regression tests before touching it.  Evaluation
-    exactly at an impulse instant returns the post-impulse value.
+    ``solution_grid`` at the single point (k, s) with t = t0 + k + s; see
+    there for the formula.  Evaluation exactly at an impulse instant
+    returns the post-impulse value.
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    k = _interval_index(params, t)
-    consts = derive_constants(params, panels_per_unit)
-    anchor = params.t0 + k
-    te = max(t, anchor)  # t may sit a few ulp below the snapped anchor
-    big_r = params.pair.r.integral(anchor, te)
-    forcing = forcing_integral(params.pair, anchor, te, panels_per_unit)
-    q = consts.q
-
-    ln_q = math.log(q)
-    if k > _LOG_SPACE_K or k * abs(ln_q) > 600.0:
-        ln_lead = -math.log(x0) - k * ln_q - big_r
-        lead = math.exp(ln_lead) if ln_lead <= _EXP_MAX else math.inf
-    else:
-        lead = math.exp(-big_r) / (x0 * q**k)
-    recip = lead + consts.A * consts.B * _geometric_sum(q, k) * math.exp(-big_r) + forcing
-    return 1.0 / recip
+    k, table = _table_at(params, t, panels_per_unit)
+    return float(solution_grid(params, x0, (k,), table, panels_per_unit)[0, 0])
 
 
 def periodic_solution_at(
@@ -235,23 +361,15 @@ def periodic_solution_at(
 ) -> float:
     """Value at time t >= t0 of the unique positive period-1 orbit.
 
-    Requires q = (1 - E) A > 1.  With R and C as in ``solution_at``,
-
-        x*(t) = (q - 1) / (A B exp(-R) + (q - 1) C),
-
-    which is ``solution_at`` evaluated at the fixed-point anchor x0_star.
-    Evaluation exactly at an impulse instant returns the post-impulse value
-    x0_star; the pre-impulse limit is available from ``one_sided_limits``.
+    Requires q = (1 - E) A > 1; ``periodic_grid`` at the single offset of
+    t.  Evaluation exactly at an impulse instant returns the post-impulse
+    value x0_star; the pre-impulse limit is available from
+    ``one_sided_limits``.
     """
     consts = derive_constants(params, panels_per_unit)
     _require_orbit(params, consts)
-    k = _interval_index(params, t)
-    anchor = params.t0 + k
-    te = max(t, anchor)
-    big_r = params.pair.r.integral(anchor, te)
-    forcing = forcing_integral(params.pair, anchor, te, panels_per_unit)
-    qm1 = consts.q - 1.0
-    return qm1 / (consts.A * consts.B * math.exp(-big_r) + qm1 * forcing)
+    _, table = _table_at(params, t, panels_per_unit)
+    return float(periodic_grid(params, table, panels_per_unit)[0])
 
 
 def legacy_periodic_at(
@@ -293,16 +411,17 @@ def periodic_orbit_mean(
 ) -> float:
     """Average of the periodic orbit over one period; errors when q <= 1.
 
-    The orbit is smooth between coefficient jumps, so the same split-panel
-    Gauss-Legendre rule used for the forcing integrals applies.
+    Split-panel Gauss-Legendre over the period, with the orbit at every node
+    from one ``period_table``.  The orbit relaxes at rate r after each
+    impulse, so the mean uses at least one panel per unit of growth
+    integral: max(panels_per_unit, ceil(ln A)) panels.
     """
     consts = derive_constants(params, panels_per_unit)
     _require_orbit(params, consts)
-    nodes, weights = gauss_panels(
-        params.pair.breakpoints_mod1(), params.t0, params.t0 + 1.0, panels_per_unit
-    )
-    values = [periodic_solution_at(params, float(t), panels_per_unit) for t in nodes]
-    return float(np.dot(weights, values))
+    panels = max(panels_per_unit, math.ceil(params.r.integral(0.0, 1.0)))
+    nodes, weights = gauss_panels(tuple(_jump_offsets(params)), 0.0, 1.0, panels)
+    table = period_table(params, nodes, panels_per_unit)
+    return float(np.dot(weights, periodic_grid(params, table, panels_per_unit)))
 
 
 def poincare_map(params: ModelParams, x0: float) -> float:

@@ -46,6 +46,7 @@ __all__ = [
     "forcing_integral",
     "forcing_integral_result",
     "gauss_panels",
+    "panel_rule",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -352,16 +353,28 @@ def gauss_panels(
                 cuts.append(p)
     cuts.append(b)
 
-    nodes, weights = [], []
-    for c0, c1 in zip(cuts, cuts[1:]):
-        width = c1 - c0
-        n = max(1, math.ceil(width * panels_per_unit - 1e-9))
-        edges = np.linspace(c0, c1, n + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes.append((mid[:, None] + half[:, None] * _GL_NODES).ravel())
-        weights.append((half[:, None] * _GL_WEIGHTS).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    nodes, weights, _ = panel_rule(np.asarray(cuts), panels_per_unit)
+    return nodes.ravel(), weights.ravel()
+
+
+def panel_rule(
+    edges: np.ndarray, panels_per_unit: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre (order 10) between consecutive sorted edges.
+
+    Each interval gets ceil(width * panels_per_unit) equal panels, placed as
+    ``np.linspace`` would place them.  Returns nodes and weights, each of
+    shape (panels, 10), and the index of each interval's first panel.
+    """
+    width = np.diff(edges)
+    count = np.maximum(1, np.ceil(width * panels_per_unit - 1e-9)).astype(int)
+    owner = np.repeat(np.arange(width.size), count)
+    first = np.cumsum(count) - count
+    lo = (np.arange(owner.size) - first[owner]) * (width / count)[owner] + edges[owner]
+    hi = np.append(lo[1:], edges[-1])
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS, first
 
 
 def forcing_integral(

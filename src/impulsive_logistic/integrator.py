@@ -18,11 +18,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .closed_form import BOUNDARY_SNAP, ModelParams
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "ImpulseEvent",
@@ -94,6 +97,9 @@ class TrajectoryPiece:
     def interpolant(self) -> PchipInterpolator | None:
         if len(self.times) < 2:
             return None
+        # scipy is imported here, not at module load: only sampling needs it.
+        from scipy.interpolate import PchipInterpolator
+
         # Shape-preserving cubic: no overshoot, so positive data stay positive.
         return PchipInterpolator(self.times, self.values)
 

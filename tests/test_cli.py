@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,33 @@ def test_field_precise_errors(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(data, source="scn")
     assert fragment in str(err.value)
+
+
+def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
+    # A = exp(710) does not fit a float: refuse the scenario, no traceback.
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(_json_config(r={"kind": "constant", "value": 710.0})))
+    for argv in (["constants"], ["periodic"], ["sweep", "--e-values", "0.5"]):
+        code = main([*argv, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "r: growth integral 710.0 exceeds 709.78 (A overflows a float)" in captured.err
+    # just inside the float range the constants still come out
+    cfg.write_text(json.dumps(_json_config(r={"kind": "constant", "value": 709.0})))
+    assert main(["constants", "--config", str(cfg)]) == 0
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy serves only Trajectory.sample; start-up must not pay for it.
+    import impulsive_logistic
+
+    src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, impulsive_logistic.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_invalid_json_reports_line_and_column(tmp_path):

@@ -239,6 +239,21 @@ def test_orbit_mean_golden():
     assert periodic_orbit_mean(golden_params()) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("r0", [300.0, 650.0, 709.0])
+@pytest.mark.parametrize("E", [0.5, 0.95, 0.99])
+def test_orbit_mean_at_huge_growth(r0, E):
+    # Constant coefficients: the mean is K (1 + ln(1 - E) / r).  After each
+    # impulse the orbit relaxes within about 1/r, which the mean's panels
+    # must resolve.
+    params = ModelParams(
+        pair=CoefficientPair(r=ConstantCoefficient(r0), K=ConstantCoefficient(100.0)),
+        E=E,
+        t0=0.5,
+    )
+    expected = 100.0 * (1.0 + math.log(1.0 - E) / r0)
+    assert periodic_orbit_mean(params) == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # legacy formula
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from impulsive_logistic import (
     compute_B_result,
     forcing_integral,
 )
+from impulsive_logistic.coefficients import gauss_panels
+from numpy.polynomial.legendre import leggauss
 
 from helpers import random_coefficient
 
@@ -273,6 +275,34 @@ def test_forcing_integral_empty_interval():
     assert forcing_integral(pair, 0.7, 0.7) == 0.0
     with pytest.raises(ValueError, match="reversed"):
         forcing_integral(pair, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "breaks, a, b, panels_per_unit",
+    [
+        ((), 0.5, 1.5, 64),
+        ((0.0, 0.25, 0.7), 0.25, 1.25, 64),
+        ((0.0, 0.3), 2.37, 4.1, 7),
+        ((0.0, 0.6), 12345678.3, 12345679.3, 96),
+        ((), 0.1, 0.1 + 1e-7, 651),
+    ],
+)
+def test_gauss_panels_match_per_segment_linspace(breaks, a, b, panels_per_unit):
+    # The vectorized panel layout reproduces one np.linspace per smooth
+    # segment bit for bit, so B and x0_star keep their exact values.
+    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
+    cuts = sorted({a, b} | {beta + m for beta in breaks for m in shifts})
+    cuts = [c for c in cuts if a <= c <= b]
+    gl_nodes, gl_weights = leggauss(10)
+    nodes, weights = [], []
+    for c0, c1 in zip(cuts, cuts[1:]):
+        edges = np.linspace(c0, c1, max(1, math.ceil((c1 - c0) * panels_per_unit - 1e-9)) + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        nodes.append((mid[:, None] + half[:, None] * gl_nodes).ravel())
+        weights.append((half[:, None] * gl_weights).ravel())
+    got_nodes, got_weights = gauss_panels(breaks, a, b, panels_per_unit)
+    assert np.array_equal(got_nodes, np.concatenate(nodes))
+    assert np.array_equal(got_weights, np.concatenate(weights))
 
 
 # ---------------------------------------------------------------------------
