@@ -19,7 +19,8 @@ The checks:
 
 Pre-impulse limits are estimated by evaluating just before the instant and
 extrapolating the offset to zero (two Richardson stages over offsets
-1e-4, 5e-5, 2.5e-5), which pushes the O(offset) bias far below the default
+1e-4, 5e-5, 2.5e-5, or smaller ones right of a coefficient jump that lies
+among them), which pushes the O(offset) bias far below the default
 tolerances.
 
 The corrected jump check and the periodicity check compare the period-table
@@ -171,8 +172,25 @@ def _orbit_by_quadrature(
     return qm1 / (consts.A * consts.B * decay + qm1 * forcing)
 
 
+def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
+    """``RICHARDSON_OFFSETS``, or smaller ones when r or K jumps among them.
+
+    The extrapolation needs the orbit smooth on [tau - d, tau); a
+    coefficient jump there puts a kink in it.  A jump between BOUNDARY_SNAP
+    and d before the impulse instants sets d to half its distance from them.
+    """
+    d = RICHARDSON_OFFSETS[0]
+    phase = params.t0 - math.floor(params.t0)
+    lags = [(phase - beta) % 1.0 for beta in params.pair.breakpoints_mod1()]
+    near = [lag for lag in lags if BOUNDARY_SNAP < lag < d]
+    if not near:
+        return RICHARDSON_OFFSETS
+    d = 0.5 * min(near)
+    return (d, d / 2.0, d / 4.0)
+
+
 def _corrected_limits(
-    params: ModelParams, panels_per_unit: int
+    params: ModelParams, panels_per_unit: int, offsets: Sequence[float]
 ) -> Callable[[float], tuple[float, float]]:
     """One-sided values of the corrected orbit at an impulse instant tau.
 
@@ -181,11 +199,11 @@ def _corrected_limits(
     impulse).  Post side: the scalar quadrature at tau itself.
     """
     consts = derive_constants(params, panels_per_unit)
-    d = RICHARDSON_OFFSETS[0]
+    d = offsets[0]
     below = (1.0 - d, 1.0 - d / 2.0, 1.0 - d / 4.0)  # the offsets left_limit forms
     table = period_table(params, below, panels_per_unit)
     orbit = dict(zip(below, periodic_grid(params, table, panels_per_unit).tolist()))
-    pre = left_limit(orbit.__getitem__, 1.0)
+    pre = left_limit(orbit.__getitem__, 1.0, offsets)
     reference = _reference_panels(panels_per_unit)
     return lambda tau: (pre, _orbit_by_quadrature(params, consts, tau, reference))
 
@@ -216,12 +234,15 @@ def verify_impulse_condition(
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"impulse indices must be positive, got {ks!r}")
 
+    offsets = _pre_impulse_offsets(params)
     if which == "corrected":
-        one_sided = _corrected_limits(params, panels_per_unit)
+        one_sided = _corrected_limits(params, panels_per_unit, offsets)
     else:
 
         def one_sided(tau: float) -> tuple[float, float]:
-            pre = left_limit(lambda s: legacy_periodic_at(params, s, panels_per_unit), tau)
+            pre = left_limit(
+                lambda s: legacy_periodic_at(params, s, panels_per_unit), tau, offsets
+            )
             return pre, legacy_periodic_at(params, tau, panels_per_unit)
 
     keep = 1.0 - params.E
@@ -247,7 +268,7 @@ def verify_impulse_condition(
         "params": params.to_dict(),
         "ks": list(ks),
         "tolerance": tol,
-        "offsets": list(RICHARDSON_OFFSETS),
+        "offsets": list(offsets),
         "panels_per_unit": panels_per_unit,
         "estimates": estimates,
     }
@@ -474,7 +495,7 @@ def fixed_point_scan(
         raise ValueError(f"need at least 2 grid points, got {n!r}")
     consts = derive_constants(params)
     xs = np.geomspace(x_min, x_max, n)
-    gap = np.array([poincare_map(params, float(x)) - float(x) for x in xs])
+    gap = poincare_map(params, xs) - xs
 
     crossings: list[float] = []
     for i in range(n - 1):

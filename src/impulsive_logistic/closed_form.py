@@ -424,15 +424,16 @@ def periodic_orbit_mean(
     return float(np.dot(weights, periodic_grid(params, table, panels_per_unit)))
 
 
-def poincare_map(params: ModelParams, x0: float) -> float:
+def poincare_map(params: ModelParams, x0: float | np.ndarray) -> float | np.ndarray:
     """Post-impulse state one period after starting at post-impulse state x0.
 
         P(x0) = (1 - E) A x0 / (1 + x0 A B)
 
     (flow the reciprocal form across one window, then apply the jump).  Its
-    unique positive fixed point, when q = (1 - E) A > 1, is x0_star.
+    unique positive fixed point, when q = (1 - E) A > 1, is x0_star.  x0 is
+    a float or an array of states, mapped elementwise.
     """
-    if not x0 > 0.0:
+    if not np.all(np.greater(x0, 0.0)):
         raise ValueError(f"x0 must be positive, got {x0!r}")
     consts = derive_constants(params)
     return (1.0 - params.E) * consts.A * x0 / (1.0 + x0 * consts.A * consts.B)

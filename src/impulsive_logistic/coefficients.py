@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "DEFAULT_PANELS_PER_UNIT",
@@ -46,6 +45,7 @@ __all__ = [
     "forcing_integral",
     "forcing_integral_result",
     "gauss_panels",
+    "jump_cuts",
     "panel_rule",
 ]
 
@@ -55,8 +55,21 @@ ArrayLike = Union[float, np.ndarray]
 DEFAULT_PANELS_PER_UNIT = 64
 
 _TWO_PI = 2.0 * math.pi
-_GL_ORDER = 10
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+# Order-10 Gauss-Legendre rule on [-1, 1], exactly as
+# numpy.polynomial.legendre.leggauss(10) returns it; written out so that
+# importing the package does not load numpy.polynomial.
+_GL_NODES = np.array([float.fromhex(x) for x in (
+    "-0x1.f2a3e062af2d8p-1", "-0x1.bae995e9cb2f3p-1", "-0x1.5bdb9228de198p-1",
+    "-0x1.bbcc009016adcp-2", "-0x1.30e507891e27ap-3", "0x1.30e507891e27ap-3",
+    "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f3p-1",
+    "0x1.f2a3e062af2d8p-1",
+)])
+_GL_WEIGHTS = np.array([float.fromhex(x) for x in (
+    "0x1.1115f8b62dc1fp-4", "0x1.32138c878efdep-3", "0x1.c0b059d00bc30p-3",
+    "0x1.13baa7a559c01p-2", "0x1.2e9de7014d6eep-2", "0x1.2e9de7014d6eep-2",
+    "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3", "0x1.32138c878efdep-3",
+    "0x1.1115f8b62dc1fp-4",
+)])
 
 # Cut points closer than this are merged when building quadrature panels.
 _CUT_TOL = 1e-12
@@ -95,16 +108,19 @@ class PeriodicCoefficient:
         out = self._antiderivative(arr)
         return float(out) if np.ndim(t) == 0 else out
 
-    def smooth_piece(self, t_interior: float):
-        """Callable matching this coefficient on the smooth piece around
-        ``t_interior`` and extending it smoothly to the piece's closure.
+    def stage_values(
+        self, stages: tuple[np.ndarray, ...], mid: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Values at each array of stage times, on the smooth piece of each step.
 
-        Steppers working on a step [a, b] strictly inside one piece must
-        evaluate stages at the endpoints through this (keyed by the step
-        midpoint): endpoint times can sit within rounding of a jump, where
-        direct evaluation may land on either side.
+        Step i lies strictly inside one piece of this coefficient, the piece
+        around its midpoint ``mid[i]``; ``stages`` hold times in the closure
+        of step i (its ends included) and the coefficient is extended
+        smoothly to that closure.  The ends can sit within rounding of a
+        jump, where direct evaluation may land on either side, so a
+        coefficient with jumps must key its values on ``mid``.
         """
-        return self
+        return tuple(self(t) for t in stages)
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b]; requires a <= b."""
@@ -235,9 +251,12 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         idx = np.searchsorted(self._bp, u, side="left") - 1
         return self._vals[idx]
 
-    def smooth_piece(self, t_interior: float):
-        value = float(self(t_interior))
-        return lambda t: value
+    def stage_values(
+        self, stages: tuple[np.ndarray, ...], mid: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        # constant on each piece: the midpoint value serves every stage
+        value = self(mid)
+        return (value,) * len(stages)
 
     def _antiderivative(self, t: np.ndarray) -> np.ndarray:
         whole = np.floor(t)
@@ -334,6 +353,23 @@ def compute_A(r: PeriodicCoefficient) -> float:
     return math.exp(antiderivative_between(r, 0.0, 1.0))
 
 
+def jump_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
+    """Sorted translates beta + m of the mod-1 jump points inside (a, b).
+
+    Translates within _CUT_TOL of a or b are left out; close pairs are not
+    merged, so each caller decides how near a cut may come to its others.
+    """
+    if not breaks_mod1:
+        return []
+    lo = math.floor(a) - 1
+    hi = math.ceil(b) + 1
+    return sorted(
+        p
+        for p in (beta + m for beta in breaks_mod1 for m in range(lo, hi))
+        if a + _CUT_TOL < p < b - _CUT_TOL
+    )
+
+
 def gauss_panels(
     breaks_mod1: tuple[float, ...], a: float, b: float, panels_per_unit: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -344,13 +380,9 @@ def gauss_panels(
     interior, so jump-point value conventions never enter an integral.
     """
     cuts = [a]
-    if breaks_mod1:
-        lo = math.floor(a) - 1
-        hi = math.ceil(b) + 1
-        translated = sorted(beta + m for beta in breaks_mod1 for m in range(lo, hi))
-        for p in translated:
-            if a + _CUT_TOL < p < b - _CUT_TOL and p - cuts[-1] > _CUT_TOL:
-                cuts.append(p)
+    for p in jump_cuts(breaks_mod1, a, b):
+        if p - cuts[-1] > _CUT_TOL:
+            cuts.append(p)
     cuts.append(b)
 
     nodes, weights, _ = panel_rule(np.asarray(cuts), panels_per_unit)

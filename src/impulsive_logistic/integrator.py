@@ -5,7 +5,9 @@ the grid is aligned instead of adaptive: every unit interval is divided into
 an integer number of base steps (so each impulse lands exactly on a step
 boundary) and any step straddling a coefficient jump is split at it.  The
 harvest jump x -> (1 - E) x is applied algebraically, never integrated
-across.
+across.  For each impulse-free stretch, r and K are evaluated at every
+step's stage times at once (``_stage_table``); the RK4 recurrence then runs
+over that table in plain Python floats.
 
 ``exact_constant_flow`` gives the closed-form flow of the autonomous
 logistic equation and serves as a second, quadrature-free oracle for
@@ -23,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .closed_form import BOUNDARY_SNAP, ModelParams
+from .coefficients import CoefficientPair, jump_cuts
 
 if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
@@ -186,11 +189,21 @@ def exact_constant_flow(r0: float, K0: float, x_start: float, dt: float) -> floa
     return K0 * x_start * (em1 + 1.0) / (K0 + x_start * em1)
 
 
-def _rk4_step(rhs, t: float, x: float, h: float) -> float:
-    k1 = rhs(t, x)
-    k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = rhs(t + h, x + h * k3)
+def _rk4_step(
+    x: float, h: float, ra: float, rm: float, re: float, ka: float, km: float, ke: float
+) -> float:
+    """One classical RK4 step of x' = r (1 - x/K) x.
+
+    ra, rm, re and ka, km, ke are r and K at the step's start, midpoint and
+    end; the two midpoint stages share them.
+    """
+    k1 = ra * (1.0 - x / ka) * x
+    y = x + 0.5 * h * k1
+    k2 = rm * (1.0 - y / km) * y
+    y = x + 0.5 * h * k2
+    k3 = rm * (1.0 - y / km) * y
+    y = x + h * k3
+    k4 = re * (1.0 - y / ke) * y
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -208,20 +221,35 @@ def _segment_bounds(
         bounds.append(seg_start + off)
         i += 1
     bounds.append(seg_end)
-    if breaks_mod1:
-        lo = math.floor(seg_start) - 1
-        hi = math.ceil(seg_end) + 1
-        cuts = sorted(
-            beta + m
-            for beta in breaks_mod1
-            for m in range(lo, hi)
-            if seg_start + 1e-12 < beta + m < seg_end - 1e-12
-        )
-        for c in cuts:
-            pos = bisect_right(bounds, c)
-            if c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
-                bounds.insert(pos, c)
+    for c in jump_cuts(breaks_mod1, seg_start, seg_end):
+        pos = bisect_right(bounds, c)
+        if c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
+            bounds.insert(pos, c)
     return bounds
+
+
+def _stage_table(
+    pair: CoefficientPair, bounds: list[float], halves: bool
+) -> tuple[list[float], ...]:
+    """h and the RK4 stage values of r and K for every step of one stretch.
+
+    Stage times are the floats a scalar step forms: ta, tm = ta + 0.5*h and
+    ta + h (not the next bound, which can differ from it in the last ulp).
+    With ``halves`` the table also holds the stages of the two half steps
+    that the error estimate takes, at ta + 0.5*(0.5*h), tm + 0.5*(0.5*h)
+    and tm + 0.5*h.  Each coefficient takes its piece around tm.
+    """
+    ta = np.asarray(bounds[:-1])
+    h = np.diff(bounds)
+    tm = ta + 0.5 * h
+    stages = (ta, tm, ta + h)
+    if halves:
+        quarter = 0.5 * (0.5 * h)
+        stages += (ta + quarter, tm + quarter, tm + 0.5 * h)
+    r_col = pair.r.stage_values(stages, tm)
+    k_col = pair.K.stage_values(stages, tm)
+    columns = (h, *r_col[:3], *k_col[:3], *r_col[3:], *k_col[3:])
+    return tuple(c.tolist() for c in columns)
 
 
 def _make_piece(segment: int, times: list[float], values: list[float]) -> TrajectoryPiece:
@@ -253,9 +281,8 @@ def integrate(
     if not t_end > params.t0:
         raise ValueError(f"t_end={t_end!r} must exceed t0={params.t0!r}")
 
-    r, K = params.pair.r, params.pair.K
-
     n = ctrl.steps_per_unit
+    halves = ctrl.error_target is not None
     breaks = params.pair.breakpoints_mod1()
     keep_fraction = 1.0 - params.E
 
@@ -271,23 +298,16 @@ def integrate(
         seg_end = full_end if reaches_impulse else t_end
 
         bounds = _segment_bounds(seg_start, seg_end, n, breaks)
+        steps = zip(bounds[1:], *_stage_table(params.pair, bounds, halves))
         values = [x]
-        for ta, tb in zip(bounds, bounds[1:]):
-            h = tb - ta
-            # Freeze the smooth piece via the step midpoint: the step lies
-            # strictly inside one piece of each coefficient, but its
-            # endpoint times can sit within rounding of a jump where direct
-            # evaluation could land on either side.
-            r_p = r.smooth_piece(ta + 0.5 * h)
-            k_p = K.smooth_piece(ta + 0.5 * h)
-
-            def rhs(t: float, y: float, r_p=r_p, k_p=k_p) -> float:
-                return r_p(t) * (1.0 - y / k_p(t)) * y
-
-            x_new = _rk4_step(rhs, ta, x, h)
-            if ctrl.error_target is not None:
-                x_half = _rk4_step(rhs, ta, x, 0.5 * h)
-                x_half = _rk4_step(rhs, ta + 0.5 * h, x_half, 0.5 * h)
+        for tb, h, ra, rm, re, ka, km, ke, *half in steps:
+            x_new = _rk4_step(x, h, ra, rm, re, ka, km, ke)
+            if half:
+                # half steps [ta, tm] and [tm, tm + 0.5*h]: their midpoints
+                # (quarter points) and the second one's end
+                rq, r3q, rz, kq, k3q, kz = half
+                x_half = _rk4_step(x, 0.5 * h, ra, rq, rm, ka, kq, km)
+                x_half = _rk4_step(x_half, 0.5 * h, rm, r3q, rz, km, k3q, kz)
                 est = abs(x_new - x_half) / (15.0 * max(abs(x_half), 1e-300))
                 worst_step_error = max(worst_step_error, est)
                 if est > ctrl.error_target:

@@ -1,19 +1,24 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here are deliberately separate from the library code paths they
-check: the logistic flow is the textbook closed form written out inline, and
-the chained variant applies the harvest jumps by plain multiplication.
+check: the logistic flow is the textbook closed form written out inline, the
+chained variant applies the harvest jumps by plain multiplication, and
+``scalar_rk4`` is the RK4 oracle stepped one scalar coefficient call at a
+time, against which the library's stage-table stepper must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
 from impulsive_logistic import (
     CoefficientPair,
     ConstantCoefficient,
+    IntegrationError,
     ModelParams,
     PeriodicCoefficient,
     PiecewiseConstantCoefficient,
@@ -99,3 +104,106 @@ def random_params(
         E = min(0.95, e_crit + float(rng.uniform(0.05, 0.2)) * (1.0 - e_crit))
     t0 = float(rng.uniform(0.15, 0.85))
     return ModelParams(pair=CoefficientPair(r=r, K=K), E=E, t0=t0)
+
+
+class ScalarRun(NamedTuple):
+    """Output of ``scalar_rk4``: step times and values per stretch, and the
+    events as (index, time, pre, post)."""
+
+    times: list[list[float]]
+    values: list[list[float]]
+    events: list[tuple[int, float, float, float]]
+    step_error_estimate: float | None
+
+
+def _scalar_bounds(start: float, end: float, n: int, breaks: tuple[float, ...]) -> list[float]:
+    """Base grid start + i/n plus every jump more than 1e-12 from its neighbours."""
+    bounds = []
+    i = 0
+    while i / n < end - start - 1e-12:
+        bounds.append(start + i / n)
+        i += 1
+    bounds.append(end)
+    shifts = range(math.floor(start) - 1, math.ceil(end) + 1)
+    cuts = sorted(b + m for b in breaks for m in shifts if start + 1e-12 < b + m < end - 1e-12)
+    for c in cuts:
+        pos = bisect_right(bounds, c)
+        if c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
+            bounds.insert(pos, c)
+    return bounds
+
+
+def _frozen(c: PeriodicCoefficient, t_mid: float):
+    """c on the smooth piece around t_mid: a piecewise-constant c takes its
+    midpoint value everywhere on the step."""
+    if isinstance(c, PiecewiseConstantCoefficient):
+        value = c(t_mid)
+        return lambda t: value
+    return c
+
+
+def _rk4(rhs, t: float, x: float, h: float) -> float:
+    k1 = rhs(t, x)
+    k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = rhs(t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def scalar_rk4(
+    params: ModelParams, x0: float, t_end: float, h: float, error_target: float | None = None
+) -> ScalarRun:
+    """The RK4 oracle one step and one scalar coefficient call at a time.
+
+    Same grid, stage times, operation order and failure messages as
+    ``integrate``; slow (tens of microseconds per step), for tests only.
+    """
+    n = round(1.0 / h)
+    breaks = params.pair.breakpoints_mod1()
+    run = ScalarRun([], [], [], None)
+    worst = 0.0
+    x = float(x0)
+    seg = 0
+    while True:
+        start, full_end = params.t0 + seg, params.t0 + (seg + 1.0)
+        reaches = t_end >= full_end - 1e-9
+        bounds = _scalar_bounds(start, full_end if reaches else t_end, n, breaks)
+        values = [x]
+        for ta, tb in zip(bounds, bounds[1:]):
+            step = tb - ta
+            r_p = _frozen(params.r, ta + 0.5 * step)
+            k_p = _frozen(params.K, ta + 0.5 * step)
+
+            def rhs(t: float, y: float) -> float:
+                return r_p(t) * (1.0 - y / k_p(t)) * y
+
+            x_new = _rk4(rhs, ta, x, step)
+            if error_target is not None:
+                x_half = _rk4(rhs, ta, x, 0.5 * step)
+                x_half = _rk4(rhs, ta + 0.5 * step, x_half, 0.5 * step)
+                est = abs(x_new - x_half) / (15.0 * max(abs(x_half), 1e-300))
+                worst = max(worst, est)
+                if est > error_target:
+                    raise IntegrationError(
+                        f"estimated step error {est:.3e} exceeds the target "
+                        f"{error_target:.3e} at t={tb!r}; reduce h"
+                    )
+            x = x_new
+            if not (math.isfinite(x) and x > 0.0):
+                raise IntegrationError(
+                    f"state became non-positive at t={tb!r} (x={x!r}); the "
+                    "step is too large for these coefficients"
+                )
+            values.append(x)
+        run.times.append(bounds)
+        run.values.append(values)
+        if not reaches:
+            break
+        pre, x = x, (1.0 - params.E) * x
+        run.events.append((seg + 1, full_end, pre, x))
+        if t_end <= full_end + 1e-9:
+            run.times.append([full_end])
+            run.values.append([x])
+            break
+        seg += 1
+    return run._replace(step_error_estimate=worst if error_target is not None else None)

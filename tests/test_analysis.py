@@ -13,6 +13,7 @@ from impulsive_logistic import (
     ConstantCoefficient,
     ModelParams,
     NoPeriodicSolutionError,
+    PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     StepControl,
     compare_solutions,
@@ -89,6 +90,29 @@ def test_impulse_checks_pass_for_random_instances():
             for k in (1, 2):
                 violation = legacy.metadata["estimates"][f"k={k}"]["jump_violation"]
                 assert violation >= p.E / 2.0
+
+
+@pytest.mark.parametrize("lag", [1.6e-5, 7e-5])
+def test_impulse_checks_extrapolate_right_of_a_jump_just_before_the_impulse(lag):
+    # K jumps `lag` before every impulse, among the default Richardson nodes:
+    # extrapolating across the kink this puts in the orbit missed the jump
+    # rule by ~1.5e-6.  The nodes must move between the jump and the impulse.
+    params = ModelParams(
+        pair=CoefficientPair(
+            r=SinusoidCoefficient(mean=0.41, amp=-0.09, phase=4.9),
+            K=PiecewiseConstantCoefficient((0.0, 0.87 - lag, 1.0), (720.0, 1110.0)),
+        ),
+        E=0.18,
+        t0=0.87,
+    )
+    pre = verify_impulse_condition("corrected", params, ks=(1, 2), tol=1e-6)
+    assert pre.passed, pre.to_text()
+    assert pre.metadata["offsets"][0] == pytest.approx(lag / 2.0, rel=1e-6)
+    for k in (1, 2):
+        estimate = pre.metadata["estimates"][f"k={k}"]["pre"]
+        assert estimate == pytest.approx(pre.metadata["analytic_pre"], rel=1e-9)
+    legacy = verify_impulse_condition("legacy", params, ks=(1, 2), tol=1e-6)
+    assert legacy.passed, legacy.to_text()
 
 
 def test_impulse_check_validation():

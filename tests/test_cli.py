@@ -108,16 +108,21 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # scipy serves only Trajectory.sample; start-up must not pay for it.
+    # scipy serves only Trajectory.sample, and the Gauss-Legendre rule is
+    # written out rather than taken from numpy.polynomial; start-up must
+    # not pay for either.
     import impulsive_logistic
 
     src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, impulsive_logistic.cli; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, impulsive_logistic.cli; "
+        "print([m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_invalid_json_reports_line_and_column(tmp_path):

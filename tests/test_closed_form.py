@@ -380,6 +380,16 @@ def test_fixed_point_identity_property():
 def test_poincare_map_requires_positive_state():
     with pytest.raises(ValueError, match="x0"):
         poincare_map(golden_params(), 0.0)
+    with pytest.raises(ValueError, match="x0"):
+        poincare_map(golden_params(), np.array([1.0, -2.0]))
+
+
+def test_poincare_map_over_an_array_matches_scalar_calls():
+    # fixed_point_scan maps its whole grid at once; the values must be the
+    # ones the scalar refinement sees.
+    p = random_params(np.random.default_rng(53), index=1)
+    xs = np.geomspace(1e-3, 1e4, 512)
+    assert np.array_equal(poincare_map(p, xs), [poincare_map(p, float(x)) for x in xs])
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,22 @@ def test_vectorized_eval_matches_scalar():
         assert v == c(float(t))
 
 
+def test_stage_values_match_scalar_calls_bit_for_bit():
+    # The RK4 stepper evaluates whole stretches at once and must reproduce
+    # the per-step scalar calls exactly, at times near 1 and near 1e7.
+    rng = np.random.default_rng(5)
+    ta = np.concatenate((rng.uniform(0.0, 3.0, 2048), rng.uniform(1e5, 1e7, 2048)))
+    h = 2.0 ** -rng.integers(0, 9, ta.size)
+    stages = (ta, ta + 0.5 * h, ta + h)
+    for kind in ("constant", "sinusoid", "piecewise"):
+        c = random_coefficient(rng, kind, 0.3, 1.5)
+        got = c.stage_values(stages, stages[1])
+        for times, values in zip(stages, got):
+            if kind == "piecewise":  # the midpoint value at every stage
+                times = stages[1]
+            assert np.array_equal(values, [c(float(t)) for t in times])
+
+
 # ---------------------------------------------------------------------------
 # construction guards
 # ---------------------------------------------------------------------------

@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impulsive_logistic import (
     CoefficientPair,
     ConstantCoefficient,
     IntegrationError,
     ModelParams,
+    PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     StepControl,
     exact_constant_flow,
     integrate,
     solution_at,
 )
+from impulsive_logistic.integrator import _segment_bounds
 
-from helpers import LN2, chained_flow, golden_params, random_params
+from helpers import LN2, chained_flow, golden_params, random_params, scalar_rk4
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +192,98 @@ def test_horizon_ending_exactly_on_an_impulse():
     assert traj.times[-1] == pytest.approx(2.5, abs=1e-12)
     # final sample carries the post-impulse value
     assert traj.values[-1] == pytest.approx(traj.events[-1].post_value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "breaks, start, end, n, expected",
+    [
+        # jumps on grid points add nothing
+        ((0.0, 0.5), 0.25, 1.25, 4, [0.25, 0.5, 0.75, 1.0, 1.25]),
+        # an off-grid jump is inserted; its translate 1.0 sits on the grid
+        ((0.0, 0.3), 0.25, 1.25, 4, [0.25, 0.3, 0.5, 0.75, 1.0, 1.25]),
+        # a short last stretch keeps its end and the jumps inside it
+        ((0.0, 0.3, 0.8), 2.25, 2.9, 4, [2.25, 2.3, 2.5, 2.75, 2.8, 2.9]),
+        # within 1e-12 of a grid point: no sliver step
+        ((0.5 + 5e-13,), 0.25, 1.25, 4, [0.25, 0.5, 0.75, 1.0, 1.25]),
+        # breakpoints in [0, 1) translate to every period the stretch covers
+        ((0.0, 0.625), 3.125, 4.125, 2, [3.125, 3.625, 4.0, 4.125]),
+    ],
+)
+def test_step_bounds_insert_off_grid_jumps(breaks, start, end, n, expected):
+    assert _segment_bounds(start, end, n, breaks) == expected
+
+
+# ---------------------------------------------------------------------------
+# the stage-table stepper against the scalar reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _coefficients(low: float, high: float):
+    constant = st.floats(low, high).map(ConstantCoefficient)
+    sinusoid = st.builds(
+        lambda mean, frac, phase: SinusoidCoefficient(mean=mean, amp=frac * mean, phase=phase),
+        st.floats(low, high),
+        st.floats(-0.9, 0.9),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    # jumps on the dyadic grid and off it
+    jump = st.one_of(st.integers(1, 63).map(lambda i: i / 64.0), st.floats(0.001, 0.999))
+    piecewise = st.lists(jump, min_size=1, max_size=3, unique=True).flatmap(
+        lambda cuts: st.builds(
+            PiecewiseConstantCoefficient,
+            st.just((0.0, *sorted(cuts), 1.0)),
+            st.tuples(*[st.floats(low, high)] * (len(cuts) + 1)),
+        )
+    )
+    return st.one_of(constant, sinusoid, piecewise)
+
+
+@st.composite
+def _runs(draw):
+    pair = CoefficientPair(r=draw(_coefficients(0.2, 3.0)), K=draw(_coefficients(10.0, 500.0)))
+    e_crit = 1.0 - math.exp(-pair.r.integral(0.0, 1.0))
+    # t0 below the step (stage time ta + h differs from the next bound),
+    # ordinary, and large enough that t carries a visible ulp
+    t0 = draw(st.one_of(st.just(1e-3), st.floats(0.05, 3.0), st.floats(1e5, 1e7)))
+    params = ModelParams(pair=pair, E=draw(st.floats(0.0, 0.95)) * e_crit, t0=t0)
+    ctrl = StepControl(
+        h=2.0 ** -draw(st.integers(0, 8)),
+        error_target=draw(st.sampled_from([None, 1e-3, 1e-10])),
+    )
+    return params, draw(st.floats(1.0, 1000.0)), t0 + draw(st.floats(0.3, 2.5)), ctrl
+
+
+def _one_step_past_a_jump(t0: float, cut: float, error_target: float | None):
+    """One step per unit from a small t0 to a jump of K: ta + h is one ulp
+    off the next bound there, and the half steps' end tm + 0.5*h off ta + h."""
+    pair = CoefficientPair(
+        r=SinusoidCoefficient(mean=1.0, amp=0.5, phase=0.3),
+        K=PiecewiseConstantCoefficient(breakpoints=(0.0, cut, 1.0), values=(100.0, 150.0)),
+    )
+    ctrl = StepControl(h=1.0, error_target=error_target)
+    return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, t0 + 1.0, ctrl
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(run=_runs())
+@example(run=_one_step_past_a_jump(0.2652284551781802, 0.8980443450745145, None))
+@example(run=_one_step_past_a_jump(0.011791280347440668, 0.8533712351972526, 1.0))
+def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
+    params, x0, t_end, ctrl = run
+    try:
+        ref = scalar_rk4(params, x0, t_end, ctrl.h, ctrl.error_target)
+    except IntegrationError as exc:
+        with pytest.raises(IntegrationError) as got:
+            integrate(params, x0, t_end, ctrl)
+        assert str(got.value) == str(exc)
+        return
+    traj = integrate(params, x0, t_end, ctrl)
+    assert len(traj.pieces) == len(ref.times)
+    for piece, times, values in zip(traj.pieces, ref.times, ref.values):
+        assert np.array_equal(piece.times, times)
+        assert np.array_equal(piece.values, values)
+    assert [(e.index, e.time, e.pre_value, e.post_value) for e in traj.events] == ref.events
+    assert traj.step_error_estimate == ref.step_error_estimate
 
 
 # ---------------------------------------------------------------------------

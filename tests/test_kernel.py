@@ -224,8 +224,8 @@ def evaluated_nodes(monkeypatch):
     closed_form.derive_constants.cache_clear()
 
 
-# RK4 alone evaluates r and K at 4 stages per step, 8 nodes per row; one
-# quadrature per row, as before the period table, costs about 1000.
+# RK4 alone evaluates r and K at 3 stage times per step, 6 nodes per row;
+# one quadrature per row, as before the period table, costs about 1000.
 NODES_PER_ROW = 16
 
 
@@ -250,3 +250,35 @@ def test_orbit_mean_cost_is_linear_in_its_nodes(evaluated_nodes):
     # three evaluations (r, K, antiderivative of r) at ten table nodes per
     # mean node, plus the constants
     assert evaluated_nodes[0] <= 40 * mean_nodes
+
+
+# r and K at 3 stage times per stretch, 3 more for the half steps of the
+# error estimate; a call per stage and step would be thousands here.
+CALLS_PER_STRETCH = 12
+
+
+@pytest.mark.parametrize("error_target", [None, 1e-6])
+@pytest.mark.parametrize(
+    "pair",
+    [
+        SINUSOID_R.pair,
+        CoefficientPair(
+            r=PiecewiseConstantCoefficient((0.0, 0.3, 1.0), (0.5, 1.2)),
+            K=SinusoidCoefficient(100.0, 20.0),
+        ),
+    ],
+    ids=["sinusoid-constant", "piecewise-sinusoid"],
+)
+def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair, error_target):
+    calls = [0]
+    call = PeriodicCoefficient.__call__
+
+    def counted(self, t):
+        calls[0] += 1
+        return call(self, t)
+
+    monkeypatch.setattr(PeriodicCoefficient, "__call__", counted)
+    params = ModelParams(pair=pair, E=0.25, t0=0.5)
+    traj = integrate(params, 60.0, 40.75, StepControl(h=1.0 / 256.0, error_target=error_target))
+    assert len(traj.pieces) == 41
+    assert calls[0] <= CALLS_PER_STRETCH * len(traj.pieces)
