@@ -7,10 +7,8 @@ reports; see the README for the CLI.
 
 from .analysis import (
     CheckRecord,
-    ConvergenceTable,
     VerificationReport,
     compare_solutions,
-    convergence_experiment,
     critical_harvest,
     fixed_point_scan,
     trajectory_closed_form,
@@ -24,7 +22,6 @@ from .closed_form import (
     PeriodTable,
     SolutionConstants,
     derive_constants,
-    fixed_point_x0,
     legacy_periodic_at,
     one_sided_limits,
     period_table,
@@ -40,15 +37,11 @@ from .coefficients import (
     ConstantCoefficient,
     PeriodicCoefficient,
     PiecewiseConstantCoefficient,
-    QuadratureResult,
     SinusoidCoefficient,
-    antiderivative_between,
     coefficient_from_dict,
     compute_A,
     compute_B,
-    compute_B_result,
     forcing_integral,
-    forcing_integral_result,
 )
 from .integrator import (
     ImpulseEvent,
@@ -65,7 +58,6 @@ __all__ = [
     "CheckRecord",
     "CoefficientPair",
     "ConstantCoefficient",
-    "ConvergenceTable",
     "ImpulseEvent",
     "ImpulseLimits",
     "IntegrationError",
@@ -74,26 +66,20 @@ __all__ = [
     "PeriodTable",
     "PeriodicCoefficient",
     "PiecewiseConstantCoefficient",
-    "QuadratureResult",
     "SinusoidCoefficient",
     "SolutionConstants",
     "StepControl",
     "Trajectory",
     "VerificationReport",
-    "antiderivative_between",
     "coefficient_from_dict",
     "compare_solutions",
     "compute_A",
     "compute_B",
-    "compute_B_result",
-    "convergence_experiment",
     "critical_harvest",
     "derive_constants",
     "exact_constant_flow",
     "fixed_point_scan",
-    "fixed_point_x0",
     "forcing_integral",
-    "forcing_integral_result",
     "integrate",
     "legacy_periodic_at",
     "one_sided_limits",

@@ -14,8 +14,6 @@ The checks:
   * ``fixed_point_scan`` -- sign changes of the period-advance map against
     the identity: exactly one positive fixed point when (1-E)A > 1, none
     otherwise.
-  * ``convergence_experiment`` -- observational only: iterated map distance
-    to the fixed point (no claim is made that the orbit attracts).
 
 Pre-impulse limits are estimated by evaluating just before the instant and
 extrapolating the offset to zero (two Richardson stages over offsets
@@ -40,7 +38,6 @@ import numpy as np
 from .closed_form import (
     BOUNDARY_SNAP,
     ModelParams,
-    NoPeriodicSolutionError,
     SolutionConstants,
     derive_constants,
     legacy_periodic_at,
@@ -60,11 +57,9 @@ from .integrator import StepControl, Trajectory, integrate
 
 __all__ = [
     "CheckRecord",
-    "ConvergenceTable",
     "RICHARDSON_OFFSETS",
     "VerificationReport",
     "compare_solutions",
-    "convergence_experiment",
     "critical_harvest",
     "fixed_point_scan",
     "left_limit",
@@ -80,6 +75,12 @@ DEFAULT_IMPULSE_TOL = 1e-6
 DEFAULT_PERIODICITY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_FIXED_POINT_TOL = 1e-6
+
+#: Panel count of the independent side of the periodicity and jump checks.
+REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT
+
+# compare_solutions decimates the oracle's samples to this many per period.
+_GRID_PER_PERIOD = 64
 
 
 @dataclass(frozen=True)
@@ -151,14 +152,7 @@ def left_limit(
     return (8.0 * u3 - 6.0 * u2 + u1) / 3.0
 
 
-def _reference_panels(panels_per_unit: int) -> int:
-    """Panel count of the independent side of the periodicity and jump checks."""
-    return 2 * panels_per_unit
-
-
-def _orbit_by_quadrature(
-    params: ModelParams, consts: SolutionConstants, t: float, panels_per_unit: int
-) -> float:
+def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, t: float) -> float:
     """x*(t) from the scalar forcing quadrature over [t0 + k, t].
 
     Shares no period table with the kernel: the independent side of the
@@ -168,7 +162,7 @@ def _orbit_by_quadrature(
     te = max(t, anchor)
     qm1 = consts.q - 1.0
     decay = math.exp(-params.r.integral(anchor, te))
-    forcing = forcing_integral(params.pair, anchor, te, panels_per_unit)
+    forcing = forcing_integral(params.pair, anchor, te, REFERENCE_PANELS_PER_UNIT)
     return qm1 / (consts.A * consts.B * decay + qm1 * forcing)
 
 
@@ -190,7 +184,7 @@ def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
 
 
 def _corrected_limits(
-    params: ModelParams, panels_per_unit: int, offsets: Sequence[float]
+    params: ModelParams, offsets: Sequence[float]
 ) -> Callable[[float], tuple[float, float]]:
     """One-sided values of the corrected orbit at an impulse instant tau.
 
@@ -198,14 +192,12 @@ def _corrected_limits(
     by ``left_limit`` (the orbit is periodic, so one table serves every
     impulse).  Post side: the scalar quadrature at tau itself.
     """
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     d = offsets[0]
     below = (1.0 - d, 1.0 - d / 2.0, 1.0 - d / 4.0)  # the offsets left_limit forms
-    table = period_table(params, below, panels_per_unit)
-    orbit = dict(zip(below, periodic_grid(params, table, panels_per_unit).tolist()))
+    orbit = dict(zip(below, periodic_grid(params, period_table(params, below)).tolist()))
     pre = left_limit(orbit.__getitem__, 1.0, offsets)
-    reference = _reference_panels(panels_per_unit)
-    return lambda tau: (pre, _orbit_by_quadrature(params, consts, tau, reference))
+    return lambda tau: (pre, _orbit_by_quadrature(params, consts, tau))
 
 
 def verify_impulse_condition(
@@ -213,7 +205,6 @@ def verify_impulse_condition(
     params: ModelParams,
     ks: Iterable[int] = (1, 2, 3, 4, 5),
     tol: float = DEFAULT_IMPULSE_TOL,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
 ) -> VerificationReport:
     """Check the jump behavior of a periodic formula at the impulse instants.
 
@@ -236,14 +227,12 @@ def verify_impulse_condition(
 
     offsets = _pre_impulse_offsets(params)
     if which == "corrected":
-        one_sided = _corrected_limits(params, panels_per_unit, offsets)
+        one_sided = _corrected_limits(params, offsets)
     else:
 
         def one_sided(tau: float) -> tuple[float, float]:
-            pre = left_limit(
-                lambda s: legacy_periodic_at(params, s, panels_per_unit), tau, offsets
-            )
-            return pre, legacy_periodic_at(params, tau, panels_per_unit)
+            pre = left_limit(lambda s: legacy_periodic_at(params, s), tau, offsets)
+            return pre, legacy_periodic_at(params, tau)
 
     keep = 1.0 - params.E
     records: list[CheckRecord] = []
@@ -269,11 +258,11 @@ def verify_impulse_condition(
         "ks": list(ks),
         "tolerance": tol,
         "offsets": list(offsets),
-        "panels_per_unit": panels_per_unit,
+        "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
         "estimates": estimates,
     }
     if which == "corrected":
-        metadata["reference_panels_per_unit"] = _reference_panels(panels_per_unit)
+        metadata["reference_panels_per_unit"] = REFERENCE_PANELS_PER_UNIT
         limits = one_sided_limits(params, ks[0])
         metadata["analytic_pre"] = limits.pre
         metadata["analytic_post"] = limits.post
@@ -287,7 +276,6 @@ def verify_periodicity(
     grid: Sequence[float] | None = None,
     periods: int = 5,
     tol: float = DEFAULT_PERIODICITY_TOL,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
 ) -> VerificationReport:
     """Check x*(t + 1) = x*(t) at t = t0 + k + offset for k < periods.
 
@@ -302,16 +290,14 @@ def verify_periodicity(
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods!r}")
 
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     offsets, where = np.unique(grid, return_inverse=True)
-    table = period_table(params, offsets, panels_per_unit)
-    orbit = periodic_grid(params, table, panels_per_unit)[where].tolist()
-    reference = _reference_panels(panels_per_unit)
+    orbit = periodic_grid(params, period_table(params, offsets))[where].tolist()
     records = []
     for k in range(periods):
         for off, now in zip(grid, orbit):
             t = params.t0 + k + off
-            shifted = _orbit_by_quadrature(params, consts, t + 1.0, reference)
+            shifted = _orbit_by_quadrature(params, consts, t + 1.0)
             residual = abs(shifted - now) / now
             records.append(CheckRecord(f"k={k} offset={off:g}", float(residual), tol))
     metadata = {
@@ -319,17 +305,13 @@ def verify_periodicity(
         "grid": list(grid),
         "periods": periods,
         "tolerance": tol,
-        "panels_per_unit": panels_per_unit,
-        "reference_panels_per_unit": reference,
+        "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
+        "reference_panels_per_unit": REFERENCE_PANELS_PER_UNIT,
     }
     return VerificationReport(check="periodicity", records=tuple(records), metadata=metadata)
 
 
-def trajectory_closed_form(
-    traj: Trajectory,
-    periodic: bool = False,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> list[np.ndarray]:
+def trajectory_closed_form(traj: Trajectory, periodic: bool = False) -> list[np.ndarray]:
     """Closed form at every sample of every piece of an integrated path.
 
     One array per piece, aligned with ``piece.times``: the solution from
@@ -346,18 +328,18 @@ def trajectory_closed_form(
         return np.minimum(piece.times - piece.times[0], 1.0)
 
     base = offsets(traj.pieces[0])
-    shared = period_table(params, base, panels_per_unit)
+    shared = period_table(params, base)
     values = []
     for piece in traj.pieces:
         own = offsets(piece)
         if own.size == base.size and np.allclose(own, base, rtol=0.0, atol=BOUNDARY_SNAP):
             table = shared
         else:
-            table = period_table(params, own, panels_per_unit)
+            table = period_table(params, own)
         if periodic:
-            row = periodic_grid(params, table, panels_per_unit)
+            row = periodic_grid(params, table)
         else:
-            row = solution_grid(params, traj.x0, (piece.segment,), table, panels_per_unit)[0]
+            row = solution_grid(params, traj.x0, (piece.segment,), table)[0]
         values.append(row)
     keep = 1.0 - params.E
     for before, after in zip(values, values[1:]):
@@ -365,15 +347,13 @@ def trajectory_closed_form(
     return values
 
 
-def _worst_deviation(
-    traj: Trajectory, closed: list[np.ndarray], grid_per_period: int
-) -> tuple[float, float]:
+def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float, float]:
     """Worst relative deviation of the samples from the closed form, and its time.
 
-    Samples are decimated to grid_per_period per period; at every impulse
+    Samples are decimated to _GRID_PER_PERIOD per period; at every impulse
     both the pre and the post value count.
     """
-    stride = max(1, traj.ctrl.steps_per_unit // grid_per_period)
+    stride = max(1, traj.ctrl.steps_per_unit // _GRID_PER_PERIOD)
     last = len(traj.pieces) - 1
     times, nums, refs = [], [], []
     for i, (piece, ref) in enumerate(zip(traj.pieces, closed)):
@@ -399,8 +379,6 @@ def compare_solutions(
     horizon_periods: int,
     ctrl: StepControl | None = None,
     tol: float = DEFAULT_ORACLE_TOL,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-    grid_per_period: int = 64,
 ) -> VerificationReport:
     """Closed form against the RK4 oracle over a whole horizon.
 
@@ -414,13 +392,11 @@ def compare_solutions(
         raise ValueError(f"horizon_periods must be >= 1, got {horizon_periods!r}")
     if ctrl is None:
         ctrl = StepControl()
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     t_end = params.t0 + horizon_periods
 
     traj = integrate(params, x0, t_end, ctrl)
-    worst, worst_t = _worst_deviation(
-        traj, trajectory_closed_form(traj, panels_per_unit=panels_per_unit), grid_per_period
-    )
+    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj))
     records = [
         CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)
     ]
@@ -430,16 +406,14 @@ def compare_solutions(
         "horizon_periods": horizon_periods,
         "h": ctrl.h,
         "tolerance": tol,
-        "grid_per_period": grid_per_period,
-        "panels_per_unit": panels_per_unit,
+        "grid_per_period": _GRID_PER_PERIOD,
+        "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
         "x0_star": consts.x0_star,
     }
     if consts.x0_star is not None:
         orbit_traj = integrate(params, consts.x0_star, t_end, ctrl)
         worst_p, worst_pt = _worst_deviation(
-            orbit_traj,
-            trajectory_closed_form(orbit_traj, periodic=True, panels_per_unit=panels_per_unit),
-            grid_per_period,
+            orbit_traj, trajectory_closed_form(orbit_traj, periodic=True)
         )
         records.append(
             CheckRecord(
@@ -538,53 +512,4 @@ def fixed_point_scan(
         check="fixed-point scan of the period-advance map",
         records=tuple(records),
         metadata=metadata,
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Observational record of iterated-map distances to the anchor.
-
-    residuals[i][j] = |P^j(seeds[i]) - x0_star| / x0_star.  No pass/fail:
-    existence and uniqueness of the orbit say nothing about attraction, so
-    this is a diagnostic, not a verified claim.
-    """
-
-    x0_star: float
-    seeds: tuple[float, ...]
-    periods: int
-    residuals: tuple[tuple[float, ...], ...]
-
-    def to_text(self) -> str:
-        lines = [f"iterated map distance to anchor {self.x0_star:.6g} (per period)"]
-        for seed, row in zip(self.seeds, self.residuals):
-            trail = " ".join(f"{v:.3e}" for v in row)
-            lines.append(f"  x0={seed:<12g} {trail}")
-        return "\n".join(lines)
-
-
-def convergence_experiment(
-    params: ModelParams, seeds: Iterable[float], periods: int = 10
-) -> ConvergenceTable:
-    """Iterate the period-advance map from each seed; record the distances."""
-    consts = derive_constants(params)
-    if consts.x0_star is None:
-        raise NoPeriodicSolutionError(
-            "convergence experiment needs the periodic orbit: (1-E)A = "
-            f"{consts.q!r} <= 1"
-        )
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods!r}")
-    anchor = consts.x0_star
-    rows = []
-    seeds = tuple(float(s) for s in seeds)
-    for seed in seeds:
-        x = seed
-        row = [abs(x - anchor) / anchor]
-        for _ in range(periods):
-            x = poincare_map(params, x)
-            row.append(abs(x - anchor) / anchor)
-        rows.append(tuple(row))
-    return ConvergenceTable(
-        x0_star=anchor, seeds=seeds, periods=periods, residuals=tuple(rows)
     )

@@ -60,7 +60,6 @@ from .closed_form import (
 from .coefficients import (
     CoefficientPair,
     PeriodicCoefficient,
-    antiderivative_between,
     coefficient_from_dict,
 )
 from .integrator import IntegrationError, StepControl, integrate
@@ -128,7 +127,7 @@ class ScenarioConfig:
         consts = derive_constants(self.params())
         if consts.x0_star is not None:
             return consts.x0_star
-        return antiderivative_between(self.K, 0.0, 1.0)
+        return self.K.integral(0.0, 1.0)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -222,7 +221,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}: missing required field '{required}'")
 
     r = _parse_coefficient(data["r"], f"{source}.r")
-    growth = antiderivative_between(r, 0.0, 1.0)
+    growth = r.integral(0.0, 1.0)
     if growth > _MAX_GROWTH:
         raise ConfigError(
             f"{source}.r: growth integral {growth!r} exceeds {_MAX_GROWTH:.2f} "
@@ -419,7 +418,7 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
             tol=tol.oracle,
         )
     )
-    mean_capacity = antiderivative_between(config.K, 0.0, 1.0)
+    mean_capacity = config.K.integral(0.0, 1.0)
     reports.append(
         fixed_point_scan(
             params,

@@ -54,7 +54,6 @@ __all__ = [
     "PeriodTable",
     "SolutionConstants",
     "derive_constants",
-    "fixed_point_x0",
     "legacy_periodic_at",
     "one_sided_limits",
     "period_table",
@@ -119,10 +118,6 @@ class ModelParams:
         d.update({"E": self.E, "t0": self.t0})
         return d
 
-    @staticmethod
-    def from_dict(data: dict) -> "ModelParams":
-        return ModelParams(pair=CoefficientPair.from_dict(data), E=data["E"], t0=data["t0"])
-
 
 class ImpulseLimits(NamedTuple):
     """One-sided values of the periodic orbit at an impulse instant."""
@@ -149,26 +144,17 @@ class SolutionConstants:
 
 
 @lru_cache(maxsize=256)
-def derive_constants(
-    params: ModelParams, panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
-) -> SolutionConstants:
+def derive_constants(params: ModelParams) -> SolutionConstants:
     """Compute A, B, q and (when q > 1) the fixed-point anchor x0_star.
 
     Cached per params; safe for concurrent readers (the cached value is
     immutable and fully constructed before it is published).
     """
     A = compute_A(params.pair.r)
-    B = compute_B(params.pair, params.t0, panels_per_unit)
+    B = compute_B(params.pair, params.t0)
     q = (1.0 - params.E) * A
     x0_star = (q - 1.0) / (A * B) if q > 1.0 else None
     return SolutionConstants(A=A, B=B, q=q, x0_star=x0_star)
-
-
-def fixed_point_x0(params: ModelParams) -> float:
-    """Post-impulse anchor value of the periodic orbit; errors when q <= 1."""
-    consts = derive_constants(params)
-    _require_orbit(params, consts)
-    return consts.x0_star
 
 
 def _require_orbit(params: ModelParams, consts: SolutionConstants) -> None:
@@ -223,16 +209,12 @@ def _jump_offsets(params: ModelParams) -> np.ndarray:
     return np.sort((np.asarray(params.pair.breakpoints_mod1()) - phase) % 1.0)
 
 
-def period_table(
-    params: ModelParams,
-    offsets,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> PeriodTable:
+def period_table(params: ModelParams, offsets) -> PeriodTable:
     """R(s) and C(s) at every offset of a sorted grid in [0, 1], in one pass.
 
     The grid points, offset 0 and every coefficient jump between them bound
     the steps of one cumulative pass; each step gets
-    ceil(width * panels_per_unit) order-10 Gauss-Legendre panels, all
+    ceil(width * DEFAULT_PANELS_PER_UNIT) order-10 Gauss-Legendre panels, all
     evaluated in one numpy call.  With R(s) the growth integral,
 
         C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du,
@@ -253,7 +235,7 @@ def period_table(
 
     cuts = _jump_offsets(params)
     edges = np.unique(np.concatenate(([0.0], s, cuts[cuts < s[-1]])))
-    nodes, weights, first = panel_rule(edges, panels_per_unit)
+    nodes, weights, first = panel_rule(edges, DEFAULT_PANELS_PER_UNIT)
     u = phase + nodes
 
     big_r = pair.r.antiderivative(phase + edges)
@@ -269,11 +251,7 @@ def period_table(
 
 
 def solution_grid(
-    params: ModelParams,
-    x0: float,
-    periods,
-    table: PeriodTable,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
+    params: ModelParams, x0: float, periods, table: PeriodTable
 ) -> np.ndarray:
     """Solution started at x(t0) = x0, at t = t0 + k + s for every period
     index k in ``periods`` and every offset s of ``table``.
@@ -289,7 +267,7 @@ def solution_grid(
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     q = consts.q
     ln_q = math.log(q)
     recip = np.empty((len(periods), table.offsets.size))
@@ -308,11 +286,7 @@ def solution_grid(
     return 1.0 / recip
 
 
-def periodic_grid(
-    params: ModelParams,
-    table: PeriodTable,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> np.ndarray:
+def periodic_grid(params: ModelParams, table: PeriodTable) -> np.ndarray:
     """The period-1 orbit at every offset of ``table``; requires q > 1.
 
         x*(s) = (q - 1) / (A B exp(-R) + (q - 1) C),
@@ -320,28 +294,21 @@ def periodic_grid(
     which is ``solution_grid`` at the fixed-point anchor x0_star, for any k.
     At offset 0 (R = C = 0) it returns x0_star bit for bit.
     """
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     _require_orbit(params, consts)
     qm1 = consts.q - 1.0
     return qm1 / (consts.A * consts.B * table.decay + qm1 * table.forcing)
 
 
-def _table_at(
-    params: ModelParams, t: float, panels_per_unit: int
-) -> tuple[int, PeriodTable]:
+def _table_at(params: ModelParams, t: float) -> tuple[int, PeriodTable]:
     """Period index of t and the one-offset table for its place in the period."""
     k = _interval_index(params, t)
     anchor = params.t0 + k
     # t may sit a few ulp below the snapped anchor
-    return k, period_table(params, [max(t, anchor) - anchor], panels_per_unit)
+    return k, period_table(params, [max(t, anchor) - anchor])
 
 
-def solution_at(
-    params: ModelParams,
-    x0: float,
-    t: float,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> float:
+def solution_at(params: ModelParams, x0: float, t: float) -> float:
     """Value at time t >= t0 of the solution started at x(t0) = x0 > 0.
 
     ``solution_grid`` at the single point (k, s) with t = t0 + k + s; see
@@ -350,15 +317,11 @@ def solution_at(
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    k, table = _table_at(params, t, panels_per_unit)
-    return float(solution_grid(params, x0, (k,), table, panels_per_unit)[0, 0])
+    k, table = _table_at(params, t)
+    return float(solution_grid(params, x0, (k,), table)[0, 0])
 
 
-def periodic_solution_at(
-    params: ModelParams,
-    t: float,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> float:
+def periodic_solution_at(params: ModelParams, t: float) -> float:
     """Value at time t >= t0 of the unique positive period-1 orbit.
 
     Requires q = (1 - E) A > 1; ``periodic_grid`` at the single offset of
@@ -366,17 +329,13 @@ def periodic_solution_at(
     value x0_star; the pre-impulse limit is available from
     ``one_sided_limits``.
     """
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     _require_orbit(params, consts)
-    _, table = _table_at(params, t, panels_per_unit)
-    return float(periodic_grid(params, table, panels_per_unit)[0])
+    _, table = _table_at(params, t)
+    return float(periodic_grid(params, table)[0])
 
 
-def legacy_periodic_at(
-    params: ModelParams,
-    t: float,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> float:
+def legacy_periodic_at(params: ModelParams, t: float) -> float:
     """The older published periodic-orbit formula (kept for its refutation).
 
     Evaluates (q - 1) / (A * J(t)) where J(t) is the forcing integral over
@@ -385,9 +344,9 @@ def legacy_periodic_at(
     the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.  Defined for any
     real t; requires q > 1.
     """
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     _require_orbit(params, consts)
-    window = forcing_integral(params.pair, t, t + 1.0, panels_per_unit)
+    window = forcing_integral(params.pair, t, t + 1.0)
     return (consts.q - 1.0) / (consts.A * window)
 
 
@@ -406,22 +365,20 @@ def one_sided_limits(params: ModelParams, k: int) -> ImpulseLimits:
     return ImpulseLimits(pre=post / (1.0 - params.E), post=post)
 
 
-def periodic_orbit_mean(
-    params: ModelParams, panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
-) -> float:
+def periodic_orbit_mean(params: ModelParams) -> float:
     """Average of the periodic orbit over one period; errors when q <= 1.
 
     Split-panel Gauss-Legendre over the period, with the orbit at every node
     from one ``period_table``.  The orbit relaxes at rate r after each
     impulse, so the mean uses at least one panel per unit of growth
-    integral: max(panels_per_unit, ceil(ln A)) panels.
+    integral: max(DEFAULT_PANELS_PER_UNIT, ceil(ln A)) panels.
     """
-    consts = derive_constants(params, panels_per_unit)
+    consts = derive_constants(params)
     _require_orbit(params, consts)
-    panels = max(panels_per_unit, math.ceil(params.r.integral(0.0, 1.0)))
+    panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(params.r.integral(0.0, 1.0)))
     nodes, weights = gauss_panels(tuple(_jump_offsets(params)), 0.0, 1.0, panels)
-    table = period_table(params, nodes, panels_per_unit)
-    return float(np.dot(weights, periodic_grid(params, table, panels_per_unit)))
+    table = period_table(params, nodes)
+    return float(np.dot(weights, periodic_grid(params, table)))
 
 
 def poincare_map(params: ModelParams, x0: float | np.ndarray) -> float | np.ndarray:

@@ -35,15 +35,11 @@ __all__ = [
     "ConstantCoefficient",
     "PeriodicCoefficient",
     "PiecewiseConstantCoefficient",
-    "QuadratureResult",
     "SinusoidCoefficient",
-    "antiderivative_between",
     "coefficient_from_dict",
     "compute_A",
     "compute_B",
-    "compute_B_result",
     "forcing_integral",
-    "forcing_integral_result",
     "gauss_panels",
     "jump_cuts",
     "panel_rule",
@@ -51,7 +47,7 @@ __all__ = [
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Default number of quadrature panels per unit of integration length.
+#: Quadrature panels per unit of integration length for B and the period table.
 DEFAULT_PANELS_PER_UNIT = 64
 
 _TWO_PI = 2.0 * math.pi
@@ -123,16 +119,14 @@ class PeriodicCoefficient:
         return tuple(self(t) for t in stages)
 
     def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]; requires a <= b."""
-        return antiderivative_between(self, a, b)
+        """Exact integral over [a, b]; a > b is an error."""
+        if b < a:
+            raise ValueError(f"reversed interval: a={a} > b={b}")
+        return float(self.antiderivative(b)) - float(self.antiderivative(a))
 
     def breakpoints_mod1(self) -> tuple[float, ...]:
         """Points in [0, 1) where the periodic extension may jump."""
         return ()
-
-    def min_value(self) -> float:
-        """Infimum over one period (attained for these families)."""
-        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -155,9 +149,6 @@ class ConstantCoefficient(PeriodicCoefficient):
 
     def _antiderivative(self, t: np.ndarray) -> np.ndarray:
         return self.value * t
-
-    def min_value(self) -> float:
-        return self.value
 
     def to_dict(self) -> dict:
         return {"kind": "constant", "value": self.value}
@@ -192,9 +183,6 @@ class SinusoidCoefficient(PeriodicCoefficient):
         u = _fractional(t)
         osc = np.cos(_TWO_PI * u + self.phase) - math.cos(self.phase)
         return self.mean * t - (self.amp / _TWO_PI) * osc
-
-    def min_value(self) -> float:
-        return self.mean - abs(self.amp)
 
     def to_dict(self) -> dict:
         return {"kind": "sinusoid", "mean": self.mean, "amp": self.amp, "phase": self.phase}
@@ -265,9 +253,6 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         partial = self._cum[idx] + self._vals[idx] * (u - self._bp[idx])
         return whole * self._cum[-1] + partial
 
-    def min_value(self) -> float:
-        return min(self.values)
-
     def breakpoints_mod1(self) -> tuple[float, ...]:
         return (0.0,) + self.breakpoints[1:-1]
 
@@ -330,19 +315,6 @@ class CoefficientPair:
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
 
-    @staticmethod
-    def from_dict(data: dict) -> "CoefficientPair":
-        return CoefficientPair(
-            r=coefficient_from_dict(data["r"]), K=coefficient_from_dict(data["K"])
-        )
-
-
-def antiderivative_between(c: PeriodicCoefficient, a: float, b: float) -> float:
-    """Exact integral of c over [a, b]; a > b is an error."""
-    if b < a:
-        raise ValueError(f"reversed interval: a={a} > b={b}")
-    return float(c.antiderivative(b)) - float(c.antiderivative(a))
-
 
 def compute_A(r: PeriodicCoefficient) -> float:
     """Per-period growth factor A = exp(integral of r over one period).
@@ -350,7 +322,7 @@ def compute_A(r: PeriodicCoefficient) -> float:
     By periodicity the same value results from any window of length 1;
     A > 1 whenever r is positive.
     """
-    return math.exp(antiderivative_between(r, 0.0, 1.0))
+    return math.exp(r.integral(0.0, 1.0))
 
 
 def jump_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
@@ -432,35 +404,7 @@ def forcing_integral(
     return float(np.dot(weights, r(nodes) / K(nodes) * decay))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Quadrature value with a conservative error estimate.
-
-    ``error_estimate`` is the change from halving the panel count, floored at
-    rounding scale; refining the panel count further moves the value by less
-    than this estimate.
-    """
-
-    value: float
-    error_estimate: float
-    panels_per_unit: int
-
-
-def forcing_integral_result(
-    pair: CoefficientPair,
-    a: float,
-    b: float,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> QuadratureResult:
-    value = forcing_integral(pair, a, b, panels_per_unit)
-    coarse = forcing_integral(pair, a, b, max(1, panels_per_unit // 2))
-    estimate = max(abs(value - coarse), 1e-14 * abs(value))
-    return QuadratureResult(value=value, error_estimate=estimate, panels_per_unit=panels_per_unit)
-
-
-def compute_B(
-    pair: CoefficientPair, t0: float, panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
-) -> float:
+def compute_B(pair: CoefficientPair, t0: float) -> float:
     """Unit-window forcing integral B over [t0, t0 + 1]; strictly positive.
 
     Shifting the window by any whole number of periods leaves B unchanged
@@ -468,13 +412,4 @@ def compute_B(
     """
     if not t0 > 0.0:
         raise ValueError(f"t0 must be positive, got {t0!r}")
-    return forcing_integral(pair, t0, t0 + 1.0, panels_per_unit)
-
-
-def compute_B_result(
-    pair: CoefficientPair, t0: float, panels_per_unit: int = DEFAULT_PANELS_PER_UNIT
-) -> QuadratureResult:
-    """Like :func:`compute_B` but with the quadrature error estimate."""
-    if not t0 > 0.0:
-        raise ValueError(f"t0 must be positive, got {t0!r}")
-    return forcing_integral_result(pair, t0, t0 + 1.0, panels_per_unit)
+    return forcing_integral(pair, t0, t0 + 1.0)

@@ -20,15 +20,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .closed_form import BOUNDARY_SNAP, ModelParams
 from .coefficients import CoefficientPair, jump_cuts
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "ImpulseEvent",
@@ -42,7 +38,7 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """The scheme failed (state left the positive domain or error target hit)."""
+    """The scheme failed (state overflowed, turned non-positive, or exceeded the error target)."""
 
 
 @dataclass(frozen=True)
@@ -96,24 +92,14 @@ class TrajectoryPiece:
     times: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
-    @cached_property
-    def interpolant(self) -> PchipInterpolator | None:
-        if len(self.times) < 2:
-            return None
-        # scipy is imported here, not at module load: only sampling needs it.
-        from scipy.interpolate import PchipInterpolator
-
-        # Shape-preserving cubic: no overshoot, so positive data stay positive.
-        return PchipInterpolator(self.times, self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integrated path with its impulse events; immutable once returned.
 
-    The flattened ``times``/``values``/``segments`` views are strictly
-    increasing in t and carry the post-impulse value at each impulse
-    instant; the pre-impulse values live in ``events``.
+    The flattened ``times``/``values`` views are strictly increasing in t
+    and carry the post-impulse value at each impulse instant; the
+    pre-impulse values live in ``events``.
     """
 
     params: ModelParams
@@ -132,8 +118,8 @@ class Trajectory:
         return float(self.pieces[-1].times[-1])
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ts, xs, ks = [], [], []
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
+        ts, xs = [], []
         for i, piece in enumerate(self.pieces):
             t_arr, v_arr = piece.times, piece.values
             if i + 1 < len(self.pieces):
@@ -142,8 +128,7 @@ class Trajectory:
                 t_arr, v_arr = t_arr[:-1], v_arr[:-1]
             ts.append(t_arr)
             xs.append(v_arr)
-            ks.append(np.full(len(t_arr), piece.segment, dtype=int))
-        return np.concatenate(ts), np.concatenate(xs), np.concatenate(ks)
+        return np.concatenate(ts), np.concatenate(xs)
 
     @property
     def times(self) -> np.ndarray:
@@ -152,33 +137,6 @@ class Trajectory:
     @property
     def values(self) -> np.ndarray:
         return self._flat[1]
-
-    @property
-    def segments(self) -> np.ndarray:
-        return self._flat[2]
-
-    @cached_property
-    def _piece_starts(self) -> list[float]:
-        return [float(p.times[0]) for p in self.pieces]
-
-    def sample(self, t: float) -> float:
-        """Value at time t inside the integrated span.
-
-        At an impulse instant this is the post-impulse value; within a
-        stretch the value is monotone-cubic interpolation of the step
-        samples.
-        """
-        if t < self.t_start - BOUNDARY_SNAP or t > self.t_end + BOUNDARY_SNAP:
-            raise ValueError(
-                f"t={t!r} outside the trajectory span "
-                f"[{self.t_start!r}, {self.t_end!r}]"
-            )
-        idx = max(0, bisect_right(self._piece_starts, t + BOUNDARY_SNAP) - 1)
-        piece = self.pieces[idx]
-        if piece.interpolant is None:
-            return float(piece.values[0])
-        t_clipped = min(max(t, float(piece.times[0])), float(piece.times[-1]))
-        return float(piece.interpolant(t_clipped))
 
 
 def exact_constant_flow(r0: float, K0: float, x_start: float, dt: float) -> float:
@@ -271,8 +229,8 @@ def integrate(
     Each impulse instant tau_k <= t_end applies the exact jump
     x -> (1 - E) x and is recorded as an :class:`ImpulseEvent`.  Every step
     boundary becomes a sample.  Raises :class:`IntegrationError` if the
-    state leaves the positive domain (step too large for the given
-    coefficients).
+    state overflows the float range or leaves the positive domain (step too
+    large for the given coefficients).
     """
     if ctrl is None:
         ctrl = StepControl()
@@ -316,7 +274,12 @@ def integrate(
                         f"{ctrl.error_target:.3e} at t={tb!r}; reduce h"
                     )
             x = x_new
-            if not (math.isfinite(x) and x > 0.0):
+            if not math.isfinite(x):
+                raise IntegrationError(
+                    f"state overflowed at t={tb!r} (x={x!r}): r(1 - x/K) x exceeds "
+                    "the float range for this x0 and K"
+                )
+            if not x > 0.0:
                 raise IntegrationError(
                     f"state became non-positive at t={tb!r} (x={x!r}); the "
                     "step is too large for these coefficients"

@@ -17,7 +17,6 @@ from impulsive_logistic import (
     SinusoidCoefficient,
     StepControl,
     compare_solutions,
-    convergence_experiment,
     critical_harvest,
     derive_constants,
     fixed_point_scan,
@@ -278,24 +277,3 @@ def test_report_fails_when_any_record_fails():
     report = verify_periodicity(golden_params(), grid=(0.0, 0.5), periods=1, tol=1e-20)
     assert not report.passed
     assert "[FAIL]" in report.to_text()
-
-
-# ---------------------------------------------------------------------------
-# convergence experiment (observational)
-# ---------------------------------------------------------------------------
-
-
-def test_convergence_experiment_shape_and_monotone_approach():
-    table = convergence_experiment(golden_params(), seeds=(10.0, 100.0), periods=8)
-    assert table.x0_star == pytest.approx(50.0, rel=1e-12)
-    assert table.seeds == (10.0, 100.0)
-    assert all(len(row) == 9 for row in table.residuals)
-    for row in table.residuals:
-        assert row[-1] < row[0]
-        assert all(b <= a for a, b in zip(row, row[1:]))
-    assert "x0=10" in table.to_text()
-
-
-def test_convergence_experiment_requires_orbit():
-    with pytest.raises(NoPeriodicSolutionError):
-        convergence_experiment(golden_params(E=0.6), seeds=(10.0,), periods=3)

@@ -25,6 +25,7 @@ from impulsive_logistic.cli import (
     main,
     parse_config,
 )
+from impulsive_logistic.closed_form import derive_constants
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "golden_constant.json"
@@ -108,9 +109,8 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # scipy serves only Trajectory.sample, and the Gauss-Legendre rule is
-    # written out rather than taken from numpy.polynomial; start-up must
-    # not pay for either.
+    # scipy is no dependency, and the Gauss-Legendre rule is written out
+    # rather than taken from numpy.polynomial; start-up must pay for neither.
     import impulsive_logistic
 
     src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
@@ -123,6 +123,15 @@ def test_importing_the_cli_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    for name in ("", ".analysis", ".cli", ".closed_form", ".coefficients", ".integrator"):
+        module = importlib.import_module(f"impulsive_logistic{name}")
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert missing == [], f"{module.__name__}.__all__ names missing {missing}"
 
 
 def test_invalid_json_reports_line_and_column(tmp_path):
@@ -386,6 +395,29 @@ def test_main_integration_failure_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+def test_main_state_overflow_is_named(tmp_path, capsys):
+    # r(1 - x/K) x overflows a float at x0 = 1e308: the error says so
+    # rather than blaming the step size.
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(_json_config(x0=1e308)), encoding="utf-8")
+    for command in ("simulate", "verify"):
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "error: state overflowed at t=0.50390625 (x=-inf)" in captured.err
+        assert "exceeds the float range" in captured.err
+        assert "step is too large" not in captured.err
+
+
+@pytest.mark.parametrize("command", [cmd_verify, cmd_counterexample])
+def test_one_B_quadrature_per_command(command):
+    # every caller keys derive_constants on the params alone, so one command
+    # computes B once
+    derive_constants.cache_clear()
+    command(load_config(SINUSOID))
+    assert derive_constants.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from impulsive_logistic import (
     NoPeriodicSolutionError,
     SinusoidCoefficient,
     derive_constants,
-    fixed_point_x0,
     legacy_periodic_at,
     one_sided_limits,
     periodic_orbit_mean,
@@ -57,12 +56,6 @@ def test_derive_constants_without_harvest():
     c = derive_constants(golden_params(E=0.0))
     assert c.q == pytest.approx(2.0, rel=1e-13)
     assert c.x0_star == pytest.approx(100.0, rel=1e-12)
-
-
-def test_fixed_point_x0():
-    assert fixed_point_x0(golden_params()) == pytest.approx(50.0, rel=1e-12)
-    with pytest.raises(NoPeriodicSolutionError):
-        fixed_point_x0(golden_params(E=0.6))
 
 
 def test_params_validation():

@@ -1,4 +1,4 @@
-"""RK4 oracle: stepping, jumps, convergence order, and sampling."""
+"""RK4 oracle: stepping, jumps and convergence order."""
 
 from __future__ import annotations
 
@@ -284,40 +284,3 @@ def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
         assert np.array_equal(piece.values, values)
     assert [(e.index, e.time, e.pre_value, e.post_value) for e in traj.events] == ref.events
     assert traj.step_error_estimate == ref.step_error_estimate
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sample_at_impulse_is_post_value():
-    traj = integrate(golden_params(), 50.0, 3.5, StepControl(h=1.0 / 64.0))
-    e = traj.events[0]
-    assert traj.sample(e.time) == pytest.approx(e.post_value, abs=1e-12)
-
-
-def test_sample_interpolates_between_steps():
-    p = golden_params()
-    traj = integrate(p, 50.0, 3.5, StepControl(h=1.0 / 64.0))
-    for t in (0.5, 0.7321, 1.2, 2.0001, 3.4999):
-        ref = solution_at(p, 50.0, t)
-        assert traj.sample(t) == pytest.approx(ref, rel=1e-7)
-
-
-def test_sample_outside_span_errors():
-    traj = integrate(golden_params(), 50.0, 2.5, StepControl(h=1.0 / 16.0))
-    with pytest.raises(ValueError, match="span"):
-        traj.sample(0.4)
-    with pytest.raises(ValueError, match="span"):
-        traj.sample(2.6)
-
-
-def test_sample_with_time_varying_coefficients():
-    pair = CoefficientPair(
-        r=SinusoidCoefficient(mean=0.7, amp=0.2), K=ConstantCoefficient(100.0)
-    )
-    p = ModelParams(pair=pair, E=0.25, t0=0.5)
-    traj = integrate(p, 60.0, 4.5, StepControl(h=1.0 / 128.0))
-    for t in (0.9, 1.5, 2.25, 3.999):
-        assert traj.sample(t) == pytest.approx(solution_at(p, 60.0, t), rel=1e-6)

@@ -173,8 +173,8 @@ def _corrupt_table_at(monkeypatch, offset: float, factor: float) -> None:
     """Scale C(offset) in every period table built from now on."""
     real = closed_form.period_table
 
-    def corrupted(params, offsets, panels_per_unit=closed_form.DEFAULT_PANELS_PER_UNIT):
-        table = real(params, offsets, panels_per_unit)
+    def corrupted(params, offsets):
+        table = real(params, offsets)
         hit = table.offsets == offset
         return table._replace(forcing=np.where(hit, factor * table.forcing, table.forcing))
 
