@@ -48,7 +48,6 @@ from .integrator import (
     IntegrationError,
     StepControl,
     Trajectory,
-    exact_constant_flow,
     integrate,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "compute_B",
     "critical_harvest",
     "derive_constants",
-    "exact_constant_flow",
     "fixed_point_scan",
     "forcing_integral",
     "integrate",

@@ -9,7 +9,7 @@ The checks:
     instants.  The corrected periodic formula must jump by the harvested
     fraction; the legacy formula is expected to be continuous there, which
     is precisely why it is wrong whenever E > 0.
-  * ``verify_periodicity`` -- x*(t + 1) = x*(t) on a grid.
+  * ``verify_periodicity`` -- x*(t + 1) = x*(t) on a grid of offsets.
   * ``compare_solutions`` -- closed form against the RK4 oracle.
   * ``fixed_point_scan`` -- sign changes of the period-advance map against
     the identity: exactly one positive fixed point when (1-E)A > 1, none
@@ -25,6 +25,11 @@ The corrected jump check and the periodicity check compare the period-table
 kernel of :mod:`impulsive_logistic.closed_form` on one side against the
 scalar forcing quadrature at twice the panel count on the other, so neither
 check can pass by reading the same table twice.
+
+Like the kernel, every check works in phase time: a location is a period
+index k and an offset s, the coefficients are read at ``params.phase + s``,
+and the absolute time t0 + k + s (``ModelParams.time``) appears only in
+record labels.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ __all__ = [
 #: Offsets used to extrapolate one-sided limits (largest first, halving).
 RICHARDSON_OFFSETS = (1e-4, 5e-5, 2.5e-5)
 
+#: Default tolerances of the checks; the CLI's ``Tolerances`` reads them.
 DEFAULT_IMPULSE_TOL = 1e-6
 DEFAULT_PERIODICITY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-5
@@ -152,17 +158,17 @@ def left_limit(
     return (8.0 * u3 - 6.0 * u2 + u1) / 3.0
 
 
-def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, t: float) -> float:
-    """x*(t) from the scalar forcing quadrature over [t0 + k, t].
+def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, s: float) -> float:
+    """x* at offset s into any period, from the scalar forcing quadrature
+    over the phase window [phase, phase + s].
 
     Shares no period table with the kernel: the independent side of the
     periodicity and jump checks.
     """
-    anchor = params.t0 + math.floor(t - params.t0 + BOUNDARY_SNAP)
-    te = max(t, anchor)
+    a = params.phase
     qm1 = consts.q - 1.0
-    decay = math.exp(-params.r.integral(anchor, te))
-    forcing = forcing_integral(params.pair, anchor, te, REFERENCE_PANELS_PER_UNIT)
+    decay = math.exp(-params.r.integral(a, a + s))
+    forcing = forcing_integral(params.pair, a, a + s, REFERENCE_PANELS_PER_UNIT)
     return qm1 / (consts.A * consts.B * decay + qm1 * forcing)
 
 
@@ -174,8 +180,7 @@ def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
     and d before the impulse instants sets d to half its distance from them.
     """
     d = RICHARDSON_OFFSETS[0]
-    phase = params.t0 - math.floor(params.t0)
-    lags = [(phase - beta) % 1.0 for beta in params.pair.breakpoints_mod1()]
+    lags = [(params.phase - beta) % 1.0 for beta in params.pair.breakpoints_mod1()]
     near = [lag for lag in lags if BOUNDARY_SNAP < lag < d]
     if not near:
         return RICHARDSON_OFFSETS
@@ -183,21 +188,28 @@ def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
     return (d, d / 2.0, d / 4.0)
 
 
-def _corrected_limits(
-    params: ModelParams, offsets: Sequence[float]
-) -> Callable[[float], tuple[float, float]]:
-    """One-sided values of the corrected orbit at an impulse instant tau.
+def _corrected_limits(params: ModelParams, offsets: Sequence[float]) -> tuple[float, float]:
+    """One-sided values of the corrected orbit at every impulse instant.
 
     Pre side: the period table just below the end of a period, extrapolated
-    by ``left_limit`` (the orbit is periodic, so one table serves every
-    impulse).  Post side: the scalar quadrature at tau itself.
+    by ``left_limit``.  Post side: the scalar quadrature at offset 0.
     """
-    consts = derive_constants(params)
     d = offsets[0]
     below = (1.0 - d, 1.0 - d / 2.0, 1.0 - d / 4.0)  # the offsets left_limit forms
     orbit = dict(zip(below, periodic_grid(params, period_table(params, below)).tolist()))
     pre = left_limit(orbit.__getitem__, 1.0, offsets)
-    return lambda tau: (pre, _orbit_by_quadrature(params, consts, tau))
+    return pre, _orbit_by_quadrature(params, derive_constants(params), 0.0)
+
+
+def _legacy_limits(params: ModelParams, offsets: Sequence[float]) -> tuple[float, float]:
+    """One-sided values of the legacy formula at every impulse instant.
+
+    Its window integral has period 1, so it is read at phase + 1, where each
+    instant t0 + k lands modulo 1.
+    """
+    tau = params.phase + 1.0
+    pre = left_limit(lambda t: legacy_periodic_at(params, t), tau, offsets)
+    return pre, legacy_periodic_at(params, tau)
 
 
 def verify_impulse_condition(
@@ -226,31 +238,20 @@ def verify_impulse_condition(
         raise ValueError(f"impulse indices must be positive, got {ks!r}")
 
     offsets = _pre_impulse_offsets(params)
-    if which == "corrected":
-        one_sided = _corrected_limits(params, offsets)
-    else:
-
-        def one_sided(tau: float) -> tuple[float, float]:
-            pre = left_limit(lambda s: legacy_periodic_at(params, s), tau, offsets)
-            return pre, legacy_periodic_at(params, tau)
-
-    keep = 1.0 - params.E
+    limits = _corrected_limits if which == "corrected" else _legacy_limits
+    pre, post = limits(params, offsets)
+    jump = abs(post - (1.0 - params.E) * pre) / pre
+    estimate = {"pre": float(pre), "post": float(post)}
     records: list[CheckRecord] = []
-    estimates: dict[str, dict[str, float]] = {}
-    for k in ks:
-        pre, post = one_sided(params.impulse_time(k))
-        estimates[f"k={k}"] = {"pre": float(pre), "post": float(post)}
-        if which == "corrected":
-            residual = abs(post - keep * pre) / pre
-            records.append(CheckRecord(f"k={k} jump", float(residual), tol))
-        else:
-            continuity = abs(post - pre) / pre
-            violation = abs(post - keep * pre) / pre
-            estimates[f"k={k}"]["jump_violation"] = float(violation)
-            records.append(CheckRecord(f"k={k} continuity", float(continuity), tol))
-            records.append(
-                CheckRecord(f"k={k} jump shortfall", float(params.E / 2.0 - violation), 0.0)
-            )
+    if which == "corrected":
+        records += [CheckRecord(f"k={k} jump", float(jump), tol) for k in ks]
+    else:
+        estimate["jump_violation"] = float(jump)
+        continuity = float(abs(post - pre) / pre)
+        shortfall = float(params.E / 2.0 - jump)
+        for k in ks:
+            records.append(CheckRecord(f"k={k} continuity", continuity, tol))
+            records.append(CheckRecord(f"k={k} jump shortfall", shortfall, 0.0))
 
     metadata = {
         "which": which,
@@ -259,7 +260,7 @@ def verify_impulse_condition(
         "tolerance": tol,
         "offsets": list(offsets),
         "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
-        "estimates": estimates,
+        "estimates": {f"k={k}": estimate for k in ks},
     }
     if which == "corrected":
         metadata["reference_panels_per_unit"] = REFERENCE_PANELS_PER_UNIT
@@ -279,8 +280,10 @@ def verify_periodicity(
 ) -> VerificationReport:
     """Check x*(t + 1) = x*(t) at t = t0 + k + offset for k < periods.
 
-    x*(t) comes from one period table over the grid; x*(t + 1), in period
-    k + 1 >= 1, from the scalar quadrature at an independent panel count.
+    x*(t) comes from one period table over the grid; x*(t + 1), at the same
+    offset in period k + 1, from the scalar quadrature at an independent
+    panel count.  Neither side depends on k, so each is computed once per
+    offset; the report keeps one record per (k, offset).
     """
     if grid is None:
         grid = tuple(j / 16.0 for j in range(16))
@@ -293,13 +296,15 @@ def verify_periodicity(
     consts = derive_constants(params)
     offsets, where = np.unique(grid, return_inverse=True)
     orbit = periodic_grid(params, period_table(params, offsets))[where].tolist()
-    records = []
-    for k in range(periods):
-        for off, now in zip(grid, orbit):
-            t = params.t0 + k + off
-            shifted = _orbit_by_quadrature(params, consts, t + 1.0)
-            residual = abs(shifted - now) / now
-            records.append(CheckRecord(f"k={k} offset={off:g}", float(residual), tol))
+    residuals = [
+        abs(_orbit_by_quadrature(params, consts, off) - now) / now
+        for off, now in zip(grid, orbit)
+    ]
+    records = [
+        CheckRecord(f"k={k} offset={off:g}", float(residual), tol)
+        for k in range(periods)
+        for off, residual in zip(grid, residuals)
+    ]
     metadata = {
         "params": params.to_dict(),
         "grid": list(grid),
@@ -314,33 +319,20 @@ def verify_periodicity(
 def trajectory_closed_form(traj: Trajectory, periodic: bool = False) -> list[np.ndarray]:
     """Closed form at every sample of every piece of an integrated path.
 
-    One array per piece, aligned with ``piece.times``: the solution from
+    One array per piece, aligned with ``piece.offsets``: the solution from
     ``traj.x0``, or with ``periodic=True`` the periodic orbit.  Every piece
-    whose offsets into its period match the first piece's reads the first
-    piece's period table, so a whole trajectory costs one table.  The last
-    sample of a piece that ends at an impulse is the pre-impulse value,
-    post / (1 - E) with post the next piece's first value.
+    samples a prefix of the first piece's offsets, so a whole trajectory
+    costs one period table.  The last sample of a piece that ends at an
+    impulse is the pre-impulse value, post / (1 - E) with post the next
+    piece's first value.
     """
     params = traj.params
-
-    def offsets(piece) -> np.ndarray:
-        # the end of a stretch may round a few ulp past offset 1
-        return np.minimum(piece.times - piece.times[0], 1.0)
-
-    base = offsets(traj.pieces[0])
-    shared = period_table(params, base)
-    values = []
-    for piece in traj.pieces:
-        own = offsets(piece)
-        if own.size == base.size and np.allclose(own, base, rtol=0.0, atol=BOUNDARY_SNAP):
-            table = shared
-        else:
-            table = period_table(params, own)
-        if periodic:
-            row = periodic_grid(params, table)
-        else:
-            row = solution_grid(params, traj.x0, (piece.segment,), table)[0]
-        values.append(row)
+    table = period_table(params, traj.pieces[0].offsets)
+    if periodic:
+        rows = np.tile(periodic_grid(params, table), (len(traj.pieces), 1))
+    else:
+        rows = solution_grid(params, traj.x0, [p.segment for p in traj.pieces], table)
+    values = [row[: p.offsets.size] for row, p in zip(rows, traj.pieces)]
     keep = 1.0 - params.E
     for before, after in zip(values, values[1:]):
         before[-1] = after[0] / keep
@@ -355,22 +347,24 @@ def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float,
     """
     stride = max(1, traj.ctrl.steps_per_unit // _GRID_PER_PERIOD)
     last = len(traj.pieces) - 1
-    times, nums, refs = [], [], []
+    where, nums, refs = [], [], []
     for i, (piece, ref) in enumerate(zip(traj.pieces, closed)):
         stop = -1 if i < last else None  # pre-impulse row handled via events
-        times.append(piece.times[:stop][::stride])
+        offsets = piece.offsets[:stop][::stride]
+        where += [(piece.segment, s) for s in offsets.tolist()]
         nums.append(piece.values[:stop][::stride])
         refs.append(ref[:stop][::stride])
     for i, event in enumerate(traj.events):
-        times.append((event.time, event.time))
+        where += [(event.index, 0.0)] * 2
         nums.append((event.pre_value, event.post_value))
         refs.append((closed[i][-1], closed[i + 1][0]))
     ref = np.concatenate(refs)
     residual = np.abs(ref - np.concatenate(nums)) / ref
     worst = int(np.argmax(residual))
     if not residual[worst] > 0.0:
-        return 0.0, traj.t_start
-    return float(residual[worst]), float(np.concatenate(times)[worst])
+        return 0.0, traj.params.t0
+    k, s = where[worst]
+    return float(residual[worst]), traj.params.time(k, s)
 
 
 def compare_solutions(
@@ -393,9 +387,8 @@ def compare_solutions(
     if ctrl is None:
         ctrl = StepControl()
     consts = derive_constants(params)
-    t_end = params.t0 + horizon_periods
 
-    traj = integrate(params, x0, t_end, ctrl)
+    traj = integrate(params, x0, horizon_periods, ctrl)
     worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj))
     records = [
         CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)
@@ -411,7 +404,7 @@ def compare_solutions(
         "x0_star": consts.x0_star,
     }
     if consts.x0_star is not None:
-        orbit_traj = integrate(params, consts.x0_star, t_end, ctrl)
+        orbit_traj = integrate(params, consts.x0_star, horizon_periods, ctrl)
         worst_p, worst_pt = _worst_deviation(
             orbit_traj, trajectory_closed_form(orbit_traj, periodic=True)
         )

@@ -42,6 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    DEFAULT_FIXED_POINT_TOL,
+    DEFAULT_IMPULSE_TOL,
+    DEFAULT_ORACLE_TOL,
+    DEFAULT_PERIODICITY_TOL,
     compare_solutions,
     critical_harvest,
     fixed_point_scan,
@@ -86,13 +90,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Check tolerances; defaults follow the quadrature and RK error budgets."""
+    """Check tolerances; the defaults are the checks' own."""
 
-    jump: float = 1e-6
-    periodicity: float = 1e-8
-    oracle: float = 1e-5
-    legacy_continuity: float = 1e-6
-    fixed_point: float = 1e-6
+    jump: float = DEFAULT_IMPULSE_TOL
+    periodicity: float = DEFAULT_PERIODICITY_TOL
+    oracle: float = DEFAULT_ORACLE_TOL
+    legacy_continuity: float = DEFAULT_IMPULSE_TOL
+    fixed_point: float = DEFAULT_FIXED_POINT_TOL
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -169,6 +173,15 @@ def _require_int(value, where: str, *, minimum: int = 1) -> int:
     return value
 
 
+def _require_step(value, where: str) -> float:
+    step = _require_number(value, where, positive=True)
+    try:
+        StepControl(h=step)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return step
+
+
 def _parse_coefficient(data, where: str) -> PeriodicCoefficient:
     try:
         return coefficient_from_dict(data)
@@ -234,11 +247,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     if "x0" in data:
         x0 = _require_number(data["x0"], f"{source}.x0", positive=True)
     horizon = _require_int(data.get("horizon_periods", 10), f"{source}.horizon_periods")
-    step = _require_number(data.get("step", 1.0 / 256.0), f"{source}.step", positive=True)
-    try:
-        StepControl(h=step)
-    except ValueError as exc:
-        raise ConfigError(f"{source}.step: {exc}") from exc
+    step = _require_step(data.get("step", 1.0 / 256.0), f"{source}.step")
     tolerances = Tolerances()
     if "tolerances" in data:
         tolerances = _parse_tolerances(data["tolerances"], f"{source}.tolerances")
@@ -350,13 +359,14 @@ def cmd_constants(config: ScenarioConfig, fmt: str = "text") -> str:
 def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
     """Numeric trajectory next to the closed form, with paired impulse rows."""
     params = config.params()
-    t_end = params.t0 + config.horizon_periods
-    traj = integrate(params, config.resolved_x0(), t_end, config.step_control())
+    traj = integrate(
+        params, config.resolved_x0(), config.horizon_periods, config.step_control()
+    )
     pieces = traj.pieces
 
     events: list[str] = []
     for i, piece in enumerate(pieces):
-        marks = [""] * len(piece.times)
+        marks = [""] * piece.offsets.size
         if i > 0:
             marks[0] = "post"
         if i < len(pieces) - 1:
@@ -365,8 +375,8 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
     numeric = np.concatenate([piece.values for piece in pieces])
     closed = np.concatenate(trajectory_closed_form(traj))
     rows = zip(
-        np.concatenate([piece.times for piece in pieces]).tolist(),
-        [piece.segment for piece in pieces for _ in piece.times],
+        np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist(),
+        [piece.segment for piece in pieces for _ in piece.offsets],
         numeric.tolist(),
         closed.tolist(),
         (np.abs(numeric - closed) / closed).tolist(),
@@ -380,15 +390,15 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
     """The periodic orbit over one period, tiled across the horizon."""
     params = config.params()
     n = config.step_control().steps_per_unit
-    offsets = [i / n for i in range(n)]
+    offsets = np.arange(n) / n
     orbit = periodic_grid(params, period_table(params, offsets)).tolist()
-    cells = list(zip(offsets, orbit))
+    cells = list(zip(offsets.tolist(), orbit))
     if fmt == "csv":  # format each offset's cells once; every period reuses them
         cells = [(_fmt(off), _fmt(val)) for off, val in cells]
     rows = (
-        (params.t0 + p + off, p, *cell)
+        (t, p, *cell)
         for p in range(config.horizon_periods)
-        for off, cell in zip(offsets, cells)
+        for t, cell in zip(params.time(p, offsets).tolist(), cells)
     )
     return _table(["t", "period", "offset", "x_star"], rows, fmt)
 
@@ -558,12 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     if args.step is not None:
-        step = _require_number(args.step, "--step", positive=True)
-        try:
-            StepControl(h=step)
-        except ValueError as exc:
-            raise ConfigError(f"--step: {exc}") from exc
-        config = dataclasses.replace(config, step=step)
+        config = dataclasses.replace(config, step=_require_step(args.step, "--step"))
     if args.periods is not None:
         config = dataclasses.replace(
             config, horizon_periods=_require_int(args.periods, "--periods")

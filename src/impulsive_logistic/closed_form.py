@@ -11,13 +11,16 @@ combination of the per-period growth factor A, the unit-window forcing
 integral B, the net per-period multiplier q = (1 - E) A, and one running
 forcing integral.  See ``solution_grid`` for the exact expression.
 
-By periodicity the running integrals depend only on the offset s = t - (t0 + k)
-into the period, never on k.  ``period_table`` computes them for a whole grid
-of offsets in one cumulative quadrature pass, and ``solution_grid`` /
-``periodic_grid`` evaluate the closed form over (period index, offset) pairs
-from that table, so the cost grows with the number of output points, not with
-points times quadrature panels.  The scalar functions are that kernel at a
-single offset.
+Time is a pair (period index k, offset s in [0, 1]) standing for
+t = t0 + k + s.  By periodicity the coefficients there take their values at
+the phase frac(t0) + s (``ModelParams.phase``), so the running integrals
+depend only on s, never on k or on t0 itself: an integer shift of t0 changes
+nothing.  ``period_table`` computes them for a whole grid of offsets in one
+cumulative quadrature pass, and ``solution_grid`` / ``periodic_grid``
+evaluate the closed form over (period index, offset) pairs from that table,
+so the cost grows with the number of output points, not with points times
+quadrature panels.  The scalar functions take an absolute t, split it into
+(k, s) and run that kernel at a single offset.
 
 When q > 1 the model has a unique positive period-1 orbit; its post-impulse
 anchor value is x0_star = (q - 1) / (A B), the fixed point of the
@@ -65,9 +68,9 @@ __all__ = [
     "solution_grid",
 ]
 
-#: Times within this distance of an impulse instant evaluate on the
-#: post-impulse side.  Guards against t0 + k computed in floating point
-#: landing a few ulp below the boundary.
+#: Absolute times within this distance of an impulse instant evaluate on
+#: the post-impulse side.  Guards against a t = t0 + k computed in floating
+#: point landing a few ulp below the boundary.
 BOUNDARY_SNAP = 1e-9
 
 # |q - 1| below this routes the geometric sum to its q = 1 limit.
@@ -110,8 +113,28 @@ class ModelParams:
     def K(self):
         return self.pair.K
 
-    def impulse_time(self, k: int) -> float:
-        return self.t0 + k
+    @property
+    def phase(self) -> float:
+        """frac(t0): the impulses fall at this point of the coefficients' period.
+
+        Offset s into any period is the coefficient time phase + s.
+        """
+        return self.t0 - math.floor(self.t0)
+
+    @property
+    def jump_offsets(self) -> tuple[float, ...]:
+        """Sorted offsets into a period at which r or K may jump."""
+        return tuple(sorted((b - self.phase) % 1.0 for b in self.pair.breakpoints_mod1()))
+
+    def time(self, k, s):
+        """Absolute time of offset s (a float or an array) into period k.
+
+        For printing only: no computation reads it.  Formed as t0 + (k + s),
+        so offset 1 of period k and offset 0 of period k + 1 give the same
+        float and times never run backwards; at a large t0 it is only as
+        fine as that float.
+        """
+        return self.t0 + (k + s)
 
     def to_dict(self) -> dict:
         d = self.pair.to_dict()
@@ -151,7 +174,7 @@ def derive_constants(params: ModelParams) -> SolutionConstants:
     immutable and fully constructed before it is published).
     """
     A = compute_A(params.pair.r)
-    B = compute_B(params.pair, params.t0)
+    B = compute_B(params.pair, params.phase)
     q = (1.0 - params.E) * A
     x0_star = (q - 1.0) / (A * B) if q > 1.0 else None
     return SolutionConstants(A=A, B=B, q=q, x0_star=x0_star)
@@ -190,23 +213,17 @@ def _geometric_sum(q: float, k: int) -> float:
 
 
 class PeriodTable(NamedTuple):
-    """Running integrals from an impulse anchor t0 + k, at sorted offsets s.
+    """Running integrals from an impulse instant, at sorted offsets s.
 
-    growth = R(s), the integral of r over [t0 + k, t0 + k + s]; decay =
+    growth = R(s), the integral of r over [phase, phase + s]; decay =
     exp(-R(s)); forcing = C(s), the forcing integral over the same window.
-    By periodicity none of them depends on k.
+    By periodicity these hold from every impulse instant t0 + k.
     """
 
     offsets: np.ndarray
     growth: np.ndarray
     decay: np.ndarray
     forcing: np.ndarray
-
-
-def _jump_offsets(params: ModelParams) -> np.ndarray:
-    """Offsets from t0 (mod 1) at which r or K may jump."""
-    phase = params.t0 - math.floor(params.t0)
-    return np.sort((np.asarray(params.pair.breakpoints_mod1()) - phase) % 1.0)
 
 
 def period_table(params: ModelParams, offsets) -> PeriodTable:
@@ -222,8 +239,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     so the step integrals of (r/K) exp(R) are summed cumulatively.  They are
     scaled by exp(-R/2) at the largest offset first, which keeps every term
     within float range for any growth integral that A itself survives.
-    Coefficients are evaluated at the phase frac(t0) + s, never at
-    t0 + k + s.
+    Coefficients are evaluated at the phase frac(t0) + s.
     """
     s = np.asarray(offsets, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -231,10 +247,10 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     if not (s[0] >= 0.0 and s[-1] <= 1.0) or np.any(np.diff(s) < 0.0):
         raise ValueError("offsets must be sorted and lie in [0, 1]")
     pair = params.pair
-    phase = params.t0 - math.floor(params.t0)
+    phase = params.phase
 
-    cuts = _jump_offsets(params)
-    edges = np.unique(np.concatenate(([0.0], s, cuts[cuts < s[-1]])))
+    cuts = [c for c in params.jump_offsets if c < s[-1]]
+    edges = np.unique(np.concatenate(([0.0], s, cuts)))
     nodes, weights, first = panel_rule(edges, DEFAULT_PANELS_PER_UNIT)
     u = phase + nodes
 
@@ -342,11 +358,13 @@ def legacy_periodic_at(params: ModelParams, t: float) -> float:
     the moving window [t, t + 1].  J is continuous in t, so this expression
     has equal one-sided limits at the impulse instants and cannot satisfy
     the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.  Defined for any
-    real t; requires q > 1.
+    real t; requires q > 1.  J has period 1, so the window is integrated
+    from frac(t), where its nodes keep full precision at any t.
     """
     consts = derive_constants(params)
     _require_orbit(params, consts)
-    window = forcing_integral(params.pair, t, t + 1.0)
+    u = t - math.floor(t)
+    window = forcing_integral(params.pair, u, u + 1.0)
     return (consts.q - 1.0) / (consts.A * window)
 
 
@@ -376,7 +394,7 @@ def periodic_orbit_mean(params: ModelParams) -> float:
     consts = derive_constants(params)
     _require_orbit(params, consts)
     panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(params.r.integral(0.0, 1.0)))
-    nodes, weights = gauss_panels(tuple(_jump_offsets(params)), 0.0, 1.0, panels)
+    nodes, weights = gauss_panels(params.jump_offsets, 0.0, 1.0, panels)
     table = period_table(params, nodes)
     return float(np.dot(weights, periodic_grid(params, table)))
 

@@ -41,7 +41,6 @@ __all__ = [
     "compute_B",
     "forcing_integral",
     "gauss_panels",
-    "jump_cuts",
     "panel_rule",
 ]
 
@@ -325,35 +324,21 @@ def compute_A(r: PeriodicCoefficient) -> float:
     return math.exp(r.integral(0.0, 1.0))
 
 
-def jump_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
-    """Sorted translates beta + m of the mod-1 jump points inside (a, b).
-
-    Translates within _CUT_TOL of a or b are left out; close pairs are not
-    merged, so each caller decides how near a cut may come to its others.
-    """
-    if not breaks_mod1:
-        return []
-    lo = math.floor(a) - 1
-    hi = math.ceil(b) + 1
-    return sorted(
-        p
-        for p in (beta + m for beta in breaks_mod1 for m in range(lo, hi))
-        if a + _CUT_TOL < p < b - _CUT_TOL
-    )
-
-
 def gauss_panels(
     breaks_mod1: tuple[float, ...], a: float, b: float, panels_per_unit: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [a, b].
 
-    Panels are split at every translate of the given mod-1 breakpoints so a
-    piecewise-smooth integrand is smooth on each panel; nodes are strictly
-    interior, so jump-point value conventions never enter an integral.
+    Panels are split at every translate beta + m of the given mod-1
+    breakpoints inside (a, b) that lies more than _CUT_TOL from the previous
+    cut and from b, so a piecewise-smooth integrand is smooth on each panel;
+    nodes are strictly interior, so jump-point value conventions never
+    enter an integral.
     """
+    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
     cuts = [a]
-    for p in jump_cuts(breaks_mod1, a, b):
-        if p - cuts[-1] > _CUT_TOL:
+    for p in sorted(beta + m for beta in breaks_mod1 for m in shifts):
+        if p - cuts[-1] > _CUT_TOL and p < b - _CUT_TOL:
             cuts.append(p)
     cuts.append(b)
 
@@ -404,12 +389,13 @@ def forcing_integral(
     return float(np.dot(weights, r(nodes) / K(nodes) * decay))
 
 
-def compute_B(pair: CoefficientPair, t0: float) -> float:
-    """Unit-window forcing integral B over [t0, t0 + 1]; strictly positive.
+def compute_B(pair: CoefficientPair, phase: float) -> float:
+    """Unit-window forcing integral B over [phase, phase + 1]; strictly positive.
 
-    Shifting the window by any whole number of periods leaves B unchanged
-    (periodicity of r and K); t0 must be positive.
+    The window starts at an impulse instant reduced to the fundamental
+    period, so phase lies in [0, 1): shifting the window by a whole number
+    of periods leaves B unchanged (periodicity of r and K).
     """
-    if not t0 > 0.0:
-        raise ValueError(f"t0 must be positive, got {t0!r}")
-    return forcing_integral(pair, t0, t0 + 1.0)
+    if not 0.0 <= phase < 1.0:
+        raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
+    return forcing_integral(pair, phase, phase + 1.0)

@@ -1,17 +1,14 @@
 """Numerical oracle: fixed-step RK4 between impulses, exact jumps at them.
 
 Impulse instants and coefficient discontinuities are all known a priori, so
-the grid is aligned instead of adaptive: every unit interval is divided into
-an integer number of base steps (so each impulse lands exactly on a step
-boundary) and any step straddling a coefficient jump is split at it.  The
-harvest jump x -> (1 - E) x is applied algebraically, never integrated
-across.  For each impulse-free stretch, r and K are evaluated at every
-step's stage times at once (``_stage_table``); the RK4 recurrence then runs
-over that table in plain Python floats.
-
-``exact_constant_flow`` gives the closed-form flow of the autonomous
-logistic equation and serves as a second, quadrature-free oracle for
-constant coefficients.
+the grid is aligned instead of adaptive.  It is one grid of offsets into a
+period, shared by every period: the unit interval divided into an integer
+number of base steps (so each impulse lands exactly on a step boundary),
+with any step straddling a coefficient jump split at it.  The harvest jump
+x -> (1 - E) x is applied algebraically, never integrated across.  r and K
+are evaluated at every step's stage times, in phase (``ModelParams.phase``
+plus the offset), once per run (``_stage_table``); the RK4 recurrence then
+runs over that table in plain Python floats, period after period.
 """
 
 from __future__ import annotations
@@ -19,12 +16,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .closed_form import BOUNDARY_SNAP, ModelParams
-from .coefficients import CoefficientPair, jump_cuts
+from .closed_form import ModelParams
+from .coefficients import CoefficientPair
 
 __all__ = [
     "ImpulseEvent",
@@ -32,9 +28,11 @@ __all__ = [
     "StepControl",
     "Trajectory",
     "TrajectoryPiece",
-    "exact_constant_flow",
     "integrate",
 ]
+
+# Jumps closer than this to a step boundary do not split the step.
+_CUT_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -73,34 +71,38 @@ class StepControl:
 
 @dataclass(frozen=True)
 class ImpulseEvent:
-    """One harvest jump: post_value = (1 - E) * pre_value, applied exactly."""
+    """The harvest jump at t0 + index: post_value = (1 - E) * pre_value, exactly."""
 
     index: int
-    time: float
     pre_value: float
     post_value: float
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryPiece:
-    """Samples of one impulse-free stretch, both endpoints included.
+    """Samples of period ``segment``, at offsets s into it (time t0 + segment + s).
 
-    The final value is the pre-impulse state when an impulse follows.
+    Every piece but the last covers the run's whole offset grid, both ends
+    included; its final value is the pre-impulse state.  The last piece is
+    the single post-impulse sample at offset 0 of period ``periods``.
     """
 
     segment: int
-    times: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The samples' times within the period: ``offsets``.
+
+        perfbench/tracer.py counts the RK4 steps of a run from these.
+        """
+        return self.offsets
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Integrated path with its impulse events; immutable once returned.
-
-    The flattened ``times``/``values`` views are strictly increasing in t
-    and carry the post-impulse value at each impulse instant; the
-    pre-impulse values live in ``events``.
-    """
+    """Integrated path with its impulse events; immutable once returned."""
 
     params: ModelParams
     x0: float
@@ -108,43 +110,6 @@ class Trajectory:
     pieces: tuple[TrajectoryPiece, ...]
     events: tuple[ImpulseEvent, ...]
     step_error_estimate: float | None = None
-
-    @property
-    def t_start(self) -> float:
-        return float(self.pieces[0].times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.pieces[-1].times[-1])
-
-    @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        ts, xs = [], []
-        for i, piece in enumerate(self.pieces):
-            t_arr, v_arr = piece.times, piece.values
-            if i + 1 < len(self.pieces):
-                # drop the pre-impulse row; the next piece starts at the
-                # same instant with the post value
-                t_arr, v_arr = t_arr[:-1], v_arr[:-1]
-            ts.append(t_arr)
-            xs.append(v_arr)
-        return np.concatenate(ts), np.concatenate(xs)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self._flat[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._flat[1]
-
-
-def exact_constant_flow(r0: float, K0: float, x_start: float, dt: float) -> float:
-    """Closed-form flow of x' = r0 (1 - x/K0) x over a time span dt >= 0."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt!r}")
-    em1 = math.expm1(r0 * dt)
-    return K0 * x_start * (em1 + 1.0) / (K0 + x_start * em1)
 
 
 def _rk4_step(
@@ -165,40 +130,32 @@ def _rk4_step(
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _segment_bounds(
-    seg_start: float, seg_end: float, n: int, breaks_mod1: tuple[float, ...]
-) -> list[float]:
-    """Step boundaries across one stretch: base grid plus coefficient jumps."""
-    width = seg_end - seg_start
-    bounds = []
-    i = 0
-    while True:
-        off = i / n
-        if off >= width - 1e-12:
-            break
-        bounds.append(seg_start + off)
-        i += 1
-    bounds.append(seg_end)
-    for c in jump_cuts(breaks_mod1, seg_start, seg_end):
+def _step_offsets(n: int, cuts: tuple[float, ...]) -> list[float]:
+    """Step boundaries across one period: i/n for i = 0..n plus every jump
+    offset more than _CUT_TOL from its neighbours."""
+    bounds = [i / n for i in range(n)] + [1.0]
+    for c in cuts:
         pos = bisect_right(bounds, c)
-        if c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
+        if pos < len(bounds) and c - bounds[pos - 1] > _CUT_TOL and bounds[pos] - c > _CUT_TOL:
             bounds.insert(pos, c)
     return bounds
 
 
 def _stage_table(
-    pair: CoefficientPair, bounds: list[float], halves: bool
+    pair: CoefficientPair, phase: float, offsets: list[float], halves: bool
 ) -> tuple[list[float], ...]:
-    """h and the RK4 stage values of r and K for every step of one stretch.
+    """h and the RK4 stage values of r and K for every step of the grid.
 
-    Stage times are the floats a scalar step forms: ta, tm = ta + 0.5*h and
-    ta + h (not the next bound, which can differ from it in the last ulp).
-    With ``halves`` the table also holds the stages of the two half steps
-    that the error estimate takes, at ta + 0.5*(0.5*h), tm + 0.5*(0.5*h)
-    and tm + 0.5*h.  Each coefficient takes its piece around tm.
+    Step i starts at coefficient time ta = phase + offsets[i] and has width
+    h = offsets[i + 1] - offsets[i]; its stage times are the floats a scalar
+    step forms: ta, tm = ta + 0.5*h and ta + h.  With ``halves`` the table
+    also holds the stages of the two half steps that the error estimate
+    takes, at ta + 0.5*(0.5*h), tm + 0.5*(0.5*h) and tm + 0.5*h.  Each
+    coefficient takes its piece around tm.
     """
-    ta = np.asarray(bounds[:-1])
-    h = np.diff(bounds)
+    s = np.asarray(offsets)
+    h = np.diff(s)
+    ta = phase + s[:-1]
     tm = ta + 0.5 * h
     stages = (ta, tm, ta + h)
     if halves:
@@ -210,23 +167,21 @@ def _stage_table(
     return tuple(c.tolist() for c in columns)
 
 
-def _make_piece(segment: int, times: list[float], values: list[float]) -> TrajectoryPiece:
-    t_arr = np.asarray(times)
-    v_arr = np.asarray(values)
-    t_arr.setflags(write=False)
-    v_arr.setflags(write=False)
-    return TrajectoryPiece(segment=segment, times=t_arr, values=v_arr)
+def _frozen(values: list[float]) -> np.ndarray:
+    arr = np.asarray(values)
+    arr.setflags(write=False)
+    return arr
 
 
 def integrate(
     params: ModelParams,
     x0: float,
-    t_end: float,
+    periods: int,
     ctrl: StepControl | None = None,
 ) -> Trajectory:
-    """RK4-integrate the harvested logistic model from (t0, x0) to t_end.
+    """RK4-integrate the harvested logistic model over whole periods from (t0, x0).
 
-    Each impulse instant tau_k <= t_end applies the exact jump
+    Each impulse instant t0 + k, k = 1..periods, applies the exact jump
     x -> (1 - E) x and is recorded as an :class:`ImpulseEvent`.  Every step
     boundary becomes a sample.  Raises :class:`IntegrationError` if the
     state overflows the float range or leaves the positive domain (step too
@@ -236,29 +191,22 @@ def integrate(
         ctrl = StepControl()
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    if not t_end > params.t0:
-        raise ValueError(f"t_end={t_end!r} must exceed t0={params.t0!r}")
+    if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
+        raise ValueError(f"periods must be a positive whole number, got {periods!r}")
 
-    n = ctrl.steps_per_unit
     halves = ctrl.error_target is not None
-    breaks = params.pair.breakpoints_mod1()
+    offsets = _step_offsets(ctrl.steps_per_unit, params.jump_offsets)
+    steps = list(zip(offsets[1:], *_stage_table(params.pair, params.phase, offsets, halves)))
+    grid = _frozen(offsets)
     keep_fraction = 1.0 - params.E
 
     pieces: list[TrajectoryPiece] = []
     events: list[ImpulseEvent] = []
     worst_step_error = 0.0
     x = float(x0)
-    seg = 0
-    while True:
-        seg_start = params.t0 + seg
-        full_end = params.t0 + (seg + 1.0)
-        reaches_impulse = t_end >= full_end - BOUNDARY_SNAP
-        seg_end = full_end if reaches_impulse else t_end
-
-        bounds = _segment_bounds(seg_start, seg_end, n, breaks)
-        steps = zip(bounds[1:], *_stage_table(params.pair, bounds, halves))
+    for k in range(periods):
         values = [x]
-        for tb, h, ra, rm, re, ka, km, ke, *half in steps:
+        for sb, h, ra, rm, re, ka, km, ke, *half in steps:
             x_new = _rk4_step(x, h, ra, rm, re, ka, km, ke)
             if half:
                 # half steps [ta, tm] and [tm, tm + 0.5*h]: their midpoints
@@ -271,35 +219,26 @@ def integrate(
                 if est > ctrl.error_target:
                     raise IntegrationError(
                         f"estimated step error {est:.3e} exceeds the target "
-                        f"{ctrl.error_target:.3e} at t={tb!r}; reduce h"
+                        f"{ctrl.error_target:.3e} at t={params.time(k, sb)!r}; reduce h"
                     )
             x = x_new
             if not math.isfinite(x):
                 raise IntegrationError(
-                    f"state overflowed at t={tb!r} (x={x!r}): r(1 - x/K) x exceeds "
-                    "the float range for this x0 and K"
+                    f"state overflowed at t={params.time(k, sb)!r} (x={x!r}): "
+                    "r(1 - x/K) x exceeds the float range for this x0 and K"
                 )
             if not x > 0.0:
                 raise IntegrationError(
-                    f"state became non-positive at t={tb!r} (x={x!r}); the "
-                    "step is too large for these coefficients"
+                    f"state became non-positive at t={params.time(k, sb)!r} (x={x!r}); "
+                    "the step is too large for these coefficients"
                 )
             values.append(x)
-        pieces.append(_make_piece(seg, bounds, values))
-
-        if not reaches_impulse:
-            break
+        pieces.append(TrajectoryPiece(k, grid, _frozen(values)))
         pre = x
         x = keep_fraction * pre
-        events.append(
-            ImpulseEvent(index=seg + 1, time=full_end, pre_value=pre, post_value=x)
-        )
-        if t_end <= full_end + BOUNDARY_SNAP:
-            # t_end coincides with the impulse instant: close with the
-            # post-impulse state as a zero-length final piece.
-            pieces.append(_make_piece(seg + 1, [full_end], [x]))
-            break
-        seg += 1
+        events.append(ImpulseEvent(index=k + 1, pre_value=pre, post_value=x))
+    # close with the post-impulse state at the last impulse instant
+    pieces.append(TrajectoryPiece(periods, grid[:1], _frozen([x])))
 
     return Trajectory(
         params=params,
@@ -307,7 +246,5 @@ def integrate(
         ctrl=ctrl,
         pieces=tuple(pieces),
         events=tuple(events),
-        step_error_estimate=(
-            worst_step_error if ctrl.error_target is not None else None
-        ),
+        step_error_estimate=worst_step_error if halves else None,
     )

@@ -107,28 +107,21 @@ def random_params(
 
 
 class ScalarRun(NamedTuple):
-    """Output of ``scalar_rk4``: step times and values per stretch, and the
-    events as (index, time, pre, post)."""
+    """Output of ``scalar_rk4``: step offsets and values per period, and the
+    events as (index, pre, post)."""
 
-    times: list[list[float]]
+    offsets: list[list[float]]
     values: list[list[float]]
-    events: list[tuple[int, float, float, float]]
+    events: list[tuple[int, float, float]]
     step_error_estimate: float | None
 
 
-def _scalar_bounds(start: float, end: float, n: int, breaks: tuple[float, ...]) -> list[float]:
-    """Base grid start + i/n plus every jump more than 1e-12 from its neighbours."""
-    bounds = []
-    i = 0
-    while i / n < end - start - 1e-12:
-        bounds.append(start + i / n)
-        i += 1
-    bounds.append(end)
-    shifts = range(math.floor(start) - 1, math.ceil(end) + 1)
-    cuts = sorted(b + m for b in breaks for m in shifts if start + 1e-12 < b + m < end - 1e-12)
-    for c in cuts:
+def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
+    """Offsets i/n into a period plus every jump more than 1e-12 from its neighbours."""
+    bounds = [i / n for i in range(n)] + [1.0]
+    for c in sorted((b - params.phase) % 1.0 for b in params.pair.breakpoints_mod1()):
         pos = bisect_right(bounds, c)
-        if c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
+        if pos < len(bounds) and c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
             bounds.insert(pos, c)
     return bounds
 
@@ -151,26 +144,23 @@ def _rk4(rhs, t: float, x: float, h: float) -> float:
 
 
 def scalar_rk4(
-    params: ModelParams, x0: float, t_end: float, h: float, error_target: float | None = None
+    params: ModelParams, x0: float, periods: int, h: float, error_target: float | None = None
 ) -> ScalarRun:
     """The RK4 oracle one step and one scalar coefficient call at a time.
 
-    Same grid, stage times, operation order and failure messages as
-    ``integrate``; slow (tens of microseconds per step), for tests only.
+    Same offset grid, stage times (in phase: ``params.phase`` plus the
+    offset), operation order and failure messages as ``integrate``; slow
+    (tens of microseconds per step), for tests only.
     """
-    n = round(1.0 / h)
-    breaks = params.pair.breakpoints_mod1()
+    offsets = _scalar_offsets(round(1.0 / h), params)
     run = ScalarRun([], [], [], None)
     worst = 0.0
     x = float(x0)
-    seg = 0
-    while True:
-        start, full_end = params.t0 + seg, params.t0 + (seg + 1.0)
-        reaches = t_end >= full_end - 1e-9
-        bounds = _scalar_bounds(start, full_end if reaches else t_end, n, breaks)
+    for k in range(periods):
         values = [x]
-        for ta, tb in zip(bounds, bounds[1:]):
-            step = tb - ta
+        for sa, sb in zip(offsets, offsets[1:]):
+            step = sb - sa
+            ta = params.phase + sa
             r_p = _frozen(params.r, ta + 0.5 * step)
             k_p = _frozen(params.K, ta + 0.5 * step)
 
@@ -186,24 +176,31 @@ def scalar_rk4(
                 if est > error_target:
                     raise IntegrationError(
                         f"estimated step error {est:.3e} exceeds the target "
-                        f"{error_target:.3e} at t={tb!r}; reduce h"
+                        f"{error_target:.3e} at t={params.t0 + (k + sb)!r}; reduce h"
                     )
             x = x_new
             if not (math.isfinite(x) and x > 0.0):
                 raise IntegrationError(
-                    f"state became non-positive at t={tb!r} (x={x!r}); the "
-                    "step is too large for these coefficients"
+                    f"state became non-positive at t={params.t0 + (k + sb)!r} (x={x!r}); "
+                    "the step is too large for these coefficients"
                 )
             values.append(x)
-        run.times.append(bounds)
+        run.offsets.append(offsets)
         run.values.append(values)
-        if not reaches:
-            break
         pre, x = x, (1.0 - params.E) * x
-        run.events.append((seg + 1, full_end, pre, x))
-        if t_end <= full_end + 1e-9:
-            run.times.append([full_end])
-            run.values.append([x])
-            break
-        seg += 1
+        run.events.append((k + 1, pre, x))
+    run.offsets.append([0.0])
+    run.values.append([x])
     return run._replace(step_error_estimate=worst if error_target is not None else None)
+
+
+def samples(traj) -> tuple[list[float], list[float]]:
+    """Absolute times and values of an integrated path, post-impulse value
+    only at each impulse instant (the pre values live in ``traj.events``)."""
+    times, values = [], []
+    last = len(traj.pieces) - 1
+    for i, piece in enumerate(traj.pieces):
+        stop = -1 if i < last else None
+        times += [traj.params.t0 + piece.segment + s for s in piece.offsets[:stop].tolist()]
+        values += piece.values[:stop].tolist()
+    return times, values

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from impulsive_logistic import (
+    CheckRecord,
     CoefficientPair,
     ConstantCoefficient,
     ModelParams,
@@ -16,6 +17,7 @@ from impulsive_logistic import (
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     StepControl,
+    VerificationReport,
     compare_solutions,
     critical_harvest,
     derive_constants,
@@ -274,6 +276,7 @@ def test_report_text_rendering():
 
 
 def test_report_fails_when_any_record_fails():
-    report = verify_periodicity(golden_params(), grid=(0.0, 0.5), periods=1, tol=1e-20)
+    records = (CheckRecord("k=0 offset=0", 0.0, 1e-8), CheckRecord("k=0 offset=0.5", 2e-8, 1e-8))
+    report = VerificationReport(check="periodicity", records=records, metadata={})
     assert not report.passed
-    assert "[FAIL]" in report.to_text()
+    assert report.to_text().startswith("[FAIL] periodicity")

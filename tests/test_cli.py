@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -418,6 +419,66 @@ def test_one_B_quadrature_per_command(command):
     derive_constants.cache_clear()
     command(load_config(SINUSOID))
     assert derive_constants.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# large anchor times: only frac(t0) enters the results
+# ---------------------------------------------------------------------------
+
+COMMANDS = ("constants", "simulate", "periodic", "verify", "counterexample", "sweep")
+
+
+def _at_t0(tmp_path, config: Path, t0: float) -> Path:
+    data = json.loads(config.read_text(encoding="utf-8"))
+    data["t0"] = t0
+    path = tmp_path / f"{config.stem}-t0={t0!r}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("config", [SINUSOID, PIECEWISE], ids=lambda p: p.stem)
+def test_constants_depend_only_on_the_phase(tmp_path, capsys, config):
+    printed = set()
+    for t0 in (1.0, 1e9, 2.0**40, 1e15, 2.0**50):
+        argv = ["constants", "--config", str(_at_t0(tmp_path, config, t0)), "--format", "json"]
+        assert main(argv) == 0
+        printed.add(capsys.readouterr().out)
+    assert len(printed) == 1
+    t0 = 12345678.3
+    phase = t0 - 12345678
+    big, small = (load_config(_at_t0(tmp_path, config, t)).params() for t in (t0, phase))
+    assert derive_constants(big).B == derive_constants(small).B
+
+
+@pytest.mark.parametrize("t0", [0.8428831827983329, 1.262138583236376, 12345678.3])
+def test_simulate_times_never_run_backwards(tmp_path, t0):
+    # t = t0 + (k + s): the pre row at offset 1 of period k and the post
+    # row at offset 0 of period k + 1 print the same time, for any t0
+    config = load_config(_at_t0(tmp_path, PIECEWISE, t0))
+    lines = cmd_simulate(dataclasses.replace(config, horizon_periods=12)).splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    times = [float(row[0]) for row in rows]
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    for before, after in zip(rows, rows[1:]):
+        if after[-1] == "post":
+            assert before[-1] == "pre" and before[0] == after[0]
+
+
+@pytest.mark.parametrize("t0", [1e9, 2.0**40, 1e15])
+@pytest.mark.parametrize("config", [SINUSOID, PIECEWISE], ids=lambda p: p.stem)
+def test_verify_passes_at_large_t0(tmp_path, capsys, config, t0):
+    assert main(["verify", "--config", str(_at_t0(tmp_path, config, t0))]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("t0", [1e16, 1e300])
+@pytest.mark.parametrize("config", [SINUSOID, PIECEWISE], ids=lambda p: p.stem)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_end_cleanly_at_huge_t0(tmp_path, capsys, command, config, t0):
+    code = main([command, "--config", str(_at_t0(tmp_path, config, t0))])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert err == "" if code == 0 else err.startswith("config error:")
 
 
 # ---------------------------------------------------------------------------

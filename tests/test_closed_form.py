@@ -201,7 +201,7 @@ def test_jump_law_numerically():
     for i in range(6):
         p = random_params(rng, index=i)
         for k in (1, 3):
-            tau = p.impulse_time(k)
+            tau = p.t0 + k
             pre = richardson_left(lambda s: periodic_solution_at(p, s), tau)
             post = periodic_solution_at(p, tau)
             assert post == pytest.approx((1.0 - p.E) * pre, rel=1e-8)
@@ -261,7 +261,7 @@ def test_legacy_is_globally_constant_for_constant_coefficients():
 def test_legacy_agrees_with_corrected_when_no_harvest():
     p = golden_params(E=0.0)
     for k in (1, 2):
-        tau = p.impulse_time(k)
+        tau = p.t0 + k
         assert legacy_periodic_at(p, tau) == pytest.approx(
             periodic_solution_at(p, tau), rel=1e-10
         )
@@ -278,7 +278,7 @@ def test_legacy_is_continuous_where_the_orbit_jumps():
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
     for k in (1, 2):
-        tau = p.impulse_time(k)
+        tau = p.t0 + k
         pre = richardson_left(lambda s: legacy_periodic_at(p, s), tau)
         post = legacy_periodic_at(p, tau)
         # equal one-sided limits: no jump at all
@@ -295,7 +295,7 @@ def test_legacy_counterexample_for_random_instances():
         p = random_params(rng, index=i)
         if p.E == 0.0:
             continue
-        tau = p.impulse_time(2)
+        tau = p.t0 + 2
         pre = richardson_left(lambda s: legacy_periodic_at(p, s), tau)
         post = legacy_periodic_at(p, tau)
         assert abs(post - pre) / pre <= 1e-8

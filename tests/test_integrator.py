@@ -17,13 +17,20 @@ from impulsive_logistic import (
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     StepControl,
-    exact_constant_flow,
     integrate,
     solution_at,
 )
-from impulsive_logistic.integrator import _segment_bounds
+from impulsive_logistic.integrator import _step_offsets
 
-from helpers import LN2, chained_flow, golden_params, random_params, scalar_rk4
+from helpers import (
+    LN2,
+    chained_flow,
+    golden_params,
+    logistic_flow,
+    random_params,
+    samples,
+    scalar_rk4,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -43,46 +50,26 @@ def test_step_must_divide_the_unit_interval():
 
 
 # ---------------------------------------------------------------------------
-# exact constant flow
-# ---------------------------------------------------------------------------
-
-
-def test_exact_flow_identity_and_equilibrium():
-    assert exact_constant_flow(LN2, 100.0, 37.0, 0.0) == 37.0
-    for dt in (0.1, 1.0, 5.0):
-        assert exact_constant_flow(LN2, 100.0, 100.0, dt) == pytest.approx(100.0, rel=1e-14)
-
-
-def test_exact_flow_doubling_case():
-    assert exact_constant_flow(LN2, 100.0, 50.0, 1.0) == pytest.approx(200.0 / 3.0, rel=1e-13)
-
-
-def test_exact_flow_rejects_negative_span():
-    with pytest.raises(ValueError, match="dt"):
-        exact_constant_flow(LN2, 100.0, 50.0, -0.5)
-
-
-# ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
 
 
 def test_equilibrium_is_preserved():
-    traj = integrate(golden_params(E=0.0), 100.0, 5.5, StepControl(h=1.0 / 64.0))
-    assert np.all(np.abs(traj.values - 100.0) < 1e-11)
+    traj = integrate(golden_params(E=0.0), 100.0, 5, StepControl(h=1.0 / 64.0))
+    _, values = samples(traj)
+    assert np.all(np.abs(np.asarray(values) - 100.0) < 1e-11)
     assert traj.events != () and all(e.pre_value == e.post_value for e in traj.events)
 
 
 def test_one_period_matches_exact_flow():
-    traj = integrate(golden_params(E=0.0), 50.0, 1.5, StepControl(h=1.0 / 256.0))
-    assert traj.values[-1] == pytest.approx(200.0 / 3.0, abs=1e-8)
+    traj = integrate(golden_params(E=0.0), 50.0, 1, StepControl(h=1.0 / 256.0))
+    assert traj.events[0].pre_value == pytest.approx(200.0 / 3.0, abs=1e-8)
 
 
 def test_impulse_event_values():
-    traj = integrate(golden_params(), 50.0, 3.5, StepControl(h=1.0 / 256.0))
+    traj = integrate(golden_params(), 50.0, 3, StepControl(h=1.0 / 256.0))
     assert [e.index for e in traj.events] == [1, 2, 3]
     for e in traj.events:
-        assert e.time == pytest.approx(0.5 + e.index, abs=1e-12)
         assert e.pre_value == pytest.approx(200.0 / 3.0, rel=1e-9)
         # the jump is applied algebraically, so this holds bit for bit
         assert e.post_value == 0.75 * e.pre_value
@@ -92,21 +79,21 @@ def test_fourth_order_convergence():
     p = golden_params(E=0.0)
     errors = []
     for n in (32, 64):
-        traj = integrate(p, 37.0, 1.5, StepControl(h=1.0 / n))
-        exact = exact_constant_flow(LN2, 100.0, 37.0, 1.0)
-        errors.append(abs(traj.values[-1] - exact))
+        traj = integrate(p, 37.0, 1, StepControl(h=1.0 / n))
+        exact = logistic_flow(LN2, 100.0, 37.0, 1.0)
+        errors.append(abs(traj.events[0].pre_value - exact))
     assert errors[0] / errors[1] >= 12.0
 
 
 def test_agrees_with_chained_flow_over_ten_periods():
     p = golden_params()
-    traj = integrate(p, 37.0, 10.5, StepControl(h=1.0 / 256.0))
+    traj = integrate(p, 37.0, 10, StepControl(h=1.0 / 256.0))
     worst = 0.0
-    for t, v in zip(traj.times, traj.values):
-        ref = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, float(t))
+    for t, v in zip(*samples(traj)):
+        ref = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, t)
         worst = max(worst, abs(v - ref) / ref)
     for e in traj.events:
-        ref_pre = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, e.time) / 0.75
+        ref_pre = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, p.t0 + e.index) / 0.75
         worst = max(worst, abs(e.pre_value - ref_pre) / ref_pre)
     assert worst <= 1e-8
 
@@ -117,46 +104,47 @@ def test_positivity_is_preserved():
         p = random_params(rng, index=i)
         k_max = max(p.K(float(t)) for t in np.linspace(0.0, 1.0, 65))
         x0 = float(rng.uniform(1e-3, 2.0 * k_max))
-        traj = integrate(p, x0, p.t0 + 3.0, StepControl(h=1.0 / 64.0))
-        assert np.all(traj.values > 0.0)
+        traj = integrate(p, x0, 3, StepControl(h=1.0 / 64.0))
+        assert all(v > 0.0 for v in samples(traj)[1])
 
 
 def test_validation_errors():
     p = golden_params()
     with pytest.raises(ValueError, match="x0"):
-        integrate(p, 0.0, 3.0)
-    with pytest.raises(ValueError, match="t_end"):
-        integrate(p, 50.0, 0.5)
+        integrate(p, 0.0, 3)
+    for periods in (0, 2.5, True):
+        with pytest.raises(ValueError, match="periods"):
+            integrate(p, 50.0, periods)
 
 
 def test_error_target_diagnostic():
     p = golden_params()
-    traj = integrate(p, 50.0, 2.5, StepControl(h=1.0 / 64.0, error_target=1e-8))
+    traj = integrate(p, 50.0, 2, StepControl(h=1.0 / 64.0, error_target=1e-8))
     assert traj.step_error_estimate is not None
     assert 0.0 < traj.step_error_estimate < 1e-8
     with pytest.raises(IntegrationError, match="error"):
-        integrate(p, 50.0, 2.5, StepControl(h=1.0 / 4.0, error_target=1e-14))
+        integrate(p, 50.0, 2, StepControl(h=1.0 / 4.0, error_target=1e-14))
 
 
 def test_trajectory_times_strictly_increase():
-    traj = integrate(golden_params(), 50.0, 4.25, StepControl(h=1.0 / 32.0))
-    assert np.all(np.diff(traj.times) > 0.0)
-    assert traj.t_start == 0.5
-    assert traj.t_end == pytest.approx(4.25, abs=1e-12)
+    traj = integrate(golden_params(), 50.0, 4, StepControl(h=1.0 / 32.0))
+    times, _ = samples(traj)
+    assert np.all(np.diff(times) > 0.0)
+    assert times[0] == 0.5 and times[-1] == 4.5
+    # every period samples the same offsets
+    assert all(piece.offsets is traj.pieces[0].offsets for piece in traj.pieces[:-1])
 
 
 def test_steps_split_at_coefficient_jumps():
     # t0 = 0.4 puts the integer-time jumps of a piecewise rate strictly
     # inside the base grid, so extra boundaries must appear there.
-    from impulsive_logistic import PiecewiseConstantCoefficient
-
     pair = CoefficientPair(
         r=PiecewiseConstantCoefficient(breakpoints=(0.0, 0.5, 1.0), values=(0.6, 1.2)),
         K=ConstantCoefficient(100.0),
     )
     p = ModelParams(pair=pair, E=0.2, t0=0.4)
-    traj = integrate(p, 60.0, 1.4, StepControl(h=1.0 / 8.0))
-    times = traj.pieces[0].times
+    traj = integrate(p, 60.0, 1, StepControl(h=1.0 / 8.0))
+    times = p.t0 + traj.pieces[0].offsets
     for cut in (0.5, 1.0):
         assert np.any(np.abs(times - cut) < 1e-12)
 
@@ -164,34 +152,31 @@ def test_steps_split_at_coefficient_jumps():
 def test_coefficient_jump_coinciding_with_impulse_instants():
     # r jumps at every half-integer and integer; with t0 = 0.5 one jump
     # family lands exactly on the impulse instants.
-    from impulsive_logistic import PiecewiseConstantCoefficient
-
     pair = CoefficientPair(
         r=PiecewiseConstantCoefficient(breakpoints=(0.0, 0.5, 1.0), values=(0.6, 1.2)),
         K=ConstantCoefficient(100.0),
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
-    traj = integrate(p, 40.0, 3.5, StepControl(h=1.0 / 128.0))
-    worst = max(
-        abs(solution_at(p, 40.0, float(t)) - v) / v
-        for t, v in zip(traj.times, traj.values)
-    )
+    traj = integrate(p, 40.0, 3, StepControl(h=1.0 / 128.0))
+    worst = max(abs(solution_at(p, 40.0, t) - v) / v for t, v in zip(*samples(traj)))
     assert worst <= 1e-10
 
 
 def test_trajectory_arrays_are_read_only():
-    traj = integrate(golden_params(), 50.0, 2.0, StepControl(h=1.0 / 16.0))
+    traj = integrate(golden_params(), 50.0, 1, StepControl(h=1.0 / 16.0))
     with pytest.raises(ValueError):
         traj.pieces[0].values[0] = -1.0
+    with pytest.raises(ValueError):
+        traj.pieces[0].offsets[0] = -1.0
 
 
 def test_horizon_ending_exactly_on_an_impulse():
-    p = golden_params()
-    traj = integrate(p, 50.0, 2.5, StepControl(h=1.0 / 16.0))
+    traj = integrate(golden_params(), 50.0, 2, StepControl(h=1.0 / 16.0))
     assert len(traj.events) == 2
-    assert traj.times[-1] == pytest.approx(2.5, abs=1e-12)
-    # final sample carries the post-impulse value
-    assert traj.values[-1] == pytest.approx(traj.events[-1].post_value, abs=1e-12)
+    # the run closes with the post-impulse value at offset 0 of period 2
+    last = traj.pieces[-1]
+    assert last.segment == 2 and last.offsets.tolist() == [0.0]
+    assert last.values.tolist() == [traj.events[-1].post_value]
 
 
 @pytest.mark.parametrize(
@@ -201,16 +186,19 @@ def test_horizon_ending_exactly_on_an_impulse():
         ((0.0, 0.5), 0.25, 1.25, 4, [0.25, 0.5, 0.75, 1.0, 1.25]),
         # an off-grid jump is inserted; its translate 1.0 sits on the grid
         ((0.0, 0.3), 0.25, 1.25, 4, [0.25, 0.3, 0.5, 0.75, 1.0, 1.25]),
-        # a short last stretch keeps its end and the jumps inside it
-        ((0.0, 0.3, 0.8), 2.25, 2.9, 4, [2.25, 2.3, 2.5, 2.75, 2.8, 2.9]),
+        # a later start: every jump of the period is inserted, in order
+        ((0.0, 0.3, 0.8), 2.25, 3.25, 4, [2.25, 2.3, 2.5, 2.75, 2.8, 3.0, 3.25]),
         # within 1e-12 of a grid point: no sliver step
         ((0.5 + 5e-13,), 0.25, 1.25, 4, [0.25, 0.5, 0.75, 1.0, 1.25]),
-        # breakpoints in [0, 1) translate to every period the stretch covers
+        # breakpoints in [0, 1) translate to the period from t0 = start
         ((0.0, 0.625), 3.125, 4.125, 2, [3.125, 3.625, 4.0, 4.125]),
     ],
 )
 def test_step_bounds_insert_off_grid_jumps(breaks, start, end, n, expected):
-    assert _segment_bounds(start, end, n, breaks) == expected
+    phase = start - math.floor(start)
+    cuts = tuple(sorted((b - phase) % 1.0 for b in breaks))
+    times = [start + s for s in _step_offsets(n, cuts)]
+    assert times == expected and times[-1] == end
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +231,26 @@ def _runs(draw):
     pair = CoefficientPair(r=draw(_coefficients(0.2, 3.0)), K=draw(_coefficients(10.0, 500.0)))
     e_crit = 1.0 - math.exp(-pair.r.integral(0.0, 1.0))
     # t0 below the step (stage time ta + h differs from the next bound),
-    # ordinary, and large enough that t carries a visible ulp
+    # ordinary, and large with a phase that is not dyadic
     t0 = draw(st.one_of(st.just(1e-3), st.floats(0.05, 3.0), st.floats(1e5, 1e7)))
     params = ModelParams(pair=pair, E=draw(st.floats(0.0, 0.95)) * e_crit, t0=t0)
     ctrl = StepControl(
         h=2.0 ** -draw(st.integers(0, 8)),
         error_target=draw(st.sampled_from([None, 1e-3, 1e-10])),
     )
-    return params, draw(st.floats(1.0, 1000.0)), t0 + draw(st.floats(0.3, 2.5)), ctrl
+    return params, draw(st.floats(1.0, 1000.0)), draw(st.integers(1, 3)), ctrl
 
 
 def _one_step_past_a_jump(t0: float, cut: float, error_target: float | None):
-    """One step per unit from a small t0 to a jump of K: ta + h is one ulp
-    off the next bound there, and the half steps' end tm + 0.5*h off ta + h."""
+    """One step per unit from a small t0 to a jump of K.  In the examples
+    below the stage time ta + h lands one ulp past the jump, or the half
+    steps' end tm + 0.5*h one ulp short of ta + h."""
     pair = CoefficientPair(
         r=SinusoidCoefficient(mean=1.0, amp=0.5, phase=0.3),
         K=PiecewiseConstantCoefficient(breakpoints=(0.0, cut, 1.0), values=(100.0, 150.0)),
     )
     ctrl = StepControl(h=1.0, error_target=error_target)
-    return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, t0 + 1.0, ctrl
+    return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, 1, ctrl
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -269,18 +258,18 @@ def _one_step_past_a_jump(t0: float, cut: float, error_target: float | None):
 @example(run=_one_step_past_a_jump(0.2652284551781802, 0.8980443450745145, None))
 @example(run=_one_step_past_a_jump(0.011791280347440668, 0.8533712351972526, 1.0))
 def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
-    params, x0, t_end, ctrl = run
+    params, x0, periods, ctrl = run
     try:
-        ref = scalar_rk4(params, x0, t_end, ctrl.h, ctrl.error_target)
+        ref = scalar_rk4(params, x0, periods, ctrl.h, ctrl.error_target)
     except IntegrationError as exc:
         with pytest.raises(IntegrationError) as got:
-            integrate(params, x0, t_end, ctrl)
+            integrate(params, x0, periods, ctrl)
         assert str(got.value) == str(exc)
         return
-    traj = integrate(params, x0, t_end, ctrl)
-    assert len(traj.pieces) == len(ref.times)
-    for piece, times, values in zip(traj.pieces, ref.times, ref.values):
-        assert np.array_equal(piece.times, times)
+    traj = integrate(params, x0, periods, ctrl)
+    assert len(traj.pieces) == len(ref.offsets)
+    for piece, offsets, values in zip(traj.pieces, ref.offsets, ref.values):
+        assert np.array_equal(piece.offsets, offsets)
         assert np.array_equal(piece.values, values)
-    assert [(e.index, e.time, e.pre_value, e.post_value) for e in traj.events] == ref.events
+    assert [(e.index, e.pre_value, e.post_value) for e in traj.events] == ref.events
     assert traj.step_error_estimate == ref.step_error_estimate

@@ -54,7 +54,8 @@ dyadic_offsets = st.lists(
 ).map(sorted)
 
 
-def coefficient(low: float, high: float):
+def coefficient_kinds(low: float, high: float) -> dict:
+    """A strategy per coefficient kind, values inside [low, high]."""
     constant = st.floats(low, high).map(ConstantCoefficient)
     sinusoid = st.builds(
         lambda mean, frac, phase: SinusoidCoefficient(mean=mean, amp=frac * mean, phase=phase),
@@ -69,7 +70,11 @@ def coefficient(low: float, high: float):
             st.tuples(*[st.floats(low, high)] * (len(cuts) + 1)),
         )
     )
-    return st.one_of(constant, sinusoid, piecewise)
+    return {"constant": constant, "sinusoid": sinusoid, "piecewise": piecewise}
+
+
+def coefficient(low: float, high: float):
+    return st.one_of(*coefficient_kinds(low, high).values())
 
 
 @st.composite
@@ -146,16 +151,51 @@ def test_far_period_without_orbit_goes_extinct_quietly():
 
 def test_trajectory_closed_form_matches_scalar_path():
     params = random_params(np.random.default_rng(11), 2)
-    traj = integrate(params, 80.0, params.t0 + 3, StepControl(h=1.0 / 64.0))
+    traj = integrate(params, 80.0, 3, StepControl(h=1.0 / 64.0))
     closed = trajectory_closed_form(traj)
     keep = 1.0 - params.E
     last = len(traj.pieces) - 1
     for i, (piece, values) in enumerate(zip(traj.pieces, closed)):
-        for j, (t, value) in enumerate(zip(piece.times, values)):
+        for j, (s, value) in enumerate(zip(piece.offsets.tolist(), values)):
             if i < last and j == len(values) - 1:
                 assert value == closed[i + 1][0] / keep  # pre row: post / (1 - E)
             else:
-                assert value == pytest.approx(solution_at(params, 80.0, float(t)), rel=1e-13)
+                t = params.t0 + piece.segment + s
+                assert value == pytest.approx(solution_at(params, 80.0, t), rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# one clock: every result depends on frac(t0), never on t0's integer part
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
+@pytest.mark.parametrize("k_kind", ["constant", "sinusoid", "piecewise"])
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_integer_shift_of_t0_changes_nothing(r_kind, k_kind, data):
+    pair = CoefficientPair(
+        r=data.draw(coefficient_kinds(0.2, 3.0)[r_kind]),
+        K=data.draw(coefficient_kinds(10.0, 500.0)[k_kind]),
+    )
+    e_crit = 1.0 - math.exp(-pair.r.integral(0.0, 1.0))
+    E = data.draw(st.floats(0.0, 0.95)) * e_crit
+    f = data.draw(st.integers(1, 63)) / 64.0
+    n = data.draw(st.integers(1, 2**40))
+    base, shifted = (ModelParams(pair=pair, E=E, t0=t0) for t0 in (f, f + n))
+
+    assert derive_constants(shifted) == derive_constants(base)
+    offsets = data.draw(dyadic_offsets)
+    tables = [period_table(p, offsets) for p in (base, shifted)]
+    for got, want in zip(tables[1], tables[0]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(periodic_grid(shifted, tables[1]), periodic_grid(base, tables[0]))
+
+    x0, ctrl = derive_constants(base).x0_star, StepControl(h=1.0 / 32.0)
+    runs = [integrate(p, x0, 2, ctrl) for p in (base, shifted)]
+    assert len(runs[1].pieces) == len(runs[0].pieces)
+    for got, want in zip(runs[1].pieces, runs[0].pieces):
+        assert np.array_equal(got.values, want.values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +264,7 @@ def evaluated_nodes(monkeypatch):
     closed_form.derive_constants.cache_clear()
 
 
-# RK4 alone evaluates r and K at 3 stage times per step, 6 nodes per row;
+# RK4 alone evaluates r and K at 3 stage times per step of one period;
 # one quadrature per row, as before the period table, costs about 1000.
 NODES_PER_ROW = 16
 
@@ -252,9 +292,10 @@ def test_orbit_mean_cost_is_linear_in_its_nodes(evaluated_nodes):
     assert evaluated_nodes[0] <= 40 * mean_nodes
 
 
-# r and K at 3 stage times per stretch, 3 more for the half steps of the
-# error estimate; a call per stage and step would be thousands here.
-CALLS_PER_STRETCH = 12
+# r and K at 3 stage times, 3 more for the half steps of the error
+# estimate, once per run; a call per stage and step would be thousands here,
+# and one table per period 40 times this.
+CALLS_PER_RUN = 12
 
 
 @pytest.mark.parametrize("error_target", [None, 1e-6])
@@ -279,6 +320,6 @@ def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair
 
     monkeypatch.setattr(PeriodicCoefficient, "__call__", counted)
     params = ModelParams(pair=pair, E=0.25, t0=0.5)
-    traj = integrate(params, 60.0, 40.75, StepControl(h=1.0 / 256.0, error_target=error_target))
+    traj = integrate(params, 60.0, 40, StepControl(h=1.0 / 256.0, error_target=error_target))
     assert len(traj.pieces) == 41
-    assert calls[0] <= CALLS_PER_STRETCH * len(traj.pieces)
+    assert calls[0] <= CALLS_PER_RUN
