@@ -27,9 +27,7 @@ from .closed_form import (
     period_table,
     periodic_grid,
     periodic_orbit_mean,
-    periodic_solution_at,
     poincare_map,
-    solution_at,
     solution_grid,
 )
 from .coefficients import (
@@ -84,9 +82,7 @@ __all__ = [
     "period_table",
     "periodic_grid",
     "periodic_orbit_mean",
-    "periodic_solution_at",
     "poincare_map",
-    "solution_at",
     "solution_grid",
     "trajectory_closed_form",
     "verify_impulse_condition",

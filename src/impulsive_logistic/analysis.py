@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .closed_form import (
-    BOUNDARY_SNAP,
     ModelParams,
     SolutionConstants,
     derive_constants,
@@ -81,6 +80,10 @@ DEFAULT_IMPULSE_TOL = 1e-6
 DEFAULT_PERIODICITY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_FIXED_POINT_TOL = 1e-6
+
+# A coefficient jump this close before the impulse instants counts as at
+# them: it leaves the orbit smooth on every extrapolation window.
+_AT_IMPULSE = 1e-9
 
 #: Panel count of the independent side of the periodicity and jump checks.
 REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT
@@ -145,16 +148,13 @@ class VerificationReport:
         return self.to_text()
 
 
-def left_limit(
-    f: Callable[[float], float], t: float, offsets: Sequence[float] = RICHARDSON_OFFSETS
-) -> float:
-    """Extrapolated limit of f at t from the left.
+def left_limit(values: Sequence[float]) -> float:
+    """Extrapolated left limit of f at t from f(t - d), f(t - d/2), f(t - d/4).
 
-    Two Richardson stages over halving offsets cancel the linear and
-    quadratic terms of f(t - d) in d, leaving an O(d**3) bias.
+    Two Richardson stages over the halving offsets cancel the linear and
+    quadratic terms in d, leaving an O(d**3) bias.
     """
-    d = offsets[0]
-    u1, u2, u3 = f(t - d), f(t - d / 2.0), f(t - d / 4.0)
+    u1, u2, u3 = values
     return (8.0 * u3 - 6.0 * u2 + u1) / 3.0
 
 
@@ -176,12 +176,12 @@ def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
     """``RICHARDSON_OFFSETS``, or smaller ones when r or K jumps among them.
 
     The extrapolation needs the orbit smooth on [tau - d, tau); a
-    coefficient jump there puts a kink in it.  A jump between BOUNDARY_SNAP
+    coefficient jump there puts a kink in it.  A jump between _AT_IMPULSE
     and d before the impulse instants sets d to half its distance from them.
     """
     d = RICHARDSON_OFFSETS[0]
     lags = [(params.phase - beta) % 1.0 for beta in params.pair.breakpoints_mod1()]
-    near = [lag for lag in lags if BOUNDARY_SNAP < lag < d]
+    near = [lag for lag in lags if _AT_IMPULSE < lag < d]
     if not near:
         return RICHARDSON_OFFSETS
     d = 0.5 * min(near)
@@ -194,10 +194,8 @@ def _corrected_limits(params: ModelParams, offsets: Sequence[float]) -> tuple[fl
     Pre side: the period table just below the end of a period, extrapolated
     by ``left_limit``.  Post side: the scalar quadrature at offset 0.
     """
-    d = offsets[0]
-    below = (1.0 - d, 1.0 - d / 2.0, 1.0 - d / 4.0)  # the offsets left_limit forms
-    orbit = dict(zip(below, periodic_grid(params, period_table(params, below)).tolist()))
-    pre = left_limit(orbit.__getitem__, 1.0, offsets)
+    below = [1.0 - o for o in offsets]
+    pre = left_limit(periodic_grid(params, period_table(params, below)).tolist())
     return pre, _orbit_by_quadrature(params, derive_constants(params), 0.0)
 
 
@@ -208,7 +206,7 @@ def _legacy_limits(params: ModelParams, offsets: Sequence[float]) -> tuple[float
     instant t0 + k lands modulo 1.
     """
     tau = params.phase + 1.0
-    pre = left_limit(lambda t: legacy_periodic_at(params, t), tau, offsets)
+    pre = left_limit([legacy_periodic_at(params, tau - o) for o in offsets])
     return pre, legacy_periodic_at(params, tau)
 
 
@@ -264,7 +262,7 @@ def verify_impulse_condition(
     }
     if which == "corrected":
         metadata["reference_panels_per_unit"] = REFERENCE_PANELS_PER_UNIT
-        limits = one_sided_limits(params, ks[0])
+        limits = one_sided_limits(params)
         metadata["analytic_pre"] = limits.pre
         metadata["analytic_post"] = limits.post
     return VerificationReport(
@@ -463,12 +461,13 @@ def fixed_point_scan(
     consts = derive_constants(params)
     xs = np.geomspace(x_min, x_max, n)
     gap = poincare_map(params, xs) - xs
+    sign = np.sign(gap)  # a product of two gaps can overflow, one of two signs cannot
 
     crossings: list[float] = []
     for i in range(n - 1):
         if gap[i] == 0.0:
             crossings.append(float(xs[i]))
-        elif gap[i] * gap[i + 1] < 0.0:
+        elif sign[i] * sign[i + 1] < 0.0:
             crossings.append(
                 _bisect(lambda x: poincare_map(params, x) - x, float(xs[i]), float(xs[i + 1]))
             )

@@ -19,8 +19,9 @@ nothing.  ``period_table`` computes them for a whole grid of offsets in one
 cumulative quadrature pass, and ``solution_grid`` / ``periodic_grid``
 evaluate the closed form over (period index, offset) pairs from that table,
 so the cost grows with the number of output points, not with points times
-quadrature panels.  The scalar functions take an absolute t, split it into
-(k, s) and run that kernel at a single offset.
+quadrature panels.  Both sides of an impulse have exact addresses: offset 1
+of period k is the pre-impulse value, offset 0 of period k + 1 the
+post-impulse value.
 
 When q > 1 the model has a unique positive period-1 orbit; its post-impulse
 anchor value is x0_star = (q - 1) / (A B), the fixed point of the
@@ -50,7 +51,6 @@ from .coefficients import (
 )
 
 __all__ = [
-    "BOUNDARY_SNAP",
     "ImpulseLimits",
     "ModelParams",
     "NoPeriodicSolutionError",
@@ -62,16 +62,9 @@ __all__ = [
     "period_table",
     "periodic_grid",
     "periodic_orbit_mean",
-    "periodic_solution_at",
     "poincare_map",
-    "solution_at",
     "solution_grid",
 ]
-
-#: Absolute times within this distance of an impulse instant evaluate on
-#: the post-impulse side.  Guards against a t = t0 + k computed in floating
-#: point landing a few ulp below the boundary.
-BOUNDARY_SNAP = 1e-9
 
 # |q - 1| below this routes the geometric sum to its q = 1 limit.
 _Q_ONE_TOL = 1e-12
@@ -187,14 +180,6 @@ def _require_orbit(params: ModelParams, consts: SolutionConstants) -> None:
             "no positive periodic solution: (1-E)A = "
             f"{consts.q!r} <= 1 (need E < {e_crit!r})"
         )
-
-
-def _interval_index(params: ModelParams, t: float) -> int:
-    """Index k with t in [t0 + k, t0 + k + 1), snapping to the post side."""
-    dt = t - params.t0
-    if dt < -BOUNDARY_SNAP:
-        raise ValueError(f"t={t!r} precedes the anchor time t0={params.t0!r}")
-    return max(0, math.floor(dt + BOUNDARY_SNAP))
 
 
 def _geometric_sum(q: float, k: int) -> float:
@@ -316,41 +301,6 @@ def periodic_grid(params: ModelParams, table: PeriodTable) -> np.ndarray:
     return qm1 / (consts.A * consts.B * table.decay + qm1 * table.forcing)
 
 
-def _table_at(params: ModelParams, t: float) -> tuple[int, PeriodTable]:
-    """Period index of t and the one-offset table for its place in the period."""
-    k = _interval_index(params, t)
-    anchor = params.t0 + k
-    # t may sit a few ulp below the snapped anchor
-    return k, period_table(params, [max(t, anchor) - anchor])
-
-
-def solution_at(params: ModelParams, x0: float, t: float) -> float:
-    """Value at time t >= t0 of the solution started at x(t0) = x0 > 0.
-
-    ``solution_grid`` at the single point (k, s) with t = t0 + k + s; see
-    there for the formula.  Evaluation exactly at an impulse instant
-    returns the post-impulse value.
-    """
-    if not x0 > 0.0:
-        raise ValueError(f"x0 must be positive, got {x0!r}")
-    k, table = _table_at(params, t)
-    return float(solution_grid(params, x0, (k,), table)[0, 0])
-
-
-def periodic_solution_at(params: ModelParams, t: float) -> float:
-    """Value at time t >= t0 of the unique positive period-1 orbit.
-
-    Requires q = (1 - E) A > 1; ``periodic_grid`` at the single offset of
-    t.  Evaluation exactly at an impulse instant returns the post-impulse
-    value x0_star; the pre-impulse limit is available from
-    ``one_sided_limits``.
-    """
-    consts = derive_constants(params)
-    _require_orbit(params, consts)
-    _, table = _table_at(params, t)
-    return float(periodic_grid(params, table)[0])
-
-
 def legacy_periodic_at(params: ModelParams, t: float) -> float:
     """The older published periodic-orbit formula (kept for its refutation).
 
@@ -368,15 +318,13 @@ def legacy_periodic_at(params: ModelParams, t: float) -> float:
     return (consts.q - 1.0) / (consts.A * window)
 
 
-def one_sided_limits(params: ModelParams, k: int) -> ImpulseLimits:
-    """Pre/post values of the periodic orbit at tau_k; independent of k.
+def one_sided_limits(params: ModelParams) -> ImpulseLimits:
+    """Pre/post values of the periodic orbit at every impulse instant.
 
         pre  = (q - 1) / (A B (1 - E)),    post = (q - 1) / (A B) = x0_star,
 
     so post = (1 - E) * pre: the orbit loses exactly the harvested fraction.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"impulse index k must be a positive integer, got {k!r}")
     consts = derive_constants(params)
     _require_orbit(params, consts)
     post = consts.x0_star

@@ -66,8 +66,9 @@ _GL_WEIGHTS = np.array([float.fromhex(x) for x in (
     "0x1.1115f8b62dc1fp-4",
 )])
 
-# Cut points closer than this are merged when building quadrature panels.
-_CUT_TOL = 1e-12
+#: A jump closer than this to a cut or grid point does not cut there again:
+#: it is merged into the quadrature panels' cuts and into the RK4 step grid.
+CUT_TOL = 1e-12
 
 
 def _fractional(t: np.ndarray) -> np.ndarray:
@@ -330,7 +331,7 @@ def gauss_panels(
     """Composite Gauss-Legendre nodes and weights on [a, b].
 
     Panels are split at every translate beta + m of the given mod-1
-    breakpoints inside (a, b) that lies more than _CUT_TOL from the previous
+    breakpoints inside (a, b) that lies more than CUT_TOL from the previous
     cut and from b, so a piecewise-smooth integrand is smooth on each panel;
     nodes are strictly interior, so jump-point value conventions never
     enter an integral.
@@ -338,7 +339,7 @@ def gauss_panels(
     shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
     cuts = [a]
     for p in sorted(beta + m for beta in breaks_mod1 for m in shifts):
-        if p - cuts[-1] > _CUT_TOL and p < b - _CUT_TOL:
+        if p - cuts[-1] > CUT_TOL and p < b - CUT_TOL:
             cuts.append(p)
     cuts.append(b)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import ModelParams
-from .coefficients import CoefficientPair
+from .coefficients import CUT_TOL, CoefficientPair
 
 __all__ = [
     "ImpulseEvent",
@@ -30,9 +30,6 @@ __all__ = [
     "TrajectoryPiece",
     "integrate",
 ]
-
-# Jumps closer than this to a step boundary do not split the step.
-_CUT_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -55,6 +52,8 @@ class StepControl:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"step h must be positive, got {self.h!r}")
+        if not math.isfinite(1.0 / self.h):
+            raise ValueError(f"step h={self.h!r} is too small: 1/h overflows the float range")
         n = round(1.0 / self.h)
         if n < 1 or abs(n * self.h - 1.0) > 1e-9:
             raise ValueError(
@@ -132,11 +131,11 @@ def _rk4_step(
 
 def _step_offsets(n: int, cuts: tuple[float, ...]) -> list[float]:
     """Step boundaries across one period: i/n for i = 0..n plus every jump
-    offset more than _CUT_TOL from its neighbours."""
+    offset more than CUT_TOL from its neighbours."""
     bounds = [i / n for i in range(n)] + [1.0]
     for c in cuts:
         pos = bisect_right(bounds, c)
-        if pos < len(bounds) and c - bounds[pos - 1] > _CUT_TOL and bounds[pos] - c > _CUT_TOL:
+        if pos < len(bounds) and c - bounds[pos - 1] > CUT_TOL and bounds[pos] - c > CUT_TOL:
             bounds.insert(pos, c)
     return bounds
 

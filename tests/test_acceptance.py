@@ -20,9 +20,10 @@ from impulsive_logistic import (
     derive_constants,
     fixed_point_scan,
     one_sided_limits,
-    periodic_solution_at,
+    period_table,
+    periodic_grid,
     poincare_map,
-    solution_at,
+    solution_grid,
     verify_impulse_condition,
     verify_periodicity,
 )
@@ -82,10 +83,9 @@ def test_criterion_1_constant_coefficient_golden_case():
         ("(1-E)A", c.q, q_ref),
         ("x0_star", c.x0_star, anchor_ref),
     ]
-    for k in range(1, 6):
-        limits = one_sided_limits(p, k)
-        checks.append((f"pre@{k}", limits.pre, anchor_ref / 0.75))
-        checks.append((f"post@{k}", limits.post, anchor_ref))
+    limits = one_sided_limits(p)
+    checks.append(("pre", limits.pre, anchor_ref / 0.75))
+    checks.append(("post", limits.post, anchor_ref))
     for name, got, want in checks:
         rel = abs(got - want) / abs(want)
         if rel > 1e-10:
@@ -127,11 +127,13 @@ def test_criterion_3_oracle_equivalence():
 
     # constant coefficients against the jump-chained exact flow
     p = golden_params()
+    offsets = (0.0, 0.25, 0.5, 0.75)
+    grid = solution_grid(p, 37.0, range(11), period_table(p, offsets))
     worst = 0.0
-    for t in (0.5 + np.arange(0, 10, 0.25)).tolist() + [10.5]:
-        ref = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, t)
-        got = solution_at(p, 37.0, t)
-        worst = max(worst, abs(got - ref) / ref)
+    for k, row in enumerate(grid.tolist()):
+        for s, got in zip(offsets, row):
+            ref = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, p.t0 + k + s)
+            worst = max(worst, abs(got - ref) / ref)
     if worst > 1e-8:
         failures.append(f"constant case vs exact flow: {worst:.2e} > 1e-8")
     _finish(3, "closed form matches RK4 and exact-flow oracles", failures, started, 30.0)
@@ -197,7 +199,7 @@ def test_criterion_5_exponent_sign_regression():
         p = golden_params(E=e_val)
         t = p.t0 + 1.5
         oracle = chained_flow(LN2, 100.0, e_val, 0.5, 50.0, t)
-        got = solution_at(p, 50.0, t)
+        got = solution_grid(p, 50.0, [1], period_table(p, [0.5]))[0, 0]
         wrong = flipped_sign_variant(p, 50.0, t)
         if abs(oracle - correct) > 1e-4:
             failures.append(f"E={e_val}: oracle {oracle!r} != stated {correct!r}")
@@ -218,8 +220,9 @@ def test_criterion_6_threshold_behavior(tmp_path, capsys):
     e_crit = 0.5  # golden case: A = 2
 
     for e_val in (e_crit, 0.6, 0.9):
+        p = golden_params(E=e_val)
         try:
-            periodic_solution_at(golden_params(E=e_val), 1.0)
+            periodic_grid(p, period_table(p, [0.5]))
             failures.append(f"E={e_val}: expected NoPeriodicSolutionError")
         except NoPeriodicSolutionError as exc:
             if "no positive periodic solution" not in str(exc):

@@ -246,6 +246,29 @@ def test_fixed_point_scan_no_orbit():
     assert any("below identity" in lab for lab in labels)
 
 
+@pytest.mark.parametrize(
+    "K",
+    [ConstantCoefficient(1e300), PiecewiseConstantCoefficient((0.0, 0.5, 1.0), (1e300, 5e299))],
+    ids=["constant", "piecewise"],
+)
+def test_fixed_point_scan_at_huge_capacity_does_not_overflow(K):
+    # neighbouring gaps near 1e300 have a product past the float range
+    p = ModelParams(pair=CoefficientPair(r=ConstantCoefficient(math.log(2.0)), K=K), E=0.25, t0=0.5)
+    mean_capacity = p.K.integral(0.0, 1.0)
+    report = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity)
+    assert report.passed, report.to_text()
+    assert report.metadata["crossings"][0] == pytest.approx(derive_constants(p).x0_star, rel=1e-6)
+
+
+def test_fixed_point_scan_records_a_zero_gap_at_its_grid_point():
+    # the middle of this grid maps onto itself exactly: one crossing, there,
+    # and no bisection of the neighbouring cells
+    xs = np.geomspace(0.5, 5000.0, 5)
+    report = fixed_point_scan(golden_params(), 0.5, 5000.0, n=5)
+    assert report.metadata["crossings"] == [float(xs[2])]
+    assert report.passed
+
+
 def test_fixed_point_scan_validation():
     with pytest.raises(ValueError, match="x_min"):
         fixed_point_scan(golden_params(), -1.0, 10.0)

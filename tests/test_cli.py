@@ -324,6 +324,33 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert ".E" in capsys.readouterr().err
 
 
+def test_main_step_too_small_for_its_reciprocal_exit_2(tmp_path, capsys):
+    # 1/h overflows a float at these steps: a config error, not a traceback
+    assert main(["constants", "--config", str(SINUSOID), "--step", "5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --step: ") and err.count("\n") == 1
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(_json_config(step=1e-310)), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}.step: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        {"kind": "constant", "value": 1e300},
+        {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [1e300, 5e299]},
+    ],
+    ids=["constant", "piecewise"],
+)
+def test_main_verify_at_huge_capacity_prints_no_warning(tmp_path, capsys, K):
+    cfg = tmp_path / "huge_k.json"
+    cfg.write_text(json.dumps(_json_config(K=K)), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_main_missing_orbit_exit_1(capsys):
     assert main(["periodic", "--config", str(OVERHARVEST)]) == 1
     assert "no positive periodic solution" in capsys.readouterr().err

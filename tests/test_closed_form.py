@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from impulsive_logistic import (
     derive_constants,
     legacy_periodic_at,
     one_sided_limits,
+    period_table,
+    periodic_grid,
     periodic_orbit_mean,
-    periodic_solution_at,
     poincare_map,
-    solution_at,
+    solution_grid,
 )
+from impulsive_logistic.cli import load_config
 
 from helpers import (
     LN2,
@@ -30,6 +33,8 @@ from helpers import (
     random_params,
     richardson_left,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -70,19 +75,22 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# solution_at
+# solution_grid at (period index k, offset s): time t0 + k + s
 # ---------------------------------------------------------------------------
 
 
 def test_solution_stays_at_equilibrium_without_harvest():
     p = golden_params(E=0.0)
-    for t in (0.5, 0.9, 1.5, 3.25, 7.0):
-        assert solution_at(p, 100.0, t) == pytest.approx(100.0, rel=1e-12)
+    grid = solution_grid(p, 100.0, range(7), period_table(p, [0.0, 0.4, 0.75, 1.0]))
+    np.testing.assert_allclose(grid, 100.0, rtol=1e-12)
 
 
 def test_solution_returns_to_anchor_after_one_period():
     # x0 = 50 is the post-impulse fixed point of the golden case.
-    assert solution_at(golden_params(), 50.0, 1.5) == pytest.approx(50.0, rel=1e-10)
+    p = golden_params()
+    assert solution_grid(p, 50.0, [1], period_table(p, [0.0]))[0, 0] == pytest.approx(
+        50.0, rel=1e-10
+    )
 
 
 def test_solution_mid_interval_matches_chained_flow():
@@ -90,53 +98,47 @@ def test_solution_mid_interval_matches_chained_flow():
     p = golden_params()
     expected = chained_flow(LN2, 100.0, 0.25, 0.5, 50.0, 2.0)
     assert expected == pytest.approx(100.0 * (2.0 - math.sqrt(2.0)), rel=1e-12)
-    assert solution_at(p, 50.0, 2.0) == pytest.approx(expected, rel=1e-10)
+    got = solution_grid(p, 50.0, [1], period_table(p, [0.5]))[0, 0]
+    assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_solution_without_harvest_is_plain_logistic():
     p = golden_params(E=0.0)
     expected = logistic_flow(LN2, 100.0, 50.0, 1.5)
     assert expected == pytest.approx((800.0 - 200.0 * math.sqrt(2.0)) / 7.0, rel=1e-12)
-    assert solution_at(p, 50.0, 2.0) == pytest.approx(expected, rel=1e-10)
+    got = solution_grid(p, 50.0, [1], period_table(p, [0.5]))[0, 0]
+    assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_solution_domain_errors():
     p = golden_params()
-    with pytest.raises(ValueError, match="precedes"):
-        solution_at(p, 50.0, 0.4)
+    table = period_table(p, [0.0])
     with pytest.raises(ValueError, match="x0"):
-        solution_at(p, 0.0, 1.0)
+        solution_grid(p, 0.0, [1], table)
     with pytest.raises(ValueError, match="x0"):
-        solution_at(p, -5.0, 1.0)
-
-
-def test_boundary_snap_lands_on_post_side():
-    # With t0 = 0.3 the float t0 + 1 can sit a hair off the true boundary;
-    # evaluation there must still give the post-impulse value.
-    pair = CoefficientPair(r=ConstantCoefficient(LN2), K=ConstantCoefficient(100.0))
-    p = ModelParams(pair=pair, E=0.25, t0=0.3)
-    x0 = 42.0
-    at_boundary = solution_at(p, x0, p.t0 + 1.0)
-    assert at_boundary == pytest.approx(poincare_map(p, x0), rel=1e-10)
+        solution_grid(p, -5.0, [1], table)
 
 
 def test_solution_at_anchor_time_is_x0():
     p = golden_params()
-    assert solution_at(p, 37.0, 0.5) == pytest.approx(37.0, rel=1e-12)
+    assert solution_grid(p, 37.0, [0], period_table(p, [0.0]))[0, 0] == pytest.approx(
+        37.0, rel=1e-12
+    )
 
 
 def test_solution_far_horizon_is_finite_and_positive():
     p = golden_params()
-    far = solution_at(p, 50.0, 0.5 + 1200.25)
+    table = period_table(p, [0.25])
+    far = solution_grid(p, 50.0, [1200], table)[0, 0]
     assert math.isfinite(far) and far > 0.0
     # the orbit is the fixed point, so the far value stays on it
-    assert far == pytest.approx(periodic_solution_at(p, 0.75), rel=1e-9)
+    assert far == pytest.approx(periodic_grid(p, table)[0], rel=1e-9)
 
 
 def test_decaying_population_far_horizon():
     # Over-harvested: (1-E)A < 1, solution decays toward extinction.
     p = golden_params(E=0.6)
-    x_far = solution_at(p, 50.0, 0.5 + 600.0)
+    x_far = solution_grid(p, 50.0, [600], period_table(p, [0.0]))[0, 0]
     assert 0.0 <= x_far < 1e-20
 
 
@@ -147,30 +149,33 @@ def test_decaying_population_far_horizon():
 
 def test_periodic_solution_at_impulse_instants():
     p = golden_params()
-    for k in range(4):
-        assert periodic_solution_at(p, 0.5 + k) == pytest.approx(50.0, rel=1e-12)
+    table = period_table(p, [0.0])
+    assert periodic_grid(p, table)[0] == pytest.approx(50.0, rel=1e-12)
+    np.testing.assert_allclose(solution_grid(p, 50.0, range(4), table), 50.0, rtol=1e-12)
 
 
 def test_periodic_solution_mid_interval():
     p = golden_params()
     expected = logistic_flow(LN2, 100.0, 50.0, 0.5)  # = 100 (2 - sqrt 2)
-    for k in range(3):
-        assert periodic_solution_at(p, 1.0 + k) == pytest.approx(expected, rel=1e-12)
+    table = period_table(p, [0.5])
+    assert periodic_grid(p, table)[0] == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(solution_grid(p, 50.0, range(3), table), expected, rtol=1e-12)
 
 
 def test_periodic_solution_left_limit():
     p = golden_params()
-    pre = richardson_left(lambda s: periodic_solution_at(p, s), 1.5)
+    pre = richardson_left(lambda s: periodic_grid(p, period_table(p, [s]))[0], 1.0)
     assert pre == pytest.approx(200.0 / 3.0, rel=1e-10)
     assert pre == pytest.approx(50.0 / 0.75, rel=1e-10)
+    # offset 1 is the pre-impulse value itself
+    assert periodic_grid(p, period_table(p, [1.0]))[0] == pytest.approx(pre, rel=1e-10)
 
 
 def test_periodic_solution_requires_orbit():
     for e_bad in (0.5, 0.6, 0.9):
+        p = golden_params(E=e_bad)
         with pytest.raises(NoPeriodicSolutionError, match="no positive periodic"):
-            periodic_solution_at(golden_params(E=e_bad), 1.0)
-    with pytest.raises(ValueError, match="precedes"):
-        periodic_solution_at(golden_params(), 0.25)
+            periodic_grid(p, period_table(p, [0.5]))
 
 
 def test_periodic_equals_solution_from_anchor():
@@ -178,33 +183,49 @@ def test_periodic_equals_solution_from_anchor():
     for i in range(8):
         p = random_params(rng, index=i)
         anchor = derive_constants(p).x0_star
-        for t in p.t0 + rng.uniform(0.0, 4.0, size=8):
-            t = float(t)
-            a = periodic_solution_at(p, t)
-            b = solution_at(p, anchor, t)
-            assert a == pytest.approx(b, rel=1e-10)
+        table = period_table(p, np.sort(rng.uniform(0.0, 1.0, size=8)))
+        np.testing.assert_allclose(
+            solution_grid(p, anchor, range(4), table), np.tile(periodic_grid(p, table), (4, 1)),
+            rtol=1e-10,
+        )
 
 
 def test_periodicity_property():
+    # from the anchor, every period repeats the first
     rng = np.random.default_rng(29)
     for i in range(8):
         p = random_params(rng, index=i)
-        for t in p.t0 + rng.uniform(0.0, 5.0, size=10):
-            t = float(t)
-            assert periodic_solution_at(p, t + 1.0) == pytest.approx(
-                periodic_solution_at(p, t), rel=1e-9
-            )
+        table = period_table(p, np.sort(rng.uniform(0.0, 1.0, size=10)))
+        grid = solution_grid(p, derive_constants(p).x0_star, range(6), table)
+        np.testing.assert_allclose(grid[1:], grid[:-1], rtol=1e-9)
 
 
 def test_jump_law_numerically():
     rng = np.random.default_rng(31)
     for i in range(6):
         p = random_params(rng, index=i)
+        anchor = derive_constants(p).x0_star
         for k in (1, 3):
-            tau = p.t0 + k
-            pre = richardson_left(lambda s: periodic_solution_at(p, s), tau)
-            post = periodic_solution_at(p, tau)
+            pre = richardson_left(
+                lambda s: solution_grid(p, anchor, [k - 1], period_table(p, [s]))[0, 0], 1.0
+            )
+            post = solution_grid(p, anchor, [k], period_table(p, [0.0]))[0, 0]
             assert post == pytest.approx((1.0 - p.E) * pre, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", ["golden_constant", "sinusoid_r", "piecewise_mixed"])
+def test_impulse_has_exact_addresses_on_both_sides(name):
+    # (k, 1.0) is the pre-impulse value and (k + 1, 0.0) the post-impulse
+    # value of the same instant: no snap is needed to tell them apart.
+    p = load_config(CONFIG_DIR / f"{name}.json").params()
+    keep = 1.0 - p.E
+    table = period_table(p, [0.0, 1.0])
+    grid = solution_grid(p, 30.0, range(4), table)
+    for k in range(3):
+        assert grid[k, 1] * keep == pytest.approx(grid[k + 1, 0], rel=1e-15, abs=0.0)
+    orbit = periodic_grid(p, table)
+    assert orbit[0] == derive_constants(p).x0_star
+    assert orbit[1] * keep == pytest.approx(orbit[0], rel=1e-15, abs=0.0)
 
 
 def test_interval_restart_consistency():
@@ -215,14 +236,14 @@ def test_interval_restart_consistency():
         p = random_params(rng, index=i)
         x0 = float(rng.uniform(0.2, 2.0)) * derive_constants(p).x0_star
         k = int(rng.integers(1, 4))
-        restart_t0 = p.t0 + k
-        restarted = ModelParams(pair=p.pair, E=p.E, t0=restart_t0)
-        x0_restart = solution_at(p, x0, restart_t0)
-        for off in rng.uniform(0.0, 1.0, size=6):
-            t = restart_t0 + float(off)
-            assert solution_at(restarted, x0_restart, t) == pytest.approx(
-                solution_at(p, x0, t), rel=1e-9
-            )
+        restarted = ModelParams(pair=p.pair, E=p.E, t0=p.t0 + k)
+        x0_restart = solution_grid(p, x0, [k], period_table(p, [0.0]))[0, 0]
+        offsets = np.sort(rng.uniform(0.0, 1.0, size=6))
+        np.testing.assert_allclose(
+            solution_grid(restarted, x0_restart, [0], period_table(restarted, offsets)),
+            solution_grid(p, x0, [k], period_table(p, offsets)),
+            rtol=1e-9,
+        )
 
 
 def test_orbit_mean_golden():
@@ -260,11 +281,9 @@ def test_legacy_is_globally_constant_for_constant_coefficients():
 
 def test_legacy_agrees_with_corrected_when_no_harvest():
     p = golden_params(E=0.0)
+    post = periodic_grid(p, period_table(p, [0.0]))[0]
     for k in (1, 2):
-        tau = p.t0 + k
-        assert legacy_periodic_at(p, tau) == pytest.approx(
-            periodic_solution_at(p, tau), rel=1e-10
-        )
+        assert legacy_periodic_at(p, p.t0 + k) == pytest.approx(post, rel=1e-10)
 
 
 def test_legacy_requires_orbit():
@@ -308,7 +327,7 @@ def test_legacy_counterexample_for_random_instances():
 
 
 def test_one_sided_limits_golden():
-    limits = one_sided_limits(golden_params(), 1)
+    limits = one_sided_limits(golden_params())
     assert limits.pre == pytest.approx(200.0 / 3.0, rel=1e-12)
     assert limits.post == pytest.approx(50.0, rel=1e-12)
     # the jump removes exactly the harvested fraction
@@ -316,22 +335,13 @@ def test_one_sided_limits_golden():
 
 
 def test_one_sided_limits_no_harvest_degenerate():
-    limits = one_sided_limits(golden_params(E=0.0), 3)
+    limits = one_sided_limits(golden_params(E=0.0))
     assert limits.pre == pytest.approx(limits.post, rel=1e-14)
 
 
-def test_one_sided_limits_independent_of_k():
-    p = golden_params()
-    first = one_sided_limits(p, 1)
-    for k in (2, 5, 17):
-        assert one_sided_limits(p, k) == first
-
-
 def test_one_sided_limits_validation():
-    with pytest.raises(ValueError, match="positive integer"):
-        one_sided_limits(golden_params(), 0)
     with pytest.raises(NoPeriodicSolutionError):
-        one_sided_limits(golden_params(E=0.6), 1)
+        one_sided_limits(golden_params(E=0.6))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def test_poincare_map_matches_one_period_of_the_solution():
         p = random_params(rng, index=i)
         x0 = float(rng.uniform(10.0, 150.0))
         assert poincare_map(p, x0) == pytest.approx(
-            solution_at(p, x0, p.t0 + 1.0), rel=1e-10
+            solution_grid(p, x0, [1], period_table(p, [0.0]))[0, 0], rel=1e-10
         )
 
 
@@ -397,8 +407,11 @@ def test_concurrent_evaluation_matches_serial():
 
     derive_constants.cache_clear()
     p = golden_params()
-    ts = [0.5 + 0.01 * j for j in range(200)]
-    serial = [solution_at(p, 37.0, t) for t in ts]
+
+    def at(j: int) -> float:
+        return float(solution_grid(p, 37.0, [j // 100], period_table(p, [j % 100 / 100]))[0, 0])
+
+    serial = [at(j) for j in range(200)]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda t: solution_at(p, 37.0, t), ts))
+        threaded = list(pool.map(at, range(200)))
     assert threaded == serial

@@ -18,7 +18,8 @@ from impulsive_logistic import (
     SinusoidCoefficient,
     StepControl,
     integrate,
-    solution_at,
+    period_table,
+    solution_grid,
 )
 from impulsive_logistic.integrator import _step_offsets
 
@@ -47,6 +48,9 @@ def test_step_must_divide_the_unit_interval():
         StepControl(h=-0.1)
     with pytest.raises(ValueError, match="error_target"):
         StepControl(h=0.25, error_target=0.0)
+    for h in (5e-324, 1e-310):  # 1/h overflows
+        with pytest.raises(ValueError, match="too small"):
+            StepControl(h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +162,11 @@ def test_coefficient_jump_coinciding_with_impulse_instants():
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
     traj = integrate(p, 40.0, 3, StepControl(h=1.0 / 128.0))
-    worst = max(abs(solution_at(p, 40.0, t) - v) / v for t, v in zip(*samples(traj)))
-    assert worst <= 1e-10
+    table = period_table(p, traj.pieces[0].offsets)
+    for piece in traj.pieces:
+        closed = solution_grid(p, 40.0, [piece.segment], table)[0, : piece.offsets.size]
+        # a piece's last sample is the pre-impulse value, offset 1 of its period
+        np.testing.assert_allclose(piece.values, closed, rtol=1e-10)
 
 
 def test_trajectory_arrays_are_read_only():

