@@ -42,7 +42,6 @@ from .coefficients import (
     forcing_integral,
 )
 from .integrator import (
-    ImpulseEvent,
     IntegrationError,
     StepControl,
     Trajectory,
@@ -55,7 +54,6 @@ __all__ = [
     "CheckRecord",
     "CoefficientPair",
     "ConstantCoefficient",
-    "ImpulseEvent",
     "ImpulseLimits",
     "IntegrationError",
     "ModelParams",

@@ -144,9 +144,6 @@ class VerificationReport:
                 )
         return "\n".join(lines)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.to_text()
-
 
 def left_limit(values: Sequence[float]) -> float:
     """Extrapolated left limit of f at t from f(t - d), f(t - d/2), f(t - d/4).
@@ -347,15 +344,18 @@ def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float,
     last = len(traj.pieces) - 1
     where, nums, refs = [], [], []
     for i, (piece, ref) in enumerate(zip(traj.pieces, closed)):
-        stop = -1 if i < last else None  # pre-impulse row handled via events
+        stop = -1 if i < last else None  # pre-impulse value paired below
         offsets = piece.offsets[:stop][::stride]
         where += [(piece.segment, s) for s in offsets.tolist()]
         nums.append(piece.values[:stop][::stride])
         refs.append(ref[:stop][::stride])
-    for i, event in enumerate(traj.events):
-        where += [(event.index, 0.0)] * 2
-        nums.append((event.pre_value, event.post_value))
-        refs.append((closed[i][-1], closed[i + 1][0]))
+    # each impulse: the pre value ending one piece, the post value opening the next
+    for before, after, ref_before, ref_after in zip(
+        traj.pieces, traj.pieces[1:], closed, closed[1:]
+    ):
+        where += [(after.segment, 0.0)] * 2
+        nums.append((before.values[-1], after.values[0]))
+        refs.append((ref_before[-1], ref_after[0]))
     ref = np.concatenate(refs)
     residual = np.abs(ref - np.concatenate(nums)) / ref
     worst = int(np.argmax(residual))

@@ -98,9 +98,6 @@ class Tolerances:
     legacy_continuity: float = DEFAULT_IMPULSE_TOL
     fixed_point: float = DEFAULT_FIXED_POINT_TOL
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -132,22 +129,6 @@ class ScenarioConfig:
         if consts.x0_star is not None:
             return consts.x0_star
         return self.K.integral(0.0, 1.0)
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "r": self.r.to_dict(),
-            "K": self.K.to_dict(),
-            "E": self.E,
-            "t0": self.t0,
-            "horizon_periods": self.horizon_periods,
-            "step": self.step,
-            "tolerances": self.tolerances.to_dict(),
-        }
-        if self.x0 is not None:
-            out["x0"] = self.x0
-        if self.e_values is not None:
-            out["e_values"] = list(self.e_values)
-        return out
 
 
 def _require_number(
@@ -246,6 +227,10 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     x0 = None
     if "x0" in data:
         x0 = _require_number(data["x0"], f"{source}.x0", positive=True)
+        if not math.isfinite(1.0 / x0):  # the closed form takes 1/x0
+            raise ConfigError(
+                f"{source}.x0: x0={x0!r} is too small: 1/x0 overflows the float range"
+            )
     horizon = _require_int(data.get("horizon_periods", 10), f"{source}.horizon_periods")
     step = _require_step(data.get("step", 1.0 / 256.0), f"{source}.step")
     tolerances = Tolerances()

@@ -294,12 +294,18 @@ def coefficient_from_dict(data: dict) -> PeriodicCoefficient:
     if missing:
         raise ValueError(f"missing field(s) {missing} for kind {kind!r}")
     kwargs = {name: data[name] for name in fields if name in data}
-    if kind == "piecewise":
-        kwargs = {
-            "breakpoints": tuple(kwargs["breakpoints"]),
-            "values": tuple(kwargs["values"]),
-        }
+    for name, value in kwargs.items():
+        if kind == "piecewise":
+            if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
+                raise ValueError(f"{kind} {name} must be an array of numbers, got {value!r}")
+            kwargs[name] = tuple(value)
+        elif not _is_number(value):
+            raise ValueError(f"{kind} {name} must be a number, got {value!r}")
     return _KINDS[kind](**kwargs)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

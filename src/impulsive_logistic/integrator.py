@@ -23,7 +23,6 @@ from .closed_form import ModelParams
 from .coefficients import CUT_TOL, CoefficientPair
 
 __all__ = [
-    "ImpulseEvent",
     "IntegrationError",
     "StepControl",
     "Trajectory",
@@ -33,7 +32,7 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """The scheme failed (state overflowed, turned non-positive, or exceeded the error target)."""
+    """The scheme failed (the state overflowed or turned non-positive)."""
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,10 @@ class StepControl:
     """Step settings for the RK4 scheme.
 
     h must divide the unit interval into a whole number of steps so impulse
-    instants are exact step boundaries.  If ``error_target`` is set, every
-    step is re-done with two half steps as a diagnostic; the run fails if
-    the estimated relative step error ever exceeds the target.
+    instants are exact step boundaries.
     """
 
     h: float = 1.0 / 256.0
-    error_target: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.h) and self.h > 0.0):
@@ -60,21 +56,10 @@ class StepControl:
                 f"step h={self.h!r} must divide the unit interval into a whole "
                 "number of steps"
             )
-        if self.error_target is not None and not self.error_target > 0.0:
-            raise ValueError(f"error_target must be positive, got {self.error_target!r}")
 
     @property
     def steps_per_unit(self) -> int:
         return round(1.0 / self.h)
-
-
-@dataclass(frozen=True)
-class ImpulseEvent:
-    """The harvest jump at t0 + index: post_value = (1 - E) * pre_value, exactly."""
-
-    index: int
-    pre_value: float
-    post_value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +67,10 @@ class TrajectoryPiece:
     """Samples of period ``segment``, at offsets s into it (time t0 + segment + s).
 
     Every piece but the last covers the run's whole offset grid, both ends
-    included; its final value is the pre-impulse state.  The last piece is
-    the single post-impulse sample at offset 0 of period ``periods``.
+    included; its final value is the pre-impulse state at t0 + segment + 1,
+    and the next piece's first value the post-impulse state there, exactly
+    (1 - E) times it.  The last piece is the single post-impulse sample at
+    offset 0 of period ``periods``.
     """
 
     segment: int
@@ -101,14 +88,12 @@ class TrajectoryPiece:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Integrated path with its impulse events; immutable once returned."""
+    """Integrated path, one piece per period; immutable once returned."""
 
     params: ModelParams
     x0: float
     ctrl: StepControl
     pieces: tuple[TrajectoryPiece, ...]
-    events: tuple[ImpulseEvent, ...]
-    step_error_estimate: float | None = None
 
 
 def _rk4_step(
@@ -141,28 +126,21 @@ def _step_offsets(n: int, cuts: tuple[float, ...]) -> list[float]:
 
 
 def _stage_table(
-    pair: CoefficientPair, phase: float, offsets: list[float], halves: bool
+    pair: CoefficientPair, phase: float, offsets: list[float]
 ) -> tuple[list[float], ...]:
     """h and the RK4 stage values of r and K for every step of the grid.
 
     Step i starts at coefficient time ta = phase + offsets[i] and has width
     h = offsets[i + 1] - offsets[i]; its stage times are the floats a scalar
-    step forms: ta, tm = ta + 0.5*h and ta + h.  With ``halves`` the table
-    also holds the stages of the two half steps that the error estimate
-    takes, at ta + 0.5*(0.5*h), tm + 0.5*(0.5*h) and tm + 0.5*h.  Each
-    coefficient takes its piece around tm.
+    step forms: ta, tm = ta + 0.5*h and ta + h.  Each coefficient takes its
+    piece around tm.
     """
     s = np.asarray(offsets)
     h = np.diff(s)
     ta = phase + s[:-1]
     tm = ta + 0.5 * h
     stages = (ta, tm, ta + h)
-    if halves:
-        quarter = 0.5 * (0.5 * h)
-        stages += (ta + quarter, tm + quarter, tm + 0.5 * h)
-    r_col = pair.r.stage_values(stages, tm)
-    k_col = pair.K.stage_values(stages, tm)
-    columns = (h, *r_col[:3], *k_col[:3], *r_col[3:], *k_col[3:])
+    columns = (h, *pair.r.stage_values(stages, tm), *pair.K.stage_values(stages, tm))
     return tuple(c.tolist() for c in columns)
 
 
@@ -181,10 +159,10 @@ def integrate(
     """RK4-integrate the harvested logistic model over whole periods from (t0, x0).
 
     Each impulse instant t0 + k, k = 1..periods, applies the exact jump
-    x -> (1 - E) x and is recorded as an :class:`ImpulseEvent`.  Every step
-    boundary becomes a sample.  Raises :class:`IntegrationError` if the
-    state overflows the float range or leaves the positive domain (step too
-    large for the given coefficients).
+    x -> (1 - E) x between two pieces.  Every step boundary becomes a
+    sample.  Raises :class:`IntegrationError` if the state overflows the
+    float range or leaves the positive domain (step too large for the given
+    coefficients).
     """
     if ctrl is None:
         ctrl = StepControl()
@@ -193,34 +171,17 @@ def integrate(
     if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
         raise ValueError(f"periods must be a positive whole number, got {periods!r}")
 
-    halves = ctrl.error_target is not None
     offsets = _step_offsets(ctrl.steps_per_unit, params.jump_offsets)
-    steps = list(zip(offsets[1:], *_stage_table(params.pair, params.phase, offsets, halves)))
+    steps = list(zip(offsets[1:], *_stage_table(params.pair, params.phase, offsets)))
     grid = _frozen(offsets)
     keep_fraction = 1.0 - params.E
 
     pieces: list[TrajectoryPiece] = []
-    events: list[ImpulseEvent] = []
-    worst_step_error = 0.0
     x = float(x0)
     for k in range(periods):
         values = [x]
-        for sb, h, ra, rm, re, ka, km, ke, *half in steps:
-            x_new = _rk4_step(x, h, ra, rm, re, ka, km, ke)
-            if half:
-                # half steps [ta, tm] and [tm, tm + 0.5*h]: their midpoints
-                # (quarter points) and the second one's end
-                rq, r3q, rz, kq, k3q, kz = half
-                x_half = _rk4_step(x, 0.5 * h, ra, rq, rm, ka, kq, km)
-                x_half = _rk4_step(x_half, 0.5 * h, rm, r3q, rz, km, k3q, kz)
-                est = abs(x_new - x_half) / (15.0 * max(abs(x_half), 1e-300))
-                worst_step_error = max(worst_step_error, est)
-                if est > ctrl.error_target:
-                    raise IntegrationError(
-                        f"estimated step error {est:.3e} exceeds the target "
-                        f"{ctrl.error_target:.3e} at t={params.time(k, sb)!r}; reduce h"
-                    )
-            x = x_new
+        for sb, h, ra, rm, re, ka, km, ke in steps:
+            x = _rk4_step(x, h, ra, rm, re, ka, km, ke)
             if not math.isfinite(x):
                 raise IntegrationError(
                     f"state overflowed at t={params.time(k, sb)!r} (x={x!r}): "
@@ -233,17 +194,8 @@ def integrate(
                 )
             values.append(x)
         pieces.append(TrajectoryPiece(k, grid, _frozen(values)))
-        pre = x
-        x = keep_fraction * pre
-        events.append(ImpulseEvent(index=k + 1, pre_value=pre, post_value=x))
+        x = keep_fraction * x
     # close with the post-impulse state at the last impulse instant
     pieces.append(TrajectoryPiece(periods, grid[:1], _frozen([x])))
 
-    return Trajectory(
-        params=params,
-        x0=float(x0),
-        ctrl=ctrl,
-        pieces=tuple(pieces),
-        events=tuple(events),
-        step_error_estimate=worst_step_error if halves else None,
-    )
+    return Trajectory(params=params, x0=float(x0), ctrl=ctrl, pieces=tuple(pieces))

@@ -107,13 +107,10 @@ def random_params(
 
 
 class ScalarRun(NamedTuple):
-    """Output of ``scalar_rk4``: step offsets and values per period, and the
-    events as (index, pre, post)."""
+    """Output of ``scalar_rk4``: step offsets and values per period."""
 
     offsets: list[list[float]]
     values: list[list[float]]
-    events: list[tuple[int, float, float]]
-    step_error_estimate: float | None
 
 
 def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
@@ -143,9 +140,7 @@ def _rk4(rhs, t: float, x: float, h: float) -> float:
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def scalar_rk4(
-    params: ModelParams, x0: float, periods: int, h: float, error_target: float | None = None
-) -> ScalarRun:
+def scalar_rk4(params: ModelParams, x0: float, periods: int, h: float) -> ScalarRun:
     """The RK4 oracle one step and one scalar coefficient call at a time.
 
     Same offset grid, stage times (in phase: ``params.phase`` plus the
@@ -153,8 +148,7 @@ def scalar_rk4(
     (tens of microseconds per step), for tests only.
     """
     offsets = _scalar_offsets(round(1.0 / h), params)
-    run = ScalarRun([], [], [], None)
-    worst = 0.0
+    run = ScalarRun([], [])
     x = float(x0)
     for k in range(periods):
         values = [x]
@@ -167,18 +161,7 @@ def scalar_rk4(
             def rhs(t: float, y: float) -> float:
                 return r_p(t) * (1.0 - y / k_p(t)) * y
 
-            x_new = _rk4(rhs, ta, x, step)
-            if error_target is not None:
-                x_half = _rk4(rhs, ta, x, 0.5 * step)
-                x_half = _rk4(rhs, ta + 0.5 * step, x_half, 0.5 * step)
-                est = abs(x_new - x_half) / (15.0 * max(abs(x_half), 1e-300))
-                worst = max(worst, est)
-                if est > error_target:
-                    raise IntegrationError(
-                        f"estimated step error {est:.3e} exceeds the target "
-                        f"{error_target:.3e} at t={params.t0 + (k + sb)!r}; reduce h"
-                    )
-            x = x_new
+            x = _rk4(rhs, ta, x, step)
             if not (math.isfinite(x) and x > 0.0):
                 raise IntegrationError(
                     f"state became non-positive at t={params.t0 + (k + sb)!r} (x={x!r}); "
@@ -187,16 +170,16 @@ def scalar_rk4(
             values.append(x)
         run.offsets.append(offsets)
         run.values.append(values)
-        pre, x = x, (1.0 - params.E) * x
-        run.events.append((k + 1, pre, x))
+        x = (1.0 - params.E) * x
     run.offsets.append([0.0])
     run.values.append([x])
-    return run._replace(step_error_estimate=worst if error_target is not None else None)
+    return run
 
 
 def samples(traj) -> tuple[list[float], list[float]]:
     """Absolute times and values of an integrated path, post-impulse value
-    only at each impulse instant (the pre values live in ``traj.events``)."""
+    only at each impulse instant (the pre value, each piece's last sample,
+    is skipped)."""
     times, values = [], []
     last = len(traj.pieces) - 1
     for i, piece in enumerate(traj.pieces):

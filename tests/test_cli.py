@@ -85,6 +85,43 @@ def test_defaults_applied():
         (lambda d: d.__setitem__("horizon", 5), "unknown field"),
         (lambda d: d.__setitem__("r", {"kind": "sinusoid", "mean": 0.2, "amp": 0.5}), ".r"),
         (lambda d: d.__setitem__("K", {"kind": "constant"}), ".K"),
+        # coefficient fields are JSON numbers and arrays of numbers
+        (
+            lambda d: d.__setitem__("K", {"kind": "constant", "value": True}),
+            ".K: constant value must be a number, got True",
+        ),
+        (
+            lambda d: d.__setitem__("K", {"kind": "constant", "value": "100"}),
+            ".K: constant value must be a number, got '100'",
+        ),
+        (
+            lambda d: d.__setitem__("K", {"kind": "sinusoid", "mean": 100.0, "amp": True}),
+            ".K: sinusoid amp must be a number, got True",
+        ),
+        (
+            lambda d: d.__setitem__(
+                "K", {"kind": "sinusoid", "mean": 100.0, "amp": 5.0, "phase": None}
+            ),
+            ".K: sinusoid phase must be a number, got None",
+        ),
+        (
+            lambda d: d.__setitem__(
+                "K", {"kind": "piecewise", "breakpoints": "01", "values": [5.0]}
+            ),
+            ".K: piecewise breakpoints must be an array of numbers, got '01'",
+        ),
+        (
+            lambda d: d.__setitem__(
+                "K", {"kind": "piecewise", "breakpoints": [0.0, 1.0], "values": "5"}
+            ),
+            ".K: piecewise values must be an array of numbers, got '5'",
+        ),
+        (
+            lambda d: d.__setitem__(
+                "K", {"kind": "piecewise", "breakpoints": [0.0, 1.0], "values": [False]}
+            ),
+            ".K: piecewise values must be an array of numbers, got [False]",
+        ),
     ],
 )
 def test_field_precise_errors(mutate, fragment):
@@ -145,14 +182,6 @@ def test_invalid_json_reports_line_and_column(tmp_path):
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.json")
-
-
-def test_config_round_trip():
-    for path in ALL_CONFIGS:
-        config = load_config(path)
-        again = parse_config(json.loads(json.dumps(config.to_dict())))
-        assert again == config
-        assert cmd_constants(again) == cmd_constants(config)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +344,28 @@ def test_main_stdout_default(capsys):
     code = main(["constants", "--config", str(GOLDEN)])
     assert code == 0
     assert "E_critical   0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x0", [1e-309, 1e-320])
+def test_main_x0_too_small_for_its_reciprocal_exit_2(tmp_path, capsys, x0):
+    # the closed form divides by x0: an x0 whose reciprocal overflows is refused
+    cfg = tmp_path / "tiny_x0.json"
+    cfg.write_text(json.dumps(_json_config(x0=x0, horizon_periods=1)), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {cfg}.x0: x0={x0!r} is too small: 1/x0 overflows the float range\n"
+    )
+
+
+def test_main_smallest_x0_with_a_finite_reciprocal_runs(tmp_path, capsys):
+    cfg = tmp_path / "small_x0.json"
+    cfg.write_text(json.dumps(_json_config(x0=1e-308, horizon_periods=1)), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1].startswith("0.5,0,1e-308,1e-308,0.0,")
 
 
 def test_main_config_error_exit_2(tmp_path, capsys):

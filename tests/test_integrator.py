@@ -46,8 +46,6 @@ def test_step_must_divide_the_unit_interval():
         StepControl(h=0.3)
     with pytest.raises(ValueError, match="positive"):
         StepControl(h=-0.1)
-    with pytest.raises(ValueError, match="error_target"):
-        StepControl(h=0.25, error_target=0.0)
     for h in (5e-324, 1e-310):  # 1/h overflows
         with pytest.raises(ValueError, match="too small"):
             StepControl(h=h)
@@ -58,25 +56,30 @@ def test_step_must_divide_the_unit_interval():
 # ---------------------------------------------------------------------------
 
 
+def _jumps(traj) -> list[tuple[float, float]]:
+    """(pre, post) at each impulse: one piece's last value, the next one's first."""
+    return [(a.values[-1], b.values[0]) for a, b in zip(traj.pieces, traj.pieces[1:])]
+
+
 def test_equilibrium_is_preserved():
     traj = integrate(golden_params(E=0.0), 100.0, 5, StepControl(h=1.0 / 64.0))
     _, values = samples(traj)
     assert np.all(np.abs(np.asarray(values) - 100.0) < 1e-11)
-    assert traj.events != () and all(e.pre_value == e.post_value for e in traj.events)
+    assert len(_jumps(traj)) == 5 and all(pre == post for pre, post in _jumps(traj))
 
 
 def test_one_period_matches_exact_flow():
     traj = integrate(golden_params(E=0.0), 50.0, 1, StepControl(h=1.0 / 256.0))
-    assert traj.events[0].pre_value == pytest.approx(200.0 / 3.0, abs=1e-8)
+    assert traj.pieces[0].values[-1] == pytest.approx(200.0 / 3.0, abs=1e-8)
 
 
 def test_impulse_event_values():
     traj = integrate(golden_params(), 50.0, 3, StepControl(h=1.0 / 256.0))
-    assert [e.index for e in traj.events] == [1, 2, 3]
-    for e in traj.events:
-        assert e.pre_value == pytest.approx(200.0 / 3.0, rel=1e-9)
+    assert [piece.segment for piece in traj.pieces] == [0, 1, 2, 3]
+    for pre, post in _jumps(traj):
+        assert pre == pytest.approx(200.0 / 3.0, rel=1e-9)
         # the jump is applied algebraically, so this holds bit for bit
-        assert e.post_value == 0.75 * e.pre_value
+        assert post == 0.75 * pre
 
 
 def test_fourth_order_convergence():
@@ -85,7 +88,7 @@ def test_fourth_order_convergence():
     for n in (32, 64):
         traj = integrate(p, 37.0, 1, StepControl(h=1.0 / n))
         exact = logistic_flow(LN2, 100.0, 37.0, 1.0)
-        errors.append(abs(traj.events[0].pre_value - exact))
+        errors.append(abs(traj.pieces[0].values[-1] - exact))
     assert errors[0] / errors[1] >= 12.0
 
 
@@ -96,9 +99,9 @@ def test_agrees_with_chained_flow_over_ten_periods():
     for t, v in zip(*samples(traj)):
         ref = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, t)
         worst = max(worst, abs(v - ref) / ref)
-    for e in traj.events:
-        ref_pre = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, p.t0 + e.index) / 0.75
-        worst = max(worst, abs(e.pre_value - ref_pre) / ref_pre)
+    for k, (pre, _) in enumerate(_jumps(traj), start=1):
+        ref_pre = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, p.t0 + k) / 0.75
+        worst = max(worst, abs(pre - ref_pre) / ref_pre)
     assert worst <= 1e-8
 
 
@@ -119,15 +122,6 @@ def test_validation_errors():
     for periods in (0, 2.5, True):
         with pytest.raises(ValueError, match="periods"):
             integrate(p, 50.0, periods)
-
-
-def test_error_target_diagnostic():
-    p = golden_params()
-    traj = integrate(p, 50.0, 2, StepControl(h=1.0 / 64.0, error_target=1e-8))
-    assert traj.step_error_estimate is not None
-    assert 0.0 < traj.step_error_estimate < 1e-8
-    with pytest.raises(IntegrationError, match="error"):
-        integrate(p, 50.0, 2, StepControl(h=1.0 / 4.0, error_target=1e-14))
 
 
 def test_trajectory_times_strictly_increase():
@@ -179,11 +173,11 @@ def test_trajectory_arrays_are_read_only():
 
 def test_horizon_ending_exactly_on_an_impulse():
     traj = integrate(golden_params(), 50.0, 2, StepControl(h=1.0 / 16.0))
-    assert len(traj.events) == 2
+    assert len(traj.pieces) == 3
     # the run closes with the post-impulse value at offset 0 of period 2
     last = traj.pieces[-1]
     assert last.segment == 2 and last.offsets.tolist() == [0.0]
-    assert last.values.tolist() == [traj.events[-1].post_value]
+    assert last.values.tolist() == [0.75 * traj.pieces[-2].values[-1]]
 
 
 @pytest.mark.parametrize(
@@ -241,33 +235,28 @@ def _runs(draw):
     # ordinary, and large with a phase that is not dyadic
     t0 = draw(st.one_of(st.just(1e-3), st.floats(0.05, 3.0), st.floats(1e5, 1e7)))
     params = ModelParams(pair=pair, E=draw(st.floats(0.0, 0.95)) * e_crit, t0=t0)
-    ctrl = StepControl(
-        h=2.0 ** -draw(st.integers(0, 8)),
-        error_target=draw(st.sampled_from([None, 1e-3, 1e-10])),
-    )
+    ctrl = StepControl(h=2.0 ** -draw(st.integers(0, 8)))
     return params, draw(st.floats(1.0, 1000.0)), draw(st.integers(1, 3)), ctrl
 
 
-def _one_step_past_a_jump(t0: float, cut: float, error_target: float | None):
-    """One step per unit from a small t0 to a jump of K.  In the examples
-    below the stage time ta + h lands one ulp past the jump, or the half
-    steps' end tm + 0.5*h one ulp short of ta + h."""
+def _one_step_past_a_jump(t0: float, cut: float):
+    """One step per unit from a small t0 to a jump of K.  In the example
+    below the stage time ta + h lands one ulp past the jump."""
     pair = CoefficientPair(
         r=SinusoidCoefficient(mean=1.0, amp=0.5, phase=0.3),
         K=PiecewiseConstantCoefficient(breakpoints=(0.0, cut, 1.0), values=(100.0, 150.0)),
     )
-    ctrl = StepControl(h=1.0, error_target=error_target)
+    ctrl = StepControl(h=1.0)
     return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, 1, ctrl
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(run=_runs())
-@example(run=_one_step_past_a_jump(0.2652284551781802, 0.8980443450745145, None))
-@example(run=_one_step_past_a_jump(0.011791280347440668, 0.8533712351972526, 1.0))
+@example(run=_one_step_past_a_jump(0.2652284551781802, 0.8980443450745145))
 def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
     params, x0, periods, ctrl = run
     try:
-        ref = scalar_rk4(params, x0, periods, ctrl.h, ctrl.error_target)
+        ref = scalar_rk4(params, x0, periods, ctrl.h)
     except IntegrationError as exc:
         with pytest.raises(IntegrationError) as got:
             integrate(params, x0, periods, ctrl)
@@ -278,5 +267,3 @@ def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
     for piece, offsets, values in zip(traj.pieces, ref.offsets, ref.values):
         assert np.array_equal(piece.offsets, offsets)
         assert np.array_equal(piece.values, values)
-    assert [(e.index, e.pre_value, e.post_value) for e in traj.events] == ref.events
-    assert traj.step_error_estimate == ref.step_error_estimate

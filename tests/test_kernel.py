@@ -289,13 +289,13 @@ def test_orbit_mean_cost_is_linear_in_its_nodes(evaluated_nodes):
     assert evaluated_nodes[0] <= 40 * mean_nodes
 
 
-# r and K at 3 stage times, 3 more for the half steps of the error
-# estimate, once per run; a call per stage and step would be thousands here,
-# and one table per period 40 times this.
-CALLS_PER_RUN = 12
+# r and K at 3 stage times, once per run; a call per stage and step would
+# be thousands here, and one table per period 40 times this.
+CALLS_PER_RUN = 6
 
 
-@pytest.mark.parametrize("error_target", [None, 1e-6])
+# the default step, and 4 times as many steps for the same count of calls
+@pytest.mark.parametrize("ctrl", [None, StepControl(h=1.0 / 1024.0)])
 @pytest.mark.parametrize(
     "pair",
     [
@@ -307,7 +307,7 @@ CALLS_PER_RUN = 12
     ],
     ids=["sinusoid-constant", "piecewise-sinusoid"],
 )
-def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair, error_target):
+def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair, ctrl):
     calls = [0]
     call = PeriodicCoefficient.__call__
 
@@ -317,6 +317,6 @@ def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair
 
     monkeypatch.setattr(PeriodicCoefficient, "__call__", counted)
     params = ModelParams(pair=pair, E=0.25, t0=0.5)
-    traj = integrate(params, 60.0, 40, StepControl(h=1.0 / 256.0, error_target=error_target))
+    traj = integrate(params, 60.0, 40, ctrl)
     assert len(traj.pieces) == 41
     assert calls[0] <= CALLS_PER_RUN
