@@ -26,7 +26,8 @@ Outputs are deterministic: identical configs produce byte-identical files
 Exit status: 0 on success and for ``verify``/``counterexample`` when every
 check lands as expected; 1 when a check fails or the requested orbit does
 not exist; 2 for configuration or usage errors, including a growth rate
-whose integral over one period overflows A = exp(integral of r).
+whose integral over one period overflows A = exp(integral of r), and a
+capacity K so small that the forcing integral B, or A B, overflows a float.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,8 @@ from .coefficients import (
     CoefficientPair,
     PeriodicCoefficient,
     coefficient_from_dict,
+    compute_A,
+    compute_B,
 )
 from .integrator import IntegrationError, StepControl, integrate
 
@@ -245,7 +249,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             _require_number(v, f"{source}.e_values[{i}]", unit_interval=True)
             for i, v in enumerate(raw)
         )
-    return ScenarioConfig(
+    config = ScenarioConfig(
         r=r,
         K=big_k,
         E=e_hold,
@@ -256,6 +260,28 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
         tolerances=tolerances,
         e_values=e_values,
     )
+    _require_forcing_scale(config.params(), f"{source}.K")
+    return config
+
+
+def _require_forcing_scale(params: ModelParams, where: str) -> None:
+    """B, and A B in the anchor x0_star = (q - 1) / (A B), must fit a float.
+
+    B is cached per (pair, phase), so the commands reuse this quadrature.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        forcing = compute_B(params.pair, params.phase)
+    if not math.isfinite(forcing):
+        raise ConfigError(
+            f"{where}: the forcing integral B of r/K overflows the float range "
+            "(K is too small for r)"
+        )
+    growth_factor = compute_A(params.r)
+    if not math.isfinite(growth_factor * forcing):
+        raise ConfigError(
+            f"{where}: A*B = {growth_factor!r} * {forcing!r} overflows the float "
+            "range (the orbit anchor x0_star = (q - 1)/(A B) would read 0)"
+        )
 
 
 def load_config(path: Path | str) -> ScenarioConfig:
@@ -288,26 +314,52 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# how one Python scalar reads as a table cell, per format and exact type
 _CSV_CELL = {
-    float: repr,
-    int: str,
+    float: float.__repr__,
+    int: int.__repr__,
     str: str,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "",
 }
+_JSON_CELL = {**_CSV_CELL, str: encode_basestring_ascii, type(None): lambda _: "null"}
+# json.dumps spells the non-finite floats as JavaScript does
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _table(columns: list[str], rows, fmt: str) -> str:
-    """A table as CSV or JSON.
+def _cells(values, fmt: str) -> list[str]:
+    """One table column of Python scalars as CSV or JSON text cells.
 
-    CSV cells: floats in shortest round-trip form, booleans as true/false,
-    None as an empty cell, strings verbatim (so callers may pass cells they
-    formatted once).  JSON: {"columns": [...], "rows": [[...], ...]}.
+    Floats in shortest round-trip form (JSON: NaN/Infinity/-Infinity for the
+    non-finite ones), booleans as true/false, None as an empty cell (JSON:
+    null), strings verbatim (JSON: quoted and escaped as json.dumps does).
+    A column of one type is formatted in one C-level pass.
+    """
+    spell = _JSON_CELL if fmt == "json" else _CSV_CELL
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        cells = list(map(spell[kinds.pop()], values))
+    else:  # mixed types, as sweep's orbit columns: cell by cell
+        cells = [spell[type(v)](v) for v in values]
+    if fmt == "json":
+        cells = list(map(_JSON_NON_FINITE.get, cells, cells))
+    return cells
+
+
+def _table(columns: list[str], cells: list[list[str]], fmt: str) -> str:
+    """Columns of cells (see ``_cells``), all of one length, as a CSV or JSON table.
+
+    JSON is {"columns": [...], "rows": [[...], ...]}, laid out byte for byte
+    as json.dumps(..., indent=2, sort_keys=True) lays it out; json.dumps
+    itself would run its pure-Python encoder over every cell, as it does
+    whenever an indent is set.
     """
     if fmt == "json":
-        return _dump_json({"columns": columns, "rows": list(rows)})
-    lines = [",".join(columns)]
-    lines += [",".join([_CSV_CELL.get(type(v), _fmt)(v) for v in row]) for row in rows]
+        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+        rows = f"[\n    [\n      {rows}\n    ]\n  ]" if cells[0] else "[]"
+        head = ",\n    ".join(map(encode_basestring_ascii, columns))
+        return f'{{\n  "columns": [\n    {head}\n  ],\n  "rows": {rows}\n}}\n'
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
@@ -359,7 +411,7 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
         events += marks
     numeric = np.concatenate([piece.values for piece in pieces])
     closed = np.concatenate(trajectory_closed_form(traj))
-    rows = zip(
+    values = (
         np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist(),
         [piece.segment for piece in pieces for _ in piece.offsets],
         numeric.tolist(),
@@ -368,7 +420,7 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
         events,
     )
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
-    return _table(columns, rows, fmt)
+    return _table(columns, [_cells(v, fmt) for v in values], fmt)
 
 
 def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
@@ -377,15 +429,15 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
     n = config.step_control().steps_per_unit
     offsets = np.arange(n) / n
     orbit = periodic_grid(params, period_table(params, offsets)).tolist()
-    cells = list(zip(offsets.tolist(), orbit))
-    if fmt == "csv":  # format each offset's cells once; every period reuses them
-        cells = [(_fmt(off), _fmt(val)) for off, val in cells]
-    rows = (
-        (t, p, *cell)
-        for p in range(config.horizon_periods)
-        for t, cell in zip(params.time(p, offsets).tolist(), cells)
-    )
-    return _table(["t", "period", "offset", "x_star"], rows, fmt)
+    periods = np.arange(config.horizon_periods)
+    # one period's offset and orbit cells serve every period
+    cells = [
+        _cells(params.time(periods[:, None], offsets).ravel().tolist(), fmt),
+        _cells(np.repeat(periods, n).tolist(), fmt),
+        _cells(offsets.tolist(), fmt) * periods.size,
+        _cells(orbit, fmt) * periods.size,
+    ]
+    return _table(["t", "period", "offset", "x_star"], cells, fmt)
 
 
 def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
@@ -492,7 +544,8 @@ def cmd_sweep(
             rows.append((e_val, False, None, None))
         else:
             rows.append((e_val, True, consts.x0_star, periodic_orbit_mean(params)))
-    return _table(["E", "exists", "x0_star", "x_star_mean"], rows, fmt)
+    cells = [_cells(column, fmt) for column in zip(*rows)]
+    return _table(["E", "exists", "x0_star", "x_star_mean"], cells, fmt)
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
@@ -396,12 +397,15 @@ def forcing_integral(
     return float(np.dot(weights, r(nodes) / K(nodes) * decay))
 
 
+@lru_cache(maxsize=256)
 def compute_B(pair: CoefficientPair, phase: float) -> float:
     """Unit-window forcing integral B over [phase, phase + 1]; strictly positive.
 
     The window starts at an impulse instant reduced to the fundamental
     period, so phase lies in [0, 1): shifting the window by a whole number
-    of periods leaves B unchanged (periodicity of r and K).
+    of periods leaves B unchanged (periodicity of r and K).  Cached per
+    (pair, phase): B does not depend on E, so the config check in the CLI
+    and every harvest fraction of a sweep share one quadrature.
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")

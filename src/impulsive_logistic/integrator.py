@@ -14,6 +14,7 @@ runs over that table in plain Python floats, period after period.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """The scheme failed (the state overflowed or turned non-positive)."""
+    """The scheme failed (the state overflowed, underflowed or turned non-positive)."""
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,8 @@ def integrate(
     Each impulse instant t0 + k, k = 1..periods, applies the exact jump
     x -> (1 - E) x between two pieces.  Every step boundary becomes a
     sample.  Raises :class:`IntegrationError` if the state overflows the
-    float range or leaves the positive domain (step too large for the given
-    coefficients).
+    float range, underflows to 0.0, or leaves the positive domain (step too
+    large for the given coefficients).
     """
     if ctrl is None:
         ctrl = StepControl()
@@ -188,6 +189,11 @@ def integrate(
                     "r(1 - x/K) x exceeds the float range for this x0 and K"
                 )
             if not x > 0.0:
+                if x == 0.0 and values[-1] < sys.float_info.min:
+                    raise IntegrationError(
+                        f"state underflowed to 0.0 by t={params.time(k, sb)!r}: it fell "
+                        "below the smallest positive float, not a step-size problem"
+                    )
                 raise IntegrationError(
                     f"state became non-positive at t={params.time(k, sb)!r} (x={x!r}); "
                     "the step is too large for these coefficients"

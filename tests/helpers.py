@@ -5,10 +5,13 @@ check: the logistic flow is the textbook closed form written out inline, the
 chained variant applies the harvest jumps by plain multiplication, and
 ``scalar_rk4`` is the RK4 oracle stepped one scalar coefficient call at a
 time, against which the library's stage-table stepper must agree bit for bit.
+``reference_table`` is the row-wise table emitter the CLI's column-wise one
+must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from typing import NamedTuple
@@ -187,3 +190,27 @@ def samples(traj) -> tuple[list[float], list[float]]:
         times += [traj.params.t0 + piece.segment + s for s in piece.offsets[:stop].tolist()]
         values += piece.values[:stop].tolist()
     return times, values
+
+
+_CSV_CELL = {
+    float: repr,
+    int: str,
+    str: str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "",
+}
+
+
+def reference_table(columns: list[str], rows, fmt: str) -> str:
+    """A table of Python scalars, row by row, as CSV or JSON.
+
+    CSV cells: floats in shortest round-trip form, booleans as true/false,
+    None as an empty cell, strings verbatim.  JSON: json.dumps of
+    {"columns": [...], "rows": [[...], ...]} with indent 2 and sorted keys.
+    """
+    if fmt == "json":
+        table = {"columns": columns, "rows": list(rows)}
+        return json.dumps(table, indent=2, sort_keys=True) + "\n"
+    lines = [",".join(columns)]
+    lines += [",".join([_CSV_CELL[type(v)](v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ from impulsive_logistic.cli import (
     parse_config,
 )
 from impulsive_logistic.closed_form import derive_constants
+from impulsive_logistic.coefficients import compute_B
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "golden_constant.json"
@@ -122,6 +123,19 @@ def test_defaults_applied():
             ),
             ".K: piecewise values must be an array of numbers, got [False]",
         ),
+        # B (the forcing integral of r/K), or A B, must fit a float
+        (
+            lambda d: d.__setitem__("K", {"kind": "constant", "value": 1e-320}),
+            ".K: the forcing integral B of r/K overflows the float range",
+        ),
+        (
+            lambda d: d.update(
+                r={"kind": "constant", "value": 709.0},
+                K={"kind": "constant", "value": 1e-3},
+                E=0.5,
+            ),
+            ".K: A*B = 8.218407461554972e+307 * 999.9999999727237 overflows the float range",
+        ),
     ],
 )
 def test_field_precise_errors(mutate, fragment):
@@ -144,6 +158,28 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
     # just inside the float range the constants still come out
     cfg.write_text(json.dumps(_json_config(r={"kind": "constant", "value": 709.0})))
     assert main(["constants", "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"K": {"kind": "constant", "value": 1e-320}},
+        {"r": {"kind": "constant", "value": 709.0}, "K": {"kind": "constant", "value": 1e-3},
+         "E": 0.5},
+    ],
+    ids=["r/K overflows", "A*B overflows"],
+)
+def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
+    # an infinite B or A B leaves no usable orbit anchor: refuse the scenario
+    cfg = tmp_path / "tiny_k.json"
+    cfg.write_text(json.dumps(_json_config(**overrides)), encoding="utf-8")
+    for command in COMMANDS:
+        argv = [command, "--config", str(cfg)]
+        code = main(argv + ["--e-values", "0.5"] if command == "sweep" else argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"config error: {cfg}.K: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_importing_the_cli_does_not_load_scipy():
@@ -490,6 +526,29 @@ def test_main_state_overflow_is_named(tmp_path, capsys):
         assert "step is too large" not in captured.err
 
 
+def test_state_underflow_is_named(tmp_path, capsys):
+    # E a hair below 1 shrinks the state by 1e-16 a period until it is 0.0:
+    # that is an underflow, not a step too large
+    cfg = tmp_path / "underflow.json"
+    scenario = _json_config(
+        r={"kind": "constant", "value": 0.1},
+        K={"kind": "constant", "value": 100.0},
+        E=0.9999999999999999,
+        x0=50.0,
+        step=0.25,
+        horizon_periods=30,
+    )
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    for command in ("simulate", "verify"):
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: state underflowed to 0.0 by t=21.75: it fell below the smallest "
+            "positive float, not a step-size problem\n"
+        )
+
+
 @pytest.mark.parametrize("command", [cmd_verify, cmd_counterexample])
 def test_one_B_quadrature_per_command(command):
     # every caller keys derive_constants on the params alone, so one command
@@ -497,6 +556,18 @@ def test_one_B_quadrature_per_command(command):
     derive_constants.cache_clear()
     command(load_config(SINUSOID))
     assert derive_constants.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["constants", "simulate", "periodic", "verify", "counterexample", "sweep"]
+)
+def test_config_check_and_command_share_one_B(command, capsys):
+    # parse_config checks B before any command runs; the command, and every
+    # harvest fraction of a sweep, reuse that quadrature
+    compute_B.cache_clear()
+    main([command, "--config", str(SINUSOID)])
+    capsys.readouterr()
+    assert compute_B.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 Each case runs ``cli.main`` in-process at the config's defaults and compares
 the sha256 of its exit code, stdout and stderr with the digest recorded here.
+The long tables of ``simulate`` and ``periodic`` are also pinned at a
+scaled horizon (``--periods 40``) and a scaled step (``--step 2**-10``),
+where the table emitter does the most work.
 A refactor must leave all of them unchanged.  A deliberate change to an
 output updates that case's digest in the same commit, and CHANGES.md names
 the case and says why its bytes moved.
@@ -70,14 +73,65 @@ DIGESTS = {
     ("sweep", "sinusoid_r", "json"): "fd6cb900df4f23efb58280533ee5ce23ac88dcd3adf5f06965f19f664fc0e616",
 }
 
+# (command, config name, scaling, format) -> digest, as above
+SCALINGS = {"periods40": ["--periods", "40"], "step1024": ["--step", "0.0009765625"]}
+SCALED_DIGESTS = {
+    ("simulate", "golden_constant", "periods40", "csv"): "824abbe2db54b8c1a1af446a02909f7dd8165b7beeeaca0fb37a3cb463400755",
+    ("simulate", "golden_constant", "periods40", "json"): "b4dca95befbb9596835442994061d852eedd594825c4c0f7bde94855ce50c642",
+    ("simulate", "golden_constant", "step1024", "csv"): "789ae59657c1acc5de8ddb69dac71421945c74612054387505f83772b13ef554",
+    ("simulate", "golden_constant", "step1024", "json"): "c693e197f3369dc1103fa91bf2b6a769345e71dbcaffd308fe503bde11b9da48",
+    ("simulate", "overharvest", "periods40", "csv"): "18dea74af59a0a5892ecadcd6c7baa51cb586192ab5459390bb5358791054ada",
+    ("simulate", "overharvest", "periods40", "json"): "ed784560a89cc70e29e0ec426c09fc87379cd2fbbbced1abfda258ae692cf0a6",
+    ("simulate", "overharvest", "step1024", "csv"): "69869a6ddb6d7aec368757cbe0f4e95afd6fd8deefb09dfb83e5818f4e032141",
+    ("simulate", "overharvest", "step1024", "json"): "6599123fd031801eebb15f0fed57a2a02ac3cfa1e368209279c7d18b8d3ccf9f",
+    ("simulate", "piecewise_mixed", "periods40", "csv"): "94361bdcbdb8440c73f7167d06090610c42424326c9ecc7ee0d74d0e05b3f1e9",
+    ("simulate", "piecewise_mixed", "periods40", "json"): "5cf71fb690a12b1c0ea626f22fd66086d66799baf395dbc01942242fc45bd9b3",
+    ("simulate", "piecewise_mixed", "step1024", "csv"): "d79ec990eb284260d3db3111ebce23f26d1c31f0347f329d2d5f8d66a0424aa3",
+    ("simulate", "piecewise_mixed", "step1024", "json"): "8fe2b3ac0f27f9c433134b1b75e5c484df9cabb6c67eba49f7876cff776f7d60",
+    ("simulate", "sinusoid_r", "periods40", "csv"): "8e5dc3b240552916c240b5228e7bac746a43af9001a33952fd6c846dce58ec78",
+    ("simulate", "sinusoid_r", "periods40", "json"): "0b63e3afed7432c81137388618cfdf693edde008159a3d6b888d877d3db04876",
+    ("simulate", "sinusoid_r", "step1024", "csv"): "5a8a31d62a9cad249dfad7e935a0c28f4d6aa9ced3413c6adb38dc58e209ac5c",
+    ("simulate", "sinusoid_r", "step1024", "json"): "fd1d4e1eaac7878c830a1069ca6f90d4a10ba37f2221ac94473050d2f7b0b547",
+    ("periodic", "golden_constant", "periods40", "csv"): "0ce1fed8583793b09631156161039aa87c999f99e01e173d55fb48c774559c87",
+    ("periodic", "golden_constant", "periods40", "json"): "952b3e1f0690ba09a2e003893338037e1f376ef5b0ce998625bda94db2f2a27f",
+    ("periodic", "golden_constant", "step1024", "csv"): "428e60d4bde5026d2cd200d6b191e31896b955d367418876fdb65d378a95cff5",
+    ("periodic", "golden_constant", "step1024", "json"): "3f190c5ccfdc460d2ff6ccb907a9509ed0ab7e59c3ceef1b2044d5b08862d628",
+    ("periodic", "overharvest", "periods40", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
+    ("periodic", "overharvest", "periods40", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
+    ("periodic", "overharvest", "step1024", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
+    ("periodic", "overharvest", "step1024", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
+    ("periodic", "piecewise_mixed", "periods40", "csv"): "8929b333f74fc5794efc8bc54b0101f3cc06a216da6c2712a80a838cf466186b",
+    ("periodic", "piecewise_mixed", "periods40", "json"): "973d05ce07d626c2765c289157d292ab8e4a36eff84b3cc0b36c83fcee135a48",
+    ("periodic", "piecewise_mixed", "step1024", "csv"): "fa118628b606ad3d9c3fb5833ddd10e2fc598025675c7991391aa93837f4e63a",
+    ("periodic", "piecewise_mixed", "step1024", "json"): "c25bd8e7a4f3055d653cd61acd17b9339e2333e0ccf5bba64558039b1635bf2c",
+    ("periodic", "sinusoid_r", "periods40", "csv"): "e2f472de1d24f4759623c18dec5bc80127d4b1c458bdf7e7728be1bc7ffff0d8",
+    ("periodic", "sinusoid_r", "periods40", "json"): "51a95a74fc1b02d0f28ed6b5a248cacff3d5cfb9f6f5436f9a70c6e73d25269b",
+    ("periodic", "sinusoid_r", "step1024", "csv"): "76a9a7b9ede0ca3c4efb18d44d6a568c6015b64740298b38f14e367f28bd50cb",
+    ("periodic", "sinusoid_r", "step1024", "json"): "67a0b4de644b6ede0f8d493801f24b8280b030acf0c9939c57ab699337419baf",
+}
+
+
+def _digest(monkeypatch, capsys, command, config, fmt, *flags) -> str:
+    # a relative config path, so that no message depends on the checkout's location
+    monkeypatch.chdir(REPO)
+    code = main([command, "--config", f"configs/{config}.json", "--format", fmt, *flags])
+    out, err = capsys.readouterr()
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
 
 @pytest.mark.parametrize(
     "command, config, fmt", list(DIGESTS), ids=["-".join(key) for key in DIGESTS]
 )
 def test_output_is_unchanged(monkeypatch, capsys, command, config, fmt):
-    # a relative config path, so that no message depends on the checkout's location
-    monkeypatch.chdir(REPO)
-    code = main([command, "--config", f"configs/{config}.json", "--format", fmt])
-    out, err = capsys.readouterr()
-    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+    digest = _digest(monkeypatch, capsys, command, config, fmt)
     assert digest == DIGESTS[command, config, fmt]
+
+
+@pytest.mark.parametrize(
+    "command, config, scaling, fmt",
+    list(SCALED_DIGESTS),
+    ids=["-".join(key) for key in SCALED_DIGESTS],
+)
+def test_scaled_table_is_unchanged(monkeypatch, capsys, command, config, scaling, fmt):
+    digest = _digest(monkeypatch, capsys, command, config, fmt, *SCALINGS[scaling])
+    assert digest == SCALED_DIGESTS[command, config, scaling, fmt]
