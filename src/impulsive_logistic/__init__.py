@@ -9,7 +9,6 @@ from .analysis import (
     CheckRecord,
     VerificationReport,
     compare_solutions,
-    critical_harvest,
     fixed_point_scan,
     trajectory_closed_form,
     verify_impulse_condition,
@@ -37,7 +36,6 @@ from .coefficients import (
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     coefficient_from_dict,
-    compute_A,
     compute_B,
     forcing_integral,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "VerificationReport",
     "coefficient_from_dict",
     "compare_solutions",
-    "compute_A",
     "compute_B",
-    "critical_harvest",
     "derive_constants",
     "fixed_point_scan",
     "forcing_integral",

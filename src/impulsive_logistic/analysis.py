@@ -12,7 +12,7 @@ The checks:
   * ``verify_periodicity`` -- x*(t + 1) = x*(t) on a grid of offsets.
   * ``compare_solutions`` -- closed form against the RK4 oracle.
   * ``fixed_point_scan`` -- sign changes of the period-advance map against
-    the identity: exactly one positive fixed point when (1-E)A > 1, none
+    the identity: exactly one positive fixed point when E < E*, none
     otherwise.
 
 Pre-impulse limits are estimated by evaluating just before the instant and
@@ -51,12 +51,7 @@ from .closed_form import (
     poincare_map,
     solution_grid,
 )
-from .coefficients import (
-    DEFAULT_PANELS_PER_UNIT,
-    PeriodicCoefficient,
-    compute_A,
-    forcing_integral,
-)
+from .coefficients import DEFAULT_PANELS_PER_UNIT, forcing_integral
 from .integrator import StepControl, Trajectory, integrate
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "RICHARDSON_OFFSETS",
     "VerificationReport",
     "compare_solutions",
-    "critical_harvest",
     "fixed_point_scan",
     "left_limit",
     "trajectory_closed_form",
@@ -163,10 +157,9 @@ def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, s: floa
     periodicity and jump checks.
     """
     a = params.phase
-    qm1 = consts.q - 1.0
     decay = math.exp(-params.r.integral(a, a + s))
     forcing = forcing_integral(params.pair, a, a + s, REFERENCE_PANELS_PER_UNIT)
-    return qm1 / (consts.A * consts.B * decay + qm1 * forcing)
+    return consts.d / (consts.B * decay + consts.d * forcing)
 
 
 def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
@@ -414,16 +407,6 @@ def compare_solutions(
     return VerificationReport(
         check="closed form vs numerical oracle", records=tuple(records), metadata=metadata
     )
-
-
-def critical_harvest(r: PeriodicCoefficient) -> float:
-    """Largest sustainable harvest fraction: E* = 1 - 1/A.
-
-    For E < E* the positive periodic orbit exists; at or above it the
-    net per-period multiplier (1 - E) A drops to 1 or below and the
-    periodic-orbit functions raise :class:`NoPeriodicSolutionError`.
-    """
-    return 1.0 - 1.0 / compute_A(r)
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 100) -> float:

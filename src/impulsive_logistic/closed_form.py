@@ -6,10 +6,12 @@ the population is removed, x -> (1 - E) x.
 
 Everything here is closed form up to one quadrature.  Substituting y = 1/x
 linearizes the growth law to y' + r y = r/K, so on the interval
-[t0 + k, t0 + k + 1) the reciprocal of the solution is an explicit
-combination of the per-period growth factor A, the unit-window forcing
-integral B, the net per-period multiplier q = (1 - E) A, and one running
-forcing integral.  See ``solution_grid`` for the exact expression.
+[t0 + k, t0 + k + 1) the solution is an explicit combination of the growth
+integral G of r over one period, the unit-window forcing integral B, the
+harvest margin d = E* - E below the critical harvest E* = 1 - exp(-G), and
+one running forcing integral.  See ``solution_grid`` for the exact
+expression.  The growth factor A = exp(G) enters only ln q and the printed
+constants; A B, which can exceed the float range, is never formed.
 
 Time is a pair (period index k, offset s in [0, 1]) standing for
 t = t0 + k + s.  By periodicity the coefficients there take their values at
@@ -23,12 +25,13 @@ quadrature panels.  Both sides of an impulse have exact addresses: offset 1
 of period k is the pre-impulse value, offset 0 of period k + 1 the
 post-impulse value.
 
-When q > 1 the model has a unique positive period-1 orbit; its post-impulse
-anchor value is x0_star = (q - 1) / (A B), the fixed point of the
-period-advance (Poincare) map.  ``legacy_periodic_at`` evaluates an older
-published formula for that orbit which is continuous at the impulse times
-and therefore cannot satisfy the jump rule; it is provided so the
-discrepancy is checkable (see :mod:`impulsive_logistic.analysis`).
+When d > 0 (equivalently q = (1 - E) A > 1) the model has a unique
+positive period-1 orbit; its post-impulse anchor value is x0_star = d / B,
+the fixed point of the period-advance (Poincare) map.
+``legacy_periodic_at`` evaluates an older published formula for that orbit
+which is continuous at the impulse times and therefore cannot satisfy the
+jump rule; it is provided so the discrepancy is checkable (see
+:mod:`impulsive_logistic.analysis`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import numpy as np
 from .coefficients import (
     DEFAULT_PANELS_PER_UNIT,
     CoefficientPair,
-    compute_A,
     compute_B,
     forcing_integral,
     gauss_panels,
@@ -66,17 +68,8 @@ __all__ = [
     "solution_grid",
 ]
 
-# |q - 1| below this routes the geometric sum to its q = 1 limit.
-_Q_ONE_TOL = 1e-12
-
-# k beyond which the k-dependent terms are evaluated in log space.
-_LOG_SPACE_K = 500
-
-_EXP_MAX = 709.0  # math.exp overflows just above this
-
-
 class NoPeriodicSolutionError(ValueError):
-    """Raised when (1 - E) A <= 1: no positive periodic orbit exists."""
+    """Raised when E >= E* (d <= 0): no positive periodic orbit exists."""
 
 
 @dataclass(frozen=True)
@@ -144,57 +137,68 @@ class ImpulseLimits(NamedTuple):
 
 @dataclass(frozen=True)
 class SolutionConstants:
-    """Derived constants of a model instance.
+    """Derived constants of a model instance, in harvest-margin form.
 
-    A: per-period growth factor exp(integral of r over one period).
+    G: growth integral of r over one period.
     B: unit-window forcing integral (see ``compute_B``).
-    q: net per-period multiplier (1 - E) A near extinction.
-    x0_star: post-impulse value of the periodic orbit, (q - 1) / (A B);
-        present exactly when q > 1.
+    e_star: critical harvest E* = 1 - exp(-G) = -expm1(-G).
+    d: harvest margin E* - E; the orbit exists exactly when d > 0.
+    ln_q: log of the net per-period multiplier q = (1 - E) exp(G) = 1 + d exp(G).
+    x0_star: post-impulse value of the periodic orbit, d / B; present
+        exactly when d > 0.
+
+    ``A`` and ``q`` are derived from G and ln_q for printing only.
     """
 
-    A: float
+    G: float
     B: float
-    q: float
+    e_star: float
+    d: float
+    ln_q: float
     x0_star: Optional[float]
+
+    @property
+    def A(self) -> float:
+        """Per-period growth factor exp(G)."""
+        return math.exp(self.G)
+
+    @property
+    def q(self) -> float:
+        """Net per-period multiplier (1 - E) A."""
+        return math.exp(self.ln_q)
 
 
 @lru_cache(maxsize=256)
 def derive_constants(params: ModelParams) -> SolutionConstants:
-    """Compute A, B, q and (when q > 1) the fixed-point anchor x0_star.
+    """Compute G, B, E*, the margin d, ln q and (when d > 0) the anchor x0_star.
 
     Cached per params; safe for concurrent readers (the cached value is
     immutable and fully constructed before it is published).
     """
-    A = compute_A(params.pair.r)
+    E = params.E
+    G = params.r.integral(0.0, 1.0)
     B = compute_B(params.pair, params.phase)
-    q = (1.0 - params.E) * A
-    x0_star = (q - 1.0) / (A * B) if q > 1.0 else None
-    return SolutionConstants(A=A, B=B, q=q, x0_star=x0_star)
+    e_star = -math.expm1(-G)
+    # d = E* - E = (1 - E) - exp(-G).  For E >= 1/2, 1 - E is exact and the
+    # second form carries only the rounding of exp(-G), while E* - E carries
+    # the half ulp of E* (1e-16 absolute), which is most of d near E* once G
+    # is large.  Below 1/2 the E* form is the finer one.
+    d = (1.0 - E) - math.exp(-G) if E >= 0.5 else e_star - E
+    qm1 = d * math.exp(G)  # q - 1
+    # log1p(q - 1) keeps ln q and d consistent, which the geometric sum needs
+    # as d -> 0; for q < 1/2 (so E > 1/2 and 1 - E exact) q - 1 has lost q's
+    # digits and log(1 - E) + G is the accurate form.
+    ln_q = math.log1p(qm1) if qm1 > -0.5 else math.log1p(-E) + G
+    x0_star = d / B if d > 0.0 else None
+    return SolutionConstants(G=G, B=B, e_star=e_star, d=d, ln_q=ln_q, x0_star=x0_star)
 
 
 def _require_orbit(params: ModelParams, consts: SolutionConstants) -> None:
     if consts.x0_star is None:
-        e_crit = 1.0 - 1.0 / consts.A
         raise NoPeriodicSolutionError(
             "no positive periodic solution: (1-E)A = "
-            f"{consts.q!r} <= 1 (need E < {e_crit!r})"
+            f"{consts.q!r} <= 1 (need E < {consts.e_star!r})"
         )
-
-
-def _geometric_sum(q: float, k: int) -> float:
-    """Sum of q**-j for j = 1..k, with the q -> 1 limit handled explicitly."""
-    if k == 0:
-        return 0.0
-    if abs(q - 1.0) < _Q_ONE_TOL:
-        return float(k)
-    if q > 1.0:
-        return (1.0 - q ** (-k)) / (q - 1.0)
-    # q < 1: q**-k grows; compute through exp so huge k saturates to inf
-    # instead of raising.
-    ln = -k * math.log(q)
-    grow = math.exp(ln) if ln <= _EXP_MAX else math.inf
-    return (grow - 1.0) / (1.0 - q)
 
 
 class PeriodTable(NamedTuple):
@@ -257,71 +261,64 @@ def solution_grid(
     """Solution started at x(t0) = x0, at t = t0 + k + s for every period
     index k in ``periods`` and every offset s of ``table``.
 
-    Returns an array of shape (len(periods), len(table.offsets)).  With
-    q = (1 - E) A, R and C from the table and S = sum of q**-j, j = 1..k,
+    Returns an array of shape (len(periods), len(table.offsets)).  With R
+    and C from the table, d the harvest margin and q the net multiplier,
 
-        1/x = exp(-R) / (x0 q**k)  +  A B S exp(-R)  +  C.
+        x = x0 / (exp(-R) (q**-k + x0 B (1 - q**-k) / d) + x0 C),
 
-    The decaying exponential multiplies the middle term as well as the
-    first; see the sign-regression tests before touching it.  For large k
-    the first term is formed in log space.
+    where (1 - q**-k) / d = -expm1(-k ln q) / d tends to k / (1 - E) as
+    d -> 0 (it is exp(G) times the sum of q**-j for j = 1..k).  x0 is never
+    inverted, so a subnormal anchor stays exact.  The decaying exponential
+    multiplies the middle term as well as the first; see the sign-regression
+    tests before touching it.  When q < 1, q**-k overflows to inf for large
+    k and x reads 0.0.
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
     consts = derive_constants(params)
-    q = consts.q
-    ln_q = math.log(q)
-    recip = np.empty((len(periods), table.offsets.size))
-    for row, k in enumerate(periods):
-        k = int(k)
-        if k > _LOG_SPACE_K or k * abs(ln_q) > 600.0:
-            ln_lead = -math.log(x0) - k * ln_q - table.growth
-            lead = np.where(
-                ln_lead <= _EXP_MAX, np.exp(np.minimum(ln_lead, _EXP_MAX)), math.inf
-            )
+    k = np.asarray(periods, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # q**-k = inf is the intended limit
+        lead = np.exp(-k * consts.ln_q)
+        if consts.d != 0.0:
+            total = -np.expm1(-k * consts.ln_q) / consts.d
         else:
-            lead = table.decay / (x0 * q**k)
-        recip[row] = (
-            lead + consts.A * consts.B * _geometric_sum(q, k) * table.decay + table.forcing
-        )
-    return 1.0 / recip
+            total = k / (1.0 - params.E)
+        return x0 / (table.decay * (lead + x0 * consts.B * total) + x0 * table.forcing)
 
 
 def periodic_grid(params: ModelParams, table: PeriodTable) -> np.ndarray:
-    """The period-1 orbit at every offset of ``table``; requires q > 1.
+    """The period-1 orbit at every offset of ``table``; requires d > 0.
 
-        x*(s) = (q - 1) / (A B exp(-R) + (q - 1) C),
+        x*(s) = d / (B exp(-R) + d C),
 
-    which is ``solution_grid`` at the fixed-point anchor x0_star, for any k.
-    At offset 0 (R = C = 0) it returns x0_star bit for bit.
+    which is ``solution_grid`` at the fixed-point anchor x0_star = d / B, for
+    any k.  At offset 0 (R = C = 0) it returns x0_star bit for bit.
     """
     consts = derive_constants(params)
     _require_orbit(params, consts)
-    qm1 = consts.q - 1.0
-    return qm1 / (consts.A * consts.B * table.decay + qm1 * table.forcing)
+    return consts.d / (consts.B * table.decay + consts.d * table.forcing)
 
 
 def legacy_periodic_at(params: ModelParams, t: float) -> float:
     """The older published periodic-orbit formula (kept for its refutation).
 
-    Evaluates (q - 1) / (A * J(t)) where J(t) is the forcing integral over
-    the moving window [t, t + 1].  J is continuous in t, so this expression
-    has equal one-sided limits at the impulse instants and cannot satisfy
-    the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.  Defined for any
-    real t; requires q > 1.  J has period 1, so the window is integrated
-    from frac(t), where its nodes keep full precision at any t.
+    Evaluates (q - 1) / (A J(t)) = d / J(t), where J(t) is the forcing
+    integral over the moving window [t, t + 1].  J is continuous in t, so
+    this expression has equal one-sided limits at the impulse instants and
+    cannot satisfy the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.
+    Defined for any real t; requires d > 0.  J has period 1, so the window
+    is integrated from frac(t), where its nodes keep full precision at any t.
     """
     consts = derive_constants(params)
     _require_orbit(params, consts)
     u = t - math.floor(t)
-    window = forcing_integral(params.pair, u, u + 1.0)
-    return (consts.q - 1.0) / (consts.A * window)
+    return consts.d / forcing_integral(params.pair, u, u + 1.0)
 
 
 def one_sided_limits(params: ModelParams) -> ImpulseLimits:
     """Pre/post values of the periodic orbit at every impulse instant.
 
-        pre  = (q - 1) / (A B (1 - E)),    post = (q - 1) / (A B) = x0_star,
+        pre  = d / (B (1 - E)),    post = d / B = x0_star,
 
     so post = (1 - E) * pre: the orbit loses exactly the harvested fraction.
     """
@@ -332,16 +329,16 @@ def one_sided_limits(params: ModelParams) -> ImpulseLimits:
 
 
 def periodic_orbit_mean(params: ModelParams) -> float:
-    """Average of the periodic orbit over one period; errors when q <= 1.
+    """Average of the periodic orbit over one period; errors when d <= 0.
 
     Split-panel Gauss-Legendre over the period, with the orbit at every node
     from one ``period_table``.  The orbit relaxes at rate r after each
     impulse, so the mean uses at least one panel per unit of growth
-    integral: max(DEFAULT_PANELS_PER_UNIT, ceil(ln A)) panels.
+    integral: max(DEFAULT_PANELS_PER_UNIT, ceil(G)) panels.
     """
     consts = derive_constants(params)
     _require_orbit(params, consts)
-    panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(params.r.integral(0.0, 1.0)))
+    panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(consts.G))
     nodes, weights = gauss_panels(params.jump_offsets, 0.0, 1.0, panels)
     table = period_table(params, nodes)
     return float(np.dot(weights, periodic_grid(params, table)))
@@ -350,13 +347,14 @@ def periodic_orbit_mean(params: ModelParams) -> float:
 def poincare_map(params: ModelParams, x0: float | np.ndarray) -> float | np.ndarray:
     """Post-impulse state one period after starting at post-impulse state x0.
 
-        P(x0) = (1 - E) A x0 / (1 + x0 A B)
+        P(x0) = (1 - E) x0 / (exp(-G) + x0 B)
 
     (flow the reciprocal form across one window, then apply the jump).  Its
-    unique positive fixed point, when q = (1 - E) A > 1, is x0_star.  x0 is
-    a float or an array of states, mapped elementwise.
+    unique positive fixed point, when d > 0, is x0_star; the map has no
+    E* - E subtraction, so the fixed-point scan does not share the anchor's
+    formula.  x0 is a float or an array of states, mapped elementwise.
     """
     if not np.all(np.greater(x0, 0.0)):
         raise ValueError(f"x0 must be positive, got {x0!r}")
     consts = derive_constants(params)
-    return (1.0 - params.E) * consts.A * x0 / (1.0 + x0 * consts.A * consts.B)
+    return (1.0 - params.E) * x0 / (math.exp(-consts.G) + x0 * consts.B)

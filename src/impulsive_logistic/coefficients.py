@@ -1,4 +1,4 @@
-"""Period-1 coefficient functions and the growth/forcing constants A and B.
+"""Period-1 coefficient functions and the forcing constant B.
 
 The growth rate r(t) and the carrying capacity K(t) are strictly positive,
 piecewise-continuous functions of period 1.  Three constructible families are
@@ -14,8 +14,8 @@ Conventions:
     exists so that evaluation is well defined everywhere.
 
 Derived constants (see also :mod:`impulsive_logistic.closed_form`):
-  * ``A = exp(integral of r over one period)`` -- the per-period growth
-    factor of the linearization at extinction (``compute_A``).
+  * ``G = r.integral(0, 1)`` -- the growth integral over one period; the
+    per-period growth factor of the linearization at extinction is exp(G).
   * ``B`` -- the unit-window forcing integral of (r/K) weighted by the decay
     ``exp(-integral of r)`` (``compute_B``); it is the forced response of the
     reciprocal form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.
@@ -38,7 +38,6 @@ __all__ = [
     "PiecewiseConstantCoefficient",
     "SinusoidCoefficient",
     "coefficient_from_dict",
-    "compute_A",
     "compute_B",
     "forcing_integral",
     "gauss_panels",
@@ -321,15 +320,6 @@ class CoefficientPair:
 
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
-
-
-def compute_A(r: PeriodicCoefficient) -> float:
-    """Per-period growth factor A = exp(integral of r over one period).
-
-    By periodicity the same value results from any window of length 1;
-    A > 1 whenever r is positive.
-    """
-    return math.exp(r.integral(0.0, 1.0))
 
 
 def gauss_panels(

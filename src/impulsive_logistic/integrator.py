@@ -145,6 +145,13 @@ def _stage_table(
     return tuple(c.tolist() for c in columns)
 
 
+def _underflow(t: float) -> IntegrationError:
+    return IntegrationError(
+        f"state underflowed to 0.0 by t={t!r}: it fell "
+        "below the smallest positive float, not a step-size problem"
+    )
+
+
 def _frozen(values: list[float]) -> np.ndarray:
     arr = np.asarray(values)
     arr.setflags(write=False)
@@ -190,10 +197,7 @@ def integrate(
                 )
             if not x > 0.0:
                 if x == 0.0 and values[-1] < sys.float_info.min:
-                    raise IntegrationError(
-                        f"state underflowed to 0.0 by t={params.time(k, sb)!r}: it fell "
-                        "below the smallest positive float, not a step-size problem"
-                    )
+                    raise _underflow(params.time(k, sb))
                 raise IntegrationError(
                     f"state became non-positive at t={params.time(k, sb)!r} (x={x!r}); "
                     "the step is too large for these coefficients"
@@ -201,6 +205,8 @@ def integrate(
             values.append(x)
         pieces.append(TrajectoryPiece(k, grid, _frozen(values)))
         x = keep_fraction * x
+        if x == 0.0:  # a positive state times 1 - E > 0 is 0.0 only by underflow
+            raise _underflow(params.time(k + 1, 0.0))
     # close with the post-impulse state at the last impulse instant
     pieces.append(TrajectoryPiece(periods, grid[:1], _frozen([x])))
 

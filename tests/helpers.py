@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -165,18 +166,35 @@ def scalar_rk4(params: ModelParams, x0: float, periods: int, h: float) -> Scalar
                 return r_p(t) * (1.0 - y / k_p(t)) * y
 
             x = _rk4(rhs, ta, x, step)
-            if not (math.isfinite(x) and x > 0.0):
+            t = params.t0 + (k + sb)
+            if not math.isfinite(x):
                 raise IntegrationError(
-                    f"state became non-positive at t={params.t0 + (k + sb)!r} (x={x!r}); "
+                    f"state overflowed at t={t!r} (x={x!r}): "
+                    "r(1 - x/K) x exceeds the float range for this x0 and K"
+                )
+            if x == 0.0 and values[-1] < sys.float_info.min:
+                raise _underflow(t)
+            if not x > 0.0:
+                raise IntegrationError(
+                    f"state became non-positive at t={t!r} (x={x!r}); "
                     "the step is too large for these coefficients"
                 )
             values.append(x)
         run.offsets.append(offsets)
         run.values.append(values)
         x = (1.0 - params.E) * x
+        if x == 0.0:
+            raise _underflow(params.t0 + (k + 1))
     run.offsets.append([0.0])
     run.values.append([x])
     return run
+
+
+def _underflow(t: float) -> IntegrationError:
+    return IntegrationError(
+        f"state underflowed to 0.0 by t={t!r}: it fell below the smallest "
+        "positive float, not a step-size problem"
+    )
 
 
 def samples(traj) -> tuple[list[float], list[float]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from impulsive_logistic import (
     StepControl,
     VerificationReport,
     compare_solutions,
-    critical_harvest,
     derive_constants,
     fixed_point_scan,
     verify_impulse_condition,
@@ -197,18 +197,22 @@ def test_compare_solutions_without_orbit_skips_periodic_record():
 # ---------------------------------------------------------------------------
 
 
+def _critical_harvest(r) -> float:
+    pair = CoefficientPair(r=r, K=ConstantCoefficient(100.0))
+    return derive_constants(ModelParams(pair=pair, E=0.0, t0=0.5)).e_star
+
+
 def test_critical_harvest_values():
-    assert critical_harvest(ConstantCoefficient(math.log(2.0))) == pytest.approx(0.5, rel=1e-13)
-    assert critical_harvest(SinusoidCoefficient(mean=0.7, amp=0.2)) == pytest.approx(
+    assert _critical_harvest(ConstantCoefficient(math.log(2.0))) == pytest.approx(0.5, rel=1e-13)
+    assert _critical_harvest(SinusoidCoefficient(mean=0.7, amp=0.2)) == pytest.approx(
         1.0 - math.exp(-0.7), rel=1e-12
     )
     # a vanishing growth rate leaves almost no sustainable harvest
-    assert critical_harvest(ConstantCoefficient(1e-6)) == pytest.approx(1e-6, rel=1e-3)
+    assert _critical_harvest(ConstantCoefficient(1e-6)) == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_critical_harvest_separates_existence():
-    p = golden_params()
-    e_crit = critical_harvest(p.pair.r)
+    e_crit = derive_constants(golden_params()).e_star
     assert derive_constants(golden_params(E=e_crit - 1e-6)).x0_star is not None
     assert derive_constants(golden_params(E=e_crit)).x0_star is None
     assert derive_constants(golden_params(E=e_crit + 1e-6)).x0_star is None
@@ -258,6 +262,16 @@ def test_fixed_point_scan_at_huge_capacity_does_not_overflow(K):
     report = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity)
     assert report.passed, report.to_text()
     assert report.metadata["crossings"][0] == pytest.approx(derive_constants(p).x0_star, rel=1e-6)
+
+
+def test_fixed_point_scan_at_huge_growth_is_quiet():
+    # A = exp(709): the map (1 - E) x / (exp(-G) + x B) never forms A x
+    pair = CoefficientPair(r=ConstantCoefficient(709.0), K=ConstantCoefficient(1.0))
+    p = ModelParams(pair=pair, E=0.5, t0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fixed_point_scan(p, 1e-3, 10.0)
+    assert report.passed, report.to_text()
 
 
 def test_fixed_point_scan_records_a_zero_gap_at_its_grid_point():

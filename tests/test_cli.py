@@ -123,18 +123,10 @@ def test_defaults_applied():
             ),
             ".K: piecewise values must be an array of numbers, got [False]",
         ),
-        # B (the forcing integral of r/K), or A B, must fit a float
+        # B, the forcing integral of r/K, must fit a float
         (
             lambda d: d.__setitem__("K", {"kind": "constant", "value": 1e-320}),
             ".K: the forcing integral B of r/K overflows the float range",
-        ),
-        (
-            lambda d: d.update(
-                r={"kind": "constant", "value": 709.0},
-                K={"kind": "constant", "value": 1e-3},
-                E=0.5,
-            ),
-            ".K: A*B = 8.218407461554972e+307 * 999.9999999727237 overflows the float range",
         ),
     ],
 )
@@ -161,16 +153,10 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"K": {"kind": "constant", "value": 1e-320}},
-        {"r": {"kind": "constant", "value": 709.0}, "K": {"kind": "constant", "value": 1e-3},
-         "E": 0.5},
-    ],
-    ids=["r/K overflows", "A*B overflows"],
+    "overrides", [{"K": {"kind": "constant", "value": 1e-320}}], ids=["r/K overflows"]
 )
 def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
-    # an infinite B or A B leaves no usable orbit anchor: refuse the scenario
+    # an infinite B leaves no usable orbit anchor: refuse the scenario
     cfg = tmp_path / "tiny_k.json"
     cfg.write_text(json.dumps(_json_config(**overrides)), encoding="utf-8")
     for command in COMMANDS:
@@ -180,6 +166,70 @@ def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"config error: {cfg}.K: ")
         assert captured.err.count("\n") == 1
+
+
+def test_huge_growth_over_a_small_capacity_runs(tmp_path, capsys):
+    # A B = 8.2e307 * 1000 overflows a float, but no formula forms A: the
+    # anchor is d / B.  The step keeps h r = 0.17, inside RK4's stability
+    # region, so the oracle can follow the orbit.
+    cfg = tmp_path / "huge_growth.json"
+    scenario = _json_config(
+        r={"kind": "constant", "value": 709.0},
+        K={"kind": "constant", "value": 1e-3},
+        E=0.5,
+        step=2.0**-12,
+        horizon_periods=2,
+    )
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    for command in COMMANDS:
+        argv = [command, "--config", str(cfg)]
+        code = main(argv + ["--e-values", "0.5"] if command == "sweep" else argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), command
+    consts = derive_constants(load_config(cfg).params())
+    assert consts.x0_star == pytest.approx(5.000000000136e-4, rel=1e-12, abs=0.0)
+    assert consts.x0_star == consts.d / consts.B
+
+
+def test_subnormal_anchor_simulates_quietly(tmp_path, capsys):
+    # E one ulp below E* = 1/2 puts the anchor d / B at 2.2e-309, below the
+    # normal range: the closed form never inverts it.
+    cfg = tmp_path / "subnormal.json"
+    scenario = _json_config(K={"kind": "constant", "value": 1e-293}, E=0.4999999999999999)
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    code = main(["simulate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rel_diff = [float(line.split(",")[4]) for line in captured.out.splitlines()[1:]]
+    assert rel_diff and max(rel_diff) <= 1e-5
+
+
+def test_verify_scans_below_a_small_anchor():
+    # just below E* the anchor (0.0029) lies under 1e-3 times the mean of K;
+    # the fixed-point scan must still reach it
+    config = dataclasses.replace(load_config(SINUSOID), E=0.5034)
+    assert derive_constants(config.params()).x0_star < 1e-3 * 100.0
+    text, code = cmd_verify(config, fmt="text")
+    assert code == 0, text
+
+
+def test_verify_reports_on_an_anchor_at_the_float_floor(tmp_path, capsys):
+    # d / B rounds to the smallest subnormal, 5e-324: the scan's lower edge
+    # must stay positive and verify must end in a report
+    cfg = tmp_path / "floor.json"
+    scenario = _json_config(K={"kind": "constant", "value": 2e-308}, E=0.4999999999999999)
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    assert derive_constants(load_config(cfg).params()).x0_star == 5e-324
+    code = main(["verify", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and captured.err == ""
+    assert json.loads(captured.out)["periodic_orbit"] is True
+
+
+def test_constants_threshold_is_correctly_rounded():
+    # E* = -expm1(-0.7) = 0.50341469620859046..., which rounds to ...905
+    text = cmd_constants(load_config(SINUSOID))
+    assert "E_critical   0.5034146962085905\n" in text
 
 
 def test_importing_the_cli_does_not_load_scipy():
@@ -527,8 +577,8 @@ def test_main_state_overflow_is_named(tmp_path, capsys):
 
 
 def test_state_underflow_is_named(tmp_path, capsys):
-    # E a hair below 1 shrinks the state by 1e-16 a period until it is 0.0:
-    # that is an underflow, not a step too large
+    # E a hair below 1 shrinks the state by 1e-16 a period until the jump at
+    # t = 21.5 leaves 0.0: that is an underflow, not a step too large
     cfg = tmp_path / "underflow.json"
     scenario = _json_config(
         r={"kind": "constant", "value": 0.1},
@@ -544,7 +594,7 @@ def test_state_underflow_is_named(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == (
-            "error: state underflowed to 0.0 by t=21.75: it fell below the smallest "
+            "error: state underflowed to 0.0 by t=21.5: it fell below the smallest "
             "positive float, not a step-size problem\n"
         )
 

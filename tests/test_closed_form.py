@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from impulsive_logistic import (
     ConstantCoefficient,
     ModelParams,
     NoPeriodicSolutionError,
+    PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     derive_constants,
     legacy_periodic_at,
@@ -50,6 +52,20 @@ def test_derive_constants_golden():
     assert c.x0_star == pytest.approx(50.0, rel=1e-13)
 
 
+def test_derive_constants_growth_factor_examples():
+    # A = exp(G), with G the growth integral of r over one period
+    examples = [
+        (ConstantCoefficient(LN2), 2.0),
+        (SinusoidCoefficient(mean=0.7, amp=0.2), math.exp(0.7)),
+        (PiecewiseConstantCoefficient(breakpoints=(0.0, 0.5, 1.0), values=(1.0, 2.0)), math.exp(1.5)),
+    ]
+    for r, growth_factor in examples:
+        pair = CoefficientPair(r=r, K=ConstantCoefficient(100.0))
+        c = derive_constants(ModelParams(pair=pair, E=0.25, t0=0.5))
+        assert c.A == pytest.approx(growth_factor, rel=1e-15)
+        assert c.G == pytest.approx(math.log(growth_factor), rel=1e-15)
+
+
 def test_derive_constants_at_threshold_has_no_anchor():
     c = derive_constants(golden_params(E=0.5))
     assert c.q == pytest.approx(1.0, abs=1e-14)
@@ -61,6 +77,26 @@ def test_derive_constants_without_harvest():
     c = derive_constants(golden_params(E=0.0))
     assert c.q == pytest.approx(2.0, rel=1e-13)
     assert c.x0_star == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("G", [0.05, 0.7, 5.0, 20.0, 30.0])
+def test_anchor_near_threshold_matches_a_decimal_reference(G):
+    # d = E* - E a few ulp above 0: the margin may carry only the rounding of
+    # the smaller of E* (for E < 1/2) and exp(-G) (for E >= 1/2, where 1 - E
+    # is exact), not the half ulp of E*, which is most of d once G is large
+    pair = CoefficientPair(r=ConstantCoefficient(G), K=ConstantCoefficient(100.0))
+    e_star = -math.expm1(-G)
+    for ulps in (1, 3, 1000):
+        E = e_star
+        for _ in range(ulps):
+            E = math.nextafter(E, 0.0)
+        c = derive_constants(ModelParams(pair=pair, E=E, t0=0.5))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d = (1 - decimal.Decimal(E)) - decimal.Decimal(-G).exp()
+            want = float(d / decimal.Decimal(c.B))
+        tol = 2.0**-51 + 2.0**-52 * min(e_star, math.exp(-G)) / float(d)
+        assert c.x0_star == pytest.approx(want, rel=tol, abs=0.0), (ulps, c.x0_star, want)
 
 
 def test_params_validation():

@@ -1,4 +1,4 @@
-"""Coefficient families, exact integrals, and the A/B constants."""
+"""Coefficient families, exact integrals, and the forcing constant B."""
 
 from __future__ import annotations
 
@@ -10,11 +10,12 @@ import pytest
 from impulsive_logistic import (
     CoefficientPair,
     ConstantCoefficient,
+    ModelParams,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     coefficient_from_dict,
-    compute_A,
     compute_B,
+    derive_constants,
     forcing_integral,
 )
 from impulsive_logistic.coefficients import gauss_panels
@@ -174,23 +175,15 @@ def test_antiderivative_is_additive():
 
 
 # ---------------------------------------------------------------------------
-# A
+# A = exp(growth integral), derived in closed_form.derive_constants
 # ---------------------------------------------------------------------------
-
-
-def test_compute_A_examples():
-    assert compute_A(ConstantCoefficient(LN2)) == pytest.approx(2.0, rel=1e-15)
-    assert compute_A(SinusoidCoefficient(mean=0.7, amp=0.2)) == pytest.approx(
-        math.exp(0.7), rel=1e-15
-    )
-    assert compute_A(PWC) == pytest.approx(math.exp(1.5), rel=1e-15)
 
 
 def test_A_equals_exp_integral_over_any_unit_window():
     rng = np.random.default_rng(3)
     for kind in ("constant", "sinusoid", "piecewise"):
         c = random_coefficient(rng, kind, 0.3, 1.5)
-        a_ref = compute_A(c)
+        a_ref = _growth_factor(c)
         for start in rng.uniform(-2.0, 4.0, size=25):
             shifted = math.exp(c.integral(start, start + 1.0))
             assert shifted == pytest.approx(a_ref, rel=1e-12)
@@ -199,7 +192,12 @@ def test_A_equals_exp_integral_over_any_unit_window():
 def test_A_exceeds_one_for_positive_rate():
     rng = np.random.default_rng(5)
     for kind in ("constant", "sinusoid", "piecewise"):
-        assert compute_A(random_coefficient(rng, kind, 0.05, 1.5)) > 1.0
+        assert _growth_factor(random_coefficient(rng, kind, 0.05, 1.5)) > 1.0
+
+
+def _growth_factor(r) -> float:
+    pair = CoefficientPair(r=r, K=ConstantCoefficient(100.0))
+    return derive_constants(ModelParams(pair=pair, E=0.0, t0=0.5)).A
 
 
 # ---------------------------------------------------------------------------

@@ -267,3 +267,40 @@ def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
     for piece, offsets, values in zip(traj.pieces, ref.offsets, ref.values):
         assert np.array_equal(piece.offsets, offsets)
         assert np.array_equal(piece.values, values)
+
+
+def _rate(r: float) -> ModelParams:
+    pair = CoefficientPair(r=ConstantCoefficient(r), K=ConstantCoefficient(100.0))
+    return ModelParams(pair=pair, E=0.1, t0=0.5)
+
+
+def _underflow_case():
+    # each harvest keeps 1e-16 of the state; the jump at t = 21.5 leaves 0.0
+    pair = CoefficientPair(r=ConstantCoefficient(0.1), K=ConstantCoefficient(100.0))
+    return ModelParams(pair=pair, E=0.9999999999999999, t0=0.5), 50.0, 30, 0.25
+
+
+def test_underflow_at_a_jump_names_the_jump():
+    params, x0, periods, h = _underflow_case()
+    for horizon in (periods, 21):  # past that jump, and ending on it
+        with pytest.raises(IntegrationError, match=r"underflowed to 0\.0 by t=21\.5: "):
+            integrate(params, x0, horizon, StepControl(h=h))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ((golden_params(), 1e308, 1, 1.0 / 256.0), "state overflowed at t=0.50390625"),
+        (_underflow_case(), "state underflowed to 0.0 by t=21.5"),
+        ((_rate(2.0), 250.0, 3, 1.0), "state became non-positive at t=1.5"),
+    ],
+    ids=["overflow", "underflow", "non-positive"],
+)
+def test_scalar_rk4_fails_with_the_messages_of_integrate(case, message):
+    params, x0, periods, h = case
+    with pytest.raises(IntegrationError) as ref:
+        scalar_rk4(params, x0, periods, h)
+    with pytest.raises(IntegrationError) as got:
+        integrate(params, x0, periods, StepControl(h=h))
+    assert str(ref.value) == str(got.value)
+    assert str(got.value).startswith(message)

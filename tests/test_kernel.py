@@ -4,6 +4,7 @@ that use it, and its cost in coefficient evaluations."""
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 from pathlib import Path
 
@@ -110,8 +111,8 @@ def test_offset_zero_is_the_anchor_bit_for_bit(params, offsets):
 @PROPERTY
 @given(params=models(), offsets=dyadic_offsets, x0=st.floats(1.0, 1000.0))
 def test_far_period_lands_on_the_orbit(params, offsets, x0):
-    # k = 1e9 runs the log-space branch; every start has converged to the
-    # orbit by then (q > 1), and no absolute time t0 + k + s is ever formed.
+    # every start has converged to the orbit by k = 1e9 (q > 1), and no
+    # absolute time t0 + k + s is ever formed.
     table = period_table(params, offsets)
     far = solution_grid(params, x0, [10**9], table)[0]
     np.testing.assert_allclose(far, periodic_grid(params, table), rtol=1e-12)
@@ -119,8 +120,8 @@ def test_far_period_lands_on_the_orbit(params, offsets, x0):
 
 @pytest.mark.parametrize("k", [501, 900])
 def test_log_space_branch_matches_direct_formula(k):
-    # q close to 1 keeps q**k finite, so the direct formula is available
-    # beside the log-space one the kernel takes for k > 500.
+    # q close to 1 keeps q**k finite, so the reciprocal formula with its
+    # explicit geometric sum is available as an independent check.
     params = ModelParams(
         pair=CoefficientPair(r=ConstantCoefficient(0.01), K=SinusoidCoefficient(100.0, 20.0)),
         E=0.005,
@@ -144,6 +145,62 @@ def test_far_period_without_orbit_goes_extinct_quietly():
     with np.errstate(all="raise"):
         far = solution_grid(params, 50.0, [10**9], period_table(params, [0.0, 0.5]))
     assert far.tolist() == [[0.0, 0.0]]
+
+
+def _ulps_from(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@pytest.mark.parametrize("ulps", [-1000, -3, -1, 0, 1, 3])
+def test_solution_grid_near_threshold_matches_a_decimal_reference(ulps):
+    # E within a few ulp of E*: the margin d and ln q = log1p(d exp(G)) carry
+    # the same rounding, so (1 - q**-k) / d stays accurate as d -> 0.  The
+    # reference takes the same float G, B, R and C and evaluates the closed
+    # form to 50 digits.
+    r, big_k, x0 = 0.7, 100.0, 50.0
+    pair = CoefficientPair(r=ConstantCoefficient(r), K=ConstantCoefficient(big_k))
+    E = _ulps_from(-math.expm1(-r), ulps)
+    params = ModelParams(pair=pair, E=E, t0=0.5)
+    ks = [1, 10, 1000, 10**6]
+    table = period_table(params, [0.0, 0.25, 0.5, 1.0])
+    got = solution_grid(params, x0, ks, table)
+
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        G, B = D(params.r.integral(0.0, 1.0)), D(derive_constants(params).B)
+        d = (1 - D(E)) - (-G).exp()
+        ln_q = (1 - D(E)).ln() + G
+        for k, row in zip(ks, got):
+            lead = (-k * ln_q).exp()
+            total = (1 - lead) / d
+            for value, big_r, forcing in zip(row, table.growth, table.forcing):
+                den = (-D(big_r)).exp() * (lead + D(x0) * B * total) + D(x0) * D(forcing)
+                rel = abs(D(value) / (D(x0) / den) - 1)
+                assert rel <= D(1e-15 + k * 2.0**-52), (k, value)
+
+
+@pytest.mark.parametrize("G", [1e-300, 1e-16, 2.0**-52, 1e-10, 1e-6])
+def test_harvest_next_to_one_keeps_ln_q_accurate(G):
+    # E = 1 - 2**-53 makes q = 2**-53 exp(G); d exp(G) = q - 1 sits within
+    # rounding of -1, where 1 + (q - 1) has lost q's digits and log1p may have
+    # no value, so ln q must come from log(1 - E) + G
+    params = ModelParams(
+        pair=CoefficientPair(r=ConstantCoefficient(G), K=ConstantCoefficient(100.0)),
+        E=1.0 - 2.0**-53,
+        t0=0.5,
+    )
+    consts = derive_constants(params)
+    assert consts.ln_q == pytest.approx(-53.0 * math.log(2.0) + G, rel=1e-15)
+    with np.errstate(all="raise"):
+        x = solution_grid(params, 50.0, [0, 1, 2], period_table(params, [0.0, 1.0]))
+    # the period-advance map shares no ln q with the kernel
+    x1 = closed_form.poincare_map(params, 50.0)
+    x2 = closed_form.poincare_map(params, x1)
+    assert x[0, 0] == 50.0
+    np.testing.assert_allclose(x[1:, 0], [x1, x2], rtol=1e-13, atol=0.0)
 
 
 def test_trajectory_closed_form_matches_scalar_path():

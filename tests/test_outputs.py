@@ -27,71 +27,71 @@ DIGESTS = {
     ("constants", "golden_constant", "json"): "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     ("constants", "overharvest", "text"): "7e0a2c68c71291fd2440a0d44b7da9d040ed290a65714e42b758d39530aedcc3",
     ("constants", "overharvest", "json"): "764b5f3279b6b136f5d14d7cb15c6362695c8d5dcaaed52d023e3b9b8729abc4",
-    ("constants", "piecewise_mixed", "text"): "aab5763a2fad62a3408ea298837707ba31b40646ef7c8af872473e0261269979",
-    ("constants", "piecewise_mixed", "json"): "e466423a7dbd47c92113473a29676bccf8ff90c91b81feea2875009800fcb70f",
-    ("constants", "sinusoid_r", "text"): "480b02ccad1a30d1877c83d33c58486c64b8d8752c48bf5dddaf7b0cee98c8a4",
-    ("constants", "sinusoid_r", "json"): "e4965e539f762a308bdc4cab3714715695642bf7f21647788ecbad749a484f82",
-    ("simulate", "golden_constant", "csv"): "785735f9fda27eed7933bbe8d30887c1b842bb748d800654f8f852de91610aba",
-    ("simulate", "golden_constant", "json"): "c61cfec3d7d07eac1f7032976c022c38b9c1c6e4905d26b690ae3a7eae2dd604",
-    ("simulate", "overharvest", "csv"): "f5407238e80bfc486f8972b3a9f4a5a24e747270f0f20d927985029738f800d5",
-    ("simulate", "overharvest", "json"): "9deaab08d86727fb4c5be9ccc0516f3d554b10d620e48bc296bf76f2333b0bbd",
-    ("simulate", "piecewise_mixed", "csv"): "5c6fd498d7510c2bf390f75c85c166a4d974241cba69c07802eabacbc7f085ae",
-    ("simulate", "piecewise_mixed", "json"): "9ae4e8d46a42393d7d04398cf6a3c79fa5a99533638bb9e588b447f549c95986",
-    ("simulate", "sinusoid_r", "csv"): "8d86a41b4cee2b01a41d66e68eb9b3a404c64e22b06996db3416d4251376b7b2",
-    ("simulate", "sinusoid_r", "json"): "2967e24b2f44169a9ce083c544c2669d406048c60964671e9f6a53cfbf526858",
+    ("constants", "piecewise_mixed", "text"): "6f6ad1b7bba2c10cdfc55e294cfff85ff233abcbd2e8c2f8bd0c0892bbcd5ec7",
+    ("constants", "piecewise_mixed", "json"): "3a33964f6b16e2ddfd3df958b8082fca0e6d91fffa3e274aae191c799e4ada7b",
+    ("constants", "sinusoid_r", "text"): "d529b4721bc41903a88aff12b3505a25d30e857bc3725e0ba1c746e7a2fbbc7f",
+    ("constants", "sinusoid_r", "json"): "308dead02dd3477ad34cdbe5d7c436ba6cd56e51688e0fbc27e9d238efe97a30",
+    ("simulate", "golden_constant", "csv"): "1da30bc239bc399981fd6d33227233d8feae08265656f60825502a202ecca1fe",
+    ("simulate", "golden_constant", "json"): "f9ff39634bb48012b1b9092e271fadbbfe195ba266c2798e4ee264b8f5ed8644",
+    ("simulate", "overharvest", "csv"): "dc7f970a433f9cde1677750578e0d48978f27b393fcf5eb365b01d7b95dc4355",
+    ("simulate", "overharvest", "json"): "1c32b453a3b1e86300437743382682ec4cb0729e4223649e61a8c37acc6441aa",
+    ("simulate", "piecewise_mixed", "csv"): "6e34173e18b8601797f6fbe32b2f75d4731d6f8ccfd46de421e64f5239baea74",
+    ("simulate", "piecewise_mixed", "json"): "caf66279650d1de1c128f3c8ece6fe83986e18fb33d88ed932b9cc877d0fa656",
+    ("simulate", "sinusoid_r", "csv"): "645c9d31b6630f3a5cad766cb4931e0c553b647f646faa7abb45ad7bc2653438",
+    ("simulate", "sinusoid_r", "json"): "045f8d2cfdc32ff141972a5f7269a2cc7b9f119f6a07d20d81434a5d1f1f96ff",
     ("periodic", "golden_constant", "csv"): "3c065edd95a5a534130d96ab8c306e0e01cad7579523b4546f502c91442c76c0",
     ("periodic", "golden_constant", "json"): "16f0e546b2046bb3afb76d016d6c65a93fed88ac1b7398a9483c959d756b884a",
     ("periodic", "overharvest", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("periodic", "piecewise_mixed", "csv"): "8f4ba1582c571ee16657e703c7a4eb30cc40b6c1776f4382b7d1b4a2908ebebb",
-    ("periodic", "piecewise_mixed", "json"): "30f1a5f5fa92b574fb385febafbc994bf8e243cbf89f60a04b6cac8d4b6fb22d",
-    ("periodic", "sinusoid_r", "csv"): "fdd8efe737b4811091c7044a6942cf62019652fbb39adc1b2bd5142dfd151aa5",
-    ("periodic", "sinusoid_r", "json"): "78f72b177dd34306991d5e4ab45550e4af84bb53795c8716ea0a7a22e8e09ac1",
-    ("verify", "golden_constant", "json"): "92969c2b4d39d770d628a52f311919e0664c5a93d635e5aaaf9a90d63b0efbf2",
-    ("verify", "golden_constant", "text"): "555262f7f312c1d0853e9a38d140ce78f15243522b02e9b44c9b7e08129c8262",
-    ("verify", "overharvest", "json"): "c016a85b354c625f67286eabe5e2ee46ee16a52a2fcf58e86c33ec65a6e4f5e0",
-    ("verify", "overharvest", "text"): "b96c9bd533ed3187201ec6316f38b83ab2449e5bbd2a1417ffe3d390429d7abd",
-    ("verify", "piecewise_mixed", "json"): "6fe25900a1d3cacd62d149e860a00e184a5688331a889e6069dd30de8cb24e5c",
-    ("verify", "piecewise_mixed", "text"): "a36a6ad6c6003289cc213fe932fa05c06f188ff4f5a7d93fd5917a1458710908",
-    ("verify", "sinusoid_r", "json"): "1d06afb6cbe890d0cbbc7b3ab2e0072fe0c2a4f71000d482b8780858d8642705",
-    ("verify", "sinusoid_r", "text"): "255e70cc2fe0b90a8df49f646833b0893232977326795b528862adde130b5687",
+    ("periodic", "piecewise_mixed", "csv"): "96afc01d17b071ba0228b396143feb488c4a1dcd1e879a23253c935e3f3ee4b9",
+    ("periodic", "piecewise_mixed", "json"): "9929db24f2bf5121c6a5a1023f42af50943e25bf064f6baa30b990438535a7ef",
+    ("periodic", "sinusoid_r", "csv"): "5d201be9bac660a37e3eeeef62fd07209b96bc1507599fcbc23214e6b2994f97",
+    ("periodic", "sinusoid_r", "json"): "aaeb96ace5d85ba033dc134df9b7c86844e1597c19acbfd81ab2c7d0a645368c",
+    ("verify", "golden_constant", "json"): "ef98234fd1f2bda805032a30d0a329bbabb275bfd51103ab1477ea096de06e6a",
+    ("verify", "golden_constant", "text"): "261dcae368a73d49c703000b994b1cf87ab6b82ea358132ee84b7e18786241c1",
+    ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
+    ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
+    ("verify", "piecewise_mixed", "json"): "ad2c52d1b1ca3690066ee2529982f78e9d9afade5cadf77052e816a08f67f3b3",
+    ("verify", "piecewise_mixed", "text"): "97ac2ce59eee853b479177f1c92b90a9b9dc938499642ea18934ab2ccc61eb90",
+    ("verify", "sinusoid_r", "json"): "2eb4059c35a80529ffc6c3ce23016c2956439f7d249ed92beaf45743598476e9",
+    ("verify", "sinusoid_r", "text"): "22523a0834ac4260d1b1a7ecfdd4b1b96cf28694c28baff26f14388d250fbbff",
     ("counterexample", "golden_constant", "json"): "9e63575108353e8e9d21105fea53b61f6722d14278415c814358467d0d9ecb59",
     ("counterexample", "golden_constant", "text"): "e8d9e02e6f8ade51c2286b403f714e5844fb8d6ca6074e3a33cb2c02b39fcda5",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("counterexample", "piecewise_mixed", "json"): "3be1347df4cd9989ade5030092c011cd12893b39a6d051e5557e935cc0eb2c97",
-    ("counterexample", "piecewise_mixed", "text"): "ec189eb30697225b2a0e2c7b579a192bb819114d44726c4d2a9dad284138b5b6",
-    ("counterexample", "sinusoid_r", "json"): "9d65082af3f3c9ff635a2653d9725de3dd23e80adff73ed3e7bd171c82d32383",
-    ("counterexample", "sinusoid_r", "text"): "c9a0ce9c6d8e6de47a93d801924f9822b2104a9065f28595ca55ec7c7d3d2e1e",
+    ("counterexample", "piecewise_mixed", "json"): "11e29daf5870bbed77ee997ef68a9bfd019549708a6a6444c654b493631f7be8",
+    ("counterexample", "piecewise_mixed", "text"): "362a515b23f9ce59747382ca9b87179bb28ff0846629e6b96ac0fd56f8f4bc53",
+    ("counterexample", "sinusoid_r", "json"): "a80f78fd49e4e0f0449c10e1e432b0364581e6f1394307bc7303e58ba3badb30",
+    ("counterexample", "sinusoid_r", "text"): "c8c728edeb6a190407bfa6dedcdc135a0a4442db00657604dd3ceafadf51e9ee",
     ("sweep", "golden_constant", "csv"): "2d66d8a41722681d1c50acd1083fb7a594ec009ab55fedfc626fe0c5a54a5f10",
     ("sweep", "golden_constant", "json"): "0035b69da18ff6218af8579cf514dd173d91a6004197c049b217b16b203aff43",
     ("sweep", "overharvest", "csv"): "079b44ecec7b01341dd88c83701a7791756bf79e455d918deb14b9fefb2f6f7a",
     ("sweep", "overharvest", "json"): "cb79727457468d449091efd5c989bc4d3e53f9272892e00f0e0beb0e522c2301",
-    ("sweep", "piecewise_mixed", "csv"): "468ef9ffafaa3e5f5f1b1db24bacfda11db642210307b45b95869d57c9d3c55b",
-    ("sweep", "piecewise_mixed", "json"): "4c7a9a90c518df1fa6f05f744358993a25e0cc5c954cbd19db527674b30f96a6",
-    ("sweep", "sinusoid_r", "csv"): "14465674f32ae2b21aae993b06a19bb84c14218f25f836236833a5141b39c0df",
-    ("sweep", "sinusoid_r", "json"): "fd6cb900df4f23efb58280533ee5ce23ac88dcd3adf5f06965f19f664fc0e616",
+    ("sweep", "piecewise_mixed", "csv"): "ee6f7d078ea9e7462c7fe60047b64f10455231e3650108db9c719fa56bb1f60c",
+    ("sweep", "piecewise_mixed", "json"): "98be5823bf7f52c349becb4b6733e44e5129c8a83f5cb5281792f35aeaa325f7",
+    ("sweep", "sinusoid_r", "csv"): "64c598ca4fdf0779c2a7e046ac47b6cf27d8ced2a9e421202ac95991a1872995",
+    ("sweep", "sinusoid_r", "json"): "41332ea3b0ebbf27b02c44dc017d3f4b1298a53b093de5b5744eec825f8833e0",
 }
 
 # (command, config name, scaling, format) -> digest, as above
 SCALINGS = {"periods40": ["--periods", "40"], "step1024": ["--step", "0.0009765625"]}
 SCALED_DIGESTS = {
-    ("simulate", "golden_constant", "periods40", "csv"): "824abbe2db54b8c1a1af446a02909f7dd8165b7beeeaca0fb37a3cb463400755",
-    ("simulate", "golden_constant", "periods40", "json"): "b4dca95befbb9596835442994061d852eedd594825c4c0f7bde94855ce50c642",
-    ("simulate", "golden_constant", "step1024", "csv"): "789ae59657c1acc5de8ddb69dac71421945c74612054387505f83772b13ef554",
-    ("simulate", "golden_constant", "step1024", "json"): "c693e197f3369dc1103fa91bf2b6a769345e71dbcaffd308fe503bde11b9da48",
-    ("simulate", "overharvest", "periods40", "csv"): "18dea74af59a0a5892ecadcd6c7baa51cb586192ab5459390bb5358791054ada",
-    ("simulate", "overharvest", "periods40", "json"): "ed784560a89cc70e29e0ec426c09fc87379cd2fbbbced1abfda258ae692cf0a6",
-    ("simulate", "overharvest", "step1024", "csv"): "69869a6ddb6d7aec368757cbe0f4e95afd6fd8deefb09dfb83e5818f4e032141",
-    ("simulate", "overharvest", "step1024", "json"): "6599123fd031801eebb15f0fed57a2a02ac3cfa1e368209279c7d18b8d3ccf9f",
-    ("simulate", "piecewise_mixed", "periods40", "csv"): "94361bdcbdb8440c73f7167d06090610c42424326c9ecc7ee0d74d0e05b3f1e9",
-    ("simulate", "piecewise_mixed", "periods40", "json"): "5cf71fb690a12b1c0ea626f22fd66086d66799baf395dbc01942242fc45bd9b3",
-    ("simulate", "piecewise_mixed", "step1024", "csv"): "d79ec990eb284260d3db3111ebce23f26d1c31f0347f329d2d5f8d66a0424aa3",
-    ("simulate", "piecewise_mixed", "step1024", "json"): "8fe2b3ac0f27f9c433134b1b75e5c484df9cabb6c67eba49f7876cff776f7d60",
-    ("simulate", "sinusoid_r", "periods40", "csv"): "8e5dc3b240552916c240b5228e7bac746a43af9001a33952fd6c846dce58ec78",
-    ("simulate", "sinusoid_r", "periods40", "json"): "0b63e3afed7432c81137388618cfdf693edde008159a3d6b888d877d3db04876",
-    ("simulate", "sinusoid_r", "step1024", "csv"): "5a8a31d62a9cad249dfad7e935a0c28f4d6aa9ced3413c6adb38dc58e209ac5c",
-    ("simulate", "sinusoid_r", "step1024", "json"): "fd1d4e1eaac7878c830a1069ca6f90d4a10ba37f2221ac94473050d2f7b0b547",
+    ("simulate", "golden_constant", "periods40", "csv"): "fee20921922692f1e8b6e4de48be7a804fdecf732c35f1cf13a56ddf683c145c",
+    ("simulate", "golden_constant", "periods40", "json"): "b45b3b2b1a9ad9b2de4e12d9a642607cfa8ea613af3a9c25dab527e2a448ac14",
+    ("simulate", "golden_constant", "step1024", "csv"): "86c1ed7da2841ee5165a6a625a957411967a889ad1cbd29cca88f589078d2e5b",
+    ("simulate", "golden_constant", "step1024", "json"): "2991d47d7a6c506b25191356ec7915a400ea1344b35a85bc5500f93df16c6523",
+    ("simulate", "overharvest", "periods40", "csv"): "a1d85e2c89c199b6886dea9c9b45fea9af54a9feda91aa2feebc8916c6aaceaa",
+    ("simulate", "overharvest", "periods40", "json"): "11e5bebfa47c75cbcf20b8b5a763d5dbe9ec34e0e1e8ec3640b4397690dc342f",
+    ("simulate", "overharvest", "step1024", "csv"): "2b0f75c5cdd551c187be70de56e724dd10f31090cf12a9e1cd8819f82091573c",
+    ("simulate", "overharvest", "step1024", "json"): "7f6f109910beb5e8c77d52be3a056eab93d41d73660a76717ef59f2888f9f563",
+    ("simulate", "piecewise_mixed", "periods40", "csv"): "c88ac9476dfd90a9ddc96dc2fb6c24aa08a77ec82e0539dbf195a239c6fee697",
+    ("simulate", "piecewise_mixed", "periods40", "json"): "582edbff2e5401df18b224f570cab659bb52b8f4023215aef5c1460390785dd5",
+    ("simulate", "piecewise_mixed", "step1024", "csv"): "cea2f1d43b0b16880262bdcec15a2637f47e18ba0cf45a8157074a1519fbf1bb",
+    ("simulate", "piecewise_mixed", "step1024", "json"): "f098a68d8d3dd00f6afa9d597a08e85c44e6e280d6537410c1884bb3e71b895f",
+    ("simulate", "sinusoid_r", "periods40", "csv"): "2616d6f65bc9f5e9289e6b9e96e0aacb7fde8e286e68ae80dbb56173991362c9",
+    ("simulate", "sinusoid_r", "periods40", "json"): "4eb778afb069f06dca142405360ea6d44422799bd9315ff5ab353a9562de0482",
+    ("simulate", "sinusoid_r", "step1024", "csv"): "003701b31cac5911f8d9178508fd28cd522437552859487dd6d67638c44ed68b",
+    ("simulate", "sinusoid_r", "step1024", "json"): "bba238d2ff317db3c697096e93f4b902ae76d4f38428e242e142c495c1308b7d",
     ("periodic", "golden_constant", "periods40", "csv"): "0ce1fed8583793b09631156161039aa87c999f99e01e173d55fb48c774559c87",
     ("periodic", "golden_constant", "periods40", "json"): "952b3e1f0690ba09a2e003893338037e1f376ef5b0ce998625bda94db2f2a27f",
     ("periodic", "golden_constant", "step1024", "csv"): "428e60d4bde5026d2cd200d6b191e31896b955d367418876fdb65d378a95cff5",
@@ -100,14 +100,14 @@ SCALED_DIGESTS = {
     ("periodic", "overharvest", "periods40", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "step1024", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "step1024", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("periodic", "piecewise_mixed", "periods40", "csv"): "8929b333f74fc5794efc8bc54b0101f3cc06a216da6c2712a80a838cf466186b",
-    ("periodic", "piecewise_mixed", "periods40", "json"): "973d05ce07d626c2765c289157d292ab8e4a36eff84b3cc0b36c83fcee135a48",
-    ("periodic", "piecewise_mixed", "step1024", "csv"): "fa118628b606ad3d9c3fb5833ddd10e2fc598025675c7991391aa93837f4e63a",
-    ("periodic", "piecewise_mixed", "step1024", "json"): "c25bd8e7a4f3055d653cd61acd17b9339e2333e0ccf5bba64558039b1635bf2c",
-    ("periodic", "sinusoid_r", "periods40", "csv"): "e2f472de1d24f4759623c18dec5bc80127d4b1c458bdf7e7728be1bc7ffff0d8",
-    ("periodic", "sinusoid_r", "periods40", "json"): "51a95a74fc1b02d0f28ed6b5a248cacff3d5cfb9f6f5436f9a70c6e73d25269b",
-    ("periodic", "sinusoid_r", "step1024", "csv"): "76a9a7b9ede0ca3c4efb18d44d6a568c6015b64740298b38f14e367f28bd50cb",
-    ("periodic", "sinusoid_r", "step1024", "json"): "67a0b4de644b6ede0f8d493801f24b8280b030acf0c9939c57ab699337419baf",
+    ("periodic", "piecewise_mixed", "periods40", "csv"): "68cb423e3c0df974eb2e7bfc45d9ae7ccdbe8db83b8c668440be7caeda0807ab",
+    ("periodic", "piecewise_mixed", "periods40", "json"): "ff153c76ec0ff1a3b62173bf3498da5ea7b7026646f44fd29539bcf4559fb039",
+    ("periodic", "piecewise_mixed", "step1024", "csv"): "376bbdc42db87337aafae7ab4301a8e7217a5f1d8e6d54404a0131dd161091d5",
+    ("periodic", "piecewise_mixed", "step1024", "json"): "d9516dda2f1cbfeaa5bce1b285a592cb7f146b5a186b11571abfba8d2bd35a9c",
+    ("periodic", "sinusoid_r", "periods40", "csv"): "e226eaad788f4407e6ab943558ab3f0369b2d2686c77a46f1c69dbe9cbe19154",
+    ("periodic", "sinusoid_r", "periods40", "json"): "e292e8ceb4afc2e54351c35f9ef7a81eb32f1f12a0ee97b953838b9b66639049",
+    ("periodic", "sinusoid_r", "step1024", "csv"): "23f199ff24de5accb641aa6227d0ab8500a8186ec9437a0a200b14abc14b144c",
+    ("periodic", "sinusoid_r", "step1024", "json"): "59eeca0a5034260d87e4f26f59a690f4744f9ab8cca12476246162ca3ff3efc4",
 }
 
 
