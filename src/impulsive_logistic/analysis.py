@@ -9,7 +9,8 @@ The checks:
     instants.  The corrected periodic formula must jump by the harvested
     fraction; the legacy formula is expected to be continuous there, which
     is precisely why it is wrong whenever E > 0.
-  * ``verify_periodicity`` -- x*(t + 1) = x*(t) on a grid of offsets.
+  * ``verify_periodicity`` -- x*(t + 1) = x*(t) on a grid of offsets, in
+    each of the first few periods.
   * ``compare_solutions`` -- closed form against the RK4 oracle.
   * ``fixed_point_scan`` -- sign changes of the period-advance map against
     the identity: exactly one positive fixed point when E < E*, none
@@ -21,10 +22,24 @@ extrapolating the offset to zero (two Richardson stages over offsets
 among them), which pushes the O(offset) bias far below the default
 tolerances.
 
-The corrected jump check and the periodicity check compare the period-table
-kernel of :mod:`impulsive_logistic.closed_form` on one side against the
-scalar forcing quadrature at twice the panel count on the other, so neither
-check can pass by reading the same table twice.
+Which side of each check is independent of the code it checks:
+  * periodicity -- the kernel side is the solution started at x0_star,
+    through ``solution_grid`` at period index k; the independent side is
+    the scalar forcing quadrature at twice the panel count, which reads no
+    period table and no k.  Each (k, offset) record is computed at its own
+    k, so the k-dependent part of the kernel (q**-k and the geometric sum)
+    must hold the orbit for the record to pass.
+  * corrected jump -- both sides come from ``solution_grid`` at x0_star,
+    the pre value at offsets 1 - o of period k - 1, the post value at offset
+    0 of period k.  The jump rule appears in no formula of the kernel, so
+    what is independent is the rule itself: it holds only if the table's
+    C(1) matches B, a separate quadrature, and the algebra carries the
+    anchor across the period boundary at that k.
+  * legacy -- the legacy formula on both sides; it has period 1 by
+    construction, so one (pre, post) pair serves every k.
+  * oracle -- RK4 on its own stage tables, against the kernel.
+  * fixed-point scan -- the period-advance map, which has no E* - E
+    subtraction, against the anchor d / B.
 
 Like the kernel, every check works in phase time: a location is a period
 index k and an offset s, the coefficients are read at ``params.phase + s``,
@@ -79,7 +94,7 @@ DEFAULT_FIXED_POINT_TOL = 1e-6
 # them: it leaves the orbit smooth on every extrapolation window.
 _AT_IMPULSE = 1e-9
 
-#: Panel count of the independent side of the periodicity and jump checks.
+#: Panel count of the independent side of the periodicity check.
 REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT
 
 # compare_solutions decimates the oracle's samples to this many per period.
@@ -154,7 +169,7 @@ def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, s: floa
     over the phase window [phase, phase + s].
 
     Shares no period table with the kernel: the independent side of the
-    periodicity and jump checks.
+    periodicity check.
     """
     a = params.phase
     decay = math.exp(-params.r.integral(a, a + s))
@@ -178,26 +193,34 @@ def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
     return (d, d / 2.0, d / 4.0)
 
 
-def _corrected_limits(params: ModelParams, offsets: Sequence[float]) -> tuple[float, float]:
-    """One-sided values of the corrected orbit at every impulse instant.
+def _corrected_limits(
+    params: ModelParams, consts: SolutionConstants, ks: Sequence[int], offsets: Sequence[float]
+) -> list[tuple[float, float]]:
+    """One-sided values at the impulse t0 + k of the solution started at
+    x0_star, for each k.
 
-    Pre side: the period table just below the end of a period, extrapolated
-    by ``left_limit``.  Post side: the scalar quadrature at offset 0.
+    Pre side: offsets 1 - o of period k - 1, extrapolated by ``left_limit``.
+    Post side: offset 0 of period k.  One table and one ``solution_grid``
+    call serve every k.
     """
-    below = [1.0 - o for o in offsets]
-    pre = left_limit(periodic_grid(params, period_table(params, below)).tolist())
-    return pre, _orbit_by_quadrature(params, derive_constants(params), 0.0)
+    table = period_table(params, [0.0, *(1.0 - o for o in offsets)])
+    anchor = one_sided_limits(consts).post  # x0_star; raises when there is no orbit
+    rows = solution_grid(consts, anchor, [k - 1 for k in ks] + list(ks), table)
+    pre, post = rows[: len(ks), 1:].tolist(), rows[len(ks) :, 0].tolist()
+    return [(left_limit(values), after) for values, after in zip(pre, post)]
 
 
-def _legacy_limits(params: ModelParams, offsets: Sequence[float]) -> tuple[float, float]:
+def _legacy_limits(
+    params: ModelParams, consts: SolutionConstants, ks: Sequence[int], offsets: Sequence[float]
+) -> list[tuple[float, float]]:
     """One-sided values of the legacy formula at every impulse instant.
 
     Its window integral has period 1, so it is read at phase + 1, where each
-    instant t0 + k lands modulo 1.
+    instant t0 + k lands modulo 1: one (pre, post) pair serves every k.
     """
     tau = params.phase + 1.0
-    pre = left_limit([legacy_periodic_at(params, tau - o) for o in offsets])
-    return pre, legacy_periodic_at(params, tau)
+    pre = left_limit([legacy_periodic_at(params, consts, tau - o) for o in offsets])
+    return [(pre, legacy_periodic_at(params, consts, tau))] * len(ks)
 
 
 def verify_impulse_condition(
@@ -225,21 +248,20 @@ def verify_impulse_condition(
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"impulse indices must be positive, got {ks!r}")
 
-    offsets = _pre_impulse_offsets(params)
     limits = _corrected_limits if which == "corrected" else _legacy_limits
-    pre, post = limits(params, offsets)
-    jump = abs(post - (1.0 - params.E) * pre) / pre
-    estimate = {"pre": float(pre), "post": float(post)}
+    offsets = _pre_impulse_offsets(params)
+    consts = derive_constants(params)
     records: list[CheckRecord] = []
-    if which == "corrected":
-        records += [CheckRecord(f"k={k} jump", float(jump), tol) for k in ks]
-    else:
+    estimates = {}
+    for k, (pre, post) in zip(ks, limits(params, consts, ks, offsets)):
+        jump = abs(post - (1.0 - params.E) * pre) / pre
+        estimate = estimates[f"k={k}"] = {"pre": float(pre), "post": float(post)}
+        if which == "corrected":
+            records.append(CheckRecord(f"k={k} jump", float(jump), tol))
+            continue
         estimate["jump_violation"] = float(jump)
-        continuity = float(abs(post - pre) / pre)
-        shortfall = float(params.E / 2.0 - jump)
-        for k in ks:
-            records.append(CheckRecord(f"k={k} continuity", continuity, tol))
-            records.append(CheckRecord(f"k={k} jump shortfall", shortfall, 0.0))
+        records.append(CheckRecord(f"k={k} continuity", float(abs(post - pre) / pre), tol))
+        records.append(CheckRecord(f"k={k} jump shortfall", float(params.E / 2.0 - jump), 0.0))
 
     metadata = {
         "which": which,
@@ -248,13 +270,12 @@ def verify_impulse_condition(
         "tolerance": tol,
         "offsets": list(offsets),
         "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
-        "estimates": {f"k={k}": estimate for k in ks},
+        "estimates": estimates,
     }
     if which == "corrected":
-        metadata["reference_panels_per_unit"] = REFERENCE_PANELS_PER_UNIT
-        limits = one_sided_limits(params)
-        metadata["analytic_pre"] = limits.pre
-        metadata["analytic_post"] = limits.post
+        analytic = one_sided_limits(consts)
+        metadata["analytic_pre"] = analytic.pre
+        metadata["analytic_post"] = analytic.post
     return VerificationReport(
         check=f"impulse condition ({which})", records=tuple(records), metadata=metadata
     )
@@ -268,10 +289,11 @@ def verify_periodicity(
 ) -> VerificationReport:
     """Check x*(t + 1) = x*(t) at t = t0 + k + offset for k < periods.
 
-    x*(t) comes from one period table over the grid; x*(t + 1), at the same
-    offset in period k + 1, from the scalar quadrature at an independent
-    panel count.  Neither side depends on k, so each is computed once per
-    offset; the report keeps one record per (k, offset).
+    The kernel side is the solution started at x0_star, at period index k
+    and the offset, from ``solution_grid`` over one period table; the
+    reference is the orbit at that offset from the scalar quadrature at an
+    independent panel count, which holds in every period.  The report keeps
+    one record per (k, offset), each from its own k.
     """
     if grid is None:
         grid = tuple(j / 16.0 for j in range(16))
@@ -283,15 +305,14 @@ def verify_periodicity(
 
     consts = derive_constants(params)
     offsets, where = np.unique(grid, return_inverse=True)
-    orbit = periodic_grid(params, period_table(params, offsets))[where].tolist()
-    residuals = [
-        abs(_orbit_by_quadrature(params, consts, off) - now) / now
-        for off, now in zip(grid, orbit)
-    ]
+    table = period_table(params, offsets)
+    anchor = one_sided_limits(consts).post  # x0_star; raises when there is no orbit
+    kernel = solution_grid(consts, anchor, range(periods), table)[:, where]
+    reference = [_orbit_by_quadrature(params, consts, off) for off in grid]
     records = [
-        CheckRecord(f"k={k} offset={off:g}", float(residual), tol)
-        for k in range(periods)
-        for off, residual in zip(grid, residuals)
+        CheckRecord(f"k={k} offset={off:g}", float(abs(ref - now) / now), tol)
+        for k, row in enumerate(kernel.tolist())
+        for off, now, ref in zip(grid, row, reference)
     ]
     metadata = {
         "params": params.to_dict(),
@@ -304,11 +325,14 @@ def verify_periodicity(
     return VerificationReport(check="periodicity", records=tuple(records), metadata=metadata)
 
 
-def trajectory_closed_form(traj: Trajectory, periodic: bool = False) -> list[np.ndarray]:
+def trajectory_closed_form(
+    traj: Trajectory, consts: SolutionConstants, periodic: bool = False
+) -> list[np.ndarray]:
     """Closed form at every sample of every piece of an integrated path.
 
     One array per piece, aligned with ``piece.offsets``: the solution from
-    ``traj.x0``, or with ``periodic=True`` the periodic orbit.  Every piece
+    ``traj.x0``, or with ``periodic=True`` the periodic orbit; ``consts``
+    are the constants of ``traj.params``.  Every piece
     samples a prefix of the first piece's offsets, so a whole trajectory
     costs one period table.  The last sample of a piece that ends at an
     impulse is the pre-impulse value, post / (1 - E) with post the next
@@ -317,9 +341,9 @@ def trajectory_closed_form(traj: Trajectory, periodic: bool = False) -> list[np.
     params = traj.params
     table = period_table(params, traj.pieces[0].offsets)
     if periodic:
-        rows = np.tile(periodic_grid(params, table), (len(traj.pieces), 1))
+        rows = np.tile(periodic_grid(consts, table), (len(traj.pieces), 1))
     else:
-        rows = solution_grid(params, traj.x0, [p.segment for p in traj.pieces], table)
+        rows = solution_grid(consts, traj.x0, [p.segment for p in traj.pieces], table)
     values = [row[: p.offsets.size] for row, p in zip(rows, traj.pieces)]
     keep = 1.0 - params.E
     for before, after in zip(values, values[1:]):
@@ -380,7 +404,7 @@ def compare_solutions(
     consts = derive_constants(params)
 
     traj = integrate(params, x0, horizon_periods, ctrl)
-    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj))
+    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts))
     records = [
         CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)
     ]
@@ -397,7 +421,7 @@ def compare_solutions(
     if consts.x0_star is not None:
         orbit_traj = integrate(params, consts.x0_star, horizon_periods, ctrl)
         worst_p, worst_pt = _worst_deviation(
-            orbit_traj, trajectory_closed_form(orbit_traj, periodic=True)
+            orbit_traj, trajectory_closed_form(orbit_traj, consts, periodic=True)
         )
         records.append(
             CheckRecord(
@@ -443,7 +467,7 @@ def fixed_point_scan(
         raise ValueError(f"need at least 2 grid points, got {n!r}")
     consts = derive_constants(params)
     xs = np.geomspace(x_min, x_max, n)
-    gap = poincare_map(params, xs) - xs
+    gap = poincare_map(consts, xs) - xs
     sign = np.sign(gap)  # a product of two gaps can overflow, one of two signs cannot
 
     crossings: list[float] = []
@@ -452,7 +476,7 @@ def fixed_point_scan(
             crossings.append(float(xs[i]))
         elif sign[i] * sign[i + 1] < 0.0:
             crossings.append(
-                _bisect(lambda x: poincare_map(params, x) - x, float(xs[i]), float(xs[i + 1]))
+                _bisect(lambda x: poincare_map(consts, x) - x, float(xs[i]), float(xs[i + 1]))
             )
     if gap[-1] == 0.0:
         crossings.append(float(xs[-1]))

@@ -26,8 +26,9 @@ Outputs are deterministic: identical configs produce byte-identical files
 Exit status: 0 on success and for ``verify``/``counterexample`` when every
 check lands as expected; 1 when a check fails or the requested orbit does
 not exist; 2 for configuration or usage errors, including a growth rate
-whose integral over one period overflows A = exp(integral of r), and a
-capacity K so small that the forcing integral B overflows a float.
+whose integral over one period overflows A = exp(integral of r), a
+capacity K so small that the forcing integral B overflows a float, and an
+orbit anchor d / B that underflows to 0.0.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .analysis import (
 from .closed_form import (
     ModelParams,
     NoPeriodicSolutionError,
+    SolutionConstants,
     derive_constants,
     period_table,
     periodic_grid,
@@ -123,11 +125,20 @@ class ScenarioConfig:
     def step_control(self) -> StepControl:
         return StepControl(h=self.step)
 
-    def resolved_x0(self) -> float:
-        """Configured x0, else the orbit anchor, else the per-period mean of K."""
+    def constants(self, E: float | None = None) -> SolutionConstants:
+        """Constants at E (default: the config's); an anchor d / B of 0.0 is refused."""
+        consts = derive_constants(self.params(E))
+        if consts.x0_star == 0.0:
+            raise ConfigError(
+                f"E={consts.E!r}: the orbit anchor x0_star = d/B underflows to 0.0 "
+                f"(d={consts.d!r}, B={consts.B!r}; K is too small for r at this E)"
+            )
+        return consts
+
+    def resolved_x0(self, consts: SolutionConstants) -> float:
+        """Configured x0, else the orbit anchor in consts, else the mean of K."""
         if self.x0 is not None:
             return self.x0
-        consts = derive_constants(self.params())
         if consts.x0_star is not None:
             return consts.x0_star
         return self.K.integral(0.0, 1.0)
@@ -232,9 +243,10 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     x0 = None
     if "x0" in data:
         x0 = _require_number(data["x0"], f"{source}.x0", positive=True)
-        if not math.isfinite(1.0 / x0):
+        if x0 < sys.float_info.min:
             raise ConfigError(
-                f"{source}.x0: x0={x0!r} is too small: 1/x0 overflows the float range"
+                f"{source}.x0: x0={x0!r} is below the smallest normal float "
+                f"{sys.float_info.min!r}: it carries fewer than 53 significant bits"
             )
     horizon = _require_int(data.get("horizon_periods", 10), f"{source}.horizon_periods")
     step = _require_step(data.get("step", 1.0 / 256.0), f"{source}.step")
@@ -271,7 +283,7 @@ def _require_forcing_scale(params: ModelParams, where: str) -> None:
     B is cached per (pair, phase), so the commands reuse this quadrature.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        forcing = compute_B(params.pair, params.phase)
+        _, forcing = compute_B(params.pair, params.phase)
     if not math.isfinite(forcing):
         raise ConfigError(
             f"{where}: the forcing integral B of r/K overflows the float range "
@@ -365,7 +377,7 @@ def _table(columns: list[str], cells: list[list[str]], fmt: str) -> str:
 
 def cmd_constants(config: ScenarioConfig, fmt: str = "text") -> str:
     """Derived constants: A, B, (1-E)A, the orbit anchor, and E_critical."""
-    consts = derive_constants(config.params())
+    consts = config.constants()
     if fmt == "json":
         return _dump_json(
             {
@@ -390,8 +402,9 @@ def cmd_constants(config: ScenarioConfig, fmt: str = "text") -> str:
 def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
     """Numeric trajectory next to the closed form, with paired impulse rows."""
     params = config.params()
+    consts = config.constants()
     traj = integrate(
-        params, config.resolved_x0(), config.horizon_periods, config.step_control()
+        params, config.resolved_x0(consts), config.horizon_periods, config.step_control()
     )
     pieces = traj.pieces
 
@@ -404,7 +417,7 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
             marks[-1] = "pre"
         events += marks
     numeric = np.concatenate([piece.values for piece in pieces])
-    closed = np.concatenate(trajectory_closed_form(traj))
+    closed = np.concatenate(trajectory_closed_form(traj, consts))
     values = (
         np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist(),
         [piece.segment for piece in pieces for _ in piece.offsets],
@@ -422,7 +435,7 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
     params = config.params()
     n = config.step_control().steps_per_unit
     offsets = np.arange(n) / n
-    orbit = periodic_grid(params, period_table(params, offsets)).tolist()
+    orbit = periodic_grid(config.constants(), period_table(params, offsets)).tolist()
     periods = np.arange(config.horizon_periods)
     # one period's offset and orbit cells serve every period
     cells = [
@@ -437,7 +450,7 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
 def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
     params = config.params()
     tol = config.tolerances
-    consts = derive_constants(params)
+    consts = config.constants()
     horizon = config.horizon_periods
     span = min(5, horizon)
     reports = []
@@ -453,7 +466,7 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
     reports.append(
         compare_solutions(
             params,
-            config.resolved_x0(),
+            config.resolved_x0(consts),
             horizon,
             config.step_control(),
             tol=tol.oracle,
@@ -504,6 +517,7 @@ def cmd_counterexample(config: ScenarioConfig, fmt: str = "json") -> tuple[str, 
     continuous (and therefore violates the jump rule whenever E > 0).
     """
     params = config.params()
+    config.constants()  # refuses an anchor that underflows before any check runs
     tol = config.tolerances
     ks = tuple(range(1, min(5, config.horizon_periods) + 1))
     corrected = verify_impulse_condition("corrected", params, ks=ks, tol=tol.jump)
@@ -533,16 +547,15 @@ def cmd_sweep(
     """Orbit existence, anchor, and per-period mean across harvest fractions.
 
     Rows keep their input order; fractions at or above the critical harvest
-    produce empty orbit fields.
+    produce empty orbit fields.  One mean table serves every fraction.
     """
-    rows = []
-    for e_val in e_values:
-        params = config.params(E=e_val)
-        consts = derive_constants(params)
-        if consts.x0_star is None:
-            rows.append((e_val, False, None, None))
-        else:
-            rows.append((e_val, True, consts.x0_star, periodic_orbit_mean(params)))
+    constants = [config.constants(e_val) for e_val in e_values]
+    orbits = [c for c in constants if c.x0_star is not None]
+    means = iter(periodic_orbit_mean(config.params(), orbits))
+    rows = [
+        (c.E, True, c.x0_star, next(means)) if c.x0_star is not None else (c.E, False, None, None)
+        for c in constants
+    ]
     cells = [_cells(column, fmt) for column in zip(*rows)]
     return _table(["E", "exists", "x0_star", "x_star_mean"], cells, fmt)
 

@@ -13,6 +13,10 @@ one running forcing integral.  See ``solution_grid`` for the exact
 expression.  The growth factor A = exp(G) enters only ln q and the printed
 constants; A B, which can exceed the float range, is never formed.
 
+G, B and the period table do not depend on E; ``derive_constants`` adds the
+numbers that do, and the algebra takes its ``SolutionConstants``.  Only the
+functions that integrate take ``params``.
+
 Time is a pair (period index k, offset s in [0, 1]) standing for
 t = t0 + k + s.  By periodicity the coefficients there take their values at
 the phase frac(t0) + s (``ModelParams.phase``), so the running integrals
@@ -38,8 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -139,6 +142,7 @@ class ImpulseLimits(NamedTuple):
 class SolutionConstants:
     """Derived constants of a model instance, in harvest-margin form.
 
+    E: the harvest fraction they were derived for.
     G: growth integral of r over one period.
     B: unit-window forcing integral (see ``compute_B``).
     e_star: critical harvest E* = 1 - exp(-G) = -expm1(-G).
@@ -150,6 +154,7 @@ class SolutionConstants:
     ``A`` and ``q`` are derived from G and ln_q for printing only.
     """
 
+    E: float
     G: float
     B: float
     e_star: float
@@ -168,16 +173,14 @@ class SolutionConstants:
         return math.exp(self.ln_q)
 
 
-@lru_cache(maxsize=256)
 def derive_constants(params: ModelParams) -> SolutionConstants:
     """Compute G, B, E*, the margin d, ln q and (when d > 0) the anchor x0_star.
 
-    Cached per params; safe for concurrent readers (the cached value is
-    immutable and fully constructed before it is published).
+    G and B come from ``compute_B``, cached per (pair, phase); the rest is
+    scalar arithmetic in E.
     """
     E = params.E
-    G = params.r.integral(0.0, 1.0)
-    B = compute_B(params.pair, params.phase)
+    G, B = compute_B(params.pair, params.phase)
     e_star = -math.expm1(-G)
     # d = E* - E = (1 - E) - exp(-G).  For E >= 1/2, 1 - E is exact and the
     # second form carries only the rounding of exp(-G), while E* - E carries
@@ -190,10 +193,10 @@ def derive_constants(params: ModelParams) -> SolutionConstants:
     # digits and log(1 - E) + G is the accurate form.
     ln_q = math.log1p(qm1) if qm1 > -0.5 else math.log1p(-E) + G
     x0_star = d / B if d > 0.0 else None
-    return SolutionConstants(G=G, B=B, e_star=e_star, d=d, ln_q=ln_q, x0_star=x0_star)
+    return SolutionConstants(E=E, G=G, B=B, e_star=e_star, d=d, ln_q=ln_q, x0_star=x0_star)
 
 
-def _require_orbit(params: ModelParams, consts: SolutionConstants) -> None:
+def _require_orbit(consts: SolutionConstants) -> None:
     if consts.x0_star is None:
         raise NoPeriodicSolutionError(
             "no positive periodic solution: (1-E)A = "
@@ -256,7 +259,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
 
 
 def solution_grid(
-    params: ModelParams, x0: float, periods, table: PeriodTable
+    consts: SolutionConstants, x0: float, periods, table: PeriodTable
 ) -> np.ndarray:
     """Solution started at x(t0) = x0, at t = t0 + k + s for every period
     index k in ``periods`` and every offset s of ``table``.
@@ -275,18 +278,17 @@ def solution_grid(
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    consts = derive_constants(params)
     k = np.asarray(periods, dtype=float)[:, None]
     with np.errstate(over="ignore"):  # q**-k = inf is the intended limit
         lead = np.exp(-k * consts.ln_q)
         if consts.d != 0.0:
             total = -np.expm1(-k * consts.ln_q) / consts.d
         else:
-            total = k / (1.0 - params.E)
+            total = k / (1.0 - consts.E)
         return x0 / (table.decay * (lead + x0 * consts.B * total) + x0 * table.forcing)
 
 
-def periodic_grid(params: ModelParams, table: PeriodTable) -> np.ndarray:
+def periodic_grid(consts: SolutionConstants, table: PeriodTable) -> np.ndarray:
     """The period-1 orbit at every offset of ``table``; requires d > 0.
 
         x*(s) = d / (B exp(-R) + d C),
@@ -294,12 +296,11 @@ def periodic_grid(params: ModelParams, table: PeriodTable) -> np.ndarray:
     which is ``solution_grid`` at the fixed-point anchor x0_star = d / B, for
     any k.  At offset 0 (R = C = 0) it returns x0_star bit for bit.
     """
-    consts = derive_constants(params)
-    _require_orbit(params, consts)
+    _require_orbit(consts)
     return consts.d / (consts.B * table.decay + consts.d * table.forcing)
 
 
-def legacy_periodic_at(params: ModelParams, t: float) -> float:
+def legacy_periodic_at(params: ModelParams, consts: SolutionConstants, t: float) -> float:
     """The older published periodic-orbit formula (kept for its refutation).
 
     Evaluates (q - 1) / (A J(t)) = d / J(t), where J(t) is the forcing
@@ -309,42 +310,43 @@ def legacy_periodic_at(params: ModelParams, t: float) -> float:
     Defined for any real t; requires d > 0.  J has period 1, so the window
     is integrated from frac(t), where its nodes keep full precision at any t.
     """
-    consts = derive_constants(params)
-    _require_orbit(params, consts)
+    _require_orbit(consts)
     u = t - math.floor(t)
     return consts.d / forcing_integral(params.pair, u, u + 1.0)
 
 
-def one_sided_limits(params: ModelParams) -> ImpulseLimits:
+def one_sided_limits(consts: SolutionConstants) -> ImpulseLimits:
     """Pre/post values of the periodic orbit at every impulse instant.
 
         pre  = d / (B (1 - E)),    post = d / B = x0_star,
 
     so post = (1 - E) * pre: the orbit loses exactly the harvested fraction.
     """
-    consts = derive_constants(params)
-    _require_orbit(params, consts)
+    _require_orbit(consts)
     post = consts.x0_star
-    return ImpulseLimits(pre=post / (1.0 - params.E), post=post)
+    return ImpulseLimits(pre=post / (1.0 - consts.E), post=post)
 
 
-def periodic_orbit_mean(params: ModelParams) -> float:
-    """Average of the periodic orbit over one period; errors when d <= 0.
+def periodic_orbit_mean(
+    params: ModelParams, constants: Sequence[SolutionConstants]
+) -> list[float]:
+    """Average of the periodic orbit over one period for each of ``constants``,
+    harvest fractions on ``params``' coefficients and phase; errors when d <= 0.
 
-    Split-panel Gauss-Legendre over the period, with the orbit at every node
-    from one ``period_table``.  The orbit relaxes at rate r after each
-    impulse, so the mean uses at least one panel per unit of growth
-    integral: max(DEFAULT_PANELS_PER_UNIT, ceil(G)) panels.
+    Split-panel Gauss-Legendre, with the orbit at every node from one
+    ``period_table`` that serves every fraction.  The orbit relaxes at rate r
+    after each impulse, so the mean uses max(DEFAULT_PANELS_PER_UNIT, ceil(G))
+    panels: at least one per unit of growth integral.
     """
-    consts = derive_constants(params)
-    _require_orbit(params, consts)
-    panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(consts.G))
+    if not constants:
+        return []
+    panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(constants[0].G))  # G does not depend on E
     nodes, weights = gauss_panels(params.jump_offsets, 0.0, 1.0, panels)
     table = period_table(params, nodes)
-    return float(np.dot(weights, periodic_grid(params, table)))
+    return [float(np.dot(weights, periodic_grid(consts, table))) for consts in constants]
 
 
-def poincare_map(params: ModelParams, x0: float | np.ndarray) -> float | np.ndarray:
+def poincare_map(consts: SolutionConstants, x0: float | np.ndarray) -> float | np.ndarray:
     """Post-impulse state one period after starting at post-impulse state x0.
 
         P(x0) = (1 - E) x0 / (exp(-G) + x0 B)
@@ -356,5 +358,4 @@ def poincare_map(params: ModelParams, x0: float | np.ndarray) -> float | np.ndar
     """
     if not np.all(np.greater(x0, 0.0)):
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    consts = derive_constants(params)
-    return (1.0 - params.E) * x0 / (math.exp(-consts.G) + x0 * consts.B)
+    return (1.0 - consts.E) * x0 / (math.exp(-consts.G) + x0 * consts.B)

@@ -17,8 +17,9 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
   * ``G = r.integral(0, 1)`` -- the growth integral over one period; the
     per-period growth factor of the linearization at extinction is exp(G).
   * ``B`` -- the unit-window forcing integral of (r/K) weighted by the decay
-    ``exp(-integral of r)`` (``compute_B``); it is the forced response of the
-    reciprocal form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.
+    ``exp(-integral of r)``; it is the forced response of the reciprocal
+    form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.  G and B do
+    not depend on E: ``compute_B`` returns both, cached per (pair, phase).
 """
 
 from __future__ import annotations
@@ -388,15 +389,15 @@ def forcing_integral(
 
 
 @lru_cache(maxsize=256)
-def compute_B(pair: CoefficientPair, phase: float) -> float:
-    """Unit-window forcing integral B over [phase, phase + 1]; strictly positive.
+def compute_B(pair: CoefficientPair, phase: float) -> tuple[float, float]:
+    """Growth integral G of r over one period; forcing integral B > 0 over [phase, phase + 1].
 
     The window starts at an impulse instant reduced to the fundamental
     period, so phase lies in [0, 1): shifting the window by a whole number
     of periods leaves B unchanged (periodicity of r and K).  Cached per
-    (pair, phase): B does not depend on E, so the config check in the CLI
-    and every harvest fraction of a sweep share one quadrature.
+    (pair, phase), the package's one cache: neither value depends on E, so
+    the CLI's config check and every harvest fraction share one quadrature.
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    return forcing_integral(pair, phase, phase + 1.0)
+    return pair.r.integral(0.0, 1.0), forcing_integral(pair, phase, phase + 1.0)

@@ -83,7 +83,7 @@ def test_criterion_1_constant_coefficient_golden_case():
         ("(1-E)A", c.q, q_ref),
         ("x0_star", c.x0_star, anchor_ref),
     ]
-    limits = one_sided_limits(p)
+    limits = one_sided_limits(derive_constants(p))
     checks.append(("pre", limits.pre, anchor_ref / 0.75))
     checks.append(("post", limits.post, anchor_ref))
     for name, got, want in checks:
@@ -128,7 +128,7 @@ def test_criterion_3_oracle_equivalence():
     # constant coefficients against the jump-chained exact flow
     p = golden_params()
     offsets = (0.0, 0.25, 0.5, 0.75)
-    grid = solution_grid(p, 37.0, range(11), period_table(p, offsets))
+    grid = solution_grid(derive_constants(p), 37.0, range(11), period_table(p, offsets))
     worst = 0.0
     for k, row in enumerate(grid.tolist()):
         for s, got in zip(offsets, row):
@@ -152,7 +152,7 @@ def test_criterion_4_periodicity_and_fixed_point():
         failures.append(f"periodicity worst residual {worst:.2e} > 1e-8")
 
     anchor = derive_constants(p).x0_star
-    drift = abs(poincare_map(p, anchor) - anchor)
+    drift = abs(poincare_map(derive_constants(p), anchor) - anchor)
     if drift > 1e-10 * anchor:
         failures.append(f"|P(x0*) - x0*| = {drift:.2e} > 1e-10 * x0*")
 
@@ -199,7 +199,7 @@ def test_criterion_5_exponent_sign_regression():
         p = golden_params(E=e_val)
         t = p.t0 + 1.5
         oracle = chained_flow(LN2, 100.0, e_val, 0.5, 50.0, t)
-        got = solution_grid(p, 50.0, [1], period_table(p, [0.5]))[0, 0]
+        got = solution_grid(derive_constants(p), 50.0, [1], period_table(p, [0.5]))[0, 0]
         wrong = flipped_sign_variant(p, 50.0, t)
         if abs(oracle - correct) > 1e-4:
             failures.append(f"E={e_val}: oracle {oracle!r} != stated {correct!r}")
@@ -222,7 +222,7 @@ def test_criterion_6_threshold_behavior(tmp_path, capsys):
     for e_val in (e_crit, 0.6, 0.9):
         p = golden_params(E=e_val)
         try:
-            periodic_grid(p, period_table(p, [0.5]))
+            periodic_grid(derive_constants(p), period_table(p, [0.5]))
             failures.append(f"E={e_val}: expected NoPeriodicSolutionError")
         except NoPeriodicSolutionError as exc:
             if "no positive periodic solution" not in str(exc):

@@ -26,6 +26,7 @@ from impulsive_logistic.cli import (
     main,
     parse_config,
 )
+from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
 from impulsive_logistic.coefficients import compute_B
 
@@ -432,26 +433,30 @@ def test_main_stdout_default(capsys):
     assert "E_critical   0.5" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("x0", [1e-309, 1e-320])
+@pytest.mark.parametrize("x0", [1e-308, 1e-309, 1e-320])
 def test_main_x0_too_small_for_its_reciprocal_exit_2(tmp_path, capsys, x0):
-    # the closed form divides by x0: an x0 whose reciprocal overflows is refused
+    # a subnormal x0 carries fewer than 53 bits: at 1e-320 the oracle and the
+    # closed form differ by 3.7e-3 relative, so a given x0 must be normal
     cfg = tmp_path / "tiny_x0.json"
     cfg.write_text(json.dumps(_json_config(x0=x0, horizon_periods=1)), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"config error: {cfg}.x0: x0={x0!r} is too small: 1/x0 overflows the float range\n"
+        f"config error: {cfg}.x0: x0={x0!r} is below the smallest normal float "
+        "2.2250738585072014e-308: it carries fewer than 53 significant bits\n"
     )
 
 
 def test_main_smallest_x0_with_a_finite_reciprocal_runs(tmp_path, capsys):
+    # the smallest normal float is the smallest accepted x0
+    x0 = sys.float_info.min
     cfg = tmp_path / "small_x0.json"
-    cfg.write_text(json.dumps(_json_config(x0=1e-308, horizon_periods=1)), encoding="utf-8")
+    cfg.write_text(json.dumps(_json_config(x0=x0, horizon_periods=1)), encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.splitlines()[1].startswith("0.5,0,1e-308,1e-308,0.0,")
+    assert captured.out.splitlines()[1].startswith(f"0.5,0,{x0!r},{x0!r},0.0,")
 
 
 def test_main_config_error_exit_2(tmp_path, capsys):
@@ -599,15 +604,6 @@ def test_state_underflow_is_named(tmp_path, capsys):
         )
 
 
-@pytest.mark.parametrize("command", [cmd_verify, cmd_counterexample])
-def test_one_B_quadrature_per_command(command):
-    # every caller keys derive_constants on the params alone, so one command
-    # computes B once
-    derive_constants.cache_clear()
-    command(load_config(SINUSOID))
-    assert derive_constants.cache_info().misses == 1
-
-
 @pytest.mark.parametrize(
     "command", ["constants", "simulate", "periodic", "verify", "counterexample", "sweep"]
 )
@@ -620,11 +616,53 @@ def test_config_check_and_command_share_one_B(command, capsys):
     assert compute_B.cache_info().misses == 1
 
 
+COMMANDS = ("constants", "simulate", "periodic", "verify", "counterexample", "sweep")
+
+# derive_constants calls allowed per command: one for the command and one
+# per check it runs; sweep derives once per harvest fraction
+DERIVES = {"constants": 2, "simulate": 2, "periodic": 2, "verify": 10, "counterexample": 8}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_constants_are_derived_once_per_command_and_check(monkeypatch, capsys, command):
+    calls = [0]
+
+    def counted(params):
+        calls[0] += 1
+        return derive_constants(params)
+
+    for module in (cli, analysis, closed_form):
+        monkeypatch.setattr(module, "derive_constants", counted)
+    assert main([command, "--config", str(SINUSOID)]) == 0
+    capsys.readouterr()
+    if command == "sweep":
+        assert calls[0] == len(load_config(SINUSOID).e_values)
+    else:
+        assert 1 <= calls[0] <= DERIVES[command]
+
+
+def test_an_anchor_that_underflows_is_a_config_error(tmp_path, capsys):
+    # d is 1 ulp and B 5e307, so d / B underflows to 0.0: no command may
+    # print that anchor or run on it
+    cfg = tmp_path / "underflow.json"
+    scenario = _json_config(K={"kind": "constant", "value": 1e-308}, E=0.4999999999999999)
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    for command in COMMANDS:
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--e-values", "0.25,0.4999999999999999"]
+        assert main(argv) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: E=0.4999999999999999: the orbit anchor x0_star = d/B "
+            "underflows to 0.0"
+        ), command
+
+
 # ---------------------------------------------------------------------------
 # large anchor times: only frac(t0) enters the results
 # ---------------------------------------------------------------------------
-
-COMMANDS = ("constants", "simulate", "periodic", "verify", "counterexample", "sweep")
 
 
 def _at_t0(tmp_path, config: Path, t0: float) -> Path:

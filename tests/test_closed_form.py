@@ -16,6 +16,7 @@ from impulsive_logistic import (
     NoPeriodicSolutionError,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
+    compute_B,
     derive_constants,
     legacy_periodic_at,
     one_sided_limits,
@@ -117,16 +118,16 @@ def test_params_validation():
 
 def test_solution_stays_at_equilibrium_without_harvest():
     p = golden_params(E=0.0)
-    grid = solution_grid(p, 100.0, range(7), period_table(p, [0.0, 0.4, 0.75, 1.0]))
+    table = period_table(p, [0.0, 0.4, 0.75, 1.0])
+    grid = solution_grid(derive_constants(p), 100.0, range(7), table)
     np.testing.assert_allclose(grid, 100.0, rtol=1e-12)
 
 
 def test_solution_returns_to_anchor_after_one_period():
     # x0 = 50 is the post-impulse fixed point of the golden case.
     p = golden_params()
-    assert solution_grid(p, 50.0, [1], period_table(p, [0.0]))[0, 0] == pytest.approx(
-        50.0, rel=1e-10
-    )
+    x = solution_grid(derive_constants(p), 50.0, [1], period_table(p, [0.0]))[0, 0]
+    assert x == pytest.approx(50.0, rel=1e-10)
 
 
 def test_solution_mid_interval_matches_chained_flow():
@@ -134,7 +135,7 @@ def test_solution_mid_interval_matches_chained_flow():
     p = golden_params()
     expected = chained_flow(LN2, 100.0, 0.25, 0.5, 50.0, 2.0)
     assert expected == pytest.approx(100.0 * (2.0 - math.sqrt(2.0)), rel=1e-12)
-    got = solution_grid(p, 50.0, [1], period_table(p, [0.5]))[0, 0]
+    got = solution_grid(derive_constants(p), 50.0, [1], period_table(p, [0.5]))[0, 0]
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -142,39 +143,38 @@ def test_solution_without_harvest_is_plain_logistic():
     p = golden_params(E=0.0)
     expected = logistic_flow(LN2, 100.0, 50.0, 1.5)
     assert expected == pytest.approx((800.0 - 200.0 * math.sqrt(2.0)) / 7.0, rel=1e-12)
-    got = solution_grid(p, 50.0, [1], period_table(p, [0.5]))[0, 0]
+    got = solution_grid(derive_constants(p), 50.0, [1], period_table(p, [0.5]))[0, 0]
     assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_solution_domain_errors():
     p = golden_params()
-    table = period_table(p, [0.0])
+    c, table = derive_constants(p), period_table(p, [0.0])
     with pytest.raises(ValueError, match="x0"):
-        solution_grid(p, 0.0, [1], table)
+        solution_grid(c, 0.0, [1], table)
     with pytest.raises(ValueError, match="x0"):
-        solution_grid(p, -5.0, [1], table)
+        solution_grid(c, -5.0, [1], table)
 
 
 def test_solution_at_anchor_time_is_x0():
     p = golden_params()
-    assert solution_grid(p, 37.0, [0], period_table(p, [0.0]))[0, 0] == pytest.approx(
-        37.0, rel=1e-12
-    )
+    x = solution_grid(derive_constants(p), 37.0, [0], period_table(p, [0.0]))[0, 0]
+    assert x == pytest.approx(37.0, rel=1e-12)
 
 
 def test_solution_far_horizon_is_finite_and_positive():
     p = golden_params()
-    table = period_table(p, [0.25])
-    far = solution_grid(p, 50.0, [1200], table)[0, 0]
+    c, table = derive_constants(p), period_table(p, [0.25])
+    far = solution_grid(c, 50.0, [1200], table)[0, 0]
     assert math.isfinite(far) and far > 0.0
     # the orbit is the fixed point, so the far value stays on it
-    assert far == pytest.approx(periodic_grid(p, table)[0], rel=1e-9)
+    assert far == pytest.approx(periodic_grid(c, table)[0], rel=1e-9)
 
 
 def test_decaying_population_far_horizon():
     # Over-harvested: (1-E)A < 1, solution decays toward extinction.
     p = golden_params(E=0.6)
-    x_far = solution_grid(p, 50.0, [600], period_table(p, [0.0]))[0, 0]
+    x_far = solution_grid(derive_constants(p), 50.0, [600], period_table(p, [0.0]))[0, 0]
     assert 0.0 <= x_far < 1e-20
 
 
@@ -185,43 +185,45 @@ def test_decaying_population_far_horizon():
 
 def test_periodic_solution_at_impulse_instants():
     p = golden_params()
-    table = period_table(p, [0.0])
-    assert periodic_grid(p, table)[0] == pytest.approx(50.0, rel=1e-12)
-    np.testing.assert_allclose(solution_grid(p, 50.0, range(4), table), 50.0, rtol=1e-12)
+    c, table = derive_constants(p), period_table(p, [0.0])
+    assert periodic_grid(c, table)[0] == pytest.approx(50.0, rel=1e-12)
+    np.testing.assert_allclose(solution_grid(c, 50.0, range(4), table), 50.0, rtol=1e-12)
 
 
 def test_periodic_solution_mid_interval():
     p = golden_params()
     expected = logistic_flow(LN2, 100.0, 50.0, 0.5)  # = 100 (2 - sqrt 2)
-    table = period_table(p, [0.5])
-    assert periodic_grid(p, table)[0] == pytest.approx(expected, rel=1e-12)
-    np.testing.assert_allclose(solution_grid(p, 50.0, range(3), table), expected, rtol=1e-12)
+    c, table = derive_constants(p), period_table(p, [0.5])
+    assert periodic_grid(c, table)[0] == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(solution_grid(c, 50.0, range(3), table), expected, rtol=1e-12)
 
 
 def test_periodic_solution_left_limit():
     p = golden_params()
-    pre = richardson_left(lambda s: periodic_grid(p, period_table(p, [s]))[0], 1.0)
+    c = derive_constants(p)
+    pre = richardson_left(lambda s: periodic_grid(c, period_table(p, [s]))[0], 1.0)
     assert pre == pytest.approx(200.0 / 3.0, rel=1e-10)
     assert pre == pytest.approx(50.0 / 0.75, rel=1e-10)
     # offset 1 is the pre-impulse value itself
-    assert periodic_grid(p, period_table(p, [1.0]))[0] == pytest.approx(pre, rel=1e-10)
+    assert periodic_grid(c, period_table(p, [1.0]))[0] == pytest.approx(pre, rel=1e-10)
 
 
 def test_periodic_solution_requires_orbit():
     for e_bad in (0.5, 0.6, 0.9):
         p = golden_params(E=e_bad)
         with pytest.raises(NoPeriodicSolutionError, match="no positive periodic"):
-            periodic_grid(p, period_table(p, [0.5]))
+            periodic_grid(derive_constants(p), period_table(p, [0.5]))
 
 
 def test_periodic_equals_solution_from_anchor():
     rng = np.random.default_rng(23)
     for i in range(8):
         p = random_params(rng, index=i)
-        anchor = derive_constants(p).x0_star
+        c = derive_constants(p)
         table = period_table(p, np.sort(rng.uniform(0.0, 1.0, size=8)))
         np.testing.assert_allclose(
-            solution_grid(p, anchor, range(4), table), np.tile(periodic_grid(p, table), (4, 1)),
+            solution_grid(c, c.x0_star, range(4), table),
+            np.tile(periodic_grid(c, table), (4, 1)),
             rtol=1e-10,
         )
 
@@ -232,7 +234,8 @@ def test_periodicity_property():
     for i in range(8):
         p = random_params(rng, index=i)
         table = period_table(p, np.sort(rng.uniform(0.0, 1.0, size=10)))
-        grid = solution_grid(p, derive_constants(p).x0_star, range(6), table)
+        c = derive_constants(p)
+        grid = solution_grid(c, c.x0_star, range(6), table)
         np.testing.assert_allclose(grid[1:], grid[:-1], rtol=1e-9)
 
 
@@ -240,12 +243,12 @@ def test_jump_law_numerically():
     rng = np.random.default_rng(31)
     for i in range(6):
         p = random_params(rng, index=i)
-        anchor = derive_constants(p).x0_star
+        c = derive_constants(p)
         for k in (1, 3):
             pre = richardson_left(
-                lambda s: solution_grid(p, anchor, [k - 1], period_table(p, [s]))[0, 0], 1.0
+                lambda s: solution_grid(c, c.x0_star, [k - 1], period_table(p, [s]))[0, 0], 1.0
             )
-            post = solution_grid(p, anchor, [k], period_table(p, [0.0]))[0, 0]
+            post = solution_grid(c, c.x0_star, [k], period_table(p, [0.0]))[0, 0]
             assert post == pytest.approx((1.0 - p.E) * pre, rel=1e-8)
 
 
@@ -255,12 +258,12 @@ def test_impulse_has_exact_addresses_on_both_sides(name):
     # value of the same instant: no snap is needed to tell them apart.
     p = load_config(CONFIG_DIR / f"{name}.json").params()
     keep = 1.0 - p.E
-    table = period_table(p, [0.0, 1.0])
-    grid = solution_grid(p, 30.0, range(4), table)
+    c, table = derive_constants(p), period_table(p, [0.0, 1.0])
+    grid = solution_grid(c, 30.0, range(4), table)
     for k in range(3):
         assert grid[k, 1] * keep == pytest.approx(grid[k + 1, 0], rel=1e-15, abs=0.0)
-    orbit = periodic_grid(p, table)
-    assert orbit[0] == derive_constants(p).x0_star
+    orbit = periodic_grid(c, table)
+    assert orbit[0] == c.x0_star
     assert orbit[1] * keep == pytest.approx(orbit[0], rel=1e-15, abs=0.0)
 
 
@@ -270,14 +273,17 @@ def test_interval_restart_consistency():
     rng = np.random.default_rng(37)
     for i in range(6):
         p = random_params(rng, index=i)
-        x0 = float(rng.uniform(0.2, 2.0)) * derive_constants(p).x0_star
+        c = derive_constants(p)
+        x0 = float(rng.uniform(0.2, 2.0)) * c.x0_star
         k = int(rng.integers(1, 4))
         restarted = ModelParams(pair=p.pair, E=p.E, t0=p.t0 + k)
-        x0_restart = solution_grid(p, x0, [k], period_table(p, [0.0]))[0, 0]
+        x0_restart = solution_grid(c, x0, [k], period_table(p, [0.0]))[0, 0]
         offsets = np.sort(rng.uniform(0.0, 1.0, size=6))
         np.testing.assert_allclose(
-            solution_grid(restarted, x0_restart, [0], period_table(restarted, offsets)),
-            solution_grid(p, x0, [k], period_table(p, offsets)),
+            solution_grid(
+                derive_constants(restarted), x0_restart, [0], period_table(restarted, offsets)
+            ),
+            solution_grid(c, x0, [k], period_table(p, offsets)),
             rtol=1e-9,
         )
 
@@ -286,7 +292,21 @@ def test_orbit_mean_golden():
     # Mean of the orbit over one period; for the golden case the integral
     # reduces to 100 ln(3/2) / ln 2 by substitution.
     expected = 100.0 * math.log(1.5) / math.log(2.0)
-    assert periodic_orbit_mean(golden_params()) == pytest.approx(expected, rel=1e-12)
+    p = golden_params()
+    assert periodic_orbit_mean(p, [derive_constants(p)]) == [pytest.approx(expected, rel=1e-12)]
+
+
+def test_orbit_mean_of_several_fractions_shares_one_table():
+    # the mean of each fraction is the one a single-fraction call gives, bit
+    # for bit, whichever other fractions come with it
+    p = golden_params()
+    fractions = [derive_constants(golden_params(E=E)) for E in (0.0, 0.25, 0.4999)]
+    means = periodic_orbit_mean(p, fractions)
+    assert means == [periodic_orbit_mean(p, [c])[0] for c in fractions]
+    assert means[0] == pytest.approx(100.0, rel=1e-12)  # no harvest: the orbit is x = K
+    assert periodic_orbit_mean(p, []) == []
+    with pytest.raises(NoPeriodicSolutionError):
+        periodic_orbit_mean(p, [fractions[1], derive_constants(golden_params(E=0.5))])
 
 
 @pytest.mark.parametrize("r0", [300.0, 650.0, 709.0])
@@ -301,7 +321,9 @@ def test_orbit_mean_at_huge_growth(r0, E):
         t0=0.5,
     )
     expected = 100.0 * (1.0 + math.log(1.0 - E) / r0)
-    assert periodic_orbit_mean(params) == pytest.approx(expected, rel=1e-12)
+    assert periodic_orbit_mean(params, [derive_constants(params)]) == [
+        pytest.approx(expected, rel=1e-12)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +333,23 @@ def test_orbit_mean_at_huge_growth(r0, E):
 
 def test_legacy_is_globally_constant_for_constant_coefficients():
     p = golden_params()
+    c = derive_constants(p)
     for t in (0.5, 0.77, 1.5, 2.31, 9.0):
-        assert legacy_periodic_at(p, t) == pytest.approx(50.0, rel=1e-10)
+        assert legacy_periodic_at(p, c, t) == pytest.approx(50.0, rel=1e-10)
 
 
 def test_legacy_agrees_with_corrected_when_no_harvest():
     p = golden_params(E=0.0)
-    post = periodic_grid(p, period_table(p, [0.0]))[0]
+    c = derive_constants(p)
+    post = periodic_grid(c, period_table(p, [0.0]))[0]
     for k in (1, 2):
-        assert legacy_periodic_at(p, p.t0 + k) == pytest.approx(post, rel=1e-10)
+        assert legacy_periodic_at(p, c, p.t0 + k) == pytest.approx(post, rel=1e-10)
 
 
 def test_legacy_requires_orbit():
+    p = golden_params(E=0.6)
     with pytest.raises(NoPeriodicSolutionError):
-        legacy_periodic_at(golden_params(E=0.6), 1.0)
+        legacy_periodic_at(p, derive_constants(p), 1.0)
 
 
 def test_legacy_is_continuous_where_the_orbit_jumps():
@@ -332,10 +357,11 @@ def test_legacy_is_continuous_where_the_orbit_jumps():
         r=SinusoidCoefficient(mean=0.7, amp=0.2), K=ConstantCoefficient(100.0)
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
+    c = derive_constants(p)
     for k in (1, 2):
         tau = p.t0 + k
-        pre = richardson_left(lambda s: legacy_periodic_at(p, s), tau)
-        post = legacy_periodic_at(p, tau)
+        pre = richardson_left(lambda s: legacy_periodic_at(p, c, s), tau)
+        post = legacy_periodic_at(p, c, tau)
         # equal one-sided limits: no jump at all
         assert post == pytest.approx(pre, rel=1e-8)
         # hence the jump rule is missed by the full harvested fraction
@@ -351,8 +377,9 @@ def test_legacy_counterexample_for_random_instances():
         if p.E == 0.0:
             continue
         tau = p.t0 + 2
-        pre = richardson_left(lambda s: legacy_periodic_at(p, s), tau)
-        post = legacy_periodic_at(p, tau)
+        c = derive_constants(p)
+        pre = richardson_left(lambda s: legacy_periodic_at(p, c, s), tau)
+        post = legacy_periodic_at(p, c, tau)
         assert abs(post - pre) / pre <= 1e-8
         assert abs(post - (1.0 - p.E) * pre) / pre >= p.E / 2.0
 
@@ -363,7 +390,7 @@ def test_legacy_counterexample_for_random_instances():
 
 
 def test_one_sided_limits_golden():
-    limits = one_sided_limits(golden_params())
+    limits = one_sided_limits(derive_constants(golden_params()))
     assert limits.pre == pytest.approx(200.0 / 3.0, rel=1e-12)
     assert limits.post == pytest.approx(50.0, rel=1e-12)
     # the jump removes exactly the harvested fraction
@@ -371,13 +398,13 @@ def test_one_sided_limits_golden():
 
 
 def test_one_sided_limits_no_harvest_degenerate():
-    limits = one_sided_limits(golden_params(E=0.0))
+    limits = one_sided_limits(derive_constants(golden_params(E=0.0)))
     assert limits.pre == pytest.approx(limits.post, rel=1e-14)
 
 
 def test_one_sided_limits_validation():
     with pytest.raises(NoPeriodicSolutionError):
-        one_sided_limits(golden_params(E=0.6))
+        one_sided_limits(derive_constants(golden_params(E=0.6)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +413,25 @@ def test_one_sided_limits_validation():
 
 
 def test_poincare_map_golden_values():
-    p = golden_params()
-    assert poincare_map(p, 50.0) == pytest.approx(50.0, rel=1e-13)
-    assert poincare_map(p, 100.0) == pytest.approx(75.0, rel=1e-13)
-    assert poincare_map(p, 75.0) == pytest.approx(1.5 * 75.0 / 1.75, rel=1e-13)
+    c = derive_constants(golden_params())
+    assert poincare_map(c, 50.0) == pytest.approx(50.0, rel=1e-13)
+    assert poincare_map(c, 100.0) == pytest.approx(75.0, rel=1e-13)
+    assert poincare_map(c, 75.0) == pytest.approx(1.5 * 75.0 / 1.75, rel=1e-13)
 
 
 def test_poincare_map_linearizes_to_growth_factor_at_zero():
-    p = golden_params()
+    c = derive_constants(golden_params())
     for x0 in (1e-6, 1e-9):
-        assert poincare_map(p, x0) / x0 == pytest.approx(1.5, rel=1e-6)
+        assert poincare_map(c, x0) / x0 == pytest.approx(1.5, rel=1e-6)
 
 
 def test_poincare_map_matches_one_period_of_the_solution():
     rng = np.random.default_rng(43)
     for i in range(6):
         p = random_params(rng, index=i)
-        x0 = float(rng.uniform(10.0, 150.0))
-        assert poincare_map(p, x0) == pytest.approx(
-            solution_grid(p, x0, [1], period_table(p, [0.0]))[0, 0], rel=1e-10
+        c, x0 = derive_constants(p), float(rng.uniform(10.0, 150.0))
+        assert poincare_map(c, x0) == pytest.approx(
+            solution_grid(c, x0, [1], period_table(p, [0.0]))[0, 0], rel=1e-10
         )
 
 
@@ -412,23 +439,24 @@ def test_fixed_point_identity_property():
     rng = np.random.default_rng(47)
     for i in range(20):
         p = random_params(rng, index=i)
-        anchor = derive_constants(p).x0_star
-        assert abs(poincare_map(p, anchor) - anchor) <= 1e-10 * anchor
+        c = derive_constants(p)
+        assert abs(poincare_map(c, c.x0_star) - c.x0_star) <= 1e-10 * c.x0_star
 
 
 def test_poincare_map_requires_positive_state():
+    c = derive_constants(golden_params())
     with pytest.raises(ValueError, match="x0"):
-        poincare_map(golden_params(), 0.0)
+        poincare_map(c, 0.0)
     with pytest.raises(ValueError, match="x0"):
-        poincare_map(golden_params(), np.array([1.0, -2.0]))
+        poincare_map(c, np.array([1.0, -2.0]))
 
 
 def test_poincare_map_over_an_array_matches_scalar_calls():
     # fixed_point_scan maps its whole grid at once; the values must be the
     # ones the scalar refinement sees.
-    p = random_params(np.random.default_rng(53), index=1)
+    c = derive_constants(random_params(np.random.default_rng(53), index=1))
     xs = np.geomspace(1e-3, 1e4, 512)
-    assert np.array_equal(poincare_map(p, xs), [poincare_map(p, float(x)) for x in xs])
+    assert np.array_equal(poincare_map(c, xs), [poincare_map(c, float(x)) for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +465,16 @@ def test_poincare_map_over_an_array_matches_scalar_calls():
 
 
 def test_concurrent_evaluation_matches_serial():
-    # Pure functions over immutable inputs; the constants cache may be
+    # Pure functions over immutable inputs; the (G, B) cache may be
     # populated from several threads at once and must stay consistent.
     from concurrent.futures import ThreadPoolExecutor
 
-    derive_constants.cache_clear()
+    compute_B.cache_clear()
     p = golden_params()
 
     def at(j: int) -> float:
-        return float(solution_grid(p, 37.0, [j // 100], period_table(p, [j % 100 / 100]))[0, 0])
+        table = period_table(p, [j % 100 / 100])
+        return float(solution_grid(derive_constants(p), 37.0, [j // 100], table)[0, 0])
 
     serial = [at(j) for j in range(200)]
     with ThreadPoolExecutor(max_workers=8) as pool:

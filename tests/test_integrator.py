@@ -17,6 +17,7 @@ from impulsive_logistic import (
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
     StepControl,
+    derive_constants,
     integrate,
     period_table,
     solution_grid,
@@ -156,9 +157,9 @@ def test_coefficient_jump_coinciding_with_impulse_instants():
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
     traj = integrate(p, 40.0, 3, StepControl(h=1.0 / 128.0))
-    table = period_table(p, traj.pieces[0].offsets)
+    c, table = derive_constants(p), period_table(p, traj.pieces[0].offsets)
     for piece in traj.pieces:
-        closed = solution_grid(p, 40.0, [piece.segment], table)[0, : piece.offsets.size]
+        closed = solution_grid(c, 40.0, [piece.segment], table)[0, : piece.offsets.size]
         # a piece's last sample is the pre-impulse value, offset 1 of its period
         np.testing.assert_allclose(piece.values, closed, rtol=1e-10)
 

@@ -24,6 +24,7 @@ from impulsive_logistic import (
     analysis,
     cli,
     closed_form,
+    compute_B,
     derive_constants,
     forcing_integral,
     integrate,
@@ -102,10 +103,10 @@ def test_table_matches_scalar_quadrature(params, offsets):
 @PROPERTY
 @given(params=models(), offsets=dyadic_offsets)
 def test_offset_zero_is_the_anchor_bit_for_bit(params, offsets):
-    x0_star = derive_constants(params).x0_star
-    orbit = periodic_grid(params, period_table(params, [0.0, *offsets]))
-    assert orbit[0] == x0_star
-    assert periodic_grid(params, period_table(params, [0.0]))[0] == x0_star
+    c = derive_constants(params)
+    orbit = periodic_grid(c, period_table(params, [0.0, *offsets]))
+    assert orbit[0] == c.x0_star
+    assert periodic_grid(c, period_table(params, [0.0]))[0] == c.x0_star
 
 
 @PROPERTY
@@ -113,9 +114,9 @@ def test_offset_zero_is_the_anchor_bit_for_bit(params, offsets):
 def test_far_period_lands_on_the_orbit(params, offsets, x0):
     # every start has converged to the orbit by k = 1e9 (q > 1), and no
     # absolute time t0 + k + s is ever formed.
-    table = period_table(params, offsets)
-    far = solution_grid(params, x0, [10**9], table)[0]
-    np.testing.assert_allclose(far, periodic_grid(params, table), rtol=1e-12)
+    c, table = derive_constants(params), period_table(params, offsets)
+    far = solution_grid(c, x0, [10**9], table)[0]
+    np.testing.assert_allclose(far, periodic_grid(c, table), rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", [501, 900])
@@ -131,7 +132,7 @@ def test_log_space_branch_matches_direct_formula(k):
     q, x0 = consts.q, 37.0
     offsets = [0.0, 0.25, 0.5, 0.875]
     table = period_table(params, offsets)
-    got = solution_grid(params, x0, [k], table)[0]
+    got = solution_grid(consts, x0, [k], table)[0]
     for s, value in zip(offsets, got):
         decay = math.exp(-params.r.integral(params.t0, params.t0 + s))
         forcing = forcing_integral(params.pair, params.t0, params.t0 + s)
@@ -142,8 +143,9 @@ def test_log_space_branch_matches_direct_formula(k):
 
 def test_far_period_without_orbit_goes_extinct_quietly():
     params = golden_params(E=0.6)
+    c, table = derive_constants(params), period_table(params, [0.0, 0.5])
     with np.errstate(all="raise"):
-        far = solution_grid(params, 50.0, [10**9], period_table(params, [0.0, 0.5]))
+        far = solution_grid(c, 50.0, [10**9], table)
     assert far.tolist() == [[0.0, 0.0]]
 
 
@@ -165,7 +167,7 @@ def test_solution_grid_near_threshold_matches_a_decimal_reference(ulps):
     params = ModelParams(pair=pair, E=E, t0=0.5)
     ks = [1, 10, 1000, 10**6]
     table = period_table(params, [0.0, 0.25, 0.5, 1.0])
-    got = solution_grid(params, x0, ks, table)
+    got = solution_grid(derive_constants(params), x0, ks, table)
 
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
@@ -195,10 +197,10 @@ def test_harvest_next_to_one_keeps_ln_q_accurate(G):
     consts = derive_constants(params)
     assert consts.ln_q == pytest.approx(-53.0 * math.log(2.0) + G, rel=1e-15)
     with np.errstate(all="raise"):
-        x = solution_grid(params, 50.0, [0, 1, 2], period_table(params, [0.0, 1.0]))
+        x = solution_grid(consts, 50.0, [0, 1, 2], period_table(params, [0.0, 1.0]))
     # the period-advance map shares no ln q with the kernel
-    x1 = closed_form.poincare_map(params, 50.0)
-    x2 = closed_form.poincare_map(params, x1)
+    x1 = closed_form.poincare_map(consts, 50.0)
+    x2 = closed_form.poincare_map(consts, x1)
     assert x[0, 0] == 50.0
     np.testing.assert_allclose(x[1:, 0], [x1, x2], rtol=1e-13, atol=0.0)
 
@@ -206,7 +208,8 @@ def test_harvest_next_to_one_keeps_ln_q_accurate(G):
 def test_trajectory_closed_form_matches_scalar_path():
     params = random_params(np.random.default_rng(11), 2)
     traj = integrate(params, 80.0, 3, StepControl(h=1.0 / 64.0))
-    closed = trajectory_closed_form(traj)
+    c = derive_constants(params)
+    closed = trajectory_closed_form(traj, c)
     keep = 1.0 - params.E
     last = len(traj.pieces) - 1
     for i, (piece, values) in enumerate(zip(traj.pieces, closed)):
@@ -214,7 +217,7 @@ def test_trajectory_closed_form_matches_scalar_path():
             if i < last and j == len(values) - 1:
                 assert value == closed[i + 1][0] / keep  # pre row: post / (1 - E)
             else:
-                alone = solution_grid(params, 80.0, [piece.segment], period_table(params, [s]))
+                alone = solution_grid(c, 80.0, [piece.segment], period_table(params, [s]))
                 assert value == pytest.approx(alone[0, 0], rel=1e-13)
 
 
@@ -243,7 +246,8 @@ def test_integer_shift_of_t0_changes_nothing(r_kind, k_kind, data):
     tables = [period_table(p, offsets) for p in (base, shifted)]
     for got, want in zip(tables[1], tables[0]):
         assert np.array_equal(got, want)
-    assert np.array_equal(periodic_grid(shifted, tables[1]), periodic_grid(base, tables[0]))
+    orbits = [periodic_grid(derive_constants(p), t) for p, t in zip((base, shifted), tables)]
+    assert np.array_equal(orbits[1], orbits[0])
 
     x0, ctrl = derive_constants(base).x0_star, StepControl(h=1.0 / 32.0)
     runs = [integrate(p, x0, 2, ctrl) for p in (base, shifted)]
@@ -293,6 +297,46 @@ def test_jump_check_catches_a_corrupted_table(monkeypatch, params):
     assert not any(rec.passed for rec in report.records)
 
 
+ORBIT_CONFIGS = ["golden_constant", "sinusoid_r", "piecewise_mixed"]
+
+
+class _ScaledGeometricSum:
+    """numpy, but with expm1 scaled by 1 + 1e-7.  In closed_form only the
+    geometric sum -expm1(-k ln q) / d of ``solution_grid`` calls expm1."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def expm1(x):
+        return np.expm1(x) * (1.0 + 1e-7)
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_verify_catches_a_scaled_geometric_sum(monkeypatch, capsys, name):
+    # the sum is 0 at k = 0, so only records computed at their own k >= 1
+    # can see it: the periodicity residuals read about 8e-8 against 1e-8
+    argv = ["verify", "--config", str(CONFIG_DIR / f"{name}.json")]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(closed_form, "np", _ScaledGeometricSum())
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
+    # the periodicity records stop at k = 4; far out, q**-k and the geometric
+    # sum must still carry the anchor along the orbit
+    params = cli.load_config(CONFIG_DIR / f"{name}.json").params()
+    c = derive_constants(params)
+    offsets = [j / 16.0 for j in range(17)]
+    table = period_table(params, offsets)
+    far = solution_grid(c, c.x0_star, [10**6], table)[0]
+    np.testing.assert_allclose(far, periodic_grid(c, table), rtol=1e-15, atol=0.0)
+    reference = [analysis._orbit_by_quadrature(params, c, s) for s in offsets]
+    np.testing.assert_allclose(far, reference, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # cost: coefficient evaluations grow with the output, not output x panels
 # ---------------------------------------------------------------------------
@@ -313,9 +357,8 @@ def evaluated_nodes(monkeypatch):
 
     monkeypatch.setattr(PeriodicCoefficient, "__call__", counted(call))
     monkeypatch.setattr(PeriodicCoefficient, "antiderivative", counted(antiderivative))
-    closed_form.derive_constants.cache_clear()
-    yield count
-    closed_form.derive_constants.cache_clear()
+    compute_B.cache_clear()  # count the constants' quadrature too
+    return count
 
 
 # RK4 alone evaluates r and K at 3 stage times per step of one period;
@@ -339,11 +382,40 @@ def test_periodic_cost_is_linear_in_rows(evaluated_nodes):
 
 
 def test_orbit_mean_cost_is_linear_in_its_nodes(evaluated_nodes):
-    periodic_orbit_mean(SINUSOID_R)
+    periodic_orbit_mean(SINUSOID_R, [derive_constants(SINUSOID_R)])
     mean_nodes = 64 * 10  # order-10 Gauss-Legendre on 64 panels
     # three evaluations (r, K, antiderivative of r) at ten table nodes per
     # mean node, plus the constants
     assert evaluated_nodes[0] <= 40 * mean_nodes
+
+
+SWEEP_FRACTIONS = tuple(j / 500 for j in range(300))
+
+
+def test_sweep_cost_does_not_grow_with_its_fractions(evaluated_nodes):
+    # one mean table serves every fraction, and a fraction's constants are
+    # scalar arithmetic on the cached G and B
+    config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
+    cli.cmd_sweep(config, (0.25,))
+    one = evaluated_nodes[0]
+    compute_B.cache_clear()
+    evaluated_nodes[0] = 0
+    cli.cmd_sweep(config, SWEEP_FRACTIONS)
+    assert evaluated_nodes[0] <= one + 2 * len(SWEEP_FRACTIONS)
+
+
+@pytest.mark.parametrize("name", ["sinusoid_r", "piecewise_mixed"])
+def test_sweep_builds_one_period_table(monkeypatch, name):
+    tables = [0]
+    real = closed_form.period_table
+
+    def counted(params, offsets):
+        tables[0] += 1
+        return real(params, offsets)
+
+    monkeypatch.setattr(closed_form, "period_table", counted)
+    cli.cmd_sweep(cli.load_config(CONFIG_DIR / f"{name}.json"), SWEEP_FRACTIONS)
+    assert tables[0] == 1
 
 
 # r and K at 3 stage times, once per run; a call per stage and step would

@@ -4,7 +4,8 @@ Each case runs ``cli.main`` in-process at the config's defaults and compares
 the sha256 of its exit code, stdout and stderr with the digest recorded here.
 The long tables of ``simulate`` and ``periodic`` are also pinned at a
 scaled horizon (``--periods 40``) and a scaled step (``--step 2**-10``),
-where the table emitter does the most work.
+where the table emitter does the most work, and ``sweep`` over 300
+harvest fractions.
 A refactor must leave all of them unchanged.  A deliberate change to an
 output updates that case's digest in the same commit, and CHANGES.md names
 the case and says why its bytes moved.
@@ -47,21 +48,21 @@ DIGESTS = {
     ("periodic", "piecewise_mixed", "json"): "9929db24f2bf5121c6a5a1023f42af50943e25bf064f6baa30b990438535a7ef",
     ("periodic", "sinusoid_r", "csv"): "5d201be9bac660a37e3eeeef62fd07209b96bc1507599fcbc23214e6b2994f97",
     ("periodic", "sinusoid_r", "json"): "aaeb96ace5d85ba033dc134df9b7c86844e1597c19acbfd81ab2c7d0a645368c",
-    ("verify", "golden_constant", "json"): "ef98234fd1f2bda805032a30d0a329bbabb275bfd51103ab1477ea096de06e6a",
-    ("verify", "golden_constant", "text"): "261dcae368a73d49c703000b994b1cf87ab6b82ea358132ee84b7e18786241c1",
+    ("verify", "golden_constant", "json"): "8f869f2508a58689193991e572040b01a65937734715f4a980c7b8ab69474b0d",
+    ("verify", "golden_constant", "text"): "eec68710856576a4261fa7b5b3a5f82c8581c8b3f2525de2113a50cc0a76f79c",
     ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
-    ("verify", "piecewise_mixed", "json"): "ad2c52d1b1ca3690066ee2529982f78e9d9afade5cadf77052e816a08f67f3b3",
-    ("verify", "piecewise_mixed", "text"): "97ac2ce59eee853b479177f1c92b90a9b9dc938499642ea18934ab2ccc61eb90",
-    ("verify", "sinusoid_r", "json"): "2eb4059c35a80529ffc6c3ce23016c2956439f7d249ed92beaf45743598476e9",
-    ("verify", "sinusoid_r", "text"): "22523a0834ac4260d1b1a7ecfdd4b1b96cf28694c28baff26f14388d250fbbff",
-    ("counterexample", "golden_constant", "json"): "9e63575108353e8e9d21105fea53b61f6722d14278415c814358467d0d9ecb59",
-    ("counterexample", "golden_constant", "text"): "e8d9e02e6f8ade51c2286b403f714e5844fb8d6ca6074e3a33cb2c02b39fcda5",
+    ("verify", "piecewise_mixed", "json"): "7867ddfb49aa34ca6b48cd197b5f5004678fb0317abb0e94b4f3135f745f09a8",
+    ("verify", "piecewise_mixed", "text"): "43196a603c76461e323a0552b83f61a598832b1be0c003e4338a3fa072a20caf",
+    ("verify", "sinusoid_r", "json"): "126a37ee238470adc87c8219be3f120700d37dcd2a8f86f7438de142b7f75f8c",
+    ("verify", "sinusoid_r", "text"): "7ead59924cea8181e65fab55313649d16e2f483ab196aeb2fc4f1333ce276e63",
+    ("counterexample", "golden_constant", "json"): "fe0025118636848c46b1270fa73feb111a4d235ecb5636146d3c47e5ca85fc7d",
+    ("counterexample", "golden_constant", "text"): "5741985105bd3509dee07b11aa18ad44008fc73e6b50573172cda1dd804b6693",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("counterexample", "piecewise_mixed", "json"): "11e29daf5870bbed77ee997ef68a9bfd019549708a6a6444c654b493631f7be8",
-    ("counterexample", "piecewise_mixed", "text"): "362a515b23f9ce59747382ca9b87179bb28ff0846629e6b96ac0fd56f8f4bc53",
-    ("counterexample", "sinusoid_r", "json"): "a80f78fd49e4e0f0449c10e1e432b0364581e6f1394307bc7303e58ba3badb30",
+    ("counterexample", "piecewise_mixed", "json"): "29439193df06c919cc6f9b16ecf8500416ac3863f7faa8c867780b25f69369a3",
+    ("counterexample", "piecewise_mixed", "text"): "4243d9bdecf0a149c279074aa215be832eb8165f589eef441519f4592e614c73",
+    ("counterexample", "sinusoid_r", "json"): "8f61420828da3d586bb1ca2983d74be13b5df3848e62274b63328cf5809f901d",
     ("counterexample", "sinusoid_r", "text"): "c8c728edeb6a190407bfa6dedcdc135a0a4442db00657604dd3ceafadf51e9ee",
     ("sweep", "golden_constant", "csv"): "2d66d8a41722681d1c50acd1083fb7a594ec009ab55fedfc626fe0c5a54a5f10",
     ("sweep", "golden_constant", "json"): "0035b69da18ff6218af8579cf514dd173d91a6004197c049b217b16b203aff43",
@@ -110,6 +111,17 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "step1024", "json"): "59eeca0a5034260d87e4f26f59a690f4744f9ab8cca12476246162ca3ff3efc4",
 }
 
+# (config name, format) -> digest of a 300-fraction sweep, E = 0, 0.002, ...,
+# 0.598: more fractions than a 256-entry cache per parameter set could hold,
+# on both sides of each config's critical harvest
+SWEEP_FRACTIONS = ",".join(repr(j / 500) for j in range(300))
+SWEEP_DIGESTS = {
+    ("sinusoid_r", "csv"): "fdcffb702bc21fc9469bee742419ddedccdf323f0647bb43129e6b8a24da6ddc",
+    ("sinusoid_r", "json"): "a9f5808b23fc51d024b687c7f53350ec073dff2f92e254dff50d12bcfd321b10",
+    ("piecewise_mixed", "csv"): "944af4718a31a4e47d79549674547087575c8f15c7b8808b8d453fbec2a7265d",
+    ("piecewise_mixed", "json"): "8029b8d5f6242d620f661464a61afa54870198630586126ff0ec3a67b911fe01",
+}
+
 
 def _digest(monkeypatch, capsys, command, config, fmt, *flags) -> str:
     # a relative config path, so that no message depends on the checkout's location
@@ -135,3 +147,11 @@ def test_output_is_unchanged(monkeypatch, capsys, command, config, fmt):
 def test_scaled_table_is_unchanged(monkeypatch, capsys, command, config, scaling, fmt):
     digest = _digest(monkeypatch, capsys, command, config, fmt, *SCALINGS[scaling])
     assert digest == SCALED_DIGESTS[command, config, scaling, fmt]
+
+
+@pytest.mark.parametrize(
+    "config, fmt", list(SWEEP_DIGESTS), ids=["-".join(key) for key in SWEEP_DIGESTS]
+)
+def test_long_sweep_is_unchanged(monkeypatch, capsys, config, fmt):
+    digest = _digest(monkeypatch, capsys, "sweep", config, fmt, "--e-values", SWEEP_FRACTIONS)
+    assert digest == SWEEP_DIGESTS[config, fmt]
