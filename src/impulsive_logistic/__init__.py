@@ -15,13 +15,14 @@ from .analysis import (
     verify_periodicity,
 )
 from .closed_form import (
+    AnchorUnderflowError,
     ImpulseLimits,
     ModelParams,
     NoPeriodicSolutionError,
     PeriodTable,
     SolutionConstants,
     derive_constants,
-    legacy_periodic_at,
+    legacy_grid,
     one_sided_limits,
     period_table,
     periodic_grid,
@@ -49,6 +50,7 @@ from .integrator import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnchorUnderflowError",
     "CheckRecord",
     "CoefficientPair",
     "ConstantCoefficient",
@@ -71,7 +73,7 @@ __all__ = [
     "fixed_point_scan",
     "forcing_integral",
     "integrate",
-    "legacy_periodic_at",
+    "legacy_grid",
     "one_sided_limits",
     "period_table",
     "periodic_grid",

@@ -16,11 +16,9 @@ The checks:
     the identity: exactly one positive fixed point when E < E*, none
     otherwise.
 
-Pre-impulse limits are estimated by evaluating just before the instant and
-extrapolating the offset to zero (two Richardson stages over offsets
-1e-4, 5e-5, 2.5e-5, or smaller ones right of a coefficient jump that lies
-among them), which pushes the O(offset) bias far below the default
-tolerances.
+Both sides of an impulse are read at exact addresses of one period table
+with offsets 0 and 1: the pre-impulse value at offset 1 of period k - 1,
+the post-impulse value at offset 0 of period k.  No limit is estimated.
 
 Which side of each check is independent of the code it checks:
   * periodicity -- the kernel side is the solution started at x0_star,
@@ -30,13 +28,16 @@ Which side of each check is independent of the code it checks:
     k, so the k-dependent part of the kernel (q**-k and the geometric sum)
     must hold the orbit for the record to pass.
   * corrected jump -- both sides come from ``solution_grid`` at x0_star,
-    the pre value at offsets 1 - o of period k - 1, the post value at offset
-    0 of period k.  The jump rule appears in no formula of the kernel, so
+    the pre value at offset 1 of period k - 1, the post value at offset 0
+    of period k.  The jump rule appears in no formula of the kernel, so
     what is independent is the rule itself: it holds only if the table's
-    C(1) matches B, a separate quadrature, and the algebra carries the
-    anchor across the period boundary at that k.
-  * legacy -- the legacy formula on both sides; it has period 1 by
-    construction, so one (pre, post) pair serves every k.
+    C(1), from the cumulative pass, matches ``compute_B``'s B, a separate
+    quadrature, and the algebra carries the anchor across the period
+    boundary at that k.
+  * legacy -- ``legacy_grid`` at offsets 1 and 0; it has period 1 by
+    construction, so one (pre, post) pair serves every k.  Its continuity
+    residual is E* |C(1) - B| / B, so it too hinges on the table's C(1)
+    against ``compute_B``'s B.
   * oracle -- RK4 on its own stage tables, against the kernel.
   * fixed-point scan -- the period-advance map, which has no E* - E
     subtraction, against the anchor d / B.
@@ -59,7 +60,7 @@ from .closed_form import (
     ModelParams,
     SolutionConstants,
     derive_constants,
-    legacy_periodic_at,
+    legacy_grid,
     one_sided_limits,
     period_table,
     periodic_grid,
@@ -71,28 +72,19 @@ from .integrator import StepControl, Trajectory, integrate
 
 __all__ = [
     "CheckRecord",
-    "RICHARDSON_OFFSETS",
     "VerificationReport",
     "compare_solutions",
     "fixed_point_scan",
-    "left_limit",
     "trajectory_closed_form",
     "verify_impulse_condition",
     "verify_periodicity",
 ]
-
-#: Offsets used to extrapolate one-sided limits (largest first, halving).
-RICHARDSON_OFFSETS = (1e-4, 5e-5, 2.5e-5)
 
 #: Default tolerances of the checks; the CLI's ``Tolerances`` reads them.
 DEFAULT_IMPULSE_TOL = 1e-6
 DEFAULT_PERIODICITY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_FIXED_POINT_TOL = 1e-6
-
-# A coefficient jump this close before the impulse instants counts as at
-# them: it leaves the orbit smooth on every extrapolation window.
-_AT_IMPULSE = 1e-9
 
 #: Panel count of the independent side of the periodicity check.
 REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT
@@ -154,16 +146,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def left_limit(values: Sequence[float]) -> float:
-    """Extrapolated left limit of f at t from f(t - d), f(t - d/2), f(t - d/4).
-
-    Two Richardson stages over the halving offsets cancel the linear and
-    quadratic terms in d, leaving an O(d**3) bias.
-    """
-    u1, u2, u3 = values
-    return (8.0 * u3 - 6.0 * u2 + u1) / 3.0
-
-
 def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, s: float) -> float:
     """x* at offset s into any period, from the scalar forcing quadrature
     over the phase window [phase, phase + s].
@@ -177,52 +159,6 @@ def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, s: floa
     return consts.d / (consts.B * decay + consts.d * forcing)
 
 
-def _pre_impulse_offsets(params: ModelParams) -> tuple[float, float, float]:
-    """``RICHARDSON_OFFSETS``, or smaller ones when r or K jumps among them.
-
-    The extrapolation needs the orbit smooth on [tau - d, tau); a
-    coefficient jump there puts a kink in it.  A jump between _AT_IMPULSE
-    and d before the impulse instants sets d to half its distance from them.
-    """
-    d = RICHARDSON_OFFSETS[0]
-    lags = [(params.phase - beta) % 1.0 for beta in params.pair.breakpoints_mod1()]
-    near = [lag for lag in lags if _AT_IMPULSE < lag < d]
-    if not near:
-        return RICHARDSON_OFFSETS
-    d = 0.5 * min(near)
-    return (d, d / 2.0, d / 4.0)
-
-
-def _corrected_limits(
-    params: ModelParams, consts: SolutionConstants, ks: Sequence[int], offsets: Sequence[float]
-) -> list[tuple[float, float]]:
-    """One-sided values at the impulse t0 + k of the solution started at
-    x0_star, for each k.
-
-    Pre side: offsets 1 - o of period k - 1, extrapolated by ``left_limit``.
-    Post side: offset 0 of period k.  One table and one ``solution_grid``
-    call serve every k.
-    """
-    table = period_table(params, [0.0, *(1.0 - o for o in offsets)])
-    anchor = one_sided_limits(consts).post  # x0_star; raises when there is no orbit
-    rows = solution_grid(consts, anchor, [k - 1 for k in ks] + list(ks), table)
-    pre, post = rows[: len(ks), 1:].tolist(), rows[len(ks) :, 0].tolist()
-    return [(left_limit(values), after) for values, after in zip(pre, post)]
-
-
-def _legacy_limits(
-    params: ModelParams, consts: SolutionConstants, ks: Sequence[int], offsets: Sequence[float]
-) -> list[tuple[float, float]]:
-    """One-sided values of the legacy formula at every impulse instant.
-
-    Its window integral has period 1, so it is read at phase + 1, where each
-    instant t0 + k lands modulo 1: one (pre, post) pair serves every k.
-    """
-    tau = params.phase + 1.0
-    pre = left_limit([legacy_periodic_at(params, consts, tau - o) for o in offsets])
-    return [(pre, legacy_periodic_at(params, consts, tau))] * len(ks)
-
-
 def verify_impulse_condition(
     which: str,
     params: ModelParams,
@@ -231,16 +167,19 @@ def verify_impulse_condition(
 ) -> VerificationReport:
     """Check the jump behavior of a periodic formula at the impulse instants.
 
-    which="corrected": for each k, the numerically extrapolated pre-impulse
-    limit and the post-impulse value must satisfy post = (1 - E) pre within
-    tol (relative to pre).
+    which="corrected": for each k, the pre-impulse value (offset 1 of
+    period k - 1) and the post-impulse value (offset 0 of period k) of the
+    solution started at x0_star must satisfy post = (1 - E) pre within tol
+    (relative to pre).
 
     which="legacy": the report instead records (a) the continuity residual
-    |post - pre| / pre, which must be within tol, and (b) the jump-rule
-    shortfall E/2 - violation with tolerance 0, where
-    violation = |post - (1 - E) pre| / pre.  Both passing means the legacy
-    formula is demonstrably continuous at the impulses and misses the
-    required jump by at least half the harvest fraction.
+    |post - pre| / pre of ``legacy_grid`` at offsets 1 and 0, which must be
+    within tol, and (b) the jump-rule shortfall E/2 - violation with
+    tolerance 0, where violation = |post - (1 - E) pre| / pre.  Both passing
+    means the legacy formula is demonstrably continuous at the impulses and
+    misses the required jump by at least half the harvest fraction.
+
+    One period table with offsets 0 and 1 serves every k of either check.
     """
     if which not in ("corrected", "legacy"):
         raise ValueError(f"which must be 'corrected' or 'legacy', got {which!r}")
@@ -248,32 +187,39 @@ def verify_impulse_condition(
     if not ks or any(k < 1 for k in ks):
         raise ValueError(f"impulse indices must be positive, got {ks!r}")
 
-    limits = _corrected_limits if which == "corrected" else _legacy_limits
-    offsets = _pre_impulse_offsets(params)
     consts = derive_constants(params)
+    analytic = one_sided_limits(consts)  # raises when there is no orbit
+    table = period_table(params, [0.0, 1.0])
+    if which == "corrected":
+        rows = solution_grid(consts, analytic.post, [k - 1 for k in ks] + list(ks), table)
+        limits = zip(rows[: len(ks), 1].tolist(), rows[len(ks) :, 0].tolist())
+    else:
+        post, pre = legacy_grid(consts, table).tolist()
+        limits = [(pre, post)] * len(ks)
     records: list[CheckRecord] = []
     estimates = {}
-    for k, (pre, post) in zip(ks, limits(params, consts, ks, offsets)):
-        jump = abs(post - (1.0 - params.E) * pre) / pre
-        estimate = estimates[f"k={k}"] = {"pre": float(pre), "post": float(post)}
+    for k, (pre, post) in zip(ks, limits):
+        # pre is 0.0 only when C(1) is out of all scale with B (x0_star C(1)
+        # or E* C(1) overflows): no relative residual exists, and it fails
+        jump = abs(post - (1.0 - params.E) * pre) / pre if pre else math.inf
+        estimate = estimates[f"k={k}"] = {"pre": pre, "post": post}
         if which == "corrected":
-            records.append(CheckRecord(f"k={k} jump", float(jump), tol))
+            records.append(CheckRecord(f"k={k} jump", jump, tol))
             continue
-        estimate["jump_violation"] = float(jump)
-        records.append(CheckRecord(f"k={k} continuity", float(abs(post - pre) / pre), tol))
-        records.append(CheckRecord(f"k={k} jump shortfall", float(params.E / 2.0 - jump), 0.0))
+        estimate["jump_violation"] = jump
+        continuity = abs(post - pre) / pre if pre else math.inf
+        records.append(CheckRecord(f"k={k} continuity", continuity, tol))
+        records.append(CheckRecord(f"k={k} jump shortfall", params.E / 2.0 - jump, 0.0))
 
     metadata = {
         "which": which,
         "params": params.to_dict(),
         "ks": list(ks),
         "tolerance": tol,
-        "offsets": list(offsets),
         "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
         "estimates": estimates,
     }
     if which == "corrected":
-        analytic = one_sided_limits(consts)
         metadata["analytic_pre"] = analytic.pre
         metadata["analytic_post"] = analytic.post
     return VerificationReport(

@@ -56,6 +56,7 @@ from .analysis import (
     verify_periodicity,
 )
 from .closed_form import (
+    AnchorUnderflowError,
     ModelParams,
     NoPeriodicSolutionError,
     SolutionConstants,
@@ -126,14 +127,8 @@ class ScenarioConfig:
         return StepControl(h=self.step)
 
     def constants(self, E: float | None = None) -> SolutionConstants:
-        """Constants at E (default: the config's); an anchor d / B of 0.0 is refused."""
-        consts = derive_constants(self.params(E))
-        if consts.x0_star == 0.0:
-            raise ConfigError(
-                f"E={consts.E!r}: the orbit anchor x0_star = d/B underflows to 0.0 "
-                f"(d={consts.d!r}, B={consts.B!r}; K is too small for r at this E)"
-            )
-        return consts
+        """Constants at E (default: the config's)."""
+        return derive_constants(self.params(E))
 
     def resolved_x0(self, consts: SolutionConstants) -> float:
         """Configured x0, else the orbit anchor in consts, else the mean of K."""
@@ -517,7 +512,6 @@ def cmd_counterexample(config: ScenarioConfig, fmt: str = "json") -> tuple[str, 
     continuous (and therefore violates the jump rule whenever E > 0).
     """
     params = config.params()
-    config.constants()  # refuses an anchor that underflows before any check runs
     tol = config.tolerances
     ks = tuple(range(1, min(5, config.horizon_periods) + 1))
     corrected = verify_impulse_condition("corrected", params, ks=ks, tol=tol.jump)
@@ -681,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
             text, code = cmd_counterexample(config, fmt)
         else:
             text = cmd_sweep(config, _sweep_values(config, args), fmt)
-    except ConfigError as exc:
+    except (ConfigError, AnchorUnderflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NoPeriodicSolutionError, IntegrationError) as exc:

@@ -31,11 +31,17 @@ post-impulse value.
 
 When d > 0 (equivalently q = (1 - E) A > 1) the model has a unique
 positive period-1 orbit; its post-impulse anchor value is x0_star = d / B,
-the fixed point of the period-advance (Poincare) map.
-``legacy_periodic_at`` evaluates an older published formula for that orbit
-which is continuous at the impulse times and therefore cannot satisfy the
-jump rule; it is provided so the discrepancy is checkable (see
-:mod:`impulsive_logistic.analysis`).
+the fixed point of the period-advance (Poincare) map, and
+
+    x*(s) = d / (B exp(-R(s)) + d C(s)).
+
+An older published formula for that orbit, d / J with J the forcing
+integral over a moving one-period window, is the same expression with E*
+in place of d in front of C (``legacy_grid``).  It is continuous at the
+impulse times and therefore cannot satisfy the jump rule; it is kept so the
+discrepancy is checkable (see :mod:`impulsive_logistic.analysis`).  Both
+formulas are read from one period table, and no function here takes an
+absolute time.
 """
 
 from __future__ import annotations
@@ -50,19 +56,19 @@ from .coefficients import (
     DEFAULT_PANELS_PER_UNIT,
     CoefficientPair,
     compute_B,
-    forcing_integral,
     gauss_panels,
     panel_rule,
 )
 
 __all__ = [
+    "AnchorUnderflowError",
     "ImpulseLimits",
     "ModelParams",
     "NoPeriodicSolutionError",
     "PeriodTable",
     "SolutionConstants",
     "derive_constants",
-    "legacy_periodic_at",
+    "legacy_grid",
     "one_sided_limits",
     "period_table",
     "periodic_grid",
@@ -73,6 +79,10 @@ __all__ = [
 
 class NoPeriodicSolutionError(ValueError):
     """Raised when E >= E* (d <= 0): no positive periodic orbit exists."""
+
+
+class AnchorUnderflowError(ValueError):
+    """Raised when d > 0 but the orbit anchor d / B underflows to 0.0."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +187,9 @@ def derive_constants(params: ModelParams) -> SolutionConstants:
     """Compute G, B, E*, the margin d, ln q and (when d > 0) the anchor x0_star.
 
     G and B come from ``compute_B``, cached per (pair, phase); the rest is
-    scalar arithmetic in E.
+    scalar arithmetic in E.  Raises ``AnchorUnderflowError`` when the orbit
+    exists but its anchor d / B rounds to 0.0, which no computation can
+    start from.
     """
     E = params.E
     G, B = compute_B(params.pair, params.phase)
@@ -193,6 +205,11 @@ def derive_constants(params: ModelParams) -> SolutionConstants:
     # digits and log(1 - E) + G is the accurate form.
     ln_q = math.log1p(qm1) if qm1 > -0.5 else math.log1p(-E) + G
     x0_star = d / B if d > 0.0 else None
+    if x0_star == 0.0:
+        raise AnchorUnderflowError(
+            f"E={E!r}: the orbit anchor x0_star = d/B underflows to 0.0 "
+            f"(d={d!r}, B={B!r}; K is too small for r at this E)"
+        )
     return SolutionConstants(E=E, G=G, B=B, e_star=e_star, d=d, ln_q=ln_q, x0_star=x0_star)
 
 
@@ -230,7 +247,9 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
 
     so the step integrals of (r/K) exp(R) are summed cumulatively.  They are
     scaled by exp(-R/2) at the largest offset first, which keeps every term
-    within float range for any growth integral that A itself survives.
+    within float range for any growth integral that A itself survives, and
+    r/K by the power of two that brings its largest value into [1/2, 1),
+    which keeps a huge r/K (a tiny K) in range and scales every sum exactly.
     Coefficients are evaluated at the phase frac(t0) + s.
     """
     s = np.asarray(offsets, dtype=float)
@@ -249,9 +268,12 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     big_r = pair.r.antiderivative(phase + edges)
     growth = big_r - big_r[0]
     shift = 0.5 * growth[-1]
-    weighted = pair.r(u) / pair.K(u) * np.exp(pair.r.antiderivative(u) - big_r[0] - shift)
+    ratio = pair.r(u) / pair.K(u)
+    scale = math.frexp(ratio.max(initial=0.0))[1]
+    weighted = np.ldexp(ratio, -scale) * np.exp(pair.r.antiderivative(u) - big_r[0] - shift)
     steps = np.add.reduceat((weights * weighted).sum(axis=1), first) if first.size else first
     forcing = np.concatenate(([0.0], np.cumsum(steps))) * np.exp(shift - growth)
+    forcing = np.ldexp(forcing, scale)
 
     at = np.searchsorted(edges, s)
     growth = growth[at]
@@ -300,19 +322,25 @@ def periodic_grid(consts: SolutionConstants, table: PeriodTable) -> np.ndarray:
     return consts.d / (consts.B * table.decay + consts.d * table.forcing)
 
 
-def legacy_periodic_at(params: ModelParams, consts: SolutionConstants, t: float) -> float:
-    """The older published periodic-orbit formula (kept for its refutation).
+def legacy_grid(consts: SolutionConstants, table: PeriodTable) -> np.ndarray:
+    """The older published orbit formula at every offset of ``table`` (kept
+    for its refutation); requires d > 0.
 
-    Evaluates (q - 1) / (A J(t)) = d / J(t), where J(t) is the forcing
-    integral over the moving window [t, t + 1].  J is continuous in t, so
-    this expression has equal one-sided limits at the impulse instants and
-    cannot satisfy the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.
-    Defined for any real t; requires d > 0.  J has period 1, so the window
-    is integrated from frac(t), where its nodes keep full precision at any t.
+    The formula is (q - 1) / (A J) = d / J, with J(s) the forcing integral
+    over the moving window [s, s + 1].  Splitting the window at the impulse
+    instant, offset 1: the part past it is C(s), and the part before it is
+    the unit-window integral B less its part over [0, s], carried forward by
+    exp(-R(s)), that is B exp(-R(s)) - exp(-G) C(s).  So
+
+        J(s) = B exp(-R(s)) + E* C(s),    x_legacy(s) = d / J(s),
+
+    which is ``periodic_grid`` with E* in place of d in front of C.  At
+    s = 1, R = G and C(1) = B give J(1) = B = J(0): the formula takes the
+    same value d / B on both sides of every impulse, so it cannot satisfy
+    the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.
     """
     _require_orbit(consts)
-    u = t - math.floor(t)
-    return consts.d / forcing_integral(params.pair, u, u + 1.0)
+    return consts.d / (consts.B * table.decay + consts.e_star * table.forcing)
 
 
 def one_sided_limits(consts: SolutionConstants) -> ImpulseLimits:

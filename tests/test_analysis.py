@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from impulsive_logistic import (
+    AnchorUnderflowError,
     CheckRecord,
     CoefficientPair,
     ConstantCoefficient,
@@ -94,10 +95,10 @@ def test_impulse_checks_pass_for_random_instances():
 
 
 @pytest.mark.parametrize("lag", [1.6e-5, 7e-5])
-def test_impulse_checks_extrapolate_right_of_a_jump_just_before_the_impulse(lag):
-    # K jumps `lag` before every impulse, among the default Richardson nodes:
-    # extrapolating across the kink this puts in the orbit missed the jump
-    # rule by ~1.5e-6.  The nodes must move between the jump and the impulse.
+def test_impulse_checks_hold_with_a_jump_just_before_the_impulse(lag):
+    # K jumps `lag` before every impulse, which put a kink inside the window
+    # of an extrapolated pre-impulse limit; read at offset 1 of the period
+    # table, the pre value has no window and the jump is one more table cut.
     params = ModelParams(
         pair=CoefficientPair(
             r=SinusoidCoefficient(mean=0.41, amp=-0.09, phase=4.9),
@@ -108,12 +109,31 @@ def test_impulse_checks_extrapolate_right_of_a_jump_just_before_the_impulse(lag)
     )
     pre = verify_impulse_condition("corrected", params, ks=(1, 2), tol=1e-6)
     assert pre.passed, pre.to_text()
-    assert pre.metadata["offsets"][0] == pytest.approx(lag / 2.0, rel=1e-6)
     for k in (1, 2):
         estimate = pre.metadata["estimates"][f"k={k}"]["pre"]
         assert estimate == pytest.approx(pre.metadata["analytic_pre"], rel=1e-9)
     legacy = verify_impulse_condition("legacy", params, ks=(1, 2), tol=1e-6)
     assert legacy.passed, legacy.to_text()
+
+
+def test_jump_checks_report_a_table_that_disagrees_with_B():
+    # K is 3e-255 on the first 1e-13 of each period.  The period table
+    # integrates that sliver; compute_B merges a jump within 1e-12 of its
+    # window's start and misses it, so C(1) = 1e239 against B = 5e-205.
+    # x0_star C(1) overflows and the pre-impulse value reads 0.0: both
+    # checks must fail on the mismatch, not raise.
+    params = ModelParams(
+        pair=CoefficientPair(
+            r=ConstantCoefficient(1.0),
+            K=PiecewiseConstantCoefficient((0.0, 1e-13, 1.0), (3e-255, 2e204)),
+        ),
+        E=0.25,
+        t0=1.0,
+    )
+    corrected = verify_impulse_condition("corrected", params)
+    assert [rec.residual for rec in corrected.records] == [math.inf] * 5
+    legacy = verify_impulse_condition("legacy", params)
+    assert not any(rec.passed for rec in legacy.records if "continuity" in rec.location)
 
 
 def test_impulse_check_validation():
@@ -123,6 +143,27 @@ def test_impulse_check_validation():
         verify_impulse_condition("corrected", golden_params(), ks=(0,))
     with pytest.raises(NoPeriodicSolutionError):
         verify_impulse_condition("corrected", golden_params(E=0.6))
+
+
+def test_every_check_refuses_an_anchor_that_underflows():
+    # d is 1 ulp and B 5e307, so d / B underflows to 0.0: each check must
+    # name the cause rather than run from a zero anchor
+    params = ModelParams(
+        pair=CoefficientPair(r=ConstantCoefficient(math.log(2.0)), K=ConstantCoefficient(1e-308)),
+        E=0.4999999999999999,
+        t0=0.5,
+    )
+    checks = [
+        lambda: verify_periodicity(params),
+        lambda: verify_impulse_condition("corrected", params),
+        lambda: verify_impulse_condition("legacy", params),
+        lambda: compare_solutions(params, 1e-300, 1),
+        lambda: fixed_point_scan(params, 1e-310, 1e-300),
+    ]
+    named = r"^E=0\.4999999999999999: .*\(d=.*, B="
+    for check in checks:
+        with pytest.raises(AnchorUnderflowError, match=named):
+            check()
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impulsive_logistic.cli import (
     ConfigError,
@@ -28,7 +33,7 @@ from impulsive_logistic.cli import (
 )
 from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
-from impulsive_logistic.coefficients import compute_B
+from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "golden_constant.json"
@@ -741,3 +746,71 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         code_b, bytes_b = _run_to_bytes(tmp_path, f"b{i}", argv)
         assert code_a == code_b
         assert bytes_a == bytes_b, f"nondeterministic output for {argv}"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every scenario ends with a documented exit code
+# ---------------------------------------------------------------------------
+
+
+def _magnitude(low: int, high: int):
+    """Floats spread over the decades 10**low .. 10**high."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+def _coefficient_dicts(values):
+    """Scenario coefficients of every kind.  Piecewise ones may jump within
+    1e-13 after 0 and before 1, next to the impulses when frac(t0) = 0."""
+    constant = st.builds(lambda v: {"kind": "constant", "value": v}, values)
+    sinusoid = st.builds(
+        lambda mean, frac, phase: {
+            "kind": "sinusoid", "mean": mean, "amp": frac * mean, "phase": phase
+        },
+        values,
+        st.floats(-0.99, 0.99),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    piecewise = st.builds(
+        lambda head, inner, tail: [0.0, *head, *sorted(inner), *tail, 1.0],
+        st.lists(st.floats(0.0, 1e-13, exclude_min=True), max_size=1),
+        st.lists(st.integers(1, 63).map(lambda i: i / 64.0), max_size=2, unique=True),
+        st.lists(st.integers(1, 450).map(lambda n: 1.0 - n * 2.0**-52), max_size=1),
+    ).flatmap(
+        lambda bp: st.lists(values, min_size=len(bp) - 1, max_size=len(bp) - 1).map(
+            lambda vals: {"kind": "piecewise", "breakpoints": bp, "values": vals}
+        )
+    )
+    return st.one_of(constant, sinusoid, piecewise)
+
+
+@st.composite
+def _scenarios(draw) -> dict:
+    r = draw(_coefficient_dicts(_magnitude(-3, 3)))
+    scenario = {"r": r, "K": draw(_coefficient_dicts(_magnitude(-300, 300)))}
+    # harvest fractions anywhere, and within a few ulp of the critical one
+    e_star = -math.expm1(-coefficient_from_dict(r).integral(0.0, 1.0))
+    near = st.integers(-4, 4).map(
+        lambda n: min(max(e_star + n * math.ulp(e_star), 0.0), 1.0 - 2.0**-53)
+    )
+    fraction = st.one_of(st.floats(0.0, 1.0, exclude_max=True), near)
+    scenario["E"] = draw(fraction)
+    scenario["e_values"] = draw(st.lists(fraction, min_size=1, max_size=3))
+    scenario["t0"] = draw(st.one_of(st.just(1.0), _magnitude(-3, 12)))
+    if draw(st.booleans()):
+        scenario["x0"] = draw(_magnitude(-300, 300))
+    scenario["horizon_periods"] = draw(st.integers(1, 3))
+    return scenario
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(scenario=_scenarios())
+def test_random_scenarios_end_with_a_documented_exit_code(tmp_path_factory, scenario):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a warning escapes main as an exception
+                code = main([command, "--config", str(path)])
+        assert code in (0, 1, 2), command

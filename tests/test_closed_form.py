@@ -18,7 +18,7 @@ from impulsive_logistic import (
     SinusoidCoefficient,
     compute_B,
     derive_constants,
-    legacy_periodic_at,
+    legacy_grid,
     one_sided_limits,
     period_table,
     periodic_grid,
@@ -334,22 +334,21 @@ def test_orbit_mean_at_huge_growth(r0, E):
 def test_legacy_is_globally_constant_for_constant_coefficients():
     p = golden_params()
     c = derive_constants(p)
-    for t in (0.5, 0.77, 1.5, 2.31, 9.0):
-        assert legacy_periodic_at(p, c, t) == pytest.approx(50.0, rel=1e-10)
+    offsets = [0.0, 0.27, 0.5, 0.81, 1.0]
+    np.testing.assert_allclose(legacy_grid(c, period_table(p, offsets)), 50.0, rtol=1e-10)
 
 
 def test_legacy_agrees_with_corrected_when_no_harvest():
     p = golden_params(E=0.0)
     c = derive_constants(p)
-    post = periodic_grid(c, period_table(p, [0.0]))[0]
-    for k in (1, 2):
-        assert legacy_periodic_at(p, c, p.t0 + k) == pytest.approx(post, rel=1e-10)
+    table = period_table(p, [0.0, 0.3, 1.0])
+    np.testing.assert_allclose(legacy_grid(c, table), periodic_grid(c, table), rtol=1e-10)
 
 
 def test_legacy_requires_orbit():
     p = golden_params(E=0.6)
     with pytest.raises(NoPeriodicSolutionError):
-        legacy_periodic_at(p, derive_constants(p), 1.0)
+        legacy_grid(derive_constants(p), period_table(p, [0.0, 1.0]))
 
 
 def test_legacy_is_continuous_where_the_orbit_jumps():
@@ -358,16 +357,14 @@ def test_legacy_is_continuous_where_the_orbit_jumps():
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
     c = derive_constants(p)
-    for k in (1, 2):
-        tau = p.t0 + k
-        pre = richardson_left(lambda s: legacy_periodic_at(p, c, s), tau)
-        post = legacy_periodic_at(p, c, tau)
-        # equal one-sided limits: no jump at all
-        assert post == pytest.approx(pre, rel=1e-8)
-        # hence the jump rule is missed by the full harvested fraction
-        violation = abs(post - (1.0 - p.E) * pre) / pre
-        assert violation == pytest.approx(p.E, rel=1e-6)
-        assert violation >= p.E / 2.0
+    # offset 1 is the value before every impulse, offset 0 the value after it
+    post, pre = legacy_grid(c, period_table(p, [0.0, 1.0]))
+    # equal one-sided limits: no jump at all
+    assert post == pytest.approx(pre, rel=1e-12)
+    # hence the jump rule is missed by the full harvested fraction
+    violation = abs(post - (1.0 - p.E) * pre) / pre
+    assert violation == pytest.approx(p.E, rel=1e-12)
+    assert violation >= p.E / 2.0
 
 
 def test_legacy_counterexample_for_random_instances():
@@ -376,11 +373,8 @@ def test_legacy_counterexample_for_random_instances():
         p = random_params(rng, index=i)
         if p.E == 0.0:
             continue
-        tau = p.t0 + 2
-        c = derive_constants(p)
-        pre = richardson_left(lambda s: legacy_periodic_at(p, c, s), tau)
-        post = legacy_periodic_at(p, c, tau)
-        assert abs(post - pre) / pre <= 1e-8
+        post, pre = legacy_grid(derive_constants(p), period_table(p, [0.0, 1.0]))
+        assert abs(post - pre) / pre <= 1e-12
         assert abs(post - (1.0 - p.E) * pre) / pre >= p.E / 2.0
 
 

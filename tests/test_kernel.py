@@ -28,6 +28,7 @@ from impulsive_logistic import (
     derive_constants,
     forcing_integral,
     integrate,
+    legacy_grid,
     period_table,
     periodic_grid,
     periodic_orbit_mean,
@@ -36,8 +37,6 @@ from impulsive_logistic import (
     verify_impulse_condition,
     verify_periodicity,
 )
-from impulsive_logistic.analysis import RICHARDSON_OFFSETS
-
 from helpers import golden_params, random_params
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -98,6 +97,63 @@ def test_table_matches_scalar_quadrature(params, offsets):
         a, b = params.t0, params.t0 + s
         assert growth == pytest.approx(params.r.integral(a, b), rel=1e-12, abs=1e-14)
         assert forcing == pytest.approx(forcing_integral(params.pair, a, b), rel=1e-12)
+
+
+def test_table_holds_a_forcing_ratio_near_the_float_range():
+    # r/K = 5.6e186 times exp(R - G/2) up to 1e122 overflowed until r/K was
+    # scaled by a power of two; B = 1e184 itself fits a float
+    params = ModelParams(
+        pair=CoefficientPair(
+            r=ConstantCoefficient(562.341325190349), K=ConstantCoefficient(1e-184)
+        ),
+        E=0.0,
+        t0=1.0,
+    )
+    with np.errstate(all="raise"):
+        table = period_table(params, [0.0, 0.5, 1.0])
+    want = [0.0, forcing_integral(params.pair, 0.0, 0.5), compute_B(params.pair, 0.0)[1]]
+    np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
+@pytest.mark.parametrize("k_kind", ["constant", "sinusoid", "piecewise"])
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_legacy_grid_is_d_over_the_moving_window_integral(r_kind, k_kind, data):
+    # J(s), the forcing integral over [s, s + 1], split at the impulse is
+    # B exp(-R(s)) + E* C(s): the legacy formula d / J read from a table
+    pair = CoefficientPair(
+        r=data.draw(coefficient_kinds(0.2, 50.0)[r_kind]),
+        K=data.draw(coefficient_kinds(10.0, 500.0)[k_kind]),
+    )
+    e_crit = -math.expm1(-pair.r.integral(0.0, 1.0))
+    E = data.draw(st.floats(0.0, 0.95)) * e_crit
+    params = ModelParams(pair=pair, E=E, t0=data.draw(dyadic_t0))
+    offsets = data.draw(dyadic_offsets)
+    c = derive_constants(params)
+    got = legacy_grid(c, period_table(params, offsets))
+    a = params.phase
+    want = [c.d / forcing_integral(pair, a + s, a + s + 1.0, 128) for s in offsets]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_legacy_grid_at_growth_700():
+    # at G = 700 the 64-panel B and C lose digits, and they lose them alike
+    # in the window integral at the same panel count: the two forms of the
+    # legacy formula agree to 1.5e-13, and both are 2.2e-11 off 4096 panels
+    params = ModelParams(
+        pair=CoefficientPair(r=ConstantCoefficient(700.0), K=SinusoidCoefficient(100.0, 40.0)),
+        E=0.25,
+        t0=0.5,
+    )
+    c = derive_constants(params)
+    offsets = [0.0, 0.125, 0.5, 0.875, 1.0]
+    got = legacy_grid(c, period_table(params, offsets))
+    a = params.phase
+    for s, value in zip(offsets, got):
+        window = [forcing_integral(params.pair, a + s, a + s + 1.0, n) for n in (64, 4096)]
+        assert value == pytest.approx(c.d / window[0], rel=1e-12)
+        assert value == pytest.approx(c.d / window[1], rel=1e-10)
 
 
 @PROPERTY
@@ -291,10 +347,15 @@ def test_periodicity_check_catches_a_corrupted_table(monkeypatch, params):
 
 @pytest.mark.parametrize("params", [golden_params(), SINUSOID_R], ids=["golden", "sinusoid"])
 def test_jump_check_catches_a_corrupted_table(monkeypatch, params):
+    # both jump checks read the pre-impulse value at offset 1, where only the
+    # table's C(1) against compute_B's B keeps them passing
     assert verify_impulse_condition("corrected", params).passed
-    _corrupt_table_at(monkeypatch, 1.0 - RICHARDSON_OFFSETS[0] / 4.0, 1.0 + 1e-4)
-    report = verify_impulse_condition("corrected", params)
-    assert not any(rec.passed for rec in report.records)
+    assert verify_impulse_condition("legacy", params).passed
+    _corrupt_table_at(monkeypatch, 1.0, 1.0 + 1e-4)
+    corrected = verify_impulse_condition("corrected", params)
+    assert not any(rec.passed for rec in corrected.records)
+    legacy = verify_impulse_condition("legacy", params)
+    assert not any(rec.passed for rec in legacy.records if "continuity" in rec.location)
 
 
 ORBIT_CONFIGS = ["golden_constant", "sinusoid_r", "piecewise_mixed"]
@@ -416,6 +477,20 @@ def test_sweep_builds_one_period_table(monkeypatch, name):
     monkeypatch.setattr(closed_form, "period_table", counted)
     cli.cmd_sweep(cli.load_config(CONFIG_DIR / f"{name}.json"), SWEEP_FRACTIONS)
     assert tables[0] == 1
+
+
+@pytest.mark.parametrize("name", ["sinusoid_r", "piecewise_mixed"])
+def test_legacy_check_costs_no_more_than_the_corrected_one(evaluated_nodes, name):
+    # both read one two-offset table; the legacy check evaluates no window
+    # quadrature of its own
+    params = cli.load_config(CONFIG_DIR / f"{name}.json").params()
+    nodes = {}
+    for which in ("corrected", "legacy"):
+        compute_B.cache_clear()
+        evaluated_nodes[0] = 0
+        verify_impulse_condition(which, params)
+        nodes[which] = evaluated_nodes[0]
+    assert nodes["legacy"] <= nodes["corrected"]
 
 
 # r and K at 3 stage times, once per run; a call per stage and step would

@@ -48,22 +48,22 @@ DIGESTS = {
     ("periodic", "piecewise_mixed", "json"): "9929db24f2bf5121c6a5a1023f42af50943e25bf064f6baa30b990438535a7ef",
     ("periodic", "sinusoid_r", "csv"): "5d201be9bac660a37e3eeeef62fd07209b96bc1507599fcbc23214e6b2994f97",
     ("periodic", "sinusoid_r", "json"): "aaeb96ace5d85ba033dc134df9b7c86844e1597c19acbfd81ab2c7d0a645368c",
-    ("verify", "golden_constant", "json"): "8f869f2508a58689193991e572040b01a65937734715f4a980c7b8ab69474b0d",
-    ("verify", "golden_constant", "text"): "eec68710856576a4261fa7b5b3a5f82c8581c8b3f2525de2113a50cc0a76f79c",
+    ("verify", "golden_constant", "json"): "a2027b0c180b4490c2daa20dcee245fe89d244fe0cfa49427082a198d502d931",
+    ("verify", "golden_constant", "text"): "7b1f7f295a96ade362b8e5e834a9663a22d452a09deb132d9b8ca16ab597f582",
     ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
-    ("verify", "piecewise_mixed", "json"): "7867ddfb49aa34ca6b48cd197b5f5004678fb0317abb0e94b4f3135f745f09a8",
-    ("verify", "piecewise_mixed", "text"): "43196a603c76461e323a0552b83f61a598832b1be0c003e4338a3fa072a20caf",
-    ("verify", "sinusoid_r", "json"): "126a37ee238470adc87c8219be3f120700d37dcd2a8f86f7438de142b7f75f8c",
-    ("verify", "sinusoid_r", "text"): "7ead59924cea8181e65fab55313649d16e2f483ab196aeb2fc4f1333ce276e63",
-    ("counterexample", "golden_constant", "json"): "fe0025118636848c46b1270fa73feb111a4d235ecb5636146d3c47e5ca85fc7d",
-    ("counterexample", "golden_constant", "text"): "5741985105bd3509dee07b11aa18ad44008fc73e6b50573172cda1dd804b6693",
+    ("verify", "piecewise_mixed", "json"): "448fdef9ae0ee72d995ebd9523be0e8c7c2d770b18ac74cb39c8e1571647dfa4",
+    ("verify", "piecewise_mixed", "text"): "3d08aa72100fad7443c9b1051cccb6a045b1ad66678cc1f791f35ab973d000ce",
+    ("verify", "sinusoid_r", "json"): "70665558be982a919ce8b89ba41ef311c28fc2e22840de84eebf1ef39a5c3345",
+    ("verify", "sinusoid_r", "text"): "8537b2aeb0bf40ae7a09bae7e95698c5367a5f2cc4f665dd34e646299c2e6df7",
+    ("counterexample", "golden_constant", "json"): "88e399df1b88c7d43378b32cc097906c285c32d917cb10790ffe72d42072a71d",
+    ("counterexample", "golden_constant", "text"): "41b8647e51770c96c9d95104b5aeb04d95d9d899307dcfcbdcbe9e138f5859a1",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("counterexample", "piecewise_mixed", "json"): "29439193df06c919cc6f9b16ecf8500416ac3863f7faa8c867780b25f69369a3",
-    ("counterexample", "piecewise_mixed", "text"): "4243d9bdecf0a149c279074aa215be832eb8165f589eef441519f4592e614c73",
-    ("counterexample", "sinusoid_r", "json"): "8f61420828da3d586bb1ca2983d74be13b5df3848e62274b63328cf5809f901d",
-    ("counterexample", "sinusoid_r", "text"): "c8c728edeb6a190407bfa6dedcdc135a0a4442db00657604dd3ceafadf51e9ee",
+    ("counterexample", "piecewise_mixed", "json"): "156f0712ae237481f5f38919e457292ecf984473d8a2a349feed18c5c460415a",
+    ("counterexample", "piecewise_mixed", "text"): "a307af2277cedfa5990ee8e6e133b397465326fdd75ade7fdd69a57299d28d41",
+    ("counterexample", "sinusoid_r", "json"): "1f86f8706dca7d00386ef0b879b7c3fb06200e58c67ba2cf4f15d74f6a3bf6fe",
+    ("counterexample", "sinusoid_r", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
     ("sweep", "golden_constant", "csv"): "2d66d8a41722681d1c50acd1083fb7a594ec009ab55fedfc626fe0c5a54a5f10",
     ("sweep", "golden_constant", "json"): "0035b69da18ff6218af8579cf514dd173d91a6004197c049b217b16b203aff43",
     ("sweep", "overharvest", "csv"): "079b44ecec7b01341dd88c83701a7791756bf79e455d918deb14b9fefb2f6f7a",
