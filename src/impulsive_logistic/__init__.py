@@ -39,6 +39,7 @@ from .coefficients import (
     coefficient_from_dict,
     compute_B,
     forcing_integral,
+    forcing_integrals,
 )
 from .integrator import (
     IntegrationError,
@@ -72,6 +73,7 @@ __all__ = [
     "derive_constants",
     "fixed_point_scan",
     "forcing_integral",
+    "forcing_integrals",
     "integrate",
     "legacy_grid",
     "one_sided_limits",

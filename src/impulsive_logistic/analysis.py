@@ -23,10 +23,12 @@ the post-impulse value at offset 0 of period k.  No limit is estimated.
 Which side of each check is independent of the code it checks:
   * periodicity -- the kernel side is the solution started at x0_star,
     through ``solution_grid`` at period index k; the independent side is
-    the scalar forcing quadrature at twice the panel count, which reads no
-    period table and no k.  Each (k, offset) record is computed at its own
-    k, so the k-dependent part of the kernel (q**-k and the geometric sum)
-    must hold the orbit for the record to pass.
+    the forcing quadrature over the 16 windows [phase, phase + offset],
+    each with its own panels at 128 per unit (twice the kernel's) and its
+    own sum, evaluated in one ``forcing_integrals`` call; it reads no
+    period table, no cumulative pass and no k.  Each (k, offset) record is
+    computed at its own k, so the k-dependent part of the kernel (q**-k and
+    the geometric sum) must hold the orbit for the record to pass.
   * corrected jump -- both sides come from ``solution_grid`` at x0_star,
     the pre value at offset 1 of period k - 1, the post value at offset 0
     of period k.  The jump rule appears in no formula of the kernel, so
@@ -58,6 +60,7 @@ import numpy as np
 
 from .closed_form import (
     ModelParams,
+    PeriodTable,
     SolutionConstants,
     derive_constants,
     legacy_grid,
@@ -67,7 +70,7 @@ from .closed_form import (
     poincare_map,
     solution_grid,
 )
-from .coefficients import DEFAULT_PANELS_PER_UNIT, forcing_integral
+from .coefficients import DEFAULT_PANELS_PER_UNIT, forcing_integrals
 from .integrator import StepControl, Trajectory, integrate
 
 __all__ = [
@@ -146,17 +149,23 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _orbit_by_quadrature(params: ModelParams, consts: SolutionConstants, s: float) -> float:
-    """x* at offset s into any period, from the scalar forcing quadrature
-    over the phase window [phase, phase + s].
+def _orbit_by_quadrature(
+    params: ModelParams, consts: SolutionConstants, offsets: Sequence[float]
+) -> list[float]:
+    """x* at each offset s into any period, from the forcing quadrature over
+    the phase window [phase, phase + s], each window with its own panels.
 
     Shares no period table with the kernel: the independent side of the
     periodicity check.
     """
     a = params.phase
-    decay = math.exp(-params.r.integral(a, a + s))
-    forcing = forcing_integral(params.pair, a, a + s, REFERENCE_PANELS_PER_UNIT)
-    return consts.d / (consts.B * decay + consts.d * forcing)
+    ends = [a + s for s in offsets]
+    forcing = forcing_integrals(params.pair, a, ends, REFERENCE_PANELS_PER_UNIT)
+    growth = params.r.antiderivative(np.asarray(ends)) - params.r.antiderivative(a)
+    return [
+        consts.d / (consts.B * math.exp(-g) + consts.d * f)
+        for g, f in zip(growth.tolist(), forcing)
+    ]
 
 
 def verify_impulse_condition(
@@ -254,9 +263,11 @@ def verify_periodicity(
     table = period_table(params, offsets)
     anchor = one_sided_limits(consts).post  # x0_star; raises when there is no orbit
     kernel = solution_grid(consts, anchor, range(periods), table)[:, where]
-    reference = [_orbit_by_quadrature(params, consts, off) for off in grid]
+    reference = _orbit_by_quadrature(params, consts, grid)
+    # a kernel value of 0.0 (C(s) out of all scale with B) has no relative
+    # residual, and fails
     records = [
-        CheckRecord(f"k={k} offset={off:g}", float(abs(ref - now) / now), tol)
+        CheckRecord(f"k={k} offset={off:g}", abs(ref - now) / now if now else math.inf, tol)
         for k, row in enumerate(kernel.tolist())
         for off, now, ref in zip(grid, row, reference)
     ]
@@ -272,7 +283,10 @@ def verify_periodicity(
 
 
 def trajectory_closed_form(
-    traj: Trajectory, consts: SolutionConstants, periodic: bool = False
+    traj: Trajectory,
+    consts: SolutionConstants,
+    periodic: bool = False,
+    table: PeriodTable | None = None,
 ) -> list[np.ndarray]:
     """Closed form at every sample of every piece of an integrated path.
 
@@ -280,12 +294,14 @@ def trajectory_closed_form(
     ``traj.x0``, or with ``periodic=True`` the periodic orbit; ``consts``
     are the constants of ``traj.params``.  Every piece
     samples a prefix of the first piece's offsets, so a whole trajectory
-    costs one period table.  The last sample of a piece that ends at an
+    costs one period table, ``table`` when given: trajectories on one step
+    grid share it.  The last sample of a piece that ends at an
     impulse is the pre-impulse value, post / (1 - E) with post the next
     piece's first value.
     """
     params = traj.params
-    table = period_table(params, traj.pieces[0].offsets)
+    if table is None:
+        table = period_table(params, traj.pieces[0].offsets)
     if periodic:
         rows = np.tile(periodic_grid(consts, table), (len(traj.pieces), 1))
     else:
@@ -320,7 +336,10 @@ def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float,
         nums.append((before.values[-1], after.values[0]))
         refs.append((ref_before[-1], ref_after[0]))
     ref = np.concatenate(refs)
-    residual = np.abs(ref - np.concatenate(nums)) / ref
+    # against a closed-form value of 0.0, or one out of all scale with the
+    # sample, the residual reads inf and fails
+    with np.errstate(divide="ignore", over="ignore"):
+        residual = np.abs(ref - np.concatenate(nums)) / ref
     worst = int(np.argmax(residual))
     if not residual[worst] > 0.0:
         return 0.0, traj.params.t0
@@ -350,7 +369,9 @@ def compare_solutions(
     consts = derive_constants(params)
 
     traj = integrate(params, x0, horizon_periods, ctrl)
-    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts))
+    # the orbit's trajectory below runs on the same step grid
+    table = period_table(params, traj.pieces[0].offsets)
+    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts, table=table))
     records = [
         CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)
     ]
@@ -367,7 +388,7 @@ def compare_solutions(
     if consts.x0_star is not None:
         orbit_traj = integrate(params, consts.x0_star, horizon_periods, ctrl)
         worst_p, worst_pt = _worst_deviation(
-            orbit_traj, trajectory_closed_form(orbit_traj, consts, periodic=True)
+            orbit_traj, trajectory_closed_form(orbit_traj, consts, periodic=True, table=table)
         )
         records.append(
             CheckRecord(
@@ -412,20 +433,19 @@ def fixed_point_scan(
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n!r}")
     consts = derive_constants(params)
-    xs = np.geomspace(x_min, x_max, n)
-    gap = poincare_map(consts, xs) - xs
-    sign = np.sign(gap)  # a product of two gaps can overflow, one of two signs cannot
+    grid = np.geomspace(x_min, x_max, n)
+    gap = poincare_map(consts, grid) - grid
 
+    # on Python floats: poincare_map of a float makes no numpy call
+    xs, gaps = grid.tolist(), gap.tolist()
     crossings: list[float] = []
-    for i in range(n - 1):
-        if gap[i] == 0.0:
-            crossings.append(float(xs[i]))
-        elif sign[i] * sign[i + 1] < 0.0:
-            crossings.append(
-                _bisect(lambda x: poincare_map(consts, x) - x, float(xs[i]), float(xs[i + 1]))
-            )
-    if gap[-1] == 0.0:
-        crossings.append(float(xs[-1]))
+    for x, x_next, g, g_next in zip(xs, xs[1:], gaps, gaps[1:]):
+        if g == 0.0:
+            crossings.append(x)
+        elif g < 0.0 < g_next or g_next < 0.0 < g:
+            crossings.append(_bisect(lambda u: poincare_map(consts, u) - u, x, x_next))
+    if gaps[-1] == 0.0:
+        crossings.append(xs[-1])
 
     records = []
     if consts.x0_star is not None:
@@ -450,7 +470,7 @@ def fixed_point_scan(
         "x_max": float(x_max),
         "n": n,
         "tolerance": tol,
-        "crossings": [float(c) for c in crossings],
+        "crossings": crossings,
         "x0_star": consts.x0_star,
     }
     return VerificationReport(

@@ -312,10 +312,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 # how one Python scalar reads as a table cell, per format and exact type
 _CSV_CELL = {
     float: float.__repr__,
@@ -363,6 +359,59 @@ def _table(columns: list[str], cells: list[list[str]], fmt: str) -> str:
         return f'{{\n  "columns": [\n    {head}\n  ],\n  "rows": {rows}\n}}\n'
     lines = [",".join(columns), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
+
+
+# the JSON kind of each exact type json.dumps encodes, and of a subclass
+# (numpy's float64 is a float), tested in json's order
+_JSON_KIND = {
+    dict: dict,
+    list: list,
+    tuple: list,
+    str: str,
+    float: float,
+    int: int,
+    bool: bool,
+    type(None): type(None),
+}
+_JSON_BASES = ((str, str), (int, int), (float, float), (list, (list, tuple)), (dict, dict))
+
+
+def _json_kind(value) -> type:
+    kind = _JSON_KIND.get(type(value))
+    if kind is None:
+        kind = next((k for k, bases in _JSON_BASES if isinstance(value, bases)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return kind
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as json.dumps(value, indent=2, sort_keys=True) writes it,
+    nested at ``pad`` (a newline and the enclosing indent)."""
+    kind = _json_kind(value)
+    if kind is dict or kind is list:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is list:
+            return f"[{inner}{(',' + inner).join([_json(v, inner) for v in value])}{pad}]"
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_json(item, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    text = _JSON_CELL[kind](value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _dump_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, byte for byte,
+    without json's pure-Python encoder, which any indent sets off.
+
+    Keys must be strings, as every report's are.
+    """
+    return _json(obj, "\n") + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -413,12 +462,16 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
         events += marks
     numeric = np.concatenate([piece.values for piece in pieces])
     closed = np.concatenate(trajectory_closed_form(traj, consts))
+    # against a closed form of 0.0, or one out of all scale with the sample,
+    # rel_diff reads inf
+    with np.errstate(divide="ignore", over="ignore"):
+        rel_diff = np.abs(numeric - closed) / closed
     values = (
         np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist(),
         [piece.segment for piece in pieces for _ in piece.offsets],
         numeric.tolist(),
         closed.tolist(),
-        (np.abs(numeric - closed) / closed).tolist(),
+        rel_diff.tolist(),
         events,
     )
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
@@ -577,7 +630,14 @@ _HELP = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The implog parser, with options on the subparser of ``command`` only.
+
+    The top level takes no option with a value, so argparse dispatches on
+    the first argument that does not start with "-", and no other
+    subparser ever parses.  Every command keeps its subparser and help, so
+    usage, help and error texts read as with options on all six.
+    """
     parser = argparse.ArgumentParser(
         prog="implog",
         description=(
@@ -588,6 +648,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _FORMATS:
         cmd = sub.add_parser(name, help=_HELP[name])
+        if name != command:
+            continue
         cmd.add_argument("--config", required=True, help="scenario JSON file")
         cmd.add_argument("--out", default=None, help="output file (default: stdout)")
         cmd.add_argument(
@@ -653,7 +715,10 @@ def _sweep_values(config: ScenarioConfig, args: argparse.Namespace) -> tuple[flo
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
         fmt = args.format or _FORMATS[args.command][0]

@@ -262,7 +262,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
 
     cuts = [c for c in params.jump_offsets if c < s[-1]]
     edges = np.unique(np.concatenate(([0.0], s, cuts)))
-    nodes, weights, first = panel_rule(edges, DEFAULT_PANELS_PER_UNIT)
+    nodes, weights, first = panel_rule(edges[:-1], edges[1:], DEFAULT_PANELS_PER_UNIT)
     u = phase + nodes
 
     big_r = pair.r.antiderivative(phase + edges)
@@ -382,8 +382,21 @@ def poincare_map(consts: SolutionConstants, x0: float | np.ndarray) -> float | n
     (flow the reciprocal form across one window, then apply the jump).  Its
     unique positive fixed point, when d > 0, is x0_star; the map has no
     E* - E subtraction, so the fixed-point scan does not share the anchor's
-    formula.  x0 is a float or an array of states, mapped elementwise.
+    formula.  x0 is a float, mapped in plain float arithmetic, or an array
+    of states, mapped elementwise.  Where x0 B overflows, the map is the
+    same expression divided through by x0, (1 - E) / (B + exp(-G) / x0).
     """
-    if not np.all(np.greater(x0, 0.0)):
+    is_array = isinstance(x0, np.ndarray)
+    if not (np.all(x0 > 0.0) if is_array else x0 > 0.0):
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    return (1.0 - consts.E) * x0 / (math.exp(-consts.G) + x0 * consts.B)
+    keep, decay, forcing = 1.0 - consts.E, math.exp(-consts.G), consts.B
+    with np.errstate(over="ignore"):  # replaced below
+        load = x0 * forcing
+    mapped = keep * x0 / (decay + load)
+    if is_array:
+        over = np.isinf(load)
+        if over.any():
+            mapped[over] = keep / (forcing + decay / x0[over])
+    elif math.isinf(load):
+        mapped = keep / (forcing + decay / x0)
+    return mapped

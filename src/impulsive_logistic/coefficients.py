@@ -20,6 +20,12 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
     ``exp(-integral of r)``; it is the forced response of the reciprocal
     form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.  G and B do
     not depend on E: ``compute_B`` returns both, cached per (pair, phase).
+
+The forcing quadrature is ``forcing_integrals``: any number of windows
+from one start, each with its own panels, decay and sum, and r and K
+evaluated once at the nodes of all of them.  ``forcing_integral`` (and so
+B) is its one-window case; the reference side of the periodicity check
+takes its 16 windows from one call.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "coefficient_from_dict",
     "compute_B",
     "forcing_integral",
+    "forcing_integrals",
     "gauss_panels",
     "panel_rule",
 ]
@@ -323,43 +330,49 @@ class CoefficientPair:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
 
 
-def gauss_panels(
-    breaks_mod1: tuple[float, ...], a: float, b: float, panels_per_unit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [a, b].
-
-    Panels are split at every translate beta + m of the given mod-1
-    breakpoints inside (a, b) that lies more than CUT_TOL from the previous
-    cut and from b, so a piecewise-smooth integrand is smooth on each panel;
-    nodes are strictly interior, so jump-point value conventions never
-    enter an integral.
-    """
+def _window_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
+    """a, every translate beta + m of the mod-1 breakpoints inside (a, b) that
+    lies more than CUT_TOL from the previous cut and from b, and b."""
     shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
     cuts = [a]
     for p in sorted(beta + m for beta in breaks_mod1 for m in shifts):
         if p - cuts[-1] > CUT_TOL and p < b - CUT_TOL:
             cuts.append(p)
     cuts.append(b)
+    return cuts
 
-    nodes, weights, _ = panel_rule(np.asarray(cuts), panels_per_unit)
+
+def gauss_panels(
+    breaks_mod1: tuple[float, ...], a: float, b: float, panels_per_unit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [a, b].
+
+    Panels are split at every translate of the given mod-1 breakpoints
+    inside (a, b) (see ``_window_cuts``), so a piecewise-smooth integrand
+    is smooth on each panel; nodes are strictly interior, so jump-point
+    value conventions never enter an integral.
+    """
+    cuts = np.asarray(_window_cuts(breaks_mod1, a, b))
+    nodes, weights, _ = panel_rule(cuts[:-1], cuts[1:], panels_per_unit)
     return nodes.ravel(), weights.ravel()
 
 
 def panel_rule(
-    edges: np.ndarray, panels_per_unit: int
+    starts: np.ndarray, ends: np.ndarray, panels_per_unit: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre (order 10) between consecutive sorted edges.
+    """Composite Gauss-Legendre (order 10) on each interval [starts[i], ends[i]].
 
     Each interval gets ceil(width * panels_per_unit) equal panels, placed as
     ``np.linspace`` would place them.  Returns nodes and weights, each of
     shape (panels, 10), and the index of each interval's first panel.
     """
-    width = np.diff(edges)
+    width = ends - starts
     count = np.maximum(1, np.ceil(width * panels_per_unit - 1e-9)).astype(int)
     owner = np.repeat(np.arange(width.size), count)
     first = np.cumsum(count) - count
-    lo = (np.arange(owner.size) - first[owner]) * (width / count)[owner] + edges[owner]
-    hi = np.append(lo[1:], edges[-1])
+    lo = (np.arange(owner.size) - first[owner]) * (width / count)[owner] + starts[owner]
+    hi = np.append(lo[1:], 0.0)
+    hi[first + count - 1] = ends
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS, first
@@ -376,16 +389,49 @@ def forcing_integral(
     This is the forced response of the reciprocal form y = 1/x: it is the
     inhomogeneous term in y(b) = y(a) * exp(-(R(b) - R(a))) + (this integral).
     Composite Gauss-Legendre of order 10; panels are split at every jump of
-    r or K so each panel sees a smooth integrand.
+    r or K so each panel sees a smooth integrand.  The one-window case of
+    ``forcing_integrals``.
     """
-    if b < a:
-        raise ValueError(f"reversed interval: a={a} > b={b}")
-    if b == a:
-        return 0.0
-    nodes, weights = gauss_panels(pair.breakpoints_mod1(), a, b, panels_per_unit)
+    return forcing_integrals(pair, a, (b,), panels_per_unit)[0]
+
+
+def forcing_integrals(
+    pair: CoefficientPair,
+    a: float,
+    ends,
+    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
+) -> list[float]:
+    """``forcing_integral`` over each window [a, b] for b in ``ends``.
+
+    Each window keeps its own panels (``gauss_panels``' cuts and layout),
+    its own decay exp(R(u) - R(b)) and its own dot product, so each value
+    is the window computed alone, bit for bit; r and K are evaluated once,
+    at the nodes of all windows together.  A window with b == a gives 0.0.
+    """
+    ends = [float(b) for b in ends]
+    if any(b < a for b in ends):
+        raise ValueError(f"reversed interval: a={a} > b={min(ends)}")
+    windows = [b for b in ends if b > a]
+    if not windows:
+        return [0.0] * len(ends)
+    breaks = pair.breakpoints_mod1()
+    cuts = [_window_cuts(breaks, a, b) for b in windows]
+    nodes, weights, first = panel_rule(
+        np.array([c for w in cuts for c in w[:-1]]),
+        np.array([c for w in cuts for c in w[1:]]),
+        panels_per_unit,
+    )
+    # a window's panels start at the first panel of its first interval
+    starts = first[np.cumsum([0] + [len(w) - 1 for w in cuts[:-1]])]
+    bounds = [*starts.tolist(), len(nodes)]
     r, K = pair.r, pair.K
-    decay = np.exp(r.antiderivative(nodes) - r.antiderivative(b))
-    return float(np.dot(weights, r(nodes) / K(nodes) * decay))
+    lift = np.repeat(r.antiderivative(np.asarray(windows)), np.diff(bounds))[:, None]
+    integrand = r(nodes) / K(nodes) * np.exp(r.antiderivative(nodes) - lift)
+    values = iter(
+        float(np.dot(weights[lo:hi].ravel(), integrand[lo:hi].ravel()))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return [next(values) if b > a else 0.0 for b in ends]
 
 
 @lru_cache(maxsize=256)

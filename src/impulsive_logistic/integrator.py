@@ -97,24 +97,6 @@ class Trajectory:
     pieces: tuple[TrajectoryPiece, ...]
 
 
-def _rk4_step(
-    x: float, h: float, ra: float, rm: float, re: float, ka: float, km: float, ke: float
-) -> float:
-    """One classical RK4 step of x' = r (1 - x/K) x.
-
-    ra, rm, re and ka, km, ke are r and K at the step's start, midpoint and
-    end; the two midpoint stages share them.
-    """
-    k1 = ra * (1.0 - x / ka) * x
-    y = x + 0.5 * h * k1
-    k2 = rm * (1.0 - y / km) * y
-    y = x + 0.5 * h * k2
-    k3 = rm * (1.0 - y / km) * y
-    y = x + h * k3
-    k4 = re * (1.0 - y / ke) * y
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def _step_offsets(n: int, cuts: tuple[float, ...]) -> list[float]:
     """Step boundaries across one period: i/n for i = 0..n plus every jump
     offset more than CUT_TOL from its neighbours."""
@@ -189,7 +171,16 @@ def integrate(
     for k in range(periods):
         values = [x]
         for sb, h, ra, rm, re, ka, km, ke in steps:
-            x = _rk4_step(x, h, ra, rm, re, ka, km, ke)
+            # one classical RK4 step of x' = r (1 - x/K) x; r and K at the
+            # step's start, midpoint and end, the two midpoint stages sharing them
+            k1 = ra * (1.0 - x / ka) * x
+            y = x + 0.5 * h * k1
+            k2 = rm * (1.0 - y / km) * y
+            y = x + 0.5 * h * k2
+            k3 = rm * (1.0 - y / km) * y
+            y = x + h * k3
+            k4 = re * (1.0 - y / ke) * y
+            x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             if not math.isfinite(x):
                 raise IntegrationError(
                     f"state overflowed at t={params.time(k, sb)!r} (x={x!r}): "

@@ -665,6 +665,52 @@ def test_an_anchor_that_underflows_is_a_config_error(tmp_path, capsys):
         ), command
 
 
+def test_fixed_point_scan_where_the_map_overflows_prints_no_warning(tmp_path, capsys):
+    # B is 1e79 and the scan reaches 10 * mean K = 2.5e231, so x0 B overflows
+    # at the top of the scan; there the map is (1 - E) / (B + exp(-G) / x0)
+    cfg = tmp_path / "overflowing_map.json"
+    scenario = _json_config(
+        r={"kind": "constant", "value": 1.0},
+        K={"kind": "piecewise", "breakpoints": [0, 0.25, 1], "values": [1e231, 1e-79]},
+        E=0.0,
+        t0=1.0,
+        horizon_periods=1,
+    )
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (scan,) = [c for c in json.loads(captured.out)["checks"] if c["check"].startswith("fixed")]
+    assert len(scan["metadata"]["crossings"]) == 1
+
+
+def test_a_kernel_value_of_zero_fails_without_raising(tmp_path, capsys):
+    # K is 3e-255 on a sliver of 1e-13 after the impulse, which B's panels
+    # merge into the impulse (CUT_TOL) and the period table integrates: C(s)
+    # is out of all scale with B and the kernel reads 0.0 past the sliver
+    cfg = tmp_path / "zero_kernel.json"
+    scenario = _json_config(
+        r={"kind": "constant", "value": 1.0},
+        K={"kind": "piecewise", "breakpoints": [0, 1e-13, 1], "values": [3e-255, 2e204]},
+        E=0.25,
+        t0=1.0,
+    )
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["check"]: c for c in json.loads(captured.out)["checks"]}
+    residuals = [rec["residual"] for rec in checks["periodicity"]["records"]]
+    assert math.inf in residuals and not checks["periodicity"]["passed"]
+
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert all(row[4] == "inf" for row in rows if row[3] == "0.0")
+    assert any(row[3] == "0.0" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # large anchor times: only frac(t0) enters the results
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from impulsive_logistic import (
     derive_constants,
     forcing_integral,
 )
-from impulsive_logistic.coefficients import gauss_panels
+from impulsive_logistic.coefficients import CUT_TOL, forcing_integrals, gauss_panels
 from numpy.polynomial.legendre import leggauss
 
 from helpers import random_coefficient
@@ -272,6 +272,51 @@ def test_B_window_shift_invariance():
         for k in range(1, 6):
             shifted = forcing_integral(pair, t0 + k, t0 + k + 1.0)
             assert shifted == pytest.approx(base, rel=1e-12)
+
+
+def _window_alone(pair, a, b, panels_per_unit):
+    """One forcing window through its own panels and its own numpy calls."""
+    if b == a:
+        return 0.0
+    nodes, weights = gauss_panels(pair.breakpoints_mod1(), a, b, panels_per_unit)
+    decay = np.exp(pair.r.antiderivative(nodes) - pair.r.antiderivative(b))
+    return float(np.dot(weights, pair.r(nodes) / pair.K(nodes) * decay))
+
+
+KINDS = ("constant", "sinusoid", "piecewise")
+
+
+@pytest.mark.parametrize("r_kind", KINDS)
+@pytest.mark.parametrize("k_kind", KINDS)
+def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
+    # one evaluation of r and K for all windows, and still every value bit
+    # for bit what its window gives alone
+    rng = np.random.default_rng(sum(map(ord, r_kind + k_kind)))
+    for trial in range(4):
+        pair = _pair(
+            random_coefficient(rng, r_kind, 0.3, 1.5),
+            random_coefficient(rng, k_kind, 50.0, 200.0),
+        )
+        a = float(rng.uniform(0.0, 3.0))
+        jumps = [beta + math.floor(a) + m for beta in pair.breakpoints_mod1() for m in (1, 2)]
+        panels = (64, 128)[trial % 2]
+        # windows from a, and from within CUT_TOL past a jump
+        for start in [a, *(jump + 0.5 * CUT_TOL for jump in jumps)]:
+            ends = [start + float(w) for w in rng.uniform(0.0, 1.2, size=12)]
+            ends += [start, start + 1.0, start + 1e-9]  # empty, unit, a sliver
+            # ends within CUT_TOL of a jump, on either side
+            near = (jump + side * 0.5 * CUT_TOL for jump in jumps for side in (-1, 1))
+            ends += [b for b in near if b >= start]
+            got = forcing_integrals(pair, start, ends, panels)
+            assert got == [forcing_integral(pair, start, b, panels) for b in ends]
+            assert got == [_window_alone(pair, start, b, panels) for b in ends]
+
+
+def test_forcing_integrals_reject_a_reversed_window():
+    pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
+    assert forcing_integrals(pair, 0.7, [0.7, 0.7]) == [0.0, 0.0]
+    with pytest.raises(ValueError, match="reversed"):
+        forcing_integrals(pair, 0.7, [1.0, 0.5])
 
 
 def test_forcing_integral_empty_interval():

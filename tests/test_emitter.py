@@ -1,4 +1,5 @@
-"""The CLI's table emitter: its bytes against the row-wise reference, and its cost."""
+"""The CLI's table and report emitters: their bytes against json and the
+row-wise reference, and their cost."""
 
 from __future__ import annotations
 
@@ -6,12 +7,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table
-from impulsive_logistic.cli import _cells, _table, main
+from impulsive_logistic.cli import _cells, _dump_json, _table, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -79,22 +81,53 @@ def test_emitter_matches_the_reference(table, fmt):
         assert json.dumps(decoded["rows"]) == json.dumps([list(row) for row in zip(*columns)])
 
 
+# reports: nested objects and arrays of the table scalars, keyed by strings
+REPORTS = st.recursive(
+    SCALARS["mixed"],
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(REPORTS)
+@example({"checks": [{"passed": True, "records": []}], "x0_star": None})
+@example({"b": {}, "a": [[], {}], "": -0.0, "é": [math.nan, math.inf, -math.inf]})
+@example([np.float64(0.1), (1, (2,)), "tab\tnew\nline"])
+def test_report_emitter_matches_json(report):
+    assert _dump_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1: "a"}, {"a": object()}])
+def test_report_emitter_refuses_what_it_does_not_encode(value):
+    with pytest.raises(TypeError):
+        _dump_json(value)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--config", str(CONFIG_DIR / "sinusoid_r.json")],
         ["periodic", "--config", str(CONFIG_DIR / "piecewise_mixed.json")],
         ["sweep", "--config", str(CONFIG_DIR / "sinusoid_r.json")],
+        ["constants", "--config", str(CONFIG_DIR / "sinusoid_r.json")],
+        ["verify", "--config", str(CONFIG_DIR / "piecewise_mixed.json")],
+        ["counterexample", "--config", str(CONFIG_DIR / "golden_constant.json")],
     ],
     ids=lambda argv: argv[0],
 )
 def test_json_tables_skip_the_pure_python_encoder(monkeypatch, capsys, argv):
     # json.dumps with an indent runs json/encoder.py's _make_iterencode for
-    # every cell; the emitter writes the same layout without it
+    # every value; the table and report emitters write the same layout
+    # without it
     def refuse(*args, **kwargs):
-        raise AssertionError("a JSON table went through json's pure-Python encoder")
+        raise AssertionError("a JSON output went through json's pure-Python encoder")
 
     monkeypatch.setattr("json.encoder._make_iterencode", refuse)
     assert main([*argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert json.loads(out)["rows"]
+    assert json.loads(out)

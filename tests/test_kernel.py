@@ -394,7 +394,7 @@ def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
     table = period_table(params, offsets)
     far = solution_grid(c, c.x0_star, [10**6], table)[0]
     np.testing.assert_allclose(far, periodic_grid(c, table), rtol=1e-15, atol=0.0)
-    reference = [analysis._orbit_by_quadrature(params, c, s) for s in offsets]
+    reference = analysis._orbit_by_quadrature(params, c, offsets)
     np.testing.assert_allclose(far, reference, rtol=1e-12, atol=0.0)
 
 
@@ -491,6 +491,30 @@ def test_legacy_check_costs_no_more_than_the_corrected_one(evaluated_nodes, name
         verify_impulse_condition(which, params)
         nodes[which] = evaluated_nodes[0]
     assert nodes["legacy"] <= nodes["corrected"]
+
+
+def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nodes):
+    # the 16 reference windows share one evaluation of r and K, and cost
+    # no more nodes than the same windows taken one call each
+    calls = []
+    batched = analysis.forcing_integrals
+
+    def counted(*args):
+        calls.append(args)
+        return batched(*args)
+
+    monkeypatch.setattr(analysis, "forcing_integrals", counted)
+    verify_periodicity(SINUSOID_R)
+    assert len(calls) == 1 and len(calls[0][2]) == 16
+
+    pair, a, ends, panels_per_unit = calls[0]
+    evaluated_nodes[0] = 0
+    batched(pair, a, ends, panels_per_unit)
+    together = evaluated_nodes[0]
+    evaluated_nodes[0] = 0
+    for b in ends:
+        forcing_integral(pair, a, b, panels_per_unit)
+    assert 0 < together <= evaluated_nodes[0]
 
 
 # r and K at 3 stage times, once per run; a call per stage and step would

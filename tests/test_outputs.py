@@ -5,7 +5,8 @@ the sha256 of its exit code, stdout and stderr with the digest recorded here.
 The long tables of ``simulate`` and ``periodic`` are also pinned at a
 scaled horizon (``--periods 40``) and a scaled step (``--step 2**-10``),
 where the table emitter does the most work, and ``sweep`` over 300
-harvest fractions.
+harvest fractions.  A corpus of command lines pins what the argument
+parser prints and returns: help, usage errors and a few runs.
 A refactor must leave all of them unchanged.  A deliberate change to an
 output updates that case's digest in the same commit, and CHANGES.md names
 the case and says why its bytes moved.
@@ -155,3 +156,98 @@ def test_scaled_table_is_unchanged(monkeypatch, capsys, command, config, scaling
 def test_long_sweep_is_unchanged(monkeypatch, capsys, config, fmt):
     digest = _digest(monkeypatch, capsys, "sweep", config, fmt, "--e-values", SWEEP_FRACTIONS)
     assert digest == SWEEP_DIGESTS[config, fmt]
+
+
+# name -> argv; every run reads configs/ relative to the repository root
+G = "configs/golden_constant.json"
+ARGV_CASES = {
+    "no-arguments": [],
+    "top-help": ["-h"],
+    "top-help-long": ["--help"],
+    "help-constants": ["constants", "-h"],
+    "help-simulate": ["simulate", "-h"],
+    "help-periodic": ["periodic", "--help"],
+    "help-verify": ["verify", "-h"],
+    "help-counterexample": ["counterexample", "-h"],
+    "help-sweep": ["sweep", "-h"],
+    "help-after-options": ["verify", "--config", G, "--help"],
+    "invalid-command": ["bogus"],
+    "invalid-command-case": ["Verify", "--config", G],
+    "missing-config": ["verify"],
+    "config-without-value": ["verify", "--config"],
+    "unknown-option": ["verify", "--config", G, "--bogus"],
+    "unknown-option-before-command": ["--bogus", "verify", "--config", G],
+    "options-before-command": ["--config", G, "verify"],
+    "e-values-on-simulate": ["simulate", "--config", G, "--e-values", "0.1"],
+    "e-values-on-sweep": ["sweep", "--config", G, "--e-values", "0.1,0.2"],
+    "abbreviated-options": ["sweep", "--conf", G, "--e", "0.1"],
+    "bad-format-choice": ["verify", "--config", G, "--format", "xml"],
+    "format-unsupported": ["periodic", "--config", G, "--format", "text"],
+    "bad-periods": ["simulate", "--config", G, "--periods", "ten"],
+    "bad-tol": ["verify", "--config", G, "--tol", "tight"],
+    "double-dash-first": ["--", "verify", "--config", G],
+    "double-dash-after-command": ["verify", "--", "--config", G],
+    "double-dash-at-end": ["constants", "--config", G, "--"],
+    "extra-positional": ["constants", "--config", G, "extra"],
+    "two-commands": ["constants", "verify", "--config", G],
+    "negative-number-first": ["-1", "verify", "--config", G],
+    "lone-dash-first": ["-", "constants", "--config", G],
+    "option-equals": ["constants", f"--config={G}", "--format=json"],
+    "repeated-option": ["constants", "--config", "missing.json", "--config", G],
+    "run-constants": ["constants", "--config", G],
+    "run-verify-overrides": ["verify", "--config", G, "--periods", "2", "--tol", "1e-3",
+                             "--format", "text"],
+}
+
+# name -> digest of exit code, stdout and stderr at an 80-column terminal;
+# help and usage errors exit through SystemExit, whose code counts
+ARGV_DIGESTS = {
+    "no-arguments": "b006be3dc6429a824a29f8cc841eac4da87ae026bfe68e0c43d44c46aeef5597",
+    "top-help": "5edd04707d1fdfe023786ee6852bafde902cf057703086ab780295d7e302250f",
+    "top-help-long": "5edd04707d1fdfe023786ee6852bafde902cf057703086ab780295d7e302250f",
+    "help-constants": "35638b2d292c7e9340c977b03f0e00fae11a0f607ba56a3f5b07e5851e74e80c",
+    "help-simulate": "720824868e01ffd8a931291bd218ba93b301cbb8c88e7aae9c542250d856d4a1",
+    "help-periodic": "817f14d325c1660a4c155e7f0c53684a471a9f334f01f475e891c18a8843ec7f",
+    "help-verify": "469eae8c923bc944c490f1849e5d72e3868dcc7d548faa20501697abd97b87d5",
+    "help-counterexample": "172566c4372e0c391234f358e7cb04c3a1615e67fb11dca9d209fe02a2fb3384",
+    "help-sweep": "a711e9f210a26ca063fcc1f9bf4f17564677e6c0883f1bd006e4c614b5f19392",
+    "help-after-options": "469eae8c923bc944c490f1849e5d72e3868dcc7d548faa20501697abd97b87d5",
+    "invalid-command": "cca95f82173962709fb2401ea9cd90baeaac796f606ecdcfdb0ae2e447c13c8c",
+    "invalid-command-case": "02294c5f9778cfa23e6c01133a7402c2f3e9e2c9cdd68c35ec811dd395b23fbb",
+    "missing-config": "aff8acb8ad569285ab0fa57d8f295c60d1784b67bb5f69d20ea50bd675e02a02",
+    "config-without-value": "f13f873e39cb070a16b537c0f442b2f010917046880fca1f2a2532f07cbbc3fc",
+    "unknown-option": "577018f736056e1a098d0a0ab54806d38daa8a996036f2b8b726048274e4850e",
+    "unknown-option-before-command": "577018f736056e1a098d0a0ab54806d38daa8a996036f2b8b726048274e4850e",
+    "options-before-command": "625e0a97ba332f998ea748a7d93b8d6bea187cb0810ab29ea64a08c5098ee9b0",
+    "e-values-on-simulate": "b91fa9e15d90725e4f625561a593621193eda09911495e6d4001323691eb9575",
+    "e-values-on-sweep": "77b07dd61651d2183c32268f131527bdb03b0b197384043940e7b16771d3397a",
+    "abbreviated-options": "dec48e0db32df447265a86a9868c0402621689663ac3728cafefac00329d3a9c",
+    "bad-format-choice": "409ddfb3f07be2ae2fc49051e5a8c35653fd22f504ef65170156bf0e801cba1e",
+    "format-unsupported": "9ae8d7332d773dc781287250aa365707b024382baeec32b10595ebf961de0c04",
+    "bad-periods": "2b8a852dc002c4f6f284b2f61f1b4abb4ddc35097d6e035559cd86ad6a9b878e",
+    "bad-tol": "92e8df187e9b0c225ee4f898ee5de52bd46011d628a8b7d2b0b7b51b4113ebd8",
+    "double-dash-first": "7017bdfed86ba06659f4befabffbcd793aaf54d5e2630cc335dc1180d81c13e4",
+    "double-dash-after-command": "aff8acb8ad569285ab0fa57d8f295c60d1784b67bb5f69d20ea50bd675e02a02",
+    "double-dash-at-end": "45f02be5f6d676f45b3633fc59a6f357aae2ef6bfc61bd369409bd18b4f3fdf9",
+    "extra-positional": "bf79cf25c8a330ad3028825951543b930518b739202cbd76644a75b32076a86c",
+    "two-commands": "90d6818094c4536af795ad215ea1362b21795a4bda1d5bb1fab0f816b6df661f",
+    "negative-number-first": "c330e0454b3a7d9d27c60d6d27762e72eff402fd9412cd6eb1ce40eeada51419",
+    "lone-dash-first": "2766d4b19ea6f7cf6dd7be161adfb70152d3f64e213eee6132edadb2bcb66c8e",
+    "option-equals": "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
+    "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
+    "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
+    "run-verify-overrides": "26130af0cd06a81449c5976689e60aeabc21f603a00b24fad4a0fe022506e0bb",
+}
+
+
+@pytest.mark.parametrize("name", list(ARGV_CASES))
+def test_command_line_is_unchanged(monkeypatch, capsys, name):
+    monkeypatch.chdir(REPO)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(list(ARGV_CASES[name]))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+    assert digest == ARGV_DIGESTS[name]
