@@ -38,7 +38,6 @@ from .coefficients import (
     SinusoidCoefficient,
     coefficient_from_dict,
     compute_B,
-    forcing_integral,
     forcing_integrals,
 )
 from .integrator import (
@@ -72,7 +71,6 @@ __all__ = [
     "compute_B",
     "derive_constants",
     "fixed_point_scan",
-    "forcing_integral",
     "forcing_integrals",
     "integrate",
     "legacy_grid",

@@ -26,7 +26,9 @@ Which side of each check is independent of the code it checks:
     the forcing quadrature over the 16 windows [phase, phase + offset],
     each with its own panels at 128 per unit (twice the kernel's) and its
     own sum, evaluated in one ``forcing_integrals`` call; it reads no
-    period table, no cumulative pass and no k.  Each (k, offset) record is
+    period table, no cumulative pass and no k.  It shares with the kernel
+    the rule that splits a window at the coefficients' jumps
+    (``split_at_jumps``), not the sum.  Each (k, offset) record is
     computed at its own k, so the k-dependent part of the kernel (q**-k and
     the geometric sum) must hold the orbit for the record to pass.
   * corrected jump -- both sides come from ``solution_grid`` at x0_star,

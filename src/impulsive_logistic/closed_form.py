@@ -56,8 +56,8 @@ from .coefficients import (
     DEFAULT_PANELS_PER_UNIT,
     CoefficientPair,
     compute_B,
-    gauss_panels,
     panel_rule,
+    split_at_jumps,
 )
 
 __all__ = [
@@ -238,10 +238,14 @@ class PeriodTable(NamedTuple):
 def period_table(params: ModelParams, offsets) -> PeriodTable:
     """R(s) and C(s) at every offset of a sorted grid in [0, 1], in one pass.
 
-    The grid points, offset 0 and every coefficient jump between them bound
-    the steps of one cumulative pass; each step gets
-    ceil(width * DEFAULT_PANELS_PER_UNIT) order-10 Gauss-Legendre panels, all
-    evaluated in one numpy call.  With R(s) the growth integral,
+    The period split at the coefficients' jumps as B's window is
+    (``split_at_jumps`` over [0, 1]), and the grid points, bound the steps
+    of one cumulative pass.  A grid point merges no jump, so the steps up
+    to offset 1 refine B's pieces and C(1) matches B; only a grid point
+    inside a sliver that the split merged puts that sliver in C, where B
+    leaves it out.  Each step gets ceil(width * DEFAULT_PANELS_PER_UNIT)
+    order-10 Gauss-Legendre panels, all evaluated in one numpy call.  With
+    R(s) the growth integral,
 
         C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du,
 
@@ -260,8 +264,8 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     pair = params.pair
     phase = params.phase
 
-    cuts = [c for c in params.jump_offsets if c < s[-1]]
-    edges = np.unique(np.concatenate(([0.0], s, cuts)))
+    cuts = [c for c in split_at_jumps([0.0, 1.0], params.jump_offsets) if c < s[-1]]
+    edges = np.unique(np.concatenate((cuts, s)))
     nodes, weights, first = panel_rule(edges[:-1], edges[1:], DEFAULT_PANELS_PER_UNIT)
     u = phase + nodes
 
@@ -296,7 +300,9 @@ def solution_grid(
     inverted, so a subnormal anchor stays exact.  The decaying exponential
     multiplies the middle term as well as the first; see the sign-regression
     tests before touching it.  When q < 1, q**-k overflows to inf for large
-    k and x reads 0.0.
+    k and x reads 0.0.  Where the denominator underflows to 0.0 (a tiny x0
+    against a tiny exp(-R)), x is the same form divided through by x0,
+    1 / (exp(-R) (q**-k / x0 + B (1 - q**-k) / d) + C), as in ``poincare_map``.
     """
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
@@ -307,7 +313,14 @@ def solution_grid(
             total = -np.expm1(-k * consts.ln_q) / consts.d
         else:
             total = k / (1.0 - consts.E)
-        return x0 / (table.decay * (lead + x0 * consts.B * total) + x0 * table.forcing)
+        den = table.decay * (lead + x0 * consts.B * total) + x0 * table.forcing
+        with np.errstate(divide="ignore"):  # replaced below
+            x = x0 / den
+        under = den == 0.0
+        if under.any():
+            scaled = table.decay * (lead / x0 + consts.B * total) + table.forcing
+            x[under] = 1.0 / scaled[under]
+        return x
 
 
 def periodic_grid(consts: SolutionConstants, table: PeriodTable) -> np.ndarray:
@@ -369,9 +382,10 @@ def periodic_orbit_mean(
     if not constants:
         return []
     panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(constants[0].G))  # G does not depend on E
-    nodes, weights = gauss_panels(params.jump_offsets, 0.0, 1.0, panels)
-    table = period_table(params, nodes)
-    return [float(np.dot(weights, periodic_grid(consts, table))) for consts in constants]
+    cuts = np.array(split_at_jumps([0.0, 1.0], params.jump_offsets))
+    nodes, weights, _ = panel_rule(cuts[:-1], cuts[1:], panels)
+    table = period_table(params, nodes.ravel())
+    return [float(np.dot(weights.ravel(), periodic_grid(consts, table))) for consts in constants]
 
 
 def poincare_map(consts: SolutionConstants, x0: float | np.ndarray) -> float | np.ndarray:

@@ -23,14 +23,20 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
 
 The forcing quadrature is ``forcing_integrals``: any number of windows
 from one start, each with its own panels, decay and sum, and r and K
-evaluated once at the nodes of all of them.  ``forcing_integral`` (and so
-B) is its one-window case; the reference side of the periodicity check
-takes its 16 windows from one call.
+evaluated once at the nodes of all of them.  B is its one-window case; the
+reference side of the periodicity check takes its 16 windows from one call.
+
+One rule, ``split_at_jumps``, decides where a span is split at the
+coefficients' jumps: B's and the reference's windows, the period that the
+period table and the orbit mean refine, and the RK4 step grid.  A jump
+within CUT_TOL of a point already in the list is merged into it, so the
+table's steps up to offset 1 refine B's pieces and its C(1) matches B.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Union
@@ -46,10 +52,9 @@ __all__ = [
     "SinusoidCoefficient",
     "coefficient_from_dict",
     "compute_B",
-    "forcing_integral",
     "forcing_integrals",
-    "gauss_panels",
     "panel_rule",
+    "split_at_jumps",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -74,8 +79,9 @@ _GL_WEIGHTS = np.array([float.fromhex(x) for x in (
     "0x1.1115f8b62dc1fp-4",
 )])
 
-#: A jump closer than this to a cut or grid point does not cut there again:
-#: it is merged into the quadrature panels' cuts and into the RK4 step grid.
+#: A jump closer than this to a point already in a split does not split
+#: there again (``split_at_jumps``): it is merged into that point, an
+#: impulse, another jump or an RK4 step boundary.
 CUT_TOL = 1e-12
 
 
@@ -330,31 +336,25 @@ class CoefficientPair:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
 
 
-def _window_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
-    """a, every translate beta + m of the mod-1 breakpoints inside (a, b) that
-    lies more than CUT_TOL from the previous cut and from b, and b."""
-    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
-    cuts = [a]
-    for p in sorted(beta + m for beta in breaks_mod1 for m in shifts):
-        if p - cuts[-1] > CUT_TOL and p < b - CUT_TOL:
-            cuts.append(p)
-    cuts.append(b)
-    return cuts
+def split_at_jumps(bounds, jumps) -> list[float]:
+    """The sorted ``bounds`` with every jump that lies strictly inside them
+    inserted, in order, unless it lies within CUT_TOL of a neighbour already
+    in the list.
 
-
-def gauss_panels(
-    breaks_mod1: tuple[float, ...], a: float, b: float, panels_per_unit: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [a, b].
-
-    Panels are split at every translate of the given mod-1 breakpoints
-    inside (a, b) (see ``_window_cuts``), so a piecewise-smooth integrand
-    is smooth on each panel; nodes are strictly interior, so jump-point
-    value conventions never enter an integral.
+    The one rule for splitting a span at the coefficients' jumps.
     """
-    cuts = np.asarray(_window_cuts(breaks_mod1, a, b))
-    nodes, weights, _ = panel_rule(cuts[:-1], cuts[1:], panels_per_unit)
-    return nodes.ravel(), weights.ravel()
+    out = list(bounds)
+    for c in sorted(jumps):
+        pos = bisect_right(out, c)
+        if 0 < pos < len(out) and c - out[pos - 1] > CUT_TOL and out[pos] - c > CUT_TOL:
+            out.insert(pos, c)
+    return out
+
+
+def _window_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
+    """[a, b] split at every translate beta + m of the mod-1 breakpoints."""
+    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
+    return split_at_jumps([a, b], [beta + m for beta in breaks_mod1 for m in shifts])
 
 
 def panel_rule(
@@ -378,35 +378,24 @@ def panel_rule(
     return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS, first
 
 
-def forcing_integral(
-    pair: CoefficientPair,
-    a: float,
-    b: float,
-    panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> float:
-    """Integral over [a, b] of (r/K)(s) * exp(-(R(b) - R(s))), R = antiderivative of r.
-
-    This is the forced response of the reciprocal form y = 1/x: it is the
-    inhomogeneous term in y(b) = y(a) * exp(-(R(b) - R(a))) + (this integral).
-    Composite Gauss-Legendre of order 10; panels are split at every jump of
-    r or K so each panel sees a smooth integrand.  The one-window case of
-    ``forcing_integrals``.
-    """
-    return forcing_integrals(pair, a, (b,), panels_per_unit)[0]
-
-
 def forcing_integrals(
     pair: CoefficientPair,
     a: float,
     ends,
     panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
 ) -> list[float]:
-    """``forcing_integral`` over each window [a, b] for b in ``ends``.
+    """Integral over [a, b] of (r/K)(s) * exp(-(R(b) - R(s))), R = antiderivative
+    of r, for each b in ``ends``.
 
-    Each window keeps its own panels (``gauss_panels``' cuts and layout),
-    its own decay exp(R(u) - R(b)) and its own dot product, so each value
-    is the window computed alone, bit for bit; r and K are evaluated once,
-    at the nodes of all windows together.  A window with b == a gives 0.0.
+    This is the forced response of the reciprocal form y = 1/x: it is the
+    inhomogeneous term in y(b) = y(a) * exp(-(R(b) - R(a))) + (this integral).
+    Composite Gauss-Legendre of order 10 (``panel_rule``), each window split
+    at every jump of r or K (``split_at_jumps``) so each panel sees a smooth
+    integrand; nodes are strictly interior, so jump-point value conventions
+    never enter an integral.  Each window keeps its own panels, its own
+    decay exp(R(u) - R(b)) and its own dot product, so each value is the
+    window computed alone, bit for bit; r and K are evaluated once, at the
+    nodes of all windows together.  A window with b == a gives 0.0.
     """
     ends = [float(b) for b in ends]
     if any(b < a for b in ends):
@@ -446,4 +435,4 @@ def compute_B(pair: CoefficientPair, phase: float) -> tuple[float, float]:
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    return pair.r.integral(0.0, 1.0), forcing_integral(pair, phase, phase + 1.0)
+    return pair.r.integral(0.0, 1.0), forcing_integrals(pair, phase, (phase + 1.0,))[0]

@@ -4,7 +4,8 @@ Impulse instants and coefficient discontinuities are all known a priori, so
 the grid is aligned instead of adaptive.  It is one grid of offsets into a
 period, shared by every period: the unit interval divided into an integer
 number of base steps (so each impulse lands exactly on a step boundary),
-with any step straddling a coefficient jump split at it.  The harvest jump
+split at the coefficients' jumps by the rule that splits B's quadrature
+panels and the period table (``split_at_jumps``).  The harvest jump
 x -> (1 - E) x is applied algebraically, never integrated across.  r and K
 are evaluated at every step's stage times, in phase (``ModelParams.phase``
 plus the offset), once per run (``_stage_table``); the RK4 recurrence then
@@ -15,13 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closed_form import ModelParams
-from .coefficients import CUT_TOL, CoefficientPair
+from .coefficients import CoefficientPair, split_at_jumps
 
 __all__ = [
     "IntegrationError",
@@ -97,17 +97,6 @@ class Trajectory:
     pieces: tuple[TrajectoryPiece, ...]
 
 
-def _step_offsets(n: int, cuts: tuple[float, ...]) -> list[float]:
-    """Step boundaries across one period: i/n for i = 0..n plus every jump
-    offset more than CUT_TOL from its neighbours."""
-    bounds = [i / n for i in range(n)] + [1.0]
-    for c in cuts:
-        pos = bisect_right(bounds, c)
-        if pos < len(bounds) and c - bounds[pos - 1] > CUT_TOL and bounds[pos] - c > CUT_TOL:
-            bounds.insert(pos, c)
-    return bounds
-
-
 def _stage_table(
     pair: CoefficientPair, phase: float, offsets: list[float]
 ) -> tuple[list[float], ...]:
@@ -161,7 +150,8 @@ def integrate(
     if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
         raise ValueError(f"periods must be a positive whole number, got {periods!r}")
 
-    offsets = _step_offsets(ctrl.steps_per_unit, params.jump_offsets)
+    n = ctrl.steps_per_unit
+    offsets = split_at_jumps([i / n for i in range(n)] + [1.0], params.jump_offsets)
     steps = list(zip(offsets[1:], *_stage_table(params.pair, params.phase, offsets)))
     grid = _frozen(offsets)
     keep_fraction = 1.0 - params.E

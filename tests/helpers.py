@@ -27,6 +27,9 @@ from impulsive_logistic import (
     PeriodicCoefficient,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
+    analysis,
+    cli,
+    closed_form,
 )
 
 LN2 = math.log(2.0)
@@ -115,6 +118,19 @@ class ScalarRun(NamedTuple):
 
     offsets: list[list[float]]
     values: list[list[float]]
+
+
+def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
+    """Replace C(offset) by ``corrupt(C)`` in every period table built from now on."""
+    real = closed_form.period_table
+
+    def corrupted(params, offsets):
+        table = real(params, offsets)
+        hit = table.offsets == offset
+        return table._replace(forcing=np.where(hit, corrupt(table.forcing), table.forcing))
+
+    for module in (closed_form, analysis, cli):
+        monkeypatch.setattr(module, "period_table", corrupted)
 
 
 def _scalar_offsets(n: int, params: ModelParams) -> list[float]:

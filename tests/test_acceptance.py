@@ -181,13 +181,13 @@ def test_criterion_5_exponent_sign_regression():
         k = math.floor(t - params.t0 + 1e-9)
         anchor = params.t0 + k
         big_r = params.pair.r.integral(anchor, t)
-        from impulsive_logistic import forcing_integral
+        from impulsive_logistic import forcing_integrals
 
         s_k = k if abs(c.q - 1.0) < 1e-12 else (1.0 - c.q ** (-k)) / (c.q - 1.0)
         recip = (
             math.exp(-big_r) / (x0 * c.q**k)
             + c.A * c.B * s_k * math.exp(+big_r)
-            + forcing_integral(params.pair, anchor, t)
+            + forcing_integrals(params.pair, anchor, (t,))[0]
         )
         return 1.0 / recip
 

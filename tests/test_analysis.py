@@ -27,7 +27,7 @@ from impulsive_logistic import (
     verify_periodicity,
 )
 
-from helpers import golden_params, random_params
+from helpers import corrupt_period_table, golden_params, random_params
 
 SINUSOID_R = ModelParams(
     pair=CoefficientPair(
@@ -116,12 +116,10 @@ def test_impulse_checks_hold_with_a_jump_just_before_the_impulse(lag):
     assert legacy.passed, legacy.to_text()
 
 
-def test_jump_checks_report_a_table_that_disagrees_with_B():
-    # K is 3e-255 on the first 1e-13 of each period.  The period table
-    # integrates that sliver; compute_B merges a jump within 1e-12 of its
-    # window's start and misses it, so C(1) = 1e239 against B = 5e-205.
-    # x0_star C(1) overflows and the pre-impulse value reads 0.0: both
-    # checks must fail on the mismatch, not raise.
+def test_jump_checks_report_a_table_that_disagrees_with_B(monkeypatch):
+    # K is 3e-255 on the first 1e-13 of each period.  B's panels and the
+    # period table both merge that jump into the impulse, so C(1) = B and
+    # both checks pass.
     params = ModelParams(
         pair=CoefficientPair(
             r=ConstantCoefficient(1.0),
@@ -130,6 +128,11 @@ def test_jump_checks_report_a_table_that_disagrees_with_B():
         E=0.25,
         t0=1.0,
     )
+    assert verify_impulse_condition("corrected", params).passed
+    assert verify_impulse_condition("legacy", params).passed
+    # With C(1) out of all scale with B (here inf), the pre-impulse value
+    # reads 0.0: both checks must fail on the mismatch, not raise.
+    corrupt_period_table(monkeypatch, 1.0, lambda c: np.full_like(c, math.inf))
     corrected = verify_impulse_condition("corrected", params)
     assert [rec.residual for rec in corrected.records] == [math.inf] * 5
     legacy = verify_impulse_condition("legacy", params)

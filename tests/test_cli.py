@@ -13,8 +13,9 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from impulsive_logistic.cli import (
@@ -34,6 +35,8 @@ from impulsive_logistic.cli import (
 from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
 from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
+
+from helpers import corrupt_period_table
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "golden_constant.json"
@@ -684,18 +687,51 @@ def test_fixed_point_scan_where_the_map_overflows_prints_no_warning(tmp_path, ca
     assert len(scan["metadata"]["crossings"]) == 1
 
 
-def test_a_kernel_value_of_zero_fails_without_raising(tmp_path, capsys):
-    # K is 3e-255 on a sliver of 1e-13 after the impulse, which B's panels
-    # merge into the impulse (CUT_TOL) and the period table integrates: C(s)
-    # is out of all scale with B and the kernel reads 0.0 past the sliver
+# K is 3e-255 on a sliver of 1e-13 after the impulse, within CUT_TOL of
+# it: B, the period table and the RK4 grid must all merge it, or C(1) reads
+# 1e239 against B = 5e-205.
+SLIVER = _json_config(
+    r={"kind": "constant", "value": 1.0},
+    K={"kind": "piecewise", "breakpoints": [0, 1e-13, 1], "values": [3e-255, 2e204]},
+    E=0.25,
+    t0=1.0,
+)
+# x0 and exp(-R) so small that solution_grid's denominator underflows
+UNDERFLOW = {
+    "r": {"kind": "constant", "value": 295.51},
+    "K": {
+        "kind": "piecewise",
+        "breakpoints": [0, 0.765625, 0.90625, 0.9999999999999669, 1],
+        "values": [5.5e128, 1e6, 1, 1.00000002],
+    },
+    "E": 0.9999999999999999,
+    "t0": 4.6839,
+    "x0": 1.619e-282,
+    "horizon_periods": 2,
+}
+# the fixed-point scan's top state times B overflows in poincare_map
+POINCARE_OVERFLOW = {
+    "r": {"kind": "constant", "value": 1.0},
+    "K": {"kind": "piecewise", "breakpoints": [0, 0.25, 1], "values": [1e231, 1e-79]},
+    "E": 0.0,
+    "t0": 1.0,
+    "horizon_periods": 1,
+}
+
+
+def test_a_kernel_value_of_zero_fails_without_raising(tmp_path, capsys, monkeypatch):
+    # B's panels, the period table and the RK4 grid all merge the sliver
+    # into the impulse: every check passes and simulate prints no inf
     cfg = tmp_path / "zero_kernel.json"
-    scenario = _json_config(
-        r={"kind": "constant", "value": 1.0},
-        K={"kind": "piecewise", "breakpoints": [0, 1e-13, 1], "values": [3e-255, 2e204]},
-        E=0.25,
-        t0=1.0,
-    )
-    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    cfg.write_text(json.dumps(SLIVER), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "inf" not in captured.out
+
+    # a C(s) out of all scale with B makes the kernel read 0.0 there
+    corrupt_period_table(monkeypatch, 0.5, lambda c: np.full_like(c, math.inf))
     assert main(["verify", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -709,6 +745,24 @@ def test_a_kernel_value_of_zero_fails_without_raising(tmp_path, capsys):
     rows = [line.split(",") for line in captured.out.splitlines()[1:]]
     assert all(row[4] == "inf" for row in rows if row[3] == "0.0")
     assert any(row[3] == "0.0" for row in rows)
+
+
+def test_a_denominator_that_underflows_takes_the_form_divided_by_x0(tmp_path, capsys):
+    # exp(-R) and x0 = 1.6e-282 underflow solution_grid's denominator to 0.0
+    # where x itself is in range: x reads the form divided through by x0
+    cfg = tmp_path / "underflow.json"
+    cfg.write_text(json.dumps(UNDERFLOW), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        closed = [float(row[3]) for row in rows]
+        assert all(0.0 < x < math.inf for x in closed)
+        # the RK4 oracle's own state overflows here, a step-stability error
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "state overflowed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +904,9 @@ def _scenarios(draw) -> dict:
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(scenario=_scenarios())
+@example(scenario=SLIVER)
+@example(scenario=UNDERFLOW)
+@example(scenario=POINCARE_OVERFLOW)
 def test_random_scenarios_end_with_a_documented_exit_code(tmp_path_factory, scenario):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")

@@ -16,9 +16,13 @@ from impulsive_logistic import (
     coefficient_from_dict,
     compute_B,
     derive_constants,
-    forcing_integral,
 )
-from impulsive_logistic.coefficients import CUT_TOL, forcing_integrals, gauss_panels
+from impulsive_logistic.coefficients import (
+    CUT_TOL,
+    forcing_integrals,
+    panel_rule,
+    split_at_jumps,
+)
 from numpy.polynomial.legendre import leggauss
 
 from helpers import random_coefficient
@@ -240,7 +244,7 @@ def test_compute_B_sinusoid_vs_brute_force():
     )
     for other in (_pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0)), pair, jumping):
         _, b = compute_B(other, t0)
-        assert abs(forcing_integral(other, t0, t0 + 1.0, 128) - b) <= 1e-14 * b
+        assert abs(forcing_integrals(other, t0, (t0 + 1.0,), 128)[0] - b) <= 1e-14 * b
 
 
 def test_compute_B_requires_a_phase_in_the_unit_interval():
@@ -268,17 +272,35 @@ def test_B_window_shift_invariance():
             random_coefficient(rng, ("sinusoid", "piecewise", "constant")[i % 3], 50.0, 200.0),
         )
         t0 = float(rng.uniform(0.1, 0.9))
-        base = forcing_integral(pair, t0, t0 + 1.0)
+        base = forcing_integrals(pair, t0, (t0 + 1.0,))[0]
         for k in range(1, 6):
-            shifted = forcing_integral(pair, t0 + k, t0 + k + 1.0)
+            shifted = forcing_integrals(pair, t0 + k, (t0 + k + 1.0,))[0]
             assert shifted == pytest.approx(base, rel=1e-12)
 
 
+def _linspace_panels(cuts, panels_per_unit):
+    """Order-10 Gauss-Legendre nodes and weights, one np.linspace of panels
+    per interval between consecutive cuts."""
+    gl_nodes, gl_weights = leggauss(10)
+    nodes, weights = [], []
+    for c0, c1 in zip(cuts, cuts[1:]):
+        edges = np.linspace(c0, c1, max(1, math.ceil((c1 - c0) * panels_per_unit - 1e-9)) + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        nodes.append((mid[:, None] + half[:, None] * gl_nodes).ravel())
+        weights.append((half[:, None] * gl_weights).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _window_alone(pair, a, b, panels_per_unit):
-    """One forcing window through its own panels and its own numpy calls."""
+    """One forcing window through its own cuts, panels and numpy calls."""
     if b == a:
         return 0.0
-    nodes, weights = gauss_panels(pair.breakpoints_mod1(), a, b, panels_per_unit)
+    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
+    cuts = [a]
+    for p in sorted(beta + m for beta in pair.breakpoints_mod1() for m in shifts):
+        if p - cuts[-1] > CUT_TOL and b - p > CUT_TOL:
+            cuts.append(p)
+    nodes, weights = _linspace_panels([*cuts, b], panels_per_unit)
     decay = np.exp(pair.r.antiderivative(nodes) - pair.r.antiderivative(b))
     return float(np.dot(weights, pair.r(nodes) / pair.K(nodes) * decay))
 
@@ -308,7 +330,6 @@ def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
             near = (jump + side * 0.5 * CUT_TOL for jump in jumps for side in (-1, 1))
             ends += [b for b in near if b >= start]
             got = forcing_integrals(pair, start, ends, panels)
-            assert got == [forcing_integral(pair, start, b, panels) for b in ends]
             assert got == [_window_alone(pair, start, b, panels) for b in ends]
 
 
@@ -321,9 +342,9 @@ def test_forcing_integrals_reject_a_reversed_window():
 
 def test_forcing_integral_empty_interval():
     pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
-    assert forcing_integral(pair, 0.7, 0.7) == 0.0
+    assert forcing_integrals(pair, 0.7, (0.7,))[0] == 0.0
     with pytest.raises(ValueError, match="reversed"):
-        forcing_integral(pair, 1.0, 0.5)
+        forcing_integrals(pair, 1.0, (0.5,))[0]
 
 
 @pytest.mark.parametrize(
@@ -337,21 +358,17 @@ def test_forcing_integral_empty_interval():
     ],
 )
 def test_gauss_panels_match_per_segment_linspace(breaks, a, b, panels_per_unit):
-    # The vectorized panel layout reproduces one np.linspace per smooth
-    # segment bit for bit, so B and x0_star keep their exact values.
+    # The vectorized panel layout over the split rule's cuts reproduces one
+    # np.linspace per smooth segment bit for bit, so B and x0_star keep
+    # their exact values.
     shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
-    cuts = sorted({a, b} | {beta + m for beta in breaks for m in shifts})
-    cuts = [c for c in cuts if a <= c <= b]
-    gl_nodes, gl_weights = leggauss(10)
-    nodes, weights = [], []
-    for c0, c1 in zip(cuts, cuts[1:]):
-        edges = np.linspace(c0, c1, max(1, math.ceil((c1 - c0) * panels_per_unit - 1e-9)) + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        nodes.append((mid[:, None] + half[:, None] * gl_nodes).ravel())
-        weights.append((half[:, None] * gl_weights).ravel())
-    got_nodes, got_weights = gauss_panels(breaks, a, b, panels_per_unit)
-    assert np.array_equal(got_nodes, np.concatenate(nodes))
-    assert np.array_equal(got_weights, np.concatenate(weights))
+    translates = {beta + m for beta in breaks for m in shifts}
+    cuts = sorted(c for c in {a, b} | translates if a <= c <= b)
+    nodes, weights = _linspace_panels(cuts, panels_per_unit)
+    split = np.array(split_at_jumps([a, b], translates))
+    got_nodes, got_weights, _ = panel_rule(split[:-1], split[1:], panels_per_unit)
+    assert np.array_equal(got_nodes.ravel(), nodes)
+    assert np.array_equal(got_weights.ravel(), weights)
 
 
 # ---------------------------------------------------------------------------

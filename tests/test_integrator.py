@@ -22,7 +22,7 @@ from impulsive_logistic import (
     period_table,
     solution_grid,
 )
-from impulsive_logistic.integrator import _step_offsets
+from impulsive_logistic.coefficients import split_at_jumps
 
 from helpers import (
     LN2,
@@ -199,7 +199,7 @@ def test_horizon_ending_exactly_on_an_impulse():
 def test_step_bounds_insert_off_grid_jumps(breaks, start, end, n, expected):
     phase = start - math.floor(start)
     cuts = tuple(sorted((b - phase) % 1.0 for b in breaks))
-    times = [start + s for s in _step_offsets(n, cuts)]
+    times = [start + s for s in split_at_jumps([i / n for i in range(n)] + [1.0], cuts)]
     assert times == expected and times[-1] == end
 
 

@@ -26,7 +26,6 @@ from impulsive_logistic import (
     closed_form,
     compute_B,
     derive_constants,
-    forcing_integral,
     integrate,
     legacy_grid,
     period_table,
@@ -37,7 +36,9 @@ from impulsive_logistic import (
     verify_impulse_condition,
     verify_periodicity,
 )
-from helpers import golden_params, random_params
+from impulsive_logistic.coefficients import CUT_TOL, forcing_integrals
+
+from helpers import corrupt_period_table, golden_params, random_params
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -96,7 +97,7 @@ def test_table_matches_scalar_quadrature(params, offsets):
     for s, growth, forcing in zip(offsets, table.growth, table.forcing):
         a, b = params.t0, params.t0 + s
         assert growth == pytest.approx(params.r.integral(a, b), rel=1e-12, abs=1e-14)
-        assert forcing == pytest.approx(forcing_integral(params.pair, a, b), rel=1e-12)
+        assert forcing == pytest.approx(forcing_integrals(params.pair, a, (b,))[0], rel=1e-12)
 
 
 def test_table_holds_a_forcing_ratio_near_the_float_range():
@@ -111,8 +112,60 @@ def test_table_holds_a_forcing_ratio_near_the_float_range():
     )
     with np.errstate(all="raise"):
         table = period_table(params, [0.0, 0.5, 1.0])
-    want = [0.0, forcing_integral(params.pair, 0.0, 0.5), compute_B(params.pair, 0.0)[1]]
+    want = [0.0, forcing_integrals(params.pair, 0.0, (0.5,))[0], compute_B(params.pair, 0.0)[1]]
     np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
+
+
+@st.composite
+def crowded_jumps(draw) -> ModelParams:
+    """Piecewise r and K whose jumps sit within CUT_TOL of offset 0, of
+    offset 1 (the phase, from either side) and of each other, with r/K
+    spanning twelve decades."""
+    t0 = draw(st.floats(0.01, 3.0))
+    phase = t0 - math.floor(t0)
+    gap = st.floats(1e-15, 0.9 * CUT_TOL)
+    near = st.one_of(
+        gap.map(lambda g: phase + g),
+        gap.map(lambda g: phase - g),
+        st.floats(0.01, 0.99),
+    )
+
+    def piecewise(low, high):
+        cuts = draw(st.lists(near, min_size=1, max_size=4))
+        # a pair of jumps within CUT_TOL of each other
+        cuts += [c + draw(gap) for c in cuts[:1]]
+        bp = sorted({c % 1.0 for c in cuts} - {0.0})
+        values = st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+        vals = draw(st.lists(values, min_size=len(bp) + 1, max_size=len(bp) + 1))
+        return PiecewiseConstantCoefficient((0.0, *bp, 1.0), tuple(vals))
+
+    return ModelParams(CoefficientPair(r=piecewise(0.2, 3.0), K=piecewise(1e-5, 1e5)), 0.0, t0)
+
+
+@PROPERTY
+@given(params=crowded_jumps())
+def test_table_ends_on_B_when_jumps_crowd_a_split(params):
+    # C(1) = B is the identity the jump rule rests on: the table and B's
+    # panels must merge a jump within CUT_TOL of a split point alike
+    table = period_table(params, [0.0, 1.0])
+    B = compute_B(params.pair, params.phase)[1]
+    assert table.forcing[-1] == pytest.approx(B, rel=1e-13)
+
+
+@pytest.mark.parametrize("lag", [-5e-13, 5e-13])
+def test_a_grid_offset_merges_no_jump(lag):
+    # K jumps within CUT_TOL of offset 0.5, and B keeps that jump: a table
+    # with offset 0.5 keeps it too, so its C(1) still matches B
+    params = ModelParams(
+        pair=CoefficientPair(
+            r=ConstantCoefficient(1.0),
+            K=PiecewiseConstantCoefficient((0.0, 0.5 + lag, 1.0), (1e-5, 1e5)),
+        ),
+        E=0.0,
+        t0=1.0,
+    )
+    B = compute_B(params.pair, params.phase)[1]
+    assert period_table(params, [0.0, 0.5, 1.0]).forcing[-1] == pytest.approx(B, rel=1e-13)
 
 
 @pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
@@ -133,7 +186,7 @@ def test_legacy_grid_is_d_over_the_moving_window_integral(r_kind, k_kind, data):
     c = derive_constants(params)
     got = legacy_grid(c, period_table(params, offsets))
     a = params.phase
-    want = [c.d / forcing_integral(pair, a + s, a + s + 1.0, 128) for s in offsets]
+    want = [c.d / forcing_integrals(pair, a + s, (a + s + 1.0,), 128)[0] for s in offsets]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -151,7 +204,7 @@ def test_legacy_grid_at_growth_700():
     got = legacy_grid(c, period_table(params, offsets))
     a = params.phase
     for s, value in zip(offsets, got):
-        window = [forcing_integral(params.pair, a + s, a + s + 1.0, n) for n in (64, 4096)]
+        window = [forcing_integrals(params.pair, a + s, (a + s + 1.0,), n)[0] for n in (64, 4096)]
         assert value == pytest.approx(c.d / window[0], rel=1e-12)
         assert value == pytest.approx(c.d / window[1], rel=1e-10)
 
@@ -191,7 +244,7 @@ def test_log_space_branch_matches_direct_formula(k):
     got = solution_grid(consts, x0, [k], table)[0]
     for s, value in zip(offsets, got):
         decay = math.exp(-params.r.integral(params.t0, params.t0 + s))
-        forcing = forcing_integral(params.pair, params.t0, params.t0 + s)
+        forcing = forcing_integrals(params.pair, params.t0, (params.t0 + s,))[0]
         geometric = (1.0 - q ** (-k)) / (q - 1.0)
         recip = decay / (x0 * q**k) + consts.A * consts.B * geometric * decay + forcing
         assert value == pytest.approx(1.0 / recip, rel=1e-12)
@@ -282,6 +335,58 @@ def test_trajectory_closed_form_matches_scalar_path():
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def crowded_jumps(draw) -> ModelParams:
+    """Piecewise r and K whose jumps sit within CUT_TOL of offset 0, of
+    offset 1 (the phase, from either side) and of each other, with r/K
+    spanning twelve decades."""
+    t0 = draw(st.floats(0.01, 3.0))
+    phase = t0 - math.floor(t0)
+    gap = st.floats(1e-15, 0.9 * CUT_TOL)
+    near = st.one_of(
+        gap.map(lambda g: phase + g),
+        gap.map(lambda g: phase - g),
+        st.floats(0.01, 0.99),
+    )
+
+    def piecewise(low, high):
+        cuts = draw(st.lists(near, min_size=1, max_size=4))
+        # a pair of jumps within CUT_TOL of each other
+        cuts += [c + draw(gap) for c in cuts[:1]]
+        bp = sorted({c % 1.0 for c in cuts} - {0.0})
+        values = st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+        vals = draw(st.lists(values, min_size=len(bp) + 1, max_size=len(bp) + 1))
+        return PiecewiseConstantCoefficient((0.0, *bp, 1.0), tuple(vals))
+
+    return ModelParams(CoefficientPair(r=piecewise(0.2, 3.0), K=piecewise(1e-5, 1e5)), 0.0, t0)
+
+
+@PROPERTY
+@given(params=crowded_jumps())
+def test_table_ends_on_B_when_jumps_crowd_a_split(params):
+    # C(1) = B is the identity the jump rule rests on: the table and B's
+    # panels must merge a jump within CUT_TOL of a split point alike
+    table = period_table(params, [0.0, 1.0])
+    B = compute_B(params.pair, params.phase)[1]
+    assert table.forcing[-1] == pytest.approx(B, rel=1e-13)
+
+
+@pytest.mark.parametrize("lag", [-5e-13, 5e-13])
+def test_a_grid_offset_merges_no_jump(lag):
+    # K jumps within CUT_TOL of offset 0.5, and B keeps that jump: a table
+    # with offset 0.5 keeps it too, so its C(1) still matches B
+    params = ModelParams(
+        pair=CoefficientPair(
+            r=ConstantCoefficient(1.0),
+            K=PiecewiseConstantCoefficient((0.0, 0.5 + lag, 1.0), (1e-5, 1e5)),
+        ),
+        E=0.0,
+        t0=1.0,
+    )
+    B = compute_B(params.pair, params.phase)[1]
+    assert period_table(params, [0.0, 0.5, 1.0]).forcing[-1] == pytest.approx(B, rel=1e-13)
+
+
 @pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
 @pytest.mark.parametrize("k_kind", ["constant", "sinusoid", "piecewise"])
 @settings(max_examples=8, derandomize=True, deadline=None, database=None)
@@ -323,23 +428,10 @@ SINUSOID_R = ModelParams(
 )
 
 
-def _corrupt_table_at(monkeypatch, offset: float, factor: float) -> None:
-    """Scale C(offset) in every period table built from now on."""
-    real = closed_form.period_table
-
-    def corrupted(params, offsets):
-        table = real(params, offsets)
-        hit = table.offsets == offset
-        return table._replace(forcing=np.where(hit, factor * table.forcing, table.forcing))
-
-    for module in (closed_form, analysis):
-        monkeypatch.setattr(module, "period_table", corrupted)
-
-
 @pytest.mark.parametrize("params", [golden_params(), SINUSOID_R], ids=["golden", "sinusoid"])
 def test_periodicity_check_catches_a_corrupted_table(monkeypatch, params):
     assert verify_periodicity(params).passed
-    _corrupt_table_at(monkeypatch, 0.5, 1.0 + 1e-5)
+    corrupt_period_table(monkeypatch, 0.5, lambda c: c * (1.0 + 1e-5))
     report = verify_periodicity(params)
     failed = {rec.location for rec in report.records if not rec.passed}
     assert failed == {f"k={k} offset=0.5" for k in range(5)}
@@ -351,7 +443,7 @@ def test_jump_check_catches_a_corrupted_table(monkeypatch, params):
     # table's C(1) against compute_B's B keeps them passing
     assert verify_impulse_condition("corrected", params).passed
     assert verify_impulse_condition("legacy", params).passed
-    _corrupt_table_at(monkeypatch, 1.0, 1.0 + 1e-4)
+    corrupt_period_table(monkeypatch, 1.0, lambda c: c * (1.0 + 1e-4))
     corrected = verify_impulse_condition("corrected", params)
     assert not any(rec.passed for rec in corrected.records)
     legacy = verify_impulse_condition("legacy", params)
@@ -513,7 +605,7 @@ def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nod
     together = evaluated_nodes[0]
     evaluated_nodes[0] = 0
     for b in ends:
-        forcing_integral(pair, a, b, panels_per_unit)
+        forcing_integrals(pair, a, (b,), panels_per_unit)
     assert 0 < together <= evaluated_nodes[0]
 
 
