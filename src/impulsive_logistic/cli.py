@@ -27,8 +27,14 @@ Exit status: 0 on success and for ``verify``/``counterexample`` when every
 check lands as expected; 1 when a check fails or the requested orbit does
 not exist; 2 for configuration or usage errors, including a growth rate
 whose integral over one period overflows A = exp(integral of r), a
-capacity K so small that the forcing integral B overflows a float, and an
-orbit anchor d / B that underflows to 0.0.
+capacity K so small that the forcing integral B overflows a float, an
+orbit anchor d / B that underflows to 0.0, and a ``simulate``, ``verify``
+or ``periodic`` run of more than 2**20 samples (steps per unit times
+horizon periods, after the flags).
+
+A plain command line (a command, then ``--name value`` pairs) is read
+without building the argparse parser; see ``_plain_args``.  Every other
+line, help and usage errors among them, is parsed by argparse.
 """
 
 from __future__ import annotations
@@ -344,6 +350,15 @@ def _cells(values, fmt: str) -> list[str]:
     return cells
 
 
+def _repeat_each(cells: list[str], counts) -> list[str]:
+    """Each cell repeated its count of times, in order: a cell that fills many
+    rows of a column is formatted once."""
+    repeated: list[str] = []
+    for cell, count in zip(cells, counts):
+        repeated += [cell] * count
+    return repeated
+
+
 def _table(columns: list[str], cells: list[list[str]], fmt: str) -> str:
     """Columns of cells (see ``_cells``), all of one length, as a CSV or JSON table.
 
@@ -466,16 +481,16 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
     # rel_diff reads inf
     with np.errstate(divide="ignore", over="ignore"):
         rel_diff = np.abs(numeric - closed) / closed
-    values = (
-        np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist(),
-        [piece.segment for piece in pieces for _ in piece.offsets],
-        numeric.tolist(),
-        closed.tolist(),
-        rel_diff.tolist(),
-        events,
+    times = np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist()
+    values = (times, numeric.tolist(), closed.tolist(), rel_diff.tolist(), events)
+    t, *rest = [_cells(v, fmt) for v in values]
+    # one k cell per piece, repeated over the piece's rows
+    k = _repeat_each(
+        _cells([piece.segment for piece in pieces], fmt),
+        [piece.offsets.size for piece in pieces],
     )
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
-    return _table(columns, [_cells(v, fmt) for v in values], fmt)
+    return _table(columns, [t, k, *rest], fmt)
 
 
 def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
@@ -488,7 +503,7 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
     # one period's offset and orbit cells serve every period
     cells = [
         _cells(params.time(periods[:, None], offsets).ravel().tolist(), fmt),
-        _cells(np.repeat(periods, n).tolist(), fmt),
+        _repeat_each(_cells(periods.tolist(), fmt), [n] * periods.size),
         _cells(offsets.tolist(), fmt) * periods.size,
         _cells(orbit, fmt) * periods.size,
     ]
@@ -630,14 +645,32 @@ _HELP = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The implog parser, with options on the subparser of ``command`` only.
+def _command_options(command: str) -> dict[str, dict]:
+    """The options of ``command``: name -> keywords of ``add_argument``."""
+    options = {
+        "--config": {"required": True, "help": "scenario JSON file"},
+        "--out": {"help": "output file (default: stdout)"},
+        "--format": {
+            "choices": ("csv", "json", "text"),
+            "help": f"output format (default: {_FORMATS[command][0]})",
+        },
+        "--tol": {"type": float, "help": "override every tolerance"},
+        "--step": {"type": float, "help": "override the RK step h"},
+        "--periods": {"type": int, "help": "override horizon_periods"},
+    }
+    if command == "sweep":
+        options["--e-values"] = {
+            "help": "comma-separated harvest fractions (overrides config e_values)"
+        }
+    return options
 
-    The top level takes no option with a value, so argparse dispatches on
-    the first argument that does not start with "-", and no other
-    subparser ever parses.  Every command keeps its subparser and help, so
-    usage, help and error texts read as with options on all six.
-    """
+
+# the parser adds its options from this table, and _plain_args reads it
+_OPTIONS = {command: _command_options(command) for command in _FORMATS}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The implog parser: six subcommands, each with its options from ``_OPTIONS``."""
     parser = argparse.ArgumentParser(
         prog="implog",
         description=(
@@ -646,30 +679,43 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _FORMATS:
+    for name, options in _OPTIONS.items():
         cmd = sub.add_parser(name, help=_HELP[name])
-        if name != command:
-            continue
-        cmd.add_argument("--config", required=True, help="scenario JSON file")
-        cmd.add_argument("--out", default=None, help="output file (default: stdout)")
-        cmd.add_argument(
-            "--format",
-            choices=("csv", "json", "text"),
-            default=None,
-            help=f"output format (default: {_FORMATS[name][0]})",
-        )
-        cmd.add_argument("--tol", type=float, default=None, help="override every tolerance")
-        cmd.add_argument("--step", type=float, default=None, help="override the RK step h")
-        cmd.add_argument(
-            "--periods", type=int, default=None, help="override horizon_periods"
-        )
-        if name == "sweep":
-            cmd.add_argument(
-                "--e-values",
-                default=None,
-                help="comma-separated harvest fractions (overrides config e_values)",
-            )
+        for option, keywords in options.items():
+            cmd.add_argument(option, **keywords)
     return parser
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for a plain command line, else None.
+
+    A plain line is a command followed by ``--name value`` pairs: each name
+    one of the command's exact option names, at most once; each value
+    non-empty, not starting with "-", converted by the option's type and
+    within its choices; every required option present.  argparse reads
+    such a line to the same namespace, so it need not be built for it.
+    Any other line (help, usage errors, ``--opt=value``, abbreviations)
+    returns None and is left to argparse.
+    """
+    options = _OPTIONS.get(argv[0]) if argv else None
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if options is None or 2 * len(pairs) != len(argv) - 1:
+        return None
+    if any(keywords.get("required") and name not in pairs for name, keywords in options.items()):
+        return None
+    values = {}
+    for name, text in pairs.items():
+        keywords = options.get(name)
+        if keywords is None or not text or text[0] == "-":
+            return None
+        try:
+            values[name] = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in keywords and values[name] not in keywords["choices"]:
+            return None
+    dests = {name[2:].replace("-", "_"): values.get(name) for name in options}
+    return argparse.Namespace(command=argv[0], **dests)
 
 
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
@@ -692,6 +738,21 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
             ),
         )
     return config
+
+
+# samples (steps per unit x horizon periods) that simulate, verify and periodic
+# may compute; the RK4 path and the tables hold every sample in memory
+_SAMPLE_BUDGET = 2**20
+
+
+def _require_sample_budget(config: ScenarioConfig) -> None:
+    n = config.step_control().steps_per_unit
+    samples = n * config.horizon_periods
+    if samples > _SAMPLE_BUDGET:
+        raise ConfigError(
+            f"{n} steps per unit x {config.horizon_periods} periods = {samples} samples "
+            f"exceeds the budget of {_SAMPLE_BUDGET}"
+        )
 
 
 def _sweep_values(config: ScenarioConfig, args: argparse.Namespace) -> tuple[float, ...]:
@@ -717,8 +778,9 @@ def _sweep_values(config: ScenarioConfig, args: argparse.Namespace) -> tuple[flo
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
         fmt = args.format or _FORMATS[args.command][0]
@@ -727,6 +789,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"--format {fmt} not supported by '{args.command}' "
                 f"(choose from {'/'.join(_FORMATS[args.command])})"
             )
+        if args.command in ("simulate", "verify", "periodic"):
+            _require_sample_budget(config)
         code = 0
         if args.command == "constants":
             text = cmd_constants(config, fmt)

@@ -486,6 +486,35 @@ def test_main_step_too_small_for_its_reciprocal_exit_2(tmp_path, capsys):
     assert err.startswith(f"config error: {cfg}.step: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "periodic"])
+def test_main_refuses_a_run_over_the_sample_budget(capsys, command):
+    # 2048 steps per unit over 513 periods is 2**20 + 2048 samples
+    argv = [command, "--config", str(GOLDEN), "--step", repr(2.0**-11), "--periods", "513"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: 2048 steps per unit x 513 periods = 1050624 samples "
+        "exceeds the budget of 1048576\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["constants", "counterexample", "sweep"])
+def test_commands_without_samples_take_any_horizon(capsys, command):
+    argv = [command, "--config", str(GOLDEN), "--step", repr(2.0**-11), "--periods", "513"]
+    assert main(argv + ["--e-values", "0.25"] if command == "sweep" else argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("step, periods", [(2.0**-11, 512), (2.0**-20, 1), (1.0, 2**20)])
+def test_the_sample_budget_admits_its_own_size(step, periods):
+    config = dataclasses.replace(load_config(GOLDEN), step=step, horizon_periods=periods)
+    cli._require_sample_budget(config)  # exactly the budget: no error
+    over = dataclasses.replace(config, horizon_periods=periods + 1)
+    with pytest.raises(ConfigError, match="exceeds the budget of 1048576"):
+        cli._require_sample_budget(over)
+
+
 @pytest.mark.parametrize(
     "K",
     [
@@ -917,3 +946,81 @@ def test_random_scenarios_end_with_a_documented_exit_code(tmp_path_factory, scen
                 warnings.simplefilter("error")  # a warning escapes main as an exception
                 code = main([command, "--config", str(path)])
         assert code in (0, 1, 2), command
+
+
+# ---------------------------------------------------------------------------
+# plain command lines: the same namespace as argparse, without building it
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(
+    st.sampled_from(["-1", "-0.5", "", "-", "--", "-h", "nan", "xml", *COMMANDS]),
+    st.text(max_size=4),
+)
+_TEXT = st.sampled_from(["c.json", str(GOLDEN), "0.1,0.2", " 3 ", *COMMANDS])
+_FLOAT = st.one_of(
+    st.floats().map(repr), st.sampled_from(["nan", "inf", "1_0", " 3 ", "1e-3", "0x1p-8"])
+)
+_INT = st.one_of(st.integers(-3, 10**6).map(str), st.sampled_from([" 2", "1_0", "+3", "2.0"]))
+# option name -> values that its converter mostly takes
+_OPTION_VALUES = {
+    "--config": _TEXT,
+    "--out": _TEXT,
+    "--e-values": _TEXT,
+    "--format": st.sampled_from(["csv", "json", "text"]),
+    "--tol": _FLOAT,
+    "--step": _FLOAT,
+    "--periods": _INT,
+}
+# abbreviated, "=" form, unknown and help names
+_ODD_NAMES = ["--conf", "--e", "--per", "--fo", "--tol=1e-3", "--periods=2", "--bogus", "-x",
+              "-h", "--help", "--", "-"]  # fmt: skip
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A plain line (a command and some of its options, each with a value of
+    its kind), then in two thirds of the cases one change that may make it
+    other than plain: a junk head, an odd or repeated name, a junk value or
+    a dangling token."""
+    command = draw(st.sampled_from(COMMANDS))
+    names = [name for name in _OPTION_VALUES if name != "--e-values" or command == "sweep"]
+    names = draw(st.permutations(names))[: draw(st.integers(0, 4))]
+    if draw(st.integers(0, 4)) and "--config" not in names:
+        names.insert(draw(st.integers(0, len(names))), "--config")
+    argv = [command]
+    for name in names:
+        argv += [name, draw(_OPTION_VALUES[name])]
+    change = draw(st.sampled_from(["none", "none", "head", "name", "value", "append"]))
+    if change == "head":
+        argv[0] = draw(_JUNK)
+    elif change == "append":
+        argv.append(draw(st.one_of(st.sampled_from(_ODD_NAMES), _JUNK)))
+    elif len(argv) > 1:
+        at = draw(st.integers(0, len(names) - 1))
+        if change == "name":
+            other = st.sampled_from([*_ODD_NAMES, *_OPTION_VALUES])
+            argv[1 + 2 * at] = draw(other)
+        elif change == "value":
+            argv[2 + 2 * at] = draw(_JUNK)
+    return argv
+
+
+def _same_value(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(argv=_command_lines())
+@example(argv=["sweep", "--config", "c.json", "--e-values", "0.1", "--tol", "nan"])
+@example(argv=["periodic", "--periods", " 2", "--config", "c.json", "--format", "csv"])
+def test_a_plain_command_line_reads_as_argparse_reads_it(argv):
+    plain = cli._plain_args(list(argv))
+    if plain is None:
+        return  # left to argparse
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        parsed = cli._build_parser().parse_args(list(argv))  # a usage error raises SystemExit
+    assert vars(plain).keys() == vars(parsed).keys()
+    for key, value in vars(parsed).items():
+        assert _same_value(getattr(plain, key), value), key

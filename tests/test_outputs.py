@@ -2,11 +2,14 @@
 
 Each case runs ``cli.main`` in-process at the config's defaults and compares
 the sha256 of its exit code, stdout and stderr with the digest recorded here.
-The long tables of ``simulate`` and ``periodic`` are also pinned at a
-scaled horizon (``--periods 40``) and a scaled step (``--step 2**-10``),
-where the table emitter does the most work, and ``sweep`` over 300
-harvest fractions.  A corpus of command lines pins what the argument
-parser prints and returns: help, usage errors and a few runs.
+The long tables of ``simulate`` and ``periodic``, and ``verify``, are also
+pinned at a scaled horizon (``--periods 40``) and a scaled step
+(``--step 2**-10``), where the table emitter and the oracle do the most
+work, and ``sweep`` over 300 harvest fractions.  These are plain command
+lines, so they run with the argparse parser made unbuildable: each must
+take ``cli.main``'s plain path, and give the same bytes through ``--out``
+as on stdout.  A corpus of command lines pins what the argument parser
+prints and returns: help, usage errors and a few runs.
 A refactor must leave all of them unchanged.  A deliberate change to an
 output updates that case's digest in the same commit, and CHANGES.md names
 the case and says why its bytes moved.
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from impulsive_logistic import cli
 from impulsive_logistic.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -110,6 +114,22 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "periods40", "json"): "e292e8ceb4afc2e54351c35f9ef7a81eb32f1f12a0ee97b953838b9b66639049",
     ("periodic", "sinusoid_r", "step1024", "csv"): "23f199ff24de5accb641aa6227d0ab8500a8186ec9437a0a200b14abc14b144c",
     ("periodic", "sinusoid_r", "step1024", "json"): "59eeca0a5034260d87e4f26f59a690f4744f9ab8cca12476246162ca3ff3efc4",
+    ("verify", "golden_constant", "periods40", "json"): "0a5e415d439048a3c0f1cdbe664168123094060bf6839719953230f9ad37027f",
+    ("verify", "golden_constant", "periods40", "text"): "eb761e70e85a3941902b37a785876e6813488dbc9fe88d085f5d272270c67820",
+    ("verify", "golden_constant", "step1024", "json"): "d2809e00e28b45f53994c7fad17b94c00fbca58fa8b9b9752f043286edf533a4",
+    ("verify", "golden_constant", "step1024", "text"): "a8e8cdffdb829093d57ca07584f13368e31488671528f1004c82db043c10a48e",
+    ("verify", "overharvest", "periods40", "json"): "ae97c9c0c70fe1f3cae6b35e27d0f889348cb0a43d02b7b17a2f4dbd3e4fd299",
+    ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
+    ("verify", "overharvest", "step1024", "json"): "fcc966885d41267cf52c75a64d18ef16c7e31803bae8fa40954a7a673f9d2b01",
+    ("verify", "overharvest", "step1024", "text"): "9aac637ebcffbac73060bdeafa62e5ea7a6efd3e00fcb9523f81e076b0d8bce8",
+    ("verify", "piecewise_mixed", "periods40", "json"): "6e041199abb482e7ee05d80063250e61e217a92c2b97227a9d3b5cad8c710ed5",
+    ("verify", "piecewise_mixed", "periods40", "text"): "fe205dcabb9a45ea4432d1a8b78cb2ff8b120717427c970133b535e91231f7d1",
+    ("verify", "piecewise_mixed", "step1024", "json"): "69d7e5d9345afed3235bcbb1a413ce8ca3e74c01f3ab7e3747102f1a8b393dcb",
+    ("verify", "piecewise_mixed", "step1024", "text"): "619fe0cd648c58b63a7363c980da53af1cbf142b01fe1475ea8d82371fc6474c",
+    ("verify", "sinusoid_r", "periods40", "json"): "a4dd47991b9ec3a2e3cba6d3a952dfabe994f5ff3d9d209ed83599a33ac3f764",
+    ("verify", "sinusoid_r", "periods40", "text"): "8b7d4316122431ec1b11c37f751637541f91ae77e60a52887b2c85fb67b6361f",
+    ("verify", "sinusoid_r", "step1024", "json"): "a1e84923531721333bcf89da9b394e84944cee423e0f191cd2f0a32674cd6f96",
+    ("verify", "sinusoid_r", "step1024", "text"): "dfbba02cdc67570f76755259ba0372a3711f3ad41994e941d169ffb94fef763a",
 }
 
 # (config name, format) -> digest of a 300-fraction sweep, E = 0, 0.002, ...,
@@ -124,20 +144,34 @@ SWEEP_DIGESTS = {
 }
 
 
-def _digest(monkeypatch, capsys, command, config, fmt, *flags) -> str:
+def _no_parser():
+    raise AssertionError("a plain command line reached argparse")
+
+
+def _digest(monkeypatch, capsys, command, config, fmt, *flags, out_file=None) -> str:
+    """Digest of one plain command line, run without argparse; with ``out_file``,
+    the report is written there and read back in place of stdout."""
     # a relative config path, so that no message depends on the checkout's location
     monkeypatch.chdir(REPO)
-    code = main([command, "--config", f"configs/{config}.json", "--format", fmt, *flags])
+    monkeypatch.setattr(cli, "_build_parser", _no_parser)
+    argv = [command, "--config", f"configs/{config}.json", "--format", fmt, *flags]
+    code = main(argv if out_file is None else [*argv, "--out", str(out_file)])
     out, err = capsys.readouterr()
+    if out_file is not None and out_file.exists():
+        assert out == ""
+        out = out_file.read_text(encoding="utf-8")
+        out_file.unlink()
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
     "command, config, fmt", list(DIGESTS), ids=["-".join(key) for key in DIGESTS]
 )
-def test_output_is_unchanged(monkeypatch, capsys, command, config, fmt):
+def test_output_is_unchanged(monkeypatch, capsys, tmp_path, command, config, fmt):
     digest = _digest(monkeypatch, capsys, command, config, fmt)
     assert digest == DIGESTS[command, config, fmt]
+    out_file = tmp_path / "report"
+    assert _digest(monkeypatch, capsys, command, config, fmt, out_file=out_file) == digest
 
 
 @pytest.mark.parametrize(
@@ -197,6 +231,9 @@ ARGV_CASES = {
     "run-constants": ["constants", "--config", G],
     "run-verify-overrides": ["verify", "--config", G, "--periods", "2", "--tol", "1e-3",
                              "--format", "text"],
+    "format-is-a-command": ["constants", "--config", G, "--format", "verify"],
+    "periods-with-a-space": ["counterexample", "--config", G, "--periods", " 2"],
+    "tol-nan": ["verify", "--config", G, "--tol", "nan"],
 }
 
 # name -> digest of exit code, stdout and stderr at an 80-column terminal;
@@ -237,6 +274,9 @@ ARGV_DIGESTS = {
     "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-verify-overrides": "26130af0cd06a81449c5976689e60aeabc21f603a00b24fad4a0fe022506e0bb",
+    "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
+    "periods-with-a-space": "b16a1535fee3fc794a84e0427314389622bbe06f8b466ad831ecdafcb889103d",
+    "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",
 }
 
 
