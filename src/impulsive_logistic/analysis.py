@@ -388,7 +388,11 @@ def compare_solutions(
         "x0_star": consts.x0_star,
     }
     if consts.x0_star is not None:
-        orbit_traj = integrate(params, consts.x0_star, horizon_periods, ctrl)
+        # started at the anchor, the first trajectory is the orbit's, float for float
+        if x0 == consts.x0_star:
+            orbit_traj = traj
+        else:
+            orbit_traj = integrate(params, consts.x0_star, horizon_periods, ctrl)
         worst_p, worst_pt = _worst_deviation(
             orbit_traj, trajectory_closed_form(orbit_traj, consts, periodic=True, table=table)
         )
@@ -403,9 +407,16 @@ def compare_solutions(
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 100) -> float:
+    """A root of f in [lo, hi] by at most ``iters`` bisections.
+
+    Stops once the midpoint is no longer strictly inside the bracket (lo
+    and hi are adjacent floats): every further step would return it too.
+    """
     flo = f(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         fmid = f(mid)
         if fmid == 0.0:
             return mid

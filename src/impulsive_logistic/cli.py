@@ -142,7 +142,7 @@ class ScenarioConfig:
             return self.x0
         if consts.x0_star is not None:
             return consts.x0_star
-        return self.K.integral(0.0, 1.0)
+        return self.K.mean
 
 
 def _require_number(
@@ -150,7 +150,10 @@ def _require_number(
 ) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal past the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
     if positive and not v > 0.0:
@@ -180,7 +183,7 @@ def _require_step(value, where: str) -> float:
 def _parse_coefficient(data, where: str) -> PeriodicCoefficient:
     try:
         return coefficient_from_dict(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -232,7 +235,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}: missing required field '{required}'")
 
     r = _parse_coefficient(data["r"], f"{source}.r")
-    growth = r.integral(0.0, 1.0)
+    growth = r.mean
     if growth > _MAX_GROWTH:
         raise ConfigError(
             f"{source}.r: growth integral {growth!r} exceeds {_MAX_GROWTH:.2f} "
@@ -296,15 +299,22 @@ def load_config(path: Path | str) -> ScenarioConfig:
     """Read and validate a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        # decoded here, not by json.loads, which would accept a byte order mark
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting past the
+        # recursion limit
+        raise ConfigError(f"{path}: unreadable JSON: {exc}") from exc
     return parse_config(data, source=str(path))
 
 
@@ -535,7 +545,7 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
             tol=tol.oracle,
         )
     )
-    mean_capacity = config.K.integral(0.0, 1.0)
+    mean_capacity = config.K.mean
     # the scan must reach below an anchor however small it is; a tenth of a
     # subnormal anchor can round to 0.0, so the smallest float bounds it
     x_min = 1e-3 * mean_capacity

@@ -254,27 +254,26 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     within float range for any growth integral that A itself survives, and
     r/K by the power of two that brings its largest value into [1/2, 1),
     which keeps a huge r/K (a tiny K) in range and scales every sum exactly.
-    Coefficients are evaluated at the phase frac(t0) + s.
+    Coefficients are evaluated at the phase frac(t0) + s, edges and nodes
+    in one ``CoefficientPair.ratio_and_growth`` pass.
     """
     s = np.asarray(offsets, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("offsets must be a non-empty 1-d sequence")
     if not (s[0] >= 0.0 and s[-1] <= 1.0) or np.any(np.diff(s) < 0.0):
         raise ValueError("offsets must be sorted and lie in [0, 1]")
-    pair = params.pair
-    phase = params.phase
-
     cuts = [c for c in split_at_jumps([0.0, 1.0], params.jump_offsets) if c < s[-1]]
     edges = np.unique(np.concatenate((cuts, s)))
     nodes, weights, first = panel_rule(edges[:-1], edges[1:], DEFAULT_PANELS_PER_UNIT)
-    u = phase + nodes
 
-    big_r = pair.r.antiderivative(phase + edges)
-    growth = big_r - big_r[0]
+    times = params.phase + np.concatenate((edges, nodes.ravel()))
+    ratio, big_r = params.pair.ratio_and_growth(times)
+    m = edges.size
+    ratio = ratio[m:].reshape(nodes.shape)
+    growth = big_r[:m] - big_r[0]
     shift = 0.5 * growth[-1]
-    ratio = pair.r(u) / pair.K(u)
     scale = math.frexp(ratio.max(initial=0.0))[1]
-    weighted = np.ldexp(ratio, -scale) * np.exp(pair.r.antiderivative(u) - big_r[0] - shift)
+    weighted = np.ldexp(ratio, -scale) * np.exp(big_r[m:].reshape(nodes.shape) - big_r[0] - shift)
     steps = np.add.reduceat((weights * weighted).sum(axis=1), first) if first.size else first
     forcing = np.concatenate(([0.0], np.cumsum(steps))) * np.exp(shift - growth)
     forcing = np.ldexp(forcing, scale)

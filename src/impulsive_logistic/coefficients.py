@@ -14,17 +14,21 @@ Conventions:
     exists so that evaluation is well defined everywhere.
 
 Derived constants (see also :mod:`impulsive_logistic.closed_form`):
-  * ``G = r.integral(0, 1)`` -- the growth integral over one period; the
-    per-period growth factor of the linearization at extinction is exp(G).
+  * ``G = r.mean`` -- the growth integral over one period (the period mean
+    of r, exact per kind); the per-period growth factor of the
+    linearization at extinction is exp(G).
   * ``B`` -- the unit-window forcing integral of (r/K) weighted by the decay
     ``exp(-integral of r)``; it is the forced response of the reciprocal
     form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.  G and B do
     not depend on E: ``compute_B`` returns both, cached per (pair, phase).
 
 The forcing quadrature is ``forcing_integrals``: any number of windows
-from one start, each with its own panels, decay and sum, and r and K
-evaluated once at the nodes of all of them.  B is its one-window case; the
+from one start, each with its own panels, decay and sum, and r/K and the
+growth integral R evaluated in one pass, ``CoefficientPair.ratio_and_growth``,
+at the nodes and ends of all of them.  B is its one-window case; the
 reference side of the periodicity check takes its 16 windows from one call.
+The period table of :mod:`impulsive_logistic.closed_form` reads the same
+pass.
 
 One rule, ``split_at_jumps``, decides where a span is split at the
 coefficients' jumps: B's and the reference's windows, the period that the
@@ -85,37 +89,45 @@ _GL_WEIGHTS = np.array([float.fromhex(x) for x in (
 CUT_TOL = 1e-12
 
 
-def _fractional(t: np.ndarray) -> np.ndarray:
-    """Reduce to the fundamental period [0, 1); exact for any real t."""
-    return t - np.floor(t)
-
-
 class PeriodicCoefficient:
     """A strictly positive period-1 function with an analytic antiderivative.
 
     Subclasses evaluate pointwise (scalar or ndarray), expose the exact
-    antiderivative F(t) = integral from 0 to t, and list the points in
-    [0, 1) where the periodic extension may jump.
+    antiderivative F(t) = integral from 0 to t and the exact period mean
+    ``mean`` (the integral over one period), and list the points in [0, 1)
+    where the periodic extension may jump.
+
+    Each kind writes each of its formulas once, in three helpers on the
+    split t = whole + u (whole = floor(t), u in [0, 1)): ``_angle(u)``, what
+    the two formulas share (the sinusoid's 2 pi u + phase, else u itself),
+    ``_values(angle)`` and ``_antiderivative(t, whole, angle)``.  The public
+    methods and ``CoefficientPair.ratio_and_growth`` all read them, so one
+    floor serves a pass over both values and antiderivative.
     """
 
     kind: ClassVar[str] = ""
 
-    def _values(self, u: np.ndarray) -> np.ndarray:
-        """Pointwise values; u is already reduced to [0, 1)."""
+    def _angle(self, u: np.ndarray) -> np.ndarray:
+        return u
+
+    def _values(self, angle: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
+    def _antiderivative(
+        self, t: np.ndarray, whole: np.ndarray, angle: np.ndarray
+    ) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, t: ArrayLike) -> ArrayLike:
         arr = np.asarray(t, dtype=float)
-        out = self._values(_fractional(arr))
+        out = self._values(self._angle(arr - np.floor(arr)))
         return float(out) if np.ndim(t) == 0 else out
 
     def antiderivative(self, t: ArrayLike) -> ArrayLike:
         """Exact integral from 0 to t."""
         arr = np.asarray(t, dtype=float)
-        out = self._antiderivative(arr)
+        whole = np.floor(arr)
+        out = self._antiderivative(arr, whole, self._angle(arr - whole))
         return float(out) if np.ndim(t) == 0 else out
 
     def stage_values(
@@ -158,10 +170,14 @@ class ConstantCoefficient(PeriodicCoefficient):
                 f"constant coefficient must be a positive finite number, got {self.value!r}"
             )
 
-    def _values(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(u, self.value)
+    @property
+    def mean(self) -> float:
+        return self.value
 
-    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
+    def _values(self, angle: np.ndarray) -> np.ndarray:
+        return np.full_like(angle, self.value)
+
+    def _antiderivative(self, t, whole, angle) -> np.ndarray:
         return self.value * t
 
     def to_dict(self) -> dict:
@@ -188,14 +204,16 @@ class SinusoidCoefficient(PeriodicCoefficient):
                 f"got mean={self.mean!r}, amp={self.amp!r}"
             )
 
-    def _values(self, u: np.ndarray) -> np.ndarray:
-        return self.mean + self.amp * np.sin(_TWO_PI * u + self.phase)
+    def _angle(self, u: np.ndarray) -> np.ndarray:
+        # built from the reduced time, so that the integral over any whole
+        # number of periods is exactly mean * length
+        return _TWO_PI * u + self.phase
 
-    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
-        # Phase argument built from the reduced time so that the integral
-        # over any whole number of periods is exactly mean * length.
-        u = _fractional(t)
-        osc = np.cos(_TWO_PI * u + self.phase) - math.cos(self.phase)
+    def _values(self, angle: np.ndarray) -> np.ndarray:
+        return self.mean + self.amp * np.sin(angle)
+
+    def _antiderivative(self, t, whole, angle) -> np.ndarray:
+        osc = np.cos(angle) - math.cos(self.phase)
         return self.mean * t - (self.amp / _TWO_PI) * osc
 
     def to_dict(self) -> dict:
@@ -246,6 +264,10 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         object.__setattr__(self, "_vals", vals_arr)
         object.__setattr__(self, "_cum", cum)
 
+    @property
+    def mean(self) -> float:
+        return float(self._cum[-1])
+
     def _values(self, u: np.ndarray) -> np.ndarray:
         # side="left" puts u == breakpoint into the segment on its left,
         # and u == 0.0 onto the last segment (index -1): the left limit of
@@ -260,10 +282,10 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         value = self(mid)
         return (value,) * len(stages)
 
-    def _antiderivative(self, t: np.ndarray) -> np.ndarray:
-        whole = np.floor(t)
-        u = t - whole
-        idx = np.clip(np.searchsorted(self._bp, u, side="right") - 1, 0, len(self.values) - 1)
+    def _antiderivative(self, t, whole, u) -> np.ndarray:
+        # u >= 0 always, but it rounds up to 1.0 for t in (-2**-54, 0), the
+        # one case whose index falls past the last piece
+        idx = np.minimum(np.searchsorted(self._bp, u, side="right") - 1, len(self.values) - 1)
         partial = self._cum[idx] + self._vals[idx] * (u - self._bp[idx])
         return whole * self._cum[-1] + partial
 
@@ -332,6 +354,21 @@ class CoefficientPair:
     def breakpoints_mod1(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.r.breakpoints_mod1()) | set(self.K.breakpoints_mod1())))
 
+    def ratio_and_growth(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """r(t)/K(t) and R(t), the antiderivative of r, at every time of t.
+
+        One pass for the forcing quadratures: t is split into floor and
+        fraction once, and r's values and antiderivative share that split;
+        each value equals ``r(t) / K(t)`` and ``r.antiderivative(t)``, bit
+        for bit.
+        """
+        whole = np.floor(t)
+        u = t - whole
+        r, K = self.r, self.K
+        angle = r._angle(u)
+        ratio = r._values(angle) / K._values(K._angle(u))
+        return ratio, r._antiderivative(t, whole, angle)
+
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
 
@@ -394,8 +431,9 @@ def forcing_integrals(
     integrand; nodes are strictly interior, so jump-point value conventions
     never enter an integral.  Each window keeps its own panels, its own
     decay exp(R(u) - R(b)) and its own dot product, so each value is the
-    window computed alone, bit for bit; r and K are evaluated once, at the
-    nodes of all windows together.  A window with b == a gives 0.0.
+    window computed alone, bit for bit; r, K and R are evaluated in one
+    ``CoefficientPair.ratio_and_growth`` pass, at the nodes of all windows
+    together and at their ends.  A window with b == a gives 0.0.
     """
     ends = [float(b) for b in ends]
     if any(b < a for b in ends):
@@ -413,9 +451,10 @@ def forcing_integrals(
     # a window's panels start at the first panel of its first interval
     starts = first[np.cumsum([0] + [len(w) - 1 for w in cuts[:-1]])]
     bounds = [*starts.tolist(), len(nodes)]
-    r, K = pair.r, pair.K
-    lift = np.repeat(r.antiderivative(np.asarray(windows)), np.diff(bounds))[:, None]
-    integrand = r(nodes) / K(nodes) * np.exp(r.antiderivative(nodes) - lift)
+    n = nodes.size
+    ratio, growth = pair.ratio_and_growth(np.concatenate((nodes.ravel(), windows)))
+    lift = np.repeat(growth[n:], np.diff(bounds))[:, None]
+    integrand = ratio[:n].reshape(nodes.shape) * np.exp(growth[:n].reshape(nodes.shape) - lift)
     values = iter(
         float(np.dot(weights[lo:hi].ravel(), integrand[lo:hi].ravel()))
         for lo, hi in zip(bounds, bounds[1:])
@@ -435,4 +474,4 @@ def compute_B(pair: CoefficientPair, phase: float) -> tuple[float, float]:
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    return pair.r.integral(0.0, 1.0), forcing_integrals(pair, phase, (phase + 1.0,))[0]
+    return pair.r.mean, forcing_integrals(pair, phase, (phase + 1.0,))[0]

@@ -248,3 +248,19 @@ def reference_table(columns: list[str], rows, fmt: str) -> str:
     lines = [",".join(columns)]
     lines += [",".join([_CSV_CELL[type(v)](v) for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def bisect_100(f, lo: float, hi: float) -> float:
+    """Bisection for a root of f in [lo, hi], always 100 steps: the loop
+    ``analysis._bisect`` must match, float for float, however early it stops."""
+    flo = f(lo)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (flo < 0.0) == (fmid < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from impulsive_logistic import (
     AnchorUnderflowError,
@@ -20,6 +22,7 @@ from impulsive_logistic import (
     SinusoidCoefficient,
     StepControl,
     VerificationReport,
+    analysis,
     compare_solutions,
     derive_constants,
     fixed_point_scan,
@@ -27,7 +30,7 @@ from impulsive_logistic import (
     verify_periodicity,
 )
 
-from helpers import corrupt_period_table, golden_params, random_params
+from helpers import bisect_100, corrupt_period_table, golden_params, random_params
 
 SINUSOID_R = ModelParams(
     pair=CoefficientPair(
@@ -236,6 +239,35 @@ def test_compare_solutions_without_orbit_skips_periodic_record():
     assert report.metadata["x0_star"] is None
 
 
+@pytest.mark.parametrize(
+    "params, x0, runs",
+    [
+        pytest.param(golden_params(), 50.0, 1, id="x0-is-the-anchor"),
+        pytest.param(golden_params(), 37.0, 2, id="x0-elsewhere"),
+        pytest.param(golden_params(E=0.6), 30.0, 1, id="no-orbit"),
+    ],
+)
+def test_compare_solutions_integrates_the_anchor_once(monkeypatch, params, x0, runs):
+    # started at x0_star, the solution's trajectory is the orbit's: it is
+    # integrated once, and the orbit's record is the one a second run gives
+    calls = []
+    real = analysis.integrate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "integrate", counted)
+    ctrl = StepControl(h=1.0 / 64.0)
+    report = compare_solutions(params, x0, 3, ctrl)
+    assert len(calls) == runs
+    consts = derive_constants(params)
+    if consts.x0_star is not None:
+        orbit = real(params, consts.x0_star, 3, ctrl)
+        closed = analysis.trajectory_closed_form(orbit, consts, periodic=True)
+        assert report.records[1].residual == analysis._worst_deviation(orbit, closed)[0]
+
+
 # ---------------------------------------------------------------------------
 # critical harvest
 # ---------------------------------------------------------------------------
@@ -325,6 +357,43 @@ def test_fixed_point_scan_records_a_zero_gap_at_its_grid_point():
     report = fixed_point_scan(golden_params(), 0.5, 5000.0, n=5)
     assert report.metadata["crossings"] == [float(xs[2])]
     assert report.passed
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    bounds=st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3, unique=True).map(sorted),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(bounds=[0.0, 0.5, 1.0], sign=1.0)  # a midpoint is the root
+@example(bounds=[1.0, 1.0, math.nextafter(1.0, 2.0)], sign=1.0)  # adjacent floats
+@example(bounds=[1e-300, 2e-300, 1e300], sign=-1.0)  # 100 steps stop short of the root
+def test_bisection_returns_the_100_step_float(bounds, sign):
+    lo, root, hi = bounds
+    steps = []
+
+    def f(u):
+        steps.append(u)
+        return sign * (u - root)
+
+    got = analysis._bisect(f, lo, hi)
+    assert len(steps) <= 101
+    steps.clear()
+    assert got == bisect_100(f, lo, hi)
+
+
+def test_bisection_stops_when_the_bracket_collapses():
+    # u*u - 2 is 0.0 at no float, so only the collapse of the bracket onto
+    # two adjacent floats around sqrt(2), after about 53 steps, ends the loop
+    steps = []
+
+    def f(u):
+        steps.append(u)
+        return u * u - 2.0
+
+    got = analysis._bisect(f, 1.0, 2.0)
+    assert len(steps) < 60
+    assert got == bisect_100(f, 1.0, 2.0)
+    assert abs(got - math.sqrt(2.0)) <= math.ulp(got)
 
 
 def test_fixed_point_scan_validation():

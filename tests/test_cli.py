@@ -279,6 +279,54 @@ def test_missing_file_is_a_config_error(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
+_GOLDEN_TEXT = json.dumps(_json_config())
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        pytest.param(
+            _GOLDEN_TEXT.replace('"E"', '"E\xe9"').encode("latin-1"),
+            "not UTF-8",
+            id="latin-1",
+        ),
+        pytest.param(
+            _GOLDEN_TEXT.replace("0.25", "0.25, \"x0\": " + "7" * 5000).encode(),
+            "unreadable JSON: Exceeds the limit",
+            id="integer-past-the-digit-limit",
+        ),
+        pytest.param(
+            (_GOLDEN_TEXT[:-1] + ', "e_values": ' + "[" * 10**5 + "]" * 10**5 + "}").encode(),
+            "unreadable JSON: maximum recursion depth",
+            id="nesting-past-the-recursion-limit",
+        ),
+        pytest.param(
+            b"\xef\xbb\xbf" + _GOLDEN_TEXT.encode(),
+            ":1:1: invalid JSON: Unexpected UTF-8 BOM",
+            id="byte-order-mark",
+        ),
+        pytest.param(
+            _GOLDEN_TEXT.replace("100.0", "1" + "0" * 400).encode(),
+            ".K: int too large to convert to float",
+            id="coefficient-past-the-float-range",
+        ),
+        pytest.param(
+            _GOLDEN_TEXT.replace("0.25", "0.25, \"x0\": 1" + "0" * 400).encode(),
+            ".x0: must be finite",
+            id="number-past-the-float-range",
+        ),
+    ],
+)
+def test_an_unreadable_file_is_a_config_error(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    assert main(["constants", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {cfg}") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

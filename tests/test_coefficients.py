@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impulsive_logistic import (
     CoefficientPair,
@@ -176,6 +178,69 @@ def test_antiderivative_is_additive():
             whole = c.integral(a, x)
             split = c.integral(a, b) + c.integral(b, x)
             assert split == pytest.approx(whole, rel=1e-14, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the pair's one pass and the exact period mean
+# ---------------------------------------------------------------------------
+
+_KIND_STRATEGIES = {
+    "constant": st.floats(0.01, 100.0).map(ConstantCoefficient),
+    "sinusoid": st.builds(
+        lambda mean, frac, phase: SinusoidCoefficient(mean=mean, amp=frac * mean, phase=phase),
+        st.floats(0.01, 100.0),
+        st.floats(-0.99, 0.99),
+        st.floats(-10.0, 10.0),
+    ),
+    "piecewise": st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=3, unique=True
+    ).flatmap(
+        lambda inner: st.builds(
+            PiecewiseConstantCoefficient,
+            st.just((0.0, *sorted(inner), 1.0)),
+            st.tuples(*[st.floats(0.01, 100.0)] * (len(inner) + 1)),
+        )
+    ),
+}
+_WHOLE = st.integers(0, 10**8)
+
+
+@st.composite
+def _pair_and_times(draw, r_kind: str, k_kind: str):
+    pair = CoefficientPair(r=draw(_KIND_STRATEGIES[r_kind]), K=draw(_KIND_STRATEGIES[k_kind]))
+    jumps = (0.0, *pair.breakpoints_mod1())
+    time = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        _WHOLE.map(float),
+        _WHOLE.map(lambda m: math.nextafter(float(m), -math.inf)),  # one ulp below
+        st.tuples(st.sampled_from(jumps), _WHOLE).map(lambda bm: bm[0] + bm[1]),
+        st.floats(0.0, 1e8),
+    )
+    return pair, draw(st.lists(time, min_size=1, max_size=40))
+
+
+@pytest.mark.parametrize("k_kind", ["constant", "sinusoid", "piecewise"])
+@pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_the_pair_pass_is_the_coefficients_own_evaluation(r_kind, k_kind, data):
+    pair, times = data.draw(_pair_and_times(r_kind, k_kind))
+    t = np.array(times)
+    ratio, growth = pair.ratio_and_growth(t)
+    assert ratio.tobytes() == (pair.r(t) / pair.K(t)).tobytes()
+    assert growth.tobytes() == pair.r.antiderivative(t).tobytes()
+    for time, got_ratio, got_growth in zip(times, ratio.tolist(), growth.tolist()):
+        assert got_ratio == pair.r(time) / pair.K(time)
+        assert got_growth == pair.r.antiderivative(time)
+
+
+@pytest.mark.parametrize("kind", ["constant", "sinusoid", "piecewise"])
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_the_period_mean_is_the_integral_over_one_period(kind, data):
+    c = data.draw(_KIND_STRATEGIES[kind])
+    assert type(c.mean) is float
+    assert c.mean == c.integral(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

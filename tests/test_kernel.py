@@ -497,9 +497,9 @@ def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
 
 @pytest.fixture
 def evaluated_nodes(monkeypatch):
-    """Count every node at which a coefficient or its antiderivative is evaluated."""
+    """Count every node at which a coefficient or its antiderivative is
+    evaluated: by a coefficient's own methods or in the pair's one pass."""
     count = [0]
-    call, antiderivative = PeriodicCoefficient.__call__, PeriodicCoefficient.antiderivative
 
     def counted(method):
         def wrapper(self, t):
@@ -508,8 +508,12 @@ def evaluated_nodes(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(PeriodicCoefficient, "__call__", counted(call))
-    monkeypatch.setattr(PeriodicCoefficient, "antiderivative", counted(antiderivative))
+    for owner, name in (
+        (PeriodicCoefficient, "__call__"),
+        (PeriodicCoefficient, "antiderivative"),
+        (CoefficientPair, "ratio_and_growth"),
+    ):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     compute_B.cache_clear()  # count the constants' quadrature too
     return count
 
@@ -537,9 +541,9 @@ def test_periodic_cost_is_linear_in_rows(evaluated_nodes):
 def test_orbit_mean_cost_is_linear_in_its_nodes(evaluated_nodes):
     periodic_orbit_mean(SINUSOID_R, [derive_constants(SINUSOID_R)])
     mean_nodes = 64 * 10  # order-10 Gauss-Legendre on 64 panels
-    # three evaluations (r, K, antiderivative of r) at ten table nodes per
-    # mean node, plus the constants
-    assert evaluated_nodes[0] <= 40 * mean_nodes
+    # one pass over r, K and R at ten table nodes per mean node, plus the
+    # table's edges and the constants
+    assert evaluated_nodes[0] <= 16 * mean_nodes
 
 
 SWEEP_FRACTIONS = tuple(j / 500 for j in range(300))
