@@ -27,17 +27,19 @@ Which side of each check is independent of the code it checks:
     each with its own panels at 128 per unit (twice the kernel's) and its
     own sum, evaluated in one ``forcing_integrals`` call; it reads no
     period table, no cumulative pass and no k.  It shares with the kernel
-    the rule that splits a window at the coefficients' jumps
-    (``split_at_jumps``), not the sum.  Each (k, offset) record is
+    the jump offsets at which a window is split (``split_at_jumps``), not
+    the panels or the sum.  Each (k, offset) record is
     computed at its own k, so the k-dependent part of the kernel (q**-k and
     the geometric sum) must hold the orbit for the record to pass.
   * corrected jump -- both sides come from ``solution_grid`` at x0_star,
     the pre value at offset 1 of period k - 1, the post value at offset 0
     of period k.  The jump rule appears in no formula of the kernel, so
     what is independent is the rule itself: it holds only if the table's
-    C(1), from the cumulative pass, matches ``compute_B``'s B, a separate
-    quadrature, and the algebra carries the anchor across the period
-    boundary at that k.
+    C(1), from the cumulative pass, matches ``compute_B``'s B, and the
+    algebra carries the anchor across the period boundary at that k.  B
+    and a table that ends at offset 1 read the same nodes and differ only
+    in how they sum; the quadrature independent of both is the periodicity
+    check's 128-panel reference.
   * legacy -- ``legacy_grid`` at offsets 1 and 0; it has period 1 by
     construction, so one (pre, post) pair serves every k.  Its continuity
     residual is E* |C(1) - B| / B, so it too hinges on the table's C(1)
@@ -155,18 +157,17 @@ def _orbit_by_quadrature(
     params: ModelParams, consts: SolutionConstants, offsets: Sequence[float]
 ) -> list[float]:
     """x* at each offset s into any period, from the forcing quadrature over
-    the phase window [phase, phase + s], each window with its own panels.
+    the phase window [phase, phase + s], each window with its own panels,
+    and the growth integral over it from the same pass.
 
     Shares no period table with the kernel: the independent side of the
     periodicity check.
     """
-    a = params.phase
-    ends = [a + s for s in offsets]
-    forcing = forcing_integrals(params.pair, a, ends, REFERENCE_PANELS_PER_UNIT)
-    growth = params.r.antiderivative(np.asarray(ends)) - params.r.antiderivative(a)
+    forcing, growth = forcing_integrals(
+        params.pair, params.phase, offsets, REFERENCE_PANELS_PER_UNIT
+    )
     return [
-        consts.d / (consts.B * math.exp(-g) + consts.d * f)
-        for g, f in zip(growth.tolist(), forcing)
+        consts.d / (consts.B * math.exp(-g) + consts.d * f) for g, f in zip(growth, forcing)
     ]
 
 

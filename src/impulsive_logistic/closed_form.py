@@ -120,11 +120,6 @@ class ModelParams:
         """
         return self.t0 - math.floor(self.t0)
 
-    @property
-    def jump_offsets(self) -> tuple[float, ...]:
-        """Sorted offsets into a period at which r or K may jump."""
-        return tuple(sorted((b - self.phase) % 1.0 for b in self.pair.breakpoints_mod1()))
-
     def time(self, k, s):
         """Absolute time of offset s (a float or an array) into period k.
 
@@ -238,12 +233,11 @@ class PeriodTable(NamedTuple):
 def period_table(params: ModelParams, offsets) -> PeriodTable:
     """R(s) and C(s) at every offset of a sorted grid in [0, 1], in one pass.
 
-    The period split at the coefficients' jumps as B's window is
-    (``split_at_jumps`` over [0, 1]), and the grid points, bound the steps
-    of one cumulative pass.  A grid point merges no jump, so the steps up
-    to offset 1 refine B's pieces and C(1) matches B; only a grid point
-    inside a sliver that the split merged puts that sliver in C, where B
-    leaves it out.  Each step gets ceil(width * DEFAULT_PANELS_PER_UNIT)
+    The span [0, max offset], split at every jump offset as B's window is
+    (``split_at_jumps``), and the grid points bound the steps of one
+    cumulative pass; a table that ends at offset 1 with no other offset
+    inside has B's cuts, panels and nodes, so its C(1) differs from B only
+    in how the two sum.  Each step gets ceil(width * DEFAULT_PANELS_PER_UNIT)
     order-10 Gauss-Legendre panels, all evaluated in one numpy call.  With
     R(s) the growth integral,
 
@@ -262,7 +256,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
         raise ValueError("offsets must be a non-empty 1-d sequence")
     if not (s[0] >= 0.0 and s[-1] <= 1.0) or np.any(np.diff(s) < 0.0):
         raise ValueError("offsets must be sorted and lie in [0, 1]")
-    cuts = [c for c in split_at_jumps([0.0, 1.0], params.jump_offsets) if c < s[-1]]
+    cuts = split_at_jumps([0.0, s[-1]], params.pair.jump_offsets(params.phase))
     edges = np.unique(np.concatenate((cuts, s)))
     nodes, weights, first = panel_rule(edges[:-1], edges[1:], DEFAULT_PANELS_PER_UNIT)
 
@@ -381,7 +375,7 @@ def periodic_orbit_mean(
     if not constants:
         return []
     panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(constants[0].G))  # G does not depend on E
-    cuts = np.array(split_at_jumps([0.0, 1.0], params.jump_offsets))
+    cuts = np.array(split_at_jumps([0.0, 1.0], params.pair.jump_offsets(params.phase)))
     nodes, weights, _ = panel_rule(cuts[:-1], cuts[1:], panels)
     table = period_table(params, nodes.ravel())
     return [float(np.dot(weights.ravel(), periodic_grid(consts, table))) for consts in constants]

@@ -23,18 +23,21 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
     not depend on E: ``compute_B`` returns both, cached per (pair, phase).
 
 The forcing quadrature is ``forcing_integrals``: any number of windows
-from one start, each with its own panels, decay and sum, and r/K and the
-growth integral R evaluated in one pass, ``CoefficientPair.ratio_and_growth``,
-at the nodes and ends of all of them.  B is its one-window case; the
-reference side of the periodicity check takes its 16 windows from one call.
-The period table of :mod:`impulsive_logistic.closed_form` reads the same
-pass.
+[start, start + s] from one start, each with its own panels, decay and sum,
+and r/K and the growth integral R evaluated in one pass,
+``CoefficientPair.ratio_and_growth``, at the nodes and ends of all of them.
+B is its one-window case s = 1; the reference side of the periodicity check
+takes its 16 windows from one call.  The period table of
+:mod:`impulsive_logistic.closed_form` reads the same pass.
 
-One rule, ``split_at_jumps``, decides where a span is split at the
-coefficients' jumps: B's and the reference's windows, the period that the
-period table and the orbit mean refine, and the RK4 step grid.  A jump
-within CUT_TOL of a point already in the list is merged into it, so the
-table's steps up to offset 1 refine B's pieces and its C(1) matches B.
+Every span is split in one coordinate, the offset s into a period from an
+impulse, at the jump offsets ``CoefficientPair.jump_offsets(phase)``, by one
+rule, ``split_at_jumps``: every jump strictly inside the span is a cut,
+however close to its neighbours.  B's and the reference's windows, the
+period that the period table and the orbit mean refine, and the RK4 step
+grid are all split so.  Quadrature panels are laid on offsets and evaluated
+at phase + offset, so B and a table that ends at offset 1 read the same
+nodes.
 """
 
 from __future__ import annotations
@@ -82,11 +85,6 @@ _GL_WEIGHTS = np.array([float.fromhex(x) for x in (
     "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3", "0x1.32138c878efdep-3",
     "0x1.1115f8b62dc1fp-4",
 )])
-
-#: A jump closer than this to a point already in a split does not split
-#: there again (``split_at_jumps``): it is merged into that point, an
-#: impulse, another jump or an RK4 step boundary.
-CUT_TOL = 1e-12
 
 
 class PeriodicCoefficient:
@@ -354,6 +352,11 @@ class CoefficientPair:
     def breakpoints_mod1(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.r.breakpoints_mod1()) | set(self.K.breakpoints_mod1())))
 
+    def jump_offsets(self, phase: float) -> tuple[float, ...]:
+        """Sorted offsets (beta - phase) % 1 into a period that starts at
+        coefficient time phase, at which r or K may jump."""
+        return tuple(sorted((b - phase) % 1.0 for b in self.breakpoints_mod1()))
+
     def ratio_and_growth(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """r(t)/K(t) and R(t), the antiderivative of r, at every time of t.
 
@@ -374,24 +377,17 @@ class CoefficientPair:
 
 
 def split_at_jumps(bounds, jumps) -> list[float]:
-    """The sorted ``bounds`` with every jump that lies strictly inside them
-    inserted, in order, unless it lies within CUT_TOL of a neighbour already
-    in the list.
+    """The sorted ``bounds`` with every jump that lies strictly between two
+    of them inserted, in order; a jump equal to a bound adds nothing.
 
     The one rule for splitting a span at the coefficients' jumps.
     """
     out = list(bounds)
     for c in sorted(jumps):
         pos = bisect_right(out, c)
-        if 0 < pos < len(out) and c - out[pos - 1] > CUT_TOL and out[pos] - c > CUT_TOL:
+        if 0 < pos < len(out) and out[pos - 1] < c:
             out.insert(pos, c)
     return out
-
-
-def _window_cuts(breaks_mod1: tuple[float, ...], a: float, b: float) -> list[float]:
-    """[a, b] split at every translate beta + m of the mod-1 breakpoints."""
-    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
-    return split_at_jumps([a, b], [beta + m for beta in breaks_mod1 for m in shifts])
 
 
 def panel_rule(
@@ -417,49 +413,48 @@ def panel_rule(
 
 def forcing_integrals(
     pair: CoefficientPair,
-    a: float,
-    ends,
+    start: float,
+    offsets,
     panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
-) -> list[float]:
-    """Integral over [a, b] of (r/K)(s) * exp(-(R(b) - R(s))), R = antiderivative
-    of r, for each b in ``ends``.
+) -> tuple[list[float], list[float]]:
+    """For each s in ``offsets``, a number in [0, 1], the forcing integral
+    over [start, start + s] of (r/K)(u) exp(-(R(start + s) - R(u))) du and
+    the growth integral R(start + s) - R(start), R the antiderivative of r.
 
-    This is the forced response of the reciprocal form y = 1/x: it is the
-    inhomogeneous term in y(b) = y(a) * exp(-(R(b) - R(a))) + (this integral).
-    Composite Gauss-Legendre of order 10 (``panel_rule``), each window split
-    at every jump of r or K (``split_at_jumps``) so each panel sees a smooth
-    integrand; nodes are strictly interior, so jump-point value conventions
-    never enter an integral.  Each window keeps its own panels, its own
-    decay exp(R(u) - R(b)) and its own dot product, so each value is the
-    window computed alone, bit for bit; r, K and R are evaluated in one
-    ``CoefficientPair.ratio_and_growth`` pass, at the nodes of all windows
-    together and at their ends.  A window with b == a gives 0.0.
+    The first is the forced response of the reciprocal form y = 1/x: the
+    inhomogeneous term in y(b) = y(a) exp(-(R(b) - R(a))) + (this integral)
+    for the window [a, b] = [start, start + s].  Composite Gauss-Legendre of
+    order 10 (``panel_rule``) on [0, s], split at every jump offset
+    (``split_at_jumps``) so that each panel sees a smooth integrand, and
+    evaluated at start + node; nodes are strictly interior, so jump-point
+    value conventions never enter an integral.  Each window keeps its own
+    panels, decay and dot product, so each value is the window computed
+    alone, bit for bit; r, K and R are evaluated in one
+    ``CoefficientPair.ratio_and_growth`` pass, at every node, at start and
+    at every window's end.  A window with s == 0 gives 0.0 and 0.0.
     """
-    ends = [float(b) for b in ends]
-    if any(b < a for b in ends):
-        raise ValueError(f"reversed interval: a={a} > b={min(ends)}")
-    windows = [b for b in ends if b > a]
-    if not windows:
-        return [0.0] * len(ends)
-    breaks = pair.breakpoints_mod1()
-    cuts = [_window_cuts(breaks, a, b) for b in windows]
+    offsets = [float(s) for s in offsets]
+    if not all(0.0 <= s <= 1.0 for s in offsets):
+        raise ValueError(f"window offsets must lie in [0, 1], got {offsets!r}")
+    jumps = pair.jump_offsets(start)
+    cuts = [split_at_jumps([0.0, s], jumps) for s in offsets]
     nodes, weights, first = panel_rule(
         np.array([c for w in cuts for c in w[:-1]]),
         np.array([c for w in cuts for c in w[1:]]),
         panels_per_unit,
     )
-    # a window's panels start at the first panel of its first interval
-    starts = first[np.cumsum([0] + [len(w) - 1 for w in cuts[:-1]])]
-    bounds = [*starts.tolist(), len(nodes)]
+    # a window's panels run from the first panel of its first interval
+    intervals = np.cumsum([0] + [len(w) - 1 for w in cuts])
+    bounds = np.append(first, len(nodes))[intervals].tolist()
     n = nodes.size
-    ratio, growth = pair.ratio_and_growth(np.concatenate((nodes.ravel(), windows)))
-    lift = np.repeat(growth[n:], np.diff(bounds))[:, None]
-    integrand = ratio[:n].reshape(nodes.shape) * np.exp(growth[:n].reshape(nodes.shape) - lift)
-    values = iter(
+    ratio, big_r = pair.ratio_and_growth(start + np.concatenate((nodes.ravel(), [0.0], offsets)))
+    lift = np.repeat(big_r[n + 1 :], np.diff(bounds))[:, None]
+    integrand = ratio[:n].reshape(nodes.shape) * np.exp(big_r[:n].reshape(nodes.shape) - lift)
+    forcing = [
         float(np.dot(weights[lo:hi].ravel(), integrand[lo:hi].ravel()))
         for lo, hi in zip(bounds, bounds[1:])
-    )
-    return [next(values) if b > a else 0.0 for b in ends]
+    ]
+    return forcing, (big_r[n + 1 :] - big_r[n]).tolist()
 
 
 @lru_cache(maxsize=256)
@@ -474,4 +469,4 @@ def compute_B(pair: CoefficientPair, phase: float) -> tuple[float, float]:
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    return pair.r.mean, forcing_integrals(pair, phase, (phase + 1.0,))[0]
+    return pair.r.mean, forcing_integrals(pair, phase, (1.0,))[0][0]

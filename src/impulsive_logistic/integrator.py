@@ -4,8 +4,9 @@ Impulse instants and coefficient discontinuities are all known a priori, so
 the grid is aligned instead of adaptive.  It is one grid of offsets into a
 period, shared by every period: the unit interval divided into an integer
 number of base steps (so each impulse lands exactly on a step boundary),
-split at the coefficients' jumps by the rule that splits B's quadrature
-panels and the period table (``split_at_jumps``).  The harvest jump
+split at every jump offset (``CoefficientPair.jump_offsets``) by the rule
+that splits B's window and the period table (``split_at_jumps``), so a
+jump however close to a grid point bounds a step of its own.  The harvest jump
 x -> (1 - E) x is applied algebraically, never integrated across.  r and K
 are evaluated at every step's stage times, in phase (``ModelParams.phase``
 plus the offset), once per run (``_stage_table``); the RK4 recurrence then
@@ -151,7 +152,9 @@ def integrate(
         raise ValueError(f"periods must be a positive whole number, got {periods!r}")
 
     n = ctrl.steps_per_unit
-    offsets = split_at_jumps([i / n for i in range(n)] + [1.0], params.jump_offsets)
+    offsets = split_at_jumps(
+        [i / n for i in range(n)] + [1.0], params.pair.jump_offsets(params.phase)
+    )
     steps = list(zip(offsets[1:], *_stage_table(params.pair, params.phase, offsets)))
     grid = _frozen(offsets)
     keep_fraction = 1.0 - params.E

@@ -44,6 +44,25 @@ def golden_params(E: float = 0.25, t0: float = 0.5) -> ModelParams:
     )
 
 
+def exact_B(pair: CoefficientPair, phase: float) -> float:
+    """B for a constant r and a piecewise-constant K, summed piece by piece.
+
+    The pieces are those of the period from coefficient time ``phase``,
+    between the jump offsets (beta - phase) % 1; on a piece [u0, u1] with
+    value K the window integral of (r / K) exp(-r (1 - u)) is
+    exp(-r (1 - u1)) (1 - exp(-r (u1 - u0))) / K, with expm1 for the second
+    factor, so a piece of any width keeps its digits.
+    """
+    rate, K = pair.r.value, pair.K
+    jumps = sorted(((b - phase) % 1.0, v) for b, v in zip(K.breakpoints[:-1], K.values))
+    edges = [0.0, *(u for u, _ in jumps), 1.0]
+    values = [jumps[-1][1], *(v for _, v in jumps)]  # offset 0 lies on the last piece
+    return math.fsum(
+        math.exp(-rate * (1.0 - u1)) * -math.expm1(-rate * (u1 - u0)) / k
+        for u0, u1, k in zip(edges, edges[1:], values)
+    )
+
+
 def logistic_flow(r0: float, K0: float, x: float, dt: float) -> float:
     """Autonomous logistic flow, written independently of the library."""
     e = math.exp(r0 * dt)
@@ -134,11 +153,11 @@ def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
 
 
 def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
-    """Offsets i/n into a period plus every jump more than 1e-12 from its neighbours."""
+    """Offsets i/n into a period plus every jump offset strictly between two of them."""
     bounds = [i / n for i in range(n)] + [1.0]
     for c in sorted((b - params.phase) % 1.0 for b in params.pair.breakpoints_mod1()):
         pos = bisect_right(bounds, c)
-        if pos < len(bounds) and c - bounds[pos - 1] > 1e-12 and bounds[pos] - c > 1e-12:
+        if pos < len(bounds) and bounds[pos - 1] < c:
             bounds.insert(pos, c)
     return bounds
 

@@ -121,8 +121,8 @@ def test_impulse_checks_hold_with_a_jump_just_before_the_impulse(lag):
 
 def test_jump_checks_report_a_table_that_disagrees_with_B(monkeypatch):
     # K is 3e-255 on the first 1e-13 of each period.  B's panels and the
-    # period table both merge that jump into the impulse, so C(1) = B and
-    # both checks pass.
+    # period table both split the period at that jump, so B holds the
+    # sliver's share (B = 1.2e241), C(1) = B, and both checks pass.
     params = ModelParams(
         pair=CoefficientPair(
             r=ConstantCoefficient(1.0),

@@ -36,7 +36,7 @@ from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
 from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
 
-from helpers import corrupt_period_table
+from helpers import corrupt_period_table, exact_B
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "golden_constant.json"
@@ -764,14 +764,35 @@ def test_fixed_point_scan_where_the_map_overflows_prints_no_warning(tmp_path, ca
     assert len(scan["metadata"]["crossings"]) == 1
 
 
-# K is 3e-255 on a sliver of 1e-13 after the impulse, within CUT_TOL of
-# it: B, the period table and the RK4 grid must all merge it, or C(1) reads
-# 1e239 against B = 5e-205.
+# K is 3e-255 on a sliver of 1e-13 after the impulse: B, the period table
+# and the RK4 grid all split the period there, so B = 1.2e241 holds the
+# sliver's share and C(1) matches it.  The sliver is one RK4 step with
+# h r x / K near 1, so the oracle records fail.
 SLIVER = _json_config(
     r={"kind": "constant", "value": 1.0},
     K={"kind": "piecewise", "breakpoints": [0, 1e-13, 1], "values": [3e-255, 2e204]},
     E=0.25,
     t0=1.0,
+)
+# K is 1e-250 on a sliver of 8e-13 around offset 0.5; B = 4.85e237 is
+# nearly all that sliver's share.  Again one stiff RK4 step.
+CROWDED_SLIVER = _json_config(
+    r={"kind": "constant", "value": 1.0},
+    K={
+        "kind": "piecewise",
+        "breakpoints": [0, 0.4999999999996, 0.5000000000004, 1],
+        "values": [1e200, 1e-250, 1e200],
+    },
+    E=0.25,
+    t0=1.0,
+)
+# K jumps at 0.6839, which the impulses at t0 = 4.6839 put 4e-16 before
+# offset 1: a piece of 4e-16 that every split keeps
+JUMP_AT_THE_IMPULSE = _json_config(
+    r={"kind": "constant", "value": 1.0},
+    K={"kind": "piecewise", "breakpoints": [0, 0.6839, 1], "values": [1.0, 1e6]},
+    E=0.25,
+    t0=4.6839,
 )
 # x0 and exp(-R) so small that solution_grid's denominator underflows
 UNDERFLOW = {
@@ -796,13 +817,41 @@ POINCARE_OVERFLOW = {
 }
 
 
+def _failed_checks(report: str) -> set[str]:
+    return {c["check"] for c in json.loads(report)["checks"] if not c["passed"]}
+
+
+@pytest.mark.parametrize("scenario", [SLIVER, CROWDED_SLIVER], ids=["sliver", "crowded"])
+def test_a_sliver_of_K_keeps_its_share_of_B(tmp_path, capsys, scenario):
+    # each split keeps the sliver: B is its exact piece-by-piece sum, C(1)
+    # matches it, and the closed form stays finite.  Only the oracle fails:
+    # the sliver is one RK4 step, too stiff for the step to resolve.
+    params = parse_config(scenario).params()
+    B = compute_B(params.pair, params.phase)[1]
+    assert B == pytest.approx(exact_B(params.pair, params.phase), rel=1e-13)
+    C = closed_form.period_table(params, [0.0, 1.0]).forcing[-1]
+    assert C == pytest.approx(B, rel=1e-13)
+
+    cfg = tmp_path / "sliver.json"
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "inf" not in captured.out
+    assert main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _failed_checks(captured.out) == {"closed form vs numerical oracle"}
+
+
 def test_a_kernel_value_of_zero_fails_without_raising(tmp_path, capsys, monkeypatch):
-    # B's panels, the period table and the RK4 grid all merge the sliver
-    # into the impulse: every check passes and simulate prints no inf
+    # B's panels, the period table and the RK4 grid all split the period at
+    # the sliver: only the oracle's records fail, and simulate prints no inf
     cfg = tmp_path / "zero_kernel.json"
     cfg.write_text(json.dumps(SLIVER), encoding="utf-8")
-    assert main(["verify", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().err == ""
+    assert main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _failed_checks(captured.out) == {"closed form vs numerical oracle"}
     assert main(["simulate", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "inf" not in captured.out
@@ -982,6 +1031,8 @@ def _scenarios(draw) -> dict:
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(scenario=_scenarios())
 @example(scenario=SLIVER)
+@example(scenario=CROWDED_SLIVER)
+@example(scenario=JUMP_AT_THE_IMPULSE)
 @example(scenario=UNDERFLOW)
 @example(scenario=POINCARE_OVERFLOW)
 def test_random_scenarios_end_with_a_documented_exit_code(tmp_path_factory, scenario):

@@ -20,14 +20,13 @@ from impulsive_logistic import (
     derive_constants,
 )
 from impulsive_logistic.coefficients import (
-    CUT_TOL,
     forcing_integrals,
     panel_rule,
     split_at_jumps,
 )
 from numpy.polynomial.legendre import leggauss
 
-from helpers import random_coefficient
+from helpers import exact_B, random_coefficient
 
 LN2 = math.log(2.0)
 
@@ -309,7 +308,7 @@ def test_compute_B_sinusoid_vs_brute_force():
     )
     for other in (_pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0)), pair, jumping):
         _, b = compute_B(other, t0)
-        assert abs(forcing_integrals(other, t0, (t0 + 1.0,), 128)[0] - b) <= 1e-14 * b
+        assert abs(forcing_integrals(other, t0, (1.0,), 128)[0][0] - b) <= 1e-14 * b
 
 
 def test_compute_B_requires_a_phase_in_the_unit_interval():
@@ -337,10 +336,40 @@ def test_B_window_shift_invariance():
             random_coefficient(rng, ("sinusoid", "piecewise", "constant")[i % 3], 50.0, 200.0),
         )
         t0 = float(rng.uniform(0.1, 0.9))
-        base = forcing_integrals(pair, t0, (t0 + 1.0,))[0]
+        base = forcing_integrals(pair, t0, (1.0,))[0][0]
         for k in range(1, 6):
-            shifted = forcing_integrals(pair, t0 + k, (t0 + k + 1.0,))[0]
+            shifted = forcing_integrals(pair, t0 + k, (1.0,))[0][0]
             assert shifted == pytest.approx(base, rel=1e-12)
+
+
+@st.composite
+def slivers(draw) -> tuple[CoefficientPair, float]:
+    """r constant and K piecewise, with pieces down to 1e-15 next to offset
+    0, next to offset 1 and next to each other, and K spanning 400 decades;
+    and the phase.  A piece spans at least 64 ulps of the times phase + s it
+    covers, so that every quadrature node lands strictly inside it: a piece
+    of 1e-15 only next to time 0."""
+    t0 = draw(st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 3.0)))
+    phase = t0 - math.floor(t0)
+
+    def width(at):
+        return st.floats(max(1e-15, 64.0 * math.ulp(phase + at)), 0.9e-12)
+
+    middle = draw(st.floats(0.01, 0.99))
+    offsets = [draw(width(0.0)), 1.0 - draw(width(1.0)), middle, middle + draw(width(middle))]
+    kept = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    bp = sorted({(phase + s) % 1.0 for s, keep in zip(offsets, kept) if keep} - {0.0})
+    values = st.floats(-200.0, 200.0).map(lambda e: 10.0**e)
+    vals = draw(st.lists(values, min_size=len(bp) + 1, max_size=len(bp) + 1))
+    r = ConstantCoefficient(draw(st.floats(0.2, 3.0)))
+    return _pair(r, PiecewiseConstantCoefficient((0.0, *bp, 1.0), tuple(vals))), phase
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(case=slivers())
+def test_B_keeps_every_piece_however_narrow(case):
+    pair, phase = case
+    assert compute_B(pair, phase)[1] == pytest.approx(exact_B(pair, phase), rel=1e-13)
 
 
 def _linspace_panels(cuts, panels_per_unit):
@@ -356,18 +385,18 @@ def _linspace_panels(cuts, panels_per_unit):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _window_alone(pair, a, b, panels_per_unit):
-    """One forcing window through its own cuts, panels and numpy calls."""
-    if b == a:
-        return 0.0
-    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
-    cuts = [a]
-    for p in sorted(beta + m for beta in pair.breakpoints_mod1() for m in shifts):
-        if p - cuts[-1] > CUT_TOL and b - p > CUT_TOL:
-            cuts.append(p)
-    nodes, weights = _linspace_panels([*cuts, b], panels_per_unit)
-    decay = np.exp(pair.r.antiderivative(nodes) - pair.r.antiderivative(b))
-    return float(np.dot(weights, pair.r(nodes) / pair.K(nodes) * decay))
+def _window_alone(pair, start, s, panels_per_unit):
+    """One forcing window [start, start + s] and its growth integral, through
+    its own cuts (every jump offset strictly inside (0, s)), panels and
+    numpy calls."""
+    if s == 0.0:
+        return 0.0, 0.0
+    jumps = sorted((beta - start) % 1.0 for beta in pair.breakpoints_mod1())
+    nodes, weights = _linspace_panels([0.0, *(u for u in jumps if 0.0 < u < s), s], panels_per_unit)
+    t, end = start + nodes, start + s
+    decay = np.exp(pair.r.antiderivative(t) - pair.r.antiderivative(end))
+    forcing = float(np.dot(weights, pair.r(t) / pair.K(t) * decay))
+    return forcing, float(pair.r.antiderivative(end)) - float(pair.r.antiderivative(start))
 
 
 KINDS = ("constant", "sinusoid", "piecewise")
@@ -385,31 +414,39 @@ def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
             random_coefficient(rng, k_kind, 50.0, 200.0),
         )
         a = float(rng.uniform(0.0, 3.0))
-        jumps = [beta + math.floor(a) + m for beta in pair.breakpoints_mod1() for m in (1, 2)]
+        jumps = [beta + math.floor(a) + 1.0 for beta in pair.breakpoints_mod1()]
         panels = (64, 128)[trial % 2]
-        # windows from a, and from within CUT_TOL past a jump
-        for start in [a, *(jump + 0.5 * CUT_TOL for jump in jumps)]:
-            ends = [start + float(w) for w in rng.uniform(0.0, 1.2, size=12)]
-            ends += [start, start + 1.0, start + 1e-9]  # empty, unit, a sliver
-            # ends within CUT_TOL of a jump, on either side
-            near = (jump + side * 0.5 * CUT_TOL for jump in jumps for side in (-1, 1))
-            ends += [b for b in near if b >= start]
-            got = forcing_integrals(pair, start, ends, panels)
-            assert got == [_window_alone(pair, start, b, panels) for b in ends]
+        # windows from a, and from 5e-13 past a jump: a 5e-13 piece ends the
+        # unit window
+        for start in [a, *(jump + 5e-13 for jump in jumps)]:
+            offsets = [float(s) for s in rng.uniform(0.0, 1.0, size=12)]
+            offsets += [0.0, 1.0, 1e-9]  # empty, unit, a sliver
+            # ends 5e-13 from a jump, on either side
+            cuts = [(beta - start) % 1.0 for beta in pair.breakpoints_mod1()]
+            offsets += [s for u in cuts for s in (u - 5e-13, u + 5e-13) if 0.0 <= s <= 1.0]
+            forcing, growth = forcing_integrals(pair, start, offsets, panels)
+            alone = [_window_alone(pair, start, s, panels) for s in offsets]
+            assert list(zip(forcing, growth)) == alone
 
 
 def test_forcing_integrals_reject_a_reversed_window():
+    # a window [start, start + s] with s < 0 is reversed, and one with s > 1
+    # is longer than the period it is split in
     pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
-    assert forcing_integrals(pair, 0.7, [0.7, 0.7]) == [0.0, 0.0]
-    with pytest.raises(ValueError, match="reversed"):
-        forcing_integrals(pair, 0.7, [1.0, 0.5])
+    assert forcing_integrals(pair, 0.7, [0.0, 0.0]) == ([0.0, 0.0], [0.0, 0.0])
+    for bad in (-0.5, -5e-324, math.nextafter(1.0, 2.0), 1.5, math.nan):
+        with pytest.raises(ValueError, match="offsets must lie in"):
+            forcing_integrals(pair, 0.7, [0.5, bad])
 
 
 def test_forcing_integral_empty_interval():
     pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
-    assert forcing_integrals(pair, 0.7, (0.7,))[0] == 0.0
-    with pytest.raises(ValueError, match="reversed"):
-        forcing_integrals(pair, 1.0, (0.5,))[0]
+    assert forcing_integrals(pair, 0.7, (0.0,)) == ([0.0], [0.0])
+    forcing, growth = forcing_integrals(pair, 0.7, (0.0, 0.5))
+    assert forcing[0] == growth[0] == 0.0 and forcing[1] > 0.0
+    assert growth[1] == pair.r.integral(0.7, 0.7 + 0.5)
+    with pytest.raises(ValueError, match="offsets must lie in"):
+        forcing_integrals(pair, 1.0, (-0.5,))
 
 
 @pytest.mark.parametrize(

@@ -190,8 +190,8 @@ def test_horizon_ending_exactly_on_an_impulse():
         ((0.0, 0.3), 0.25, 1.25, 4, [0.25, 0.3, 0.5, 0.75, 1.0, 1.25]),
         # a later start: every jump of the period is inserted, in order
         ((0.0, 0.3, 0.8), 2.25, 3.25, 4, [2.25, 2.3, 2.5, 2.75, 2.8, 3.0, 3.25]),
-        # within 1e-12 of a grid point: no sliver step
-        ((0.5 + 5e-13,), 0.25, 1.25, 4, [0.25, 0.5, 0.75, 1.0, 1.25]),
+        # 5e-13 past a grid point: a step of its own
+        ((0.5 + 5e-13,), 0.25, 1.25, 4, [0.25, 0.5, 0.5 + 5e-13, 0.75, 1.0, 1.25]),
         # breakpoints in [0, 1) translate to the period from t0 = start
         ((0.0, 0.625), 3.125, 4.125, 2, [3.125, 3.625, 4.0, 4.125]),
     ],

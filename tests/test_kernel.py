@@ -36,7 +36,7 @@ from impulsive_logistic import (
     verify_impulse_condition,
     verify_periodicity,
 )
-from impulsive_logistic.coefficients import CUT_TOL, forcing_integrals
+from impulsive_logistic.coefficients import forcing_integrals
 
 from helpers import corrupt_period_table, golden_params, random_params
 
@@ -47,7 +47,7 @@ PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=N
 
 # Dyadic t0, offsets and breakpoints: t0 + s is exact, so the kernel (at
 # frac(t0) + s) and the scalar quadrature (at t0 + s) integrate over the
-# same window.
+# same window, on the same panels.
 dyadic_t0 = st.integers(1, 3 * 1024).map(lambda i: i / 1024.0)
 dyadic_offsets = st.lists(
     st.integers(0, 2**20).map(lambda i: i / 2.0**20), min_size=1, max_size=8
@@ -95,9 +95,11 @@ def models(draw) -> ModelParams:
 def test_table_matches_scalar_quadrature(params, offsets):
     table = period_table(params, offsets)
     for s, growth, forcing in zip(offsets, table.growth, table.forcing):
-        a, b = params.t0, params.t0 + s
-        assert growth == pytest.approx(params.r.integral(a, b), rel=1e-12, abs=1e-14)
-        assert forcing == pytest.approx(forcing_integrals(params.pair, a, (b,))[0], rel=1e-12)
+        assert growth == pytest.approx(
+            params.r.integral(params.t0, params.t0 + s), rel=1e-12, abs=1e-14
+        )
+        window = forcing_integrals(params.pair, params.t0, (s,))[0][0]
+        assert forcing == pytest.approx(window, rel=1e-12)
 
 
 def test_table_holds_a_forcing_ratio_near_the_float_range():
@@ -112,60 +114,8 @@ def test_table_holds_a_forcing_ratio_near_the_float_range():
     )
     with np.errstate(all="raise"):
         table = period_table(params, [0.0, 0.5, 1.0])
-    want = [0.0, forcing_integrals(params.pair, 0.0, (0.5,))[0], compute_B(params.pair, 0.0)[1]]
+    want = [0.0, forcing_integrals(params.pair, 0.0, (0.5,))[0][0], compute_B(params.pair, 0.0)[1]]
     np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
-
-
-@st.composite
-def crowded_jumps(draw) -> ModelParams:
-    """Piecewise r and K whose jumps sit within CUT_TOL of offset 0, of
-    offset 1 (the phase, from either side) and of each other, with r/K
-    spanning twelve decades."""
-    t0 = draw(st.floats(0.01, 3.0))
-    phase = t0 - math.floor(t0)
-    gap = st.floats(1e-15, 0.9 * CUT_TOL)
-    near = st.one_of(
-        gap.map(lambda g: phase + g),
-        gap.map(lambda g: phase - g),
-        st.floats(0.01, 0.99),
-    )
-
-    def piecewise(low, high):
-        cuts = draw(st.lists(near, min_size=1, max_size=4))
-        # a pair of jumps within CUT_TOL of each other
-        cuts += [c + draw(gap) for c in cuts[:1]]
-        bp = sorted({c % 1.0 for c in cuts} - {0.0})
-        values = st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
-        vals = draw(st.lists(values, min_size=len(bp) + 1, max_size=len(bp) + 1))
-        return PiecewiseConstantCoefficient((0.0, *bp, 1.0), tuple(vals))
-
-    return ModelParams(CoefficientPair(r=piecewise(0.2, 3.0), K=piecewise(1e-5, 1e5)), 0.0, t0)
-
-
-@PROPERTY
-@given(params=crowded_jumps())
-def test_table_ends_on_B_when_jumps_crowd_a_split(params):
-    # C(1) = B is the identity the jump rule rests on: the table and B's
-    # panels must merge a jump within CUT_TOL of a split point alike
-    table = period_table(params, [0.0, 1.0])
-    B = compute_B(params.pair, params.phase)[1]
-    assert table.forcing[-1] == pytest.approx(B, rel=1e-13)
-
-
-@pytest.mark.parametrize("lag", [-5e-13, 5e-13])
-def test_a_grid_offset_merges_no_jump(lag):
-    # K jumps within CUT_TOL of offset 0.5, and B keeps that jump: a table
-    # with offset 0.5 keeps it too, so its C(1) still matches B
-    params = ModelParams(
-        pair=CoefficientPair(
-            r=ConstantCoefficient(1.0),
-            K=PiecewiseConstantCoefficient((0.0, 0.5 + lag, 1.0), (1e-5, 1e5)),
-        ),
-        E=0.0,
-        t0=1.0,
-    )
-    B = compute_B(params.pair, params.phase)[1]
-    assert period_table(params, [0.0, 0.5, 1.0]).forcing[-1] == pytest.approx(B, rel=1e-13)
 
 
 @pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
@@ -186,7 +136,7 @@ def test_legacy_grid_is_d_over_the_moving_window_integral(r_kind, k_kind, data):
     c = derive_constants(params)
     got = legacy_grid(c, period_table(params, offsets))
     a = params.phase
-    want = [c.d / forcing_integrals(pair, a + s, (a + s + 1.0,), 128)[0] for s in offsets]
+    want = [c.d / forcing_integrals(pair, a + s, (1.0,), 128)[0][0] for s in offsets]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -204,7 +154,7 @@ def test_legacy_grid_at_growth_700():
     got = legacy_grid(c, period_table(params, offsets))
     a = params.phase
     for s, value in zip(offsets, got):
-        window = [forcing_integrals(params.pair, a + s, (a + s + 1.0,), n)[0] for n in (64, 4096)]
+        window = [forcing_integrals(params.pair, a + s, (1.0,), n)[0][0] for n in (64, 4096)]
         assert value == pytest.approx(c.d / window[0], rel=1e-12)
         assert value == pytest.approx(c.d / window[1], rel=1e-10)
 
@@ -244,7 +194,7 @@ def test_log_space_branch_matches_direct_formula(k):
     got = solution_grid(consts, x0, [k], table)[0]
     for s, value in zip(offsets, got):
         decay = math.exp(-params.r.integral(params.t0, params.t0 + s))
-        forcing = forcing_integrals(params.pair, params.t0, (params.t0 + s,))[0]
+        forcing = forcing_integrals(params.pair, params.t0, (s,))[0][0]
         geometric = (1.0 - q ** (-k)) / (q - 1.0)
         recip = decay / (x0 * q**k) + consts.A * consts.B * geometric * decay + forcing
         assert value == pytest.approx(1.0 / recip, rel=1e-12)
@@ -337,12 +287,12 @@ def test_trajectory_closed_form_matches_scalar_path():
 
 @st.composite
 def crowded_jumps(draw) -> ModelParams:
-    """Piecewise r and K whose jumps sit within CUT_TOL of offset 0, of
-    offset 1 (the phase, from either side) and of each other, with r/K
+    """Piecewise r and K whose jumps sit 1e-15 to 0.9e-12 from offset 0, from
+    offset 1 (the phase, from either side) and from each other, with r/K
     spanning twelve decades."""
     t0 = draw(st.floats(0.01, 3.0))
     phase = t0 - math.floor(t0)
-    gap = st.floats(1e-15, 0.9 * CUT_TOL)
+    gap = st.floats(1e-15, 0.9e-12)
     near = st.one_of(
         gap.map(lambda g: phase + g),
         gap.map(lambda g: phase - g),
@@ -351,7 +301,7 @@ def crowded_jumps(draw) -> ModelParams:
 
     def piecewise(low, high):
         cuts = draw(st.lists(near, min_size=1, max_size=4))
-        # a pair of jumps within CUT_TOL of each other
+        # a pair of jumps at most 0.9e-12 apart
         cuts += [c + draw(gap) for c in cuts[:1]]
         bp = sorted({c % 1.0 for c in cuts} - {0.0})
         values = st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
@@ -364,8 +314,9 @@ def crowded_jumps(draw) -> ModelParams:
 @PROPERTY
 @given(params=crowded_jumps())
 def test_table_ends_on_B_when_jumps_crowd_a_split(params):
-    # C(1) = B is the identity the jump rule rests on: the table and B's
-    # panels must merge a jump within CUT_TOL of a split point alike
+    # C(1) = B is the identity the jump rule rests on: the table and B split
+    # the period at the same jump offsets, however close, and read the same
+    # nodes
     table = period_table(params, [0.0, 1.0])
     B = compute_B(params.pair, params.phase)[1]
     assert table.forcing[-1] == pytest.approx(B, rel=1e-13)
@@ -373,8 +324,9 @@ def test_table_ends_on_B_when_jumps_crowd_a_split(params):
 
 @pytest.mark.parametrize("lag", [-5e-13, 5e-13])
 def test_a_grid_offset_merges_no_jump(lag):
-    # K jumps within CUT_TOL of offset 0.5, and B keeps that jump: a table
-    # with offset 0.5 keeps it too, so its C(1) still matches B
+    # K jumps 5e-13 from offset 0.5, and B keeps that jump: a table with
+    # offset 0.5 keeps it too, as a step of its own, so its C(1) still
+    # matches B
     params = ModelParams(
         pair=CoefficientPair(
             r=ConstantCoefficient(1.0),
@@ -603,13 +555,13 @@ def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nod
     verify_periodicity(SINUSOID_R)
     assert len(calls) == 1 and len(calls[0][2]) == 16
 
-    pair, a, ends, panels_per_unit = calls[0]
+    pair, phase, offsets, panels_per_unit = calls[0]
     evaluated_nodes[0] = 0
-    batched(pair, a, ends, panels_per_unit)
+    batched(pair, phase, offsets, panels_per_unit)
     together = evaluated_nodes[0]
     evaluated_nodes[0] = 0
-    for b in ends:
-        forcing_integrals(pair, a, (b,), panels_per_unit)
+    for s in offsets:
+        forcing_integrals(pair, phase, (s,), panels_per_unit)
     assert 0 < together <= evaluated_nodes[0]
 
 

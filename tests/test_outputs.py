@@ -33,50 +33,50 @@ DIGESTS = {
     ("constants", "golden_constant", "json"): "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     ("constants", "overharvest", "text"): "7e0a2c68c71291fd2440a0d44b7da9d040ed290a65714e42b758d39530aedcc3",
     ("constants", "overharvest", "json"): "764b5f3279b6b136f5d14d7cb15c6362695c8d5dcaaed52d023e3b9b8729abc4",
-    ("constants", "piecewise_mixed", "text"): "6f6ad1b7bba2c10cdfc55e294cfff85ff233abcbd2e8c2f8bd0c0892bbcd5ec7",
-    ("constants", "piecewise_mixed", "json"): "3a33964f6b16e2ddfd3df958b8082fca0e6d91fffa3e274aae191c799e4ada7b",
-    ("constants", "sinusoid_r", "text"): "d529b4721bc41903a88aff12b3505a25d30e857bc3725e0ba1c746e7a2fbbc7f",
-    ("constants", "sinusoid_r", "json"): "308dead02dd3477ad34cdbe5d7c436ba6cd56e51688e0fbc27e9d238efe97a30",
+    ("constants", "piecewise_mixed", "text"): "73d3ad9b382dc20804e1989b3d8396a5c41aeb4cecfe7b54f003096421768f43",
+    ("constants", "piecewise_mixed", "json"): "9541d5e84bb68490ee65326c31e58505d357c29f44543f7a3b4d609820363641",
+    ("constants", "sinusoid_r", "text"): "cbdeab03fe44fc4077a01535abdec18820eb81fc58b52c3c748122898bb0aa57",
+    ("constants", "sinusoid_r", "json"): "683114cbbfe624eeefef20d1ca72e67b84a1c641ea9104452c636c98ba0bf55a",
     ("simulate", "golden_constant", "csv"): "1da30bc239bc399981fd6d33227233d8feae08265656f60825502a202ecca1fe",
     ("simulate", "golden_constant", "json"): "f9ff39634bb48012b1b9092e271fadbbfe195ba266c2798e4ee264b8f5ed8644",
     ("simulate", "overharvest", "csv"): "dc7f970a433f9cde1677750578e0d48978f27b393fcf5eb365b01d7b95dc4355",
     ("simulate", "overharvest", "json"): "1c32b453a3b1e86300437743382682ec4cb0729e4223649e61a8c37acc6441aa",
-    ("simulate", "piecewise_mixed", "csv"): "6e34173e18b8601797f6fbe32b2f75d4731d6f8ccfd46de421e64f5239baea74",
-    ("simulate", "piecewise_mixed", "json"): "caf66279650d1de1c128f3c8ece6fe83986e18fb33d88ed932b9cc877d0fa656",
-    ("simulate", "sinusoid_r", "csv"): "645c9d31b6630f3a5cad766cb4931e0c553b647f646faa7abb45ad7bc2653438",
-    ("simulate", "sinusoid_r", "json"): "045f8d2cfdc32ff141972a5f7269a2cc7b9f119f6a07d20d81434a5d1f1f96ff",
+    ("simulate", "piecewise_mixed", "csv"): "523b2e3525cce5f03fbd98b043a0944bdf957a42d759d9b29e6161886641f997",
+    ("simulate", "piecewise_mixed", "json"): "d9e6f1d8167b28aad56566a10924375640a88d3d78d20d85a8796b76df15c8e7",
+    ("simulate", "sinusoid_r", "csv"): "087d3e7cf238653986c32fcf05ab742d6514800688d2ce7cefe57d79e33c0ea9",
+    ("simulate", "sinusoid_r", "json"): "1d3f7691262542782c14d9fccf7e49c70d201d2eba7c5844d97622d07051f8f2",
     ("periodic", "golden_constant", "csv"): "3c065edd95a5a534130d96ab8c306e0e01cad7579523b4546f502c91442c76c0",
     ("periodic", "golden_constant", "json"): "16f0e546b2046bb3afb76d016d6c65a93fed88ac1b7398a9483c959d756b884a",
     ("periodic", "overharvest", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("periodic", "piecewise_mixed", "csv"): "96afc01d17b071ba0228b396143feb488c4a1dcd1e879a23253c935e3f3ee4b9",
-    ("periodic", "piecewise_mixed", "json"): "9929db24f2bf5121c6a5a1023f42af50943e25bf064f6baa30b990438535a7ef",
-    ("periodic", "sinusoid_r", "csv"): "5d201be9bac660a37e3eeeef62fd07209b96bc1507599fcbc23214e6b2994f97",
-    ("periodic", "sinusoid_r", "json"): "aaeb96ace5d85ba033dc134df9b7c86844e1597c19acbfd81ab2c7d0a645368c",
-    ("verify", "golden_constant", "json"): "a2027b0c180b4490c2daa20dcee245fe89d244fe0cfa49427082a198d502d931",
-    ("verify", "golden_constant", "text"): "7b1f7f295a96ade362b8e5e834a9663a22d452a09deb132d9b8ca16ab597f582",
+    ("periodic", "piecewise_mixed", "csv"): "2c541a2cd3d946b2be692d6e1b24a835e767776c788130e36b82155f0fa09483",
+    ("periodic", "piecewise_mixed", "json"): "3f7943433f030ee5e209e1511d37c759df63328ec9eac3adca5201630b2f4710",
+    ("periodic", "sinusoid_r", "csv"): "328a8f0cbcfbb83b09cb5f4bdec1fcfb8b3e98ff89f3932a586335df64110788",
+    ("periodic", "sinusoid_r", "json"): "239caf45131cdb7bb4c71087906668d9c5ec98fa35b364720d28be01411b7053",
+    ("verify", "golden_constant", "json"): "2d7873a82959ad9942536bd674cd32d392cec1d7bb1ceb0aea6423ceb4357f24",
+    ("verify", "golden_constant", "text"): "252bb5a5a10fe7f841c13f34ab6956d2ad6420995e29cf435a59066f585da63b",
     ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
-    ("verify", "piecewise_mixed", "json"): "448fdef9ae0ee72d995ebd9523be0e8c7c2d770b18ac74cb39c8e1571647dfa4",
-    ("verify", "piecewise_mixed", "text"): "3d08aa72100fad7443c9b1051cccb6a045b1ad66678cc1f791f35ab973d000ce",
-    ("verify", "sinusoid_r", "json"): "70665558be982a919ce8b89ba41ef311c28fc2e22840de84eebf1ef39a5c3345",
-    ("verify", "sinusoid_r", "text"): "8537b2aeb0bf40ae7a09bae7e95698c5367a5f2cc4f665dd34e646299c2e6df7",
+    ("verify", "piecewise_mixed", "json"): "8828490f786866d3934437e6892712111de70e5b46eaf32712a1ef9cfa3aa193",
+    ("verify", "piecewise_mixed", "text"): "88d4b6b5d95c7ecdd81a387ab512d7d3c9fb69d2ec4e24e8e65615fc715d055f",
+    ("verify", "sinusoid_r", "json"): "532bf80a66963961aa54834d305a5fcc51bedba366bb8f754bf1bfa1638b330a",
+    ("verify", "sinusoid_r", "text"): "498122b234a411adb67a2dcba5cb3f449ea60ad1c49d497bde71ec12adf8b2b0",
     ("counterexample", "golden_constant", "json"): "88e399df1b88c7d43378b32cc097906c285c32d917cb10790ffe72d42072a71d",
     ("counterexample", "golden_constant", "text"): "41b8647e51770c96c9d95104b5aeb04d95d9d899307dcfcbdcbe9e138f5859a1",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("counterexample", "piecewise_mixed", "json"): "156f0712ae237481f5f38919e457292ecf984473d8a2a349feed18c5c460415a",
-    ("counterexample", "piecewise_mixed", "text"): "a307af2277cedfa5990ee8e6e133b397465326fdd75ade7fdd69a57299d28d41",
-    ("counterexample", "sinusoid_r", "json"): "1f86f8706dca7d00386ef0b879b7c3fb06200e58c67ba2cf4f15d74f6a3bf6fe",
-    ("counterexample", "sinusoid_r", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
+    ("counterexample", "piecewise_mixed", "json"): "42b078ec9a20e853e4502f1f57f57b6c36792a5c2b2c81bacbad0ce9918737a9",
+    ("counterexample", "piecewise_mixed", "text"): "420ab3c30c44e54739f1876677db4d1ced96a79b565d30585c119d2d6f30ec0c",
+    ("counterexample", "sinusoid_r", "json"): "9829e341c50c4600a2e6ed96da4e79ada754fd2e4a9eca4e5e9c9e0f5f85ae74",
+    ("counterexample", "sinusoid_r", "text"): "cd2cfd6b7e080016a990604c5b872e3c134f8428013e0905f8e5ca5bd5aab179",
     ("sweep", "golden_constant", "csv"): "2d66d8a41722681d1c50acd1083fb7a594ec009ab55fedfc626fe0c5a54a5f10",
     ("sweep", "golden_constant", "json"): "0035b69da18ff6218af8579cf514dd173d91a6004197c049b217b16b203aff43",
     ("sweep", "overharvest", "csv"): "079b44ecec7b01341dd88c83701a7791756bf79e455d918deb14b9fefb2f6f7a",
     ("sweep", "overharvest", "json"): "cb79727457468d449091efd5c989bc4d3e53f9272892e00f0e0beb0e522c2301",
-    ("sweep", "piecewise_mixed", "csv"): "ee6f7d078ea9e7462c7fe60047b64f10455231e3650108db9c719fa56bb1f60c",
-    ("sweep", "piecewise_mixed", "json"): "98be5823bf7f52c349becb4b6733e44e5129c8a83f5cb5281792f35aeaa325f7",
-    ("sweep", "sinusoid_r", "csv"): "64c598ca4fdf0779c2a7e046ac47b6cf27d8ced2a9e421202ac95991a1872995",
-    ("sweep", "sinusoid_r", "json"): "41332ea3b0ebbf27b02c44dc017d3f4b1298a53b093de5b5744eec825f8833e0",
+    ("sweep", "piecewise_mixed", "csv"): "1c858d9f1f8144502117f8fce45f2447e60c630a57410e9a09309c95b156e0b1",
+    ("sweep", "piecewise_mixed", "json"): "7f44939ac19c7d202e9dcd89733181e5a39ff489989c7bdcbf7b55a8c0e92d5e",
+    ("sweep", "sinusoid_r", "csv"): "0413658674618b31eb885b7bc09bfa9fb8a902dd56066783528cfbedae499a15",
+    ("sweep", "sinusoid_r", "json"): "c222f5b8353dc97a78f9d33a2d467b47e486099b70751d257f06f8a45b179fc8",
 }
 
 # (command, config name, scaling, format) -> digest, as above
@@ -90,14 +90,14 @@ SCALED_DIGESTS = {
     ("simulate", "overharvest", "periods40", "json"): "11e5bebfa47c75cbcf20b8b5a763d5dbe9ec34e0e1e8ec3640b4397690dc342f",
     ("simulate", "overharvest", "step1024", "csv"): "2b0f75c5cdd551c187be70de56e724dd10f31090cf12a9e1cd8819f82091573c",
     ("simulate", "overharvest", "step1024", "json"): "7f6f109910beb5e8c77d52be3a056eab93d41d73660a76717ef59f2888f9f563",
-    ("simulate", "piecewise_mixed", "periods40", "csv"): "c88ac9476dfd90a9ddc96dc2fb6c24aa08a77ec82e0539dbf195a239c6fee697",
-    ("simulate", "piecewise_mixed", "periods40", "json"): "582edbff2e5401df18b224f570cab659bb52b8f4023215aef5c1460390785dd5",
-    ("simulate", "piecewise_mixed", "step1024", "csv"): "cea2f1d43b0b16880262bdcec15a2637f47e18ba0cf45a8157074a1519fbf1bb",
-    ("simulate", "piecewise_mixed", "step1024", "json"): "f098a68d8d3dd00f6afa9d597a08e85c44e6e280d6537410c1884bb3e71b895f",
-    ("simulate", "sinusoid_r", "periods40", "csv"): "2616d6f65bc9f5e9289e6b9e96e0aacb7fde8e286e68ae80dbb56173991362c9",
-    ("simulate", "sinusoid_r", "periods40", "json"): "4eb778afb069f06dca142405360ea6d44422799bd9315ff5ab353a9562de0482",
-    ("simulate", "sinusoid_r", "step1024", "csv"): "003701b31cac5911f8d9178508fd28cd522437552859487dd6d67638c44ed68b",
-    ("simulate", "sinusoid_r", "step1024", "json"): "bba238d2ff317db3c697096e93f4b902ae76d4f38428e242e142c495c1308b7d",
+    ("simulate", "piecewise_mixed", "periods40", "csv"): "557e1a100acdacf9455f263221b3e74249246affb5102c267bf031cbc839555d",
+    ("simulate", "piecewise_mixed", "periods40", "json"): "9bd6d473f547454e27b54b3e4ca93eddf75c5f5191825704e1fad4eed802e649",
+    ("simulate", "piecewise_mixed", "step1024", "csv"): "c8060629b3741831fd9f6a3324dedf7a193dc96bdf395a13d527ef4b853b3122",
+    ("simulate", "piecewise_mixed", "step1024", "json"): "18064dd3d87afdc0edb3b3919ae92db413fd11993cbdcfb4e8862e7256fcd6a2",
+    ("simulate", "sinusoid_r", "periods40", "csv"): "ffcb916e8b6b5a9238c85c1d7d5a4221dcbf274a394af6329c835bcb133fae83",
+    ("simulate", "sinusoid_r", "periods40", "json"): "362c209a496e9cd4535955a1337589ad08da16c88da93fda34048283a45ba229",
+    ("simulate", "sinusoid_r", "step1024", "csv"): "15220f534e8f6af89fc12a72f3f53f4079e9a5224ce6b18bf44ed07c2b94bd5b",
+    ("simulate", "sinusoid_r", "step1024", "json"): "cc6cc9a944ffe1f11827b0b52c00a296196f96ed135ccea85802cb3157d64deb",
     ("periodic", "golden_constant", "periods40", "csv"): "0ce1fed8583793b09631156161039aa87c999f99e01e173d55fb48c774559c87",
     ("periodic", "golden_constant", "periods40", "json"): "952b3e1f0690ba09a2e003893338037e1f376ef5b0ce998625bda94db2f2a27f",
     ("periodic", "golden_constant", "step1024", "csv"): "428e60d4bde5026d2cd200d6b191e31896b955d367418876fdb65d378a95cff5",
@@ -106,30 +106,30 @@ SCALED_DIGESTS = {
     ("periodic", "overharvest", "periods40", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "step1024", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "step1024", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("periodic", "piecewise_mixed", "periods40", "csv"): "68cb423e3c0df974eb2e7bfc45d9ae7ccdbe8db83b8c668440be7caeda0807ab",
-    ("periodic", "piecewise_mixed", "periods40", "json"): "ff153c76ec0ff1a3b62173bf3498da5ea7b7026646f44fd29539bcf4559fb039",
-    ("periodic", "piecewise_mixed", "step1024", "csv"): "376bbdc42db87337aafae7ab4301a8e7217a5f1d8e6d54404a0131dd161091d5",
-    ("periodic", "piecewise_mixed", "step1024", "json"): "d9516dda2f1cbfeaa5bce1b285a592cb7f146b5a186b11571abfba8d2bd35a9c",
-    ("periodic", "sinusoid_r", "periods40", "csv"): "e226eaad788f4407e6ab943558ab3f0369b2d2686c77a46f1c69dbe9cbe19154",
-    ("periodic", "sinusoid_r", "periods40", "json"): "e292e8ceb4afc2e54351c35f9ef7a81eb32f1f12a0ee97b953838b9b66639049",
-    ("periodic", "sinusoid_r", "step1024", "csv"): "23f199ff24de5accb641aa6227d0ab8500a8186ec9437a0a200b14abc14b144c",
-    ("periodic", "sinusoid_r", "step1024", "json"): "59eeca0a5034260d87e4f26f59a690f4744f9ab8cca12476246162ca3ff3efc4",
-    ("verify", "golden_constant", "periods40", "json"): "0a5e415d439048a3c0f1cdbe664168123094060bf6839719953230f9ad37027f",
-    ("verify", "golden_constant", "periods40", "text"): "eb761e70e85a3941902b37a785876e6813488dbc9fe88d085f5d272270c67820",
-    ("verify", "golden_constant", "step1024", "json"): "d2809e00e28b45f53994c7fad17b94c00fbca58fa8b9b9752f043286edf533a4",
-    ("verify", "golden_constant", "step1024", "text"): "a8e8cdffdb829093d57ca07584f13368e31488671528f1004c82db043c10a48e",
+    ("periodic", "piecewise_mixed", "periods40", "csv"): "c5bf93bec37fe8cb90bc104225f19139b655e1f5c5b479b4ab6d4a726ea9b9ac",
+    ("periodic", "piecewise_mixed", "periods40", "json"): "228e93c1117c74a26a462496c2b859887c8733afb939d43c216e1ad28844a0ce",
+    ("periodic", "piecewise_mixed", "step1024", "csv"): "073a3dcf8bacbdc3e010ac010e15cd8bc14db05c7073aac4e4a63248810ac14f",
+    ("periodic", "piecewise_mixed", "step1024", "json"): "710a114ac6f5d9f7d9f1b9c66d499a55e28d6d87ad0259d6e14a88269fa7f48f",
+    ("periodic", "sinusoid_r", "periods40", "csv"): "df55fa538beacad3e18ff6d6ed77fe6e811c01fb10729e104b2b10fb855f6de8",
+    ("periodic", "sinusoid_r", "periods40", "json"): "af79efd7281673156f87984183c24c594ce522a11d4fd113fbbfc5a4eeec688f",
+    ("periodic", "sinusoid_r", "step1024", "csv"): "a8595e92f215d5e8295096a8e3704e1bf5137b75aa73d4884438b13c8a0adf70",
+    ("periodic", "sinusoid_r", "step1024", "json"): "57322d1b82f4baf61e1ea9915c76deb8a3074b98150001b215729bfe409e0243",
+    ("verify", "golden_constant", "periods40", "json"): "f9d1019e6cba8a4e5883dbdec58495e518fe2492a5506927d4d81253253a651b",
+    ("verify", "golden_constant", "periods40", "text"): "37432ac408b1f9dc956a5491d32750d009812a6801d2b4f225409f8ab608b04f",
+    ("verify", "golden_constant", "step1024", "json"): "7cdd309a695ba141bc899179a93d3c6811bc69a301da785218c8591341370d4d",
+    ("verify", "golden_constant", "step1024", "text"): "5810f42b779420d9be5b65864ca359640e97ce54a3ba7a4f4acc5daebaeee307",
     ("verify", "overharvest", "periods40", "json"): "ae97c9c0c70fe1f3cae6b35e27d0f889348cb0a43d02b7b17a2f4dbd3e4fd299",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
     ("verify", "overharvest", "step1024", "json"): "fcc966885d41267cf52c75a64d18ef16c7e31803bae8fa40954a7a673f9d2b01",
     ("verify", "overharvest", "step1024", "text"): "9aac637ebcffbac73060bdeafa62e5ea7a6efd3e00fcb9523f81e076b0d8bce8",
-    ("verify", "piecewise_mixed", "periods40", "json"): "6e041199abb482e7ee05d80063250e61e217a92c2b97227a9d3b5cad8c710ed5",
-    ("verify", "piecewise_mixed", "periods40", "text"): "fe205dcabb9a45ea4432d1a8b78cb2ff8b120717427c970133b535e91231f7d1",
-    ("verify", "piecewise_mixed", "step1024", "json"): "69d7e5d9345afed3235bcbb1a413ce8ca3e74c01f3ab7e3747102f1a8b393dcb",
-    ("verify", "piecewise_mixed", "step1024", "text"): "619fe0cd648c58b63a7363c980da53af1cbf142b01fe1475ea8d82371fc6474c",
-    ("verify", "sinusoid_r", "periods40", "json"): "a4dd47991b9ec3a2e3cba6d3a952dfabe994f5ff3d9d209ed83599a33ac3f764",
-    ("verify", "sinusoid_r", "periods40", "text"): "8b7d4316122431ec1b11c37f751637541f91ae77e60a52887b2c85fb67b6361f",
-    ("verify", "sinusoid_r", "step1024", "json"): "a1e84923531721333bcf89da9b394e84944cee423e0f191cd2f0a32674cd6f96",
-    ("verify", "sinusoid_r", "step1024", "text"): "dfbba02cdc67570f76755259ba0372a3711f3ad41994e941d169ffb94fef763a",
+    ("verify", "piecewise_mixed", "periods40", "json"): "5b6ae3c3266debde5becfd1d59ee6b5ec45817c211a7ab1b50f9a2b021c952f3",
+    ("verify", "piecewise_mixed", "periods40", "text"): "b625ab376cadf5c97e2b546ad62975c72188591549d835359926596acec0ebfd",
+    ("verify", "piecewise_mixed", "step1024", "json"): "8e6f644c57d085e57d81d30013062d1fdd2059b7121aa1b131c2dfc676679842",
+    ("verify", "piecewise_mixed", "step1024", "text"): "95599c2354256740153c3302726f677ef7e4bf4b31f1148aa2d1187b15069e50",
+    ("verify", "sinusoid_r", "periods40", "json"): "4e4d6f15ef247c987c4432add2eacee36e503afb37e6117e94c2000379997288",
+    ("verify", "sinusoid_r", "periods40", "text"): "7b0bdb4dc497a2ebb18cb50c9e944234d2fce8572854a834ee52665dfd355068",
+    ("verify", "sinusoid_r", "step1024", "json"): "3633c4dcef9246e62706191c7d59caf249c8bcbb6e64eb6bad3f7c2da3a1effc",
+    ("verify", "sinusoid_r", "step1024", "text"): "01d323c322f803349e352bbeaedeeb98e010db2080735515bd1863a62bcfe5c3",
 }
 
 # (config name, format) -> digest of a 300-fraction sweep, E = 0, 0.002, ...,
@@ -137,10 +137,10 @@ SCALED_DIGESTS = {
 # on both sides of each config's critical harvest
 SWEEP_FRACTIONS = ",".join(repr(j / 500) for j in range(300))
 SWEEP_DIGESTS = {
-    ("sinusoid_r", "csv"): "fdcffb702bc21fc9469bee742419ddedccdf323f0647bb43129e6b8a24da6ddc",
-    ("sinusoid_r", "json"): "a9f5808b23fc51d024b687c7f53350ec073dff2f92e254dff50d12bcfd321b10",
-    ("piecewise_mixed", "csv"): "944af4718a31a4e47d79549674547087575c8f15c7b8808b8d453fbec2a7265d",
-    ("piecewise_mixed", "json"): "8029b8d5f6242d620f661464a61afa54870198630586126ff0ec3a67b911fe01",
+    ("sinusoid_r", "csv"): "ecdebf3ba1e90ffd1f7d0d26456f1930fac465d217577c8cbc0ab9cc47c78bdc",
+    ("sinusoid_r", "json"): "ea4b10dfc9ba1a0a456c963cad42d8de15b776a1906cb5b2ba323c40a51307a6",
+    ("piecewise_mixed", "csv"): "2fb6d17865b1f1987cf9867f279a2b710227fc4002a11e0bf045bc02ce7a19dd",
+    ("piecewise_mixed", "json"): "ae5e3253a380c803aec97ff956d18e25fed1971523362142cad5c61c3bfdd47d",
 }
 
 
@@ -273,7 +273,7 @@ ARGV_DIGESTS = {
     "option-equals": "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
-    "run-verify-overrides": "26130af0cd06a81449c5976689e60aeabc21f603a00b24fad4a0fe022506e0bb",
+    "run-verify-overrides": "7be83088de4c329f534858cae36de40efc3c6e5086bddb04e1cede5a03d8930e",
     "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
     "periods-with-a-space": "b16a1535fee3fc794a84e0427314389622bbe06f8b466ad831ecdafcb889103d",
     "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",
