@@ -176,6 +176,7 @@ def verify_impulse_condition(
     params: ModelParams,
     ks: Iterable[int] = (1, 2, 3, 4, 5),
     tol: float = DEFAULT_IMPULSE_TOL,
+    table: PeriodTable | None = None,
 ) -> VerificationReport:
     """Check the jump behavior of a periodic formula at the impulse instants.
 
@@ -191,7 +192,9 @@ def verify_impulse_condition(
     means the legacy formula is demonstrably continuous at the impulses and
     misses the required jump by at least half the harvest fraction.
 
-    One period table with offsets 0 and 1 serves every k of either check.
+    One period table with offsets 0 and 1 serves every k of either check:
+    ``table`` when given (``period_table(params, [0.0, 1.0])``, so that both
+    checks can share it), else one built here.
     """
     if which not in ("corrected", "legacy"):
         raise ValueError(f"which must be 'corrected' or 'legacy', got {which!r}")
@@ -201,7 +204,8 @@ def verify_impulse_condition(
 
     consts = derive_constants(params)
     analytic = one_sided_limits(consts)  # raises when there is no orbit
-    table = period_table(params, [0.0, 1.0])
+    if table is None:
+        table = period_table(params, [0.0, 1.0])
     if which == "corrected":
         rows = solution_grid(consts, analytic.post, [k - 1 for k in ks] + list(ks), table)
         limits = zip(rows[: len(ks), 1].tolist(), rows[len(ks) :, 0].tolist())
@@ -324,18 +328,18 @@ def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float,
     """
     stride = max(1, traj.ctrl.steps_per_unit // _GRID_PER_PERIOD)
     last = len(traj.pieces) - 1
+    # (period, offsets) of the samples, in the order of nums and refs
     where, nums, refs = [], [], []
     for i, (piece, ref) in enumerate(zip(traj.pieces, closed)):
         stop = -1 if i < last else None  # pre-impulse value paired below
-        offsets = piece.offsets[:stop][::stride]
-        where += [(piece.segment, s) for s in offsets.tolist()]
+        where.append((piece.segment, piece.offsets[:stop][::stride]))
         nums.append(piece.values[:stop][::stride])
         refs.append(ref[:stop][::stride])
     # each impulse: the pre value ending one piece, the post value opening the next
     for before, after, ref_before, ref_after in zip(
         traj.pieces, traj.pieces[1:], closed, closed[1:]
     ):
-        where += [(after.segment, 0.0)] * 2
+        where.append((after.segment, (0.0, 0.0)))
         nums.append((before.values[-1], after.values[0]))
         refs.append((ref_before[-1], ref_after[0]))
     ref = np.concatenate(refs)
@@ -346,8 +350,12 @@ def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float,
     worst = int(np.argmax(residual))
     if not residual[worst] > 0.0:
         return 0.0, traj.params.t0
-    k, s = where[worst]
-    return float(residual[worst]), traj.params.time(k, s)
+    at = worst
+    for k, offsets in where:
+        if at < len(offsets):
+            break
+        at -= len(offsets)
+    return float(residual[worst]), traj.params.time(k, float(offsets[at]))
 
 
 def compare_solutions(

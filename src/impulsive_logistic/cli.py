@@ -360,6 +360,73 @@ def _cells(values, fmt: str) -> list[str]:
     return cells
 
 
+# the shortest round-trip formatter of the time column: cells it does not
+# derive from the cell one period earlier are formatted by this name
+_float_repr = float.__repr__
+# with at most this many cells that follow the cell one period earlier, the
+# time column formats every cell: deriving them costs about 25 numpy calls,
+# as much as formatting about 150 cells
+_MIN_FOLLOWERS = 256
+
+
+def _time_cells(params: ModelParams, periods, offsets) -> list[str]:
+    """The cells of t = t0 + (k + s) for consecutive period indices k and
+    offsets s in [0, 1], period by period: each ``repr(params.time(k, s))``,
+    byte for byte, with each offset's digits formatted once per binade.
+
+    Cell (k, s) is str(W + 1) + "." + F, where repr of cell (k - 1, s) is
+    "W.F", when both (k - 1) + s and k + s are exact (tested as
+    (k + s) - k == s: exact by Sterbenz for k >= 1, and 0 + s always is)
+    and both times have the same ``frexp`` exponent e with e <= 52: one
+    binade below 2**52, which for two times 1 apart also means e >= 1.  So
+    each cell of a run below a formatted cell takes that cell's fractional
+    digits after its own integer part.  Every other cell is formatted by
+    ``_float_repr``.  Why the rule holds:
+
+    - The two times are correctly rounded, in one binade, from reals
+      exactly 1 apart.  One ulp is at most 1/2, so 1 is an even number of
+      ulps, ties round alike, and t_k = t_(k-1) + 1 exactly.
+    - The round-half-even interval of t_k is that of t_(k-1) shifted by 1,
+      and the mantissa parity is the same, so the rule for its ends is too.
+    - A whole shift maps the decimals with F's count of fractional digits
+      onto themselves, keeping their distances and last digits, so the
+      shortest-then-nearest choice (Steele & White 1990; Gay 1990) shifts
+      with it.  At a power of two the interval is asymmetric, but there t
+      is an integer, which prints as "N.0" on both sides.
+    - Inside [1, 2**52) repr always uses fixed notation.
+
+    A table with at most ``_MIN_FOLLOWERS`` cells that follow the cell one
+    period earlier is formatted cell by cell.  No cell is cached past
+    the call.
+    """
+    k = np.asarray(periods, dtype=float)[:, None]
+    s = np.asarray(offsets, dtype=float)
+    t = params.time(k, s)
+    if t.size - s.size <= _MIN_FOLLOWERS:
+        return list(map(_float_repr, t.ravel().tolist()))
+    eligible = ((k + s) - k == s) & (t < 2.0**52)
+    exponent = np.frexp(t)[1]
+    follows = np.zeros(t.shape, dtype=bool)
+    follows[1:] = eligible[1:] & eligible[:-1] & (exponent[1:] == exponent[:-1])
+    if np.count_nonzero(follows) <= _MIN_FOLLOWERS:
+        return list(map(_float_repr, t.ravel().tolist()))
+    fresh = ~follows
+    cells = np.empty(t.shape, dtype=object)
+    cells[fresh] = list(map(_float_repr, t[fresh].tolist()))
+    # a run of followers takes the fractional digits of the fresh cell above it
+    leads = np.zeros(t.shape, dtype=bool)
+    leads[:-1] = fresh[:-1] & follows[1:]
+    fractions = np.empty(t.shape, dtype=object)
+    fractions[leads] = [text.partition(".")[2] for text in cells[leads].tolist()]
+    start = np.where(fresh, np.arange(len(t))[:, None], 0)
+    np.maximum.accumulate(start, axis=0, out=start)
+    whole = t[follows].astype(np.int64)
+    low = int(whole.min())
+    heads = np.array([f"{w}." for w in range(low, int(whole.max()) + 1)], dtype=object)
+    cells[follows] = heads[whole - low] + fractions[start, np.arange(t.shape[1])][follows]
+    return cells.ravel().tolist()
+
+
 def _repeat_each(cells: list[str], counts) -> list[str]:
     """Each cell repeated its count of times, in order: a cell that fills many
     rows of a column is formatted once."""
@@ -491,9 +558,11 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
     # rel_diff reads inf
     with np.errstate(divide="ignore", over="ignore"):
         rel_diff = np.abs(numeric - closed) / closed
-    times = np.concatenate([params.time(p.segment, p.offsets) for p in pieces]).tolist()
-    values = (times, numeric.tolist(), closed.tolist(), rel_diff.tolist(), events)
-    t, *rest = [_cells(v, fmt) for v in values]
+    values = (numeric.tolist(), closed.tolist(), rel_diff.tolist(), events)
+    rest = [_cells(v, fmt) for v in values]
+    # every piece but the last covers the whole grid; the last is one sample
+    t = _time_cells(params, range(len(pieces) - 1), pieces[0].offsets)
+    t += _time_cells(params, [pieces[-1].segment], pieces[-1].offsets)
     # one k cell per piece, repeated over the piece's rows
     k = _repeat_each(
         _cells([piece.segment for piece in pieces], fmt),
@@ -512,7 +581,7 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
     periods = np.arange(config.horizon_periods)
     # one period's offset and orbit cells serve every period
     cells = [
-        _cells(params.time(periods[:, None], offsets).ravel().tolist(), fmt),
+        _time_cells(params, periods, offsets),
         _repeat_each(_cells(periods.tolist(), fmt), [n] * periods.size),
         _cells(offsets.tolist(), fmt) * periods.size,
         _cells(orbit, fmt) * periods.size,
@@ -592,8 +661,11 @@ def cmd_counterexample(config: ScenarioConfig, fmt: str = "json") -> tuple[str, 
     params = config.params()
     tol = config.tolerances
     ks = tuple(range(1, min(5, config.horizon_periods) + 1))
-    corrected = verify_impulse_condition("corrected", params, ks=ks, tol=tol.jump)
-    legacy = verify_impulse_condition("legacy", params, ks=ks, tol=tol.legacy_continuity)
+    table = period_table(params, [0.0, 1.0])  # both checks read offsets 0 and 1
+    corrected = verify_impulse_condition("corrected", params, ks=ks, tol=tol.jump, table=table)
+    legacy = verify_impulse_condition(
+        "legacy", params, ks=ks, tol=tol.legacy_continuity, table=table
+    )
     as_predicted = corrected.passed and legacy.passed
     if fmt == "text":
         verdict = (

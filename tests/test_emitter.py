@@ -3,9 +3,11 @@ row-wise reference, and their cost."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_table
-from impulsive_logistic.cli import _cells, _dump_json, _table, main
+from impulsive_logistic import cli
+from impulsive_logistic.cli import _cells, _dump_json, _table, _time_cells, main
+from impulsive_logistic.closed_form import ModelParams
+from impulsive_logistic.coefficients import CoefficientPair, coefficient_from_dict
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -131,3 +136,78 @@ def test_json_tables_skip_the_pure_python_encoder(monkeypatch, capsys, argv):
     assert main([*argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# the time column: t0 + (k + s), each offset's digits formatted once per binade
+# ---------------------------------------------------------------------------
+
+PAIR = CoefficientPair(
+    r=coefficient_from_dict({"kind": "constant", "value": 0.6931471805599453}),
+    K=coefficient_from_dict(
+        {"kind": "piecewise", "breakpoints": [0.0, 0.3, 0.71, 1.0], "values": [80.0, 120.0, 100.0]}
+    ),
+)
+
+
+def _grid(n: int) -> list[float]:
+    """A period's step grid at n steps per unit, both ends included, as simulate's."""
+    return [j / n for j in range(n)] + [1.0]
+
+
+JUMP_T0 = 1.37
+# the grid of a run at t0 = 1.37 and 16 steps per unit, with the jumps of
+# PAIR's K, which fall off the grid, inserted
+JUMP_GRID = sorted({*_grid(16), *PAIR.jump_offsets(JUMP_T0 % 1.0)})
+SHORT_DECIMALS = st.tuples(st.integers(1, 10**8), st.integers(0, 6)).map(
+    lambda p: p[0] / 10 ** p[1]
+)
+T0S = st.one_of(
+    st.floats(1e-6, 2.0**53),
+    st.floats(math.log(1e-6), math.log(2.0**53)).map(math.exp),
+    SHORT_DECIMALS,
+)
+# steps per unit: powers of two, whose offsets add exactly to any k, and others
+STEPS = st.one_of(st.integers(0, 8).map(lambda m: 2**m), st.integers(1, 120))
+GRIDS = st.tuples(STEPS, st.lists(st.floats(0.0, 1.0), max_size=3)).map(
+    lambda p: sorted({*_grid(p[0]), *p[1]})
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(t0=T0S, first=st.one_of(st.just(0), st.integers(0, 10**6)), count=st.integers(1, 40),
+       offsets=GRIDS)
+@example(t0=0.05, first=0, count=40, offsets=_grid(8))  # the first periods lie below 1
+@example(t0=2.0**52 - 100.5, first=0, count=200, offsets=_grid(8))  # crosses 2**52
+@example(t0=2.0**53, first=0, count=20, offsets=_grid(4))
+@example(t0=1e17 + 64, first=0, count=20, offsets=_grid(4))
+@example(t0=0.5, first=0, count=200, offsets=_grid(128))
+@example(t0=0.1, first=0, count=40, offsets=_grid(16))
+@example(t0=3.7, first=0, count=40, offsets=_grid(7))
+@example(t0=3.7, first=0, count=40, offsets=_grid(100))
+@example(t0=JUMP_T0, first=0, count=40, offsets=JUMP_GRID)
+@example(t0=3.25, first=0, count=40, offsets=[0.0, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0])
+@example(t0=12.75, first=10**6, count=30, offsets=_grid(32))
+def test_time_cells_are_repr(t0, first, count, offsets):
+    periods = range(first, first + count)
+    expected = [repr(t0 + (k + s)) for k in periods for s in offsets]
+    # at 0, every cell that can follow the cell one period earlier does so
+    for least in (0, cli._MIN_FOLLOWERS):
+        with mock.patch.object(cli, "_MIN_FOLLOWERS", least):
+            assert _time_cells(ModelParams(PAIR, 0.25, t0), periods, offsets) == expected
+
+
+def test_time_column_formats_each_offset_once_per_binade(monkeypatch):
+    calls = [0]
+
+    def counted(value):
+        calls[0] += 1
+        return float.__repr__(value)
+
+    monkeypatch.setattr(cli, "_float_repr", counted)
+    config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
+    config = dataclasses.replace(config, horizon_periods=200, step=1.0 / 128)
+    rows = len(cli.cmd_periodic(config).splitlines()) - 1
+    assert rows == 200 * 128
+    binades = len({math.frexp(config.t0 + k)[1] for k in range(201)})
+    assert calls[0] <= 128 * (binades + 1)

@@ -541,6 +541,22 @@ def test_legacy_check_costs_no_more_than_the_corrected_one(evaluated_nodes, name
     assert nodes["legacy"] <= nodes["corrected"]
 
 
+@pytest.mark.parametrize("name", ["sinusoid_r", "piecewise_mixed"])
+def test_counterexample_builds_one_period_table(monkeypatch, name):
+    # the corrected and the legacy check read the same two-offset table
+    tables = [0]
+    real = closed_form.period_table
+
+    def counted(params, offsets):
+        tables[0] += 1
+        return real(params, offsets)
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "period_table", counted)
+    _, code = cli.cmd_counterexample(cli.load_config(CONFIG_DIR / f"{name}.json"))
+    assert code == 0 and tables[0] == 1
+
+
 def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nodes):
     # the 16 reference windows share one evaluation of r and K, and cost
     # no more nodes than the same windows taken one call each

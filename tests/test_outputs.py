@@ -5,7 +5,9 @@ the sha256 of its exit code, stdout and stderr with the digest recorded here.
 The long tables of ``simulate`` and ``periodic``, and ``verify``, are also
 pinned at a scaled horizon (``--periods 40``) and a scaled step
 (``--step 2**-10``), where the table emitter and the oracle do the most
-work, and ``sweep`` over 300 harvest fractions.  These are plain command
+work, and ``sweep`` over 300 harvest fractions.  Five scenario files,
+written per test, pin ``simulate`` and ``periodic`` where the time column
+cannot reuse a cell from one period earlier.  These are plain command
 lines, so they run with the argparse parser made unbuildable: each must
 take ``cli.main``'s plain path, and give the same bytes through ``--out``
 as on stdout.  A corpus of command lines pins what the argument parser
@@ -18,6 +20,7 @@ the case and says why its bytes moved.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -132,6 +135,62 @@ SCALED_DIGESTS = {
     ("verify", "sinusoid_r", "step1024", "text"): "01d323c322f803349e352bbeaedeeb98e010db2080735515bd1863a62bcfe5c3",
 }
 
+# scenarios whose time column takes each path of the time-cell rule: times
+# below 1, a run up to 2**52 where one ulp is 1/2, a large t0 at a fine step,
+# jumps of K off the step grid (simulate samples them) and a step that is not
+# a power of two, whose offsets mostly do not add exactly to k
+_FALLBACK_BASE = {
+    "r": {"kind": "constant", "value": 0.6931471805599453},
+    "K": {"kind": "constant", "value": 100.0},
+    "E": 0.25,
+    "x0": 50.0,
+    "horizon_periods": 12,
+}
+FALLBACK_SCENARIOS = {
+    "t0-below-1": ({**_FALLBACK_BASE, "t0": 0.05}, ()),
+    "t0-near-2**52": ({**_FALLBACK_BASE, "t0": 4503599627370000.5}, ("--periods", "200")),
+    "t0-large-fine-step": (
+        {**_FALLBACK_BASE, "t0": 37000000.123456789},
+        ("--step", "0.001953125"),
+    ),
+    "jumps-off-grid": (
+        {
+            **_FALLBACK_BASE,
+            "t0": 1.37,
+            "K": {
+                "kind": "piecewise",
+                "breakpoints": [0.0, 0.3, 0.71, 1.0],
+                "values": [80.0, 120.0, 100.0],
+            },
+        },
+        (),
+    ),
+    "step-0.01": ({**_FALLBACK_BASE, "t0": 0.5}, ("--step", "0.01")),
+}
+# (command, scenario name, format) -> digest, as above
+FALLBACK_DIGESTS = {
+    ("periodic", "t0-below-1", "csv"): "545d31b91383b35675d36e7d1704303eae70caaf5b57922ce4f8e55bb19ef75b",
+    ("periodic", "t0-below-1", "json"): "e2875b2b399c2ac57c7cb802a7d9d43ff1dc51e40d10d2ab50b63ca4911245e6",
+    ("simulate", "t0-below-1", "csv"): "911adef2fe3ee07852dbde20ed432aca6cd669a4a3123a480719ab5e94089a61",
+    ("simulate", "t0-below-1", "json"): "778193e50ce9d2f82631f5e81bd718a59e360e25e2e10cf633c091867526bd5a",
+    ("periodic", "t0-near-2**52", "csv"): "29b48b333aca2e46e9b20ed0d6b4fbf5dd446a69553d522f81fb7328d4127646",
+    ("periodic", "t0-near-2**52", "json"): "8aeca647ed42bea8a83e958768496fa1cf4a00694b9d3535df25bdfa0f68a851",
+    ("simulate", "t0-near-2**52", "csv"): "33aa0bf5f173b99a013c0e001dfbe58a43095c773e01df1ff3af5c14379e715a",
+    ("simulate", "t0-near-2**52", "json"): "46d45b46de009a242edf93351292e9eeb0b9a2dbee2bec711b18c58afad18334",
+    ("periodic", "t0-large-fine-step", "csv"): "301baa36588c8271aefcac5d4fd26f1ed2557de170ea68d4a283f53b7b2bd0fd",
+    ("periodic", "t0-large-fine-step", "json"): "c8631a808c33072fae0233bb8a2edaa28072c8f22b1850118a4ebb6329751d4c",
+    ("simulate", "t0-large-fine-step", "csv"): "8fda96094b9481c5fe669cbe2d0f7f58f0a8a849c09b7a4c121dd97ca623863b",
+    ("simulate", "t0-large-fine-step", "json"): "f24b04ae02a14a7beed6d83826d8735ce3f05247f6ef2e3218482c19dd0d7d37",
+    ("periodic", "jumps-off-grid", "csv"): "1de8e28667138842a57640923779dc5242822090c6d305381696b151e9fd1b7e",
+    ("periodic", "jumps-off-grid", "json"): "918ad43e6809bd65ae0a2c74cd7ae9c34c5ad3a16ecec2854d389248c9be18a2",
+    ("simulate", "jumps-off-grid", "csv"): "21a471a8cdc229daacb5fa540792c9e273ba043a90c79de7405b215956519ddc",
+    ("simulate", "jumps-off-grid", "json"): "03820f5812787aa37335632bd0118a8283b16881bb2a046748249e0afc30a3da",
+    ("periodic", "step-0.01", "csv"): "c1952fdece2d58b5f4cd6dc2fc54832dd84bafd2d46fab646b4e551b9805d50f",
+    ("periodic", "step-0.01", "json"): "f9649cfa18ec16e4927754ef0b6593390294ac92877dac63a57b91e103d1b596",
+    ("simulate", "step-0.01", "csv"): "9047b84dba1c2f9ace8b293ae966d92cd6f620f1a69df2517164b779d18e14d3",
+    ("simulate", "step-0.01", "json"): "0f09091328a7ccbe3d7424cddb434b1d430ccc83ba94da68050cad7c2aa8112c",
+}
+
 # (config name, format) -> digest of a 300-fraction sweep, E = 0, 0.002, ...,
 # 0.598: more fractions than a 256-entry cache per parameter set could hold,
 # on both sides of each config's critical harvest
@@ -150,11 +209,14 @@ def _no_parser():
 
 def _digest(monkeypatch, capsys, command, config, fmt, *flags, out_file=None) -> str:
     """Digest of one plain command line, run without argparse; with ``out_file``,
-    the report is written there and read back in place of stdout."""
+    the report is written there and read back in place of stdout.  ``config``
+    names a shipped config, or is the path of a scenario file."""
     # a relative config path, so that no message depends on the checkout's location
     monkeypatch.chdir(REPO)
     monkeypatch.setattr(cli, "_build_parser", _no_parser)
-    argv = [command, "--config", f"configs/{config}.json", "--format", fmt, *flags]
+    if isinstance(config, str):
+        config = f"configs/{config}.json"
+    argv = [command, "--config", str(config), "--format", fmt, *flags]
     code = main(argv if out_file is None else [*argv, "--out", str(out_file)])
     out, err = capsys.readouterr()
     if out_file is not None and out_file.exists():
@@ -190,6 +252,17 @@ def test_scaled_table_is_unchanged(monkeypatch, capsys, command, config, scaling
 def test_long_sweep_is_unchanged(monkeypatch, capsys, config, fmt):
     digest = _digest(monkeypatch, capsys, "sweep", config, fmt, "--e-values", SWEEP_FRACTIONS)
     assert digest == SWEEP_DIGESTS[config, fmt]
+
+
+@pytest.mark.parametrize(
+    "command, name, fmt", list(FALLBACK_DIGESTS), ids=["-".join(key) for key in FALLBACK_DIGESTS]
+)
+def test_time_fallback_is_unchanged(monkeypatch, capsys, tmp_path, command, name, fmt):
+    scenario, flags = FALLBACK_SCENARIOS[name]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    digest = _digest(monkeypatch, capsys, command, path, fmt, *flags)
+    assert digest == FALLBACK_DIGESTS[command, name, fmt]
 
 
 # name -> argv; every run reads configs/ relative to the repository root
