@@ -24,11 +24,11 @@ Which side of each check is independent of the code it checks:
   * periodicity -- the kernel side is the solution started at x0_star,
     through ``solution_grid`` at period index k; the independent side is
     the forcing quadrature over the 16 windows [phase, phase + offset],
-    each with its own panels at 128 per unit (twice the kernel's) and its
-    own sum, evaluated in one ``forcing_integrals`` call; it reads no
-    period table, no cumulative pass and no k.  It shares with the kernel
-    the jump offsets at which a window is split (``split_at_jumps``), not
-    the panels or the sum.  Each (k, offset) record is
+    each with its own decay and its own sum, on panels at 128 per unit
+    (twice the kernel's), evaluated in one ``forcing_integrals`` call; it
+    reads no period table, no cumulative pass and no k.  It shares with the
+    kernel the partition rule (``CoefficientPair.period_grid``) at twice
+    the resolution, not the panels or the sum.  Each (k, offset) record is
     computed at its own k, so the k-dependent part of the kernel (q**-k and
     the geometric sum) must hold the orbit for the record to pass.
   * corrected jump -- both sides come from ``solution_grid`` at x0_star,
@@ -157,8 +157,8 @@ def _orbit_by_quadrature(
     params: ModelParams, consts: SolutionConstants, offsets: Sequence[float]
 ) -> list[float]:
     """x* at each offset s into any period, from the forcing quadrature over
-    the phase window [phase, phase + s], each window with its own panels,
-    and the growth integral over it from the same pass.
+    the phase window [phase, phase + s], each window with its own decay
+    and sum, and the growth integral over it from the same pass.
 
     Shares no period table with the kernel: the independent side of the
     periodicity check.
@@ -253,8 +253,9 @@ def verify_periodicity(
 
     The kernel side is the solution started at x0_star, at period index k
     and the offset, from ``solution_grid`` over one period table; the
-    reference is the orbit at that offset from the scalar quadrature at an
-    independent panel count, which holds in every period.  The report keeps
+    reference is the orbit at that offset from the window quadrature
+    ``forcing_integrals`` at twice the kernel's panels, which holds in
+    every period.  The report keeps
     one record per (k, offset), each from its own k.
     """
     if grid is None:

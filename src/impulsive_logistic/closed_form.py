@@ -57,7 +57,7 @@ from .coefficients import (
     CoefficientPair,
     compute_B,
     panel_rule,
-    split_at_jumps,
+    sorted_union,
 )
 
 __all__ = [
@@ -233,42 +233,43 @@ class PeriodTable(NamedTuple):
 def period_table(params: ModelParams, offsets) -> PeriodTable:
     """R(s) and C(s) at every offset of a sorted grid in [0, 1], in one pass.
 
-    The span [0, max offset], split at every jump offset as B's window is
-    (``split_at_jumps``), and the grid points bound the steps of one
-    cumulative pass; a table that ends at offset 1 with no other offset
-    inside has B's cuts, panels and nodes, so its C(1) differs from B only
-    in how the two sum.  Each step gets ceil(width * DEFAULT_PANELS_PER_UNIT)
-    order-10 Gauss-Legendre panels, all evaluated in one numpy call.  With
-    R(s) the growth integral,
+    The points of B's partition, ``pair.period_grid(phase,
+    DEFAULT_PANELS_PER_UNIT)``, below the largest offset, and the offsets,
+    are the edges of one order-10 Gauss-Legendre panel each, all evaluated
+    in one numpy call; a table that ends at offset 1 with no other offset
+    inside has B's panels and nodes, so its C(1) differs from B only in how
+    the two sum.  With R(s) the growth integral,
 
         C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du,
 
-    so the step integrals of (r/K) exp(R) are summed cumulatively.  They are
-    scaled by exp(-R/2) at the largest offset first, which keeps every term
-    within float range for any growth integral that A itself survives, and
-    r/K by the power of two that brings its largest value into [1/2, 1),
-    which keeps a huge r/K (a tiny K) in range and scales every sum exactly.
-    Coefficients are evaluated at the phase frac(t0) + s, edges and nodes
-    in one ``CoefficientPair.ratio_and_growth`` pass.
+    so the panel integrals of (r/K) exp(R) are summed cumulatively.  They
+    are scaled by exp(-R/2) at the largest offset first, which keeps every
+    term within float range for any growth integral that A itself survives,
+    and r/K by the power of two that brings its largest value into
+    [1/2, 1), which keeps a huge r/K (a tiny K) in range and scales every
+    sum exactly.  Coefficients are evaluated at the phase frac(t0) + s,
+    edges and nodes in one ``CoefficientPair.ratio_and_growth`` pass, a
+    coefficient with jumps at each panel's midpoint.
     """
     s = np.asarray(offsets, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("offsets must be a non-empty 1-d sequence")
     if not (s[0] >= 0.0 and s[-1] <= 1.0) or np.any(np.diff(s) < 0.0):
         raise ValueError("offsets must be sorted and lie in [0, 1]")
-    cuts = split_at_jumps([0.0, s[-1]], params.pair.jump_offsets(params.phase))
-    edges = np.unique(np.concatenate((cuts, s)))
-    nodes, weights, first = panel_rule(edges[:-1], edges[1:], DEFAULT_PANELS_PER_UNIT)
+    grid = params.pair.period_grid(params.phase, DEFAULT_PANELS_PER_UNIT)
+    edges = sorted_union(grid[: np.searchsorted(grid, s[-1])], s)
+    nodes, weights, mid = panel_rule(edges[:-1], edges[1:])
 
     times = params.phase + np.concatenate((edges, nodes.ravel()))
-    ratio, big_r = params.pair.ratio_and_growth(times)
+    key = params.phase + np.concatenate((edges, np.repeat(mid, nodes.shape[1])))
+    ratio, big_r = params.pair.ratio_and_growth(times, key)
     m = edges.size
     ratio = ratio[m:].reshape(nodes.shape)
     growth = big_r[:m] - big_r[0]
     shift = 0.5 * growth[-1]
     scale = math.frexp(ratio.max(initial=0.0))[1]
     weighted = np.ldexp(ratio, -scale) * np.exp(big_r[m:].reshape(nodes.shape) - big_r[0] - shift)
-    steps = np.add.reduceat((weights * weighted).sum(axis=1), first) if first.size else first
+    steps = (weights * weighted).sum(axis=1)
     forcing = np.concatenate(([0.0], np.cumsum(steps))) * np.exp(shift - growth)
     forcing = np.ldexp(forcing, scale)
 
@@ -367,16 +368,17 @@ def periodic_orbit_mean(
     """Average of the periodic orbit over one period for each of ``constants``,
     harvest fractions on ``params``' coefficients and phase; errors when d <= 0.
 
-    Split-panel Gauss-Legendre, with the orbit at every node from one
-    ``period_table`` that serves every fraction.  The orbit relaxes at rate r
-    after each impulse, so the mean uses max(DEFAULT_PANELS_PER_UNIT, ceil(G))
-    panels: at least one per unit of growth integral.
+    Order-10 Gauss-Legendre with one panel on each interval of the
+    partition ``pair.period_grid(phase, n)``, and the orbit at every node
+    from one ``period_table`` that serves every fraction.  The orbit relaxes
+    at rate r after each impulse, so n = max(DEFAULT_PANELS_PER_UNIT,
+    ceil(G)): at least one panel per unit of growth integral.
     """
     if not constants:
         return []
     panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(constants[0].G))  # G does not depend on E
-    cuts = np.array(split_at_jumps([0.0, 1.0], params.pair.jump_offsets(params.phase)))
-    nodes, weights, _ = panel_rule(cuts[:-1], cuts[1:], panels)
+    grid = params.pair.period_grid(params.phase, panels)
+    nodes, weights, _ = panel_rule(grid[:-1], grid[1:])
     table = period_table(params, nodes.ravel())
     return [float(np.dot(weights.ravel(), periodic_grid(consts, table))) for consts in constants]
 

@@ -23,27 +23,25 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
     not depend on E: ``compute_B`` returns both, cached per (pair, phase).
 
 The forcing quadrature is ``forcing_integrals``: any number of windows
-[start, start + s] from one start, each with its own panels, decay and sum,
-and r/K and the growth integral R evaluated in one pass,
+[start, start + s] from one start, each with its own decay and sum, and
+r/K and the growth integral R evaluated in one pass,
 ``CoefficientPair.ratio_and_growth``, at the nodes and ends of all of them.
 B is its one-window case s = 1; the reference side of the periodicity check
 takes its 16 windows from one call.  The period table of
 :mod:`impulsive_logistic.closed_form` reads the same pass.
 
-Every span is split in one coordinate, the offset s into a period from an
-impulse, at the jump offsets ``CoefficientPair.jump_offsets(phase)``, by one
-rule, ``split_at_jumps``: every jump strictly inside the span is a cut,
-however close to its neighbours.  B's and the reference's windows, the
-period that the period table and the orbit mean refine, and the RK4 step
-grid are all split so.  Quadrature panels are laid on offsets and evaluated
-at phase + offset, so B and a table that ends at offset 1 read the same
-nodes.
+A period is cut one way, in the offset s from an impulse, by
+``CoefficientPair.period_grid(phase, n)``: every RK4 step and every order-10
+Gauss-Legendre panel is one of its intervals, so each lies inside one smooth
+piece of r and K, where a coefficient with jumps is read at the interval's
+midpoint (``PeriodicCoefficient.piece_values``).  Panels are laid on offsets
+and evaluated at phase + offset, so B and a table that ends at offset 1 read
+the same nodes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Union
@@ -61,7 +59,7 @@ __all__ = [
     "compute_B",
     "forcing_integrals",
     "panel_rule",
-    "split_at_jumps",
+    "sorted_union",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -128,19 +126,18 @@ class PeriodicCoefficient:
         out = self._antiderivative(arr, whole, self._angle(arr - whole))
         return float(out) if np.ndim(t) == 0 else out
 
-    def stage_values(
-        self, stages: tuple[np.ndarray, ...], mid: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """Values at each array of stage times, on the smooth piece of each step.
+    def piece_values(self, t: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Values at the times t, each on the smooth piece around key[i].
 
-        Step i lies strictly inside one piece of this coefficient, the piece
-        around its midpoint ``mid[i]``; ``stages`` hold times in the closure
-        of step i (its ends included) and the coefficient is extended
-        smoothly to that closure.  The ends can sit within rounding of a
-        jump, where direct evaluation may land on either side, so a
-        coefficient with jumps must key its values on ``mid``.
+        t[i] lies in the closure of an RK4 step or a quadrature panel, and
+        key[i] is its midpoint.  An end can round onto a jump, where direct
+        evaluation may land on either side, so a coefficient with jumps,
+        constant on each piece, takes its value at key.
         """
-        return tuple(self(t) for t in stages)
+        return self._piece_values(self._angle(t - np.floor(t)), key)
+
+    def _piece_values(self, angle: np.ndarray, key: np.ndarray) -> np.ndarray:
+        return self._values(angle)
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b]; a > b is an error."""
@@ -273,12 +270,9 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         idx = np.searchsorted(self._bp, u, side="left") - 1
         return self._vals[idx]
 
-    def stage_values(
-        self, stages: tuple[np.ndarray, ...], mid: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        # constant on each piece: the midpoint value serves every stage
-        value = self(mid)
-        return (value,) * len(stages)
+    def _piece_values(self, u: np.ndarray, key: np.ndarray) -> np.ndarray:
+        # constant on each piece: the value at key serves every time on it
+        return self._values(key - np.floor(key))
 
     def _antiderivative(self, t, whole, u) -> np.ndarray:
         # u >= 0 always, but it rounds up to 1.0 for t in (-2**-54, 0), the
@@ -349,66 +343,55 @@ class CoefficientPair:
     r: PeriodicCoefficient
     K: PeriodicCoefficient
 
-    def breakpoints_mod1(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.r.breakpoints_mod1()) | set(self.K.breakpoints_mod1())))
+    def period_grid(self, phase: float, n: int) -> np.ndarray:
+        """The partition of a period that starts at coefficient time phase:
+        the sorted union of the grid offsets i/n, i = 0..n, and the offsets
+        (beta - phase) % 1 at which r or K may jump.
 
-    def jump_offsets(self, phase: float) -> tuple[float, ...]:
-        """Sorted offsets (beta - phase) % 1 into a period that starts at
-        coefficient time phase, at which r or K may jump."""
-        return tuple(sorted((b - phase) % 1.0 for b in self.breakpoints_mod1()))
+        Every RK4 step and every quadrature panel is one of its intervals,
+        so each lies inside one smooth piece of r and K.
+        """
+        jumps = [(b - phase) % 1.0 for b in self.r.breakpoints_mod1() + self.K.breakpoints_mod1()]
+        return sorted_union(np.arange(n + 1) / n, jumps)
 
-    def ratio_and_growth(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """r(t)/K(t) and R(t), the antiderivative of r, at every time of t.
+    def ratio_and_growth(self, t: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """r/K at the times t, on the pieces around key (``piece_values``),
+        and R, the antiderivative of r, at t.
 
         One pass for the forcing quadratures: t is split into floor and
         fraction once, and r's values and antiderivative share that split;
-        each value equals ``r(t) / K(t)`` and ``r.antiderivative(t)``, bit
-        for bit.
+        each value equals ``r.piece_values(t, key) / K.piece_values(t, key)``
+        and ``r.antiderivative(t)``, bit for bit.
         """
         whole = np.floor(t)
         u = t - whole
         r, K = self.r, self.K
         angle = r._angle(u)
-        ratio = r._values(angle) / K._values(K._angle(u))
+        ratio = r._piece_values(angle, key) / K._piece_values(K._angle(u), key)
         return ratio, r._antiderivative(t, whole, angle)
 
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
 
 
-def split_at_jumps(bounds, jumps) -> list[float]:
-    """The sorted ``bounds`` with every jump that lies strictly between two
-    of them inserted, in order; a jump equal to a bound adds nothing.
+def sorted_union(a, b) -> np.ndarray:
+    """The distinct values of a and b, sorted: ``np.union1d`` without the
+    import of numpy.ma (10-15 ms) that its first call makes."""
+    both = np.sort(np.concatenate((a, b)))
+    keep = np.ones(both.size, dtype=bool)
+    keep[1:] = both[1:] != both[:-1]
+    return both[keep]
 
-    The one rule for splitting a span at the coefficients' jumps.
+
+def panel_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order-10 Gauss-Legendre, one panel on each interval [lo[i], hi[i]].
+
+    Returns nodes and weights, each of shape (intervals, 10), and each
+    interval's midpoint.
     """
-    out = list(bounds)
-    for c in sorted(jumps):
-        pos = bisect_right(out, c)
-        if 0 < pos < len(out) and out[pos - 1] < c:
-            out.insert(pos, c)
-    return out
-
-
-def panel_rule(
-    starts: np.ndarray, ends: np.ndarray, panels_per_unit: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre (order 10) on each interval [starts[i], ends[i]].
-
-    Each interval gets ceil(width * panels_per_unit) equal panels, placed as
-    ``np.linspace`` would place them.  Returns nodes and weights, each of
-    shape (panels, 10), and the index of each interval's first panel.
-    """
-    width = ends - starts
-    count = np.maximum(1, np.ceil(width * panels_per_unit - 1e-9)).astype(int)
-    owner = np.repeat(np.arange(width.size), count)
-    first = np.cumsum(count) - count
-    lo = (np.arange(owner.size) - first[owner]) * (width / count)[owner] + starts[owner]
-    hi = np.append(lo[1:], 0.0)
-    hi[first + count - 1] = ends
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS, first
+    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS, mid
 
 
 def forcing_integrals(
@@ -423,36 +406,47 @@ def forcing_integrals(
 
     The first is the forced response of the reciprocal form y = 1/x: the
     inhomogeneous term in y(b) = y(a) exp(-(R(b) - R(a))) + (this integral)
-    for the window [a, b] = [start, start + s].  Composite Gauss-Legendre of
-    order 10 (``panel_rule``) on [0, s], split at every jump offset
-    (``split_at_jumps``) so that each panel sees a smooth integrand, and
-    evaluated at start + node; nodes are strictly interior, so jump-point
-    value conventions never enter an integral.  Each window keeps its own
-    panels, decay and dot product, so each value is the window computed
-    alone, bit for bit; r, K and R are evaluated in one
-    ``CoefficientPair.ratio_and_growth`` pass, at every node, at start and
-    at every window's end.  A window with s == 0 gives 0.0 and 0.0.
+    for the window [a, b] = [start, start + s].  Window s has one order-10
+    Gauss-Legendre panel (``panel_rule``) from each point of
+    ``pair.period_grid(start, panels_per_unit)`` below s to the next, the
+    last one ending at s; s == 0 is one panel of width zero, and gives 0.0
+    and 0.0.  A node can round onto its panel's end, and so onto a jump, so
+    a coefficient with jumps is read at the panel's midpoint.  Windows are
+    prefixes of one grid, so r, K and R are evaluated in one
+    ``CoefficientPair.ratio_and_growth`` pass; each window keeps its own
+    decay and dot product, so each value is the window computed alone, bit
+    for bit.
     """
     offsets = [float(s) for s in offsets]
     if not all(0.0 <= s <= 1.0 for s in offsets):
         raise ValueError(f"window offsets must lie in [0, 1], got {offsets!r}")
-    jumps = pair.jump_offsets(start)
-    cuts = [split_at_jumps([0.0, s], jumps) for s in offsets]
-    nodes, weights, first = panel_rule(
-        np.array([c for w in cuts for c in w[:-1]]),
-        np.array([c for w in cuts for c in w[1:]]),
-        panels_per_unit,
+    grid = pair.period_grid(start, panels_per_unit)
+    # window j: the grid's first last[j] panels, then panel shared + j, from
+    # its last grid point below s (0.0 when s == 0) to s
+    last = np.searchsorted(grid[1:], offsets)
+    shared = int(last.max(initial=0))
+    nodes, weights, mid = panel_rule(
+        np.concatenate((grid[:shared], grid[last])), np.concatenate((grid[1 : shared + 1], offsets))
     )
-    # a window's panels run from the first panel of its first interval
-    intervals = np.cumsum([0] + [len(w) - 1 for w in cuts])
-    bounds = np.append(first, len(nodes))[intervals].tolist()
     n = nodes.size
-    ratio, big_r = pair.ratio_and_growth(start + np.concatenate((nodes.ravel(), [0.0], offsets)))
-    lift = np.repeat(big_r[n + 1 :], np.diff(bounds))[:, None]
-    integrand = ratio[:n].reshape(nodes.shape) * np.exp(big_r[:n].reshape(nodes.shape) - lift)
+    ends = [0.0, *offsets]
+    ratio, big_r = pair.ratio_and_growth(
+        start + np.concatenate((nodes.ravel(), ends)),
+        start + np.concatenate((np.repeat(mid, _GL_NODES.size), ends)),
+    )
+    # the rows of each window's panels, in order
+    count = last + 1
+    bounds = np.cumsum(count)
+    rows = np.arange(count.sum()) - np.repeat(bounds - count, count)
+    rows[bounds - 1] = shared + np.arange(count.size)
+    lift = np.repeat(big_r[n + 1 :], count)[:, None]
+    integrand = ratio[:n].reshape(nodes.shape)[rows] * np.exp(
+        big_r[:n].reshape(nodes.shape)[rows] - lift
+    )
+    weights = weights[rows]
     forcing = [
         float(np.dot(weights[lo:hi].ravel(), integrand[lo:hi].ravel()))
-        for lo, hi in zip(bounds, bounds[1:])
+        for lo, hi in zip((bounds - count).tolist(), bounds.tolist())
     ]
     return forcing, (big_r[n + 1 :] - big_r[n]).tolist()
 

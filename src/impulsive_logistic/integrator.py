@@ -2,15 +2,16 @@
 
 Impulse instants and coefficient discontinuities are all known a priori, so
 the grid is aligned instead of adaptive.  It is one grid of offsets into a
-period, shared by every period: the unit interval divided into an integer
-number of base steps (so each impulse lands exactly on a step boundary),
-split at every jump offset (``CoefficientPair.jump_offsets``) by the rule
-that splits B's window and the period table (``split_at_jumps``), so a
-jump however close to a grid point bounds a step of its own.  The harvest jump
-x -> (1 - E) x is applied algebraically, never integrated across.  r and K
-are evaluated at every step's stage times, in phase (``ModelParams.phase``
-plus the offset), once per run (``_stage_table``); the RK4 recurrence then
-runs over that table in plain Python floats, period after period.
+period, shared by every period: the package's one partition of a period,
+``CoefficientPair.period_grid`` at n = steps per unit, the grid offsets i/n
+(so each impulse lands exactly on a step boundary) and every jump offset,
+so a jump however close to a grid point bounds a step of its own.  B's
+panels and the period table's are intervals of the same partition at
+n = 64.  The harvest jump x -> (1 - E) x is applied algebraically, never
+integrated across.  r and K are evaluated at every step's stage times, in
+phase (``ModelParams.phase`` plus the offset), once per run
+(``_stage_table``); the RK4 recurrence then runs over that table in plain
+Python floats, period after period.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_form import ModelParams
-from .coefficients import CoefficientPair, split_at_jumps
+from .coefficients import CoefficientPair
 
 __all__ = [
     "IntegrationError",
@@ -99,21 +100,21 @@ class Trajectory:
 
 
 def _stage_table(
-    pair: CoefficientPair, phase: float, offsets: list[float]
+    pair: CoefficientPair, phase: float, offsets: np.ndarray
 ) -> tuple[list[float], ...]:
     """h and the RK4 stage values of r and K for every step of the grid.
 
     Step i starts at coefficient time ta = phase + offsets[i] and has width
     h = offsets[i + 1] - offsets[i]; its stage times are the floats a scalar
     step forms: ta, tm = ta + 0.5*h and ta + h.  Each coefficient takes its
-    piece around tm.
+    piece around tm (``PeriodicCoefficient.piece_values``).
     """
-    s = np.asarray(offsets)
-    h = np.diff(s)
-    ta = phase + s[:-1]
+    h = np.diff(offsets)
+    ta = phase + offsets[:-1]
     tm = ta + 0.5 * h
-    stages = (ta, tm, ta + h)
-    columns = (h, *pair.r.stage_values(stages, tm), *pair.K.stage_values(stages, tm))
+    stages = np.stack((ta, tm, ta + h))
+    key = np.broadcast_to(tm, stages.shape)
+    columns = (h, *pair.r.piece_values(stages, key), *pair.K.piece_values(stages, key))
     return tuple(c.tolist() for c in columns)
 
 
@@ -151,12 +152,9 @@ def integrate(
     if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
         raise ValueError(f"periods must be a positive whole number, got {periods!r}")
 
-    n = ctrl.steps_per_unit
-    offsets = split_at_jumps(
-        [i / n for i in range(n)] + [1.0], params.pair.jump_offsets(params.phase)
-    )
-    steps = list(zip(offsets[1:], *_stage_table(params.pair, params.phase, offsets)))
-    grid = _frozen(offsets)
+    grid = params.pair.period_grid(params.phase, ctrl.steps_per_unit)
+    grid.setflags(write=False)
+    steps = list(zip(grid[1:].tolist(), *_stage_table(params.pair, params.phase, grid)))
     keep_fraction = 1.0 - params.E
 
     pieces: list[TrajectoryPiece] = []

@@ -155,7 +155,8 @@ def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
 def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
     """Offsets i/n into a period plus every jump offset strictly between two of them."""
     bounds = [i / n for i in range(n)] + [1.0]
-    for c in sorted((b - params.phase) % 1.0 for b in params.pair.breakpoints_mod1()):
+    jumps = params.r.breakpoints_mod1() + params.K.breakpoints_mod1()
+    for c in sorted((b - params.phase) % 1.0 for b in jumps):
         pos = bisect_right(bounds, c)
         if pos < len(bounds) and bounds[pos - 1] < c:
             bounds.insert(pos, c)

@@ -244,13 +244,16 @@ def test_constants_threshold_is_correctly_rounded():
 def test_importing_the_cli_does_not_load_scipy():
     # scipy is no dependency, and the Gauss-Legendre rule is written out
     # rather than taken from numpy.polynomial; start-up must pay for neither.
+    # Loading a config with jumps computes B, whose partition must not pay
+    # for numpy.ma either (np.union1d imports it on its first call).
     import impulsive_logistic
 
     src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, impulsive_logistic.cli; "
-        "print([m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])"
+        f"impulsive_logistic.cli.load_config({str(PIECEWISE)!r}); "
+        "print([m for m in ('scipy', 'numpy.polynomial', 'numpy.ma') if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -786,6 +789,15 @@ CROWDED_SLIVER = _json_config(
     E=0.25,
     t0=1.0,
 )
+# K is 1e-200 on a piece of 16 ulps before offset 1, read at each panel's
+# midpoint: a node rounds onto the piece's left end, where K takes the value
+# of the piece before it
+NARROW = _json_config(
+    r={"kind": "constant", "value": 1.0},
+    K={"kind": "piecewise", "breakpoints": [0, 0.9999999999999982, 1], "values": [1.0, 1e-200]},
+    E=0.25,
+    t0=1.0,
+)
 # K jumps at 0.6839, which the impulses at t0 = 4.6839 put 4e-16 before
 # offset 1: a piece of 4e-16 that every split keeps
 JUMP_AT_THE_IMPULSE = _json_config(
@@ -821,7 +833,9 @@ def _failed_checks(report: str) -> set[str]:
     return {c["check"] for c in json.loads(report)["checks"] if not c["passed"]}
 
 
-@pytest.mark.parametrize("scenario", [SLIVER, CROWDED_SLIVER], ids=["sliver", "crowded"])
+@pytest.mark.parametrize(
+    "scenario", [SLIVER, CROWDED_SLIVER, NARROW], ids=["sliver", "crowded", "narrow"]
+)
 def test_a_sliver_of_K_keeps_its_share_of_B(tmp_path, capsys, scenario):
     # each split keeps the sliver: B is its exact piece-by-piece sum, C(1)
     # matches it, and the closed form stays finite.  Only the oracle fails:

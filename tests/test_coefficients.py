@@ -15,15 +15,16 @@ from impulsive_logistic import (
     ModelParams,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
+    StepControl,
+    closed_form,
     coefficient_from_dict,
     compute_B,
     derive_constants,
+    integrate,
+    period_table,
 )
-from impulsive_logistic.coefficients import (
-    forcing_integrals,
-    panel_rule,
-    split_at_jumps,
-)
+from impulsive_logistic import coefficients
+from impulsive_logistic.coefficients import forcing_integrals
 from numpy.polynomial.legendre import leggauss
 
 from helpers import exact_B, random_coefficient
@@ -89,10 +90,10 @@ def test_stage_values_match_scalar_calls_bit_for_bit():
     rng = np.random.default_rng(5)
     ta = np.concatenate((rng.uniform(0.0, 3.0, 2048), rng.uniform(1e5, 1e7, 2048)))
     h = 2.0 ** -rng.integers(0, 9, ta.size)
-    stages = (ta, ta + 0.5 * h, ta + h)
+    stages = np.stack((ta, ta + 0.5 * h, ta + h))
     for kind in ("constant", "sinusoid", "piecewise"):
         c = random_coefficient(rng, kind, 0.3, 1.5)
-        got = c.stage_values(stages, stages[1])
+        got = c.piece_values(stages, np.broadcast_to(stages[1], stages.shape))
         for times, values in zip(stages, got):
             if kind == "piecewise":  # the midpoint value at every stage
                 times = stages[1]
@@ -207,7 +208,7 @@ _WHOLE = st.integers(0, 10**8)
 @st.composite
 def _pair_and_times(draw, r_kind: str, k_kind: str):
     pair = CoefficientPair(r=draw(_KIND_STRATEGIES[r_kind]), K=draw(_KIND_STRATEGIES[k_kind]))
-    jumps = (0.0, *pair.breakpoints_mod1())
+    jumps = (0.0, *_breaks(pair))
     time = st.one_of(
         st.floats(0.0, 1.0, exclude_max=True),
         _WHOLE.map(float),
@@ -225,12 +226,18 @@ def _pair_and_times(draw, r_kind: str, k_kind: str):
 def test_the_pair_pass_is_the_coefficients_own_evaluation(r_kind, k_kind, data):
     pair, times = data.draw(_pair_and_times(r_kind, k_kind))
     t = np.array(times)
-    ratio, growth = pair.ratio_and_growth(t)
+    ratio, growth = pair.ratio_and_growth(t, t)
     assert ratio.tobytes() == (pair.r(t) / pair.K(t)).tobytes()
     assert growth.tobytes() == pair.r.antiderivative(t).tobytes()
     for time, got_ratio, got_growth in zip(times, ratio.tolist(), growth.tolist()):
         assert got_ratio == pair.r(time) / pair.K(time)
         assert got_growth == pair.r.antiderivative(time)
+    # keyed on other times, a coefficient with jumps reads its value there
+    key = t[::-1].copy()
+    ratio, keyed_growth = pair.ratio_and_growth(t, key)
+    assert keyed_growth.tobytes() == growth.tobytes()
+    r_values, K_values = (c(key) if c.kind == "piecewise" else c(t) for c in (pair.r, pair.K))
+    assert ratio.tobytes() == (r_values / K_values).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["constant", "sinusoid", "piecewise"])
@@ -275,6 +282,11 @@ def _growth_factor(r) -> float:
 
 def _pair(r, K):
     return CoefficientPair(r=r, K=K)
+
+
+def _breaks(pair):
+    """Every point in [0, 1) where r or K may jump."""
+    return pair.r.breakpoints_mod1() + pair.K.breakpoints_mod1()
 
 
 def test_compute_B_constant_case():
@@ -346,14 +358,14 @@ def test_B_window_shift_invariance():
 def slivers(draw) -> tuple[CoefficientPair, float]:
     """r constant and K piecewise, with pieces down to 1e-15 next to offset
     0, next to offset 1 and next to each other, and K spanning 400 decades;
-    and the phase.  A piece spans at least 64 ulps of the times phase + s it
-    covers, so that every quadrature node lands strictly inside it: a piece
-    of 1e-15 only next to time 0."""
+    and the phase.  A piece spans at least 4 ulps of the times phase + s it
+    covers, so that its midpoint, where a panel reads K, lies strictly
+    inside it: a piece of 1e-15 only next to time 0."""
     t0 = draw(st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 3.0)))
     phase = t0 - math.floor(t0)
 
     def width(at):
-        return st.floats(max(1e-15, 64.0 * math.ulp(phase + at)), 0.9e-12)
+        return st.floats(max(1e-15, 4.0 * math.ulp(phase + at)), 0.9e-12)
 
     middle = draw(st.floats(0.01, 0.99))
     offsets = [draw(width(0.0)), 1.0 - draw(width(1.0)), middle, middle + draw(width(middle))]
@@ -372,30 +384,24 @@ def test_B_keeps_every_piece_however_narrow(case):
     assert compute_B(pair, phase)[1] == pytest.approx(exact_B(pair, phase), rel=1e-13)
 
 
-def _linspace_panels(cuts, panels_per_unit):
-    """Order-10 Gauss-Legendre nodes and weights, one np.linspace of panels
-    per interval between consecutive cuts."""
-    gl_nodes, gl_weights = leggauss(10)
-    nodes, weights = [], []
-    for c0, c1 in zip(cuts, cuts[1:]):
-        edges = np.linspace(c0, c1, max(1, math.ceil((c1 - c0) * panels_per_unit - 1e-9)) + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        nodes.append((mid[:, None] + half[:, None] * gl_nodes).ravel())
-        weights.append((half[:, None] * gl_weights).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+def _partition(pair, start, n):
+    """Offsets i/n, i = 0..n, and every jump offset into the period from start."""
+    return sorted({i / n for i in range(n + 1)} | {(b - start) % 1.0 for b in _breaks(pair)})
 
 
 def _window_alone(pair, start, s, panels_per_unit):
     """One forcing window [start, start + s] and its growth integral, through
-    its own cuts (every jump offset strictly inside (0, s)), panels and
-    numpy calls."""
-    if s == 0.0:
-        return 0.0, 0.0
-    jumps = sorted((beta - start) % 1.0 for beta in pair.breakpoints_mod1())
-    nodes, weights = _linspace_panels([0.0, *(u for u in jumps if 0.0 < u < s), s], panels_per_unit)
-    t, end = start + nodes, start + s
+    its own panels (one from each partition point below s to the next, the
+    last one ending at s) and numpy calls; a piecewise coefficient is read at
+    each panel's midpoint."""
+    edges = np.array([u for u in _partition(pair, start, panels_per_unit) if u < s] or [0.0])
+    lo, hi = edges, np.append(edges[1:], s)
+    gl_nodes, gl_weights = leggauss(10)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    t, key, end = start + (mid[:, None] + half[:, None] * gl_nodes), start + mid[:, None], start + s
+    r, K = (c(key) if c.kind == "piecewise" else c(t) for c in (pair.r, pair.K))
     decay = np.exp(pair.r.antiderivative(t) - pair.r.antiderivative(end))
-    forcing = float(np.dot(weights, pair.r(t) / pair.K(t) * decay))
+    forcing = float(np.dot((half[:, None] * gl_weights).ravel(), (r / K * decay).ravel()))
     return forcing, float(pair.r.antiderivative(end)) - float(pair.r.antiderivative(start))
 
 
@@ -414,7 +420,7 @@ def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
             random_coefficient(rng, k_kind, 50.0, 200.0),
         )
         a = float(rng.uniform(0.0, 3.0))
-        jumps = [beta + math.floor(a) + 1.0 for beta in pair.breakpoints_mod1()]
+        jumps = [beta + math.floor(a) + 1.0 for beta in _breaks(pair)]
         panels = (64, 128)[trial % 2]
         # windows from a, and from 5e-13 past a jump: a 5e-13 piece ends the
         # unit window
@@ -422,7 +428,7 @@ def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
             offsets = [float(s) for s in rng.uniform(0.0, 1.0, size=12)]
             offsets += [0.0, 1.0, 1e-9]  # empty, unit, a sliver
             # ends 5e-13 from a jump, on either side
-            cuts = [(beta - start) % 1.0 for beta in pair.breakpoints_mod1()]
+            cuts = [(beta - start) % 1.0 for beta in _breaks(pair)]
             offsets += [s for u in cuts for s in (u - 5e-13, u + 5e-13) if 0.0 <= s <= 1.0]
             forcing, growth = forcing_integrals(pair, start, offsets, panels)
             alone = [_window_alone(pair, start, s, panels) for s in offsets]
@@ -441,6 +447,7 @@ def test_forcing_integrals_reject_a_reversed_window():
 
 def test_forcing_integral_empty_interval():
     pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
+    assert forcing_integrals(pair, 0.7, ()) == ([], [])
     assert forcing_integrals(pair, 0.7, (0.0,)) == ([0.0], [0.0])
     forcing, growth = forcing_integrals(pair, 0.7, (0.0, 0.5))
     assert forcing[0] == growth[0] == 0.0 and forcing[1] > 0.0
@@ -449,28 +456,36 @@ def test_forcing_integral_empty_interval():
         forcing_integrals(pair, 1.0, (-0.5,))
 
 
-@pytest.mark.parametrize(
-    "breaks, a, b, panels_per_unit",
-    [
-        ((), 0.5, 1.5, 64),
-        ((0.0, 0.25, 0.7), 0.25, 1.25, 64),
-        ((0.0, 0.3), 2.37, 4.1, 7),
-        ((0.0, 0.6), 12345678.3, 12345679.3, 96),
-        ((), 0.1, 0.1 + 1e-7, 651),
-    ],
-)
-def test_gauss_panels_match_per_segment_linspace(breaks, a, b, panels_per_unit):
-    # The vectorized panel layout over the split rule's cuts reproduces one
-    # np.linspace per smooth segment bit for bit, so B and x0_star keep
-    # their exact values.
-    shifts = range(math.floor(a) - 1, math.ceil(b) + 1)
-    translates = {beta + m for beta in breaks for m in shifts}
-    cuts = sorted(c for c in {a, b} | translates if a <= c <= b)
-    nodes, weights = _linspace_panels(cuts, panels_per_unit)
-    split = np.array(split_at_jumps([a, b], translates))
-    got_nodes, got_weights, _ = panel_rule(split[:-1], split[1:], panels_per_unit)
-    assert np.array_equal(got_nodes.ravel(), nodes)
-    assert np.array_equal(got_weights.ravel(), weights)
+@pytest.mark.parametrize("k_kind", KINDS)
+@pytest.mark.parametrize("r_kind", KINDS)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_steps_and_panels_are_intervals_of_one_partition(r_kind, k_kind, data):
+    # the RK4 steps, B's panels and the panels of a [0, 1] table all run
+    # between consecutive points of i/n and the jump offsets
+    pair = _pair(data.draw(_KIND_STRATEGIES[r_kind]), data.draw(_KIND_STRATEGIES[k_kind]))
+    params = ModelParams(pair=pair, E=0.0, t0=data.draw(st.floats(0.01, 3.0)))
+    panels = []
+    rule = coefficients.panel_rule
+
+    def recorded(lo, hi):
+        panels.append((lo.tolist(), hi.tolist()))
+        return rule(lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (coefficients, closed_form):
+            patch.setattr(module, "panel_rule", recorded)
+        compute_B.cache_clear()
+        compute_B(pair, params.phase)
+        period_table(params, [0.0, 1.0])
+    expected = _partition(pair, params.phase, 64)
+    assert len(panels) == 2
+    for lo, hi in panels:
+        assert lo + hi[-1:] == expected and hi == expected[1:]
+
+    # a tiny state, which grows by at most e**100 over the period
+    steps = integrate(params, 1e-300, 1, StepControl(h=1.0 / 128.0)).pieces[0].offsets
+    assert steps.tolist() == _partition(pair, params.phase, 128)
 
 
 # ---------------------------------------------------------------------------

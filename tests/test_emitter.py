@@ -158,7 +158,7 @@ def _grid(n: int) -> list[float]:
 JUMP_T0 = 1.37
 # the grid of a run at t0 = 1.37 and 16 steps per unit, with the jumps of
 # PAIR's K, which fall off the grid, inserted
-JUMP_GRID = sorted({*_grid(16), *PAIR.jump_offsets(JUMP_T0 % 1.0)})
+JUMP_GRID = sorted({*_grid(16), *((b - JUMP_T0 % 1.0) % 1.0 for b in PAIR.K.breakpoints_mod1())})
 SHORT_DECIMALS = st.tuples(st.integers(1, 10**8), st.integers(0, 6)).map(
     lambda p: p[0] / 10 ** p[1]
 )

@@ -22,7 +22,6 @@ from impulsive_logistic import (
     period_table,
     solution_grid,
 )
-from impulsive_logistic.coefficients import split_at_jumps
 
 from helpers import (
     LN2,
@@ -197,9 +196,13 @@ def test_horizon_ending_exactly_on_an_impulse():
     ],
 )
 def test_step_bounds_insert_off_grid_jumps(breaks, start, end, n, expected):
-    phase = start - math.floor(start)
-    cuts = tuple(sorted((b - phase) % 1.0 for b in breaks))
-    times = [start + s for s in split_at_jumps([i / n for i in range(n)] + [1.0], cuts)]
+    # a piecewise K jumps at breaks and at 0.0; where breaks leave 0.0 out,
+    # its offset falls on the grid
+    interior = tuple(b for b in breaks if b != 0.0)
+    values = (1.0, 2.0, 3.0, 4.0)[: len(interior) + 1]
+    K = PiecewiseConstantCoefficient((0.0, *interior, 1.0), values)
+    pair = CoefficientPair(r=ConstantCoefficient(1.0), K=K)
+    times = [start + s for s in pair.period_grid(start - math.floor(start), n).tolist()]
     assert times == expected and times[-1] == end
 
 

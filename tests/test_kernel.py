@@ -450,19 +450,21 @@ def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
 @pytest.fixture
 def evaluated_nodes(monkeypatch):
     """Count every node at which a coefficient or its antiderivative is
-    evaluated: by a coefficient's own methods or in the pair's one pass."""
+    evaluated: by a coefficient's own methods, at RK4 stages or in the
+    pair's one pass."""
     count = [0]
 
     def counted(method):
-        def wrapper(self, t):
+        def wrapper(self, t, *key):
             count[0] += np.size(t)
-            return method(self, t)
+            return method(self, t, *key)
 
         return wrapper
 
     for owner, name in (
         (PeriodicCoefficient, "__call__"),
         (PeriodicCoefficient, "antiderivative"),
+        (PeriodicCoefficient, "piece_values"),
         (CoefficientPair, "ratio_and_growth"),
     ):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))

@@ -56,28 +56,28 @@ DIGESTS = {
     ("periodic", "piecewise_mixed", "json"): "3f7943433f030ee5e209e1511d37c759df63328ec9eac3adca5201630b2f4710",
     ("periodic", "sinusoid_r", "csv"): "328a8f0cbcfbb83b09cb5f4bdec1fcfb8b3e98ff89f3932a586335df64110788",
     ("periodic", "sinusoid_r", "json"): "239caf45131cdb7bb4c71087906668d9c5ec98fa35b364720d28be01411b7053",
-    ("verify", "golden_constant", "json"): "2d7873a82959ad9942536bd674cd32d392cec1d7bb1ceb0aea6423ceb4357f24",
-    ("verify", "golden_constant", "text"): "252bb5a5a10fe7f841c13f34ab6956d2ad6420995e29cf435a59066f585da63b",
+    ("verify", "golden_constant", "json"): "3965f6d2b876859bd7750628f4e805b14b5631163cd6bc9ae1e7a1d667a6f836",
+    ("verify", "golden_constant", "text"): "bf49f06f7c760a0d9a2443f68f071c6315ddd282907ee083aa2da831492f1930",
     ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
-    ("verify", "piecewise_mixed", "json"): "8828490f786866d3934437e6892712111de70e5b46eaf32712a1ef9cfa3aa193",
-    ("verify", "piecewise_mixed", "text"): "88d4b6b5d95c7ecdd81a387ab512d7d3c9fb69d2ec4e24e8e65615fc715d055f",
-    ("verify", "sinusoid_r", "json"): "532bf80a66963961aa54834d305a5fcc51bedba366bb8f754bf1bfa1638b330a",
-    ("verify", "sinusoid_r", "text"): "498122b234a411adb67a2dcba5cb3f449ea60ad1c49d497bde71ec12adf8b2b0",
-    ("counterexample", "golden_constant", "json"): "88e399df1b88c7d43378b32cc097906c285c32d917cb10790ffe72d42072a71d",
-    ("counterexample", "golden_constant", "text"): "41b8647e51770c96c9d95104b5aeb04d95d9d899307dcfcbdcbe9e138f5859a1",
+    ("verify", "piecewise_mixed", "json"): "2e6a0ca2381ac867811a8c4167eb9df327194f3cded3a389c118a4dff1bf47df",
+    ("verify", "piecewise_mixed", "text"): "2fcc0de08c53271df46dbf935f965470a9948b99ab031c0d3160dc06b7aa587d",
+    ("verify", "sinusoid_r", "json"): "599fb657fa26014183177ea98a717e3a6b8047655e21ef0aaeccb68dcf6a5761",
+    ("verify", "sinusoid_r", "text"): "17cbf306df92c8211b7377f4df1f48d850991f982711a3563fc9cfa05afe675c",
+    ("counterexample", "golden_constant", "json"): "a44c5e55c694688f95b497c3ac9d65b32fe87d09d5d7a5274f99cf8bd2420bf9",
+    ("counterexample", "golden_constant", "text"): "c6cb717e305d44eb9570a2dac5894431002defa8f82c4eadc0328258f59fbc65",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "piecewise_mixed", "json"): "42b078ec9a20e853e4502f1f57f57b6c36792a5c2b2c81bacbad0ce9918737a9",
     ("counterexample", "piecewise_mixed", "text"): "420ab3c30c44e54739f1876677db4d1ced96a79b565d30585c119d2d6f30ec0c",
     ("counterexample", "sinusoid_r", "json"): "9829e341c50c4600a2e6ed96da4e79ada754fd2e4a9eca4e5e9c9e0f5f85ae74",
     ("counterexample", "sinusoid_r", "text"): "cd2cfd6b7e080016a990604c5b872e3c134f8428013e0905f8e5ca5bd5aab179",
-    ("sweep", "golden_constant", "csv"): "2d66d8a41722681d1c50acd1083fb7a594ec009ab55fedfc626fe0c5a54a5f10",
-    ("sweep", "golden_constant", "json"): "0035b69da18ff6218af8579cf514dd173d91a6004197c049b217b16b203aff43",
+    ("sweep", "golden_constant", "csv"): "87e2cd2fabed86619ccc3b7565db5bf7141dc64439f09227e4139c0163a25185",
+    ("sweep", "golden_constant", "json"): "1f7fa63c54874b650b6bed5670e46c9bcc225948ae94610b7e5260784847f7ec",
     ("sweep", "overharvest", "csv"): "079b44ecec7b01341dd88c83701a7791756bf79e455d918deb14b9fefb2f6f7a",
     ("sweep", "overharvest", "json"): "cb79727457468d449091efd5c989bc4d3e53f9272892e00f0e0beb0e522c2301",
-    ("sweep", "piecewise_mixed", "csv"): "1c858d9f1f8144502117f8fce45f2447e60c630a57410e9a09309c95b156e0b1",
-    ("sweep", "piecewise_mixed", "json"): "7f44939ac19c7d202e9dcd89733181e5a39ff489989c7bdcbf7b55a8c0e92d5e",
+    ("sweep", "piecewise_mixed", "csv"): "bca1e9071e54a2e4a0a5fb713d1f8f67cab81454aa7f0676f2edeb0ecc8f455d",
+    ("sweep", "piecewise_mixed", "json"): "bf8c9c54d3b7dc23d5dca991d2a8f60cf9321d0e7d1fa8a6070f14b4e3f3a7bc",
     ("sweep", "sinusoid_r", "csv"): "0413658674618b31eb885b7bc09bfa9fb8a902dd56066783528cfbedae499a15",
     ("sweep", "sinusoid_r", "json"): "c222f5b8353dc97a78f9d33a2d467b47e486099b70751d257f06f8a45b179fc8",
 }
@@ -117,22 +117,22 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "periods40", "json"): "af79efd7281673156f87984183c24c594ce522a11d4fd113fbbfc5a4eeec688f",
     ("periodic", "sinusoid_r", "step1024", "csv"): "a8595e92f215d5e8295096a8e3704e1bf5137b75aa73d4884438b13c8a0adf70",
     ("periodic", "sinusoid_r", "step1024", "json"): "57322d1b82f4baf61e1ea9915c76deb8a3074b98150001b215729bfe409e0243",
-    ("verify", "golden_constant", "periods40", "json"): "f9d1019e6cba8a4e5883dbdec58495e518fe2492a5506927d4d81253253a651b",
-    ("verify", "golden_constant", "periods40", "text"): "37432ac408b1f9dc956a5491d32750d009812a6801d2b4f225409f8ab608b04f",
-    ("verify", "golden_constant", "step1024", "json"): "7cdd309a695ba141bc899179a93d3c6811bc69a301da785218c8591341370d4d",
-    ("verify", "golden_constant", "step1024", "text"): "5810f42b779420d9be5b65864ca359640e97ce54a3ba7a4f4acc5daebaeee307",
+    ("verify", "golden_constant", "periods40", "json"): "1817da65fb7eb0ade1ac76b28105a422de00bdc7032d2187b96a76d0e2b1290f",
+    ("verify", "golden_constant", "periods40", "text"): "514ec1df0673277dcbc8bb16b271c1b335d81ab677ceaf54dbee99c25ee1051e",
+    ("verify", "golden_constant", "step1024", "json"): "90980abf45b14926bba3e25fa4d79eee7f80d4c5deaab9f3274cb7d33edfb589",
+    ("verify", "golden_constant", "step1024", "text"): "68eb14c39ee813f8055263082018a9e1e71ec6813bf27408ca401600fd47408c",
     ("verify", "overharvest", "periods40", "json"): "ae97c9c0c70fe1f3cae6b35e27d0f889348cb0a43d02b7b17a2f4dbd3e4fd299",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
     ("verify", "overharvest", "step1024", "json"): "fcc966885d41267cf52c75a64d18ef16c7e31803bae8fa40954a7a673f9d2b01",
     ("verify", "overharvest", "step1024", "text"): "9aac637ebcffbac73060bdeafa62e5ea7a6efd3e00fcb9523f81e076b0d8bce8",
-    ("verify", "piecewise_mixed", "periods40", "json"): "5b6ae3c3266debde5becfd1d59ee6b5ec45817c211a7ab1b50f9a2b021c952f3",
-    ("verify", "piecewise_mixed", "periods40", "text"): "b625ab376cadf5c97e2b546ad62975c72188591549d835359926596acec0ebfd",
-    ("verify", "piecewise_mixed", "step1024", "json"): "8e6f644c57d085e57d81d30013062d1fdd2059b7121aa1b131c2dfc676679842",
-    ("verify", "piecewise_mixed", "step1024", "text"): "95599c2354256740153c3302726f677ef7e4bf4b31f1148aa2d1187b15069e50",
-    ("verify", "sinusoid_r", "periods40", "json"): "4e4d6f15ef247c987c4432add2eacee36e503afb37e6117e94c2000379997288",
-    ("verify", "sinusoid_r", "periods40", "text"): "7b0bdb4dc497a2ebb18cb50c9e944234d2fce8572854a834ee52665dfd355068",
-    ("verify", "sinusoid_r", "step1024", "json"): "3633c4dcef9246e62706191c7d59caf249c8bcbb6e64eb6bad3f7c2da3a1effc",
-    ("verify", "sinusoid_r", "step1024", "text"): "01d323c322f803349e352bbeaedeeb98e010db2080735515bd1863a62bcfe5c3",
+    ("verify", "piecewise_mixed", "periods40", "json"): "b22cd3a8a39ea31298948f7bbdbcb45a119f89d770d49aa86dd13e2c96c50f4f",
+    ("verify", "piecewise_mixed", "periods40", "text"): "48773e553536edd47f104e67493dfdbf9a262ec983278a33aafe6fe2601bbb78",
+    ("verify", "piecewise_mixed", "step1024", "json"): "154e9a146e347eebe951f0bf6412d5a16d2e9e78dfae57736e7b299ccad7f1a1",
+    ("verify", "piecewise_mixed", "step1024", "text"): "e827ae77b735280666381170be5c193a763709253098156df87845fc728acb97",
+    ("verify", "sinusoid_r", "periods40", "json"): "e244ad9c9c28f80354f147795f12c19c94751f7e52c67b56a651da6e8b2d79e0",
+    ("verify", "sinusoid_r", "periods40", "text"): "5953845da3b2b3c0211c856f4d4aedb49521bf62645c4059e77c911f69e8e6b7",
+    ("verify", "sinusoid_r", "step1024", "json"): "ea1151220ab85a71383cf6e072d83f32401a6cd2eca7439e3ba0e541def40891",
+    ("verify", "sinusoid_r", "step1024", "text"): "87964da6afee425cc5d7629b00a4be27f08184732b2f491608ffe995b3ed1194",
 }
 
 # scenarios whose time column takes each path of the time-cell rule: times
@@ -181,14 +181,14 @@ FALLBACK_DIGESTS = {
     ("periodic", "t0-large-fine-step", "json"): "c8631a808c33072fae0233bb8a2edaa28072c8f22b1850118a4ebb6329751d4c",
     ("simulate", "t0-large-fine-step", "csv"): "8fda96094b9481c5fe669cbe2d0f7f58f0a8a849c09b7a4c121dd97ca623863b",
     ("simulate", "t0-large-fine-step", "json"): "f24b04ae02a14a7beed6d83826d8735ce3f05247f6ef2e3218482c19dd0d7d37",
-    ("periodic", "jumps-off-grid", "csv"): "1de8e28667138842a57640923779dc5242822090c6d305381696b151e9fd1b7e",
-    ("periodic", "jumps-off-grid", "json"): "918ad43e6809bd65ae0a2c74cd7ae9c34c5ad3a16ecec2854d389248c9be18a2",
+    ("periodic", "jumps-off-grid", "csv"): "7ce1465402431c70690182c38eee3dfa8e00b3d612cacc6d26a931fe56bfdcf4",
+    ("periodic", "jumps-off-grid", "json"): "0f60a13658d248724825e7782cb179a2abb585dbea29a4a933e27597999de771",
     ("simulate", "jumps-off-grid", "csv"): "21a471a8cdc229daacb5fa540792c9e273ba043a90c79de7405b215956519ddc",
     ("simulate", "jumps-off-grid", "json"): "03820f5812787aa37335632bd0118a8283b16881bb2a046748249e0afc30a3da",
-    ("periodic", "step-0.01", "csv"): "c1952fdece2d58b5f4cd6dc2fc54832dd84bafd2d46fab646b4e551b9805d50f",
-    ("periodic", "step-0.01", "json"): "f9649cfa18ec16e4927754ef0b6593390294ac92877dac63a57b91e103d1b596",
-    ("simulate", "step-0.01", "csv"): "9047b84dba1c2f9ace8b293ae966d92cd6f620f1a69df2517164b779d18e14d3",
-    ("simulate", "step-0.01", "json"): "0f09091328a7ccbe3d7424cddb434b1d430ccc83ba94da68050cad7c2aa8112c",
+    ("periodic", "step-0.01", "csv"): "4b7a83d16c05499d5d448c6b3bded1af641a50be6b2c5de349bdfcb42b08a4cf",
+    ("periodic", "step-0.01", "json"): "bd8784533a3f685a99377b50c1f6be49ca345da1dc9d0877db89b1e931a7b49b",
+    ("simulate", "step-0.01", "csv"): "239305416c6a5d98fccc2e3e7a16abc7e222f86f54a248df5941f6634adb5c2b",
+    ("simulate", "step-0.01", "json"): "b44fef36796f988a94a3b249dc622e1b56acdd54f0f5e35af8f2a07d6e7533c6",
 }
 
 # (config name, format) -> digest of a 300-fraction sweep, E = 0, 0.002, ...,
@@ -196,10 +196,10 @@ FALLBACK_DIGESTS = {
 # on both sides of each config's critical harvest
 SWEEP_FRACTIONS = ",".join(repr(j / 500) for j in range(300))
 SWEEP_DIGESTS = {
-    ("sinusoid_r", "csv"): "ecdebf3ba1e90ffd1f7d0d26456f1930fac465d217577c8cbc0ab9cc47c78bdc",
-    ("sinusoid_r", "json"): "ea4b10dfc9ba1a0a456c963cad42d8de15b776a1906cb5b2ba323c40a51307a6",
-    ("piecewise_mixed", "csv"): "2fb6d17865b1f1987cf9867f279a2b710227fc4002a11e0bf045bc02ce7a19dd",
-    ("piecewise_mixed", "json"): "ae5e3253a380c803aec97ff956d18e25fed1971523362142cad5c61c3bfdd47d",
+    ("sinusoid_r", "csv"): "125201cd1fab047777a263aace247ccf97e2e896713541370e745b155f1709a0",
+    ("sinusoid_r", "json"): "eaddedb6813a56872e7f8e9b27175a8dfa228c2bea4de3d9627acef57c0d7e5d",
+    ("piecewise_mixed", "csv"): "2c9c069588ff43f692ef041e7a192d9b37b659b7c5d0fb37a9f014037b55d545",
+    ("piecewise_mixed", "json"): "856c7aa8de4cc537886b9a4a9a5a81fc342b3db99b31968879ae894ba4a46af7",
 }
 
 
@@ -330,8 +330,8 @@ ARGV_DIGESTS = {
     "unknown-option-before-command": "577018f736056e1a098d0a0ab54806d38daa8a996036f2b8b726048274e4850e",
     "options-before-command": "625e0a97ba332f998ea748a7d93b8d6bea187cb0810ab29ea64a08c5098ee9b0",
     "e-values-on-simulate": "b91fa9e15d90725e4f625561a593621193eda09911495e6d4001323691eb9575",
-    "e-values-on-sweep": "77b07dd61651d2183c32268f131527bdb03b0b197384043940e7b16771d3397a",
-    "abbreviated-options": "dec48e0db32df447265a86a9868c0402621689663ac3728cafefac00329d3a9c",
+    "e-values-on-sweep": "7cfc8c52ede9225eeb2479e5ea852dc9253fa35bce0fdbb703fc0008d8c28db4",
+    "abbreviated-options": "109b7725f9c7b1e9e027a2faab366e64adde9372a77448f88952c9f0c0363051",
     "bad-format-choice": "409ddfb3f07be2ae2fc49051e5a8c35653fd22f504ef65170156bf0e801cba1e",
     "format-unsupported": "9ae8d7332d773dc781287250aa365707b024382baeec32b10595ebf961de0c04",
     "bad-periods": "2b8a852dc002c4f6f284b2f61f1b4abb4ddc35097d6e035559cd86ad6a9b878e",
@@ -346,9 +346,9 @@ ARGV_DIGESTS = {
     "option-equals": "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
-    "run-verify-overrides": "7be83088de4c329f534858cae36de40efc3c6e5086bddb04e1cede5a03d8930e",
+    "run-verify-overrides": "c664eb92c8d764b95c79a91ae92af527db9344330b98f14f600730e0f39f1ccb",
     "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
-    "periods-with-a-space": "b16a1535fee3fc794a84e0427314389622bbe06f8b466ad831ecdafcb889103d",
+    "periods-with-a-space": "336a34feedd081d12fb8ca36fa44e4a33eb57e17ecc5265a1804a6d2b22cf5dd",
     "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",
 }
 

@@ -1,7 +1,9 @@
-"""Source hygiene: no module defines the same top-level name twice.
+"""Source hygiene: no module defines the same top-level name twice, and
+none imports a name it never reads.
 
 Python keeps only the later of two top-level definitions, so an earlier
-test of the same name never runs, and nothing reports it.
+test of the same name never runs, and nothing reports it.  An import that
+nothing reads outlives the code that needed it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,43 @@ def _defined_twice(path: Path) -> list[str]:
     return twice
 
 
-def test_no_module_defines_a_top_level_name_twice():
+def _sources() -> list[Path]:
     sources = sorted([*REPO.glob("src/**/*.py"), *REPO.glob("tests/**/*.py")])
     assert len(sources) > 10
+    return sources
+
+
+def test_no_module_defines_a_top_level_name_twice():
     found = {
-        str(path.relative_to(REPO)): twice for path in sources if (twice := _defined_twice(path))
+        str(path.relative_to(REPO)): twice for path in _sources() if (twice := _defined_twice(path))
+    }
+    assert found == {}
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names the module imports and never reads; a name in ``__all__`` is read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {
+        str(path.relative_to(REPO)): unread
+        for path in _sources()
+        if (unread := _unread_imports(path))
     }
     assert found == {}
