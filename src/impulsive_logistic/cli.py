@@ -33,13 +33,14 @@ or ``periodic`` run of more than 2**20 samples (steps per unit times
 horizon periods, after the flags).
 
 A plain command line (a command, then ``--name value`` pairs) is read
-without building the argparse parser; see ``_plain_args``.  Every other
-line, help and usage errors among them, is parsed by argparse.
+without loading argparse; see ``_plain_args``.  Every other line, help and
+usage errors among them, is parsed by argparse.  Each flag overrides one
+field of the scenario, and every command is ``cmd_*(config, fmt) -> (text,
+exit code)``.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -47,6 +48,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -112,29 +114,19 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    r: PeriodicCoefficient
-    K: PeriodicCoefficient
-    E: float
-    t0: float = 0.5
-    x0: float | None = None
-    horizon_periods: int = 10
-    step: float = 1.0 / 256.0
-    tolerances: Tolerances = Tolerances()
-    e_values: tuple[float, ...] | None = None
+    """A validated scenario: the model, the RK4 step and what the commands read."""
 
-    def params(self, E: float | None = None) -> ModelParams:
-        return ModelParams(
-            pair=CoefficientPair(r=self.r, K=self.K),
-            E=self.E if E is None else E,
-            t0=self.t0,
-        )
-
-    def step_control(self) -> StepControl:
-        return StepControl(h=self.step)
+    params: ModelParams
+    ctrl: StepControl
+    x0: float | None
+    horizon_periods: int
+    tolerances: Tolerances
+    e_values: tuple[float, ...] | None
 
     def constants(self, E: float | None = None) -> SolutionConstants:
         """Constants at E (default: the config's)."""
-        return derive_constants(self.params(E))
+        params = self.params if E is None else dataclasses.replace(self.params, E=E)
+        return derive_constants(params)
 
     def resolved_x0(self, consts: SolutionConstants) -> float:
         """Configured x0, else the orbit anchor in consts, else the mean of K."""
@@ -142,7 +134,7 @@ class ScenarioConfig:
             return self.x0
         if consts.x0_star is not None:
             return consts.x0_star
-        return self.K.mean
+        return self.params.K.mean
 
 
 def _require_number(
@@ -171,13 +163,12 @@ def _require_int(value, where: str, *, minimum: int = 1) -> int:
     return value
 
 
-def _require_step(value, where: str) -> float:
+def _require_step(value, where: str) -> StepControl:
     step = _require_number(value, where, positive=True)
     try:
-        StepControl(h=step)
+        return StepControl(h=step)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return step
 
 
 def _parse_coefficient(data, where: str) -> PeriodicCoefficient:
@@ -253,7 +244,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
                 f"{sys.float_info.min!r}: it carries fewer than 53 significant bits"
             )
     horizon = _require_int(data.get("horizon_periods", 10), f"{source}.horizon_periods")
-    step = _require_step(data.get("step", 1.0 / 256.0), f"{source}.step")
+    ctrl = _require_step(data.get("step", 1.0 / 256.0), f"{source}.step")
     tolerances = Tolerances()
     if "tolerances" in data:
         tolerances = _parse_tolerances(data["tolerances"], f"{source}.tolerances")
@@ -266,19 +257,9 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             _require_number(v, f"{source}.e_values[{i}]", unit_interval=True)
             for i, v in enumerate(raw)
         )
-    config = ScenarioConfig(
-        r=r,
-        K=big_k,
-        E=e_hold,
-        t0=t0,
-        x0=x0,
-        horizon_periods=horizon,
-        step=step,
-        tolerances=tolerances,
-        e_values=e_values,
-    )
-    _require_forcing_scale(config.params(), f"{source}.K")
-    return config
+    params = ModelParams(pair=CoefficientPair(r=r, K=big_k), E=e_hold, t0=t0)
+    _require_forcing_scale(params, f"{source}.K")
+    return ScenarioConfig(params, ctrl, x0, horizon, tolerances, e_values)
 
 
 def _require_forcing_scale(params: ModelParams, where: str) -> None:
@@ -453,34 +434,14 @@ def _table(columns: list[str], cells: list[list[str]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the JSON kind of each exact type json.dumps encodes, and of a subclass
-# (numpy's float64 is a float), tested in json's order
-_JSON_KIND = {
-    dict: dict,
-    list: list,
-    tuple: list,
-    str: str,
-    float: float,
-    int: int,
-    bool: bool,
-    type(None): type(None),
-}
-_JSON_BASES = ((str, str), (int, int), (float, float), (list, (list, tuple)), (dict, dict))
-
-
-def _json_kind(value) -> type:
-    kind = _JSON_KIND.get(type(value))
-    if kind is None:
-        kind = next((k for k, bases in _JSON_BASES if isinstance(value, bases)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return kind
-
-
 def _json(value, pad: str) -> str:
     """``value`` as json.dumps(value, indent=2, sort_keys=True) writes it,
-    nested at ``pad`` (a newline and the enclosing indent)."""
-    kind = _json_kind(value)
+    nested at ``pad`` (a newline and the enclosing indent).
+
+    Encodes exactly the types reports hold: dict, list and the scalars of
+    ``_JSON_CELL``.  Any other type, a subclass among them, is a TypeError.
+    """
+    kind = type(value)
     if kind is dict or kind is list:
         if not value:
             return "{}" if kind is dict else "[]"
@@ -493,7 +454,10 @@ def _json(value, pad: str) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(f"{encode_basestring_ascii(key)}: {_json(item, inner)}")
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-    text = _JSON_CELL[kind](value)
+    spell = _JSON_CELL.get(kind)
+    if spell is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    text = spell(value)
     return _JSON_NON_FINITE.get(text, text)
 
 
@@ -511,19 +475,18 @@ def _dump_json(obj) -> str:
 # --------------------------------------------------------------------------
 
 
-def cmd_constants(config: ScenarioConfig, fmt: str = "text") -> str:
+def cmd_constants(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """Derived constants: A, B, (1-E)A, the orbit anchor, and E_critical."""
     consts = config.constants()
     if fmt == "json":
-        return _dump_json(
-            {
-                "A": consts.A,
-                "B": consts.B,
-                "growth_factor": consts.q,
-                "x0_star": consts.x0_star,
-                "critical_harvest": consts.e_star,
-            }
-        )
+        report = {
+            "A": consts.A,
+            "B": consts.B,
+            "growth_factor": consts.q,
+            "x0_star": consts.x0_star,
+            "critical_harvest": consts.e_star,
+        }
+        return _dump_json(report), 0
     anchor = _fmt(consts.x0_star) if consts.x0_star is not None else "none: (1-E)A <= 1"
     lines = [
         f"A            {_fmt(consts.A)}",
@@ -532,16 +495,14 @@ def cmd_constants(config: ScenarioConfig, fmt: str = "text") -> str:
         f"x0_star      {anchor}",
         f"E_critical   {_fmt(consts.e_star)}",
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
+def cmd_simulate(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """Numeric trajectory next to the closed form, with paired impulse rows."""
-    params = config.params()
+    params = config.params
     consts = config.constants()
-    traj = integrate(
-        params, config.resolved_x0(consts), config.horizon_periods, config.step_control()
-    )
+    traj = integrate(params, config.resolved_x0(consts), config.horizon_periods, config.ctrl)
     pieces = traj.pieces
 
     events: list[str] = []
@@ -569,13 +530,13 @@ def cmd_simulate(config: ScenarioConfig, fmt: str = "csv") -> str:
         [piece.offsets.size for piece in pieces],
     )
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
-    return _table(columns, [t, k, *rest], fmt)
+    return _table(columns, [t, k, *rest], fmt), 0
 
 
-def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
+def cmd_periodic(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """The periodic orbit over one period, tiled across the horizon."""
-    params = config.params()
-    n = config.step_control().steps_per_unit
+    params = config.params
+    n = config.ctrl.steps_per_unit
     offsets = np.arange(n) / n
     orbit = periodic_grid(config.constants(), period_table(params, offsets)).tolist()
     periods = np.arange(config.horizon_periods)
@@ -586,11 +547,11 @@ def cmd_periodic(config: ScenarioConfig, fmt: str = "csv") -> str:
         _cells(offsets.tolist(), fmt) * periods.size,
         _cells(orbit, fmt) * periods.size,
     ]
-    return _table(["t", "period", "offset", "x_star"], cells, fmt)
+    return _table(["t", "period", "offset", "x_star"], cells, fmt), 0
 
 
 def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
-    params = config.params()
+    params = config.params
     tol = config.tolerances
     consts = config.constants()
     horizon = config.horizon_periods
@@ -605,16 +566,9 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
         reports.append(
             verify_periodicity(params, periods=span, tol=tol.periodicity)
         )
-    reports.append(
-        compare_solutions(
-            params,
-            config.resolved_x0(consts),
-            horizon,
-            config.step_control(),
-            tol=tol.oracle,
-        )
-    )
-    mean_capacity = config.K.mean
+    x0 = config.resolved_x0(consts)
+    reports.append(compare_solutions(params, x0, horizon, config.ctrl, tol=tol.oracle))
+    mean_capacity = params.K.mean
     # the scan must reach below an anchor however small it is; a tenth of a
     # subnormal anchor can round to 0.0, so the smallest float bounds it
     x_min = 1e-3 * mean_capacity
@@ -632,7 +586,7 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
     return reports, consts.x0_star is not None
 
 
-def cmd_verify(config: ScenarioConfig, fmt: str = "json") -> tuple[str, int]:
+def cmd_verify(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """Run the verification suite; exit status 0 only if every check passes."""
     reports, has_orbit = _verify_reports(config)
     all_passed = all(rep.passed for rep in reports)
@@ -651,14 +605,14 @@ def cmd_verify(config: ScenarioConfig, fmt: str = "json") -> tuple[str, int]:
     return text, 0 if all_passed else 1
 
 
-def cmd_counterexample(config: ScenarioConfig, fmt: str = "json") -> tuple[str, int]:
+def cmd_counterexample(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """Contrast the corrected and legacy orbit formulas at the impulses.
 
     Exit status 0 when the data land exactly as expected: the corrected
     formula jumps by the harvested fraction while the legacy formula is
     continuous (and therefore violates the jump rule whenever E > 0).
     """
-    params = config.params()
+    params = config.params
     tol = config.tolerances
     ks = tuple(range(1, min(5, config.horizon_periods) + 1))
     table = period_table(params, [0.0, 1.0])  # both checks read offsets 0 and 1
@@ -685,45 +639,48 @@ def cmd_counterexample(config: ScenarioConfig, fmt: str = "json") -> tuple[str, 
     return text, 0 if as_predicted else 1
 
 
-def cmd_sweep(
-    config: ScenarioConfig, e_values: tuple[float, ...], fmt: str = "csv"
-) -> str:
-    """Orbit existence, anchor, and per-period mean across harvest fractions.
+def cmd_sweep(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
+    """Orbit existence, anchor, and per-period mean across ``config.e_values``.
 
     Rows keep their input order; fractions at or above the critical harvest
     produce empty orbit fields.  One mean table serves every fraction.
     """
-    constants = [config.constants(e_val) for e_val in e_values]
+    if config.e_values is None:
+        raise ConfigError("sweep needs harvest fractions: pass --e-values or set e_values")
+    constants = [config.constants(e_val) for e_val in config.e_values]
     orbits = [c for c in constants if c.x0_star is not None]
-    means = iter(periodic_orbit_mean(config.params(), orbits))
+    means = iter(periodic_orbit_mean(config.params, orbits))
     rows = [
         (c.E, True, c.x0_star, next(means)) if c.x0_star is not None else (c.E, False, None, None)
         for c in constants
     ]
     cells = [_cells(column, fmt) for column in zip(*rows)]
-    return _table(["E", "exists", "x0_star", "x_star_mean"], cells, fmt)
+    return _table(["E", "exists", "x0_star", "x_star_mean"], cells, fmt), 0
 
 
 # --------------------------------------------------------------------------
 # argument parsing and dispatch
 # --------------------------------------------------------------------------
 
-_FORMATS = {
-    "constants": ("text", "json"),
-    "simulate": ("csv", "json"),
-    "periodic": ("csv", "json"),
-    "verify": ("json", "text"),
-    "counterexample": ("json", "text"),
-    "sweep": ("csv", "json"),
-}
-
-_HELP = {
-    "constants": "print the derived constants and the critical harvest fraction",
-    "simulate": "CSV trajectory: RK4 oracle next to the closed form",
-    "periodic": "CSV of the periodic orbit over one period plus its tiling",
-    "verify": "run the verification suite (exit 0 only if all checks pass)",
-    "counterexample": "contrast corrected vs legacy orbit formulas at the impulses",
-    "sweep": "scan harvest fractions: existence, anchor, per-period mean",
+# per command: its output formats (the first is its default), whether the
+# sample budget holds it, and its help line
+_COMMANDS = {
+    "constants": (
+        ("text", "json"), False, "print the derived constants and the critical harvest fraction"
+    ),
+    "simulate": (("csv", "json"), True, "CSV trajectory: RK4 oracle next to the closed form"),
+    "periodic": (
+        ("csv", "json"), True, "CSV of the periodic orbit over one period plus its tiling"
+    ),
+    "verify": (
+        ("json", "text"), True, "run the verification suite (exit 0 only if all checks pass)"
+    ),
+    "counterexample": (
+        ("json", "text"), False, "contrast corrected vs legacy orbit formulas at the impulses"
+    ),
+    "sweep": (
+        ("csv", "json"), False, "scan harvest fractions: existence, anchor, per-period mean"
+    ),
 }
 
 
@@ -734,7 +691,7 @@ def _command_options(command: str) -> dict[str, dict]:
         "--out": {"help": "output file (default: stdout)"},
         "--format": {
             "choices": ("csv", "json", "text"),
-            "help": f"output format (default: {_FORMATS[command][0]})",
+            "help": f"output format (default: {_COMMANDS[command][0][0]})",
         },
         "--tol": {"type": float, "help": "override every tolerance"},
         "--step": {"type": float, "help": "override the RK step h"},
@@ -748,11 +705,14 @@ def _command_options(command: str) -> dict[str, dict]:
 
 
 # the parser adds its options from this table, and _plain_args reads it
-_OPTIONS = {command: _command_options(command) for command in _FORMATS}
+_OPTIONS = {command: _command_options(command) for command in _COMMANDS}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The implog parser: six subcommands, each with its options from ``_OPTIONS``."""
+def _build_parser():
+    """The implog argparse parser: six subcommands, each with its options from
+    ``_OPTIONS``.  Only a line that is not plain loads argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="implog",
         description=(
@@ -762,20 +722,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in _OPTIONS.items():
-        cmd = sub.add_parser(name, help=_HELP[name])
+        cmd = sub.add_parser(name, help=_COMMANDS[name][2])
         for option, keywords in options.items():
             cmd.add_argument(option, **keywords)
     return parser
 
 
-def _plain_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse returns for a plain command line, else None.
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse parses a plain command line to, else None.
 
     A plain line is a command followed by ``--name value`` pairs: each name
     one of the command's exact option names, at most once; each value
     non-empty, not starting with "-", converted by the option's type and
     within its choices; every required option present.  argparse reads
-    such a line to the same namespace, so it need not be built for it.
+    such a line to the same attributes, so it need not be loaded for it.
     Any other line (help, usage errors, ``--opt=value``, abbreviations)
     returns None and is left to argparse.
     """
@@ -797,38 +757,32 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
         if "choices" in keywords and values[name] not in keywords["choices"]:
             return None
     dests = {name[2:].replace("-", "_"): values.get(name) for name in options}
-    return argparse.Namespace(command=argv[0], **dests)
+    return SimpleNamespace(command=argv[0], **dests)
 
 
-def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if args.step is not None:
-        config = dataclasses.replace(config, step=_require_step(args.step, "--step"))
-    if args.periods is not None:
-        config = dataclasses.replace(
-            config, horizon_periods=_require_int(args.periods, "--periods")
-        )
-    if args.tol is not None:
-        tol = _require_number(args.tol, "--tol", positive=True)
-        config = dataclasses.replace(
-            config,
-            tolerances=Tolerances(
-                jump=tol,
-                periodicity=tol,
-                oracle=tol,
-                legacy_continuity=tol,
-                fixed_point=tol,
-            ),
-        )
-    return config
+def _parse_e_values(text: str) -> tuple[float, ...]:
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError("--e-values: expected a comma-separated list of numbers")
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok))
+        except ValueError as exc:
+            raise ConfigError(f"--e-values: {tok!r} is not a number") from exc
+    for v in values:
+        if not (0.0 <= v < 1.0):
+            raise ConfigError(f"--e-values: {v!r} outside [0, 1)")
+    return tuple(values)
 
 
-# samples (steps per unit x horizon periods) that simulate, verify and periodic
+# samples (steps per unit x horizon periods) that a command the budget holds
 # may compute; the RK4 path and the tables hold every sample in memory
 _SAMPLE_BUDGET = 2**20
 
 
 def _require_sample_budget(config: ScenarioConfig) -> None:
-    n = config.step_control().steps_per_unit
+    n = config.ctrl.steps_per_unit
     samples = n * config.horizon_periods
     if samples > _SAMPLE_BUDGET:
         raise ConfigError(
@@ -837,55 +791,40 @@ def _require_sample_budget(config: ScenarioConfig) -> None:
         )
 
 
-def _sweep_values(config: ScenarioConfig, args: argparse.Namespace) -> tuple[float, ...]:
-    if args.e_values is not None:
-        tokens = [tok.strip() for tok in args.e_values.split(",") if tok.strip()]
-        if not tokens:
-            raise ConfigError("--e-values: expected a comma-separated list of numbers")
-        values = []
-        for tok in tokens:
-            try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise ConfigError(f"--e-values: {tok!r} is not a number") from exc
-        for v in values:
-            if not (0.0 <= v < 1.0):
-                raise ConfigError(f"--e-values: {v!r} outside [0, 1)")
-        return tuple(values)
-    if config.e_values is not None:
-        return config.e_values
-    raise ConfigError("sweep needs harvest fractions: pass --e-values or set e_values")
+def _apply_overrides(config: ScenarioConfig, args) -> tuple[ScenarioConfig, str]:
+    """``config`` with each flag of ``args`` in place of its field, and the
+    output format.  Of several errors, the first of --step, --periods, --tol,
+    --format, --e-values and the sample budget is raised."""
+    formats, budgeted, _ = _COMMANDS[args.command]
+    fields = {}
+    if args.step is not None:
+        fields["ctrl"] = _require_step(args.step, "--step")
+    if args.periods is not None:
+        fields["horizon_periods"] = _require_int(args.periods, "--periods")
+    if args.tol is not None:
+        tol = _require_number(args.tol, "--tol", positive=True)
+        fields["tolerances"] = Tolerances(**dict.fromkeys(_TOLERANCE_FIELDS, tol))
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise ConfigError(
+            f"--format {fmt} not supported by '{args.command}' (choose from {'/'.join(formats)})"
+        )
+    if getattr(args, "e_values", None) is not None:  # sweep's flag only
+        fields["e_values"] = _parse_e_values(args.e_values)
+    config = dataclasses.replace(config, **fields)
+    if budgeted:
+        _require_sample_budget(config)
+    return config, fmt
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(argv)
-    if args is None:
-        args = _build_parser().parse_args(argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
-        fmt = args.format or _FORMATS[args.command][0]
-        if fmt not in _FORMATS[args.command]:
-            raise ConfigError(
-                f"--format {fmt} not supported by '{args.command}' "
-                f"(choose from {'/'.join(_FORMATS[args.command])})"
-            )
-        if args.command in ("simulate", "verify", "periodic"):
-            _require_sample_budget(config)
-        code = 0
-        if args.command == "constants":
-            text = cmd_constants(config, fmt)
-        elif args.command == "simulate":
-            text = cmd_simulate(config, fmt)
-        elif args.command == "periodic":
-            text = cmd_periodic(config, fmt)
-        elif args.command == "verify":
-            text, code = cmd_verify(config, fmt)
-        elif args.command == "counterexample":
-            text, code = cmd_counterexample(config, fmt)
-        else:
-            text = cmd_sweep(config, _sweep_values(config, args), fmt)
+        config, fmt = _apply_overrides(load_config(args.config), args)
+        # looked up when called, so that a rebound cmd_* is the one that runs
+        text, code = globals()[f"cmd_{args.command}"](config, fmt)
     except (ConfigError, AnchorUnderflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

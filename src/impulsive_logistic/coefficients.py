@@ -42,7 +42,7 @@ the same nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from typing import ClassVar, Union
 
@@ -298,13 +298,6 @@ _KINDS = {
     "piecewise": PiecewiseConstantCoefficient,
 }
 
-_KIND_FIELDS = {
-    "constant": {"value": True},
-    "sinusoid": {"mean": True, "amp": True, "phase": False},
-    "piecewise": {"breakpoints": True, "values": True},
-}
-
-
 def coefficient_from_dict(data: dict) -> PeriodicCoefficient:
     """Build a coefficient from its ``to_dict`` form (also the CLI schema)."""
     if not isinstance(data, dict):
@@ -314,14 +307,15 @@ def coefficient_from_dict(data: dict) -> PeriodicCoefficient:
         raise ValueError(
             f"unknown coefficient kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
-    fields = _KIND_FIELDS[kind]
-    unknown = set(data) - set(fields) - {"kind"}
+    # a kind's fields are its constructor's; those without a default are required
+    kind_fields = [f for f in fields(_KINDS[kind]) if f.init]
+    unknown = set(data) - {f.name for f in kind_fields} - {"kind"}
     if unknown:
         raise ValueError(f"unknown field(s) {sorted(unknown)} for kind {kind!r}")
-    missing = [name for name, required in fields.items() if required and name not in data]
+    missing = [f.name for f in kind_fields if f.default is MISSING and f.name not in data]
     if missing:
         raise ValueError(f"missing field(s) {missing} for kind {kind!r}")
-    kwargs = {name: data[name] for name in fields if name in data}
+    kwargs = {f.name: data[f.name] for f in kind_fields if f.name in data}
     for name, value in kwargs.items():
         if kind == "piecewise":
             if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):

@@ -7,6 +7,7 @@ Every tolerance is pinned here, not configured elsewhere.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -233,9 +234,10 @@ def test_criterion_6_threshold_behavior(tmp_path, capsys):
     if code != 1 or "no positive periodic solution" not in err:
         failures.append(f"cmd_periodic: exit {code}, stderr {err!r}")
 
-    config = load_config(CONFIG_DIR / "golden_constant.json")
     e_values = (0.25, 0.4999, 0.5, 0.75)
-    lines = cmd_sweep(config, e_values).splitlines()[1:]
+    config = load_config(CONFIG_DIR / "golden_constant.json")
+    config = dataclasses.replace(config, e_values=e_values)
+    lines = cmd_sweep(config, "csv")[0].splitlines()[1:]
     for e_val, line in zip(e_values, lines):
         fields = line.split(",")
         empty = fields[2] == "" and fields[3] == ""

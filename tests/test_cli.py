@@ -35,6 +35,7 @@ from impulsive_logistic.cli import (
 from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
 from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
+from impulsive_logistic.integrator import StepControl
 
 from helpers import corrupt_period_table, exact_B
 
@@ -70,9 +71,9 @@ def test_bundled_configs_parse():
 
 def test_defaults_applied():
     config = parse_config(_json_config())
-    assert config.t0 == 0.5
+    assert config.params.t0 == 0.5
     assert config.horizon_periods == 10
-    assert config.step == pytest.approx(1.0 / 256.0)
+    assert config.ctrl == StepControl(h=1.0 / 256.0)
     assert config.tolerances == Tolerances()
     assert config.x0 is None and config.e_values is None
 
@@ -195,7 +196,7 @@ def test_huge_growth_over_a_small_capacity_runs(tmp_path, capsys):
         code = main(argv + ["--e-values", "0.5"] if command == "sweep" else argv)
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, ""), command
-    consts = derive_constants(load_config(cfg).params())
+    consts = derive_constants(load_config(cfg).params)
     assert consts.x0_star == pytest.approx(5.000000000136e-4, rel=1e-12, abs=0.0)
     assert consts.x0_star == consts.d / consts.B
 
@@ -216,9 +217,10 @@ def test_subnormal_anchor_simulates_quietly(tmp_path, capsys):
 def test_verify_scans_below_a_small_anchor():
     # just below E* the anchor (0.0029) lies under 1e-3 times the mean of K;
     # the fixed-point scan must still reach it
-    config = dataclasses.replace(load_config(SINUSOID), E=0.5034)
-    assert derive_constants(config.params()).x0_star < 1e-3 * 100.0
-    text, code = cmd_verify(config, fmt="text")
+    config = load_config(SINUSOID)
+    config = dataclasses.replace(config, params=dataclasses.replace(config.params, E=0.5034))
+    assert derive_constants(config.params).x0_star < 1e-3 * 100.0
+    text, code = cmd_verify(config, "text")
     assert code == 0, text
 
 
@@ -228,7 +230,7 @@ def test_verify_reports_on_an_anchor_at_the_float_floor(tmp_path, capsys):
     cfg = tmp_path / "floor.json"
     scenario = _json_config(K={"kind": "constant", "value": 2e-308}, E=0.4999999999999999)
     cfg.write_text(json.dumps(scenario), encoding="utf-8")
-    assert derive_constants(load_config(cfg).params()).x0_star == 5e-324
+    assert derive_constants(load_config(cfg).params).x0_star == 5e-324
     code = main(["verify", "--config", str(cfg)])
     captured = capsys.readouterr()
     assert code in (0, 1) and captured.err == ""
@@ -237,7 +239,7 @@ def test_verify_reports_on_an_anchor_at_the_float_floor(tmp_path, capsys):
 
 def test_constants_threshold_is_correctly_rounded():
     # E* = -expm1(-0.7) = 0.50341469620859046..., which rounds to ...905
-    text = cmd_constants(load_config(SINUSOID))
+    text, _ = cmd_constants(load_config(SINUSOID), "text")
     assert "E_critical   0.5034146962085905\n" in text
 
 
@@ -245,20 +247,25 @@ def test_importing_the_cli_does_not_load_scipy():
     # scipy is no dependency, and the Gauss-Legendre rule is written out
     # rather than taken from numpy.polynomial; start-up must pay for neither.
     # Loading a config with jumps computes B, whose partition must not pay
-    # for numpy.ma either (np.union1d imports it on its first call).
+    # for numpy.ma either (np.union1d imports it on its first call).  A
+    # plain command line does not load argparse.
     import impulsive_logistic
 
     src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    unloaded = ("scipy", "numpy.polynomial", "numpy.ma", "argparse")
     probe = (
-        "import sys, impulsive_logistic.cli; "
-        f"impulsive_logistic.cli.load_config({str(PIECEWISE)!r}); "
-        "print([m for m in ('scipy', 'numpy.polynomial', 'numpy.ma') if m in sys.modules])"
+        "import sys\n"
+        "from impulsive_logistic import cli\n"
+        f"cli.load_config({str(PIECEWISE)!r})\n"
+        f"code = cli.main(['constants', '--config', {str(PIECEWISE)!r}])\n"
+        f"print(code, [m for m in {unloaded!r} if m in sys.modules], file=sys.stderr)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.startswith("A            ")
+    assert result.stderr == "0 []\n"
 
 
 def test_every_exported_name_resolves():
@@ -336,7 +343,7 @@ def test_an_unreadable_file_is_a_config_error(tmp_path, capsys, raw, message):
 
 
 def test_constants_text_golden():
-    text = cmd_constants(load_config(GOLDEN))
+    text, _ = cmd_constants(load_config(GOLDEN), "text")
     assert "A            2.0" in text
     assert "B            0.005" in text
     assert "(1-E)A       1.5" in text
@@ -345,7 +352,7 @@ def test_constants_text_golden():
 
 
 def test_constants_json_golden():
-    data = json.loads(cmd_constants(load_config(GOLDEN), fmt="json"))
+    data = json.loads(cmd_constants(load_config(GOLDEN), "json")[0])
     assert data == {
         "A": 2.0,
         "B": 0.005,
@@ -356,18 +363,17 @@ def test_constants_json_golden():
 
 
 def test_constants_reports_missing_orbit():
-    text = cmd_constants(load_config(OVERHARVEST))
+    text, _ = cmd_constants(load_config(OVERHARVEST), "text")
     assert "none: (1-E)A <= 1" in text
-    data = json.loads(cmd_constants(load_config(OVERHARVEST), fmt="json"))
+    data = json.loads(cmd_constants(load_config(OVERHARVEST), "json")[0])
     assert data["x0_star"] is None
 
 
 def test_simulate_csv_structure():
-    config = load_config(GOLDEN)
-    import dataclasses
-
-    config = dataclasses.replace(config, horizon_periods=2)
-    lines = cmd_simulate(config).splitlines()
+    config = dataclasses.replace(load_config(GOLDEN), horizon_periods=2)
+    text, code = cmd_simulate(config, "csv")
+    assert code == 0
+    lines = text.splitlines()
     assert lines[0] == "t,k,x_numeric,x_closed_form,rel_diff,event"
     pre_rows = [ln for ln in lines if ln.endswith(",pre")]
     post_rows = [ln for ln in lines if ln.endswith(",post")]
@@ -385,8 +391,9 @@ def test_simulate_csv_structure():
 
 
 def test_periodic_csv_tiles_exactly():
-    config = load_config(GOLDEN)
-    lines = cmd_periodic(config).splitlines()
+    text, code = cmd_periodic(load_config(GOLDEN), "csv")
+    assert code == 0
+    lines = text.splitlines()
     assert lines[0] == "t,period,offset,x_star"
     n = 256
     body = lines[1:]
@@ -400,7 +407,7 @@ def test_periodic_csv_tiles_exactly():
 
 
 def test_verify_bundle_golden():
-    text, code = cmd_verify(load_config(GOLDEN))
+    text, code = cmd_verify(load_config(GOLDEN), "json")
     assert code == 0
     bundle = json.loads(text)
     assert bundle["all_passed"] is True
@@ -411,7 +418,7 @@ def test_verify_bundle_golden():
 
 
 def test_verify_without_orbit_runs_partial_suite():
-    text, code = cmd_verify(load_config(OVERHARVEST))
+    text, code = cmd_verify(load_config(OVERHARVEST), "json")
     assert code == 0
     bundle = json.loads(text)
     assert bundle["periodic_orbit"] is False
@@ -420,8 +427,6 @@ def test_verify_without_orbit_runs_partial_suite():
 
 
 def test_verify_fails_with_absurd_tolerance():
-    import dataclasses
-
     config = load_config(GOLDEN)
     tight = dataclasses.replace(
         config,
@@ -430,14 +435,14 @@ def test_verify_fails_with_absurd_tolerance():
             legacy_continuity=1e-30, fixed_point=1e-30,
         ),
     )
-    text, code = cmd_verify(tight)
+    text, code = cmd_verify(tight, "json")
     assert code == 1
     assert json.loads(text)["all_passed"] is False
 
 
 def test_counterexample_bundle():
     for path in (GOLDEN, SINUSOID):
-        text, code = cmd_counterexample(load_config(path))
+        text, code = cmd_counterexample(load_config(path), "json")
         assert code == 0
         bundle = json.loads(text)
         assert bundle["as_predicted"] is True
@@ -446,8 +451,9 @@ def test_counterexample_bundle():
 
 
 def test_sweep_golden_values():
-    config = load_config(GOLDEN)
-    lines = cmd_sweep(config, config.e_values).splitlines()
+    text, code = cmd_sweep(load_config(GOLDEN), "csv")
+    assert code == 0
+    lines = text.splitlines()
     assert lines[0] == "E,exists,x0_star,x_star_mean"
     rows = [ln.split(",") for ln in lines[1:]]
     assert [row[0] for row in rows] == ["0.0", "0.1", "0.25", "0.4", "0.5"]
@@ -465,9 +471,8 @@ def test_sweep_golden_values():
 
 
 def test_sweep_anchor_shrinks_toward_threshold():
-    config = load_config(GOLDEN)
-    values = (0.49, 0.499, 0.4999)
-    lines = cmd_sweep(config, values).splitlines()[1:]
+    config = dataclasses.replace(load_config(GOLDEN), e_values=(0.49, 0.499, 0.4999))
+    lines = cmd_sweep(config, "csv")[0].splitlines()[1:]
     anchors = [float(ln.split(",")[2]) for ln in lines]
     assert anchors[0] > anchors[1] > anchors[2] > 0.0
     assert anchors[2] < 0.03
@@ -559,7 +564,9 @@ def test_commands_without_samples_take_any_horizon(capsys, command):
 
 @pytest.mark.parametrize("step, periods", [(2.0**-11, 512), (2.0**-20, 1), (1.0, 2**20)])
 def test_the_sample_budget_admits_its_own_size(step, periods):
-    config = dataclasses.replace(load_config(GOLDEN), step=step, horizon_periods=periods)
+    config = dataclasses.replace(
+        load_config(GOLDEN), ctrl=StepControl(h=step), horizon_periods=periods
+    )
     cli._require_sample_budget(config)  # exactly the budget: no error
     over = dataclasses.replace(config, horizon_periods=periods + 1)
     with pytest.raises(ConfigError, match="exceeds the budget of 1048576"):
@@ -624,6 +631,41 @@ def test_main_sweep_rejects_bad_e_values(capsys):
     capsys.readouterr()
     assert main(["sweep", "--config", str(GOLDEN), "--e-values", "1.25"]) == 2
     capsys.readouterr()
+
+
+def test_main_runs_the_command_bound_when_it_is_called(monkeypatch, capsys):
+    # every command is cmd_*(config, fmt) -> (text, exit code), looked up by
+    # name on each call, so a function rebound after import is the one run
+    monkeypatch.setattr(cli, "cmd_constants", lambda config, fmt: (f"{fmt}\n", 3))
+    assert main(["constants", "--config", str(GOLDEN)]) == 3
+    assert capsys.readouterr().out == "text\n"
+
+
+def test_main_sweep_without_fractions_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "no_fractions.json"
+    cfg.write_text(json.dumps(_json_config()), encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: sweep needs harvest fractions: pass --e-values or set e_values\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--format", "text"], "--format text not supported by 'sweep' (choose from csv/json)"),
+        (["--step", "0.3"], "--step: step h=0.3 must divide the unit interval into a whole "
+         "number of steps"),
+    ],
+    ids=["format", "step"],
+)
+def test_main_sweep_reports_a_flag_error_before_the_fraction_error(capsys, flags, message):
+    argv = ["sweep", "--config", str(GOLDEN), *flags, "--e-values", "1.5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
 
 
 def test_main_unwritable_out_exit_2(tmp_path, capsys):
@@ -840,7 +882,7 @@ def test_a_sliver_of_K_keeps_its_share_of_B(tmp_path, capsys, scenario):
     # each split keeps the sliver: B is its exact piece-by-piece sum, C(1)
     # matches it, and the closed form stays finite.  Only the oracle fails:
     # the sliver is one RK4 step, too stiff for the step to resolve.
-    params = parse_config(scenario).params()
+    params = parse_config(scenario).params
     B = compute_B(params.pair, params.phase)[1]
     assert B == pytest.approx(exact_B(params.pair, params.phase), rel=1e-13)
     C = closed_form.period_table(params, [0.0, 1.0]).forcing[-1]
@@ -928,7 +970,7 @@ def test_constants_depend_only_on_the_phase(tmp_path, capsys, config):
     assert len(printed) == 1
     t0 = 12345678.3
     phase = t0 - 12345678
-    big, small = (load_config(_at_t0(tmp_path, config, t)).params() for t in (t0, phase))
+    big, small = (load_config(_at_t0(tmp_path, config, t)).params for t in (t0, phase))
     assert derive_constants(big).B == derive_constants(small).B
 
 
@@ -937,7 +979,8 @@ def test_simulate_times_never_run_backwards(tmp_path, t0):
     # t = t0 + (k + s): the pre row at offset 1 of period k and the post
     # row at offset 0 of period k + 1 print the same time, for any t0
     config = load_config(_at_t0(tmp_path, PIECEWISE, t0))
-    lines = cmd_simulate(dataclasses.replace(config, horizon_periods=12)).splitlines()[1:]
+    text, _ = cmd_simulate(dataclasses.replace(config, horizon_periods=12), "csv")
+    lines = text.splitlines()[1:]
     rows = [line.split(",") for line in lines]
     times = [float(row[0]) for row in rows]
     assert all(a <= b for a, b in zip(times, times[1:]))

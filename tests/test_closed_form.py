@@ -256,7 +256,7 @@ def test_jump_law_numerically():
 def test_impulse_has_exact_addresses_on_both_sides(name):
     # (k, 1.0) is the pre-impulse value and (k + 1, 0.0) the post-impulse
     # value of the same instant: no snap is needed to tell them apart.
-    p = load_config(CONFIG_DIR / f"{name}.json").params()
+    p = load_config(CONFIG_DIR / f"{name}.json").params
     keep = 1.0 - p.E
     c, table = derive_constants(p), period_table(p, [0.0, 1.0])
     grid = solution_grid(c, 30.0, range(4), table)

@@ -510,3 +510,18 @@ def test_coefficient_from_dict_rejects_garbage():
         coefficient_from_dict({"kind": "constant"})
     with pytest.raises(ValueError, match="unknown field"):
         coefficient_from_dict({"kind": "constant", "value": 1.0, "valu": 2.0})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "sinusoid", "phase": 0.5}, "missing field(s) ['mean', 'amp']"),
+        ({"kind": "piecewise", "values": [1.0]}, "missing field(s) ['breakpoints']"),
+        ({"kind": "constant", "value": 1.0, "valu": 2.0}, "unknown field(s) ['valu']"),
+    ],
+    ids=["sinusoid-missing", "piecewise-missing", "constant-unknown"],
+)
+def test_coefficient_from_dict_names_the_fields_of_the_kind(data, message):
+    with pytest.raises(ValueError) as err:
+        coefficient_from_dict(data)
+    assert str(err.value) == f"{message} for kind {data['kind']!r}"

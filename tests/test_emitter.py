@@ -19,6 +19,7 @@ from impulsive_logistic import cli
 from impulsive_logistic.cli import _cells, _dump_json, _table, _time_cells, main
 from impulsive_logistic.closed_form import ModelParams
 from impulsive_logistic.coefficients import CoefficientPair, coefficient_from_dict
+from impulsive_logistic.integrator import StepControl
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -91,7 +92,6 @@ REPORTS = st.recursive(
     SCALARS["mixed"],
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(TEXT, inner, max_size=4),
     ),
     max_leaves=24,
@@ -102,15 +102,23 @@ REPORTS = st.recursive(
 @given(REPORTS)
 @example({"checks": [{"passed": True, "records": []}], "x0_star": None})
 @example({"b": {}, "a": [[], {}], "": -0.0, "é": [math.nan, math.inf, -math.inf]})
-@example([np.float64(0.1), (1, (2,)), "tab\tnew\nline"])
+@example([0.1, [1, [2]], "tab\tnew\nline"])
 def test_report_emitter_matches_json(report):
     assert _dump_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1: "a"}, {"a": object()}])
-def test_report_emitter_refuses_what_it_does_not_encode(value):
-    with pytest.raises(TypeError):
-        _dump_json(value)
+# reports hold only dicts, lists and the table scalars: anything else, a
+# subclass or a tuple that json.dumps would take among them, is refused at
+# the top and nested in a report
+@pytest.mark.parametrize(
+    "value", [np.int64(1), np.bool_(True), {1: "a"}, {"a": object()}, np.float64(0.1)]
+)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(row=st.lists(SCALARS["mixed"], max_size=3).map(tuple))
+def test_report_emitter_refuses_what_it_does_not_encode(value, row):
+    for refused in (value, row, {"checks": [value]}, {"checks": [row]}):
+        with pytest.raises(TypeError):
+            _dump_json(refused)
 
 
 @pytest.mark.parametrize(
@@ -206,8 +214,8 @@ def test_time_column_formats_each_offset_once_per_binade(monkeypatch):
 
     monkeypatch.setattr(cli, "_float_repr", counted)
     config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
-    config = dataclasses.replace(config, horizon_periods=200, step=1.0 / 128)
-    rows = len(cli.cmd_periodic(config).splitlines()) - 1
+    config = dataclasses.replace(config, horizon_periods=200, ctrl=StepControl(h=1.0 / 128))
+    rows = len(cli.cmd_periodic(config, "csv")[0].splitlines()) - 1
     assert rows == 200 * 128
-    binades = len({math.frexp(config.t0 + k)[1] for k in range(201)})
+    binades = len({math.frexp(config.params.t0 + k)[1] for k in range(201)})
     assert calls[0] <= 128 * (binades + 1)

@@ -432,7 +432,7 @@ def test_verify_catches_a_scaled_geometric_sum(monkeypatch, capsys, name):
 def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
     # the periodicity records stop at k = 4; far out, q**-k and the geometric
     # sum must still carry the anchor along the orbit
-    params = cli.load_config(CONFIG_DIR / f"{name}.json").params()
+    params = cli.load_config(CONFIG_DIR / f"{name}.json").params
     c = derive_constants(params)
     offsets = [j / 16.0 for j in range(17)]
     table = period_table(params, offsets)
@@ -480,14 +480,14 @@ NODES_PER_ROW = 16
 def test_simulate_cost_is_linear_in_rows(evaluated_nodes):
     config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
     config = dataclasses.replace(config, horizon_periods=40)
-    rows = len(cli.cmd_simulate(config).splitlines()) - 1
+    rows = len(cli.cmd_simulate(config, "csv")[0].splitlines()) - 1
     assert rows == 40 * 257 + 1
     assert evaluated_nodes[0] <= NODES_PER_ROW * rows
 
 
 def test_periodic_cost_is_linear_in_rows(evaluated_nodes):
     config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
-    rows = len(cli.cmd_periodic(config).splitlines()) - 1
+    rows = len(cli.cmd_periodic(config, "csv")[0].splitlines()) - 1
     assert rows == 5 * 256
     assert evaluated_nodes[0] <= NODES_PER_ROW * rows
 
@@ -507,11 +507,11 @@ def test_sweep_cost_does_not_grow_with_its_fractions(evaluated_nodes):
     # one mean table serves every fraction, and a fraction's constants are
     # scalar arithmetic on the cached G and B
     config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
-    cli.cmd_sweep(config, (0.25,))
+    cli.cmd_sweep(dataclasses.replace(config, e_values=(0.25,)), "csv")
     one = evaluated_nodes[0]
     compute_B.cache_clear()
     evaluated_nodes[0] = 0
-    cli.cmd_sweep(config, SWEEP_FRACTIONS)
+    cli.cmd_sweep(dataclasses.replace(config, e_values=SWEEP_FRACTIONS), "csv")
     assert evaluated_nodes[0] <= one + 2 * len(SWEEP_FRACTIONS)
 
 
@@ -525,7 +525,8 @@ def test_sweep_builds_one_period_table(monkeypatch, name):
         return real(params, offsets)
 
     monkeypatch.setattr(closed_form, "period_table", counted)
-    cli.cmd_sweep(cli.load_config(CONFIG_DIR / f"{name}.json"), SWEEP_FRACTIONS)
+    config = cli.load_config(CONFIG_DIR / f"{name}.json")
+    cli.cmd_sweep(dataclasses.replace(config, e_values=SWEEP_FRACTIONS), "csv")
     assert tables[0] == 1
 
 
@@ -533,7 +534,7 @@ def test_sweep_builds_one_period_table(monkeypatch, name):
 def test_legacy_check_costs_no_more_than_the_corrected_one(evaluated_nodes, name):
     # both read one two-offset table; the legacy check evaluates no window
     # quadrature of its own
-    params = cli.load_config(CONFIG_DIR / f"{name}.json").params()
+    params = cli.load_config(CONFIG_DIR / f"{name}.json").params
     nodes = {}
     for which in ("corrected", "legacy"):
         compute_B.cache_clear()
@@ -555,7 +556,7 @@ def test_counterexample_builds_one_period_table(monkeypatch, name):
 
     for module in (cli, analysis):
         monkeypatch.setattr(module, "period_table", counted)
-    _, code = cli.cmd_counterexample(cli.load_config(CONFIG_DIR / f"{name}.json"))
+    _, code = cli.cmd_counterexample(cli.load_config(CONFIG_DIR / f"{name}.json"), "json")
     assert code == 0 and tables[0] == 1
 
 

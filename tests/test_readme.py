@@ -27,3 +27,13 @@ def test_library_example_runs_and_matches_its_comments():
     assert orbit[1] == pytest.approx(half_period, rel=1e-12)
     assert orbit[2] == pytest.approx(200.0 / 3.0, rel=1e-12)
     assert orbit[0] == pytest.approx(50.0, rel=1e-13)
+
+
+def test_readme_flags_are_the_cli_options():
+    from impulsive_logistic import cli
+
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"--[a-z][a-z-]*", paragraph)
+    options = list(dict.fromkeys(name for opts in cli._OPTIONS.values() for name in opts))
+    assert named == options
