@@ -44,7 +44,10 @@ Which side of each check is independent of the code it checks:
     construction, so one (pre, post) pair serves every k.  Its continuity
     residual is E* |C(1) - B| / B, so it too hinges on the table's C(1)
     against ``compute_B``'s B.
-  * oracle -- RK4 on its own stage tables, against the kernel.
+  * oracle -- RK4 on its own stage tables, against the kernel.  Both
+    sides are (period, offset) arrays on the trajectory's one offset grid,
+    plus the post-impulse value at its end; the closed form reads one
+    period table on that grid.
   * fixed-point scan -- the period-advance map, which has no E* - E
     subtraction, against the anchor d / B.
 
@@ -295,68 +298,61 @@ def trajectory_closed_form(
     consts: SolutionConstants,
     periodic: bool = False,
     table: PeriodTable | None = None,
-) -> list[np.ndarray]:
-    """Closed form at every sample of every piece of an integrated path.
+) -> tuple[np.ndarray, float]:
+    """Closed form at every sample of an integrated path, and at its end.
 
-    One array per piece, aligned with ``piece.offsets``: the solution from
-    ``traj.x0``, or with ``periodic=True`` the periodic orbit; ``consts``
-    are the constants of ``traj.params``.  Every piece
-    samples a prefix of the first piece's offsets, so a whole trajectory
-    costs one period table, ``table`` when given: trajectories on one step
-    grid share it.  The last sample of a piece that ends at an
-    impulse is the pre-impulse value, post / (1 - E) with post the next
-    piece's first value.
+    An array shaped and aligned as ``traj.values``, and the value at the
+    time of ``traj.end``: the solution from ``traj.x0``, or with
+    ``periodic=True`` the periodic orbit; ``consts`` are the constants of
+    ``traj.params``.  A whole trajectory costs one period table on
+    ``traj.offsets``, ``table`` when given: trajectories on one step grid
+    share it.  The last sample of each row, at an impulse, is the
+    pre-impulse value, post / (1 - E) with post the next row's first value
+    (or the end's).
     """
     params = traj.params
+    periods = len(traj.values)
     if table is None:
-        table = period_table(params, traj.pieces[0].offsets)
+        table = period_table(params, traj.offsets)
     if periodic:
-        rows = np.tile(periodic_grid(consts, table), (len(traj.pieces), 1))
+        rows = np.tile(periodic_grid(consts, table), (periods + 1, 1))
     else:
-        rows = solution_grid(consts, traj.x0, [p.segment for p in traj.pieces], table)
-    values = [row[: p.offsets.size] for row, p in zip(rows, traj.pieces)]
-    keep = 1.0 - params.E
-    for before, after in zip(values, values[1:]):
-        before[-1] = after[0] / keep
-    return values
+        rows = solution_grid(consts, traj.x0, range(periods + 1), table)
+    rows[:-1, -1] = rows[1:, 0] / (1.0 - params.E)
+    return rows[:-1], float(rows[-1, 0])
 
 
-def _worst_deviation(traj: Trajectory, closed: list[np.ndarray]) -> tuple[float, float]:
+def _worst_deviation(traj: Trajectory, closed: tuple[np.ndarray, float]) -> tuple[float, float]:
     """Worst relative deviation of the samples from the closed form, and its time.
 
-    Samples are decimated to _GRID_PER_PERIOD per period; at every impulse
-    both the pre and the post value count.
+    Samples are decimated to _GRID_PER_PERIOD per period below offset 1,
+    then the end; at every impulse both the pre and the post value count.
     """
     stride = max(1, traj.ctrl.steps_per_unit // _GRID_PER_PERIOD)
-    last = len(traj.pieces) - 1
-    # (period, offsets) of the samples, in the order of nums and refs
-    where, nums, refs = [], [], []
-    for i, (piece, ref) in enumerate(zip(traj.pieces, closed)):
-        stop = -1 if i < last else None  # pre-impulse value paired below
-        where.append((piece.segment, piece.offsets[:stop][::stride]))
-        nums.append(piece.values[:stop][::stride])
-        refs.append(ref[:stop][::stride])
-    # each impulse: the pre value ending one piece, the post value opening the next
-    for before, after, ref_before, ref_after in zip(
-        traj.pieces, traj.pieces[1:], closed, closed[1:]
-    ):
-        where.append((after.segment, (0.0, 0.0)))
-        nums.append((before.values[-1], after.values[0]))
-        refs.append((ref_before[-1], ref_after[0]))
-    ref = np.concatenate(refs)
+    periods = len(traj.values)
+
+    def samples(values: np.ndarray, end: float) -> np.ndarray:
+        # each row's decimated samples, the end, then each impulse's (pre, post)
+        jumps = np.stack((values[:, -1], np.append(values[1:, 0], end)), axis=1)
+        return np.concatenate((values[:, :-1:stride].ravel(), [end], jumps.ravel()))
+
+    ref = samples(*closed)
     # against a closed-form value of 0.0, or one out of all scale with the
     # sample, the residual reads inf and fails
     with np.errstate(divide="ignore", over="ignore"):
-        residual = np.abs(ref - np.concatenate(nums)) / ref
+        residual = np.abs(ref - samples(traj.values, traj.end)) / ref
     worst = int(np.argmax(residual))
     if not residual[worst] > 0.0:
         return 0.0, traj.params.t0
-    at = worst
-    for k, offsets in where:
-        if at < len(offsets):
-            break
-        at -= len(offsets)
-    return float(residual[worst]), traj.params.time(k, float(offsets[at]))
+    per_period = traj.values[0, :-1:stride].size
+    if worst < periods * per_period:
+        k, j = divmod(worst, per_period)
+        s = float(traj.offsets[j * stride])
+    else:  # the end, then the (pre, post) pairs, all at offset 0 of a period
+        at = worst - periods * per_period
+        k = (at + 1) // 2 if at else periods
+        s = 0.0
+    return float(residual[worst]), traj.params.time(k, s)
 
 
 def compare_solutions(
@@ -382,7 +378,7 @@ def compare_solutions(
 
     traj = integrate(params, x0, horizon_periods, ctrl)
     # the orbit's trajectory below runs on the same step grid
-    table = period_table(params, traj.pieces[0].offsets)
+    table = period_table(params, traj.offsets)
     worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts, table=table))
     records = [
         CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)

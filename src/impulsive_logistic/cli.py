@@ -503,32 +503,23 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     params = config.params
     consts = config.constants()
     traj = integrate(params, config.resolved_x0(consts), config.horizon_periods, config.ctrl)
-    pieces = traj.pieces
-
-    events: list[str] = []
-    for i, piece in enumerate(pieces):
-        marks = [""] * piece.offsets.size
-        if i > 0:
-            marks[0] = "post"
-        if i < len(pieces) - 1:
-            marks[-1] = "pre"
-        events += marks
-    numeric = np.concatenate([piece.values for piece in pieces])
-    closed = np.concatenate(trajectory_closed_form(traj, consts))
+    periods, width = traj.values.shape
+    closed, closed_end = trajectory_closed_form(traj, consts)
+    numeric = np.append(traj.values, traj.end)
+    closed = np.append(closed, closed_end)
     # against a closed form of 0.0, or one out of all scale with the sample,
     # rel_diff reads inf
     with np.errstate(divide="ignore", over="ignore"):
         rel_diff = np.abs(numeric - closed) / closed
+    # each row opens after an impulse and closes before one; the end follows one
+    events = (["post"] + [""] * (width - 2) + ["pre"]) * periods + ["post"]
+    events[0] = ""
     values = (numeric.tolist(), closed.tolist(), rel_diff.tolist(), events)
     rest = [_cells(v, fmt) for v in values]
-    # every piece but the last covers the whole grid; the last is one sample
-    t = _time_cells(params, range(len(pieces) - 1), pieces[0].offsets)
-    t += _time_cells(params, [pieces[-1].segment], pieces[-1].offsets)
-    # one k cell per piece, repeated over the piece's rows
-    k = _repeat_each(
-        _cells([piece.segment for piece in pieces], fmt),
-        [piece.offsets.size for piece in pieces],
-    )
+    t = _time_cells(params, range(periods), traj.offsets)
+    t += _time_cells(params, [periods], traj.offsets[:1])
+    # one k cell per period, repeated over its rows
+    k = _repeat_each(_cells(list(range(periods + 1)), fmt), [width] * periods + [1])
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
     return _table(columns, [t, k, *rest], fmt), 0
 

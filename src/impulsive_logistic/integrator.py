@@ -11,7 +11,9 @@ n = 64.  The harvest jump x -> (1 - E) x is applied algebraically, never
 integrated across.  r and K are evaluated at every step's stage times, in
 phase (``ModelParams.phase`` plus the offset), once per run
 (``_stage_table``); the RK4 recurrence then runs over that table in plain
-Python floats, period after period.
+Python floats, period after period.  The result is one (period, offset)
+array of samples on that grid, the shape ``solution_grid`` gives the closed
+form, and the post-impulse state at the end of the run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +32,6 @@ __all__ = [
     "IntegrationError",
     "StepControl",
     "Trajectory",
-    "TrajectoryPiece",
     "integrate",
 ]
 
@@ -42,8 +44,9 @@ class IntegrationError(RuntimeError):
 class StepControl:
     """Step settings for the RK4 scheme.
 
-    h must divide the unit interval into a whole number of steps so impulse
-    instants are exact step boundaries.
+    h must divide the unit interval into a whole number n of steps, within
+    1e-9, so impulse instants are exact step boundaries; the h kept is the
+    step that runs, 1/n.
     """
 
     h: float = 1.0 / 256.0
@@ -59,6 +62,7 @@ class StepControl:
                 f"step h={self.h!r} must divide the unit interval into a whole "
                 "number of steps"
             )
+        object.__setattr__(self, "h", 1.0 / n)
 
     @property
     def steps_per_unit(self) -> int:
@@ -66,37 +70,28 @@ class StepControl:
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryPiece:
-    """Samples of period ``segment``, at offsets s into it (time t0 + segment + s).
-
-    Every piece but the last covers the run's whole offset grid, both ends
-    included; its final value is the pre-impulse state at t0 + segment + 1,
-    and the next piece's first value the post-impulse state there, exactly
-    (1 - E) times it.  The last piece is the single post-impulse sample at
-    offset 0 of period ``periods``.
-    """
-
-    segment: int
-    offsets: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def times(self) -> np.ndarray:
-        """The samples' times within the period: ``offsets``.
-
-        perfbench/tracer.py counts the RK4 steps of a run from these.
-        """
-        return self.offsets
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Integrated path, one piece per period; immutable once returned."""
+    """Integrated path on one offset grid; immutable once returned.
+
+    ``values[k, j]`` is the state at t0 + k + ``offsets[j]``: row k runs
+    from the post-impulse state at offset 0 to the pre-impulse state at
+    offset 1, and ``values[k + 1, 0]`` is exactly (1 - E) times
+    ``values[k, -1]``.  ``end`` is the post-impulse state at t0 + periods,
+    (1 - E) times ``values[-1, -1]``.
+    """
 
     params: ModelParams
     x0: float
     ctrl: StepControl
-    pieces: tuple[TrajectoryPiece, ...]
+    offsets: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    end: float
+
+    @property
+    def pieces(self) -> list[SimpleNamespace]:
+        """One record per period, its ``times`` the ``offsets``: perfbench/tracer.py
+        counts the RK4 steps of a run from these, and nothing else reads them."""
+        return [SimpleNamespace(times=self.offsets)] * len(self.values)
 
 
 def _stage_table(
@@ -125,12 +120,6 @@ def _underflow(t: float) -> IntegrationError:
     )
 
 
-def _frozen(values: list[float]) -> np.ndarray:
-    arr = np.asarray(values)
-    arr.setflags(write=False)
-    return arr
-
-
 def integrate(
     params: ModelParams,
     x0: float,
@@ -140,7 +129,7 @@ def integrate(
     """RK4-integrate the harvested logistic model over whole periods from (t0, x0).
 
     Each impulse instant t0 + k, k = 1..periods, applies the exact jump
-    x -> (1 - E) x between two pieces.  Every step boundary becomes a
+    x -> (1 - E) x between two rows.  Every step boundary becomes a
     sample.  Raises :class:`IntegrationError` if the state overflows the
     float range, underflows to 0.0, or leaves the positive domain (step too
     large for the given coefficients).
@@ -157,10 +146,10 @@ def integrate(
     steps = list(zip(grid[1:].tolist(), *_stage_table(params.pair, params.phase, grid)))
     keep_fraction = 1.0 - params.E
 
-    pieces: list[TrajectoryPiece] = []
+    samples: list[float] = []
     x = float(x0)
     for k in range(periods):
-        values = [x]
+        samples.append(x)
         for sb, h, ra, rm, re, ka, km, ke in steps:
             # one classical RK4 step of x' = r (1 - x/K) x; r and K at the
             # step's start, midpoint and end, the two midpoint stages sharing them
@@ -178,18 +167,18 @@ def integrate(
                     "r(1 - x/K) x exceeds the float range for this x0 and K"
                 )
             if not x > 0.0:
-                if x == 0.0 and values[-1] < sys.float_info.min:
+                if x == 0.0 and samples[-1] < sys.float_info.min:
                     raise _underflow(params.time(k, sb))
                 raise IntegrationError(
                     f"state became non-positive at t={params.time(k, sb)!r} (x={x!r}); "
                     "the step is too large for these coefficients"
                 )
-            values.append(x)
-        pieces.append(TrajectoryPiece(k, grid, _frozen(values)))
+            samples.append(x)
         x = keep_fraction * x
         if x == 0.0:  # a positive state times 1 - E > 0 is 0.0 only by underflow
             raise _underflow(params.time(k + 1, 0.0))
-    # close with the post-impulse state at the last impulse instant
-    pieces.append(TrajectoryPiece(periods, grid[:1], _frozen([x])))
-
-    return Trajectory(params=params, x0=float(x0), ctrl=ctrl, pieces=tuple(pieces))
+    values = np.array(samples).reshape(periods, grid.size)
+    values.setflags(write=False)
+    return Trajectory(
+        params=params, x0=float(x0), ctrl=ctrl, offsets=grid, values=values, end=x
+    )

@@ -133,10 +133,12 @@ def random_params(
 
 
 class ScalarRun(NamedTuple):
-    """Output of ``scalar_rk4``: step offsets and values per period."""
+    """Output of ``scalar_rk4``: the step offsets of a period, the values at
+    them period by period, and the post-impulse value closing the run."""
 
-    offsets: list[list[float]]
+    offsets: list[float]
     values: list[list[float]]
+    end: float
 
 
 def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
@@ -188,7 +190,7 @@ def scalar_rk4(params: ModelParams, x0: float, periods: int, h: float) -> Scalar
     (tens of microseconds per step), for tests only.
     """
     offsets = _scalar_offsets(round(1.0 / h), params)
-    run = ScalarRun([], [])
+    rows = []
     x = float(x0)
     for k in range(periods):
         values = [x]
@@ -216,14 +218,11 @@ def scalar_rk4(params: ModelParams, x0: float, periods: int, h: float) -> Scalar
                     "the step is too large for these coefficients"
                 )
             values.append(x)
-        run.offsets.append(offsets)
-        run.values.append(values)
+        rows.append(values)
         x = (1.0 - params.E) * x
         if x == 0.0:
             raise _underflow(params.t0 + (k + 1))
-    run.offsets.append([0.0])
-    run.values.append([x])
-    return run
+    return ScalarRun(offsets, rows, x)
 
 
 def _underflow(t: float) -> IntegrationError:
@@ -235,15 +234,13 @@ def _underflow(t: float) -> IntegrationError:
 
 def samples(traj) -> tuple[list[float], list[float]]:
     """Absolute times and values of an integrated path, post-impulse value
-    only at each impulse instant (the pre value, each piece's last sample,
-    is skipped)."""
-    times, values = [], []
-    last = len(traj.pieces) - 1
-    for i, piece in enumerate(traj.pieces):
-        stop = -1 if i < last else None
-        times += [traj.params.t0 + piece.segment + s for s in piece.offsets[:stop].tolist()]
-        values += piece.values[:stop].tolist()
-    return times, values
+    only at each impulse instant (the pre value, each row's last sample, is
+    skipped), the end included."""
+    periods = len(traj.values)
+    offsets = traj.offsets[:-1].tolist()
+    times = [traj.params.t0 + k + s for k in range(periods) for s in offsets]
+    values = traj.values[:, :-1].ravel().tolist()
+    return [*times, traj.params.t0 + periods], [*values, traj.end]
 
 
 _CSV_CELL = {

@@ -619,6 +619,16 @@ def test_main_overrides(capsys):
     assert len(lines) == 1 + 8 + 2  # header, 8 steps, pre+post at the impulse
 
 
+def test_main_verify_reports_the_step_that_ran(capsys):
+    # within 1e-9 of 1/100: the run takes 100 steps per unit, and says h = 1/100
+    argv = ["verify", "--config", str(GOLDEN), "--periods", "2"]
+    assert main([*argv, "--step", "0.0100000000001"]) == 0
+    near = capsys.readouterr().out
+    assert main([*argv, "--step", "0.01"]) == 0
+    assert near == capsys.readouterr().out
+    assert '"h": 0.01,' in near
+
+
 def test_main_sweep_flag_overrides_config(capsys):
     code = main(["sweep", "--config", str(GOLDEN), "--e-values", "0.1,0.3"])
     assert code == 0

@@ -484,7 +484,7 @@ def test_steps_and_panels_are_intervals_of_one_partition(r_kind, k_kind, data):
         assert lo + hi[-1:] == expected and hi == expected[1:]
 
     # a tiny state, which grows by at most e**100 over the period
-    steps = integrate(params, 1e-300, 1, StepControl(h=1.0 / 128.0)).pieces[0].offsets
+    steps = integrate(params, 1e-300, 1, StepControl(h=1.0 / 128.0)).offsets
     assert steps.tolist() == _partition(pair, params.phase, 128)
 
 

@@ -49,6 +49,10 @@ def test_step_must_divide_the_unit_interval():
     for h in (5e-324, 1e-310):  # 1/h overflows
         with pytest.raises(ValueError, match="too small"):
             StepControl(h=h)
+    # a step within 1e-9 of 1/n is kept as the step that runs, 1/n
+    assert StepControl(h=0.0100000000001).h == 0.01
+    for n in (1, 3, 100, 256, 512, 1024):
+        assert StepControl(h=1.0 / n).h == 1.0 / n
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +61,9 @@ def test_step_must_divide_the_unit_interval():
 
 
 def _jumps(traj) -> list[tuple[float, float]]:
-    """(pre, post) at each impulse: one piece's last value, the next one's first."""
-    return [(a.values[-1], b.values[0]) for a, b in zip(traj.pieces, traj.pieces[1:])]
+    """(pre, post) at each impulse: one row's last value, the next one's first
+    (the end's, at the last)."""
+    return list(zip(traj.values[:, -1].tolist(), [*traj.values[1:, 0].tolist(), traj.end]))
 
 
 def test_equilibrium_is_preserved():
@@ -70,12 +75,12 @@ def test_equilibrium_is_preserved():
 
 def test_one_period_matches_exact_flow():
     traj = integrate(golden_params(E=0.0), 50.0, 1, StepControl(h=1.0 / 256.0))
-    assert traj.pieces[0].values[-1] == pytest.approx(200.0 / 3.0, abs=1e-8)
+    assert traj.values[0, -1] == pytest.approx(200.0 / 3.0, abs=1e-8)
 
 
 def test_impulse_event_values():
     traj = integrate(golden_params(), 50.0, 3, StepControl(h=1.0 / 256.0))
-    assert [piece.segment for piece in traj.pieces] == [0, 1, 2, 3]
+    assert traj.values.shape == (3, traj.offsets.size)
     for pre, post in _jumps(traj):
         assert pre == pytest.approx(200.0 / 3.0, rel=1e-9)
         # the jump is applied algebraically, so this holds bit for bit
@@ -88,7 +93,7 @@ def test_fourth_order_convergence():
     for n in (32, 64):
         traj = integrate(p, 37.0, 1, StepControl(h=1.0 / n))
         exact = logistic_flow(LN2, 100.0, 37.0, 1.0)
-        errors.append(abs(traj.pieces[0].values[-1] - exact))
+        errors.append(abs(traj.values[0, -1] - exact))
     assert errors[0] / errors[1] >= 12.0
 
 
@@ -129,8 +134,6 @@ def test_trajectory_times_strictly_increase():
     times, _ = samples(traj)
     assert np.all(np.diff(times) > 0.0)
     assert times[0] == 0.5 and times[-1] == 4.5
-    # every period samples the same offsets
-    assert all(piece.offsets is traj.pieces[0].offsets for piece in traj.pieces[:-1])
 
 
 def test_steps_split_at_coefficient_jumps():
@@ -142,9 +145,23 @@ def test_steps_split_at_coefficient_jumps():
     )
     p = ModelParams(pair=pair, E=0.2, t0=0.4)
     traj = integrate(p, 60.0, 1, StepControl(h=1.0 / 8.0))
-    times = p.t0 + traj.pieces[0].offsets
+    times = p.t0 + traj.offsets
     for cut in (0.5, 1.0):
         assert np.any(np.abs(times - cut) < 1e-12)
+
+
+def test_pieces_count_the_steps_of_the_run():
+    # perfbench/tracer.py counts RK4 steps as below.  From t0 = 0.4, K's jumps
+    # at 0.0, 0.3 and 0.9 lie at offsets 0.6, 0.9 and 0.5: the first two fall
+    # off the grid of 8 steps per unit and add steps
+    pair = CoefficientPair(
+        r=ConstantCoefficient(1.0),
+        K=PiecewiseConstantCoefficient((0.0, 0.3, 0.9, 1.0), (80.0, 120.0, 100.0)),
+    )
+    traj = integrate(ModelParams(pair=pair, E=0.2, t0=0.4), 60.0, 3, StepControl(h=1.0 / 8.0))
+    assert traj.offsets.size == 9 + 2
+    steps = sum(len(p.times) - 1 for p in traj.pieces)
+    assert steps == 3 * (traj.offsets.size - 1) == 30
 
 
 def test_coefficient_jump_coinciding_with_impulse_instants():
@@ -156,28 +173,26 @@ def test_coefficient_jump_coinciding_with_impulse_instants():
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
     traj = integrate(p, 40.0, 3, StepControl(h=1.0 / 128.0))
-    c, table = derive_constants(p), period_table(p, traj.pieces[0].offsets)
-    for piece in traj.pieces:
-        closed = solution_grid(c, 40.0, [piece.segment], table)[0, : piece.offsets.size]
-        # a piece's last sample is the pre-impulse value, offset 1 of its period
-        np.testing.assert_allclose(piece.values, closed, rtol=1e-10)
+    c, table = derive_constants(p), period_table(p, traj.offsets)
+    closed = solution_grid(c, 40.0, range(4), table)
+    # a row's last sample is the pre-impulse value, offset 1 of its period
+    np.testing.assert_allclose(traj.values, closed[:-1], rtol=1e-10)
+    assert traj.end == pytest.approx(closed[-1, 0], rel=1e-10)
 
 
 def test_trajectory_arrays_are_read_only():
     traj = integrate(golden_params(), 50.0, 1, StepControl(h=1.0 / 16.0))
     with pytest.raises(ValueError):
-        traj.pieces[0].values[0] = -1.0
+        traj.values[0, 0] = -1.0
     with pytest.raises(ValueError):
-        traj.pieces[0].offsets[0] = -1.0
+        traj.offsets[0] = -1.0
 
 
 def test_horizon_ending_exactly_on_an_impulse():
     traj = integrate(golden_params(), 50.0, 2, StepControl(h=1.0 / 16.0))
-    assert len(traj.pieces) == 3
+    assert traj.values.shape == (2, 17)
     # the run closes with the post-impulse value at offset 0 of period 2
-    last = traj.pieces[-1]
-    assert last.segment == 2 and last.offsets.tolist() == [0.0]
-    assert last.values.tolist() == [0.75 * traj.pieces[-2].values[-1]]
+    assert traj.end == 0.75 * traj.values[-1, -1]
 
 
 @pytest.mark.parametrize(
@@ -267,10 +282,9 @@ def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
         assert str(got.value) == str(exc)
         return
     traj = integrate(params, x0, periods, ctrl)
-    assert len(traj.pieces) == len(ref.offsets)
-    for piece, offsets, values in zip(traj.pieces, ref.offsets, ref.values):
-        assert np.array_equal(piece.offsets, offsets)
-        assert np.array_equal(piece.values, values)
+    assert np.array_equal(traj.offsets, ref.offsets)
+    assert np.array_equal(traj.values, ref.values)
+    assert traj.end == ref.end
 
 
 def _rate(r: float) -> ModelParams:

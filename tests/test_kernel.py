@@ -268,16 +268,17 @@ def test_trajectory_closed_form_matches_scalar_path():
     params = random_params(np.random.default_rng(11), 2)
     traj = integrate(params, 80.0, 3, StepControl(h=1.0 / 64.0))
     c = derive_constants(params)
-    closed = trajectory_closed_form(traj, c)
+    closed, end = trajectory_closed_form(traj, c)
+    assert closed.shape == traj.values.shape
     keep = 1.0 - params.E
-    last = len(traj.pieces) - 1
-    for i, (piece, values) in enumerate(zip(traj.pieces, closed)):
-        for j, (s, value) in enumerate(zip(piece.offsets.tolist(), values)):
-            if i < last and j == len(values) - 1:
-                assert value == closed[i + 1][0] / keep  # pre row: post / (1 - E)
-            else:
-                alone = solution_grid(c, 80.0, [piece.segment], period_table(params, [s]))
-                assert value == pytest.approx(alone[0, 0], rel=1e-13)
+    # the pre column: post / (1 - E), post the next row's first value or the end's
+    assert closed[:, -1].tolist() == [v / keep for v in [*closed[1:, 0].tolist(), end]]
+    for k, row in enumerate(closed[:, :-1].tolist()):
+        for s, value in zip(traj.offsets.tolist(), row):
+            alone = solution_grid(c, 80.0, [k], period_table(params, [s]))
+            assert value == pytest.approx(alone[0, 0], rel=1e-13)
+    alone = solution_grid(c, 80.0, [len(closed)], period_table(params, [0.0]))
+    assert end == pytest.approx(alone[0, 0], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +365,8 @@ def test_integer_shift_of_t0_changes_nothing(r_kind, k_kind, data):
 
     x0, ctrl = derive_constants(base).x0_star, StepControl(h=1.0 / 32.0)
     runs = [integrate(p, x0, 2, ctrl) for p in (base, shifted)]
-    assert len(runs[1].pieces) == len(runs[0].pieces)
-    for got, want in zip(runs[1].pieces, runs[0].pieces):
-        assert np.array_equal(got.values, want.values)
+    assert np.array_equal(runs[1].values, runs[0].values)
+    assert runs[1].end == runs[0].end
 
 
 # ---------------------------------------------------------------------------
@@ -613,5 +613,5 @@ def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair
     monkeypatch.setattr(PeriodicCoefficient, "__call__", counted)
     params = ModelParams(pair=pair, E=0.25, t0=0.5)
     traj = integrate(params, 60.0, 40, ctrl)
-    assert len(traj.pieces) == 41
+    assert traj.values.shape[0] == 40
     assert calls[0] <= CALLS_PER_RUN

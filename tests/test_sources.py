@@ -1,5 +1,5 @@
-"""Source hygiene: no module defines the same top-level name twice, and
-none imports a name it never reads.
+"""Source hygiene: no module defines the same top-level name twice, none
+imports a name it never reads, and every exported name is bound.
 
 Python keeps only the later of two top-level definitions, so an earlier
 test of the same name never runs, and nothing reports it.  An import that
@@ -65,3 +65,36 @@ def test_no_module_imports_a_name_it_never_reads():
         if (unread := _unread_imports(path))
     }
     assert found == {}
+
+
+def _bound_and_exported(path: Path) -> tuple[set[str], set[str], list[str]]:
+    """Top-level names a module binds, those of them it imports, and its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound, imported, exported = set(), set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                names = {alias.asname or alias.name.split(".")[0] for alias in node.names}
+                bound |= names
+                imported |= names
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+    return bound, imported, exported
+
+
+def test_every_exported_name_is_bound():
+    package = REPO / "src" / "impulsive_logistic"
+    unbound = {}
+    for path in sorted(package.glob("*.py")):
+        bound, _, exported = _bound_and_exported(path)
+        if missing := [name for name in exported if name not in bound]:
+            unbound[path.name] = missing
+    assert unbound == {}
+    _, imported, exported = _bound_and_exported(package / "__init__.py")
+    assert sorted(exported) == sorted(imported)
