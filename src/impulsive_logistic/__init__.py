@@ -42,7 +42,6 @@ from .coefficients import (
 )
 from .integrator import (
     IntegrationError,
-    StepControl,
     Trajectory,
     integrate,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "PiecewiseConstantCoefficient",
     "SinusoidCoefficient",
     "SolutionConstants",
-    "StepControl",
     "Trajectory",
     "VerificationReport",
     "coefficient_from_dict",

@@ -78,7 +78,7 @@ from .closed_form import (
     solution_grid,
 )
 from .coefficients import DEFAULT_PANELS_PER_UNIT, forcing_integrals
-from .integrator import StepControl, Trajectory, integrate
+from .integrator import DEFAULT_STEPS_PER_UNIT, Trajectory, integrate
 
 __all__ = [
     "CheckRecord",
@@ -326,15 +326,14 @@ def _worst_deviation(traj: Trajectory, closed: tuple[np.ndarray, float]) -> tupl
     """Worst relative deviation of the samples from the closed form, and its time.
 
     Samples are decimated to _GRID_PER_PERIOD per period below offset 1,
-    then the end; at every impulse both the pre and the post value count.
+    then the end, then the pre-impulse value at offset 1 of every row: each
+    post-impulse value opens a row or is the end.
     """
-    stride = max(1, traj.ctrl.steps_per_unit // _GRID_PER_PERIOD)
+    stride = max(1, traj.steps_per_unit // _GRID_PER_PERIOD)
     periods = len(traj.values)
 
     def samples(values: np.ndarray, end: float) -> np.ndarray:
-        # each row's decimated samples, the end, then each impulse's (pre, post)
-        jumps = np.stack((values[:, -1], np.append(values[1:, 0], end)), axis=1)
-        return np.concatenate((values[:, :-1:stride].ravel(), [end], jumps.ravel()))
+        return np.concatenate((values[:, :-1:stride].ravel(), [end], values[:, -1]))
 
     ref = samples(*closed)
     # against a closed-form value of 0.0, or one out of all scale with the
@@ -348,9 +347,8 @@ def _worst_deviation(traj: Trajectory, closed: tuple[np.ndarray, float]) -> tupl
     if worst < periods * per_period:
         k, j = divmod(worst, per_period)
         s = float(traj.offsets[j * stride])
-    else:  # the end, then the (pre, post) pairs, all at offset 0 of a period
-        at = worst - periods * per_period
-        k = (at + 1) // 2 if at else periods
+    else:  # the end, then row k - 1's pre value, all at offset 0 of period k
+        k = worst - periods * per_period or periods
         s = 0.0
     return float(residual[worst]), traj.params.time(k, s)
 
@@ -359,7 +357,7 @@ def compare_solutions(
     params: ModelParams,
     x0: float,
     horizon_periods: int,
-    ctrl: StepControl | None = None,
+    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
     tol: float = DEFAULT_ORACLE_TOL,
 ) -> VerificationReport:
     """Closed form against the RK4 oracle over a whole horizon.
@@ -372,11 +370,9 @@ def compare_solutions(
     """
     if horizon_periods < 1:
         raise ValueError(f"horizon_periods must be >= 1, got {horizon_periods!r}")
-    if ctrl is None:
-        ctrl = StepControl()
     consts = derive_constants(params)
 
-    traj = integrate(params, x0, horizon_periods, ctrl)
+    traj = integrate(params, x0, horizon_periods, steps_per_unit)
     # the orbit's trajectory below runs on the same step grid
     table = period_table(params, traj.offsets)
     worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts, table=table))
@@ -387,7 +383,7 @@ def compare_solutions(
         "params": params.to_dict(),
         "x0": float(x0),
         "horizon_periods": horizon_periods,
-        "h": ctrl.h,
+        "h": 1.0 / steps_per_unit,
         "tolerance": tol,
         "grid_per_period": _GRID_PER_PERIOD,
         "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
@@ -398,7 +394,7 @@ def compare_solutions(
         if x0 == consts.x0_star:
             orbit_traj = traj
         else:
-            orbit_traj = integrate(params, consts.x0_star, horizon_periods, ctrl)
+            orbit_traj = integrate(params, consts.x0_star, horizon_periods, steps_per_unit)
         worst_p, worst_pt = _worst_deviation(
             orbit_traj, trajectory_closed_form(orbit_traj, consts, periodic=True, table=table)
         )
@@ -445,14 +441,17 @@ def fixed_point_scan(
     When the orbit exists there must be exactly one sign change of
     P(x) - x in (x_min, x_max) and its refined abscissa must match the
     anchor value within tol (relative).  Otherwise there must be no sign
-    change, with P(x) < x everywhere on the grid.
+    change, with P(x) < x everywhere on the grid.  Both bounds are finite.
     """
-    if not (0.0 < x_min < x_max):
-        raise ValueError(f"need 0 < x_min < x_max, got {x_min!r}, {x_max!r}")
+    if not (0.0 < x_min < x_max < math.inf):
+        raise ValueError(f"need 0 < x_min < x_max < inf, got {x_min!r}, {x_max!r}")
     if n < 2:
         raise ValueError(f"need at least 2 grid points, got {n!r}")
     consts = derive_constants(params)
-    grid = np.geomspace(x_min, x_max, n)
+    # a bound near the float maximum can overflow inside geomspace, which
+    # then sets both ends to the bounds themselves
+    with np.errstate(over="ignore"):
+        grid = np.geomspace(x_min, x_max, n)
     gap = poincare_map(consts, grid) - grid
 
     # on Python floats: poincare_map of a float makes no numpy call

@@ -79,7 +79,7 @@ from .coefficients import (
     coefficient_from_dict,
     compute_B,
 )
-from .integrator import IntegrationError, StepControl, integrate
+from .integrator import DEFAULT_STEPS_PER_UNIT, IntegrationError, integrate
 
 __all__ = [
     "ConfigError",
@@ -114,10 +114,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario: the model, the RK4 step and what the commands read."""
+    """A validated scenario: the model, the RK4 steps per unit and what the commands read."""
 
     params: ModelParams
-    ctrl: StepControl
+    steps_per_unit: int
     x0: float | None
     horizon_periods: int
     tolerances: Tolerances
@@ -163,12 +163,19 @@ def _require_int(value, where: str, *, minimum: int = 1) -> int:
     return value
 
 
-def _require_step(value, where: str) -> StepControl:
-    step = _require_number(value, where, positive=True)
-    try:
-        return StepControl(h=step)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _require_step(value, where: str) -> int:
+    """The number n of RK4 steps per unit that a step h makes: h must divide
+    the unit interval into n steps, within 1e-9, so that impulse instants
+    are step boundaries; the step that runs is 1/n."""
+    h = _require_number(value, where, positive=True)
+    if not math.isfinite(1.0 / h):
+        raise ConfigError(f"{where}: step h={h!r} is too small: 1/h overflows the float range")
+    n = round(1.0 / h)
+    if n < 1 or abs(n * h - 1.0) > 1e-9:
+        raise ConfigError(
+            f"{where}: step h={h!r} must divide the unit interval into a whole number of steps"
+        )
+    return n
 
 
 def _parse_coefficient(data, where: str) -> PeriodicCoefficient:
@@ -244,7 +251,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
                 f"{sys.float_info.min!r}: it carries fewer than 53 significant bits"
             )
     horizon = _require_int(data.get("horizon_periods", 10), f"{source}.horizon_periods")
-    ctrl = _require_step(data.get("step", 1.0 / 256.0), f"{source}.step")
+    steps = _require_step(data.get("step", 1.0 / DEFAULT_STEPS_PER_UNIT), f"{source}.step")
     tolerances = Tolerances()
     if "tolerances" in data:
         tolerances = _parse_tolerances(data["tolerances"], f"{source}.tolerances")
@@ -259,7 +266,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
         )
     params = ModelParams(pair=CoefficientPair(r=r, K=big_k), E=e_hold, t0=t0)
     _require_forcing_scale(params, f"{source}.K")
-    return ScenarioConfig(params, ctrl, x0, horizon, tolerances, e_values)
+    return ScenarioConfig(params, steps, x0, horizon, tolerances, e_values)
 
 
 def _require_forcing_scale(params: ModelParams, where: str) -> None:
@@ -502,7 +509,9 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """Numeric trajectory next to the closed form, with paired impulse rows."""
     params = config.params
     consts = config.constants()
-    traj = integrate(params, config.resolved_x0(consts), config.horizon_periods, config.ctrl)
+    traj = integrate(
+        params, config.resolved_x0(consts), config.horizon_periods, config.steps_per_unit
+    )
     periods, width = traj.values.shape
     closed, closed_end = trajectory_closed_form(traj, consts)
     numeric = np.append(traj.values, traj.end)
@@ -527,7 +536,7 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
 def cmd_periodic(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """The periodic orbit over one period, tiled across the horizon."""
     params = config.params
-    n = config.ctrl.steps_per_unit
+    n = config.steps_per_unit
     offsets = np.arange(n) / n
     orbit = periodic_grid(config.constants(), period_table(params, offsets)).tolist()
     periods = np.arange(config.horizon_periods)
@@ -558,21 +567,18 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
             verify_periodicity(params, periods=span, tol=tol.periodicity)
         )
     x0 = config.resolved_x0(consts)
-    reports.append(compare_solutions(params, x0, horizon, config.ctrl, tol=tol.oracle))
+    reports.append(
+        compare_solutions(params, x0, horizon, config.steps_per_unit, tol=tol.oracle)
+    )
     mean_capacity = params.K.mean
     # the scan must reach below an anchor however small it is; a tenth of a
     # subnormal anchor can round to 0.0, so the smallest float bounds it
     x_min = 1e-3 * mean_capacity
     if consts.x0_star is not None:
         x_min = min(x_min, max(consts.x0_star / 10.0, math.ulp(0.0)))
-    reports.append(
-        fixed_point_scan(
-            params,
-            x_min,
-            10.0 * mean_capacity,
-            tol=tol.fixed_point,
-        )
-    )
+    # ten times a K mean above about 1.8e307 overflows to inf
+    x_max = min(10.0 * mean_capacity, sys.float_info.max)
+    reports.append(fixed_point_scan(params, x_min, x_max, tol=tol.fixed_point))
     reports.sort(key=lambda rep: rep.check)
     return reports, consts.x0_star is not None
 
@@ -773,7 +779,7 @@ _SAMPLE_BUDGET = 2**20
 
 
 def _require_sample_budget(config: ScenarioConfig) -> None:
-    n = config.ctrl.steps_per_unit
+    n = config.steps_per_unit
     samples = n * config.horizon_periods
     if samples > _SAMPLE_BUDGET:
         raise ConfigError(
@@ -789,7 +795,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> tuple[ScenarioConfig, str]
     formats, budgeted, _ = _COMMANDS[args.command]
     fields = {}
     if args.step is not None:
-        fields["ctrl"] = _require_step(args.step, "--step")
+        fields["steps_per_unit"] = _require_step(args.step, "--step")
     if args.periods is not None:
         fields["horizon_periods"] = _require_int(args.periods, "--periods")
     if args.tol is not None:

@@ -6,12 +6,17 @@ supported (constant, sinusoid, piecewise-constant) so that every
 antiderivative is analytic; the only numerical step anywhere in the library
 is one well-conditioned quadrature over a piecewise-smooth integrand.
 
+A coefficient is read two ways: ``piece_values(t, key)``, its values at t
+on the smooth piece around key, and ``antiderivative(t)``, the exact
+integral from 0 to t.
+
 Conventions:
   * Evaluation reduces t to the fundamental period [0, 1) first, so
-    eval(t + 1) == eval(t) holds by construction.
-  * Where the periodic extension jumps, the function takes its left-limit
-    value.  The choice is measure-zero and cannot affect any integral; it
-    exists so that evaluation is well defined everywhere.
+    ``piece_values(t + 1, key + 1) == piece_values(t, key)`` holds by
+    construction.
+  * Where the periodic extension jumps, ``piece_values(t, t)`` takes its
+    left-limit value.  The choice is measure-zero and cannot affect any
+    integral; it exists so that evaluation is well defined everywhere.
 
 Derived constants (see also :mod:`impulsive_logistic.closed_form`):
   * ``G = r.mean`` -- the growth integral over one period (the period mean
@@ -88,62 +93,29 @@ _GL_WEIGHTS = np.array([float.fromhex(x) for x in (
 class PeriodicCoefficient:
     """A strictly positive period-1 function with an analytic antiderivative.
 
-    Subclasses evaluate pointwise (scalar or ndarray), expose the exact
-    antiderivative F(t) = integral from 0 to t and the exact period mean
-    ``mean`` (the integral over one period), and list the points in [0, 1)
-    where the periodic extension may jump.
-
-    Each kind writes each of its formulas once, in three helpers on the
-    split t = whole + u (whole = floor(t), u in [0, 1)): ``_angle(u)``, what
-    the two formulas share (the sinusoid's 2 pi u + phase, else u itself),
-    ``_values(angle)`` and ``_antiderivative(t, whole, angle)``.  The public
-    methods and ``CoefficientPair.ratio_and_growth`` all read them, so one
-    floor serves a pass over both values and antiderivative.
+    A kind is read two ways: ``piece_values``, its values on a smooth
+    piece, and ``antiderivative``, the exact integral from 0; neither
+    promises a Python float for a scalar t (wrap it in ``float()``).  It
+    also gives the exact period mean ``mean`` (the integral over one
+    period) and the points in [0, 1) where the periodic extension may jump.
     """
 
     kind: ClassVar[str] = ""
 
-    def _angle(self, u: np.ndarray) -> np.ndarray:
-        return u
-
-    def _values(self, angle: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _antiderivative(
-        self, t: np.ndarray, whole: np.ndarray, angle: np.ndarray
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, t: ArrayLike) -> ArrayLike:
-        arr = np.asarray(t, dtype=float)
-        out = self._values(self._angle(arr - np.floor(arr)))
-        return float(out) if np.ndim(t) == 0 else out
-
-    def antiderivative(self, t: ArrayLike) -> ArrayLike:
-        """Exact integral from 0 to t."""
-        arr = np.asarray(t, dtype=float)
-        whole = np.floor(arr)
-        out = self._antiderivative(arr, whole, self._angle(arr - whole))
-        return float(out) if np.ndim(t) == 0 else out
-
-    def piece_values(self, t: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """Values at the times t, each on the smooth piece around key[i].
+    def piece_values(self, t: ArrayLike, key: ArrayLike) -> np.ndarray:
+        """Values at the times t, each on the smooth piece around key[i];
+        with key = t, the function itself.
 
         t[i] lies in the closure of an RK4 step or a quadrature panel, and
         key[i] is its midpoint.  An end can round onto a jump, where direct
         evaluation may land on either side, so a coefficient with jumps,
         constant on each piece, takes its value at key.
         """
-        return self._piece_values(self._angle(t - np.floor(t)), key)
+        raise NotImplementedError
 
-    def _piece_values(self, angle: np.ndarray, key: np.ndarray) -> np.ndarray:
-        return self._values(angle)
-
-    def integral(self, a: float, b: float) -> float:
-        """Exact integral over [a, b]; a > b is an error."""
-        if b < a:
-            raise ValueError(f"reversed interval: a={a} > b={b}")
-        return float(self.antiderivative(b)) - float(self.antiderivative(a))
+    def antiderivative(self, t: ArrayLike) -> ArrayLike:
+        """Exact integral from 0 to t."""
+        raise NotImplementedError
 
     def breakpoints_mod1(self) -> tuple[float, ...]:
         """Points in [0, 1) where the periodic extension may jump."""
@@ -169,10 +141,10 @@ class ConstantCoefficient(PeriodicCoefficient):
     def mean(self) -> float:
         return self.value
 
-    def _values(self, angle: np.ndarray) -> np.ndarray:
-        return np.full_like(angle, self.value)
+    def piece_values(self, t, key):
+        return np.full(np.shape(t), self.value)
 
-    def _antiderivative(self, t, whole, angle) -> np.ndarray:
+    def antiderivative(self, t):
         return self.value * t
 
     def to_dict(self) -> dict:
@@ -199,16 +171,16 @@ class SinusoidCoefficient(PeriodicCoefficient):
                 f"got mean={self.mean!r}, amp={self.amp!r}"
             )
 
-    def _angle(self, u: np.ndarray) -> np.ndarray:
+    def _angle(self, t):
         # built from the reduced time, so that the integral over any whole
         # number of periods is exactly mean * length
-        return _TWO_PI * u + self.phase
+        return _TWO_PI * (t - np.floor(t)) + self.phase
 
-    def _values(self, angle: np.ndarray) -> np.ndarray:
-        return self.mean + self.amp * np.sin(angle)
+    def piece_values(self, t, key):
+        return self.mean + self.amp * np.sin(self._angle(t))
 
-    def _antiderivative(self, t, whole, angle) -> np.ndarray:
-        osc = np.cos(angle) - math.cos(self.phase)
+    def antiderivative(self, t):
+        osc = np.cos(self._angle(t)) - math.cos(self.phase)
         return self.mean * t - (self.amp / _TWO_PI) * osc
 
     def to_dict(self) -> dict:
@@ -263,18 +235,17 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
     def mean(self) -> float:
         return float(self._cum[-1])
 
-    def _values(self, u: np.ndarray) -> np.ndarray:
-        # side="left" puts u == breakpoint into the segment on its left,
-        # and u == 0.0 onto the last segment (index -1): the left limit of
-        # the periodic extension at the period boundary.
-        idx = np.searchsorted(self._bp, u, side="left") - 1
+    def piece_values(self, t, key):
+        # constant on each piece: the value at key serves every time on it.
+        # side="left" puts a key on a breakpoint into the segment on its
+        # left, and one on a whole number onto the last segment (index -1):
+        # the left limit of the periodic extension at the period boundary.
+        idx = np.searchsorted(self._bp, key - np.floor(key), side="left") - 1
         return self._vals[idx]
 
-    def _piece_values(self, u: np.ndarray, key: np.ndarray) -> np.ndarray:
-        # constant on each piece: the value at key serves every time on it
-        return self._values(key - np.floor(key))
-
-    def _antiderivative(self, t, whole, u) -> np.ndarray:
+    def antiderivative(self, t):
+        whole = np.floor(t)
+        u = t - whole
         # u >= 0 always, but it rounds up to 1.0 for t in (-2**-54, 0), the
         # one case whose index falls past the last piece
         idx = np.minimum(np.searchsorted(self._bp, u, side="right") - 1, len(self.values) - 1)
@@ -350,19 +321,10 @@ class CoefficientPair:
 
     def ratio_and_growth(self, t: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """r/K at the times t, on the pieces around key (``piece_values``),
-        and R, the antiderivative of r, at t.
-
-        One pass for the forcing quadratures: t is split into floor and
-        fraction once, and r's values and antiderivative share that split;
-        each value equals ``r.piece_values(t, key) / K.piece_values(t, key)``
-        and ``r.antiderivative(t)``, bit for bit.
-        """
-        whole = np.floor(t)
-        u = t - whole
-        r, K = self.r, self.K
-        angle = r._angle(u)
-        ratio = r._piece_values(angle, key) / K._piece_values(K._angle(u), key)
-        return ratio, r._antiderivative(t, whole, angle)
+        and R, the antiderivative of r, at t: the one evaluation pass of the
+        forcing quadratures."""
+        r = self.r
+        return r.piece_values(t, key) / self.K.piece_values(t, key), r.antiderivative(t)
 
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}

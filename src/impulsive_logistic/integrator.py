@@ -29,8 +29,8 @@ from .closed_form import ModelParams
 from .coefficients import CoefficientPair
 
 __all__ = [
+    "DEFAULT_STEPS_PER_UNIT",
     "IntegrationError",
-    "StepControl",
     "Trajectory",
     "integrate",
 ]
@@ -40,33 +40,9 @@ class IntegrationError(RuntimeError):
     """The scheme failed (the state overflowed, underflowed or turned non-positive)."""
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Step settings for the RK4 scheme.
-
-    h must divide the unit interval into a whole number n of steps, within
-    1e-9, so impulse instants are exact step boundaries; the h kept is the
-    step that runs, 1/n.
-    """
-
-    h: float = 1.0 / 256.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"step h must be positive, got {self.h!r}")
-        if not math.isfinite(1.0 / self.h):
-            raise ValueError(f"step h={self.h!r} is too small: 1/h overflows the float range")
-        n = round(1.0 / self.h)
-        if n < 1 or abs(n * self.h - 1.0) > 1e-9:
-            raise ValueError(
-                f"step h={self.h!r} must divide the unit interval into a whole "
-                "number of steps"
-            )
-        object.__setattr__(self, "h", 1.0 / n)
-
-    @property
-    def steps_per_unit(self) -> int:
-        return round(1.0 / self.h)
+#: RK4 steps per unit of time: the step h = 1/n makes every impulse instant a
+#: step boundary.
+DEFAULT_STEPS_PER_UNIT = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +58,7 @@ class Trajectory:
 
     params: ModelParams
     x0: float
-    ctrl: StepControl
+    steps_per_unit: int
     offsets: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     end: float
@@ -124,24 +100,25 @@ def integrate(
     params: ModelParams,
     x0: float,
     periods: int,
-    ctrl: StepControl | None = None,
+    steps_per_unit: int = DEFAULT_STEPS_PER_UNIT,
 ) -> Trajectory:
     """RK4-integrate the harvested logistic model over whole periods from (t0, x0).
 
     Each impulse instant t0 + k, k = 1..periods, applies the exact jump
-    x -> (1 - E) x between two rows.  Every step boundary becomes a
-    sample.  Raises :class:`IntegrationError` if the state overflows the
-    float range, underflows to 0.0, or leaves the positive domain (step too
-    large for the given coefficients).
+    x -> (1 - E) x between two rows.  A period takes ``steps_per_unit``
+    steps of width 1/n, and one more at each jump of r or K between two
+    grid points; every step boundary becomes a sample.  Raises
+    :class:`IntegrationError` if the state overflows the float range,
+    underflows to 0.0, or leaves the positive domain (step too large for
+    the given coefficients).
     """
-    if ctrl is None:
-        ctrl = StepControl()
     if not x0 > 0.0:
         raise ValueError(f"x0 must be positive, got {x0!r}")
-    if isinstance(periods, bool) or not isinstance(periods, int) or periods < 1:
-        raise ValueError(f"periods must be a positive whole number, got {periods!r}")
+    for name, count in (("periods", periods), ("steps_per_unit", steps_per_unit)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be a positive whole number, got {count!r}")
 
-    grid = params.pair.period_grid(params.phase, ctrl.steps_per_unit)
+    grid = params.pair.period_grid(params.phase, steps_per_unit)
     grid.setflags(write=False)
     steps = list(zip(grid[1:].tolist(), *_stage_table(params.pair, params.phase, grid)))
     keep_fraction = 1.0 - params.E
@@ -179,6 +156,4 @@ def integrate(
             raise _underflow(params.time(k + 1, 0.0))
     values = np.array(samples).reshape(periods, grid.size)
     values.setflags(write=False)
-    return Trajectory(
-        params=params, x0=float(x0), ctrl=ctrl, offsets=grid, values=values, end=x
-    )
+    return Trajectory(params, float(x0), steps_per_unit, grid, values, x)

@@ -6,7 +6,8 @@ chained variant applies the harvest jumps by plain multiplication, and
 ``scalar_rk4`` is the RK4 oracle stepped one scalar coefficient call at a
 time, against which the library's stage-table stepper must agree bit for bit.
 ``reference_table`` is the row-wise table emitter the CLI's column-wise one
-must match byte for byte.
+must match byte for byte.  ``reference_value`` and ``reference_integral``
+read a coefficient from its ``to_dict`` description in stdlib ``math``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +63,45 @@ def exact_B(pair: CoefficientPair, phase: float) -> float:
         math.exp(-rate * (1.0 - u1)) * -math.expm1(-rate * (u1 - u0)) / k
         for u0, u1, k in zip(edges, edges[1:], values)
     )
+
+
+def reference_value(c: PeriodicCoefficient, t: float) -> float:
+    """c at the time t, in stdlib ``math``, sharing no code with the package.
+
+    At a jump of a piecewise coefficient, the left limit: u on a breakpoint
+    lies on the piece to its left, and u = 0 on the last piece.
+    """
+    data = c.to_dict()
+    u = t - math.floor(t)
+    if data["kind"] == "constant":
+        return data["value"]
+    if data["kind"] == "sinusoid":
+        return data["mean"] + data["amp"] * math.sin(2.0 * math.pi * u + data["phase"])
+    return data["values"][bisect_left(data["breakpoints"], u) - 1]
+
+
+def reference_integral(c: PeriodicCoefficient, a: float, b: float) -> float:
+    """The integral of c over [a, b], in stdlib ``math``: F(b) - F(a), with F
+    the integral from 0, which is 0.0 at 0."""
+
+    def F(t: float) -> float:
+        data = c.to_dict()
+        whole = math.floor(t)
+        u = t - whole
+        if data["kind"] == "constant":
+            return data["value"] * t
+        if data["kind"] == "sinusoid":
+            mean, amp, phase = data["mean"], data["amp"], data["phase"]
+            osc = math.cos(2.0 * math.pi * u + phase) - math.cos(phase)
+            return mean * t - (amp / (2.0 * math.pi)) * osc
+        bp, values = data["breakpoints"], data["values"]
+        cum = list(accumulate((b1 - b0) * v for b0, b1, v in zip(bp, bp[1:], values)))
+        cum.insert(0, 0.0)
+        # u rounds up to 1.0 just below a whole number: the last piece
+        i = min(bisect_right(bp, u) - 1, len(values) - 1)
+        return whole * cum[-1] + (cum[i] + values[i] * (u - bp[i]))
+
+    return F(b) - F(a)
 
 
 def logistic_flow(r0: float, K0: float, x: float, dt: float) -> float:
@@ -122,7 +163,7 @@ def random_params(
     """Random instance with mixed coefficient kinds (cycled so all appear)."""
     r = random_coefficient(rng, _KINDS[index % 3], 0.3, 1.5)
     K = random_coefficient(rng, _KINDS[(index + 1) % 3], 50.0, 200.0)
-    growth = math.exp(r.integral(0.0, 1.0))
+    growth = math.exp(reference_integral(r, 0.0, 1.0))
     e_crit = 1.0 - 1.0 / growth
     if require_orbit:
         E = float(rng.uniform(0.15, 0.8)) * e_crit
@@ -166,12 +207,10 @@ def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
 
 
 def _frozen(c: PeriodicCoefficient, t_mid: float):
-    """c on the smooth piece around t_mid: a piecewise-constant c takes its
-    midpoint value everywhere on the step."""
-    if isinstance(c, PiecewiseConstantCoefficient):
-        value = c(t_mid)
-        return lambda t: value
-    return c
+    """c on the smooth piece around t_mid, one scalar ``piece_values`` call at
+    a time: a piecewise-constant c takes its midpoint value everywhere on
+    the step."""
+    return lambda t: float(c.piece_values(t, t_mid))
 
 
 def _rk4(rhs, t: float, x: float, h: float) -> float:
@@ -182,14 +221,14 @@ def _rk4(rhs, t: float, x: float, h: float) -> float:
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def scalar_rk4(params: ModelParams, x0: float, periods: int, h: float) -> ScalarRun:
+def scalar_rk4(params: ModelParams, x0: float, periods: int, steps_per_unit: int) -> ScalarRun:
     """The RK4 oracle one step and one scalar coefficient call at a time.
 
     Same offset grid, stage times (in phase: ``params.phase`` plus the
     offset), operation order and failure messages as ``integrate``; slow
     (tens of microseconds per step), for tests only.
     """
-    offsets = _scalar_offsets(round(1.0 / h), params)
+    offsets = _scalar_offsets(steps_per_unit, params)
     rows = []
     x = float(x0)
     for k in range(periods):

@@ -16,7 +16,6 @@ import numpy as np
 
 from impulsive_logistic import (
     NoPeriodicSolutionError,
-    StepControl,
     compare_solutions,
     derive_constants,
     fixed_point_scan,
@@ -35,6 +34,7 @@ from helpers import (
     chained_flow,
     golden_params,
     random_params,
+    reference_integral,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -115,13 +115,12 @@ def test_criterion_2_counterexample_reproduction():
 def test_criterion_3_oracle_equivalence():
     started = time.perf_counter()
     failures: list[str] = []
-    ctrl = StepControl(h=1.0 / 256.0)
 
     rng = np.random.default_rng(20240817)
     for i in range(5):
         p = random_params(rng, index=i)
-        x0 = float(rng.uniform(0.3, 1.2)) * p.K.integral(0.0, 1.0)
-        report = compare_solutions(p, x0, 10, ctrl, tol=1e-5)
+        x0 = float(rng.uniform(0.3, 1.2)) * reference_integral(p.K, 0.0, 1.0)
+        report = compare_solutions(p, x0, 10, 256, tol=1e-5)
         worst = max(rec.residual for rec in report.records)
         if worst > 1e-5:
             failures.append(f"random set {i}: worst residual {worst:.2e} > 1e-5")
@@ -157,7 +156,7 @@ def test_criterion_4_periodicity_and_fixed_point():
     if drift > 1e-10 * anchor:
         failures.append(f"|P(x0*) - x0*| = {drift:.2e} > 1e-10 * x0*")
 
-    mean_capacity = p.K.integral(0.0, 1.0)
+    mean_capacity = reference_integral(p.K, 0.0, 1.0)
     scan = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity, tol=1e-6)
     crossings = scan.metadata["crossings"]
     if len(crossings) != 1:
@@ -181,7 +180,7 @@ def test_criterion_5_exponent_sign_regression():
         c = derive_constants(params)
         k = math.floor(t - params.t0 + 1e-9)
         anchor = params.t0 + k
-        big_r = params.pair.r.integral(anchor, t)
+        big_r = reference_integral(params.pair.r, anchor, t)
         from impulsive_logistic import forcing_integrals
 
         s_k = k if abs(c.q - 1.0) < 1e-12 else (1.0 - c.q ** (-k)) / (c.q - 1.0)

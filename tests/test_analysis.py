@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ from impulsive_logistic import (
     NoPeriodicSolutionError,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    StepControl,
     VerificationReport,
     analysis,
     compare_solutions,
@@ -31,7 +31,13 @@ from impulsive_logistic import (
     verify_periodicity,
 )
 
-from helpers import bisect_100, corrupt_period_table, golden_params, random_params
+from helpers import (
+    bisect_100,
+    corrupt_period_table,
+    golden_params,
+    random_params,
+    reference_integral,
+)
 
 SINUSOID_R = ModelParams(
     pair=CoefficientPair(
@@ -203,19 +209,19 @@ def test_periodicity_grid_validation():
 
 
 def test_compare_solutions_constant_case():
-    report = compare_solutions(golden_params(), 37.0, 10, StepControl(h=1.0 / 256.0))
+    report = compare_solutions(golden_params(), 37.0, 10, 256)
     assert report.passed
     for rec in report.records:
         assert rec.residual <= 1e-6
 
 
 def test_compare_solutions_sinusoidal_rate():
-    report = compare_solutions(SINUSOID_R, 60.0, 5, StepControl(h=1.0 / 256.0), tol=1e-5)
+    report = compare_solutions(SINUSOID_R, 60.0, 5, 256, tol=1e-5)
     assert report.passed
 
 
 def test_compare_solutions_equilibrium():
-    report = compare_solutions(golden_params(E=0.0), 100.0, 3, StepControl(h=1.0 / 64.0))
+    report = compare_solutions(golden_params(E=0.0), 100.0, 3, 64)
     assert report.passed
     for rec in report.records:
         assert rec.residual <= 1e-11
@@ -225,7 +231,7 @@ def test_compare_solutions_error_decreases_as_h_halves():
     p = golden_params()
     errors = []
     for n in (16, 32, 64):
-        report = compare_solutions(p, 37.0, 5, StepControl(h=1.0 / n))
+        report = compare_solutions(p, 37.0, 5, n)
         errors.append(max(rec.residual for rec in report.records))
     floor = 1e-12
     for coarse, fine in zip(errors, errors[1:]):
@@ -234,7 +240,7 @@ def test_compare_solutions_error_decreases_as_h_halves():
 
 
 def test_compare_solutions_without_orbit_skips_periodic_record():
-    report = compare_solutions(golden_params(E=0.6), 30.0, 3, StepControl(h=1.0 / 64.0))
+    report = compare_solutions(golden_params(E=0.6), 30.0, 3, 64)
     assert report.passed
     assert len(report.records) == 1
     assert report.metadata["x0_star"] is None
@@ -259,12 +265,11 @@ def test_compare_solutions_integrates_the_anchor_once(monkeypatch, params, x0, r
         return real(*args)
 
     monkeypatch.setattr(analysis, "integrate", counted)
-    ctrl = StepControl(h=1.0 / 64.0)
-    report = compare_solutions(params, x0, 3, ctrl)
+    report = compare_solutions(params, x0, 3, 64)
     assert len(calls) == runs
     consts = derive_constants(params)
     if consts.x0_star is not None:
-        orbit = real(params, consts.x0_star, 3, ctrl)
+        orbit = real(params, consts.x0_star, 3, 64)
         closed = analysis.trajectory_closed_form(orbit, consts, periodic=True)
         assert report.records[1].residual == analysis._worst_deviation(orbit, closed)[0]
 
@@ -273,7 +278,7 @@ def test_compare_solutions_integrates_the_anchor_once(monkeypatch, params, x0, r
 def test_worst_deviation_labels_the_first_worst_sample(bent):
     # 128 steps per unit: every second sample below offset 1 counts
     params, periods = golden_params(), 3
-    traj = analysis.integrate(params, 37.0, periods, StepControl(h=1.0 / 128.0))
+    traj = analysis.integrate(params, 37.0, periods, 128)
     closed, closed_end = analysis.trajectory_closed_form(traj, derive_constants(params))
     values, end = traj.values.copy(), traj.end
     if bent == "row":
@@ -351,7 +356,7 @@ def test_fixed_point_scan_random_instances():
     for i in range(6):
         p = random_params(rng, index=i)
         anchor = derive_constants(p).x0_star
-        mean_capacity = p.K.integral(0.0, 1.0)
+        mean_capacity = reference_integral(p.K, 0.0, 1.0)
         report = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity)
         assert report.passed, report.to_text()
         assert report.metadata["crossings"][0] == pytest.approx(anchor, rel=1e-6)
@@ -373,7 +378,7 @@ def test_fixed_point_scan_no_orbit():
 def test_fixed_point_scan_at_huge_capacity_does_not_overflow(K):
     # neighbouring gaps near 1e300 have a product past the float range
     p = ModelParams(pair=CoefficientPair(r=ConstantCoefficient(math.log(2.0)), K=K), E=0.25, t0=0.5)
-    mean_capacity = p.K.integral(0.0, 1.0)
+    mean_capacity = reference_integral(p.K, 0.0, 1.0)
     report = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity)
     assert report.passed, report.to_text()
     assert report.metadata["crossings"][0] == pytest.approx(derive_constants(p).x0_star, rel=1e-6)
@@ -387,6 +392,18 @@ def test_fixed_point_scan_at_huge_growth_is_quiet():
         warnings.simplefilter("error")
         report = fixed_point_scan(p, 1e-3, 10.0)
     assert report.passed, report.to_text()
+
+
+def test_fixed_point_scan_reaches_the_largest_float():
+    # the grid's last step overflows inside geomspace, which puts the bound
+    # itself there
+    pair = CoefficientPair(r=ConstantCoefficient(1.0), K=ConstantCoefficient(1e308))
+    p = ModelParams(pair=pair, E=0.25, t0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fixed_point_scan(p, 1e305, sys.float_info.max)
+    assert report.passed, report.to_text()
+    assert report.metadata["crossings"][0] == pytest.approx(derive_constants(p).x0_star, rel=1e-15)
 
 
 def test_fixed_point_scan_records_a_zero_gap_at_its_grid_point():
@@ -438,6 +455,10 @@ def test_bisection_stops_when_the_bracket_collapses():
 def test_fixed_point_scan_validation():
     with pytest.raises(ValueError, match="x_min"):
         fixed_point_scan(golden_params(), -1.0, 10.0)
+    # a bound past the float range would put nan into the grid
+    for x_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="x_max < inf"):
+            fixed_point_scan(golden_params(), 1.0, x_max)
     with pytest.raises(ValueError, match="grid"):
         fixed_point_scan(golden_params(), 1.0, 10.0, n=1)
 

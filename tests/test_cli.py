@@ -35,9 +35,8 @@ from impulsive_logistic.cli import (
 from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
 from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
-from impulsive_logistic.integrator import StepControl
 
-from helpers import corrupt_period_table, exact_B
+from helpers import corrupt_period_table, exact_B, reference_integral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = CONFIG_DIR / "golden_constant.json"
@@ -73,7 +72,7 @@ def test_defaults_applied():
     config = parse_config(_json_config())
     assert config.params.t0 == 0.5
     assert config.horizon_periods == 10
-    assert config.ctrl == StepControl(h=1.0 / 256.0)
+    assert config.steps_per_unit == 256
     assert config.tolerances == Tolerances()
     assert config.x0 is None and config.e_values is None
 
@@ -530,6 +529,36 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert ".E" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "step, steps_per_unit",
+    [(1.0 / 256.0, 256), (1.0 / 3.0, 3), (1.0, 1), (0.0100000000001, 100)],
+)
+def test_a_step_is_kept_as_its_whole_number_of_steps(tmp_path, step, steps_per_unit):
+    # a step within 1e-9 of 1/n runs as 1/n, in the file and by --step
+    assert cli._require_step(step, "--step") == steps_per_unit
+    cfg = tmp_path / "step.json"
+    cfg.write_text(json.dumps(_json_config(step=step)), encoding="utf-8")
+    assert load_config(cfg).steps_per_unit == steps_per_unit
+
+
+def test_step_must_divide_the_unit_interval(tmp_path):
+    cases = [
+        (0.3, "step h=0.3 must divide the unit interval into a whole number of steps"),
+        (-0.1, "must be positive, got -0.1"),
+        (1e-320, "step h=1e-320 is too small: 1/h overflows the float range"),
+        (5e-324, "step h=5e-324 is too small: 1/h overflows the float range"),
+    ]
+    for step, message in cases:
+        with pytest.raises(ConfigError) as err:
+            cli._require_step(step, "--step")
+        assert str(err.value) == f"--step: {message}"
+        cfg = tmp_path / "step.json"
+        cfg.write_text(json.dumps(_json_config(step=step)), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert str(err.value) == f"{cfg}.step: {message}"
+
+
 def test_main_step_too_small_for_its_reciprocal_exit_2(tmp_path, capsys):
     # 1/h overflows a float at these steps: a config error, not a traceback
     assert main(["constants", "--config", str(SINUSOID), "--step", "5e-324"]) == 2
@@ -565,7 +594,7 @@ def test_commands_without_samples_take_any_horizon(capsys, command):
 @pytest.mark.parametrize("step, periods", [(2.0**-11, 512), (2.0**-20, 1), (1.0, 2**20)])
 def test_the_sample_budget_admits_its_own_size(step, periods):
     config = dataclasses.replace(
-        load_config(GOLDEN), ctrl=StepControl(h=step), horizon_periods=periods
+        load_config(GOLDEN), steps_per_unit=round(1.0 / step), horizon_periods=periods
     )
     cli._require_sample_budget(config)  # exactly the budget: no error
     over = dataclasses.replace(config, horizon_periods=periods + 1)
@@ -578,8 +607,12 @@ def test_the_sample_budget_admits_its_own_size(step, periods):
     [
         {"kind": "constant", "value": 1e300},
         {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [1e300, 5e299]},
+        # ten times the mean of K overflows: the scan's upper bound is the
+        # largest float
+        {"kind": "constant", "value": 1e308},
+        {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [1e308, 5e307]},
     ],
-    ids=["constant", "piecewise"],
+    ids=["constant", "piecewise", "constant-1e308", "piecewise-1e308"],
 )
 def test_main_verify_at_huge_capacity_prints_no_warning(tmp_path, capsys, K):
     cfg = tmp_path / "huge_k.json"
@@ -1081,7 +1114,7 @@ def _scenarios(draw) -> dict:
     r = draw(_coefficient_dicts(_magnitude(-3, 3)))
     scenario = {"r": r, "K": draw(_coefficient_dicts(_magnitude(-300, 300)))}
     # harvest fractions anywhere, and within a few ulp of the critical one
-    e_star = -math.expm1(-coefficient_from_dict(r).integral(0.0, 1.0))
+    e_star = -math.expm1(-reference_integral(coefficient_from_dict(r), 0.0, 1.0))
     near = st.integers(-4, 4).map(
         lambda n: min(max(e_star + n * math.ulp(e_star), 0.0), 1.0 - 2.0**-53)
     )

@@ -15,7 +15,6 @@ from impulsive_logistic import (
     ModelParams,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    StepControl,
     closed_form,
     coefficient_from_dict,
     compute_B,
@@ -27,7 +26,7 @@ from impulsive_logistic import coefficients
 from impulsive_logistic.coefficients import forcing_integrals
 from numpy.polynomial.legendre import leggauss
 
-from helpers import exact_B, random_coefficient
+from helpers import exact_B, random_coefficient, reference_integral, reference_value
 
 LN2 = math.log(2.0)
 
@@ -39,32 +38,37 @@ PWC = PiecewiseConstantCoefficient(breakpoints=(0.0, 0.5, 1.0), values=(1.0, 2.0
 # ---------------------------------------------------------------------------
 
 
+def _at(c, t: float) -> float:
+    """The function itself at t: its piece around t."""
+    return float(c.piece_values(t, t))
+
+
 def test_constant_eval_anywhere():
     c = ConstantCoefficient(0.693147)
-    assert c(17.3) == 0.693147
-    assert c(-4.25) == 0.693147
+    assert _at(c, 17.3) == 0.693147
+    assert _at(c, -4.25) == 0.693147
 
 
 def test_sinusoid_eval_quarter_period():
     c = SinusoidCoefficient(mean=0.7, amp=0.2, phase=0.0)
-    assert c(0.25) == pytest.approx(0.9, rel=1e-15)
+    assert _at(c, 0.25) == pytest.approx(0.9, rel=1e-15)
 
 
 def test_piecewise_eval_interior_values():
-    assert PWC(0.25) == 1.0
-    assert PWC(0.75) == 2.0
-    assert PWC(1.75) == 2.0
-    assert PWC(-0.25) == 2.0
+    assert _at(PWC, 0.25) == 1.0
+    assert _at(PWC, 0.75) == 2.0
+    assert _at(PWC, 1.75) == 2.0
+    assert _at(PWC, -0.25) == 2.0
 
 
 def test_piecewise_eval_left_limit_at_jumps():
     # At a jump the periodic extension takes its left-limit value: the
     # first segment's value at the interior breakpoint, and the last
     # segment's value at the period boundary.
-    assert PWC(0.5) == 1.0
-    assert PWC(0.0) == 2.0
-    assert PWC(1.0) == 2.0
-    assert PWC(3.5) == 1.0
+    assert _at(PWC, 0.5) == 1.0
+    assert _at(PWC, 0.0) == 2.0
+    assert _at(PWC, 1.0) == 2.0
+    assert _at(PWC, 3.5) == 1.0
 
 
 def test_eval_is_periodic():
@@ -72,16 +76,16 @@ def test_eval_is_periodic():
     for kind in ("constant", "sinusoid", "piecewise"):
         c = random_coefficient(rng, kind, 0.3, 1.5)
         for t in rng.uniform(-3.0, 7.0, size=50):
-            assert c(t + 1.0) == pytest.approx(c(t), rel=1e-12)
+            assert _at(c, t + 1.0) == pytest.approx(_at(c, t), rel=1e-12)
 
 
 def test_vectorized_eval_matches_scalar():
     c = SinusoidCoefficient(mean=0.7, amp=0.2, phase=0.4)
     ts = np.linspace(-1.0, 2.0, 17)
-    out = c(ts)
+    out = c.piece_values(ts, ts)
     assert out.shape == ts.shape
     for t, v in zip(ts, out):
-        assert v == c(float(t))
+        assert v == _at(c, float(t))
 
 
 def test_stage_values_match_scalar_calls_bit_for_bit():
@@ -97,7 +101,39 @@ def test_stage_values_match_scalar_calls_bit_for_bit():
         for times, values in zip(stages, got):
             if kind == "piecewise":  # the midpoint value at every stage
                 times = stages[1]
-            assert np.array_equal(values, [c(float(t)) for t in times])
+            assert np.array_equal(values, [_at(c, float(t)) for t in times])
+
+
+# np.sin and np.cos against math.sin and math.cos: each is within an ulp of
+# the true value, so two of them differ by at most 2 ulps of a number in
+# [-1, 1], that is 2**-52.  A sinusoid's value, mean + amp sin, then sits
+# within 4 ulps of mean + |amp| of the reference, and its antiderivative,
+# mean t - amp / (2 pi) (cos - cos(phase)), within 4 ulps of |mean t| + |amp|.
+# The other kinds take no transcendental function and match exactly.
+def _value_slack(c) -> float:
+    return 4.0 * math.ulp(c.mean + abs(c.amp)) if c.kind == "sinusoid" else 0.0
+
+
+def _antiderivative_slack(c, t: float) -> float:
+    return 4.0 * math.ulp(abs(c.mean * t) + abs(c.amp)) if c.kind == "sinusoid" else 0.0
+
+
+@pytest.mark.parametrize("kind", ["constant", "sinusoid", "piecewise"])
+def test_each_kind_matches_its_stdlib_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(8):
+        c = random_coefficient(rng, kind, 0.3, 1.5)
+        jumps = [b + m for b in c.breakpoints_mod1() for m in (-2.0, 0.0, 1.0, 1e6)]
+        ulp_off = [math.nextafter(u, d) for u in jumps for d in (-math.inf, math.inf)]
+        times = [*rng.uniform(-3.0, 7.0, 100).tolist(), *rng.uniform(0.0, 1e8, 20).tolist()]
+        for t in times + jumps + ulp_off:
+            got, want = _at(c, t), reference_value(c, t)
+            assert abs(got - want) <= _value_slack(c), (c, t)
+            got, want = float(c.antiderivative(t)), reference_integral(c, 0.0, t)
+            assert abs(got - want) <= _antiderivative_slack(c, t), (c, t)
+        t = np.array(times)
+        assert c.piece_values(t, t).tolist() == [_at(c, u) for u in times]
+        assert c.antiderivative(t).tolist() == [float(c.antiderivative(u)) for u in times]
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +172,22 @@ def test_piecewise_construction_guards():
 # ---------------------------------------------------------------------------
 
 
+def _integral(c, a: float, b: float) -> float:
+    return float(c.antiderivative(b)) - float(c.antiderivative(a))
+
+
 def test_antiderivative_constant():
     c = ConstantCoefficient(LN2)
-    assert c.integral(0.5, 1.5) == pytest.approx(LN2, rel=1e-15)
+    assert _integral(c, 0.5, 1.5) == pytest.approx(LN2, rel=1e-15)
 
 
 def test_antiderivative_sinusoid_full_period():
     c = SinusoidCoefficient(mean=0.7, amp=0.2, phase=0.0)
-    assert c.integral(0.0, 1.0) == pytest.approx(0.7, abs=1e-15)
+    assert c.antiderivative(1.0) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_antiderivative_piecewise_two_periods():
-    assert PWC.integral(0.0, 2.0) == pytest.approx(3.0, rel=1e-15)
+    assert PWC.antiderivative(2.0) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_antiderivative_matches_quadrature():
@@ -160,13 +200,8 @@ def test_antiderivative_matches_quadrature():
         a, b = -0.7, 1.9
         s = np.linspace(a, b, 200_001)
         mid = 0.5 * (s[1:] + s[:-1])
-        brute = float(np.sum(c(mid)) * (s[1] - s[0]))
-        assert c.integral(a, b) == pytest.approx(brute, rel=rel)
-
-
-def test_reversed_interval_is_an_error():
-    with pytest.raises(ValueError, match="reversed"):
-        PWC.integral(1.0, 0.0)
+        brute = float(np.sum(c.piece_values(mid, mid)) * (s[1] - s[0]))
+        assert _integral(c, a, b) == pytest.approx(brute, rel=rel)
 
 
 def test_antiderivative_is_additive():
@@ -175,8 +210,8 @@ def test_antiderivative_is_additive():
         c = random_coefficient(rng, kind, 0.3, 1.5)
         for _ in range(20):
             a, b, x = np.sort(rng.uniform(-2.0, 5.0, size=3))
-            whole = c.integral(a, x)
-            split = c.integral(a, b) + c.integral(b, x)
+            whole = _integral(c, a, x)
+            split = _integral(c, a, b) + _integral(c, b, x)
             assert split == pytest.approx(whole, rel=1e-14, abs=1e-14)
 
 
@@ -224,20 +259,23 @@ def _pair_and_times(draw, r_kind: str, k_kind: str):
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_the_pair_pass_is_the_coefficients_own_evaluation(r_kind, k_kind, data):
+    # against the stdlib reference: exact without a sinusoid, and with one
+    # within the slack of each sinusoid's values relative to its smallest
+    # value, mean - |amp|, and the division's rounding
     pair, times = data.draw(_pair_and_times(r_kind, k_kind))
+    r, K = pair.r, pair.K
+    rel = sum(_value_slack(c) / (c.mean - abs(c.amp)) for c in (r, K) if c.kind == "sinusoid")
+    rel += math.ulp(1.0) if rel else 0.0
     t = np.array(times)
-    ratio, growth = pair.ratio_and_growth(t, t)
-    assert ratio.tobytes() == (pair.r(t) / pair.K(t)).tobytes()
-    assert growth.tobytes() == pair.r.antiderivative(t).tobytes()
-    for time, got_ratio, got_growth in zip(times, ratio.tolist(), growth.tolist()):
-        assert got_ratio == pair.r(time) / pair.K(time)
-        assert got_growth == pair.r.antiderivative(time)
     # keyed on other times, a coefficient with jumps reads its value there
-    key = t[::-1].copy()
-    ratio, keyed_growth = pair.ratio_and_growth(t, key)
-    assert keyed_growth.tobytes() == growth.tobytes()
-    r_values, K_values = (c(key) if c.kind == "piecewise" else c(t) for c in (pair.r, pair.K))
-    assert ratio.tobytes() == (r_values / K_values).tobytes()
+    for key in (t, t[::-1].copy()):
+        ratio, growth = pair.ratio_and_growth(t, key)
+        for time, at, got, big_r in zip(times, key.tolist(), ratio.tolist(), growth.tolist()):
+            r_at, K_at = (at if c.kind == "piecewise" else time for c in (r, K))
+            want = reference_value(r, r_at) / reference_value(K, K_at)
+            assert abs(got - want) <= rel * want
+            want = reference_integral(r, 0.0, time)
+            assert abs(big_r - want) <= _antiderivative_slack(r, time)
 
 
 @pytest.mark.parametrize("kind", ["constant", "sinusoid", "piecewise"])
@@ -246,7 +284,7 @@ def test_the_pair_pass_is_the_coefficients_own_evaluation(r_kind, k_kind, data):
 def test_the_period_mean_is_the_integral_over_one_period(kind, data):
     c = data.draw(_KIND_STRATEGIES[kind])
     assert type(c.mean) is float
-    assert c.mean == c.integral(0.0, 1.0)
+    assert c.mean == c.antiderivative(1.0) == reference_integral(c, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +298,7 @@ def test_A_equals_exp_integral_over_any_unit_window():
         c = random_coefficient(rng, kind, 0.3, 1.5)
         a_ref = _growth_factor(c)
         for start in rng.uniform(-2.0, 4.0, size=25):
-            shifted = math.exp(c.integral(start, start + 1.0))
+            shifted = math.exp(reference_integral(c, start, start + 1.0))
             assert shifted == pytest.approx(a_ref, rel=1e-12)
 
 
@@ -399,7 +437,7 @@ def _window_alone(pair, start, s, panels_per_unit):
     gl_nodes, gl_weights = leggauss(10)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     t, key, end = start + (mid[:, None] + half[:, None] * gl_nodes), start + mid[:, None], start + s
-    r, K = (c(key) if c.kind == "piecewise" else c(t) for c in (pair.r, pair.K))
+    r, K = (c.piece_values(t, key) for c in (pair.r, pair.K))
     decay = np.exp(pair.r.antiderivative(t) - pair.r.antiderivative(end))
     forcing = float(np.dot((half[:, None] * gl_weights).ravel(), (r / K * decay).ravel()))
     return forcing, float(pair.r.antiderivative(end)) - float(pair.r.antiderivative(start))
@@ -451,7 +489,7 @@ def test_forcing_integral_empty_interval():
     assert forcing_integrals(pair, 0.7, (0.0,)) == ([0.0], [0.0])
     forcing, growth = forcing_integrals(pair, 0.7, (0.0, 0.5))
     assert forcing[0] == growth[0] == 0.0 and forcing[1] > 0.0
-    assert growth[1] == pair.r.integral(0.7, 0.7 + 0.5)
+    assert growth[1] == reference_integral(pair.r, 0.7, 0.7 + 0.5)
     with pytest.raises(ValueError, match="offsets must lie in"):
         forcing_integrals(pair, 1.0, (-0.5,))
 
@@ -484,7 +522,7 @@ def test_steps_and_panels_are_intervals_of_one_partition(r_kind, k_kind, data):
         assert lo + hi[-1:] == expected and hi == expected[1:]
 
     # a tiny state, which grows by at most e**100 over the period
-    steps = integrate(params, 1e-300, 1, StepControl(h=1.0 / 128.0)).offsets
+    steps = integrate(params, 1e-300, 1, 128).offsets
     assert steps.tolist() == _partition(pair, params.phase, 128)
 
 

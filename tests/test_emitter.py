@@ -19,7 +19,6 @@ from impulsive_logistic import cli
 from impulsive_logistic.cli import _cells, _dump_json, _table, _time_cells, main
 from impulsive_logistic.closed_form import ModelParams
 from impulsive_logistic.coefficients import CoefficientPair, coefficient_from_dict
-from impulsive_logistic.integrator import StepControl
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -214,7 +213,7 @@ def test_time_column_formats_each_offset_once_per_binade(monkeypatch):
 
     monkeypatch.setattr(cli, "_float_repr", counted)
     config = cli.load_config(CONFIG_DIR / "sinusoid_r.json")
-    config = dataclasses.replace(config, horizon_periods=200, ctrl=StepControl(h=1.0 / 128))
+    config = dataclasses.replace(config, horizon_periods=200, steps_per_unit=128)
     rows = len(cli.cmd_periodic(config, "csv")[0].splitlines()) - 1
     assert rows == 200 * 128
     binades = len({math.frexp(config.params.t0 + k)[1] for k in range(201)})

@@ -16,7 +16,6 @@ from impulsive_logistic import (
     ModelParams,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    StepControl,
     derive_constants,
     integrate,
     period_table,
@@ -29,30 +28,11 @@ from helpers import (
     golden_params,
     logistic_flow,
     random_params,
+    reference_integral,
+    reference_value,
     samples,
     scalar_rk4,
 )
-
-
-# ---------------------------------------------------------------------------
-# step control
-# ---------------------------------------------------------------------------
-
-
-def test_step_must_divide_the_unit_interval():
-    assert StepControl(h=1.0 / 256.0).steps_per_unit == 256
-    assert StepControl(h=1.0 / 3.0).steps_per_unit == 3
-    with pytest.raises(ValueError, match="whole"):
-        StepControl(h=0.3)
-    with pytest.raises(ValueError, match="positive"):
-        StepControl(h=-0.1)
-    for h in (5e-324, 1e-310):  # 1/h overflows
-        with pytest.raises(ValueError, match="too small"):
-            StepControl(h=h)
-    # a step within 1e-9 of 1/n is kept as the step that runs, 1/n
-    assert StepControl(h=0.0100000000001).h == 0.01
-    for n in (1, 3, 100, 256, 512, 1024):
-        assert StepControl(h=1.0 / n).h == 1.0 / n
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +47,19 @@ def _jumps(traj) -> list[tuple[float, float]]:
 
 
 def test_equilibrium_is_preserved():
-    traj = integrate(golden_params(E=0.0), 100.0, 5, StepControl(h=1.0 / 64.0))
+    traj = integrate(golden_params(E=0.0), 100.0, 5, 64)
     _, values = samples(traj)
     assert np.all(np.abs(np.asarray(values) - 100.0) < 1e-11)
     assert len(_jumps(traj)) == 5 and all(pre == post for pre, post in _jumps(traj))
 
 
 def test_one_period_matches_exact_flow():
-    traj = integrate(golden_params(E=0.0), 50.0, 1, StepControl(h=1.0 / 256.0))
+    traj = integrate(golden_params(E=0.0), 50.0, 1, 256)
     assert traj.values[0, -1] == pytest.approx(200.0 / 3.0, abs=1e-8)
 
 
 def test_impulse_event_values():
-    traj = integrate(golden_params(), 50.0, 3, StepControl(h=1.0 / 256.0))
+    traj = integrate(golden_params(), 50.0, 3, 256)
     assert traj.values.shape == (3, traj.offsets.size)
     for pre, post in _jumps(traj):
         assert pre == pytest.approx(200.0 / 3.0, rel=1e-9)
@@ -91,7 +71,7 @@ def test_fourth_order_convergence():
     p = golden_params(E=0.0)
     errors = []
     for n in (32, 64):
-        traj = integrate(p, 37.0, 1, StepControl(h=1.0 / n))
+        traj = integrate(p, 37.0, 1, n)
         exact = logistic_flow(LN2, 100.0, 37.0, 1.0)
         errors.append(abs(traj.values[0, -1] - exact))
     assert errors[0] / errors[1] >= 12.0
@@ -99,7 +79,7 @@ def test_fourth_order_convergence():
 
 def test_agrees_with_chained_flow_over_ten_periods():
     p = golden_params()
-    traj = integrate(p, 37.0, 10, StepControl(h=1.0 / 256.0))
+    traj = integrate(p, 37.0, 10, 256)
     worst = 0.0
     for t, v in zip(*samples(traj)):
         ref = chained_flow(LN2, 100.0, 0.25, 0.5, 37.0, t)
@@ -114,9 +94,9 @@ def test_positivity_is_preserved():
     rng = np.random.default_rng(53)
     for i in range(6):
         p = random_params(rng, index=i)
-        k_max = max(p.K(float(t)) for t in np.linspace(0.0, 1.0, 65))
+        k_max = max(reference_value(p.K, float(t)) for t in np.linspace(0.0, 1.0, 65))
         x0 = float(rng.uniform(1e-3, 2.0 * k_max))
-        traj = integrate(p, x0, 3, StepControl(h=1.0 / 64.0))
+        traj = integrate(p, x0, 3, 64)
         assert all(v > 0.0 for v in samples(traj)[1])
 
 
@@ -127,10 +107,13 @@ def test_validation_errors():
     for periods in (0, 2.5, True):
         with pytest.raises(ValueError, match="periods"):
             integrate(p, 50.0, periods)
+    for steps in (0, -4, 1.0 / 256.0, 256.0, True):
+        with pytest.raises(ValueError, match="steps_per_unit must be a positive whole number"):
+            integrate(p, 50.0, 3, steps)
 
 
 def test_trajectory_times_strictly_increase():
-    traj = integrate(golden_params(), 50.0, 4, StepControl(h=1.0 / 32.0))
+    traj = integrate(golden_params(), 50.0, 4, 32)
     times, _ = samples(traj)
     assert np.all(np.diff(times) > 0.0)
     assert times[0] == 0.5 and times[-1] == 4.5
@@ -144,7 +127,7 @@ def test_steps_split_at_coefficient_jumps():
         K=ConstantCoefficient(100.0),
     )
     p = ModelParams(pair=pair, E=0.2, t0=0.4)
-    traj = integrate(p, 60.0, 1, StepControl(h=1.0 / 8.0))
+    traj = integrate(p, 60.0, 1, 8)
     times = p.t0 + traj.offsets
     for cut in (0.5, 1.0):
         assert np.any(np.abs(times - cut) < 1e-12)
@@ -158,7 +141,7 @@ def test_pieces_count_the_steps_of_the_run():
         r=ConstantCoefficient(1.0),
         K=PiecewiseConstantCoefficient((0.0, 0.3, 0.9, 1.0), (80.0, 120.0, 100.0)),
     )
-    traj = integrate(ModelParams(pair=pair, E=0.2, t0=0.4), 60.0, 3, StepControl(h=1.0 / 8.0))
+    traj = integrate(ModelParams(pair=pair, E=0.2, t0=0.4), 60.0, 3, 8)
     assert traj.offsets.size == 9 + 2
     steps = sum(len(p.times) - 1 for p in traj.pieces)
     assert steps == 3 * (traj.offsets.size - 1) == 30
@@ -172,7 +155,7 @@ def test_coefficient_jump_coinciding_with_impulse_instants():
         K=ConstantCoefficient(100.0),
     )
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
-    traj = integrate(p, 40.0, 3, StepControl(h=1.0 / 128.0))
+    traj = integrate(p, 40.0, 3, 128)
     c, table = derive_constants(p), period_table(p, traj.offsets)
     closed = solution_grid(c, 40.0, range(4), table)
     # a row's last sample is the pre-impulse value, offset 1 of its period
@@ -181,7 +164,7 @@ def test_coefficient_jump_coinciding_with_impulse_instants():
 
 
 def test_trajectory_arrays_are_read_only():
-    traj = integrate(golden_params(), 50.0, 1, StepControl(h=1.0 / 16.0))
+    traj = integrate(golden_params(), 50.0, 1, 16)
     with pytest.raises(ValueError):
         traj.values[0, 0] = -1.0
     with pytest.raises(ValueError):
@@ -189,7 +172,7 @@ def test_trajectory_arrays_are_read_only():
 
 
 def test_horizon_ending_exactly_on_an_impulse():
-    traj = integrate(golden_params(), 50.0, 2, StepControl(h=1.0 / 16.0))
+    traj = integrate(golden_params(), 50.0, 2, 16)
     assert traj.values.shape == (2, 17)
     # the run closes with the post-impulse value at offset 0 of period 2
     assert traj.end == 0.75 * traj.values[-1, -1]
@@ -249,13 +232,13 @@ def _coefficients(low: float, high: float):
 @st.composite
 def _runs(draw):
     pair = CoefficientPair(r=draw(_coefficients(0.2, 3.0)), K=draw(_coefficients(10.0, 500.0)))
-    e_crit = 1.0 - math.exp(-pair.r.integral(0.0, 1.0))
+    e_crit = 1.0 - math.exp(-reference_integral(pair.r, 0.0, 1.0))
     # t0 below the step (stage time ta + h differs from the next bound),
     # ordinary, and large with a phase that is not dyadic
     t0 = draw(st.one_of(st.just(1e-3), st.floats(0.05, 3.0), st.floats(1e5, 1e7)))
     params = ModelParams(pair=pair, E=draw(st.floats(0.0, 0.95)) * e_crit, t0=t0)
-    ctrl = StepControl(h=2.0 ** -draw(st.integers(0, 8)))
-    return params, draw(st.floats(1.0, 1000.0)), draw(st.integers(1, 3)), ctrl
+    steps = 2 ** draw(st.integers(0, 8))
+    return params, draw(st.floats(1.0, 1000.0)), draw(st.integers(1, 3)), steps
 
 
 def _one_step_past_a_jump(t0: float, cut: float):
@@ -265,23 +248,22 @@ def _one_step_past_a_jump(t0: float, cut: float):
         r=SinusoidCoefficient(mean=1.0, amp=0.5, phase=0.3),
         K=PiecewiseConstantCoefficient(breakpoints=(0.0, cut, 1.0), values=(100.0, 150.0)),
     )
-    ctrl = StepControl(h=1.0)
-    return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, 1, ctrl
+    return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, 1, 1
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(run=_runs())
 @example(run=_one_step_past_a_jump(0.2652284551781802, 0.8980443450745145))
 def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
-    params, x0, periods, ctrl = run
+    params, x0, periods, steps = run
     try:
-        ref = scalar_rk4(params, x0, periods, ctrl.h)
+        ref = scalar_rk4(params, x0, periods, steps)
     except IntegrationError as exc:
         with pytest.raises(IntegrationError) as got:
-            integrate(params, x0, periods, ctrl)
+            integrate(params, x0, periods, steps)
         assert str(got.value) == str(exc)
         return
-    traj = integrate(params, x0, periods, ctrl)
+    traj = integrate(params, x0, periods, steps)
     assert np.array_equal(traj.offsets, ref.offsets)
     assert np.array_equal(traj.values, ref.values)
     assert traj.end == ref.end
@@ -295,30 +277,30 @@ def _rate(r: float) -> ModelParams:
 def _underflow_case():
     # each harvest keeps 1e-16 of the state; the jump at t = 21.5 leaves 0.0
     pair = CoefficientPair(r=ConstantCoefficient(0.1), K=ConstantCoefficient(100.0))
-    return ModelParams(pair=pair, E=0.9999999999999999, t0=0.5), 50.0, 30, 0.25
+    return ModelParams(pair=pair, E=0.9999999999999999, t0=0.5), 50.0, 30, 4
 
 
 def test_underflow_at_a_jump_names_the_jump():
-    params, x0, periods, h = _underflow_case()
+    params, x0, periods, steps = _underflow_case()
     for horizon in (periods, 21):  # past that jump, and ending on it
         with pytest.raises(IntegrationError, match=r"underflowed to 0\.0 by t=21\.5: "):
-            integrate(params, x0, horizon, StepControl(h=h))
+            integrate(params, x0, horizon, steps)
 
 
 @pytest.mark.parametrize(
     "case, message",
     [
-        ((golden_params(), 1e308, 1, 1.0 / 256.0), "state overflowed at t=0.50390625"),
+        ((golden_params(), 1e308, 1, 256), "state overflowed at t=0.50390625"),
         (_underflow_case(), "state underflowed to 0.0 by t=21.5"),
-        ((_rate(2.0), 250.0, 3, 1.0), "state became non-positive at t=1.5"),
+        ((_rate(2.0), 250.0, 3, 1), "state became non-positive at t=1.5"),
     ],
     ids=["overflow", "underflow", "non-positive"],
 )
 def test_scalar_rk4_fails_with_the_messages_of_integrate(case, message):
-    params, x0, periods, h = case
+    params, x0, periods, steps = case
     with pytest.raises(IntegrationError) as ref:
-        scalar_rk4(params, x0, periods, h)
+        scalar_rk4(params, x0, periods, steps)
     with pytest.raises(IntegrationError) as got:
-        integrate(params, x0, periods, StepControl(h=h))
+        integrate(params, x0, periods, steps)
     assert str(ref.value) == str(got.value)
     assert str(got.value).startswith(message)

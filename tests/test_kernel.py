@@ -17,10 +17,8 @@ from impulsive_logistic import (
     CoefficientPair,
     ConstantCoefficient,
     ModelParams,
-    PeriodicCoefficient,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    StepControl,
     analysis,
     cli,
     closed_form,
@@ -38,9 +36,10 @@ from impulsive_logistic import (
 )
 from impulsive_logistic.coefficients import forcing_integrals
 
-from helpers import corrupt_period_table, golden_params, random_params
+from helpers import corrupt_period_table, golden_params, random_params, reference_integral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+KINDS = (ConstantCoefficient, SinusoidCoefficient, PiecewiseConstantCoefficient)
 
 # Fixed seed and a bounded example count keep the suite fast and repeatable.
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -80,7 +79,7 @@ def coefficient(low: float, high: float):
 @st.composite
 def models(draw) -> ModelParams:
     pair = CoefficientPair(r=draw(coefficient(0.2, 3.0)), K=draw(coefficient(10.0, 500.0)))
-    e_crit = 1.0 - math.exp(-pair.r.integral(0.0, 1.0))
+    e_crit = 1.0 - math.exp(-reference_integral(pair.r, 0.0, 1.0))
     E = draw(st.floats(0.0, 0.95)) * e_crit
     return ModelParams(pair=pair, E=E, t0=draw(dyadic_t0))
 
@@ -96,7 +95,7 @@ def test_table_matches_scalar_quadrature(params, offsets):
     table = period_table(params, offsets)
     for s, growth, forcing in zip(offsets, table.growth, table.forcing):
         assert growth == pytest.approx(
-            params.r.integral(params.t0, params.t0 + s), rel=1e-12, abs=1e-14
+            reference_integral(params.r, params.t0, params.t0 + s), rel=1e-12, abs=1e-14
         )
         window = forcing_integrals(params.pair, params.t0, (s,))[0][0]
         assert forcing == pytest.approx(window, rel=1e-12)
@@ -129,7 +128,7 @@ def test_legacy_grid_is_d_over_the_moving_window_integral(r_kind, k_kind, data):
         r=data.draw(coefficient_kinds(0.2, 50.0)[r_kind]),
         K=data.draw(coefficient_kinds(10.0, 500.0)[k_kind]),
     )
-    e_crit = -math.expm1(-pair.r.integral(0.0, 1.0))
+    e_crit = -math.expm1(-reference_integral(pair.r, 0.0, 1.0))
     E = data.draw(st.floats(0.0, 0.95)) * e_crit
     params = ModelParams(pair=pair, E=E, t0=data.draw(dyadic_t0))
     offsets = data.draw(dyadic_offsets)
@@ -193,7 +192,7 @@ def test_log_space_branch_matches_direct_formula(k):
     table = period_table(params, offsets)
     got = solution_grid(consts, x0, [k], table)[0]
     for s, value in zip(offsets, got):
-        decay = math.exp(-params.r.integral(params.t0, params.t0 + s))
+        decay = math.exp(-reference_integral(params.r, params.t0, params.t0 + s))
         forcing = forcing_integrals(params.pair, params.t0, (s,))[0][0]
         geometric = (1.0 - q ** (-k)) / (q - 1.0)
         recip = decay / (x0 * q**k) + consts.A * consts.B * geometric * decay + forcing
@@ -231,7 +230,7 @@ def test_solution_grid_near_threshold_matches_a_decimal_reference(ulps):
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        G, B = D(params.r.integral(0.0, 1.0)), D(derive_constants(params).B)
+        G, B = D(reference_integral(params.r, 0.0, 1.0)), D(derive_constants(params).B)
         d = (1 - D(E)) - (-G).exp()
         ln_q = (1 - D(E)).ln() + G
         for k, row in zip(ks, got):
@@ -266,7 +265,7 @@ def test_harvest_next_to_one_keeps_ln_q_accurate(G):
 
 def test_trajectory_closed_form_matches_scalar_path():
     params = random_params(np.random.default_rng(11), 2)
-    traj = integrate(params, 80.0, 3, StepControl(h=1.0 / 64.0))
+    traj = integrate(params, 80.0, 3, 64)
     c = derive_constants(params)
     closed, end = trajectory_closed_form(traj, c)
     assert closed.shape == traj.values.shape
@@ -349,7 +348,7 @@ def test_integer_shift_of_t0_changes_nothing(r_kind, k_kind, data):
         r=data.draw(coefficient_kinds(0.2, 3.0)[r_kind]),
         K=data.draw(coefficient_kinds(10.0, 500.0)[k_kind]),
     )
-    e_crit = 1.0 - math.exp(-pair.r.integral(0.0, 1.0))
+    e_crit = 1.0 - math.exp(-reference_integral(pair.r, 0.0, 1.0))
     E = data.draw(st.floats(0.0, 0.95)) * e_crit
     f = data.draw(st.integers(1, 63)) / 64.0
     n = data.draw(st.integers(1, 2**40))
@@ -363,8 +362,8 @@ def test_integer_shift_of_t0_changes_nothing(r_kind, k_kind, data):
     orbits = [periodic_grid(derive_constants(p), t) for p, t in zip((base, shifted), tables)]
     assert np.array_equal(orbits[1], orbits[0])
 
-    x0, ctrl = derive_constants(base).x0_star, StepControl(h=1.0 / 32.0)
-    runs = [integrate(p, x0, 2, ctrl) for p in (base, shifted)]
+    x0 = derive_constants(base).x0_star
+    runs = [integrate(p, x0, 2, 32) for p in (base, shifted)]
     assert np.array_equal(runs[1].values, runs[0].values)
     assert runs[1].end == runs[0].end
 
@@ -450,23 +449,28 @@ def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
 @pytest.fixture
 def evaluated_nodes(monkeypatch):
     """Count every node at which a coefficient or its antiderivative is
-    evaluated: by a coefficient's own methods, at RK4 stages or in the
-    pair's one pass."""
+    evaluated: by each kind's own methods, at RK4 stages or in the pair's
+    one pass, which counts its nodes once for the three calls it makes."""
     count = [0]
+    inside = [False]
 
     def counted(method):
         def wrapper(self, t, *key):
+            if inside[0]:
+                return method(self, t, *key)
             count[0] += np.size(t)
-            return method(self, t, *key)
+            inside[0] = True
+            try:
+                return method(self, t, *key)
+            finally:
+                inside[0] = False
 
         return wrapper
 
-    for owner, name in (
-        (PeriodicCoefficient, "__call__"),
-        (PeriodicCoefficient, "antiderivative"),
-        (PeriodicCoefficient, "piece_values"),
+    for owner, name in [
+        *((kind, name) for kind in KINDS for name in ("piece_values", "antiderivative")),
         (CoefficientPair, "ratio_and_growth"),
-    ):
+    ]:
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     compute_B.cache_clear()  # count the constants' quadrature too
     return count
@@ -590,7 +594,7 @@ CALLS_PER_RUN = 6
 
 
 # the default step, and 4 times as many steps for the same count of calls
-@pytest.mark.parametrize("ctrl", [None, StepControl(h=1.0 / 1024.0)])
+@pytest.mark.parametrize("steps_per_unit", [None, 1024])
 @pytest.mark.parametrize(
     "pair",
     [
@@ -602,16 +606,20 @@ CALLS_PER_RUN = 6
     ],
     ids=["sinusoid-constant", "piecewise-sinusoid"],
 )
-def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair, ctrl):
+def test_integrate_calls_coefficients_per_stretch_not_per_step(monkeypatch, pair, steps_per_unit):
     calls = [0]
-    call = PeriodicCoefficient.__call__
 
-    def counted(self, t):
-        calls[0] += 1
-        return call(self, t)
+    def counted(method):
+        def wrapper(self, t, key):
+            calls[0] += 1
+            return method(self, t, key)
 
-    monkeypatch.setattr(PeriodicCoefficient, "__call__", counted)
+        return wrapper
+
+    for kind in KINDS:
+        monkeypatch.setattr(kind, "piece_values", counted(kind.piece_values))
     params = ModelParams(pair=pair, E=0.25, t0=0.5)
-    traj = integrate(params, 60.0, 40, ctrl)
+    steps = () if steps_per_unit is None else (steps_per_unit,)
+    traj = integrate(params, 60.0, 40, *steps)
     assert traj.values.shape[0] == 40
-    assert calls[0] <= CALLS_PER_RUN
+    assert 0 < calls[0] <= CALLS_PER_RUN

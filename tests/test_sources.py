@@ -1,5 +1,6 @@
 """Source hygiene: no module defines the same top-level name twice, none
-imports a name it never reads, and every exported name is bound.
+imports a name it never reads, every exported name is bound, and no package
+module reads a private attribute of another object.
 
 Python keeps only the later of two top-level definitions, so an earlier
 test of the same name never runs, and nothing reports it.  An import that
@@ -98,3 +99,27 @@ def test_every_exported_name_is_bound():
     assert unbound == {}
     _, imported, exported = _bound_and_exported(package / "__init__.py")
     assert sorted(exported) == sorted(imported)
+
+
+def _private_reads(path: Path) -> list[str]:
+    """Attributes with a leading underscore, dunders aside, read off anything
+    but ``self`` or ``cls``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_no_package_module_reads_a_private_attribute_of_another_object():
+    # a class that needs another's hook should call its public method
+    found = {
+        path.name: reads
+        for path in sorted((REPO / "src" / "impulsive_logistic").glob("*.py"))
+        if (reads := _private_reads(path))
+    }
+    assert found == {}

@@ -1,0 +1,172 @@
+"""Named source mutations, each run against the tier-1 tests.
+
+Usage:
+
+    python tools/mutants.py
+
+The repository's ``src/``, ``tests/``, ``configs/``, ``pyproject.toml`` and
+``README.md`` are copied to a temporary directory.  Each mutation replaces
+one exact snippet of one source file there (the snippet must occur exactly
+once), runs ``pytest -x`` on the copy and puts the file back.  A
+``conftest.py`` at the copy's root loads a hypothesis profile without the
+shrink phase: a property that fails is reported at the first failing
+example instead of being shrunk, which on its own can take minutes.  The
+unmutated copy runs first and must pass.
+
+One line per mutation: the first test that failed (the mutation is
+killed), ``SURVIVED`` (every test passed: a missing test, or an equivalent
+mutation to be named as such), or ``TIMEOUT``.  Exit status 0 when every
+mutation was killed, else 1.  Standard library only; not a tier-1 test.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "configs", "pyproject.toml", "README.md")
+TIMEOUT = 300.0  # seconds per pytest run
+
+CONFTEST = '''\
+from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate], database=None
+)
+settings.load_profile("mutants")
+'''
+
+COEFFICIENTS = "src/impulsive_logistic/coefficients.py"
+CLOSED_FORM = "src/impulsive_logistic/closed_form.py"
+ANALYSIS = "src/impulsive_logistic/analysis.py"
+INTEGRATOR = "src/impulsive_logistic/integrator.py"
+CLI = "src/impulsive_logistic/cli.py"
+
+# name -> (file, snippet, replacement)
+MUTATIONS = {
+    "period-grid-drops-a-jump": (
+        COEFFICIENTS,
+        "return sorted_union(np.arange(n + 1) / n, jumps)",
+        "return sorted_union(np.arange(n + 1) / n, jumps[1:])",
+    ),
+    "reference-at-64-panels": (
+        ANALYSIS,
+        "REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT",
+        "REFERENCE_PANELS_PER_UNIT = DEFAULT_PANELS_PER_UNIT",
+    ),
+    "geometric-sum-times-1+1e-7": (
+        CLOSED_FORM,
+        "total = -np.expm1(-k * consts.ln_q) / consts.d",
+        "total = -np.expm1(-k * consts.ln_q) / consts.d * (1.0 + 1e-7)",
+    ),
+    "C(1)-times-1+1e-4": (
+        CLOSED_FORM,
+        "    forcing = np.ldexp(forcing, scale)\n",
+        "    forcing = np.ldexp(forcing, scale)\n"
+        "    forcing[-1] *= 1.0 + (1e-4 if s[-1] == 1.0 else 0.0)\n",
+    ),
+    "piecewise-piece-values-reads-t": (
+        COEFFICIENTS,
+        'np.searchsorted(self._bp, key - np.floor(key), side="left")',
+        'np.searchsorted(self._bp, t - np.floor(t), side="left")',
+    ),
+    "sinusoid-antiderivative-without-cos-phase": (
+        COEFFICIENTS,
+        "osc = np.cos(self._angle(t)) - math.cos(self.phase)",
+        "osc = np.cos(self._angle(t))",
+    ),
+    "piecewise-antiderivative-side-left": (
+        COEFFICIENTS,
+        'np.searchsorted(self._bp, u, side="right")',
+        'np.searchsorted(self._bp, u, side="left")',
+    ),
+    "fixed-point-cap-removed": (
+        CLI,
+        "x_max = min(10.0 * mean_capacity, sys.float_info.max)",
+        "x_max = 10.0 * mean_capacity",
+    ),
+    "legacy-grid-with-d-for-E*": (
+        CLOSED_FORM,
+        "consts.d / (consts.B * table.decay + consts.e_star * table.forcing)",
+        "consts.d / (consts.B * table.decay + consts.d * table.forcing)",
+    ),
+    "rk4-second-stage-at-the-start": (
+        INTEGRATOR,
+        "k2 = rm * (1.0 - y / km) * y",
+        "k2 = ra * (1.0 - y / ka) * y",
+    ),
+    "worst-deviation-skips-the-pre-values": (
+        ANALYSIS,
+        "values[:, :-1:stride].ravel(), [end], values[:, -1]",
+        "values[:, :-1:stride].ravel(), [end], values[:, 0]",
+    ),
+}
+
+
+def _copy(dest: Path) -> None:
+    for name in COPIED:
+        src = REPO / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+    (dest / "conftest.py").write_text(CONFTEST, encoding="utf-8")
+
+
+def _run(copy: Path) -> str:
+    """The first failing test's id, "" when every test passes, or "TIMEOUT"."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"]
+    try:
+        done = subprocess.run(
+            command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT
+        )
+    except subprocess.TimeoutExpired:
+        return "TIMEOUT"
+    if done.returncode == 0:
+        return ""
+    for line in done.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 2)[1]
+    return f"pytest exit {done.returncode}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        for name, (path, snippet, _) in MUTATIONS.items():  # each snippet must be in the source
+            found = (copy / path).read_text(encoding="utf-8").count(snippet)
+            if found != 1:
+                print(f"{name}: the snippet occurs {found} times in {path}", file=sys.stderr)
+                return 2
+        started = time.perf_counter()
+        baseline = _run(copy)
+        if baseline:
+            print(f"unmutated copy fails: {baseline}", file=sys.stderr)
+            return 2
+        print(f"unmutated copy passes ({time.perf_counter() - started:.0f} s)", flush=True)
+        survived = 0
+        for name, (path, snippet, replacement) in MUTATIONS.items():
+            target = copy / path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(snippet, replacement), encoding="utf-8")
+            started = time.perf_counter()
+            try:
+                outcome = _run(copy)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if outcome in ("", "TIMEOUT"):
+                survived += 1
+            verdict = outcome if outcome else "SURVIVED"
+            print(f"{name}: {verdict} ({time.perf_counter() - started:.0f} s)", flush=True)
+    return 1 if survived else 0
+
+if __name__ == "__main__":
+    sys.exit(main())
