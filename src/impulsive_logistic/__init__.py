@@ -16,18 +16,17 @@ from .analysis import (
 )
 from .closed_form import (
     AnchorUnderflowError,
-    ImpulseLimits,
     ModelParams,
     NoPeriodicSolutionError,
     PeriodTable,
     SolutionConstants,
     derive_constants,
     legacy_grid,
-    one_sided_limits,
     period_table,
     periodic_grid,
     periodic_orbit_mean,
     poincare_map,
+    require_orbit,
     solution_grid,
 )
 from .coefficients import (
@@ -53,7 +52,6 @@ __all__ = [
     "CheckRecord",
     "CoefficientPair",
     "ConstantCoefficient",
-    "ImpulseLimits",
     "IntegrationError",
     "ModelParams",
     "NoPeriodicSolutionError",
@@ -72,11 +70,11 @@ __all__ = [
     "forcing_integrals",
     "integrate",
     "legacy_grid",
-    "one_sided_limits",
     "period_table",
     "periodic_grid",
     "periodic_orbit_mean",
     "poincare_map",
+    "require_orbit",
     "solution_grid",
     "trajectory_closed_form",
     "verify_impulse_condition",

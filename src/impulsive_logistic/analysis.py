@@ -9,8 +9,8 @@ The checks:
     instants.  The corrected periodic formula must jump by the harvested
     fraction; the legacy formula is expected to be continuous there, which
     is precisely why it is wrong whenever E > 0.
-  * ``verify_periodicity`` -- x*(t + 1) = x*(t) on a grid of offsets, in
-    each of the first few periods.
+  * ``verify_periodicity`` -- x*(t + 1) = x*(t) at the 16 offsets j/16,
+    in each of the first few periods.
   * ``compare_solutions`` -- closed form against the RK4 oracle.
   * ``fixed_point_scan`` -- sign changes of the period-advance map against
     the identity: exactly one positive fixed point when E < E*, none
@@ -71,10 +71,10 @@ from .closed_form import (
     SolutionConstants,
     derive_constants,
     legacy_grid,
-    one_sided_limits,
     period_table,
     periodic_grid,
     poincare_map,
+    require_orbit,
     solution_grid,
 )
 from .coefficients import DEFAULT_PANELS_PER_UNIT, forcing_integrals
@@ -101,6 +101,12 @@ REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT
 
 # compare_solutions decimates the oracle's samples to this many per period.
 _GRID_PER_PERIOD = 64
+
+# the offsets j/16 into each period at which verify_periodicity checks the orbit
+_PERIODICITY_OFFSETS = tuple(j / 16.0 for j in range(16))
+
+# the log-spaced grid points of fixed_point_scan
+_SCAN_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -206,11 +212,11 @@ def verify_impulse_condition(
         raise ValueError(f"impulse indices must be positive, got {ks!r}")
 
     consts = derive_constants(params)
-    analytic = one_sided_limits(consts)  # raises when there is no orbit
+    anchor = require_orbit(consts)
     if table is None:
         table = period_table(params, [0.0, 1.0])
     if which == "corrected":
-        rows = solution_grid(consts, analytic.post, [k - 1 for k in ks] + list(ks), table)
+        rows = solution_grid(consts, anchor, [k - 1 for k in ks] + list(ks), table)
         limits = zip(rows[: len(ks), 1].tolist(), rows[len(ks) :, 0].tolist())
     else:
         post, pre = legacy_grid(consts, table).tolist()
@@ -239,8 +245,8 @@ def verify_impulse_condition(
         "estimates": estimates,
     }
     if which == "corrected":
-        metadata["analytic_pre"] = analytic.pre
-        metadata["analytic_post"] = analytic.post
+        metadata["analytic_pre"] = anchor / (1.0 - params.E)
+        metadata["analytic_post"] = anchor
     return VerificationReport(
         check=f"impulse condition ({which})", records=tuple(records), metadata=metadata
     )
@@ -248,43 +254,35 @@ def verify_impulse_condition(
 
 def verify_periodicity(
     params: ModelParams,
-    grid: Sequence[float] | None = None,
     periods: int = 5,
     tol: float = DEFAULT_PERIODICITY_TOL,
 ) -> VerificationReport:
-    """Check x*(t + 1) = x*(t) at t = t0 + k + offset for k < periods.
+    """Check x*(t + 1) = x*(t) at t = t0 + k + j/16 for k < periods, j < 16.
 
     The kernel side is the solution started at x0_star, at period index k
     and the offset, from ``solution_grid`` over one period table; the
     reference is the orbit at that offset from the window quadrature
     ``forcing_integrals`` at twice the kernel's panels, which holds in
-    every period.  The report keeps
-    one record per (k, offset), each from its own k.
+    every period.  The report keeps one record per (k, offset), each from
+    its own k.
     """
-    if grid is None:
-        grid = tuple(j / 16.0 for j in range(16))
-    grid = tuple(float(o) for o in grid)
-    if any(not (0.0 <= o < 1.0) for o in grid):
-        raise ValueError("grid offsets must lie in [0, 1)")
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods!r}")
 
     consts = derive_constants(params)
-    offsets, where = np.unique(grid, return_inverse=True)
-    table = period_table(params, offsets)
-    anchor = one_sided_limits(consts).post  # x0_star; raises when there is no orbit
-    kernel = solution_grid(consts, anchor, range(periods), table)[:, where]
-    reference = _orbit_by_quadrature(params, consts, grid)
+    table = period_table(params, _PERIODICITY_OFFSETS)
+    kernel = solution_grid(consts, require_orbit(consts), range(periods), table)
+    reference = _orbit_by_quadrature(params, consts, _PERIODICITY_OFFSETS)
     # a kernel value of 0.0 (C(s) out of all scale with B) has no relative
     # residual, and fails
     records = [
         CheckRecord(f"k={k} offset={off:g}", abs(ref - now) / now if now else math.inf, tol)
         for k, row in enumerate(kernel.tolist())
-        for off, now, ref in zip(grid, row, reference)
+        for off, now, ref in zip(_PERIODICITY_OFFSETS, row, reference)
     ]
     metadata = {
         "params": params.to_dict(),
-        "grid": list(grid),
+        "grid": list(_PERIODICITY_OFFSETS),
         "periods": periods,
         "tolerance": tol,
         "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
@@ -408,14 +406,14 @@ def compare_solutions(
     )
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 100) -> float:
-    """A root of f in [lo, hi] by at most ``iters`` bisections.
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of f in [lo, hi] by at most 100 bisections.
 
     Stops once the midpoint is no longer strictly inside the bracket (lo
     and hi are adjacent floats): every further step would return it too.
     """
     flo = f(lo)
-    for _ in range(iters):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
@@ -433,10 +431,9 @@ def fixed_point_scan(
     params: ModelParams,
     x_min: float,
     x_max: float,
-    n: int = 512,
     tol: float = DEFAULT_FIXED_POINT_TOL,
 ) -> VerificationReport:
-    """Scan the period-advance map for fixed points on a log-spaced grid.
+    """Scan the period-advance map for fixed points on a 512-point log-spaced grid.
 
     When the orbit exists there must be exactly one sign change of
     P(x) - x in (x_min, x_max) and its refined abscissa must match the
@@ -445,13 +442,11 @@ def fixed_point_scan(
     """
     if not (0.0 < x_min < x_max < math.inf):
         raise ValueError(f"need 0 < x_min < x_max < inf, got {x_min!r}, {x_max!r}")
-    if n < 2:
-        raise ValueError(f"need at least 2 grid points, got {n!r}")
     consts = derive_constants(params)
     # a bound near the float maximum can overflow inside geomspace, which
     # then sets both ends to the bounds themselves
     with np.errstate(over="ignore"):
-        grid = np.geomspace(x_min, x_max, n)
+        grid = np.geomspace(x_min, x_max, _SCAN_POINTS)
     gap = poincare_map(consts, grid) - grid
 
     # on Python floats: poincare_map of a float makes no numpy call
@@ -486,7 +481,7 @@ def fixed_point_scan(
         "params": params.to_dict(),
         "x_min": float(x_min),
         "x_max": float(x_max),
-        "n": n,
+        "n": _SCAN_POINTS,
         "tolerance": tol,
         "crossings": crossings,
         "x0_star": consts.x0_star,

@@ -27,10 +27,10 @@ Exit status: 0 on success and for ``verify``/``counterexample`` when every
 check lands as expected; 1 when a check fails or the requested orbit does
 not exist; 2 for configuration or usage errors, including a growth rate
 whose integral over one period overflows A = exp(integral of r), a
-capacity K so small that the forcing integral B overflows a float, an
-orbit anchor d / B that underflows to 0.0, and a ``simulate``, ``verify``
-or ``periodic`` run of more than 2**20 samples (steps per unit times
-horizon periods, after the flags).
+forcing integral B that overflows a float (K too small) or underflows to
+0.0 (r/K too small), an orbit anchor d / B that underflows to 0.0, and a
+``simulate``, ``verify`` or ``periodic`` run of more than 2**20 samples
+(steps per unit times horizon periods, after the flags).
 
 A plain command line (a command, then ``--name value`` pairs) is read
 without loading argparse; see ``_plain_args``.  Every other line, help and
@@ -134,7 +134,7 @@ class ScenarioConfig:
             return self.x0
         if consts.x0_star is not None:
             return consts.x0_star
-        return self.params.K.mean
+        return self.params.pair.K.mean
 
 
 def _require_number(
@@ -270,17 +270,19 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
 
 
 def _require_forcing_scale(params: ModelParams, where: str) -> None:
-    """B, the denominator of the orbit anchor x0_star = d / B, must fit a float.
+    """B, the denominator of the orbit anchor x0_star = d / B, must be a nonzero float.
 
     B is cached per (pair, phase), so the commands reuse this quadrature.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        _, forcing = compute_B(params.pair, params.phase)
+        forcing = compute_B(params.pair, params.phase)
     if not math.isfinite(forcing):
         raise ConfigError(
             f"{where}: the forcing integral B of r/K overflows the float range "
             "(K is too small for r)"
         )
+    if forcing == 0.0:
+        raise ConfigError(f"{where}: the forcing integral B of r/K underflows to 0.0")
 
 
 def load_config(path: Path | str) -> ScenarioConfig:
@@ -309,11 +311,6 @@ def load_config(path: Path | str) -> ScenarioConfig:
 # --------------------------------------------------------------------------
 # output helpers
 # --------------------------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    """Shortest decimal string that round-trips the float."""
-    return repr(float(value))
 
 
 # how one Python scalar reads as a table cell, per format and exact type
@@ -494,13 +491,13 @@ def cmd_constants(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
             "critical_harvest": consts.e_star,
         }
         return _dump_json(report), 0
-    anchor = _fmt(consts.x0_star) if consts.x0_star is not None else "none: (1-E)A <= 1"
+    anchor = consts.x0_star if consts.x0_star is not None else "none: (1-E)A <= 1"
     lines = [
-        f"A            {_fmt(consts.A)}",
-        f"B            {_fmt(consts.B)}",
-        f"(1-E)A       {_fmt(consts.q)}",
+        f"A            {consts.A!r}",
+        f"B            {consts.B!r}",
+        f"(1-E)A       {consts.q!r}",
         f"x0_star      {anchor}",
-        f"E_critical   {_fmt(consts.e_star)}",
+        f"E_critical   {consts.e_star!r}",
     ]
     return "\n".join(lines) + "\n", 0
 
@@ -570,7 +567,7 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
     reports.append(
         compare_solutions(params, x0, horizon, config.steps_per_unit, tol=tol.oracle)
     )
-    mean_capacity = params.K.mean
+    mean_capacity = params.pair.K.mean
     # the scan must reach below an anchor however small it is; a tenth of a
     # subnormal anchor can round to 0.0, so the smallest float bounds it
     x_min = 1e-3 * mean_capacity

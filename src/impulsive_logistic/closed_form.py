@@ -31,7 +31,7 @@ post-impulse value.
 
 When d > 0 (equivalently q = (1 - E) A > 1) the model has a unique
 positive period-1 orbit; its post-impulse anchor value is x0_star = d / B,
-the fixed point of the period-advance (Poincare) map, and
+the fixed point of the Poincare map, returned by ``require_orbit``, and
 
     x*(s) = d / (B exp(-R(s)) + d C(s)).
 
@@ -62,18 +62,17 @@ from .coefficients import (
 
 __all__ = [
     "AnchorUnderflowError",
-    "ImpulseLimits",
     "ModelParams",
     "NoPeriodicSolutionError",
     "PeriodTable",
     "SolutionConstants",
     "derive_constants",
     "legacy_grid",
-    "one_sided_limits",
     "period_table",
     "periodic_grid",
     "periodic_orbit_mean",
     "poincare_map",
+    "require_orbit",
     "solution_grid",
 ]
 
@@ -105,14 +104,6 @@ class ModelParams:
             raise ValueError(f"anchor time t0 must be positive, got {self.t0!r}")
 
     @property
-    def r(self):
-        return self.pair.r
-
-    @property
-    def K(self):
-        return self.pair.K
-
-    @property
     def phase(self) -> float:
         """frac(t0): the impulses fall at this point of the coefficients' period.
 
@@ -134,13 +125,6 @@ class ModelParams:
         d = self.pair.to_dict()
         d.update({"E": self.E, "t0": self.t0})
         return d
-
-
-class ImpulseLimits(NamedTuple):
-    """One-sided values of the periodic orbit at an impulse instant."""
-
-    pre: float
-    post: float
 
 
 @dataclass(frozen=True)
@@ -181,13 +165,16 @@ class SolutionConstants:
 def derive_constants(params: ModelParams) -> SolutionConstants:
     """Compute G, B, E*, the margin d, ln q and (when d > 0) the anchor x0_star.
 
-    G and B come from ``compute_B``, cached per (pair, phase); the rest is
-    scalar arithmetic in E.  Raises ``AnchorUnderflowError`` when the orbit
-    exists but its anchor d / B rounds to 0.0, which no computation can
-    start from.
+    G is the period mean of r and B comes from ``compute_B``, cached per
+    (pair, phase); the rest is scalar arithmetic in E.  Raises
+    ``ValueError`` when B is 0.0 (the forcing quadrature underflows), and
+    ``AnchorUnderflowError`` when the orbit exists but its anchor d / B
+    rounds to 0.0, which no computation can start from.
     """
     E = params.E
-    G, B = compute_B(params.pair, params.phase)
+    G, B = params.pair.r.mean, compute_B(params.pair, params.phase)
+    if B == 0.0:
+        raise ValueError("the forcing integral B of r/K underflows to 0.0 (r/K is too small)")
     e_star = -math.expm1(-G)
     # d = E* - E = (1 - E) - exp(-G).  For E >= 1/2, 1 - E is exact and the
     # second form carries only the rounding of exp(-G), while E* - E carries
@@ -208,12 +195,14 @@ def derive_constants(params: ModelParams) -> SolutionConstants:
     return SolutionConstants(E=E, G=G, B=B, e_star=e_star, d=d, ln_q=ln_q, x0_star=x0_star)
 
 
-def _require_orbit(consts: SolutionConstants) -> None:
+def require_orbit(consts: SolutionConstants) -> float:
+    """The orbit anchor x0_star; raises ``NoPeriodicSolutionError`` when d <= 0."""
     if consts.x0_star is None:
         raise NoPeriodicSolutionError(
             "no positive periodic solution: (1-E)A = "
             f"{consts.q!r} <= 1 (need E < {consts.e_star!r})"
         )
+    return consts.x0_star
 
 
 class PeriodTable(NamedTuple):
@@ -224,7 +213,6 @@ class PeriodTable(NamedTuple):
     By periodicity these hold from every impulse instant t0 + k.
     """
 
-    offsets: np.ndarray
     growth: np.ndarray
     decay: np.ndarray
     forcing: np.ndarray
@@ -275,7 +263,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
 
     at = np.searchsorted(edges, s)
     growth = growth[at]
-    return PeriodTable(offsets=s, growth=growth, decay=np.exp(-growth), forcing=forcing[at])
+    return PeriodTable(growth=growth, decay=np.exp(-growth), forcing=forcing[at])
 
 
 def solution_grid(
@@ -284,7 +272,7 @@ def solution_grid(
     """Solution started at x(t0) = x0, at t = t0 + k + s for every period
     index k in ``periods`` and every offset s of ``table``.
 
-    Returns an array of shape (len(periods), len(table.offsets)).  With R
+    Returns an array of shape (len(periods), len(table.growth)).  With R
     and C from the table, d the harvest margin and q the net multiplier,
 
         x = x0 / (exp(-R) (q**-k + x0 B (1 - q**-k) / d) + x0 C),
@@ -325,7 +313,7 @@ def periodic_grid(consts: SolutionConstants, table: PeriodTable) -> np.ndarray:
     which is ``solution_grid`` at the fixed-point anchor x0_star = d / B, for
     any k.  At offset 0 (R = C = 0) it returns x0_star bit for bit.
     """
-    _require_orbit(consts)
+    require_orbit(consts)
     return consts.d / (consts.B * table.decay + consts.d * table.forcing)
 
 
@@ -346,20 +334,8 @@ def legacy_grid(consts: SolutionConstants, table: PeriodTable) -> np.ndarray:
     same value d / B on both sides of every impulse, so it cannot satisfy
     the jump rule x(tau+) = (1 - E) x(tau-) for any E > 0.
     """
-    _require_orbit(consts)
+    require_orbit(consts)
     return consts.d / (consts.B * table.decay + consts.e_star * table.forcing)
-
-
-def one_sided_limits(consts: SolutionConstants) -> ImpulseLimits:
-    """Pre/post values of the periodic orbit at every impulse instant.
-
-        pre  = d / (B (1 - E)),    post = d / B = x0_star,
-
-    so post = (1 - E) * pre: the orbit loses exactly the harvested fraction.
-    """
-    _require_orbit(consts)
-    post = consts.x0_star
-    return ImpulseLimits(pre=post / (1.0 - consts.E), post=post)
 
 
 def periodic_orbit_mean(
@@ -393,7 +369,8 @@ def poincare_map(consts: SolutionConstants, x0: float | np.ndarray) -> float | n
     E* - E subtraction, so the fixed-point scan does not share the anchor's
     formula.  x0 is a float, mapped in plain float arithmetic, or an array
     of states, mapped elementwise.  Where x0 B overflows, the map is the
-    same expression divided through by x0, (1 - E) / (B + exp(-G) / x0).
+    same expression divided through by x0, (1 - E) / (B + exp(-G) / x0),
+    which is (1 - E) / B exactly.
     """
     is_array = isinstance(x0, np.ndarray)
     if not (np.all(x0 > 0.0) if is_array else x0 > 0.0):
@@ -402,10 +379,10 @@ def poincare_map(consts: SolutionConstants, x0: float | np.ndarray) -> float | n
     with np.errstate(over="ignore"):  # replaced below
         load = x0 * forcing
     mapped = keep * x0 / (decay + load)
+    # x0 B overflows only when x0 > DBL_MAX / B, so exp(-G) / x0 < B 2**-1023,
+    # far below half an ulp of B: B + exp(-G) / x0 rounds to B itself
     if is_array:
-        over = np.isinf(load)
-        if over.any():
-            mapped[over] = keep / (forcing + decay / x0[over])
+        mapped[np.isinf(load)] = keep / forcing
     elif math.isinf(load):
-        mapped = keep / (forcing + decay / x0)
+        mapped = keep / forcing
     return mapped

@@ -25,7 +25,7 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
   * ``B`` -- the unit-window forcing integral of (r/K) weighted by the decay
     ``exp(-integral of r)``; it is the forced response of the reciprocal
     form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.  G and B do
-    not depend on E: ``compute_B`` returns both, cached per (pair, phase).
+    not depend on E: ``compute_B`` returns B, cached per (pair, phase).
 
 The forcing quadrature is ``forcing_integrals``: any number of windows
 [start, start + s] from one start, each with its own decay and sum, and
@@ -122,7 +122,13 @@ class PeriodicCoefficient:
         return ()
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The kind and each constructor field, tuples as lists: the schema."""
+        data = {"kind": self.kind}
+        for f in fields(self):
+            if f.init:
+                value = getattr(self, f.name)
+                data[f.name] = list(value) if isinstance(value, tuple) else value
+        return data
 
 
 @dataclass(frozen=True)
@@ -142,13 +148,11 @@ class ConstantCoefficient(PeriodicCoefficient):
         return self.value
 
     def piece_values(self, t, key):
-        return np.full(np.shape(t), self.value)
+        # in float: an integer value past int64 would make an object array
+        return np.full(np.shape(t), self.value, dtype=float)
 
     def antiderivative(self, t):
         return self.value * t
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -182,9 +186,6 @@ class SinusoidCoefficient(PeriodicCoefficient):
     def antiderivative(self, t):
         osc = np.cos(self._angle(t)) - math.cos(self.phase)
         return self.mean * t - (self.amp / _TWO_PI) * osc
-
-    def to_dict(self) -> dict:
-        return {"kind": "sinusoid", "mean": self.mean, "amp": self.amp, "phase": self.phase}
 
 
 @dataclass(frozen=True)
@@ -255,18 +256,10 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
     def breakpoints_mod1(self) -> tuple[float, ...]:
         return (0.0,) + self.breakpoints[1:-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "piecewise",
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
-        }
-
 
 _KINDS = {
-    "constant": ConstantCoefficient,
-    "sinusoid": SinusoidCoefficient,
-    "piecewise": PiecewiseConstantCoefficient,
+    cls.kind: cls
+    for cls in (ConstantCoefficient, SinusoidCoefficient, PiecewiseConstantCoefficient)
 }
 
 def coefficient_from_dict(data: dict) -> PeriodicCoefficient:
@@ -408,15 +401,17 @@ def forcing_integrals(
 
 
 @lru_cache(maxsize=256)
-def compute_B(pair: CoefficientPair, phase: float) -> tuple[float, float]:
-    """Growth integral G of r over one period; forcing integral B > 0 over [phase, phase + 1].
+def compute_B(pair: CoefficientPair, phase: float) -> float:
+    """The forcing integral B over [phase, phase + 1].
 
     The window starts at an impulse instant reduced to the fundamental
     period, so phase lies in [0, 1): shifting the window by a whole number
     of periods leaves B unchanged (periodicity of r and K).  Cached per
-    (pair, phase), the package's one cache: neither value depends on E, so
+    (pair, phase), the package's one cache: B does not depend on E, so
     the CLI's config check and every harvest fraction share one quadrature.
+    B > 0 in exact arithmetic; in floats it can overflow to inf (a tiny K)
+    or underflow to 0.0 (a tiny r/K).
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    return pair.r.mean, forcing_integrals(pair, phase, (1.0,))[0][0]
+    return forcing_integrals(pair, phase, (1.0,))[0][0]

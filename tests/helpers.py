@@ -188,7 +188,7 @@ def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
 
     def corrupted(params, offsets):
         table = real(params, offsets)
-        hit = table.offsets == offset
+        hit = np.asarray(offsets) == offset
         return table._replace(forcing=np.where(hit, corrupt(table.forcing), table.forcing))
 
     for module in (closed_form, analysis, cli):
@@ -198,7 +198,7 @@ def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
 def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
     """Offsets i/n into a period plus every jump offset strictly between two of them."""
     bounds = [i / n for i in range(n)] + [1.0]
-    jumps = params.r.breakpoints_mod1() + params.K.breakpoints_mod1()
+    jumps = params.pair.r.breakpoints_mod1() + params.pair.K.breakpoints_mod1()
     for c in sorted((b - params.phase) % 1.0 for b in jumps):
         pos = bisect_right(bounds, c)
         if pos < len(bounds) and bounds[pos - 1] < c:
@@ -236,8 +236,8 @@ def scalar_rk4(params: ModelParams, x0: float, periods: int, steps_per_unit: int
         for sa, sb in zip(offsets, offsets[1:]):
             step = sb - sa
             ta = params.phase + sa
-            r_p = _frozen(params.r, ta + 0.5 * step)
-            k_p = _frozen(params.K, ta + 0.5 * step)
+            r_p = _frozen(params.pair.r, ta + 0.5 * step)
+            k_p = _frozen(params.pair.K, ta + 0.5 * step)
 
             def rhs(t: float, y: float) -> float:
                 return r_p(t) * (1.0 - y / k_p(t)) * y

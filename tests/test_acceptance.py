@@ -16,10 +16,10 @@ import numpy as np
 
 from impulsive_logistic import (
     NoPeriodicSolutionError,
+    analysis,
     compare_solutions,
     derive_constants,
     fixed_point_scan,
-    one_sided_limits,
     period_table,
     periodic_grid,
     poincare_map,
@@ -84,9 +84,9 @@ def test_criterion_1_constant_coefficient_golden_case():
         ("(1-E)A", c.q, q_ref),
         ("x0_star", c.x0_star, anchor_ref),
     ]
-    limits = one_sided_limits(derive_constants(p))
-    checks.append(("pre", limits.pre, anchor_ref / 0.75))
-    checks.append(("post", limits.post, anchor_ref))
+    limits = verify_impulse_condition("corrected", p).metadata
+    checks.append(("pre", limits["analytic_pre"], anchor_ref / 0.75))
+    checks.append(("post", limits["analytic_post"], anchor_ref))
     for name, got, want in checks:
         rel = abs(got - want) / abs(want)
         if rel > 1e-10:
@@ -119,7 +119,7 @@ def test_criterion_3_oracle_equivalence():
     rng = np.random.default_rng(20240817)
     for i in range(5):
         p = random_params(rng, index=i)
-        x0 = float(rng.uniform(0.3, 1.2)) * reference_integral(p.K, 0.0, 1.0)
+        x0 = float(rng.uniform(0.3, 1.2)) * reference_integral(p.pair.K, 0.0, 1.0)
         report = compare_solutions(p, x0, 10, 256, tol=1e-5)
         worst = max(rec.residual for rec in report.records)
         if worst > 1e-5:
@@ -144,19 +144,25 @@ def test_criterion_4_periodicity_and_fixed_point():
     failures: list[str] = []
     p = golden_params()
 
-    report = verify_periodicity(
-        p, grid=tuple(j / 64.0 for j in range(64)), periods=5, tol=1e-8
-    )
+    report = verify_periodicity(p, periods=5, tol=1e-8)
     if not report.passed:
         worst = max(rec.residual for rec in report.records)
         failures.append(f"periodicity worst residual {worst:.2e} > 1e-8")
+    # the same comparison on 64 offsets, four times the check's 16
+    consts = derive_constants(p)
+    offsets = [j / 64.0 for j in range(64)]
+    kernel = solution_grid(consts, consts.x0_star, range(5), period_table(p, offsets))
+    reference = np.array(analysis._orbit_by_quadrature(p, consts, offsets))
+    worst = float(np.max(np.abs(reference - kernel) / kernel))
+    if worst > 1e-8:
+        failures.append(f"periodicity on 64 offsets: worst residual {worst:.2e} > 1e-8")
 
     anchor = derive_constants(p).x0_star
     drift = abs(poincare_map(derive_constants(p), anchor) - anchor)
     if drift > 1e-10 * anchor:
         failures.append(f"|P(x0*) - x0*| = {drift:.2e} > 1e-10 * x0*")
 
-    mean_capacity = reference_integral(p.K, 0.0, 1.0)
+    mean_capacity = reference_integral(p.pair.K, 0.0, 1.0)
     scan = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity, tol=1e-6)
     crossings = scan.metadata["crossings"]
     if len(crossings) != 1:

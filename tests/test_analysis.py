@@ -27,6 +27,7 @@ from impulsive_logistic import (
     compare_solutions,
     derive_constants,
     fixed_point_scan,
+    poincare_map,
     verify_impulse_condition,
     verify_periodicity,
 )
@@ -190,17 +191,18 @@ def test_periodicity_golden():
     assert len(report.records) == 3 * 16
 
 
-def test_periodicity_custom_grid_and_random_params():
+def test_periodicity_random_params():
     rng = np.random.default_rng(61)
     for i in range(4):
         p = random_params(rng, index=i)
-        report = verify_periodicity(p, grid=(0.0, 0.21, 0.5, 0.93), periods=2, tol=1e-8)
+        report = verify_periodicity(p, periods=2, tol=1e-8)
         assert report.passed, report.to_text()
+        assert report.metadata["grid"] == [j / 16.0 for j in range(16)]
 
 
-def test_periodicity_grid_validation():
-    with pytest.raises(ValueError, match="offsets"):
-        verify_periodicity(golden_params(), grid=(0.0, 1.0))
+def test_periodicity_validation():
+    with pytest.raises(ValueError, match="periods"):
+        verify_periodicity(golden_params(), periods=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,7 @@ def test_fixed_point_scan_random_instances():
     for i in range(6):
         p = random_params(rng, index=i)
         anchor = derive_constants(p).x0_star
-        mean_capacity = reference_integral(p.K, 0.0, 1.0)
+        mean_capacity = reference_integral(p.pair.K, 0.0, 1.0)
         report = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity)
         assert report.passed, report.to_text()
         assert report.metadata["crossings"][0] == pytest.approx(anchor, rel=1e-6)
@@ -378,7 +380,7 @@ def test_fixed_point_scan_no_orbit():
 def test_fixed_point_scan_at_huge_capacity_does_not_overflow(K):
     # neighbouring gaps near 1e300 have a product past the float range
     p = ModelParams(pair=CoefficientPair(r=ConstantCoefficient(math.log(2.0)), K=K), E=0.25, t0=0.5)
-    mean_capacity = reference_integral(p.K, 0.0, 1.0)
+    mean_capacity = reference_integral(p.pair.K, 0.0, 1.0)
     report = fixed_point_scan(p, 1e-3 * mean_capacity, 10.0 * mean_capacity)
     assert report.passed, report.to_text()
     assert report.metadata["crossings"][0] == pytest.approx(derive_constants(p).x0_star, rel=1e-6)
@@ -407,12 +409,15 @@ def test_fixed_point_scan_reaches_the_largest_float():
 
 
 def test_fixed_point_scan_records_a_zero_gap_at_its_grid_point():
-    # the middle of this grid maps onto itself exactly: one crossing, there,
-    # and no bisection of the neighbouring cells
-    xs = np.geomspace(0.5, 5000.0, 5)
-    report = fixed_point_scan(golden_params(), 0.5, 5000.0, n=5)
-    assert report.metadata["crossings"] == [float(xs[2])]
-    assert report.passed
+    # the golden map takes 50.0 onto itself exactly, and 50.0 is the last,
+    # then the first, of the grid's 512 points: one crossing, there, and no
+    # bisection of the neighbouring cell
+    assert poincare_map(derive_constants(golden_params()), 50.0) == 50.0
+    for x_min, x_max in ((0.5, 50.0), (50.0, 5000.0)):
+        report = fixed_point_scan(golden_params(), x_min, x_max)
+        assert report.metadata["crossings"] == [50.0]
+        assert report.metadata["n"] == 512
+        assert report.passed
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -459,8 +464,6 @@ def test_fixed_point_scan_validation():
     for x_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="x_max < inf"):
             fixed_point_scan(golden_params(), 1.0, x_max)
-    with pytest.raises(ValueError, match="grid"):
-        fixed_point_scan(golden_params(), 1.0, 10.0, n=1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +482,7 @@ def test_reports_serialize_to_json():
 
 
 def test_report_text_rendering():
-    report = verify_periodicity(golden_params(), grid=(0.0, 0.5), periods=1, tol=1e-8)
+    report = verify_periodicity(golden_params(), periods=1, tol=1e-8)
     text = report.to_text()
     assert text.startswith("[PASS] periodicity")
     assert "offset=0.5" in text

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -162,19 +163,56 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides", [{"K": {"kind": "constant", "value": 1e-320}}], ids=["r/K overflows"]
+    "overrides",
+    [
+        {"K": {"kind": "constant", "value": 1e-320}},
+        {"r": {"kind": "constant", "value": 1e-320}, "E": 0.0},
+        {"r": {"kind": "constant", "value": 1e-320}},
+        {"r": {"kind": "constant", "value": 1e-15}, "K": {"kind": "constant", "value": 1e308}},
+        {
+            "r": {"kind": "constant", "value": 1e-300},
+            "K": {"kind": "piecewise", "breakpoints": [0, 0.5, 1], "values": [1e30, 1e30]},
+        },
+    ],
+    ids=[
+        "r/K overflows",
+        "r/K underflows",
+        "r/K underflows above E*",
+        "r/K underflows at huge K",
+        "r/K underflows on pieces",
+    ],
 )
 def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
-    # an infinite B leaves no usable orbit anchor: refuse the scenario
+    # an infinite B, or one of 0.0 (d / B divides by it, and the true B is
+    # positive), leaves no usable orbit anchor: refuse the scenario
     cfg = tmp_path / "tiny_k.json"
     cfg.write_text(json.dumps(_json_config(**overrides)), encoding="utf-8")
     for command in COMMANDS:
         argv = [command, "--config", str(cfg)]
-        code = main(argv + ["--e-values", "0.5"] if command == "sweep" else argv)
+        code = main(argv + ["--e-values", "0.0,0.5"] if command == "sweep" else argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith(f"config error: {cfg}.K: ")
+        assert captured.err.startswith(f"config error: {cfg}.K: the forcing integral B of r/K ")
         assert captured.err.count("\n") == 1
+
+
+def test_a_constant_written_as_a_big_integer_runs_as_its_float(tmp_path, capsys):
+    # 10**20 is past the int64 range, where numpy would hold it in an object
+    # array that no ufunc of the period table takes
+    outputs = {}
+    for value in (10**20, 1e20):
+        cfg = tmp_path / f"{value!r}.json"
+        scenario = _json_config(
+            r={"kind": "constant", "value": 1}, K={"kind": "constant", "value": value}
+        )
+        cfg.write_text(json.dumps({**scenario, "e_values": [0.0, 0.25]}), encoding="utf-8")
+        for command in COMMANDS:
+            code = main([command, "--config", str(cfg)])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, ""), command
+            outputs[command, type(value)] = captured.out
+    for command in ("simulate", "periodic"):
+        assert outputs[command, int] == outputs[command, float], command
 
 
 def test_huge_growth_over_a_small_capacity_runs(tmp_path, capsys):
@@ -926,7 +964,7 @@ def test_a_sliver_of_K_keeps_its_share_of_B(tmp_path, capsys, scenario):
     # matches it, and the closed form stays finite.  Only the oracle fails:
     # the sliver is one RK4 step, too stiff for the step to resolve.
     params = parse_config(scenario).params
-    B = compute_B(params.pair, params.phase)[1]
+    B = compute_B(params.pair, params.phase)
     assert B == pytest.approx(exact_B(params.pair, params.phase), rel=1e-13)
     C = closed_form.period_table(params, [0.0, 1.0]).forcing[-1]
     assert C == pytest.approx(B, rel=1e-13)
@@ -1126,6 +1164,50 @@ def _scenarios(draw) -> dict:
         scenario["x0"] = draw(_magnitude(-300, 300))
     scenario["horizon_periods"] = draw(st.integers(1, 3))
     return scenario
+
+
+# number tokens to splice into a config: subnormals, a non-finite float,
+# integers past the float and the int64 range, and values of the wrong type
+_TOKENS = ("1e-320", "5e-324", "NaN", "9" * 400, "100000000000000000000", "[]", "null")
+_NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+@st.composite
+def _mutated_config_bytes(draw) -> bytes:
+    """A shipped config, truncated, with one byte overwritten, or with one
+    of its numbers replaced by one of ``_TOKENS``."""
+    raw = draw(st.sampled_from(ALL_CONFIGS)).read_bytes()
+    # half the cases splice, the edit that mostly leaves valid JSON
+    edit = draw(st.sampled_from(["truncate", "overwrite", "splice", "splice"]))
+    if edit == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if edit == "overwrite":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1 :]
+    number = draw(st.sampled_from(list(_NUMBER.finditer(raw))))
+    token = draw(st.sampled_from(_TOKENS)).encode()
+    return raw[: number.start()] + token + raw[number.end() :]
+
+
+def _golden_with(old: bytes, new: bytes) -> bytes:
+    return GOLDEN.read_bytes().replace(old, new, 1)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(raw=_mutated_config_bytes(), command=st.sampled_from(COMMANDS))
+# r = 1e-320: B underflows to 0.0, and the sweep's E = 0 divides d by it
+@example(raw=_golden_with(b"0.6931471805599453", b"1e-320"), command="sweep")
+# K = 10**20, an integer past the int64 range
+@example(raw=_golden_with(b"100.0", b"100000000000000000000"), command="simulate")
+def test_mutated_config_bytes_end_with_a_documented_exit_code(tmp_path_factory, raw, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz_bytes.json"
+    path.write_bytes(raw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning escapes main as an exception
+            code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2), command
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

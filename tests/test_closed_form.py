@@ -19,12 +19,13 @@ from impulsive_logistic import (
     compute_B,
     derive_constants,
     legacy_grid,
-    one_sided_limits,
     period_table,
     periodic_grid,
     periodic_orbit_mean,
     poincare_map,
+    require_orbit,
     solution_grid,
+    verify_impulse_condition,
 )
 from impulsive_logistic.cli import load_config
 
@@ -64,7 +65,7 @@ def test_derive_constants_growth_factor_examples():
         pair = CoefficientPair(r=r, K=ConstantCoefficient(100.0))
         c = derive_constants(ModelParams(pair=pair, E=0.25, t0=0.5))
         assert c.A == pytest.approx(growth_factor, rel=1e-15)
-        assert c.G == pytest.approx(math.log(growth_factor), rel=1e-15)
+        assert c.G == r.mean == pytest.approx(math.log(growth_factor), rel=1e-15)
 
 
 def test_derive_constants_at_threshold_has_no_anchor():
@@ -78,6 +79,15 @@ def test_derive_constants_without_harvest():
     c = derive_constants(golden_params(E=0.0))
     assert c.q == pytest.approx(2.0, rel=1e-13)
     assert c.x0_star == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("E", [0.0, 0.25])
+def test_derive_constants_refuses_a_forcing_integral_of_zero(E):
+    # r/K = 1e-322 makes the quadrature of B underflow to 0.0, on either side
+    # of E* = 1e-320; the anchor d / B would divide by it
+    pair = CoefficientPair(r=ConstantCoefficient(1e-320), K=ConstantCoefficient(100.0))
+    with pytest.raises(ValueError, match="forcing integral B"):
+        derive_constants(ModelParams(pair=pair, E=E, t0=0.5))
 
 
 @pytest.mark.parametrize("G", [0.05, 0.7, 5.0, 20.0, 30.0])
@@ -137,6 +147,22 @@ def test_solution_mid_interval_matches_chained_flow():
     assert expected == pytest.approx(100.0 * (2.0 - math.sqrt(2.0)), rel=1e-12)
     got = solution_grid(derive_constants(p), 50.0, [1], period_table(p, [0.5]))[0, 0]
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_a_denominator_that_underflows_matches_chained_flow():
+    # r = 700 and x0 = 1e-300: inside period 1, exp(-R) and x0 put every
+    # term of the denominator below the float range, and x reads the form
+    # divided through by x0.  The agreement is B's quadrature error at G = 700.
+    pair = CoefficientPair(r=ConstantCoefficient(700.0), K=ConstantCoefficient(1e30))
+    p = ModelParams(pair=pair, E=0.25, t0=0.5)
+    offsets = [0.25, 0.5, 0.75]
+    c, table = derive_constants(p), period_table(p, offsets)
+    lead, total = math.exp(-c.ln_q), -math.expm1(-c.ln_q) / c.d
+    assert not np.any(table.decay * (lead + 1e-300 * c.B * total) + 1e-300 * table.forcing)
+    got = solution_grid(c, 1e-300, [1], table)[0]
+    for s, x in zip(offsets, got.tolist()):
+        want = chained_flow(700.0, 1e30, 0.25, 0.5, 1e-300, p.t0 + 1 + s)
+        assert x == pytest.approx(want, rel=1e-10), s
 
 
 def test_solution_without_harvest_is_plain_logistic():
@@ -383,22 +409,29 @@ def test_legacy_counterexample_for_random_instances():
 # ---------------------------------------------------------------------------
 
 
+def _analytic_limits(params: ModelParams) -> tuple[float, float]:
+    """The (pre, post) values of the orbit that the corrected jump check reports."""
+    meta = verify_impulse_condition("corrected", params).metadata
+    return meta["analytic_pre"], meta["analytic_post"]
+
+
 def test_one_sided_limits_golden():
-    limits = one_sided_limits(derive_constants(golden_params()))
-    assert limits.pre == pytest.approx(200.0 / 3.0, rel=1e-12)
-    assert limits.post == pytest.approx(50.0, rel=1e-12)
+    p = golden_params()
+    pre, post = _analytic_limits(p)
+    assert post == require_orbit(derive_constants(p)) == pytest.approx(50.0, rel=1e-12)
+    assert pre == pytest.approx(200.0 / 3.0, rel=1e-12)
     # the jump removes exactly the harvested fraction
-    assert limits.post - limits.pre == pytest.approx(-0.25 * limits.pre, rel=1e-12)
+    assert post - pre == pytest.approx(-0.25 * pre, rel=1e-12)
 
 
 def test_one_sided_limits_no_harvest_degenerate():
-    limits = one_sided_limits(derive_constants(golden_params(E=0.0)))
-    assert limits.pre == pytest.approx(limits.post, rel=1e-14)
+    pre, post = _analytic_limits(golden_params(E=0.0))
+    assert pre == post
 
 
-def test_one_sided_limits_validation():
+def test_require_orbit_validation():
     with pytest.raises(NoPeriodicSolutionError):
-        one_sided_limits(derive_constants(golden_params(E=0.6)))
+        require_orbit(derive_constants(golden_params(E=0.6)))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_positivity_is_preserved():
     rng = np.random.default_rng(53)
     for i in range(6):
         p = random_params(rng, index=i)
-        k_max = max(reference_value(p.K, float(t)) for t in np.linspace(0.0, 1.0, 65))
+        k_max = max(reference_value(p.pair.K, float(t)) for t in np.linspace(0.0, 1.0, 65))
         x0 = float(rng.uniform(1e-3, 2.0 * k_max))
         traj = integrate(p, x0, 3, 64)
         assert all(v > 0.0 for v in samples(traj)[1])

@@ -95,7 +95,7 @@ def test_table_matches_scalar_quadrature(params, offsets):
     table = period_table(params, offsets)
     for s, growth, forcing in zip(offsets, table.growth, table.forcing):
         assert growth == pytest.approx(
-            reference_integral(params.r, params.t0, params.t0 + s), rel=1e-12, abs=1e-14
+            reference_integral(params.pair.r, params.t0, params.t0 + s), rel=1e-12, abs=1e-14
         )
         window = forcing_integrals(params.pair, params.t0, (s,))[0][0]
         assert forcing == pytest.approx(window, rel=1e-12)
@@ -113,7 +113,7 @@ def test_table_holds_a_forcing_ratio_near_the_float_range():
     )
     with np.errstate(all="raise"):
         table = period_table(params, [0.0, 0.5, 1.0])
-    want = [0.0, forcing_integrals(params.pair, 0.0, (0.5,))[0][0], compute_B(params.pair, 0.0)[1]]
+    want = [0.0, forcing_integrals(params.pair, 0.0, (0.5,))[0][0], compute_B(params.pair, 0.0)]
     np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_log_space_branch_matches_direct_formula(k):
     table = period_table(params, offsets)
     got = solution_grid(consts, x0, [k], table)[0]
     for s, value in zip(offsets, got):
-        decay = math.exp(-reference_integral(params.r, params.t0, params.t0 + s))
+        decay = math.exp(-reference_integral(params.pair.r, params.t0, params.t0 + s))
         forcing = forcing_integrals(params.pair, params.t0, (s,))[0][0]
         geometric = (1.0 - q ** (-k)) / (q - 1.0)
         recip = decay / (x0 * q**k) + consts.A * consts.B * geometric * decay + forcing
@@ -230,7 +230,7 @@ def test_solution_grid_near_threshold_matches_a_decimal_reference(ulps):
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        G, B = D(reference_integral(params.r, 0.0, 1.0)), D(derive_constants(params).B)
+        G, B = D(reference_integral(params.pair.r, 0.0, 1.0)), D(derive_constants(params).B)
         d = (1 - D(E)) - (-G).exp()
         ln_q = (1 - D(E)).ln() + G
         for k, row in zip(ks, got):
@@ -318,7 +318,7 @@ def test_table_ends_on_B_when_jumps_crowd_a_split(params):
     # the period at the same jump offsets, however close, and read the same
     # nodes
     table = period_table(params, [0.0, 1.0])
-    B = compute_B(params.pair, params.phase)[1]
+    B = compute_B(params.pair, params.phase)
     assert table.forcing[-1] == pytest.approx(B, rel=1e-13)
 
 
@@ -335,7 +335,7 @@ def test_a_grid_offset_merges_no_jump(lag):
         E=0.0,
         t0=1.0,
     )
-    B = compute_B(params.pair, params.phase)[1]
+    B = compute_B(params.pair, params.phase)
     assert period_table(params, [0.0, 0.5, 1.0]).forcing[-1] == pytest.approx(B, rel=1e-13)
 
 

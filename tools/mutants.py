@@ -106,6 +106,41 @@ MUTATIONS = {
         "values[:, :-1:stride].ravel(), [end], values[:, -1]",
         "values[:, :-1:stride].ravel(), [end], values[:, 0]",
     ),
+    "margin-always-e-star-minus-E": (
+        CLOSED_FORM,
+        "d = (1.0 - E) - math.exp(-G) if E >= 0.5 else e_star - E",
+        "d = e_star - E",
+    ),
+    "ln-q-always-log1p": (
+        CLOSED_FORM,
+        "ln_q = math.log1p(qm1) if qm1 > -0.5 else math.log1p(-E) + G",
+        "ln_q = math.log1p(qm1)",
+    ),
+    "orbit-mean-at-64-panels": (
+        CLOSED_FORM,
+        "panels = max(DEFAULT_PANELS_PER_UNIT, math.ceil(constants[0].G))",
+        "panels = DEFAULT_PANELS_PER_UNIT",
+    ),
+    "period-table-without-power-of-two-scaling": (
+        CLOSED_FORM,
+        "scale = math.frexp(ratio.max(initial=0.0))[1]",
+        "scale = 0",
+    ),
+    "bisection-without-early-stop": (
+        ANALYSIS,
+        "        if not lo < mid < hi:\n            return mid\n",
+        "",
+    ),
+    "underflow-fallback-without-C": (
+        CLOSED_FORM,
+        "scaled = table.decay * (lead / x0 + consts.B * total) + table.forcing",
+        "scaled = table.decay * (lead / x0 + consts.B * total)",
+    ),
+    "scan-drops-a-zero-gap-at-the-last-point": (
+        ANALYSIS,
+        "    if gaps[-1] == 0.0:\n        crossings.append(xs[-1])\n",
+        "",
+    ),
 }
 
 
