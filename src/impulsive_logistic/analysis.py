@@ -24,26 +24,31 @@ Which side of each check is independent of the code it checks:
   * periodicity -- the kernel side is the solution started at x0_star,
     through ``solution_grid`` at period index k; the independent side is
     the forcing quadrature over the 16 windows [phase, phase + offset],
-    each with its own decay and its own sum, on panels at 128 per unit
-    (twice the kernel's), evaluated in one ``forcing_integrals`` call; it
-    reads no period table, no cumulative pass and no k.  It shares with the
-    kernel the partition rule (``CoefficientPair.period_grid``) at twice
-    the resolution, not the panels or the sum.  Each (k, offset) record is
-    computed at its own k, so the k-dependent part of the kernel (q**-k and
-    the geometric sum) must hold the orbit for the record to pass.
+    each with its own decay and its own sum, on panels at 128 per unit,
+    evaluated in one ``forcing_integrals`` call that also takes the unit
+    window, whose integral is the reference's own B; it reads no period
+    table, no cumulative pass, no k and not the kernel's B, only its margin
+    d.  For a sinusoid K it shares with the kernel the partition rule
+    (``CoefficientPair.period_grid``) at twice the resolution, not the
+    panels or the sum; where K is constant on pieces the kernel lays no
+    panel, and the two share only the coefficients' readings.  Each
+    (k, offset) record is computed at its own k, so the k-dependent part
+    of the kernel (q**-k and the geometric sum) must hold the orbit for the
+    record to pass.
   * corrected jump -- both sides come from ``solution_grid`` at x0_star,
     the pre value at offset 1 of period k - 1, the post value at offset 0
     of period k.  The jump rule appears in no formula of the kernel, so
     what is independent is the rule itself: it holds only if the table's
-    C(1), from the cumulative pass, matches ``compute_B``'s B, and the
-    algebra carries the anchor across the period boundary at that k.  B
-    and a table that ends at offset 1 read the same nodes and differ only
-    in how they sum; the quadrature independent of both is the periodicity
-    check's 128-panel reference.
+    C(1) matches ``compute_B``'s B, and the algebra carries the anchor
+    across the period boundary at that k.  For a sinusoid K, B and a table
+    that ends at offset 1 read the same nodes and differ only in how they
+    sum; where K is constant on pieces they are one sum of exponentials,
+    equal bit for bit, and the check tests the algebra alone.  The side
+    independent of both is the periodicity check's 128-panel reference.
   * legacy -- ``legacy_grid`` at offsets 1 and 0; it has period 1 by
     construction, so one (pre, post) pair serves every k.  Its continuity
     residual is E* |C(1) - B| / B, so it too hinges on the table's C(1)
-    against ``compute_B``'s B.
+    against ``compute_B``'s B, which K constant on pieces makes exact.
   * oracle -- RK4 on its own stage tables, against the kernel.  Both
     sides are (period, offset) arrays on the trajectory's one offset grid,
     plus the post-impulse value at its end; the closed form reads one
@@ -169,15 +174,17 @@ def _orbit_by_quadrature(
     the phase window [phase, phase + s], each window with its own decay
     and sum, and the growth integral over it from the same pass.
 
-    Shares no period table with the kernel: the independent side of the
-    periodicity check.
+    The unit window, one more window of the same call, gives the reference
+    its own B in place of ``consts.B``, so a fault in the kernel's B shows
+    as a residual.  Shares no period table and no B with the kernel: the
+    independent side of the periodicity check.
     """
     forcing, growth = forcing_integrals(
-        params.pair, params.phase, offsets, REFERENCE_PANELS_PER_UNIT
+        params.pair, params.phase, [*offsets, 1.0], REFERENCE_PANELS_PER_UNIT
     )
-    return [
-        consts.d / (consts.B * math.exp(-g) + consts.d * f) for g, f in zip(growth, forcing)
-    ]
+    B, d = forcing.pop(), consts.d
+    growth.pop()
+    return [d / (B * math.exp(-g) + d * f) for g, f in zip(growth, forcing)]
 
 
 def verify_impulse_condition(
@@ -262,9 +269,9 @@ def verify_periodicity(
     The kernel side is the solution started at x0_star, at period index k
     and the offset, from ``solution_grid`` over one period table; the
     reference is the orbit at that offset from the window quadrature
-    ``forcing_integrals`` at twice the kernel's panels, which holds in
-    every period.  The report keeps one record per (k, offset), each from
-    its own k.
+    ``forcing_integrals`` at 128 panels per unit, with its own B, which
+    holds in every period.  The report keeps one record per (k, offset),
+    each from its own k.
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods!r}")

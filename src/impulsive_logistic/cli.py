@@ -27,10 +27,11 @@ Exit status: 0 on success and for ``verify``/``counterexample`` when every
 check lands as expected; 1 when a check fails or the requested orbit does
 not exist; 2 for configuration or usage errors, including a growth rate
 whose integral over one period overflows A = exp(integral of r), a
-forcing integral B that overflows a float (K too small) or underflows to
-0.0 (r/K too small), an orbit anchor d / B that underflows to 0.0, and a
-``simulate``, ``verify`` or ``periodic`` run of more than 2**20 samples
-(steps per unit times horizon periods, after the flags).
+forcing integral B that overflows a float (K too small) or underflows
+below the smallest normal float (r/K too small), an orbit anchor d / B
+that underflows to 0.0, and a ``simulate``, ``verify`` or ``periodic``
+run of more than 2**20 samples (steps per unit times horizon periods,
+after the flags).
 
 A plain command line (a command, then ``--name value`` pairs) is read
 without loading argparse; see ``_plain_args``.  Every other line, help and
@@ -186,9 +187,11 @@ def _parse_coefficient(data, where: str) -> PeriodicCoefficient:
 
 
 # A = exp(growth integral of r over one period) overflows a float past this,
-# and `constants` prints A.  B's 64-panel quadrature also loses accuracy as
-# the growth integral G grows: its relative error is 2.7e-11 at G = 709,
-# 5.4e-9 at 1000, 3.2e-5 at 2000 and 3% at 5000.
+# and `constants` prints A.  Where K is a sinusoid, B is a 64-panel
+# quadrature, which loses accuracy as the growth integral G grows: measured
+# with K constant, when every B was that quadrature, its relative error was
+# 2.7e-11 at G = 709, 5.4e-9 at 1000, 3.2e-5 at 2000 and 3% at 5000.  Where
+# K is constant on pieces, B is a sum of exponentials, exact at any G.
 _MAX_GROWTH = math.log(sys.float_info.max)
 
 _TOLERANCE_FIELDS = {f.name for f in dataclasses.fields(Tolerances)}
@@ -270,9 +273,11 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
 
 
 def _require_forcing_scale(params: ModelParams, where: str) -> None:
-    """B, the denominator of the orbit anchor x0_star = d / B, must be a nonzero float.
+    """B, the denominator of the orbit anchor x0_star = d / B, must be a
+    normal float, as a given x0 must: a subnormal B carries fewer than 53
+    significant bits, and the anchor would inherit the loss.
 
-    B is cached per (pair, phase), so the commands reuse this quadrature.
+    B is cached per (pair, phase), so the commands reuse it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         forcing = compute_B(params.pair, params.phase)
@@ -283,6 +288,11 @@ def _require_forcing_scale(params: ModelParams, where: str) -> None:
         )
     if forcing == 0.0:
         raise ConfigError(f"{where}: the forcing integral B of r/K underflows to 0.0")
+    if forcing < sys.float_info.min:
+        raise ConfigError(
+            f"{where}: the forcing integral B of r/K is {forcing!r}, below the smallest "
+            f"normal float {sys.float_info.min!r}: it carries fewer than 53 significant bits"
+        )
 
 
 def load_config(path: Path | str) -> ScenarioConfig:

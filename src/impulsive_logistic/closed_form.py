@@ -4,14 +4,19 @@ The model: between impulses the population follows x' = r(t) (1 - x/K(t)) x,
 and at each impulse instant tau_k = t0 + k (k = 1, 2, ...) a fraction E of
 the population is removed, x -> (1 - E) x.
 
-Everything here is closed form up to one quadrature.  Substituting y = 1/x
-linearizes the growth law to y' + r y = r/K, so on the interval
-[t0 + k, t0 + k + 1) the solution is an explicit combination of the growth
-integral G of r over one period, the unit-window forcing integral B, the
-harvest margin d = E* - E below the critical harvest E* = 1 - exp(-G), and
-one running forcing integral.  See ``solution_grid`` for the exact
-expression.  The growth factor A = exp(G) enters only ln q and the printed
-constants; A B, which can exceed the float range, is never formed.
+Everything here is closed form up to one quadrature, and where K is
+constant on pieces, without it.  Substituting y = 1/x linearizes the growth
+law to y' + r y = r/K, so on the interval [t0 + k, t0 + k + 1) the solution
+is an explicit combination of the growth integral G of r over one period,
+the unit-window forcing integral B, the harvest margin d = E* - E below the
+critical harvest E* = 1 - exp(-G), and one running forcing integral
+C(s).  Since d/du exp(R(u)) = r(u) exp(R(u)), the forcing integrand
+(r/K) exp(R) is (1/K) d(exp(R)) on every stretch where K is constant, for
+any r: there C(s) and B are finite sums of exponentials
+(``coefficients.piece_forcing``), and only a sinusoid K needs the
+quadrature.  See ``solution_grid`` for the exact expression.  The growth
+factor A = exp(G) enters only ln q and the printed constants; A B, which
+can exceed the float range, is never formed.
 
 G, B and the period table do not depend on E; ``derive_constants`` adds the
 numbers that do, and the algebra takes its ``SolutionConstants``.  Only the
@@ -21,13 +26,13 @@ Time is a pair (period index k, offset s in [0, 1]) standing for
 t = t0 + k + s.  By periodicity the coefficients there take their values at
 the phase frac(t0) + s (``ModelParams.phase``), so the running integrals
 depend only on s, never on k or on t0 itself: an integer shift of t0 changes
-nothing.  ``period_table`` computes them for a whole grid of offsets in one
-cumulative quadrature pass, and ``solution_grid`` / ``periodic_grid``
-evaluate the closed form over (period index, offset) pairs from that table,
-so the cost grows with the number of output points, not with points times
-quadrature panels.  Both sides of an impulse have exact addresses: offset 1
-of period k is the pre-impulse value, offset 0 of period k + 1 the
-post-impulse value.
+nothing.  ``period_table`` computes them for a whole grid of offsets, as
+that sum or in one cumulative quadrature pass, and ``solution_grid`` /
+``periodic_grid`` evaluate the closed form over (period index, offset)
+pairs from that table, so the cost grows with the number of output points,
+not with points times quadrature panels.  Both sides of an impulse have
+exact addresses: offset 1 of period k is the pre-impulse value, offset 0
+of period k + 1 the post-impulse value.
 
 When d > 0 (equivalently q = (1 - E) A > 1) the model has a unique
 positive period-1 orbit; its post-impulse anchor value is x0_star = d / B,
@@ -57,6 +62,7 @@ from .coefficients import (
     CoefficientPair,
     compute_B,
     panel_rule,
+    piece_forcing,
     sorted_union,
 )
 
@@ -219,44 +225,55 @@ class PeriodTable(NamedTuple):
 
 
 def period_table(params: ModelParams, offsets) -> PeriodTable:
-    """R(s) and C(s) at every offset of a sorted grid in [0, 1], in one pass.
+    """R(s) and C(s) at every offset of a sorted grid in [0, 1].
+
+    R(s) is ``r.growth(phase, s)``, with the phase frac(t0).  Where K is
+    constant on pieces, C(s) is ``piece_forcing``'s sum of exponentials,
+    whose C(1) is ``compute_B``'s B bit for bit; no quadrature.  For a
+    sinusoid K, C(s) comes from one cumulative quadrature pass:
+
+        C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du.
 
     The points of B's partition, ``pair.period_grid(phase,
     DEFAULT_PANELS_PER_UNIT)``, below the largest offset, and the offsets,
     are the edges of one order-10 Gauss-Legendre panel each, all evaluated
     in one numpy call; a table that ends at offset 1 with no other offset
     inside has B's panels and nodes, so its C(1) differs from B only in how
-    the two sum.  With R(s) the growth integral,
-
-        C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du,
-
-    so the panel integrals of (r/K) exp(R) are summed cumulatively.  They
-    are scaled by exp(-R/2) at the largest offset first, which keeps every
-    term within float range for any growth integral that A itself survives,
-    and r/K by the power of two that brings its largest value into
-    [1/2, 1), which keeps a huge r/K (a tiny K) in range and scales every
-    sum exactly.  Coefficients are evaluated at the phase frac(t0) + s,
-    edges and nodes in one ``CoefficientPair.ratio_and_growth`` pass, a
-    coefficient with jumps at each panel's midpoint.
+    the two sum.  The panel integrals of (r/K) exp(R) are summed
+    cumulatively.  They are scaled by exp(-R/2) at the largest offset
+    first, which keeps every term within float range for any growth
+    integral that A itself survives, and r/K by the power of two that
+    brings its largest value into [1/2, 1), which keeps a huge r/K (a tiny
+    K) in range and scales every sum exactly.  Edges and nodes are read in
+    one ``CoefficientPair.ratio_and_growth`` pass, a coefficient with jumps
+    at each panel's midpoint.
     """
     s = np.asarray(offsets, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("offsets must be a non-empty 1-d sequence")
     if not (s[0] >= 0.0 and s[-1] <= 1.0) or np.any(np.diff(s) < 0.0):
         raise ValueError("offsets must be sorted and lie in [0, 1]")
-    grid = params.pair.period_grid(params.phase, DEFAULT_PANELS_PER_UNIT)
+    pair, phase = params.pair, params.phase
+    forcing = piece_forcing(pair, phase, s)
+    if forcing is not None:
+        growth = pair.r.growth(phase, s)
+        return PeriodTable(growth=growth, decay=np.exp(-growth), forcing=forcing)
+
+    grid = pair.period_grid(phase, DEFAULT_PANELS_PER_UNIT)
     edges = sorted_union(grid[: np.searchsorted(grid, s[-1])], s)
     nodes, weights, mid = panel_rule(edges[:-1], edges[1:])
-
-    times = params.phase + np.concatenate((edges, nodes.ravel()))
-    key = params.phase + np.concatenate((edges, np.repeat(mid, nodes.shape[1])))
-    ratio, big_r = params.pair.ratio_and_growth(times, key)
+    # edges[0] is offset 0, where R is 0.0
+    ratio, big_r = pair.ratio_and_growth(
+        phase,
+        np.concatenate((edges, nodes.ravel())),
+        np.concatenate((edges, np.repeat(mid, nodes.shape[1]))),
+    )
     m = edges.size
     ratio = ratio[m:].reshape(nodes.shape)
-    growth = big_r[:m] - big_r[0]
+    growth = big_r[:m]
     shift = 0.5 * growth[-1]
     scale = math.frexp(ratio.max(initial=0.0))[1]
-    weighted = np.ldexp(ratio, -scale) * np.exp(big_r[m:].reshape(nodes.shape) - big_r[0] - shift)
+    weighted = np.ldexp(ratio, -scale) * np.exp(big_r[m:].reshape(nodes.shape) - shift)
     steps = (weights * weighted).sum(axis=1)
     forcing = np.concatenate(([0.0], np.cumsum(steps))) * np.exp(shift - growth)
     forcing = np.ldexp(forcing, scale)

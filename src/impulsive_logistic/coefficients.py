@@ -3,12 +3,16 @@
 The growth rate r(t) and the carrying capacity K(t) are strictly positive,
 piecewise-continuous functions of period 1.  Three constructible families are
 supported (constant, sinusoid, piecewise-constant) so that every
-antiderivative is analytic; the only numerical step anywhere in the library
-is one well-conditioned quadrature over a piecewise-smooth integrand.
+integral of r is analytic.  Where K is constant on pieces (the constant and
+piecewise kinds) the forcing integrals are finite sums of exponentials too,
+for any r; the only numerical step anywhere in the library is one
+well-conditioned quadrature over a piecewise-smooth integrand, taken only
+when K is a sinusoid, and by the independent side of the periodicity check.
 
 A coefficient is read two ways: ``piece_values(t, key)``, its values at t
-on the smooth piece around key, and ``antiderivative(t)``, the exact
-integral from 0 to t.
+on the smooth piece around key, and ``growth(phase, s)``, its exact
+integral over the window [phase, phase + s], formed in the offset s.  A
+kind constant on pieces also lists its pieces from a phase, ``pieces``.
 
 Conventions:
   * Evaluation reduces t to the fundamental period [0, 1) first, so
@@ -27,21 +31,26 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
     form ``y = 1/x``, whose evolution is ``y' + r y = r / K``.  G and B do
     not depend on E: ``compute_B`` returns B, cached per (pair, phase).
 
+Where K is constant on pieces, ``piece_forcing`` sums the forcing
+integral C(s) over [phase, phase + s] piece by piece: since
+d/du exp(R(u)) = r(u) exp(R(u)), the integrand (r/K) exp(R) is
+(1/K) d(exp(R)) wherever K is constant.  B is its C(1), and the period
+table of :mod:`impulsive_logistic.closed_form` reads the same sum.
+
 The forcing quadrature is ``forcing_integrals``: any number of windows
 [start, start + s] from one start, each with its own decay and sum, and
-r/K and the growth integral R evaluated in one pass,
+r/K and the growth R evaluated in one pass,
 ``CoefficientPair.ratio_and_growth``, at the nodes and ends of all of them.
-B is its one-window case s = 1; the reference side of the periodicity check
-takes its 16 windows from one call.  The period table of
-:mod:`impulsive_logistic.closed_form` reads the same pass.
+B of a sinusoid K is its one-window case s = 1; the reference side of the
+periodicity check takes its 16 windows and its own B from one call.
 
 A period is cut one way, in the offset s from an impulse, by
 ``CoefficientPair.period_grid(phase, n)``: every RK4 step and every order-10
 Gauss-Legendre panel is one of its intervals, so each lies inside one smooth
 piece of r and K, where a coefficient with jumps is read at the interval's
 midpoint (``PeriodicCoefficient.piece_values``).  Panels are laid on offsets
-and evaluated at phase + offset, so B and a table that ends at offset 1 read
-the same nodes.
+and evaluated at phase + offset, so a sinusoid K's B and a table that ends
+at offset 1 read the same nodes.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ __all__ = [
     "compute_B",
     "forcing_integrals",
     "panel_rule",
+    "piece_forcing",
     "sorted_union",
 ]
 
@@ -91,13 +101,14 @@ _GL_WEIGHTS = np.array([float.fromhex(x) for x in (
 
 
 class PeriodicCoefficient:
-    """A strictly positive period-1 function with an analytic antiderivative.
+    """A strictly positive period-1 function with an analytic integral.
 
     A kind is read two ways: ``piece_values``, its values on a smooth
-    piece, and ``antiderivative``, the exact integral from 0; neither
-    promises a Python float for a scalar t (wrap it in ``float()``).  It
-    also gives the exact period mean ``mean`` (the integral over one
-    period) and the points in [0, 1) where the periodic extension may jump.
+    piece, and ``growth``, the exact integral over a window; neither
+    promises a Python float for a scalar argument (wrap it in ``float()``).
+    It also gives the exact period mean ``mean`` (the integral over one
+    period), the points in [0, 1) where the periodic extension may jump,
+    and, for a kind constant on pieces, the pieces (``pieces``).
     """
 
     kind: ClassVar[str] = ""
@@ -113,13 +124,25 @@ class PeriodicCoefficient:
         """
         raise NotImplementedError
 
-    def antiderivative(self, t: ArrayLike) -> ArrayLike:
-        """Exact integral from 0 to t."""
+    def growth(self, phase: ArrayLike, s: ArrayLike) -> np.ndarray:
+        """Exact integral over each window [phase, phase + s], s in [0, 1].
+
+        Formed in the offset s, so that a short window keeps its relative
+        accuracy wherever it starts; phase and s broadcast against each
+        other.
+        """
         raise NotImplementedError
 
     def breakpoints_mod1(self) -> tuple[float, ...]:
         """Points in [0, 1) where the periodic extension may jump."""
         return ()
+
+    def pieces(self, phase: float) -> tuple[list[float], list[float]] | None:
+        """For a kind constant on pieces, the offsets from phase at which
+        its pieces start within one period, sorted and the first 0.0, and
+        the value on each; None for a kind that is not constant on pieces.
+        """
+        return None
 
     def to_dict(self) -> dict:
         """The kind and each constructor field, tuples as lists: the schema."""
@@ -151,8 +174,11 @@ class ConstantCoefficient(PeriodicCoefficient):
         # in float: an integer value past int64 would make an object array
         return np.full(np.shape(t), self.value, dtype=float)
 
-    def antiderivative(self, t):
-        return self.value * t
+    def growth(self, phase, s):
+        return float(self.value) * np.asarray(s, dtype=float)
+
+    def pieces(self, phase):
+        return [0.0], [float(self.value)]
 
 
 @dataclass(frozen=True)
@@ -183,9 +209,15 @@ class SinusoidCoefficient(PeriodicCoefficient):
     def piece_values(self, t, key):
         return self.mean + self.amp * np.sin(self._angle(t))
 
-    def antiderivative(self, t):
-        osc = np.cos(self._angle(t)) - math.cos(self.phase)
-        return self.mean * t - (self.amp / _TWO_PI) * osc
+    def growth(self, phase, s):
+        # mean s - amp/(2 pi) (cos(a + 2 pi s) - cos(a)), a the angle at
+        # phase, as a product: no cancellation for a short window.  sin(pi s)
+        # is taken as sin(pi (1 - s)) past s = 1/2, which is exact at s = 1,
+        # so a whole period's growth is mean bit for bit
+        s = np.asarray(s, dtype=float)
+        half_turn = np.sin(math.pi * np.minimum(s, 1.0 - s))
+        osc = half_turn * np.sin(self._angle(phase) + math.pi * s)
+        return self.mean * s + (self.amp / math.pi) * osc
 
 
 @dataclass(frozen=True)
@@ -202,10 +234,11 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
 
     kind: ClassVar[str] = "piecewise"
 
-    # derived lookup tables, excluded from comparison/hash
+    # derived lookup tables over two periods, excluded from comparison/hash
     _bp: np.ndarray = field(init=False, repr=False, compare=False)
-    _vals: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _bp2: np.ndarray = field(init=False, repr=False, compare=False)
+    _vals2: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
@@ -226,15 +259,16 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         if any(not (math.isfinite(v) and v > 0.0) for v in vals):
             raise ValueError(f"piecewise values must be positive finite numbers, got {vals!r}")
         bp_arr = np.asarray(bp)
-        vals_arr = np.asarray(vals)
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(bp_arr) * vals_arr)))
+        # the second period's pieces have the first period's widths
+        steps = np.tile(np.diff(bp_arr) * vals, 2)
         object.__setattr__(self, "_bp", bp_arr)
-        object.__setattr__(self, "_vals", vals_arr)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_bp2", np.concatenate((bp_arr[:-1], bp_arr + 1.0)))
+        object.__setattr__(self, "_vals2", np.tile(vals, 2))
+        object.__setattr__(self, "_cum2", np.concatenate(([0.0], np.cumsum(steps))))
 
     @property
     def mean(self) -> float:
-        return float(self._cum[-1])
+        return float(self._cum2[len(self.values)])
 
     def piece_values(self, t, key):
         # constant on each piece: the value at key serves every time on it.
@@ -242,19 +276,34 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         # left, and one on a whole number onto the last segment (index -1):
         # the left limit of the periodic extension at the period boundary.
         idx = np.searchsorted(self._bp, key - np.floor(key), side="left") - 1
-        return self._vals[idx]
+        return self._vals2[idx]
 
-    def antiderivative(self, t):
-        whole = np.floor(t)
-        u = t - whole
-        # u >= 0 always, but it rounds up to 1.0 for t in (-2**-54, 0), the
-        # one case whose index falls past the last piece
-        idx = np.minimum(np.searchsorted(self._bp, u, side="right") - 1, len(self.values) - 1)
-        partial = self._cum[idx] + self._vals[idx] * (u - self._bp[idx])
-        return whole * self._cum[-1] + partial
+    def growth(self, phase, s):
+        # the pieces of two periods from 0, so that every window from a
+        # phase in [0, 1] ends on one of them: the overlap with the
+        # phase's piece, the whole pieces after it, and the overlap with
+        # the piece of the window's end, each taken as a width in offsets
+        s = np.asarray(s, dtype=float)
+        u = phase - np.floor(phase)
+        # u >= 0 always, but it rounds up to 1.0 for a phase in (-2**-54,
+        # 0), the one case whose index falls past the last piece
+        first = np.minimum(np.searchsorted(self._bp, u, side="right") - 1, len(self.values) - 1)
+        # an end on a jump lies on the piece to its left
+        last = np.maximum(np.searchsorted(self._bp2, u + s, side="left") - 1, first)
+        head = self._vals2[first] * np.minimum(s, self._bp2[first + 1] - u)
+        body = self._cum2[last] - self._cum2[first + 1]
+        tail = self._vals2[last] * (s - (self._bp2[last] - u))
+        return np.where(last == first, self._vals2[first] * s, head + body + tail)
 
     def breakpoints_mod1(self) -> tuple[float, ...]:
         return (0.0,) + self.breakpoints[1:-1]
+
+    def pieces(self, phase):
+        # piece i starts at offset (breakpoints[i] - phase) % 1, the jump
+        # offset of ``CoefficientPair.period_grid``; offset 0 lies on the
+        # piece that starts last
+        starts = sorted(((b - phase) % 1.0, v) for b, v in zip(self.breakpoints, self.values))
+        return [0.0] + [u for u, _ in starts], [starts[-1][1]] + [v for _, v in starts]
 
 
 _KINDS = {
@@ -312,12 +361,15 @@ class CoefficientPair:
         jumps = [(b - phase) % 1.0 for b in self.r.breakpoints_mod1() + self.K.breakpoints_mod1()]
         return sorted_union(np.arange(n + 1) / n, jumps)
 
-    def ratio_and_growth(self, t: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """r/K at the times t, on the pieces around key (``piece_values``),
-        and R, the antiderivative of r, at t: the one evaluation pass of the
-        forcing quadratures."""
+    def ratio_and_growth(
+        self, phase: float, s: np.ndarray, key: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """r/K at the times phase + s, on the pieces around phase + key
+        (``piece_values``), and R, the growth of r over [phase, phase + s]:
+        the one evaluation pass of the forcing quadratures."""
         r = self.r
-        return r.piece_values(t, key) / self.K.piece_values(t, key), r.antiderivative(t)
+        t, key = phase + s, phase + key
+        return r.piece_values(t, key) / self.K.piece_values(t, key), r.growth(phase, s)
 
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "K": self.K.to_dict()}
@@ -350,8 +402,8 @@ def forcing_integrals(
     panels_per_unit: int = DEFAULT_PANELS_PER_UNIT,
 ) -> tuple[list[float], list[float]]:
     """For each s in ``offsets``, a number in [0, 1], the forcing integral
-    over [start, start + s] of (r/K)(u) exp(-(R(start + s) - R(u))) du and
-    the growth integral R(start + s) - R(start), R the antiderivative of r.
+    over [start, start + s] of (r/K)(u) exp(-(R(s) - R(u - start))) du and
+    the growth integral R(s), R(s) the growth of r over [start, start + s].
 
     The first is the forced response of the reciprocal form y = 1/x: the
     inhomogeneous term in y(b) = y(a) exp(-(R(b) - R(a))) + (this integral)
@@ -359,7 +411,9 @@ def forcing_integrals(
     Gauss-Legendre panel (``panel_rule``) from each point of
     ``pair.period_grid(start, panels_per_unit)`` below s to the next, the
     last one ending at s; s == 0 is one panel of width zero, and gives 0.0
-    and 0.0.  A node can round onto its panel's end, and so onto a jump, so
+    and 0.0.  It takes no account of the kind of K: a sinusoid K's B reads
+    it, and so does the reference side of the periodicity check, for every
+    kind.  A node can round onto its panel's end, and so onto a jump, so
     a coefficient with jumps is read at the panel's midpoint.  Windows are
     prefixes of one grid, so r, K and R are evaluated in one
     ``CoefficientPair.ratio_and_growth`` pass; each window keeps its own
@@ -378,17 +432,17 @@ def forcing_integrals(
         np.concatenate((grid[:shared], grid[last])), np.concatenate((grid[1 : shared + 1], offsets))
     )
     n = nodes.size
-    ends = [0.0, *offsets]
     ratio, big_r = pair.ratio_and_growth(
-        start + np.concatenate((nodes.ravel(), ends)),
-        start + np.concatenate((np.repeat(mid, _GL_NODES.size), ends)),
+        start,
+        np.concatenate((nodes.ravel(), offsets)),
+        np.concatenate((np.repeat(mid, _GL_NODES.size), offsets)),
     )
     # the rows of each window's panels, in order
     count = last + 1
     bounds = np.cumsum(count)
     rows = np.arange(count.sum()) - np.repeat(bounds - count, count)
     rows[bounds - 1] = shared + np.arange(count.size)
-    lift = np.repeat(big_r[n + 1 :], count)[:, None]
+    lift = np.repeat(big_r[n:], count)[:, None]
     integrand = ratio[:n].reshape(nodes.shape)[rows] * np.exp(
         big_r[:n].reshape(nodes.shape)[rows] - lift
     )
@@ -397,7 +451,39 @@ def forcing_integrals(
         float(np.dot(weights[lo:hi].ravel(), integrand[lo:hi].ravel()))
         for lo, hi in zip((bounds - count).tolist(), bounds.tolist())
     ]
-    return forcing, (big_r[n + 1 :] - big_r[n]).tolist()
+    return forcing, big_r[n:].tolist()
+
+
+def piece_forcing(pair: CoefficientPair, phase: float, offsets) -> np.ndarray | None:
+    """C(s), the forcing integral over [phase, phase + s], at each offset s
+    in [0, 1], when K is constant on pieces; None when it is not.
+
+    On a stretch [a, b] where K is constant, (r/K) exp(R) is
+    (1/K) d(exp(R)) for any r, so with dR = r.growth(phase + a, b - a)
+
+        C(b) = C(a) exp(-dR) - expm1(-dR) / K.
+
+    That step runs once over each whole piece of K (``K.pieces``), and then
+    once from the start of the piece each offset lies on.  So C(s) reads
+    only the pieces before s and its own, and no other offset: the C(1) of
+    any table that holds offset 1 is ``compute_B``'s B, bit for bit.  Every
+    term is at most 1/K, so C overflows only where 1/K does; no quadrature.
+    """
+    pieces = pair.K.pieces(phase)
+    if pieces is None:
+        return None
+    starts, values = pieces
+    s = np.asarray(offsets, dtype=float)
+    piece = np.searchsorted(starts, s, side="right") - 1
+    # one growth call: each whole piece, then each offset from its piece's start
+    begin = np.concatenate((starts[:-1], np.asarray(starts)[piece]))
+    rise = pair.r.growth(phase + begin, np.concatenate((starts[1:], s)) - begin)
+    whole, step = rise[: len(values) - 1].tolist(), rise[len(values) - 1 :]
+    at_start = [0.0]
+    for dr, value in zip(whole, values):
+        at_start.append(at_start[-1] * math.exp(-dr) - math.expm1(-dr) / value)
+    carried = np.asarray(at_start)[piece] * np.exp(-step)
+    return carried - np.expm1(-step) / np.asarray(values)[piece]
 
 
 @lru_cache(maxsize=256)
@@ -406,12 +492,17 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
 
     The window starts at an impulse instant reduced to the fundamental
     period, so phase lies in [0, 1): shifting the window by a whole number
-    of periods leaves B unchanged (periodicity of r and K).  Cached per
+    of periods leaves B unchanged (periodicity of r and K).  Where K is
+    constant on pieces, B is the C(1) of ``piece_forcing``; for a sinusoid
+    K, the one-window quadrature of ``forcing_integrals``.  Cached per
     (pair, phase), the package's one cache: B does not depend on E, so
-    the CLI's config check and every harvest fraction share one quadrature.
+    the CLI's config check and every harvest fraction share it.
     B > 0 in exact arithmetic; in floats it can overflow to inf (a tiny K)
-    or underflow to 0.0 (a tiny r/K).
+    or underflow to a subnormal or 0.0 (a tiny r/K).
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    return forcing_integrals(pair, phase, (1.0,))[0][0]
+    forcing = piece_forcing(pair, phase, (1.0,))
+    if forcing is None:
+        return forcing_integrals(pair, phase, (1.0,))[0][0]
+    return float(forcing[0])

@@ -173,6 +173,16 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
             "r": {"kind": "constant", "value": 1e-300},
             "K": {"kind": "piecewise", "breakpoints": [0, 0.5, 1], "values": [1e30, 1e30]},
         },
+        {
+            "r": {"kind": "sinusoid", "mean": 1e-320, "amp": 0.0},
+            "K": {"kind": "constant", "value": 1.0},
+            "E": 0.0,
+        },
+        {
+            "r": {"kind": "constant", "value": 1e-10},
+            "K": {"kind": "constant", "value": 1e308},
+            "E": 0.0,
+        },
     ],
     ids=[
         "r/K overflows",
@@ -180,11 +190,16 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
         "r/K underflows above E*",
         "r/K underflows at huge K",
         "r/K underflows on pieces",
+        "subnormal B of a sinusoid r",
+        "subnormal B at K 1e308",
     ],
 )
 def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
-    # an infinite B, or one of 0.0 (d / B divides by it, and the true B is
-    # positive), leaves no usable orbit anchor: refuse the scenario
+    # an infinite B, one of 0.0 (d / B divides by it, and the true B is
+    # positive), or a subnormal one (the anchor would lose its low bits: the
+    # last two printed x0_star 1.0541666666666667 and 1.000802280939431e+308
+    # where the true anchors are 1 and 1e308) leaves no usable orbit anchor:
+    # refuse the scenario
     cfg = tmp_path / "tiny_k.json"
     cfg.write_text(json.dumps(_json_config(**overrides)), encoding="utf-8")
     for command in COMMANDS:
@@ -218,7 +233,9 @@ def test_a_constant_written_as_a_big_integer_runs_as_its_float(tmp_path, capsys)
 def test_huge_growth_over_a_small_capacity_runs(tmp_path, capsys):
     # A B = 8.2e307 * 1000 overflows a float, but no formula forms A: the
     # anchor is d / B.  The step keeps h r = 0.17, inside RK4's stability
-    # region, so the oracle can follow the orbit.
+    # region, so the oracle can follow the orbit.  With K constant, B is
+    # E*/K exactly, so the anchor is K d / E* = 5e-4 to the last bit (a
+    # 64-panel quadrature read 5.000000000136e-4).
     cfg = tmp_path / "huge_growth.json"
     scenario = _json_config(
         r={"kind": "constant", "value": 709.0},
@@ -234,7 +251,7 @@ def test_huge_growth_over_a_small_capacity_runs(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, ""), command
     consts = derive_constants(load_config(cfg).params)
-    assert consts.x0_star == pytest.approx(5.000000000136e-4, rel=1e-12, abs=0.0)
+    assert consts.x0_star == 5e-4
     assert consts.x0_star == consts.d / consts.B
 
 
@@ -640,21 +657,29 @@ def test_the_sample_budget_admits_its_own_size(step, periods):
         cli._require_sample_budget(over)
 
 
+# r = 2 puts E* = 1 - exp(-2) near 1, which keeps B, about E*/K, a normal
+# float at the K above 1.8e307 that the last two cases need
+R_TWO = {"kind": "constant", "value": 2.0}
+
+
 @pytest.mark.parametrize(
-    "K",
+    "overrides",
     [
-        {"kind": "constant", "value": 1e300},
-        {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [1e300, 5e299]},
+        {"K": {"kind": "constant", "value": 1e300}},
+        {"K": {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [1e300, 5e299]}},
         # ten times the mean of K overflows: the scan's upper bound is the
         # largest float
-        {"kind": "constant", "value": 1e308},
-        {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [1e308, 5e307]},
+        {"K": {"kind": "constant", "value": 2e307}, "r": R_TWO},
+        {
+            "K": {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [2e307, 3e307]},
+            "r": R_TWO,
+        },
     ],
-    ids=["constant", "piecewise", "constant-1e308", "piecewise-1e308"],
+    ids=["constant", "piecewise", "constant-2e307", "piecewise-3e307"],
 )
-def test_main_verify_at_huge_capacity_prints_no_warning(tmp_path, capsys, K):
+def test_main_verify_at_huge_capacity_prints_no_warning(tmp_path, capsys, overrides):
     cfg = tmp_path / "huge_k.json"
-    cfg.write_text(json.dumps(_json_config(K=K)), encoding="utf-8")
+    cfg.write_text(json.dumps(_json_config(**overrides)), encoding="utf-8")
     assert main(["verify", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
 
@@ -820,7 +845,7 @@ def test_state_underflow_is_named(tmp_path, capsys):
 )
 def test_config_check_and_command_share_one_B(command, capsys):
     # parse_config checks B before any command runs; the command, and every
-    # harvest fraction of a sweep, reuse that quadrature
+    # harvest fraction of a sweep, reuse that B
     compute_B.cache_clear()
     main([command, "--config", str(SINUSOID)])
     capsys.readouterr()

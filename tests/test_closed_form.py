@@ -83,9 +83,9 @@ def test_derive_constants_without_harvest():
 
 @pytest.mark.parametrize("E", [0.0, 0.25])
 def test_derive_constants_refuses_a_forcing_integral_of_zero(E):
-    # r/K = 1e-322 makes the quadrature of B underflow to 0.0, on either side
-    # of E* = 1e-320; the anchor d / B would divide by it
-    pair = CoefficientPair(r=ConstantCoefficient(1e-320), K=ConstantCoefficient(100.0))
+    # r/K = 1e-325 makes B underflow to 0.0, on either side of E* = 1e-320;
+    # the anchor d / B would divide by it
+    pair = CoefficientPair(r=ConstantCoefficient(1e-320), K=ConstantCoefficient(1e5))
     with pytest.raises(ValueError, match="forcing integral B"):
         derive_constants(ModelParams(pair=pair, E=E, t0=0.5))
 
@@ -152,7 +152,8 @@ def test_solution_mid_interval_matches_chained_flow():
 def test_a_denominator_that_underflows_matches_chained_flow():
     # r = 700 and x0 = 1e-300: inside period 1, exp(-R) and x0 put every
     # term of the denominator below the float range, and x reads the form
-    # divided through by x0.  The agreement is B's quadrature error at G = 700.
+    # divided through by x0.  With K constant, B and C are sums of
+    # exponentials, exact to a few ulp even at G = 700.
     pair = CoefficientPair(r=ConstantCoefficient(700.0), K=ConstantCoefficient(1e30))
     p = ModelParams(pair=pair, E=0.25, t0=0.5)
     offsets = [0.25, 0.5, 0.75]

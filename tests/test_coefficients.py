@@ -107,15 +107,21 @@ def test_stage_values_match_scalar_calls_bit_for_bit():
 # np.sin and np.cos against math.sin and math.cos: each is within an ulp of
 # the true value, so two of them differ by at most 2 ulps of a number in
 # [-1, 1], that is 2**-52.  A sinusoid's value, mean + amp sin, then sits
-# within 4 ulps of mean + |amp| of the reference, and its antiderivative,
-# mean t - amp / (2 pi) (cos - cos(phase)), within 4 ulps of |mean t| + |amp|.
-# The other kinds take no transcendental function and match exactly.
+# within 4 ulps of mean + |amp| of the reference.  The other kinds take no
+# transcendental function and match exactly.
 def _value_slack(c) -> float:
     return 4.0 * math.ulp(c.mean + abs(c.amp)) if c.kind == "sinusoid" else 0.0
 
 
-def _antiderivative_slack(c, t: float) -> float:
-    return 4.0 * math.ulp(abs(c.mean * t) + abs(c.amp)) if c.kind == "sinusoid" else 0.0
+def _growth_slack(c, t: float) -> float:
+    """How far the growth over [t, t + s], s <= 1, may sit from the reference
+    F(fl(t + s)) - F(t): each value of F, at most the largest value of c
+    times |t| + 1, carries its rounding (and a sinusoid's cosines theirs,
+    within |amp|), and fl(t + s) moves the window's end by half an ulp of
+    t + s."""
+    data = c.to_dict()
+    largest = max(data.get("values", [c.mean + abs(data.get("amp", 0.0))]))
+    return 4.0 * math.ulp(largest * (abs(t) + 1.0) + abs(data.get("amp", 0.0)))
 
 
 @pytest.mark.parametrize("kind", ["constant", "sinusoid", "piecewise"])
@@ -126,14 +132,17 @@ def test_each_kind_matches_its_stdlib_reference(kind):
         jumps = [b + m for b in c.breakpoints_mod1() for m in (-2.0, 0.0, 1.0, 1e6)]
         ulp_off = [math.nextafter(u, d) for u in jumps for d in (-math.inf, math.inf)]
         times = [*rng.uniform(-3.0, 7.0, 100).tolist(), *rng.uniform(0.0, 1e8, 20).tolist()]
-        for t in times + jumps + ulp_off:
+        spans = rng.uniform(0.0, 1.0, len(times + jumps + ulp_off)).tolist()
+        for t, s in zip(times + jumps + ulp_off, spans):
             got, want = _at(c, t), reference_value(c, t)
             assert abs(got - want) <= _value_slack(c), (c, t)
-            got, want = float(c.antiderivative(t)), reference_integral(c, 0.0, t)
-            assert abs(got - want) <= _antiderivative_slack(c, t), (c, t)
+            for span in (s, 1.0, 1e-9):
+                got, want = float(c.growth(t, span)), reference_integral(c, t, t + span)
+                assert abs(got - want) <= _growth_slack(c, t), (c, t, span)
         t = np.array(times)
         assert c.piece_values(t, t).tolist() == [_at(c, u) for u in times]
-        assert c.antiderivative(t).tolist() == [float(c.antiderivative(u)) for u in times]
+        s = np.array(spans[: len(times)])
+        assert c.growth(t, s).tolist() == [float(c.growth(u, v)) for u, v in zip(times, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,40 +177,50 @@ def test_piecewise_construction_guards():
 
 
 # ---------------------------------------------------------------------------
-# exact antiderivatives
+# exact integrals: the window growth, R over [a, b] for b - a <= 1
 # ---------------------------------------------------------------------------
 
 
 def _integral(c, a: float, b: float) -> float:
-    return float(c.antiderivative(b)) - float(c.antiderivative(a))
+    return float(c.growth(a, b - a))
 
 
 def test_antiderivative_constant():
     c = ConstantCoefficient(LN2)
-    assert _integral(c, 0.5, 1.5) == pytest.approx(LN2, rel=1e-15)
+    assert _integral(c, 0.5, 1.5) == LN2
+    assert float(c.growth(0.5, 0.25)) == LN2 * 0.25
 
 
 def test_antiderivative_sinusoid_full_period():
+    # a whole period's growth is the mean bit for bit, from any phase
     c = SinusoidCoefficient(mean=0.7, amp=0.2, phase=0.0)
-    assert c.antiderivative(1.0) == pytest.approx(0.7, abs=1e-15)
+    assert float(c.growth(0.0, 1.0)) == 0.7
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        c = random_coefficient(rng, "sinusoid", 0.3, 1.5)
+        phase = rng.uniform(-3.0, 1e6, 20)
+        assert c.growth(phase, np.ones(20)).tolist() == [c.mean] * 20
 
 
 def test_antiderivative_piecewise_two_periods():
-    assert PWC.antiderivative(2.0) == pytest.approx(3.0, rel=1e-15)
+    assert _integral(PWC, 0.0, 1.0) + _integral(PWC, 1.0, 2.0) == 3.0
+    # a window across the period boundary reads the next period's pieces
+    assert _integral(PWC, 0.75, 1.75) == 1.5
+    assert _integral(PWC, 0.75, 1.25) == 0.25 * 2.0 + 0.25 * 1.0
 
 
 def test_antiderivative_matches_quadrature():
-    # Brute-force midpoint-rule check of the analytic antiderivative.  The
+    # Brute-force midpoint-rule check of the analytic integral.  The
     # rule itself carries O(1/N) bias at each jump of a piecewise function,
     # so that kind gets a tolerance matching the oracle's own error.
     rng = np.random.default_rng(7)
     for kind, rel in (("constant", 1e-9), ("sinusoid", 1e-9), ("piecewise", 3e-5)):
         c = random_coefficient(rng, kind, 0.3, 1.5)
-        a, b = -0.7, 1.9
-        s = np.linspace(a, b, 200_001)
-        mid = 0.5 * (s[1:] + s[:-1])
-        brute = float(np.sum(c.piece_values(mid, mid)) * (s[1] - s[0]))
-        assert _integral(c, a, b) == pytest.approx(brute, rel=rel)
+        for a, b in ((-0.7, 0.3), (1.9, 2.6)):
+            s = np.linspace(a, b, 200_001)
+            mid = 0.5 * (s[1:] + s[:-1])
+            brute = float(np.sum(c.piece_values(mid, mid)) * (s[1] - s[0]))
+            assert _integral(c, a, b) == pytest.approx(brute, rel=rel)
 
 
 def test_antiderivative_is_additive():
@@ -209,7 +228,8 @@ def test_antiderivative_is_additive():
     for kind in ("constant", "sinusoid", "piecewise"):
         c = random_coefficient(rng, kind, 0.3, 1.5)
         for _ in range(20):
-            a, b, x = np.sort(rng.uniform(-2.0, 5.0, size=3))
+            a = rng.uniform(-2.0, 5.0)
+            b, x = a + np.sort(rng.uniform(0.0, 1.0, size=2))
             whole = _integral(c, a, x)
             split = _integral(c, a, b) + _integral(c, b, x)
             assert split == pytest.approx(whole, rel=1e-14, abs=1e-14)
@@ -242,6 +262,8 @@ _WHOLE = st.integers(0, 10**8)
 
 @st.composite
 def _pair_and_times(draw, r_kind: str, k_kind: str):
+    """A pair, a start, and offsets in [0, 1] from it: any, 0 and 1, and
+    those of the jumps and of one ulp below them."""
     pair = CoefficientPair(r=draw(_KIND_STRATEGIES[r_kind]), K=draw(_KIND_STRATEGIES[k_kind]))
     jumps = (0.0, *_breaks(pair))
     time = st.one_of(
@@ -251,7 +273,13 @@ def _pair_and_times(draw, r_kind: str, k_kind: str):
         st.tuples(st.sampled_from(jumps), _WHOLE).map(lambda bm: bm[0] + bm[1]),
         st.floats(0.0, 1e8),
     )
-    return pair, draw(st.lists(time, min_size=1, max_size=40))
+    start = draw(time)
+    cuts = [(b - start) % 1.0 for b in jumps]
+    offset = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, *cuts, *(math.nextafter(u, 0.0) for u in cuts)]),
+    )
+    return pair, start, draw(st.lists(offset, min_size=1, max_size=40))
 
 
 @pytest.mark.parametrize("k_kind", ["constant", "sinusoid", "piecewise"])
@@ -262,20 +290,23 @@ def test_the_pair_pass_is_the_coefficients_own_evaluation(r_kind, k_kind, data):
     # against the stdlib reference: exact without a sinusoid, and with one
     # within the slack of each sinusoid's values relative to its smallest
     # value, mean - |amp|, and the division's rounding
-    pair, times = data.draw(_pair_and_times(r_kind, k_kind))
+    pair, start, offsets = data.draw(_pair_and_times(r_kind, k_kind))
     r, K = pair.r, pair.K
     rel = sum(_value_slack(c) / (c.mean - abs(c.amp)) for c in (r, K) if c.kind == "sinusoid")
     rel += math.ulp(1.0) if rel else 0.0
-    t = np.array(times)
-    # keyed on other times, a coefficient with jumps reads its value there
-    for key in (t, t[::-1].copy()):
-        ratio, growth = pair.ratio_and_growth(t, key)
-        for time, at, got, big_r in zip(times, key.tolist(), ratio.tolist(), growth.tolist()):
+    s = np.array(offsets)
+    # keyed on other offsets, a coefficient with jumps reads its value there
+    for key in (s, s[::-1].copy()):
+        ratio, growth = pair.ratio_and_growth(start, s, key)
+        times, keys = (start + s).tolist(), (start + key).tolist()
+        rows = zip(offsets, times, keys, ratio.tolist(), growth.tolist())
+        for offset, time, at, got, big_r in rows:
             r_at, K_at = (at if c.kind == "piecewise" else time for c in (r, K))
             want = reference_value(r, r_at) / reference_value(K, K_at)
             assert abs(got - want) <= rel * want
-            want = reference_integral(r, 0.0, time)
-            assert abs(big_r - want) <= _antiderivative_slack(r, time)
+            assert big_r == float(r.growth(start, offset))
+            want = reference_integral(r, start, time)
+            assert abs(big_r - want) <= _growth_slack(r, start)
 
 
 @pytest.mark.parametrize("kind", ["constant", "sinusoid", "piecewise"])
@@ -284,7 +315,12 @@ def test_the_pair_pass_is_the_coefficients_own_evaluation(r_kind, k_kind, data):
 def test_the_period_mean_is_the_integral_over_one_period(kind, data):
     c = data.draw(_KIND_STRATEGIES[kind])
     assert type(c.mean) is float
-    assert c.mean == c.antiderivative(1.0) == reference_integral(c, 0.0, 1.0)
+    assert c.mean == reference_integral(c, 0.0, 1.0)
+    # the growth over a whole period from any phase: the mean, bit for bit
+    # where no piece sum is taken, and within the rounding of one otherwise
+    phase = data.draw(st.floats(0.0, 1e6))
+    slack = 0.0 if kind != "piecewise" else 2 * len(c.values) * math.ulp(c.mean)
+    assert abs(float(c.growth(phase, 1.0)) - c.mean) <= slack
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +470,13 @@ def _window_alone(pair, start, s, panels_per_unit):
     lo, hi = edges, np.append(edges[1:], s)
     gl_nodes, gl_weights = leggauss(10)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    t, key, end = start + (mid[:, None] + half[:, None] * gl_nodes), start + mid[:, None], start + s
+    u = mid[:, None] + half[:, None] * gl_nodes
+    t, key = start + u, start + mid[:, None]
     r, K = (c.piece_values(t, key) for c in (pair.r, pair.K))
-    decay = np.exp(pair.r.antiderivative(t) - pair.r.antiderivative(end))
+    growth = float(pair.r.growth(start, s))
+    decay = np.exp(pair.r.growth(start, u) - growth)
     forcing = float(np.dot((half[:, None] * gl_weights).ravel(), (r / K * decay).ravel()))
-    return forcing, float(pair.r.antiderivative(end)) - float(pair.r.antiderivative(start))
+    return forcing, growth
 
 
 KINDS = ("constant", "sinusoid", "piecewise")
@@ -487,7 +525,7 @@ def test_forcing_integral_empty_interval():
     assert forcing_integrals(pair, 0.7, (0.0,)) == ([0.0], [0.0])
     forcing, growth = forcing_integrals(pair, 0.7, (0.0, 0.5))
     assert forcing[0] == growth[0] == 0.0 and forcing[1] > 0.0
-    assert growth[1] == reference_integral(pair.r, 0.7, 0.7 + 0.5)
+    assert growth[1] == LN2 * 0.5
     with pytest.raises(ValueError, match="offsets must lie in"):
         forcing_integrals(pair, 1.0, (-0.5,))
 
@@ -497,8 +535,10 @@ def test_forcing_integral_empty_interval():
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_steps_and_panels_are_intervals_of_one_partition(r_kind, k_kind, data):
-    # the RK4 steps, B's panels and the panels of a [0, 1] table all run
-    # between consecutive points of i/n and the jump offsets
+    # the RK4 steps and the panels of the unit forcing window, and for a
+    # sinusoid K those of B and of a [0, 1] table, all run between
+    # consecutive points of i/n and the jump offsets; with K constant on
+    # pieces, B and the table lay no panel at all
     pair = _pair(data.draw(_KIND_STRATEGIES[r_kind]), data.draw(_KIND_STRATEGIES[k_kind]))
     params = ModelParams(pair=pair, E=0.0, t0=data.draw(st.floats(0.01, 3.0)))
     panels = []
@@ -514,8 +554,10 @@ def test_steps_and_panels_are_intervals_of_one_partition(r_kind, k_kind, data):
         compute_B.cache_clear()
         compute_B(pair, params.phase)
         period_table(params, [0.0, 1.0])
+        assert len(panels) == (2 if k_kind == "sinusoid" else 0)
+        forcing_integrals(pair, params.phase, (1.0,))
     expected = _partition(pair, params.phase, 64)
-    assert len(panels) == 2
+    assert len(panels) == (3 if k_kind == "sinusoid" else 1)
     for lo, hi in panels:
         assert lo + hi[-1:] == expected and hi == expected[1:]
 

@@ -1,0 +1,162 @@
+"""The forcing integrals where K is constant on pieces, measured in ulps
+against the high-precision reference of ``decimal_reference``; and that
+reference checked against forms it does not compute by."""
+
+from __future__ import annotations
+
+import json
+import math
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from decimal_reference import Reference, ulps
+from helpers import exact_B
+from impulsive_logistic import cli, compute_B, derive_constants, period_table
+from test_coefficients import slivers
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+PIECEWISE_R = json.loads((CONFIG_DIR / "piecewise_mixed.json").read_text())["r"]
+OFFSETS = [j / 256 for j in range(257)]
+
+
+def _piecewise(breakpoints, values) -> dict:
+    return {"kind": "piecewise", "breakpoints": breakpoints, "values": values}
+
+
+# name -> scenario, and the largest errors in ulps of B, x0_star and C(s)
+# at the 257 offsets j/256 that the sum of exponentials may make.  The
+# 64-panel quadrature, which filled every table before, read 0.254, 0.163
+# and 3.67 on golden_constant; 1.23e5, 1.23e5 and 68.5 at r = 709; 1.89,
+# 2.22 and 4.3 on the piecewise pair; and 0.839, 2.05 and 3.65 on the sliver
+CASES = {
+    "golden_constant": (
+        json.loads((CONFIG_DIR / "golden_constant.json").read_text()),
+        (0.5, 0.5, 2.0),
+    ),
+    # G = 709, at the top of the float range of A
+    "r709": (
+        {
+            "r": {"kind": "constant", "value": 709.0},
+            "K": {"kind": "constant", "value": 1.0},
+            "E": 0.5,
+            "t0": 1.0,
+        },
+        (0.5, 0.5, 1.0),
+    ),
+    # piecewise_mixed's r over a piecewise K spanning five decades
+    "piecewise": (
+        {
+            "r": PIECEWISE_R,
+            "K": _piecewise([0.0, 0.4, 0.55, 1.0], [50.0, 1e-3, 150.0]),
+            "E": 0.3,
+            "t0": 0.25,
+        },
+        (0.5, 1.0, 2.0),
+    ),
+    # a case of ``slivers``: pieces of 1e-15 at offset 0 and at offset 1 and
+    # one of 3e-13 inside, K from 1e-160 to 1e80; the last sliver holds
+    # almost all of B
+    "K-sliver": (
+        {
+            "r": {"kind": "constant", "value": 1.3},
+            "K": _piecewise(
+                [0.0, 1e-15, 0.37, 0.37 + 3e-13, 1.0 - 1e-15, 1.0],
+                [1e-120, 1e80, 1e-150, 1e10, 1e-160],
+            ),
+            "E": 0.2,
+            "t0": 2.0,
+        },
+        (1.5, 0.5, 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_the_sum_of_exponentials_is_within_its_ulp_bounds(name):
+    scenario, (b_ulps, anchor_ulps, c_ulps) = CASES[name]
+    scenario = {key: scenario[key] for key in ("r", "K", "E", "t0")}
+    params = cli.parse_config(scenario).params
+    consts = derive_constants(params)
+    ref = Reference(scenario)
+    assert ulps(consts.B, ref.B()) <= b_ulps
+    assert ulps(consts.x0_star, ref.x0_star()) <= anchor_ulps
+    table = period_table(params, OFFSETS)
+    worst = max(ulps(c, ref.forcing(s)) for c, s in zip(table.forcing.tolist(), OFFSETS))
+    assert worst <= c_ulps
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(case=slivers())
+def test_B_of_a_sliver_is_within_three_ulps(case):
+    # three roundings on the piece that holds most of B (its growth, the
+    # expm1 and the division by K) and the carried sum of the pieces before
+    pair, phase = case
+    scenario = {**pair.to_dict(), "E": 0.0, "t0": phase or 1.0}
+    assert ulps(compute_B(pair, phase), Reference(scenario).B()) <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# the reference itself
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t0", [0.5, 0.875, 3.0])
+def test_reference_with_K_constant_is_one_minus_exp_over_K(t0):
+    # with K constant, C(s) = (1 - exp(-R(s))) / K whatever r is; splitting
+    # K into pieces of one value, or r into pieces, must not change it
+    r = _piecewise([0.0, 0.2, 0.9, 1.0], [0.5, 3.0, 1.25])
+    plain = Reference({"r": r, "K": {"kind": "constant", "value": 40.0}, "E": 0.0, "t0": t0})
+    split_K = _piecewise([0.0, 0.1, 0.6, 0.95, 1.0], [40.0] * 4)
+    split = Reference({"r": r, "K": split_K, "E": 0.0, "t0": t0})
+    for s in (0.0, 0.05, 0.3, 0.5, 0.77, 1.0):
+        growth = plain.growth(s)
+        want = (1 - math.exp(-growth)) / 40.0
+        assert float(plain.forcing(s)) == pytest.approx(want, rel=1e-15)
+        gap = abs(split.forcing(s) - plain.forcing(s))
+        assert gap <= abs(plain.forcing(s)) * Decimal("1e-60")
+    # R over one period is the integral of r over [0, 1], from any phase
+    bp = [Fraction(b) for b in r["breakpoints"]]
+    pieces = zip(bp, bp[1:], r["values"])
+    assert plain.growth(1) == sum(Fraction(v) * (b - a) for a, b, v in pieces)
+
+
+def test_reference_matches_a_fine_quadrature():
+    # piecewise r and K, with the window across the period boundary:
+    # Simpson's rule on each stretch where both are constant, in floats
+    r = _piecewise([0.0, 0.3, 0.8, 1.0], [0.7, 2.0, 0.4])
+    K = _piecewise([0.0, 0.5, 0.65, 1.0], [30.0, 0.5, 90.0])
+    ref = Reference({"r": r, "K": K, "E": 0.0, "t0": 1.6})
+    cuts = sorted({(b - 0.6) % 1.0 for b in (0.0, 0.3, 0.8, 0.5, 0.65)} | {0.0, 1.0})
+
+    def at(coef, u):
+        u %= 1.0
+        for lo, hi, v in zip(coef["breakpoints"], coef["breakpoints"][1:], coef["values"]):
+            if lo <= u < hi:
+                return v
+
+    total = float(ref.growth(1))
+    simpson = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.6 + 0.5 * (lo + hi)
+        rate, capacity = at(r, mid), at(K, mid)
+        n = 2000
+        h = (hi - lo) / n
+        weights = [1 if i in (0, n) else 4 if i % 2 else 2 for i in range(n + 1)]
+        simpson += h / 3 * sum(
+            w * rate / capacity * math.exp(float(ref.growth(lo + i * h)) - total)
+            for i, w in enumerate(weights)
+        )
+    assert float(ref.B()) == pytest.approx(simpson, rel=1e-12)
+
+
+def test_reference_matches_the_float_piece_sum_on_a_sliver():
+    scenario = CASES["K-sliver"][0]
+    params = cli.parse_config({key: scenario[key] for key in ("r", "K", "E", "t0")}).params
+    assert float(Reference(scenario).B()) == pytest.approx(
+        exact_B(params.pair, params.phase), rel=1e-14
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import decimal
+import json
 import math
 from pathlib import Path
 
@@ -102,19 +103,19 @@ def test_table_matches_scalar_quadrature(params, offsets):
 
 
 def test_table_holds_a_forcing_ratio_near_the_float_range():
-    # r/K = 5.6e186 times exp(R - G/2) up to 1e122 overflowed until r/K was
-    # scaled by a power of two; B = 1e184 itself fits a float
-    params = ModelParams(
-        pair=CoefficientPair(
-            r=ConstantCoefficient(562.341325190349), K=ConstantCoefficient(1e-184)
-        ),
-        E=0.0,
-        t0=1.0,
-    )
-    with np.errstate(all="raise"):
-        table = period_table(params, [0.0, 0.5, 1.0])
-    want = [0.0, forcing_integrals(params.pair, 0.0, (0.5,))[0][0], compute_B(params.pair, 0.0)]
-    np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
+    # r/K = 5.6e186 times exp(R - G/2) up to 1e122 overflowed the quadrature
+    # table until r/K was scaled by a power of two; B = 1e184 itself fits a
+    # float.  A sinusoid K takes that table; a constant K, the sum of
+    # exponentials, whose terms are at most 1/K
+    for K in (SinusoidCoefficient(1e-184, 2e-185), ConstantCoefficient(1e-184)):
+        params = ModelParams(
+            pair=CoefficientPair(r=ConstantCoefficient(562.341325190349), K=K), E=0.0, t0=1.0
+        )
+        with np.errstate(all="raise"):
+            table = period_table(params, [0.0, 0.5, 1.0])
+        half = forcing_integrals(params.pair, 0.0, (0.5,))[0][0]
+        want = [0.0, half, compute_B(params.pair, 0.0)]
+        np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
@@ -314,12 +315,12 @@ def crowded_jumps(draw) -> ModelParams:
 @PROPERTY
 @given(params=crowded_jumps())
 def test_table_ends_on_B_when_jumps_crowd_a_split(params):
-    # C(1) = B is the identity the jump rule rests on: the table and B split
-    # the period at the same jump offsets, however close, and read the same
-    # nodes
-    table = period_table(params, [0.0, 1.0])
+    # C(1) = B is the identity the jump rule rests on: with K constant on
+    # pieces, the table and B are one sum over the same pieces of K, cut at
+    # the same jump offsets however close, so they agree bit for bit
+    table = period_table(params, [0.0, 0.5, 1.0])
     B = compute_B(params.pair, params.phase)
-    assert table.forcing[-1] == pytest.approx(B, rel=1e-13)
+    assert table.forcing[-1] == B
 
 
 @pytest.mark.parametrize("lag", [-5e-13, 5e-13])
@@ -428,6 +429,22 @@ def test_verify_catches_a_scaled_geometric_sum(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_periodicity_check_catches_a_scaled_B(monkeypatch, capsys, name):
+    # the reference side takes its own B from its 128-panel windows, so a
+    # kernel B off by 1e-7 shows as residuals of about 1e-7 against 1e-8
+    argv = ["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    real = closed_form.compute_B
+    monkeypatch.setattr(
+        closed_form, "compute_B", lambda pair, phase: real(pair, phase) * (1.0 + 1e-7)
+    )
+    assert cli.main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "periodicity" in {check["check"] for check in checks if not check["passed"]}
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
 def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
     # the periodicity records stop at k = 4; far out, q**-k and the geometric
     # sum must still carry the anchor along the orbit
@@ -448,32 +465,58 @@ def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
 
 @pytest.fixture
 def evaluated_nodes(monkeypatch):
-    """Count every node at which a coefficient or its antiderivative is
-    evaluated: by each kind's own methods, at RK4 stages or in the pair's
-    one pass, which counts its nodes once for the three calls it makes."""
+    """Count every node at which a coefficient or its growth is evaluated:
+    by each kind's own methods, at RK4 stages, in the sums over the pieces
+    of K, or in the pair's one pass, which counts its nodes once for the
+    three calls it makes."""
     count = [0]
     inside = [False]
 
     def counted(method):
-        def wrapper(self, t, *key):
+        # a node per element of the largest argument: the times of
+        # piece_values, or the phases or offsets of a growth or of the pass
+        def wrapper(self, *args):
             if inside[0]:
-                return method(self, t, *key)
-            count[0] += np.size(t)
+                return method(self, *args)
+            count[0] += max(map(np.size, args))
             inside[0] = True
             try:
-                return method(self, t, *key)
+                return method(self, *args)
             finally:
                 inside[0] = False
 
         return wrapper
 
     for owner, name in [
-        *((kind, name) for kind in KINDS for name in ("piece_values", "antiderivative")),
+        *((kind, name) for kind in KINDS for name in ("piece_values", "growth")),
         (CoefficientPair, "ratio_and_growth"),
     ]:
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     compute_B.cache_clear()  # count the constants' quadrature too
     return count
+
+
+PIECEWISE_K = {
+    "r": {"kind": "sinusoid", "mean": 0.7, "amp": 0.2},
+    "K": {"kind": "piecewise", "breakpoints": [0.0, 0.3, 0.71, 1.0], "values": [80, 120, 100]},
+    "E": 0.25,
+    "t0": 1.37,
+}
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [json.loads((CONFIG_DIR / "golden_constant.json").read_text()), PIECEWISE_K],
+    ids=["golden_constant", "piecewise-K"],
+)
+def test_constants_read_a_point_per_piece_of_K(evaluated_nodes, scenario):
+    # with K constant on pieces, B is a sum over its pieces: the config
+    # check and the constants read r's growth once per piece and once at
+    # offset 1, where a quadrature of B reads 640 nodes or more
+    config = cli.parse_config(scenario)
+    cli.cmd_constants(config, "text")
+    pieces = len(config.params.pair.K.pieces(config.params.phase)[0])
+    assert 0 < evaluated_nodes[0] <= pieces + 1
 
 
 # RK4 alone evaluates r and K at 3 stage times per step of one period;
@@ -565,8 +608,9 @@ def test_counterexample_builds_one_period_table(monkeypatch, name):
 
 
 def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nodes):
-    # the 16 reference windows share one evaluation of r and K, and cost
-    # no more nodes than the same windows taken one call each
+    # the 16 reference windows and the unit window of the reference's own B
+    # share one evaluation of r and K, and cost no more nodes than the same
+    # windows taken one call each
     calls = []
     batched = analysis.forcing_integrals
 
@@ -576,7 +620,7 @@ def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nod
 
     monkeypatch.setattr(analysis, "forcing_integrals", counted)
     verify_periodicity(SINUSOID_R)
-    assert len(calls) == 1 and len(calls[0][2]) == 16
+    assert len(calls) == 1 and len(calls[0][2]) == 17 and calls[0][2][-1] == 1.0
 
     pair, phase, offsets, panels_per_unit = calls[0]
     evaluated_nodes[0] = 0

@@ -38,101 +38,101 @@ DIGESTS = {
     ("constants", "overharvest", "json"): "764b5f3279b6b136f5d14d7cb15c6362695c8d5dcaaed52d023e3b9b8729abc4",
     ("constants", "piecewise_mixed", "text"): "73d3ad9b382dc20804e1989b3d8396a5c41aeb4cecfe7b54f003096421768f43",
     ("constants", "piecewise_mixed", "json"): "9541d5e84bb68490ee65326c31e58505d357c29f44543f7a3b4d609820363641",
-    ("constants", "sinusoid_r", "text"): "cbdeab03fe44fc4077a01535abdec18820eb81fc58b52c3c748122898bb0aa57",
-    ("constants", "sinusoid_r", "json"): "683114cbbfe624eeefef20d1ca72e67b84a1c641ea9104452c636c98ba0bf55a",
-    ("simulate", "golden_constant", "csv"): "1da30bc239bc399981fd6d33227233d8feae08265656f60825502a202ecca1fe",
-    ("simulate", "golden_constant", "json"): "f9ff39634bb48012b1b9092e271fadbbfe195ba266c2798e4ee264b8f5ed8644",
-    ("simulate", "overharvest", "csv"): "dc7f970a433f9cde1677750578e0d48978f27b393fcf5eb365b01d7b95dc4355",
-    ("simulate", "overharvest", "json"): "1c32b453a3b1e86300437743382682ec4cb0729e4223649e61a8c37acc6441aa",
-    ("simulate", "piecewise_mixed", "csv"): "523b2e3525cce5f03fbd98b043a0944bdf957a42d759d9b29e6161886641f997",
-    ("simulate", "piecewise_mixed", "json"): "d9e6f1d8167b28aad56566a10924375640a88d3d78d20d85a8796b76df15c8e7",
-    ("simulate", "sinusoid_r", "csv"): "087d3e7cf238653986c32fcf05ab742d6514800688d2ce7cefe57d79e33c0ea9",
-    ("simulate", "sinusoid_r", "json"): "1d3f7691262542782c14d9fccf7e49c70d201d2eba7c5844d97622d07051f8f2",
-    ("periodic", "golden_constant", "csv"): "3c065edd95a5a534130d96ab8c306e0e01cad7579523b4546f502c91442c76c0",
-    ("periodic", "golden_constant", "json"): "16f0e546b2046bb3afb76d016d6c65a93fed88ac1b7398a9483c959d756b884a",
+    ("constants", "sinusoid_r", "text"): "d529b4721bc41903a88aff12b3505a25d30e857bc3725e0ba1c746e7a2fbbc7f",
+    ("constants", "sinusoid_r", "json"): "308dead02dd3477ad34cdbe5d7c436ba6cd56e51688e0fbc27e9d238efe97a30",
+    ("simulate", "golden_constant", "csv"): "a10005ca74949efc4562d33207f6f5563efca3b2f2b7b5b18d467ecc4e062773",
+    ("simulate", "golden_constant", "json"): "6f3fb6db80e22187ee094fef2bb3ad7f7629d56720721b03cbd22b2e8331a81e",
+    ("simulate", "overharvest", "csv"): "2141e20ec40c763c73cfbdfb62e3906ddb5c5095cba097cda24b71e15416c0bf",
+    ("simulate", "overharvest", "json"): "df878c0b64e85d8da6957d3351e078f8e3b3791fd44b7e946e83c58eb467de03",
+    ("simulate", "piecewise_mixed", "csv"): "e4813988319dc270d2739362bd648cb2a6c2f2e3ffdeee4ed660f05f98cd545a",
+    ("simulate", "piecewise_mixed", "json"): "0d023c7aac312fe18730b5fadce73e5cc21e3a4b2dd9792b66a73c59ee764537",
+    ("simulate", "sinusoid_r", "csv"): "14647954e28517b4343231319f4f0f7796b58e4a12ad6464e813e8162cb8d4b0",
+    ("simulate", "sinusoid_r", "json"): "96c156db5bddd4675e7fa786e5c040a71b6ddd462a7a720815dd9ce954b727f0",
+    ("periodic", "golden_constant", "csv"): "2cdb4ce4c0281c3dd3b65d9d3d8223c656db823f8ce1e73bb2437d253925d253",
+    ("periodic", "golden_constant", "json"): "a9a74f6eef6e2baa4bd47b64d196911800fe4dc79646125b68fb66f300cd883c",
     ("periodic", "overharvest", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("periodic", "piecewise_mixed", "csv"): "2c541a2cd3d946b2be692d6e1b24a835e767776c788130e36b82155f0fa09483",
-    ("periodic", "piecewise_mixed", "json"): "3f7943433f030ee5e209e1511d37c759df63328ec9eac3adca5201630b2f4710",
-    ("periodic", "sinusoid_r", "csv"): "328a8f0cbcfbb83b09cb5f4bdec1fcfb8b3e98ff89f3932a586335df64110788",
-    ("periodic", "sinusoid_r", "json"): "239caf45131cdb7bb4c71087906668d9c5ec98fa35b364720d28be01411b7053",
-    ("verify", "golden_constant", "json"): "3965f6d2b876859bd7750628f4e805b14b5631163cd6bc9ae1e7a1d667a6f836",
-    ("verify", "golden_constant", "text"): "bf49f06f7c760a0d9a2443f68f071c6315ddd282907ee083aa2da831492f1930",
+    ("periodic", "piecewise_mixed", "csv"): "0cd555bf80c729d9031fdeaf701c08573bd01d1b8d2db835798f3c03c8440454",
+    ("periodic", "piecewise_mixed", "json"): "7c5eec4eedd2c62f8110b45da959c719d0378dc2edebe08418449d0ce7477874",
+    ("periodic", "sinusoid_r", "csv"): "b15abbfcf9a3a12fb38b1febf18833d1e34f1a8c4c4869761aeee383ce518487",
+    ("periodic", "sinusoid_r", "json"): "60fc74f97633906b8ccd69448517b1ec42891b4c1f7ca8d846f9cc6f00f47752",
+    ("verify", "golden_constant", "json"): "9d38151c27bbc1dc3c014d8d04b16a4696a9d02e09319fb1173208dbdc66f222",
+    ("verify", "golden_constant", "text"): "5d78da54f2369cdab9888997aa38ce92f58a5b83963eb92088ae84ebb2c4b636",
     ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
-    ("verify", "piecewise_mixed", "json"): "2e6a0ca2381ac867811a8c4167eb9df327194f3cded3a389c118a4dff1bf47df",
-    ("verify", "piecewise_mixed", "text"): "2fcc0de08c53271df46dbf935f965470a9948b99ab031c0d3160dc06b7aa587d",
-    ("verify", "sinusoid_r", "json"): "599fb657fa26014183177ea98a717e3a6b8047655e21ef0aaeccb68dcf6a5761",
-    ("verify", "sinusoid_r", "text"): "17cbf306df92c8211b7377f4df1f48d850991f982711a3563fc9cfa05afe675c",
-    ("counterexample", "golden_constant", "json"): "a44c5e55c694688f95b497c3ac9d65b32fe87d09d5d7a5274f99cf8bd2420bf9",
-    ("counterexample", "golden_constant", "text"): "c6cb717e305d44eb9570a2dac5894431002defa8f82c4eadc0328258f59fbc65",
+    ("verify", "piecewise_mixed", "json"): "415a25a087afd86f304d2ec3b94fde9af05e4f5d987e9a347a0d3244bee64602",
+    ("verify", "piecewise_mixed", "text"): "a397b9b55364cec7e58f201d4447a7c5e108070eef2595c2a88c96b4e9576381",
+    ("verify", "sinusoid_r", "json"): "5cc829dbacb573d5873bcd5c8221fd301d9b2fdd934d28b6587f3ede91dabd66",
+    ("verify", "sinusoid_r", "text"): "64d9c946e7f13362f3661b1f4532709e918658dc22b800c592fbb1a3418ca9fc",
+    ("counterexample", "golden_constant", "json"): "d92371da48406f5abc5bd02dbdf92f033969bac56d353dadaf4108b5c1322934",
+    ("counterexample", "golden_constant", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("counterexample", "piecewise_mixed", "json"): "42b078ec9a20e853e4502f1f57f57b6c36792a5c2b2c81bacbad0ce9918737a9",
-    ("counterexample", "piecewise_mixed", "text"): "420ab3c30c44e54739f1876677db4d1ced96a79b565d30585c119d2d6f30ec0c",
-    ("counterexample", "sinusoid_r", "json"): "9829e341c50c4600a2e6ed96da4e79ada754fd2e4a9eca4e5e9c9e0f5f85ae74",
-    ("counterexample", "sinusoid_r", "text"): "cd2cfd6b7e080016a990604c5b872e3c134f8428013e0905f8e5ca5bd5aab179",
-    ("sweep", "golden_constant", "csv"): "87e2cd2fabed86619ccc3b7565db5bf7141dc64439f09227e4139c0163a25185",
-    ("sweep", "golden_constant", "json"): "1f7fa63c54874b650b6bed5670e46c9bcc225948ae94610b7e5260784847f7ec",
-    ("sweep", "overharvest", "csv"): "079b44ecec7b01341dd88c83701a7791756bf79e455d918deb14b9fefb2f6f7a",
-    ("sweep", "overharvest", "json"): "cb79727457468d449091efd5c989bc4d3e53f9272892e00f0e0beb0e522c2301",
+    ("counterexample", "piecewise_mixed", "json"): "0649a354c18f520325e5df40adccabf5d877a0ccd4c7b56e7d670447a154fc60",
+    ("counterexample", "piecewise_mixed", "text"): "f83c4a8df73fb9b840a1314adfe0d49ca8c4e3ace6b7f35e8ba099644625aa5d",
+    ("counterexample", "sinusoid_r", "json"): "1f86f8706dca7d00386ef0b879b7c3fb06200e58c67ba2cf4f15d74f6a3bf6fe",
+    ("counterexample", "sinusoid_r", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
+    ("sweep", "golden_constant", "csv"): "ad308e35d5835aa22951dcd91a55f517e35f0bf7237da4e73fba83f72ac01c62",
+    ("sweep", "golden_constant", "json"): "96b4d30d6039ba87c0d0db8c2371549bec6919572ca479d1b71bd47958a862cb",
+    ("sweep", "overharvest", "csv"): "c8141cf7160836d2f03a56514afb354860a8435b832f148635767d6045428f2b",
+    ("sweep", "overharvest", "json"): "92a686069813545f833b7d9645e4a74c14f05a947f9a187316d1e69add60e850",
     ("sweep", "piecewise_mixed", "csv"): "bca1e9071e54a2e4a0a5fb713d1f8f67cab81454aa7f0676f2edeb0ecc8f455d",
     ("sweep", "piecewise_mixed", "json"): "bf8c9c54d3b7dc23d5dca991d2a8f60cf9321d0e7d1fa8a6070f14b4e3f3a7bc",
-    ("sweep", "sinusoid_r", "csv"): "0413658674618b31eb885b7bc09bfa9fb8a902dd56066783528cfbedae499a15",
-    ("sweep", "sinusoid_r", "json"): "c222f5b8353dc97a78f9d33a2d467b47e486099b70751d257f06f8a45b179fc8",
+    ("sweep", "sinusoid_r", "csv"): "64c598ca4fdf0779c2a7e046ac47b6cf27d8ced2a9e421202ac95991a1872995",
+    ("sweep", "sinusoid_r", "json"): "41332ea3b0ebbf27b02c44dc017d3f4b1298a53b093de5b5744eec825f8833e0",
 }
 
 # (command, config name, scaling, format) -> digest, as above
 SCALINGS = {"periods40": ["--periods", "40"], "step1024": ["--step", "0.0009765625"]}
 SCALED_DIGESTS = {
-    ("simulate", "golden_constant", "periods40", "csv"): "fee20921922692f1e8b6e4de48be7a804fdecf732c35f1cf13a56ddf683c145c",
-    ("simulate", "golden_constant", "periods40", "json"): "b45b3b2b1a9ad9b2de4e12d9a642607cfa8ea613af3a9c25dab527e2a448ac14",
-    ("simulate", "golden_constant", "step1024", "csv"): "86c1ed7da2841ee5165a6a625a957411967a889ad1cbd29cca88f589078d2e5b",
-    ("simulate", "golden_constant", "step1024", "json"): "2991d47d7a6c506b25191356ec7915a400ea1344b35a85bc5500f93df16c6523",
-    ("simulate", "overharvest", "periods40", "csv"): "a1d85e2c89c199b6886dea9c9b45fea9af54a9feda91aa2feebc8916c6aaceaa",
-    ("simulate", "overharvest", "periods40", "json"): "11e5bebfa47c75cbcf20b8b5a763d5dbe9ec34e0e1e8ec3640b4397690dc342f",
-    ("simulate", "overharvest", "step1024", "csv"): "2b0f75c5cdd551c187be70de56e724dd10f31090cf12a9e1cd8819f82091573c",
-    ("simulate", "overharvest", "step1024", "json"): "7f6f109910beb5e8c77d52be3a056eab93d41d73660a76717ef59f2888f9f563",
-    ("simulate", "piecewise_mixed", "periods40", "csv"): "557e1a100acdacf9455f263221b3e74249246affb5102c267bf031cbc839555d",
-    ("simulate", "piecewise_mixed", "periods40", "json"): "9bd6d473f547454e27b54b3e4ca93eddf75c5f5191825704e1fad4eed802e649",
-    ("simulate", "piecewise_mixed", "step1024", "csv"): "c8060629b3741831fd9f6a3324dedf7a193dc96bdf395a13d527ef4b853b3122",
-    ("simulate", "piecewise_mixed", "step1024", "json"): "18064dd3d87afdc0edb3b3919ae92db413fd11993cbdcfb4e8862e7256fcd6a2",
-    ("simulate", "sinusoid_r", "periods40", "csv"): "ffcb916e8b6b5a9238c85c1d7d5a4221dcbf274a394af6329c835bcb133fae83",
-    ("simulate", "sinusoid_r", "periods40", "json"): "362c209a496e9cd4535955a1337589ad08da16c88da93fda34048283a45ba229",
-    ("simulate", "sinusoid_r", "step1024", "csv"): "15220f534e8f6af89fc12a72f3f53f4079e9a5224ce6b18bf44ed07c2b94bd5b",
-    ("simulate", "sinusoid_r", "step1024", "json"): "cc6cc9a944ffe1f11827b0b52c00a296196f96ed135ccea85802cb3157d64deb",
-    ("periodic", "golden_constant", "periods40", "csv"): "0ce1fed8583793b09631156161039aa87c999f99e01e173d55fb48c774559c87",
-    ("periodic", "golden_constant", "periods40", "json"): "952b3e1f0690ba09a2e003893338037e1f376ef5b0ce998625bda94db2f2a27f",
-    ("periodic", "golden_constant", "step1024", "csv"): "428e60d4bde5026d2cd200d6b191e31896b955d367418876fdb65d378a95cff5",
-    ("periodic", "golden_constant", "step1024", "json"): "3f190c5ccfdc460d2ff6ccb907a9509ed0ab7e59c3ceef1b2044d5b08862d628",
+    ("simulate", "golden_constant", "periods40", "csv"): "aee7fdffef8bdb6825f3f12e938cafc8d34e35f0a526be731956786142087ce6",
+    ("simulate", "golden_constant", "periods40", "json"): "f5f8b952428c5451d4f473d1dfb869ec7e9fead8970a099196c19acd51586d69",
+    ("simulate", "golden_constant", "step1024", "csv"): "bfe616b6ad23adcfcc643d9fe894ec7c6be0fcd01ad8c51252ef3b033ca7c2d3",
+    ("simulate", "golden_constant", "step1024", "json"): "684a898238fab398ba451a89771940d9a28b4bb03838a32babdc1c219d12b801",
+    ("simulate", "overharvest", "periods40", "csv"): "ddb55c099c27e08567421188b47e9c664cbb524545d458ee6ebeffbb4cd08025",
+    ("simulate", "overharvest", "periods40", "json"): "d152c53005f006fd75dc9a2d19d111decd13b2c9c986c3ccb495f02748303f48",
+    ("simulate", "overharvest", "step1024", "csv"): "7384bbf22667beb21d22b76e1c80ed75b031cf3df71ca32d252804fda1847a9b",
+    ("simulate", "overharvest", "step1024", "json"): "ac6cc9e625bb499b56d9654474819e92be183e131473e9d6f61e3bcd85ced2cf",
+    ("simulate", "piecewise_mixed", "periods40", "csv"): "a722653e04e5a730ba7a46b88d10f0d964363e6c3d294b8670a2f9a71c096b76",
+    ("simulate", "piecewise_mixed", "periods40", "json"): "5f11ec5ed8c423e9f69dd8b183f90068bbb63f33cc82c32575726173eb452125",
+    ("simulate", "piecewise_mixed", "step1024", "csv"): "e06eea8067eeef436750187c1c0b25bd9e5915fc6c9106d94e1b1c1b6a9bbedd",
+    ("simulate", "piecewise_mixed", "step1024", "json"): "9330bc25745bfcd6525a5135a4f39d97f7bbe6986ebf9df10860d05e77ab6759",
+    ("simulate", "sinusoid_r", "periods40", "csv"): "d86b9b19658860b2d5c1de7ed876440d32d2509f6059f9c53a345e6f5c9107ec",
+    ("simulate", "sinusoid_r", "periods40", "json"): "063bdd6411cdfb02193467053380a47ca2f165d869cb08f2add34c6244b8d71d",
+    ("simulate", "sinusoid_r", "step1024", "csv"): "635d6c28b1addc35db0ce847e64480e4e3c94a0edeb9ca70dc1146b6f4cd54a0",
+    ("simulate", "sinusoid_r", "step1024", "json"): "943f281c7175c8c84b4c21abb934ae1c9ea954304f3c7a0f8d3d7e2a897a555a",
+    ("periodic", "golden_constant", "periods40", "csv"): "443e21355273940f22eaede5c664e689b8b40c36c8bf33a5a87034005b7055b6",
+    ("periodic", "golden_constant", "periods40", "json"): "96e3a70addf473666c77dd8b6e82e05f4c350b057a954021106616d91c5f42e4",
+    ("periodic", "golden_constant", "step1024", "csv"): "8777ed7a7bbf8f89e610eb6b1e9b200963f4b26267bb4da4770392222c4bcb70",
+    ("periodic", "golden_constant", "step1024", "json"): "c2443d3d174a608c0513661e3f169ed9f6307e8c1f7d57cd9b74cb2a72bc84f9",
     ("periodic", "overharvest", "periods40", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "periods40", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "step1024", "csv"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("periodic", "overharvest", "step1024", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
-    ("periodic", "piecewise_mixed", "periods40", "csv"): "c5bf93bec37fe8cb90bc104225f19139b655e1f5c5b479b4ab6d4a726ea9b9ac",
-    ("periodic", "piecewise_mixed", "periods40", "json"): "228e93c1117c74a26a462496c2b859887c8733afb939d43c216e1ad28844a0ce",
-    ("periodic", "piecewise_mixed", "step1024", "csv"): "073a3dcf8bacbdc3e010ac010e15cd8bc14db05c7073aac4e4a63248810ac14f",
-    ("periodic", "piecewise_mixed", "step1024", "json"): "710a114ac6f5d9f7d9f1b9c66d499a55e28d6d87ad0259d6e14a88269fa7f48f",
-    ("periodic", "sinusoid_r", "periods40", "csv"): "df55fa538beacad3e18ff6d6ed77fe6e811c01fb10729e104b2b10fb855f6de8",
-    ("periodic", "sinusoid_r", "periods40", "json"): "af79efd7281673156f87984183c24c594ce522a11d4fd113fbbfc5a4eeec688f",
-    ("periodic", "sinusoid_r", "step1024", "csv"): "a8595e92f215d5e8295096a8e3704e1bf5137b75aa73d4884438b13c8a0adf70",
-    ("periodic", "sinusoid_r", "step1024", "json"): "57322d1b82f4baf61e1ea9915c76deb8a3074b98150001b215729bfe409e0243",
-    ("verify", "golden_constant", "periods40", "json"): "1817da65fb7eb0ade1ac76b28105a422de00bdc7032d2187b96a76d0e2b1290f",
-    ("verify", "golden_constant", "periods40", "text"): "514ec1df0673277dcbc8bb16b271c1b335d81ab677ceaf54dbee99c25ee1051e",
-    ("verify", "golden_constant", "step1024", "json"): "90980abf45b14926bba3e25fa4d79eee7f80d4c5deaab9f3274cb7d33edfb589",
-    ("verify", "golden_constant", "step1024", "text"): "68eb14c39ee813f8055263082018a9e1e71ec6813bf27408ca401600fd47408c",
+    ("periodic", "piecewise_mixed", "periods40", "csv"): "e3b5d9fb8c552d0154f48835aafa77ddd8bd817abe298eaee8a1f63aba168e3b",
+    ("periodic", "piecewise_mixed", "periods40", "json"): "cdc14c8080e9e876215f91c33c555597c09441f2d47383f010c2ab9e5ee90f7c",
+    ("periodic", "piecewise_mixed", "step1024", "csv"): "cee3a850513cdfaea69e156f44f588f406eafdd936af6956e27fd4c489a38c1d",
+    ("periodic", "piecewise_mixed", "step1024", "json"): "403afa8943f05aa5e34838432c5d3f76431ccbd669c996e1f8042c59376d42c2",
+    ("periodic", "sinusoid_r", "periods40", "csv"): "0b498d0f6c0b857733c60588268d7c5fb28b4429a9bc022650af92891d4ccca7",
+    ("periodic", "sinusoid_r", "periods40", "json"): "f64455bba42012dd61bf04dd81b4d495a4581793e28ed6134defe5548d74d179",
+    ("periodic", "sinusoid_r", "step1024", "csv"): "3fc0d328b597c6b92508900c128e5e48af02f6514257538b291c17affbae2306",
+    ("periodic", "sinusoid_r", "step1024", "json"): "20d9003b2dc65dca1fa3a7ec981616faf11c7f79a0aaa27a5d9cc5387d615c83",
+    ("verify", "golden_constant", "periods40", "json"): "77870c9a51becb360276e079dd40d1bd74eac095f751eac977148003b79fbc47",
+    ("verify", "golden_constant", "periods40", "text"): "013a23416130161c09a3a1b5841d1655ed1d07f2cd979359875f3d87cb78d28b",
+    ("verify", "golden_constant", "step1024", "json"): "794e5ef920e44561cd02ef74e916b908c4c34aa0d229bf66032ff2b14ca8dd22",
+    ("verify", "golden_constant", "step1024", "text"): "b49ca7f7d98df98de6b690213d904c1db5ca8016a4afd9dc8309223757bb785f",
     ("verify", "overharvest", "periods40", "json"): "ae97c9c0c70fe1f3cae6b35e27d0f889348cb0a43d02b7b17a2f4dbd3e4fd299",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
-    ("verify", "overharvest", "step1024", "json"): "fcc966885d41267cf52c75a64d18ef16c7e31803bae8fa40954a7a673f9d2b01",
-    ("verify", "overharvest", "step1024", "text"): "9aac637ebcffbac73060bdeafa62e5ea7a6efd3e00fcb9523f81e076b0d8bce8",
-    ("verify", "piecewise_mixed", "periods40", "json"): "b22cd3a8a39ea31298948f7bbdbcb45a119f89d770d49aa86dd13e2c96c50f4f",
-    ("verify", "piecewise_mixed", "periods40", "text"): "48773e553536edd47f104e67493dfdbf9a262ec983278a33aafe6fe2601bbb78",
-    ("verify", "piecewise_mixed", "step1024", "json"): "154e9a146e347eebe951f0bf6412d5a16d2e9e78dfae57736e7b299ccad7f1a1",
-    ("verify", "piecewise_mixed", "step1024", "text"): "e827ae77b735280666381170be5c193a763709253098156df87845fc728acb97",
-    ("verify", "sinusoid_r", "periods40", "json"): "e244ad9c9c28f80354f147795f12c19c94751f7e52c67b56a651da6e8b2d79e0",
-    ("verify", "sinusoid_r", "periods40", "text"): "5953845da3b2b3c0211c856f4d4aedb49521bf62645c4059e77c911f69e8e6b7",
-    ("verify", "sinusoid_r", "step1024", "json"): "ea1151220ab85a71383cf6e072d83f32401a6cd2eca7439e3ba0e541def40891",
-    ("verify", "sinusoid_r", "step1024", "text"): "87964da6afee425cc5d7629b00a4be27f08184732b2f491608ffe995b3ed1194",
+    ("verify", "overharvest", "step1024", "json"): "200ed6ec39dce4284db2d95793cec4ac81161baee70e0256e15611c693f718c5",
+    ("verify", "overharvest", "step1024", "text"): "a8f8c4b00287fdb58cf105c081e34af1140d8a6544f3460fdc4a35ad152903b5",
+    ("verify", "piecewise_mixed", "periods40", "json"): "07a5805dd6ea9ce707901860bd0a3d3b0b4a2c29865846e59a525aa91dc5bca3",
+    ("verify", "piecewise_mixed", "periods40", "text"): "a09f46143a0cb075d882669d1f08e7be71893f9c16708037a5267860472ebe39",
+    ("verify", "piecewise_mixed", "step1024", "json"): "65ebe44f3d85ce352a1283837d14ea69a558c0d1295ea12c1d1aaa2c1b118a08",
+    ("verify", "piecewise_mixed", "step1024", "text"): "4948992197a729b906f9140afa71e97261f6e03ad120797ebf2e833e3d1a5b75",
+    ("verify", "sinusoid_r", "periods40", "json"): "7ec79e72e8e808b5ebb8def4fc4fabd3161604eec11f913ad93f4240e9c42b0d",
+    ("verify", "sinusoid_r", "periods40", "text"): "c315914c4bc84c9077f0ecc50bf591963c0fa6097ba63bf00559dba7410980a0",
+    ("verify", "sinusoid_r", "step1024", "json"): "192150d519520472ac8fcbdc60cb5a04e8ff8db677168bd0b43b8272140f7385",
+    ("verify", "sinusoid_r", "step1024", "text"): "e640331212f07ac3216c4a5b80b4671c75f3ffd254975de1ec63c4a9bb8a3c47",
 }
 
 # scenarios whose time column takes each path of the time-cell rule: times
@@ -169,26 +169,26 @@ FALLBACK_SCENARIOS = {
 }
 # (command, scenario name, format) -> digest, as above
 FALLBACK_DIGESTS = {
-    ("periodic", "t0-below-1", "csv"): "545d31b91383b35675d36e7d1704303eae70caaf5b57922ce4f8e55bb19ef75b",
-    ("periodic", "t0-below-1", "json"): "e2875b2b399c2ac57c7cb802a7d9d43ff1dc51e40d10d2ab50b63ca4911245e6",
-    ("simulate", "t0-below-1", "csv"): "911adef2fe3ee07852dbde20ed432aca6cd669a4a3123a480719ab5e94089a61",
-    ("simulate", "t0-below-1", "json"): "778193e50ce9d2f82631f5e81bd718a59e360e25e2e10cf633c091867526bd5a",
-    ("periodic", "t0-near-2**52", "csv"): "29b48b333aca2e46e9b20ed0d6b4fbf5dd446a69553d522f81fb7328d4127646",
-    ("periodic", "t0-near-2**52", "json"): "8aeca647ed42bea8a83e958768496fa1cf4a00694b9d3535df25bdfa0f68a851",
-    ("simulate", "t0-near-2**52", "csv"): "33aa0bf5f173b99a013c0e001dfbe58a43095c773e01df1ff3af5c14379e715a",
-    ("simulate", "t0-near-2**52", "json"): "46d45b46de009a242edf93351292e9eeb0b9a2dbee2bec711b18c58afad18334",
-    ("periodic", "t0-large-fine-step", "csv"): "301baa36588c8271aefcac5d4fd26f1ed2557de170ea68d4a283f53b7b2bd0fd",
-    ("periodic", "t0-large-fine-step", "json"): "c8631a808c33072fae0233bb8a2edaa28072c8f22b1850118a4ebb6329751d4c",
-    ("simulate", "t0-large-fine-step", "csv"): "8fda96094b9481c5fe669cbe2d0f7f58f0a8a849c09b7a4c121dd97ca623863b",
-    ("simulate", "t0-large-fine-step", "json"): "f24b04ae02a14a7beed6d83826d8735ce3f05247f6ef2e3218482c19dd0d7d37",
-    ("periodic", "jumps-off-grid", "csv"): "7ce1465402431c70690182c38eee3dfa8e00b3d612cacc6d26a931fe56bfdcf4",
-    ("periodic", "jumps-off-grid", "json"): "0f60a13658d248724825e7782cb179a2abb585dbea29a4a933e27597999de771",
-    ("simulate", "jumps-off-grid", "csv"): "21a471a8cdc229daacb5fa540792c9e273ba043a90c79de7405b215956519ddc",
-    ("simulate", "jumps-off-grid", "json"): "03820f5812787aa37335632bd0118a8283b16881bb2a046748249e0afc30a3da",
-    ("periodic", "step-0.01", "csv"): "4b7a83d16c05499d5d448c6b3bded1af641a50be6b2c5de349bdfcb42b08a4cf",
-    ("periodic", "step-0.01", "json"): "bd8784533a3f685a99377b50c1f6be49ca345da1dc9d0877db89b1e931a7b49b",
-    ("simulate", "step-0.01", "csv"): "239305416c6a5d98fccc2e3e7a16abc7e222f86f54a248df5941f6634adb5c2b",
-    ("simulate", "step-0.01", "json"): "b44fef36796f988a94a3b249dc622e1b56acdd54f0f5e35af8f2a07d6e7533c6",
+    ("periodic", "t0-below-1", "csv"): "f36e83246da5f7edbc5f883bc04e177a1731e720a11a8e3327eea5fa84856e17",
+    ("periodic", "t0-below-1", "json"): "7f95ba92d1ae03d274a081dfa4ed12eedd00937eb0c5faac96f921845d240ba1",
+    ("simulate", "t0-below-1", "csv"): "54c51fffc4294c9e29fa74283e8d6f6fe6298354cc4bebe123fecfcc38745ebe",
+    ("simulate", "t0-below-1", "json"): "0cebc20392d1b34cd72fd4b5ac64993f8d85b7b88eff834a654d04d4fc25b26e",
+    ("periodic", "t0-near-2**52", "csv"): "1d815c9dd10742b7c726682e1142d425ce6bc1021f3fd16acfc8e9aaae4c396f",
+    ("periodic", "t0-near-2**52", "json"): "c200f055e8c2f250c37c6f850d62f24c0538ebc61a4e0374aef5151855f80486",
+    ("simulate", "t0-near-2**52", "csv"): "075f94f3602516a672d50c77feb6e780607090fa633a41590a50196f672d624a",
+    ("simulate", "t0-near-2**52", "json"): "5b7ae0296196070e934f50a5d6f708682803528582d00772868b1781ae269c44",
+    ("periodic", "t0-large-fine-step", "csv"): "364d681eed0a1d1a84f14e7539f97f2faaca69ca41261756db538c18d70393cc",
+    ("periodic", "t0-large-fine-step", "json"): "ceed14a1549480aac615720b1ad9947ef15e7a15183c28e17dec49bdf013ed96",
+    ("simulate", "t0-large-fine-step", "csv"): "aa772e36a4173fb153863746e6f6e1d784be0ec3af6ada0a996a97e5542e820c",
+    ("simulate", "t0-large-fine-step", "json"): "e49700299022dc54101e894e64014583ace6e10957915e5597ad50d2c3b0e1a6",
+    ("periodic", "jumps-off-grid", "csv"): "8d85a12693d54b0e913b95674fbbaf1fe08677bd704fb0ef798cf21ea9fa6009",
+    ("periodic", "jumps-off-grid", "json"): "31bf52ec1c10c23cad7755e0ced8d35758e63d71de8afc1103c52b32f8a8747d",
+    ("simulate", "jumps-off-grid", "csv"): "715358e76d5f39baa4254f1c2135b6ef5d55b49eb0679dfa1d2abec2b5f66f74",
+    ("simulate", "jumps-off-grid", "json"): "e213c26cb371f707e669190798e49626afd6c918fa667c7d66aff3f72f0df833",
+    ("periodic", "step-0.01", "csv"): "eb7cc27f465ee57052081b5eacbd662aed95e7faad7b283edc0571b5e00b7bbb",
+    ("periodic", "step-0.01", "json"): "51c9c1640bc08de73bba87b7501ca8047d48fa7f120e3e48874e34843d1aa438",
+    ("simulate", "step-0.01", "csv"): "555a6cd0b848c5898c383f724fc7db9a6b8c427bf4d9504bcce3ae20efd2f1cc",
+    ("simulate", "step-0.01", "json"): "bbd33f4f9ebec058703fcaaf443b0a7339f07fe4c4786af0e422c3904f0f027c",
 }
 
 # (config name, format) -> digest of a 300-fraction sweep, E = 0, 0.002, ...,
@@ -196,10 +196,10 @@ FALLBACK_DIGESTS = {
 # on both sides of each config's critical harvest
 SWEEP_FRACTIONS = ",".join(repr(j / 500) for j in range(300))
 SWEEP_DIGESTS = {
-    ("sinusoid_r", "csv"): "125201cd1fab047777a263aace247ccf97e2e896713541370e745b155f1709a0",
-    ("sinusoid_r", "json"): "eaddedb6813a56872e7f8e9b27175a8dfa228c2bea4de3d9627acef57c0d7e5d",
-    ("piecewise_mixed", "csv"): "2c9c069588ff43f692ef041e7a192d9b37b659b7c5d0fb37a9f014037b55d545",
-    ("piecewise_mixed", "json"): "856c7aa8de4cc537886b9a4a9a5a81fc342b3db99b31968879ae894ba4a46af7",
+    ("sinusoid_r", "csv"): "8848fc7c1f8558c5ec6f3401fd4ea3c87bb85faad08958db23054168040d8ba2",
+    ("sinusoid_r", "json"): "131bee2439720621161240d26d8ef3cfbe268eba0add4883371ad8b88e8f9fa7",
+    ("piecewise_mixed", "csv"): "af9983a3ff82147f7e5bd19cbb9685dffa28f5cdff59b0302dc252073abeb2ed",
+    ("piecewise_mixed", "json"): "297e54175327a0ca1a1c9372f9c4b9bbb16b0eb005197bbcf7f5d3ca10c0baba",
 }
 
 
@@ -330,8 +330,8 @@ ARGV_DIGESTS = {
     "unknown-option-before-command": "577018f736056e1a098d0a0ab54806d38daa8a996036f2b8b726048274e4850e",
     "options-before-command": "625e0a97ba332f998ea748a7d93b8d6bea187cb0810ab29ea64a08c5098ee9b0",
     "e-values-on-simulate": "b91fa9e15d90725e4f625561a593621193eda09911495e6d4001323691eb9575",
-    "e-values-on-sweep": "7cfc8c52ede9225eeb2479e5ea852dc9253fa35bce0fdbb703fc0008d8c28db4",
-    "abbreviated-options": "109b7725f9c7b1e9e027a2faab366e64adde9372a77448f88952c9f0c0363051",
+    "e-values-on-sweep": "fa68d6331d394b7d8b5f779553d4301667d59dd85f2b7922eb51a16f6426f80e",
+    "abbreviated-options": "dec48e0db32df447265a86a9868c0402621689663ac3728cafefac00329d3a9c",
     "bad-format-choice": "409ddfb3f07be2ae2fc49051e5a8c35653fd22f504ef65170156bf0e801cba1e",
     "format-unsupported": "9ae8d7332d773dc781287250aa365707b024382baeec32b10595ebf961de0c04",
     "bad-periods": "2b8a852dc002c4f6f284b2f61f1b4abb4ddc35097d6e035559cd86ad6a9b878e",
@@ -346,9 +346,9 @@ ARGV_DIGESTS = {
     "option-equals": "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
-    "run-verify-overrides": "c664eb92c8d764b95c79a91ae92af527db9344330b98f14f600730e0f39f1ccb",
+    "run-verify-overrides": "9b92750571f70a2d7eadcc29ed147598149bf1e3bd2d110464dbf4628db1eefa",
     "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
-    "periods-with-a-space": "336a34feedd081d12fb8ca36fa44e4a33eb57e17ecc5265a1804a6d2b22cf5dd",
+    "periods-with-a-space": "7172a0d2554b9e431821445b8f51a0ee732342470b4990dc33d5ff7d803e19e3",
     "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",
 }
 

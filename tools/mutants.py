@@ -13,9 +13,11 @@ shrink phase: a property that fails is reported at the first failing
 example instead of being shrunk, which on its own can take minutes.  The
 unmutated copy runs first and must pass.
 
-One line per mutation: the first test that failed (the mutation is
-killed), ``SURVIVED`` (every test passed: a missing test, or an equivalent
-mutation to be named as such), or ``TIMEOUT``.  Exit status 0 when every
+A mutation that names tests runs only those: it must be killed by the
+check they exercise, not by whichever test happens to run first.  One line
+per mutation: the first test that failed (the mutation is killed),
+``SURVIVED`` (every test passed: a missing test, or an equivalent mutation
+to be named as such), or ``TIMEOUT``.  Exit status 0 when every
 mutation was killed, else 1.  Standard library only; not a tier-1 test.
 """
 
@@ -48,8 +50,20 @@ ANALYSIS = "src/impulsive_logistic/analysis.py"
 INTEGRATOR = "src/impulsive_logistic/integrator.py"
 CLI = "src/impulsive_logistic/cli.py"
 
-# name -> (file, snippet, replacement)
+# name -> (file, snippet, replacement[, tests to run in place of all])
 MUTATIONS = {
+    "B-times-1+1e-7": (
+        CLOSED_FORM,
+        "G, B = params.pair.r.mean, compute_B(params.pair, params.phase)",
+        "G, B = params.pair.r.mean, compute_B(params.pair, params.phase) * (1.0 + 1e-7)",
+        ("tests/test_kernel.py::test_periodicity_check_catches_a_scaled_B",),
+    ),
+    "piece-sum-reads-the-previous-K": (
+        COEFFICIENTS,
+        "np.expm1(-step) / np.asarray(values)[piece]",
+        "np.expm1(-step) / np.asarray(values)[piece - 1]",
+        ("tests/test_decimal_reference.py", "tests/test_outputs.py"),
+    ),
     "period-grid-drops-a-jump": (
         COEFFICIENTS,
         "return sorted_union(np.arange(n + 1) / n, jumps)",
@@ -76,15 +90,15 @@ MUTATIONS = {
         'np.searchsorted(self._bp, key - np.floor(key), side="left")',
         'np.searchsorted(self._bp, t - np.floor(t), side="left")',
     ),
-    "sinusoid-antiderivative-without-cos-phase": (
+    "sinusoid-growth-without-its-phase": (
         COEFFICIENTS,
-        "osc = np.cos(self._angle(t)) - math.cos(self.phase)",
-        "osc = np.cos(self._angle(t))",
+        "np.sin(self._angle(phase) + math.pi * s)",
+        "np.sin(_TWO_PI * (phase - np.floor(phase)) + math.pi * s)",
     ),
-    "piecewise-antiderivative-side-left": (
+    "piecewise-growth-counts-the-first-piece-whole": (
         COEFFICIENTS,
-        'np.searchsorted(self._bp, u, side="right")',
-        'np.searchsorted(self._bp, u, side="left")',
+        "body = self._cum2[last] - self._cum2[first + 1]",
+        "body = self._cum2[last] - self._cum2[first]",
     ),
     "fixed-point-cap-removed": (
         CLI,
@@ -154,10 +168,11 @@ def _copy(dest: Path) -> None:
     (dest / "conftest.py").write_text(CONFTEST, encoding="utf-8")
 
 
-def _run(copy: Path) -> str:
+def _run(copy: Path, tests: tuple[str, ...] = ()) -> str:
     """The first failing test's id, "" when every test passes, or "TIMEOUT"."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"]
+    command += tests
     try:
         done = subprocess.run(
             command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT
@@ -176,31 +191,32 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
-        for name, (path, snippet, _) in MUTATIONS.items():  # each snippet must be in the source
+        for name, (path, snippet, *_) in MUTATIONS.items():  # each snippet must be in the source
             found = (copy / path).read_text(encoding="utf-8").count(snippet)
             if found != 1:
                 print(f"{name}: the snippet occurs {found} times in {path}", file=sys.stderr)
                 return 2
-        started = time.perf_counter()
+        began = started = time.perf_counter()
         baseline = _run(copy)
         if baseline:
             print(f"unmutated copy fails: {baseline}", file=sys.stderr)
             return 2
         print(f"unmutated copy passes ({time.perf_counter() - started:.0f} s)", flush=True)
         survived = 0
-        for name, (path, snippet, replacement) in MUTATIONS.items():
+        for name, (path, snippet, replacement, *tests) in MUTATIONS.items():
             target = copy / path
             original = target.read_text(encoding="utf-8")
             target.write_text(original.replace(snippet, replacement), encoding="utf-8")
             started = time.perf_counter()
             try:
-                outcome = _run(copy)
+                outcome = _run(copy, *tests)
             finally:
                 target.write_text(original, encoding="utf-8")
             if outcome in ("", "TIMEOUT"):
                 survived += 1
             verdict = outcome if outcome else "SURVIVED"
             print(f"{name}: {verdict} ({time.perf_counter() - started:.0f} s)", flush=True)
+        print(f"whole run {time.perf_counter() - began:.0f} s")
     return 1 if survived else 0
 
 if __name__ == "__main__":
