@@ -167,6 +167,15 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _kernel_panels(params: ModelParams) -> dict:
+    """The kernel's panels per unit as report metadata, where its period
+    table is a quadrature (a sinusoid K); where K is constant on pieces the
+    kernel lays no panel, and the field is left out."""
+    if params.pair.K.pieces(params.phase) is None:
+        return {"panels_per_unit": DEFAULT_PANELS_PER_UNIT}
+    return {}
+
+
 def _orbit_by_quadrature(
     params: ModelParams, consts: SolutionConstants, offsets: Sequence[float]
 ) -> list[float]:
@@ -248,7 +257,7 @@ def verify_impulse_condition(
         "params": params.to_dict(),
         "ks": list(ks),
         "tolerance": tol,
-        "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
+        **_kernel_panels(params),
         "estimates": estimates,
     }
     if which == "corrected":
@@ -292,7 +301,7 @@ def verify_periodicity(
         "grid": list(_PERIODICITY_OFFSETS),
         "periods": periods,
         "tolerance": tol,
-        "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
+        **_kernel_panels(params),
         "reference_panels_per_unit": REFERENCE_PANELS_PER_UNIT,
     }
     return VerificationReport(check="periodicity", records=tuple(records), metadata=metadata)
@@ -391,7 +400,7 @@ def compare_solutions(
         "h": 1.0 / steps_per_unit,
         "tolerance": tol,
         "grid_per_period": _GRID_PER_PERIOD,
-        "panels_per_unit": DEFAULT_PANELS_PER_UNIT,
+        **_kernel_panels(params),
         "x0_star": consts.x0_star,
     }
     if consts.x0_star is not None:

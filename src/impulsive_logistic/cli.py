@@ -355,28 +355,28 @@ def _cells(values, fmt: str) -> list[str]:
     return cells
 
 
+# per format: the text after each cell of a row but its last, and after each
+# row; the two JSON strings open the next cell and the next row
+_SEPARATORS = {"csv": (",", "\n"), "json": (",\n      ", "\n    ],\n    [\n      ")}
+
 # the shortest round-trip formatter of the time column: cells it does not
 # derive from the cell one period earlier are formatted by this name
 _float_repr = float.__repr__
-# with at most this many cells that follow the cell one period earlier, the
-# time column formats every cell: deriving them costs about 25 numpy calls,
-# as much as formatting about 150 cells
-_MIN_FOLLOWERS = 256
 
 
-def _time_cells(params: ModelParams, periods, offsets) -> list[str]:
+def _time_cells(params: ModelParams, periods, offsets, sep: str) -> tuple[list[str], list[str]]:
     """The cells of t = t0 + (k + s) for consecutive period indices k and
-    offsets s in [0, 1], period by period: each ``repr(params.time(k, s))``,
-    byte for byte, with each offset's digits formatted once per binade.
+    offsets s in [0, 1], period by period, each as two pieces: ``heads[i] +
+    tails[i]`` is ``repr(params.time(k, s)) + sep``, byte for byte.
 
-    Cell (k, s) is str(W + 1) + "." + F, where repr of cell (k - 1, s) is
-    "W.F", when both (k - 1) + s and k + s are exact (tested as
-    (k + s) - k == s: exact by Sterbenz for k >= 1, and 0 + s always is)
-    and both times have the same ``frexp`` exponent e with e <= 52: one
-    binade below 2**52, which for two times 1 apart also means e >= 1.  So
-    each cell of a run below a formatted cell takes that cell's fractional
-    digits after its own integer part.  Every other cell is formatted by
-    ``_float_repr``.  Why the rule holds:
+    Cell (k, s) follows the cell one period earlier, and reads
+    str(W + 1) + "." + F where repr of cell (k - 1, s) is "W.F", when both
+    (k - 1) + s and k + s are exact (tested as (k + s) - k == s: exact by
+    Sterbenz for k >= 1, and 0 + s always is) and both times have the same
+    ``frexp`` exponent e with e <= 52: one binade below 2**52, which for two
+    times 1 apart also means e >= 1.  So each cell of a run below a fresh
+    cell (one that does not follow) takes that cell's fractional digits
+    after its own integer part.  Why the rule holds:
 
     - The two times are correctly rounded, in one binade, from reals
       exactly 1 apart.  One ulp is at most 1/2, so 1 is an even number of
@@ -390,62 +390,106 @@ def _time_cells(params: ModelParams, periods, offsets) -> list[str]:
       is an integer, which prints as "N.0" on both sides.
     - Inside [1, 2**52) repr always uses fixed notation.
 
-    A table with at most ``_MIN_FOLLOWERS`` cells that follow the cell one
-    period earlier is formatted cell by cell.  No cell is cached past
-    the call.
+    A follower's head is its integer part W + 1 = floor(t), one string per
+    integer, and its tail the "." + F + sep of the fresh cell above it, one
+    string per offset per binade.  A fresh cell's head is its
+    ``_float_repr`` and its tail ``sep``; only fresh cells take work of
+    their own.  No cell is cached past the call.
     """
     k = np.asarray(periods, dtype=float)[:, None]
     s = np.asarray(offsets, dtype=float)
     t = params.time(k, s)
-    if t.size - s.size <= _MIN_FOLLOWERS:
-        return list(map(_float_repr, t.ravel().tolist()))
+    if len(t) == 1:  # a table of one period has no followers
+        return list(map(_float_repr, t[0].tolist())), [sep] * s.size
     eligible = ((k + s) - k == s) & (t < 2.0**52)
     exponent = np.frexp(t)[1]
     follows = np.zeros(t.shape, dtype=bool)
     follows[1:] = eligible[1:] & eligible[:-1] & (exponent[1:] == exponent[:-1])
-    if np.count_nonzero(follows) <= _MIN_FOLLOWERS:
-        return list(map(_float_repr, t.ravel().tolist()))
-    fresh = ~follows
-    cells = np.empty(t.shape, dtype=object)
-    cells[fresh] = list(map(_float_repr, t[fresh].tolist()))
-    # a run of followers takes the fractional digits of the fresh cell above it
-    leads = np.zeros(t.shape, dtype=bool)
-    leads[:-1] = fresh[:-1] & follows[1:]
-    fractions = np.empty(t.shape, dtype=object)
-    fractions[leads] = [text.partition(".")[2] for text in cells[leads].tolist()]
-    start = np.where(fresh, np.arange(len(t))[:, None], 0)
-    np.maximum.accumulate(start, axis=0, out=start)
-    whole = t[follows].astype(np.int64)
-    low = int(whole.min())
-    heads = np.array([f"{w}." for w in range(low, int(whole.max()) + 1)], dtype=object)
-    cells[follows] = heads[whole - low] + fractions[start, np.arange(t.shape[1])][follows]
-    return cells.ravel().tolist()
+    width = s.size
+    t, follows = t.ravel(), follows.ravel()
+    fresh = np.flatnonzero(~follows)
+    texts = list(map(_float_repr, t[fresh].tolist()))
+    # a fresh cell with a follower below it sets its offset's fraction from
+    # its row on
+    leads = np.flatnonzero(follows[width:] & ~follows[:-width])
+    tails: list[str] = []
+    fractions = [sep] * width
+    done = 0  # rows whose tails are laid
+    rows, columns = np.divmod(leads, width)
+    for row, column, at in zip(
+        rows.tolist(), columns.tolist(), np.searchsorted(fresh, leads).tolist()
+    ):
+        if row >= done:
+            tails += fractions * (row + 1 - done)
+            done = row + 1
+        fractions[column] = "." + texts[at].partition(".")[2] + sep
+    tails += fractions * (t.size // width - done)
+    # runs of fresh cells, and runs of followers with one integer part; t
+    # never falls from one cell to the next, so the runs of an integer are
+    # consecutive but for fresh cells between them
+    run = np.where(follows, np.floor(t), -1.0)
+    starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+    bounds = [*starts.tolist(), t.size]
+    heads: list[str] = []
+    used = 0  # fresh cells laid
+    whole = None
+    for value, lo, hi in zip(run[starts].tolist(), bounds, bounds[1:]):
+        if value < 0.0:  # fresh cells: their own texts, then the separator
+            heads += texts[used : used + hi - lo]
+            tails[lo:hi] = [sep] * (hi - lo)
+            used += hi - lo
+            continue
+        if value != whole:
+            whole, text = value, f"{value:.0f}"
+        heads += [text] * (hi - lo)
+    return heads, tails
 
 
-def _repeat_each(cells: list[str], counts) -> list[str]:
-    """Each cell repeated its count of times, in order: a cell that fills many
-    rows of a column is formatted once."""
-    repeated: list[str] = []
-    for cell, count in zip(cells, counts):
-        repeated += [cell] * count
-    return repeated
+def _per_period(pieces: list[str], at: int, stride: int, width: int, cells: list[str]) -> None:
+    """Piece ``at`` of each of the ``width`` rows of period k, a row being
+    ``stride`` pieces, is ``cells[k]``: each cell made once, placed by
+    repetition."""
+    span = stride * width
+    for k, cell in enumerate(cells):
+        pieces[k * span + at : (k + 1) * span : stride] = [cell] * width
 
 
-def _table(columns: list[str], cells: list[list[str]], fmt: str) -> str:
-    """Columns of cells (see ``_cells``), all of one length, as a CSV or JSON table.
+def _row_pieces(cells: list[list[str]], fmt: str) -> list[str]:
+    """Columns of cells (see ``_cells``), all of one length, as the pieces
+    of ``_table``'s rows."""
+    sep, end = _SEPARATORS[fmt]
+    rows, stride = len(cells[0]), 2 * len(cells)
+    pieces = [sep] * (stride * rows)
+    for i, column in enumerate(cells):
+        pieces[2 * i :: stride] = column
+    pieces[stride - 1 :: stride] = [end] * rows
+    return pieces
 
-    JSON is {"columns": [...], "rows": [[...], ...]}, laid out byte for byte
-    as json.dumps(..., indent=2, sort_keys=True) lays it out; json.dumps
-    itself would run its pure-Python encoder over every cell, as it does
-    whenever an indent is set.
+
+def _table(columns: list[str], pieces: list[str], fmt: str) -> str:
+    """A CSV or JSON table from the text of its rows, joined once.
+
+    ``pieces`` runs row by row: each cell is followed by the format's cell
+    separator and each row by its row end (``_SEPARATORS``).  The first and
+    last pieces are rewritten in place to open and close the table.  JSON
+    is {"columns": [...], "rows": [[...], ...]}, laid out byte for byte as
+    json.dumps(..., indent=2, sort_keys=True) lays it out; json.dumps itself
+    would run its pure-Python encoder over every cell, as it does whenever
+    an indent is set.
     """
     if fmt == "json":
-        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
-        rows = f"[\n    [\n      {rows}\n    ]\n  ]" if cells[0] else "[]"
-        head = ",\n    ".join(map(encode_basestring_ascii, columns))
-        return f'{{\n  "columns": [\n    {head}\n  ],\n  "rows": {rows}\n}}\n'
-    lines = [",".join(columns), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+        names = ",\n    ".join(map(encode_basestring_ascii, columns))
+        head = f'{{\n  "columns": [\n    {names}\n  ],\n  "rows": '
+        if not pieces:
+            return head + "[]\n}\n"
+        head, foot = head + "[\n    [\n      ", "\n    ]\n  ]\n}\n"
+    else:
+        head, foot = ",".join(columns) + "\n", "\n"
+        if not pieces:
+            return head
+    pieces[0] = head + pieces[0]
+    pieces[-1] = pieces[-1][: -len(_SEPARATORS[fmt][1])] + foot
+    return "".join(pieces)
 
 
 def _json(value, pad: str) -> str:
@@ -527,17 +571,28 @@ def cmd_simulate(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     # rel_diff reads inf
     with np.errstate(divide="ignore", over="ignore"):
         rel_diff = np.abs(numeric - closed) / closed
+    sep, end = _SEPARATORS[fmt]
+    heads, tails = _time_cells(params, range(periods), traj.offsets, sep)
+    end_head, end_tail = _time_cells(params, [periods], traj.offsets[:1], sep)
+    k = [cell + sep for cell in _cells(list(range(periods + 1)), fmt)]
     # each row opens after an impulse and closes before one; the end follows one
-    events = (["post"] + [""] * (width - 2) + ["pre"]) * periods + ["post"]
-    events[0] = ""
-    values = (numeric.tolist(), closed.tolist(), rel_diff.tolist(), events)
-    rest = [_cells(v, fmt) for v in values]
-    t = _time_cells(params, range(periods), traj.offsets)
-    t += _time_cells(params, [periods], traj.offsets[:1])
-    # one k cell per period, repeated over its rows
-    k = _repeat_each(_cells(list(range(periods + 1)), fmt), [width] * periods + [1])
+    names = ["", "post", "pre"]
+    events = {e: sep + cell + end for e, cell in zip(names, _cells(names, fmt))}
+    # a row: t (two pieces), k, then x_numeric, x_closed_form, rel_diff and
+    # event, their separators between them
+    pieces = [sep] * (9 * numeric.size)
+    pieces[0::9] = heads + end_head
+    pieces[1::9] = tails + end_tail
+    _per_period(pieces, 2, 9, width, k[:-1])
+    pieces[-7] = k[-1]  # the end row's
+    for at, column in zip((3, 5, 7), (numeric, closed, rel_diff)):
+        pieces[at::9] = _cells(column.tolist(), fmt)
+    pieces[8::9] = (
+        [events["post"]] + [events[""]] * (width - 2) + [events["pre"]]
+    ) * periods + [events["post"]]
+    pieces[8] = events[""]
     columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
-    return _table(columns, [t, k, *rest], fmt), 0
+    return _table(columns, pieces, fmt), 0
 
 
 def cmd_periodic(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
@@ -546,15 +601,18 @@ def cmd_periodic(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     n = config.steps_per_unit
     offsets = np.arange(n) / n
     orbit = periodic_grid(config.constants(), period_table(params, offsets)).tolist()
-    periods = np.arange(config.horizon_periods)
-    # one period's offset and orbit cells serve every period
-    cells = [
-        _time_cells(params, periods, offsets),
-        _repeat_each(_cells(periods.tolist(), fmt), [n] * periods.size),
-        _cells(offsets.tolist(), fmt) * periods.size,
-        _cells(orbit, fmt) * periods.size,
-    ]
-    return _table(["t", "period", "offset", "x_star"], cells, fmt), 0
+    periods = config.horizon_periods
+    sep, end = _SEPARATORS[fmt]
+    heads, tails = _time_cells(params, range(periods), offsets, sep)
+    # a row: t (two pieces), period, then offset and x_star in one piece,
+    # which one period's cells make for every period
+    pieces = [sep] * (4 * n * periods)
+    pieces[0::4] = heads
+    pieces[1::4] = tails
+    _per_period(pieces, 2, 4, n, [cell + sep for cell in _cells(list(range(periods)), fmt)])
+    orbit_cells = zip(_cells(offsets.tolist(), fmt), _cells(orbit, fmt))
+    pieces[3::4] = [f"{offset}{sep}{x}{end}" for offset, x in orbit_cells] * periods
+    return _table(["t", "period", "offset", "x_star"], pieces, fmt), 0
 
 
 def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
@@ -659,7 +717,7 @@ def cmd_sweep(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
         for c in constants
     ]
     cells = [_cells(column, fmt) for column in zip(*rows)]
-    return _table(["E", "exists", "x0_star", "x_star_mean"], cells, fmt), 0
+    return _table(["E", "exists", "x0_star", "x_star_mean"], _row_pieces(cells, fmt), fmt), 0
 
 
 # --------------------------------------------------------------------------

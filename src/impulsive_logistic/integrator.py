@@ -139,10 +139,17 @@ def integrate(
             k4 = re * (1.0 - y / ke) * y
             x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             if not math.isfinite(x):
-                raise IntegrationError(
-                    f"state overflowed at t={params.time(k, sb)!r} (x={x!r}): "
-                    "r(1 - x/K) x exceeds the float range for this x0 and K"
+                # the weighted sum can overflow where the step's result
+                # fits: redo the step from its start, samples[-1], with
+                # each stage scaled by its weight first
+                x = samples[-1] + (
+                    (h / 6.0) * k1 + (h / 3.0) * k2 + (h / 3.0) * k3 + (h / 6.0) * k4
                 )
+                if not math.isfinite(x):
+                    raise IntegrationError(
+                        f"state overflowed at t={params.time(k, sb)!r} (x={x!r}): "
+                        "r(1 - x/K) x exceeds the float range for this x0 and K"
+                    )
             if not x > 0.0:
                 if x == 0.0 and samples[-1] < sys.float_info.min:
                     raise _underflow(params.time(k, sb))

@@ -218,7 +218,11 @@ def _rk4(rhs, t: float, x: float, h: float) -> float:
     k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
     k4 = rhs(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    end = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    if math.isfinite(end):
+        return end
+    # the weighted sum overflowed: each stage scaled by its weight first
+    return x + ((h / 6.0) * k1 + (h / 3.0) * k2 + (h / 3.0) * k3 + (h / 6.0) * k4)
 
 
 def scalar_rk4(params: ModelParams, x0: float, periods: int, steps_per_unit: int) -> ScalarRun:

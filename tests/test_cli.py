@@ -674,8 +674,14 @@ R_TWO = {"kind": "constant", "value": 2.0}
             "K": {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [2e307, 3e307]},
             "r": R_TWO,
         },
+        # at r = 5 the weighted sum of the RK4 stages overflows on the
+        # first step although the step's result fits
+        {
+            "K": {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [2e307, 3e307]},
+            "r": {"kind": "constant", "value": 5.0},
+        },
     ],
-    ids=["constant", "piecewise", "constant-2e307", "piecewise-3e307"],
+    ids=["constant", "piecewise", "constant-2e307", "piecewise-3e307", "piecewise-3e307-r5"],
 )
 def test_main_verify_at_huge_capacity_prints_no_warning(tmp_path, capsys, overrides):
     cfg = tmp_path / "huge_k.json"

@@ -7,7 +7,6 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +15,19 @@ from hypothesis import strategies as st
 
 from helpers import reference_table
 from impulsive_logistic import cli
-from impulsive_logistic.cli import _cells, _dump_json, _table, _time_cells, main
-from impulsive_logistic.closed_form import ModelParams
+from impulsive_logistic.analysis import trajectory_closed_form
+from impulsive_logistic.cli import (
+    _SEPARATORS,
+    _cells,
+    _dump_json,
+    _row_pieces,
+    _table,
+    _time_cells,
+    main,
+)
+from impulsive_logistic.closed_form import ModelParams, period_table, periodic_grid
 from impulsive_logistic.coefficients import CoefficientPair, coefficient_from_dict
+from impulsive_logistic.integrator import integrate
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -64,7 +73,7 @@ MANY_ROWS = [
 
 
 def _emit(names, columns, fmt):
-    return _table(names, [_cells(column, fmt) for column in columns], fmt)
+    return _table(names, _row_pieces([_cells(column, fmt) for column in columns], fmt), fmt)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
@@ -197,11 +206,16 @@ GRIDS = st.tuples(STEPS, st.lists(st.floats(0.0, 1.0), max_size=3)).map(
 @example(t0=12.75, first=10**6, count=30, offsets=_grid(32))
 def test_time_cells_are_repr(t0, first, count, offsets):
     periods = range(first, first + count)
-    expected = [repr(t0 + (k + s)) for k in periods for s in offsets]
-    # at 0, every cell that can follow the cell one period earlier does so
-    for least in (0, cli._MIN_FOLLOWERS):
-        with mock.patch.object(cli, "_MIN_FOLLOWERS", least):
-            assert _time_cells(ModelParams(PAIR, 0.25, t0), periods, offsets) == expected
+    for fmt in ("csv", "json"):
+        sep = _SEPARATORS[fmt][0]
+        heads, tails = _time_cells(ModelParams(PAIR, 0.25, t0), periods, offsets, sep)
+        assert len(heads) == len(tails) == count * len(offsets)
+        expected = [repr(t0 + (k + s)) + sep for k in periods for s in offsets]
+        assert list(map(str.__add__, heads, tails)) == expected
+        # a cell is either its own text and the separator, or an integer
+        # part and the "." + fraction + separator of a cell above it
+        for head, tail in zip(heads, tails):
+            assert tail == sep or (head.isdigit() and tail[0] == "." and tail.endswith(sep))
 
 
 def test_time_column_formats_each_offset_once_per_binade(monkeypatch):
@@ -218,3 +232,77 @@ def test_time_column_formats_each_offset_once_per_binade(monkeypatch):
     assert rows == 200 * 128
     binades = len({math.frexp(config.params.t0 + k)[1] for k in range(201)})
     assert calls[0] <= 128 * (binades + 1)
+
+
+# ---------------------------------------------------------------------------
+# whole tiled tables against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+# t0 below 1, just below a power of two (the horizon crosses a binade edge),
+# just below 2**52 and past 1e16, where repr leaves fixed notation
+TABLE_T0S = st.one_of(
+    st.floats(1e-3, 1.0, exclude_max=True),
+    st.tuples(st.integers(1, 51), st.floats(0.0, 6.0)).map(lambda p: 2.0 ** p[0] - p[1]),
+    st.floats(0.0, 8.0).map(lambda d: 2.0**52 - d),
+    st.floats(1e16, 1e18),
+).filter(lambda t0: t0 > 0.0)
+# K with jumps whose offsets from the phase fall off the step grid
+TABLE_K = {
+    "kind": "piecewise", "breakpoints": [0.0, 0.3, 0.71, 1.0], "values": [80.0, 120.0, 100.0]
+}
+
+
+def _tiled_config(t0, periods, n):
+    data = {"r": {"kind": "constant", "value": 0.7}, "K": TABLE_K, "E": 0.25, "t0": t0}
+    config = cli.parse_config(data)
+    return dataclasses.replace(config, horizon_periods=periods, steps_per_unit=n)
+
+
+def _reference_periodic(config):
+    params, n = config.params, config.steps_per_unit
+    offsets = (np.arange(n) / n).tolist()
+    orbit = periodic_grid(config.constants(), period_table(params, offsets)).tolist()
+    return [
+        (params.t0 + (k + s), k, s, x)
+        for k in range(config.horizon_periods)
+        for s, x in zip(offsets, orbit)
+    ]
+
+
+def _reference_simulate(config):
+    params = config.params
+    consts = config.constants()
+    traj = integrate(params, consts.x0_star, config.horizon_periods, config.steps_per_unit)
+    closed, closed_end = trajectory_closed_form(traj, consts)
+    samples = [
+        (k, s, x, c, "pre" if j == len(traj.offsets) - 1 else "post" if j == 0 < k else "")
+        for k, (row, closed_row) in enumerate(zip(traj.values.tolist(), closed.tolist()))
+        for j, (s, x, c) in enumerate(zip(traj.offsets.tolist(), row, closed_row))
+    ]
+    samples.append((len(traj.values), 0.0, traj.end, float(closed_end), "post"))
+    return [
+        (params.t0 + (k + s), k, x, c, float(abs(np.float64(x) - c) / c), event)
+        for k, s, x, c, event in samples
+    ]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(t0=TABLE_T0S, periods=st.integers(1, 6), n=st.sampled_from([1, 2, 3, 8, 10, 16]),
+       fmt=st.sampled_from(["csv", "json"]))
+# crosses 1, 2 and 4: 2 + 1/3 prints as 2.3333333333333335 and 4 + 1/3 as
+# 4.333333333333333, so the cells below each take their own binade's fraction
+@example(t0=1.0 / 3.0, periods=6, n=8, fmt="csv")
+@example(t0=1.0 / 3.0, periods=6, n=8, fmt="json")
+@example(t0=0.05, periods=3, n=16, fmt="csv")
+@example(t0=2.0**52 - 2.3, periods=5, n=4, fmt="json")
+@example(t0=1e17 + 64, periods=3, n=2, fmt="csv")
+def test_tiled_tables_match_the_row_by_row_reference(t0, periods, n, fmt):
+    config = _tiled_config(t0, periods, n)
+    text, code = cli.cmd_periodic(config, fmt)
+    assert code == 0
+    columns = ["t", "period", "offset", "x_star"]
+    assert text == reference_table(columns, _reference_periodic(config), fmt)
+    text, code = cli.cmd_simulate(config, fmt)
+    assert code == 0
+    columns = ["t", "k", "x_numeric", "x_closed_form", "rel_diff", "event"]
+    assert text == reference_table(columns, _reference_simulate(config), fmt)

@@ -251,9 +251,22 @@ def _one_step_past_a_jump(t0: float, cut: float):
     return ModelParams(pair=pair, E=0.2, t0=t0), 30.0, 1, 1
 
 
+def _stage_sum_overflow():
+    """Near the float maximum k1 + 2 (k2 + k3) + k4 overflows where the
+    step's result fits: from the anchor 1.5e307 the state grows toward
+    K = 3e307 at rate r = 5, each stage near 4e307."""
+    pair = CoefficientPair(
+        r=ConstantCoefficient(5.0),
+        K=PiecewiseConstantCoefficient(breakpoints=(0.0, 0.5, 1.0), values=(2e307, 3e307)),
+    )
+    params = ModelParams(pair=pair, E=0.25, t0=0.5)
+    return params, derive_constants(params).x0_star, 2, 256
+
+
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(run=_runs())
 @example(run=_one_step_past_a_jump(0.2652284551781802, 0.8980443450745145))
+@example(run=_stage_sum_overflow())
 def test_stage_table_stepper_matches_scalar_rk4_bit_for_bit(run):
     params, x0, periods, steps = run
     try:

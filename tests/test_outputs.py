@@ -56,21 +56,21 @@ DIGESTS = {
     ("periodic", "piecewise_mixed", "json"): "7c5eec4eedd2c62f8110b45da959c719d0378dc2edebe08418449d0ce7477874",
     ("periodic", "sinusoid_r", "csv"): "b15abbfcf9a3a12fb38b1febf18833d1e34f1a8c4c4869761aeee383ce518487",
     ("periodic", "sinusoid_r", "json"): "60fc74f97633906b8ccd69448517b1ec42891b4c1f7ca8d846f9cc6f00f47752",
-    ("verify", "golden_constant", "json"): "9d38151c27bbc1dc3c014d8d04b16a4696a9d02e09319fb1173208dbdc66f222",
+    ("verify", "golden_constant", "json"): "d419b70c4f34e0c7a58c3b180a6428d69308820a4cab262814f4b67bf258d8db",
     ("verify", "golden_constant", "text"): "5d78da54f2369cdab9888997aa38ce92f58a5b83963eb92088ae84ebb2c4b636",
-    ("verify", "overharvest", "json"): "67b888374fe2af2886c0c05b8f3707dbab5b7e8cdf1e5a616668ee299691956f",
+    ("verify", "overharvest", "json"): "69c0b5460231f227f5a3003f50b2465e61bbab0b51cb266f2c6839b94d0a984e",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
     ("verify", "piecewise_mixed", "json"): "415a25a087afd86f304d2ec3b94fde9af05e4f5d987e9a347a0d3244bee64602",
     ("verify", "piecewise_mixed", "text"): "a397b9b55364cec7e58f201d4447a7c5e108070eef2595c2a88c96b4e9576381",
-    ("verify", "sinusoid_r", "json"): "5cc829dbacb573d5873bcd5c8221fd301d9b2fdd934d28b6587f3ede91dabd66",
+    ("verify", "sinusoid_r", "json"): "204c8364f7c8f80e08350f3741c331c4f77fd773185cda2abf26f6f0d0a0e2fe",
     ("verify", "sinusoid_r", "text"): "64d9c946e7f13362f3661b1f4532709e918658dc22b800c592fbb1a3418ca9fc",
-    ("counterexample", "golden_constant", "json"): "d92371da48406f5abc5bd02dbdf92f033969bac56d353dadaf4108b5c1322934",
+    ("counterexample", "golden_constant", "json"): "64e064e1029b8cbc0ee4db692af92ac814f6e11965821e954985df849b067364",
     ("counterexample", "golden_constant", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "overharvest", "text"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
     ("counterexample", "piecewise_mixed", "json"): "0649a354c18f520325e5df40adccabf5d877a0ccd4c7b56e7d670447a154fc60",
     ("counterexample", "piecewise_mixed", "text"): "f83c4a8df73fb9b840a1314adfe0d49ca8c4e3ace6b7f35e8ba099644625aa5d",
-    ("counterexample", "sinusoid_r", "json"): "1f86f8706dca7d00386ef0b879b7c3fb06200e58c67ba2cf4f15d74f6a3bf6fe",
+    ("counterexample", "sinusoid_r", "json"): "c058d39aedc38c700c69c9871db152608875795427636675768ddfa1544538b9",
     ("counterexample", "sinusoid_r", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
     ("sweep", "golden_constant", "csv"): "ad308e35d5835aa22951dcd91a55f517e35f0bf7237da4e73fba83f72ac01c62",
     ("sweep", "golden_constant", "json"): "96b4d30d6039ba87c0d0db8c2371549bec6919572ca479d1b71bd47958a862cb",
@@ -117,21 +117,21 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "periods40", "json"): "f64455bba42012dd61bf04dd81b4d495a4581793e28ed6134defe5548d74d179",
     ("periodic", "sinusoid_r", "step1024", "csv"): "3fc0d328b597c6b92508900c128e5e48af02f6514257538b291c17affbae2306",
     ("periodic", "sinusoid_r", "step1024", "json"): "20d9003b2dc65dca1fa3a7ec981616faf11c7f79a0aaa27a5d9cc5387d615c83",
-    ("verify", "golden_constant", "periods40", "json"): "77870c9a51becb360276e079dd40d1bd74eac095f751eac977148003b79fbc47",
+    ("verify", "golden_constant", "periods40", "json"): "e787b0e805e1e24840175ebc19b93c48cbd0ff70a47bf9b98b9dc22732a0d93d",
     ("verify", "golden_constant", "periods40", "text"): "013a23416130161c09a3a1b5841d1655ed1d07f2cd979359875f3d87cb78d28b",
-    ("verify", "golden_constant", "step1024", "json"): "794e5ef920e44561cd02ef74e916b908c4c34aa0d229bf66032ff2b14ca8dd22",
+    ("verify", "golden_constant", "step1024", "json"): "f030a3a9cfc2a94bbd864c89b26c96e162d9127a825fe86ce653056608fc532d",
     ("verify", "golden_constant", "step1024", "text"): "b49ca7f7d98df98de6b690213d904c1db5ca8016a4afd9dc8309223757bb785f",
-    ("verify", "overharvest", "periods40", "json"): "ae97c9c0c70fe1f3cae6b35e27d0f889348cb0a43d02b7b17a2f4dbd3e4fd299",
+    ("verify", "overharvest", "periods40", "json"): "fa74c6c1f0a8c1d33d4be09689a1714798dc77a09f8385d3d17a40816e43f888",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
-    ("verify", "overharvest", "step1024", "json"): "200ed6ec39dce4284db2d95793cec4ac81161baee70e0256e15611c693f718c5",
+    ("verify", "overharvest", "step1024", "json"): "238040ad0731d8f7329f2af2315c6fc161ad4fc54791002d7f8cdafc20af6901",
     ("verify", "overharvest", "step1024", "text"): "a8f8c4b00287fdb58cf105c081e34af1140d8a6544f3460fdc4a35ad152903b5",
     ("verify", "piecewise_mixed", "periods40", "json"): "07a5805dd6ea9ce707901860bd0a3d3b0b4a2c29865846e59a525aa91dc5bca3",
     ("verify", "piecewise_mixed", "periods40", "text"): "a09f46143a0cb075d882669d1f08e7be71893f9c16708037a5267860472ebe39",
     ("verify", "piecewise_mixed", "step1024", "json"): "65ebe44f3d85ce352a1283837d14ea69a558c0d1295ea12c1d1aaa2c1b118a08",
     ("verify", "piecewise_mixed", "step1024", "text"): "4948992197a729b906f9140afa71e97261f6e03ad120797ebf2e833e3d1a5b75",
-    ("verify", "sinusoid_r", "periods40", "json"): "7ec79e72e8e808b5ebb8def4fc4fabd3161604eec11f913ad93f4240e9c42b0d",
+    ("verify", "sinusoid_r", "periods40", "json"): "7e454cd43dd89c8d496d0cd311a40741a8b29d59abea3e6789dc387b3bfd5c8c",
     ("verify", "sinusoid_r", "periods40", "text"): "c315914c4bc84c9077f0ecc50bf591963c0fa6097ba63bf00559dba7410980a0",
-    ("verify", "sinusoid_r", "step1024", "json"): "192150d519520472ac8fcbdc60cb5a04e8ff8db677168bd0b43b8272140f7385",
+    ("verify", "sinusoid_r", "step1024", "json"): "e000fb020e8fe5025c28e490f65fed154e36a66797ab4c64ba814f7ec6898674",
     ("verify", "sinusoid_r", "step1024", "text"): "e640331212f07ac3216c4a5b80b4671c75f3ffd254975de1ec63c4a9bb8a3c47",
 }
 
@@ -348,7 +348,7 @@ ARGV_DIGESTS = {
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-verify-overrides": "9b92750571f70a2d7eadcc29ed147598149bf1e3bd2d110464dbf4628db1eefa",
     "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
-    "periods-with-a-space": "7172a0d2554b9e431821445b8f51a0ee732342470b4990dc33d5ff7d803e19e3",
+    "periods-with-a-space": "4005c6b1d249f8dcfd05bda844c3174dc83c1dd5537d9279fd48bca007959547",
     "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",
 }
 

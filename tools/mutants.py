@@ -150,6 +150,19 @@ MUTATIONS = {
         "scaled = table.decay * (lead / x0 + consts.B * total) + table.forcing",
         "scaled = table.decay * (lead / x0 + consts.B * total)",
     ),
+    "time-column-keeps-its-first-fraction": (
+        CLI,
+        '        fractions[column] = "." + texts[at].partition(".")[2] + sep\n',
+        "        if fractions[column] == sep:\n"
+        '            fractions[column] = "." + texts[at].partition(".")[2] + sep\n',
+        ("tests/test_emitter.py::test_tiled_tables_match_the_row_by_row_reference",),
+    ),
+    "end-row-takes-the-previous-period": (
+        CLI,
+        "pieces[-7] = k[-1]",
+        "pieces[-7] = k[-2]",
+        ("tests/test_emitter.py::test_tiled_tables_match_the_row_by_row_reference",),
+    ),
     "scan-drops-a-zero-gap-at-the-last-point": (
         ANALYSIS,
         "    if gaps[-1] == 0.0:\n        crossings.append(xs[-1])\n",
