@@ -24,7 +24,8 @@ Which side of each check is independent of the code it checks:
   * periodicity -- the kernel side is the solution started at x0_star,
     through ``solution_grid`` at period index k; the independent side is
     the forcing quadrature over the 16 windows [phase, phase + offset],
-    each with its own decay and its own sum, on panels at 128 per unit,
+    each with its own decay and its own sum, on twice the kernel's panels
+    per unit (``forcing_panels``, so 128 below a growth integral of 256),
     evaluated in one ``forcing_integrals`` call that also takes the unit
     window, whose integral is the reference's own B; it reads no period
     table, no cumulative pass, no k and not the kernel's B, only its margin
@@ -44,15 +45,16 @@ Which side of each check is independent of the code it checks:
     that ends at offset 1 read the same nodes and differ only in how they
     sum; where K is constant on pieces they are one sum of exponentials,
     equal bit for bit, and the check tests the algebra alone.  The side
-    independent of both is the periodicity check's 128-panel reference.
+    independent of both is the periodicity check's reference.
   * legacy -- ``legacy_grid`` at offsets 1 and 0; it has period 1 by
     construction, so one (pre, post) pair serves every k.  Its continuity
     residual is E* |C(1) - B| / B, so it too hinges on the table's C(1)
     against ``compute_B``'s B, which K constant on pieces makes exact.
-  * oracle -- RK4 on its own stage tables, against the kernel.  Both
-    sides are (period, offset) arrays on the trajectory's one offset grid,
-    plus the post-impulse value at its end; the closed form reads one
-    period table on that grid.
+  * oracle -- RK4 on its own stage tables, against the kernel, at every
+    sample: the trajectory's (period, offset) array on its one offset grid,
+    then the post-impulse value at its end.  The closed form reads one
+    period table on that grid, and the residual is the largest gap of
+    ``trajectory_closed_form``, the ``rel_diff`` that ``simulate`` prints.
   * fixed-point scan -- the period-advance map, which has no E* - E
     subtraction, against the anchor d / B.
 
@@ -82,7 +84,7 @@ from .closed_form import (
     require_orbit,
     solution_grid,
 )
-from .coefficients import DEFAULT_PANELS_PER_UNIT, forcing_integrals
+from .coefficients import forcing_integrals, forcing_panels
 from .integrator import DEFAULT_STEPS_PER_UNIT, Trajectory, integrate
 
 __all__ = [
@@ -100,12 +102,6 @@ DEFAULT_IMPULSE_TOL = 1e-6
 DEFAULT_PERIODICITY_TOL = 1e-8
 DEFAULT_ORACLE_TOL = 1e-5
 DEFAULT_FIXED_POINT_TOL = 1e-6
-
-#: Panel count of the independent side of the periodicity check.
-REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT
-
-# compare_solutions decimates the oracle's samples to this many per period.
-_GRID_PER_PERIOD = 64
 
 # the offsets j/16 into each period at which verify_periodicity checks the orbit
 _PERIODICITY_OFFSETS = tuple(j / 16.0 for j in range(16))
@@ -172,7 +168,7 @@ def _kernel_panels(params: ModelParams) -> dict:
     table is a quadrature (a sinusoid K); where K is constant on pieces the
     kernel lays no panel, and the field is left out."""
     if params.pair.K.pieces(params.phase) is None:
-        return {"panels_per_unit": DEFAULT_PANELS_PER_UNIT}
+        return {"panels_per_unit": forcing_panels(params.pair)}
     return {}
 
 
@@ -189,7 +185,7 @@ def _orbit_by_quadrature(
     independent side of the periodicity check.
     """
     forcing, growth = forcing_integrals(
-        params.pair, params.phase, [*offsets, 1.0], REFERENCE_PANELS_PER_UNIT
+        params.pair, params.phase, [*offsets, 1.0], 2 * forcing_panels(params.pair)
     )
     B, d = forcing.pop(), consts.d
     growth.pop()
@@ -278,7 +274,7 @@ def verify_periodicity(
     The kernel side is the solution started at x0_star, at period index k
     and the offset, from ``solution_grid`` over one period table; the
     reference is the orbit at that offset from the window quadrature
-    ``forcing_integrals`` at 128 panels per unit, with its own B, which
+    ``forcing_integrals`` at twice ``forcing_panels``, with its own B, which
     holds in every period.  The report keeps one record per (k, offset),
     each from its own k.
     """
@@ -302,7 +298,7 @@ def verify_periodicity(
         "periods": periods,
         "tolerance": tol,
         **_kernel_panels(params),
-        "reference_panels_per_unit": REFERENCE_PANELS_PER_UNIT,
+        "reference_panels_per_unit": 2 * forcing_panels(params.pair),
     }
     return VerificationReport(check="periodicity", records=tuple(records), metadata=metadata)
 
@@ -312,17 +308,20 @@ def trajectory_closed_form(
     consts: SolutionConstants,
     periodic: bool = False,
     table: PeriodTable | None = None,
-) -> tuple[np.ndarray, float]:
-    """Closed form at every sample of an integrated path, and at its end.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form at every sample of an integrated path, and the
+    relative gap |x_numeric - x_closed_form| / x_closed_form of each sample
+    from it: the one comparison with the oracle, which ``simulate`` prints
+    as ``rel_diff`` and ``compare_solutions`` reads.
 
-    An array shaped and aligned as ``traj.values``, and the value at the
-    time of ``traj.end``: the solution from ``traj.x0``, or with
-    ``periodic=True`` the periodic orbit; ``consts`` are the constants of
-    ``traj.params``.  A whole trajectory costs one period table on
-    ``traj.offsets``, ``table`` when given: trajectories on one step grid
-    share it.  The last sample of each row, at an impulse, is the
-    pre-impulse value, post / (1 - E) with post the next row's first value
-    (or the end's).
+    Both are flat, in ``simulate``'s row order: ``traj.values`` row by row,
+    then ``traj.end``.  The closed form is the solution from ``traj.x0``,
+    or with ``periodic=True`` the periodic orbit; ``consts`` are the
+    constants of ``traj.params``.  A whole trajectory costs one period
+    table on ``traj.offsets``, ``table`` when given: trajectories on one
+    step grid share it.  The last sample of each row, at an impulse, is
+    the pre-impulse value, post / (1 - E) with post the next row's first
+    value (or the end's).
     """
     params = traj.params
     periods = len(traj.values)
@@ -333,38 +332,22 @@ def trajectory_closed_form(
     else:
         rows = solution_grid(consts, traj.x0, range(periods + 1), table)
     rows[:-1, -1] = rows[1:, 0] / (1.0 - params.E)
-    return rows[:-1], float(rows[-1, 0])
-
-
-def _worst_deviation(traj: Trajectory, closed: tuple[np.ndarray, float]) -> tuple[float, float]:
-    """Worst relative deviation of the samples from the closed form, and its time.
-
-    Samples are decimated to _GRID_PER_PERIOD per period below offset 1,
-    then the end, then the pre-impulse value at offset 1 of every row: each
-    post-impulse value opens a row or is the end.
-    """
-    stride = max(1, traj.steps_per_unit // _GRID_PER_PERIOD)
-    periods = len(traj.values)
-
-    def samples(values: np.ndarray, end: float) -> np.ndarray:
-        return np.concatenate((values[:, :-1:stride].ravel(), [end], values[:, -1]))
-
-    ref = samples(*closed)
-    # against a closed-form value of 0.0, or one out of all scale with the
-    # sample, the residual reads inf and fails
+    closed = np.append(rows[:-1], rows[-1, 0])
+    # against a closed form of 0.0, or one out of all scale with the
+    # sample, the gap reads inf
     with np.errstate(divide="ignore", over="ignore"):
-        residual = np.abs(ref - samples(traj.values, traj.end)) / ref
-    worst = int(np.argmax(residual))
-    if not residual[worst] > 0.0:
-        return 0.0, traj.params.t0
-    per_period = traj.values[0, :-1:stride].size
-    if worst < periods * per_period:
-        k, j = divmod(worst, per_period)
-        s = float(traj.offsets[j * stride])
-    else:  # the end, then row k - 1's pre value, all at offset 0 of period k
-        k = worst - periods * per_period or periods
-        s = 0.0
-    return float(residual[worst]), traj.params.time(k, s)
+        gap = np.abs(np.append(traj.values, traj.end) - closed) / closed
+    return closed, gap
+
+
+def _worst_deviation(traj: Trajectory, gap: np.ndarray) -> tuple[float, float]:
+    """The largest gap of ``trajectory_closed_form``, and the time of the
+    first sample that reaches it: sample i is offset j of period k, with
+    (k, j) = divmod(i, len(traj.offsets)), and the end is offset 0 of the
+    period after the last."""
+    worst = int(np.argmax(gap))
+    k, j = divmod(worst, traj.offsets.size)
+    return float(gap[worst]), traj.params.time(k, float(traj.offsets[j]))
 
 
 def compare_solutions(
@@ -376,11 +359,12 @@ def compare_solutions(
 ) -> VerificationReport:
     """Closed form against the RK4 oracle over a whole horizon.
 
-    Records the worst relative deviation between the closed form and the
-    integrated trajectory started at x0 (sampled at step boundaries,
-    including the pre/post values at every impulse), and the same for the
-    periodic formula against a trajectory started at the fixed-point anchor
-    when the orbit exists.
+    Records the largest relative gap between the closed form and the
+    integrated trajectory started at x0, over every sample (each step
+    boundary, the pre/post values at every impulse, and the end): the
+    largest ``rel_diff`` of ``simulate``.  When the orbit exists, records
+    the same for the periodic formula against a trajectory started at the
+    fixed-point anchor.
     """
     if horizon_periods < 1:
         raise ValueError(f"horizon_periods must be >= 1, got {horizon_periods!r}")
@@ -389,17 +373,14 @@ def compare_solutions(
     traj = integrate(params, x0, horizon_periods, steps_per_unit)
     # the orbit's trajectory below runs on the same step grid
     table = period_table(params, traj.offsets)
-    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts, table=table))
-    records = [
-        CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", float(worst), tol)
-    ]
+    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts, table=table)[1])
+    records = [CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", worst, tol)]
     metadata = {
         "params": params.to_dict(),
         "x0": float(x0),
         "horizon_periods": horizon_periods,
         "h": 1.0 / steps_per_unit,
         "tolerance": tol,
-        "grid_per_period": _GRID_PER_PERIOD,
         **_kernel_panels(params),
         "x0_star": consts.x0_star,
     }
@@ -409,13 +390,10 @@ def compare_solutions(
             orbit_traj = traj
         else:
             orbit_traj = integrate(params, consts.x0_star, horizon_periods, steps_per_unit)
-        worst_p, worst_pt = _worst_deviation(
-            orbit_traj, trajectory_closed_form(orbit_traj, consts, periodic=True, table=table)
-        )
+        gap = trajectory_closed_form(orbit_traj, consts, periodic=True, table=table)[1]
+        worst_p, worst_pt = _worst_deviation(orbit_traj, gap)
         records.append(
-            CheckRecord(
-                f"periodic orbit vs oracle (worst at t={worst_pt:.6g})", float(worst_p), tol
-            )
+            CheckRecord(f"periodic orbit vs oracle (worst at t={worst_pt:.6g})", worst_p, tol)
         )
     return VerificationReport(
         check="closed form vs numerical oracle", records=tuple(records), metadata=metadata

@@ -61,6 +61,7 @@ from .coefficients import (
     DEFAULT_PANELS_PER_UNIT,
     CoefficientPair,
     compute_B,
+    forcing_panels,
     panel_rule,
     piece_forcing,
     sorted_union,
@@ -214,12 +215,11 @@ def require_orbit(consts: SolutionConstants) -> float:
 class PeriodTable(NamedTuple):
     """Running integrals from an impulse instant, at sorted offsets s.
 
-    growth = R(s), the integral of r over [phase, phase + s]; decay =
-    exp(-R(s)); forcing = C(s), the forcing integral over the same window.
-    By periodicity these hold from every impulse instant t0 + k.
+    decay = exp(-R(s)), R(s) the integral of r over [phase, phase + s];
+    forcing = C(s), the forcing integral over the same window.  By
+    periodicity these hold from every impulse instant t0 + k.
     """
 
-    growth: np.ndarray
     decay: np.ndarray
     forcing: np.ndarray
 
@@ -235,7 +235,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
         C(s) = exp(-R(s)) * integral over [0, s] of (r/K)(u) exp(R(u)) du.
 
     The points of B's partition, ``pair.period_grid(phase,
-    DEFAULT_PANELS_PER_UNIT)``, below the largest offset, and the offsets,
+    forcing_panels(pair))``, below the largest offset, and the offsets,
     are the edges of one order-10 Gauss-Legendre panel each, all evaluated
     in one numpy call; a table that ends at offset 1 with no other offset
     inside has B's panels and nodes, so its C(1) differs from B only in how
@@ -256,10 +256,9 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     pair, phase = params.pair, params.phase
     forcing = piece_forcing(pair, phase, s)
     if forcing is not None:
-        growth = pair.r.growth(phase, s)
-        return PeriodTable(growth=growth, decay=np.exp(-growth), forcing=forcing)
+        return PeriodTable(decay=np.exp(-pair.r.growth(phase, s)), forcing=forcing)
 
-    grid = pair.period_grid(phase, DEFAULT_PANELS_PER_UNIT)
+    grid = pair.period_grid(phase, forcing_panels(pair))
     edges = sorted_union(grid[: np.searchsorted(grid, s[-1])], s)
     nodes, weights, mid = panel_rule(edges[:-1], edges[1:])
     # edges[0] is offset 0, where R is 0.0
@@ -279,8 +278,7 @@ def period_table(params: ModelParams, offsets) -> PeriodTable:
     forcing = np.ldexp(forcing, scale)
 
     at = np.searchsorted(edges, s)
-    growth = growth[at]
-    return PeriodTable(growth=growth, decay=np.exp(-growth), forcing=forcing[at])
+    return PeriodTable(decay=np.exp(-growth[at]), forcing=forcing[at])
 
 
 def solution_grid(
@@ -289,7 +287,7 @@ def solution_grid(
     """Solution started at x(t0) = x0, at t = t0 + k + s for every period
     index k in ``periods`` and every offset s of ``table``.
 
-    Returns an array of shape (len(periods), len(table.growth)).  With R
+    Returns an array of shape (len(periods), len(table.decay)).  With R
     and C from the table, d the harvest margin and q the net multiplier,
 
         x = x0 / (exp(-R) (q**-k + x0 B (1 - q**-k) / d) + x0 C),

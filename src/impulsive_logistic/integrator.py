@@ -7,13 +7,13 @@ period, shared by every period: the package's one partition of a period,
 (so each impulse lands exactly on a step boundary) and every jump offset,
 so a jump however close to a grid point bounds a step of its own.  B's
 panels and the period table's are intervals of the same partition at
-n = 64.  The harvest jump x -> (1 - E) x is applied algebraically, never
-integrated across.  r and K are evaluated at every step's stage times, in
-phase (``ModelParams.phase`` plus the offset), once per run
-(``_stage_table``); the RK4 recurrence then runs over that table in plain
-Python floats, period after period.  The result is one (period, offset)
-array of samples on that grid, the shape ``solution_grid`` gives the closed
-form, and the post-impulse state at the end of the run.
+n = ``coefficients.forcing_panels``.  The harvest jump x -> (1 - E) x is
+applied algebraically, never integrated across.  r and K are evaluated at
+every step's stage times, in phase (``ModelParams.phase`` plus the offset),
+once per run (``_stage_table``); the RK4 recurrence then runs over that
+table in plain Python floats, period after period.  The result is one
+(period, offset) array of samples on that grid, the shape ``solution_grid``
+gives the closed form, and the post-impulse state at the end of the run.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class Trajectory:
 
     params: ModelParams
     x0: float
-    steps_per_unit: int
     offsets: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     end: float
@@ -163,4 +162,4 @@ def integrate(
             raise _underflow(params.time(k + 1, 0.0))
     values = np.array(samples).reshape(periods, grid.size)
     values.setflags(write=False)
-    return Trajectory(params, float(x0), steps_per_unit, grid, values, x)
+    return Trajectory(params, float(x0), grid, values, x)

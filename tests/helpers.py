@@ -198,7 +198,11 @@ def corrupt_period_table(monkeypatch, offset: float, corrupt) -> None:
 def _scalar_offsets(n: int, params: ModelParams) -> list[float]:
     """Offsets i/n into a period plus every jump offset strictly between two of them."""
     bounds = [i / n for i in range(n)] + [1.0]
-    jumps = params.pair.r.breakpoints_mod1() + params.pair.K.breakpoints_mod1()
+    jumps = [
+        b
+        for c in (params.pair.r, params.pair.K)
+        for b in c.to_dict().get("breakpoints", [])[:-1]
+    ]
     for c in sorted((b - params.phase) % 1.0 for b in jumps):
         pos = bisect_right(bounds, c)
         if pos < len(bounds) and bounds[pos - 1] < c:

@@ -193,7 +193,7 @@ def test_criterion_5_exponent_sign_regression():
         recip = (
             math.exp(-big_r) / (x0 * c.q**k)
             + c.A * c.B * s_k * math.exp(+big_r)
-            + forcing_integrals(params.pair, anchor, (t - anchor,))[0][0]
+            + forcing_integrals(params.pair, anchor, (t - anchor,), 64)[0][0]
         )
         return 1.0 / recip
 

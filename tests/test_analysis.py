@@ -272,44 +272,39 @@ def test_compare_solutions_integrates_the_anchor_once(monkeypatch, params, x0, r
     consts = derive_constants(params)
     if consts.x0_star is not None:
         orbit = real(params, consts.x0_star, 3, 64)
-        closed = analysis.trajectory_closed_form(orbit, consts, periodic=True)
-        assert report.records[1].residual == analysis._worst_deviation(orbit, closed)[0]
+        gap = analysis.trajectory_closed_form(orbit, consts, periodic=True)[1]
+        assert report.records[1].residual == gap.max()
 
 
 @pytest.mark.parametrize("bent", ["none", "row", "post", "pre", "end"])
 def test_worst_deviation_labels_the_first_worst_sample(bent):
-    # 128 steps per unit: every second sample below offset 1 counts
+    # every sample counts, in simulate's row order: each row from its post
+    # value to its pre value, then the end; the first of the worst names
+    # the time
     params, periods = golden_params(), 3
+    consts = derive_constants(params)
     traj = analysis.integrate(params, 37.0, periods, 128)
-    closed, closed_end = analysis.trajectory_closed_form(traj, derive_constants(params))
+    closed = analysis.trajectory_closed_form(traj, consts)[0].tolist()
     values, end = traj.values.copy(), traj.end
     if bent == "row":
-        values[1, 6] *= 1.001
+        values[1, 7] *= 1.001
     elif bent == "post":
         values[2, 0] *= 1.001
     elif bent == "pre":
         values[0, -1] *= 1.001
     elif bent == "end":
         end *= 1.001
-    # the samples in order: each row's below offset 1, the end, then each
-    # impulse's (pre, post); the first of the worst names the time
     samples = [
-        (params.time(k, s), values[k, j], closed[k, j])
+        (params.time(k, s), x)
         for k in range(periods)
-        for j, s in enumerate(traj.offsets[:-1].tolist())
-        if j % 2 == 0
+        for s, x in zip(traj.offsets.tolist(), values[k].tolist())
     ]
-    samples.append((params.time(periods, 0.0), end, closed_end))
-    posts = zip([*values[1:, 0], end], [*closed[1:, 0], closed_end])
-    for k, (post, ref_post) in enumerate(posts):
-        samples.append((params.time(k + 1, 0.0), values[k, -1], closed[k, -1]))
-        samples.append((params.time(k + 1, 0.0), post, ref_post))
-    residuals = [abs(ref - num) / ref for _, num, ref in samples]
+    samples.append((params.time(periods, 0.0), end))
+    residuals = [abs(ref - num) / ref for (_, num), ref in zip(samples, closed)]
     worst = max(residuals)
-    got = analysis._worst_deviation(
-        dataclasses.replace(traj, values=values, end=end), (closed, closed_end)
-    )
-    assert got == (worst, samples[residuals.index(worst)][0])
+    bent_traj = dataclasses.replace(traj, values=values, end=end)
+    gap = analysis.trajectory_closed_form(bent_traj, consts)[1]
+    assert analysis._worst_deviation(bent_traj, gap) == (worst, samples[residuals.index(worst)][0])
     if bent != "none":
         assert worst > 1e-4
 

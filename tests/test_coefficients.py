@@ -129,7 +129,7 @@ def test_each_kind_matches_its_stdlib_reference(kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(8):
         c = random_coefficient(rng, kind, 0.3, 1.5)
-        jumps = [b + m for b in c.breakpoints_mod1() for m in (-2.0, 0.0, 1.0, 1e6)]
+        jumps = [b + m for b in _jumps(c) for m in (-2.0, 0.0, 1.0, 1e6)]
         ulp_off = [math.nextafter(u, d) for u in jumps for d in (-math.inf, math.inf)]
         times = [*rng.uniform(-3.0, 7.0, 100).tolist(), *rng.uniform(0.0, 1e8, 20).tolist()]
         spans = rng.uniform(0.0, 1.0, len(times + jumps + ulp_off)).tolist()
@@ -358,9 +358,14 @@ def _pair(r, K):
     return CoefficientPair(r=r, K=K)
 
 
+def _jumps(c) -> tuple[float, ...]:
+    """Every point in [0, 1) where c may jump."""
+    return getattr(c, "breakpoints", ())[:-1]
+
+
 def _breaks(pair):
     """Every point in [0, 1) where r or K may jump."""
-    return pair.r.breakpoints_mod1() + pair.K.breakpoints_mod1()
+    return _jumps(pair.r) + _jumps(pair.K)
 
 
 def test_compute_B_constant_case():
@@ -420,9 +425,9 @@ def test_B_window_shift_invariance():
             random_coefficient(rng, ("sinusoid", "piecewise", "constant")[i % 3], 50.0, 200.0),
         )
         t0 = float(rng.uniform(0.1, 0.9))
-        base = forcing_integrals(pair, t0, (1.0,))[0][0]
+        base = forcing_integrals(pair, t0, (1.0,), 64)[0][0]
         for k in range(1, 6):
-            shifted = forcing_integrals(pair, t0 + k, (1.0,))[0][0]
+            shifted = forcing_integrals(pair, t0 + k, (1.0,), 64)[0][0]
             assert shifted == pytest.approx(base, rel=1e-12)
 
 
@@ -513,21 +518,21 @@ def test_forcing_integrals_reject_a_reversed_window():
     # a window [start, start + s] with s < 0 is reversed, and one with s > 1
     # is longer than the period it is split in
     pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
-    assert forcing_integrals(pair, 0.7, [0.0, 0.0]) == ([0.0, 0.0], [0.0, 0.0])
+    assert forcing_integrals(pair, 0.7, [0.0, 0.0], 64) == ([0.0, 0.0], [0.0, 0.0])
     for bad in (-0.5, -5e-324, math.nextafter(1.0, 2.0), 1.5, math.nan):
         with pytest.raises(ValueError, match="offsets must lie in"):
-            forcing_integrals(pair, 0.7, [0.5, bad])
+            forcing_integrals(pair, 0.7, [0.5, bad], 64)
 
 
 def test_forcing_integral_empty_interval():
     pair = _pair(ConstantCoefficient(LN2), ConstantCoefficient(100.0))
-    assert forcing_integrals(pair, 0.7, ()) == ([], [])
-    assert forcing_integrals(pair, 0.7, (0.0,)) == ([0.0], [0.0])
-    forcing, growth = forcing_integrals(pair, 0.7, (0.0, 0.5))
+    assert forcing_integrals(pair, 0.7, (), 64) == ([], [])
+    assert forcing_integrals(pair, 0.7, (0.0,), 64) == ([0.0], [0.0])
+    forcing, growth = forcing_integrals(pair, 0.7, (0.0, 0.5), 64)
     assert forcing[0] == growth[0] == 0.0 and forcing[1] > 0.0
     assert growth[1] == LN2 * 0.5
     with pytest.raises(ValueError, match="offsets must lie in"):
-        forcing_integrals(pair, 1.0, (-0.5,))
+        forcing_integrals(pair, 1.0, (-0.5,), 64)
 
 
 @pytest.mark.parametrize("k_kind", KINDS)
@@ -555,7 +560,7 @@ def test_steps_and_panels_are_intervals_of_one_partition(r_kind, k_kind, data):
         compute_B(pair, params.phase)
         period_table(params, [0.0, 1.0])
         assert len(panels) == (2 if k_kind == "sinusoid" else 0)
-        forcing_integrals(pair, params.phase, (1.0,))
+        forcing_integrals(pair, params.phase, (1.0,), 64)
     expected = _partition(pair, params.phase, 64)
     assert len(panels) == (3 if k_kind == "sinusoid" else 1)
     for lo, hi in panels:

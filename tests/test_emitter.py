@@ -174,7 +174,7 @@ def _grid(n: int) -> list[float]:
 JUMP_T0 = 1.37
 # the grid of a run at t0 = 1.37 and 16 steps per unit, with the jumps of
 # PAIR's K, which fall off the grid, inserted
-JUMP_GRID = sorted({*_grid(16), *((b - JUMP_T0 % 1.0) % 1.0 for b in PAIR.K.breakpoints_mod1())})
+JUMP_GRID = sorted({*_grid(16), *((b - JUMP_T0 % 1.0) % 1.0 for b in PAIR.K.breakpoints[:-1])})
 SHORT_DECIMALS = st.tuples(st.integers(1, 10**8), st.integers(0, 6)).map(
     lambda p: p[0] / 10 ** p[1]
 )
@@ -273,13 +273,15 @@ def _reference_simulate(config):
     params = config.params
     consts = config.constants()
     traj = integrate(params, consts.x0_star, config.horizon_periods, config.steps_per_unit)
-    closed, closed_end = trajectory_closed_form(traj, consts)
+    closed = trajectory_closed_form(traj, consts)[0]
     samples = [
         (k, s, x, c, "pre" if j == len(traj.offsets) - 1 else "post" if j == 0 < k else "")
-        for k, (row, closed_row) in enumerate(zip(traj.values.tolist(), closed.tolist()))
+        for k, (row, closed_row) in enumerate(
+            zip(traj.values.tolist(), closed[:-1].reshape(traj.values.shape).tolist())
+        )
         for j, (s, x, c) in enumerate(zip(traj.offsets.tolist(), row, closed_row))
     ]
-    samples.append((len(traj.values), 0.0, traj.end, float(closed_end), "post"))
+    samples.append((len(traj.values), 0.0, traj.end, float(closed[-1]), "post"))
     return [
         (params.t0 + (k + s), k, x, c, float(abs(np.float64(x) - c) / c), event)
         for k, s, x, c, event in samples

@@ -35,7 +35,7 @@ from impulsive_logistic import (
     verify_impulse_condition,
     verify_periodicity,
 )
-from impulsive_logistic.coefficients import forcing_integrals
+from impulsive_logistic.coefficients import forcing_integrals, forcing_panels
 
 from helpers import corrupt_period_table, golden_params, random_params, reference_integral
 
@@ -94,11 +94,10 @@ def models(draw) -> ModelParams:
 @given(params=models(), offsets=dyadic_offsets)
 def test_table_matches_scalar_quadrature(params, offsets):
     table = period_table(params, offsets)
-    for s, growth, forcing in zip(offsets, table.growth, table.forcing):
-        assert growth == pytest.approx(
-            reference_integral(params.pair.r, params.t0, params.t0 + s), rel=1e-12, abs=1e-14
-        )
-        window = forcing_integrals(params.pair, params.t0, (s,))[0][0]
+    for s, decay, forcing in zip(offsets, table.decay, table.forcing):
+        growth = reference_integral(params.pair.r, params.t0, params.t0 + s)
+        assert decay == pytest.approx(math.exp(-growth), rel=1e-14)
+        window = forcing_integrals(params.pair, params.t0, (s,), 64)[0][0]
         assert forcing == pytest.approx(window, rel=1e-12)
 
 
@@ -113,7 +112,7 @@ def test_table_holds_a_forcing_ratio_near_the_float_range():
         )
         with np.errstate(all="raise"):
             table = period_table(params, [0.0, 0.5, 1.0])
-        half = forcing_integrals(params.pair, 0.0, (0.5,))[0][0]
+        half = forcing_integrals(params.pair, 0.0, (0.5,), forcing_panels(params.pair))[0][0]
         want = [0.0, half, compute_B(params.pair, 0.0)]
         np.testing.assert_allclose(table.forcing, want, rtol=1e-12)
 
@@ -141,9 +140,9 @@ def test_legacy_grid_is_d_over_the_moving_window_integral(r_kind, k_kind, data):
 
 
 def test_legacy_grid_at_growth_700():
-    # at G = 700 the 64-panel B and C lose digits, and they lose them alike
-    # in the window integral at the same panel count: the two forms of the
-    # legacy formula agree to 1.5e-13, and both are 2.2e-11 off 4096 panels
+    # at G = 700, 64 panels left B and C 2.2e-11 off 4096 panels; at the
+    # panel rule's 175 the two forms of the legacy formula agree to 3.5e-14,
+    # and both are within 2.6e-14 of 4096 panels
     params = ModelParams(
         pair=CoefficientPair(r=ConstantCoefficient(700.0), K=SinusoidCoefficient(100.0, 40.0)),
         E=0.25,
@@ -154,9 +153,44 @@ def test_legacy_grid_at_growth_700():
     got = legacy_grid(c, period_table(params, offsets))
     a = params.phase
     for s, value in zip(offsets, got):
-        window = [forcing_integrals(params.pair, a + s, (1.0,), n)[0][0] for n in (64, 4096)]
+        panels = (forcing_panels(params.pair), 4096)
+        window = [forcing_integrals(params.pair, a + s, (1.0,), n)[0][0] for n in panels]
         assert value == pytest.approx(c.d / window[0], rel=1e-12)
-        assert value == pytest.approx(c.d / window[1], rel=1e-10)
+        assert value == pytest.approx(c.d / window[1], rel=1e-12)
+
+
+def _rate_with_mean(rng: np.random.Generator, kind: str, G: float):
+    """A growth rate of the given kind whose period mean is G."""
+    if kind == "constant":
+        return ConstantCoefficient(G)
+    if kind == "sinusoid":
+        amp = float(rng.uniform(-0.9, 0.9)) * G
+        return SinusoidCoefficient(mean=G, amp=amp, phase=float(rng.uniform(0.0, 2.0 * math.pi)))
+    breakpoints = (0.0, *sorted(rng.uniform(0.05, 0.95, 2).tolist()), 1.0)
+    weights = rng.uniform(0.2, 1.8, 3)
+    scale = G / float(np.dot(weights, np.diff(breakpoints)))
+    return PiecewiseConstantCoefficient(breakpoints, tuple((scale * weights).tolist()))
+
+
+@pytest.mark.parametrize("G", [650.0, 709.0])
+@pytest.mark.parametrize("r_kind", ["constant", "sinusoid", "piecewise"])
+def test_B_of_a_sinusoid_K_holds_at_large_growth(r_kind, G):
+    # exp(R) rises by exp(G) over the period: at 64 panels per unit B was
+    # up to 1.9e-7 off a 16384-panel quadrature (piecewise r at G = 709);
+    # at the panel rule's ceil(G / 4) it stays within 1e-13, and so does
+    # the C(1) of a table, which lays the same panels
+    rng = np.random.default_rng([int(G), len(r_kind)])
+    for _ in range(10):
+        K = SinusoidCoefficient(
+            float(rng.uniform(50.0, 150.0)), float(rng.uniform(-40.0, 40.0)),
+            float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        pair = CoefficientPair(r=_rate_with_mean(rng, r_kind, G), K=K)
+        params = ModelParams(pair=pair, E=0.0, t0=float(rng.uniform(0.05, 0.95)))
+        fine = forcing_integrals(pair, params.phase, (1.0,), 16384)[0][0]
+        assert compute_B(pair, params.phase) == pytest.approx(fine, rel=1e-12, abs=0.0)
+        table = period_table(params, [0.5, 1.0])
+        assert table.forcing[-1] == pytest.approx(fine, rel=1e-12, abs=0.0)
 
 
 @PROPERTY
@@ -194,7 +228,7 @@ def test_log_space_branch_matches_direct_formula(k):
     got = solution_grid(consts, x0, [k], table)[0]
     for s, value in zip(offsets, got):
         decay = math.exp(-reference_integral(params.pair.r, params.t0, params.t0 + s))
-        forcing = forcing_integrals(params.pair, params.t0, (s,))[0][0]
+        forcing = forcing_integrals(params.pair, params.t0, (s,), 64)[0][0]
         geometric = (1.0 - q ** (-k)) / (q - 1.0)
         recip = decay / (x0 * q**k) + consts.A * consts.B * geometric * decay + forcing
         assert value == pytest.approx(1.0 / recip, rel=1e-12)
@@ -237,8 +271,8 @@ def test_solution_grid_near_threshold_matches_a_decimal_reference(ulps):
         for k, row in zip(ks, got):
             lead = (-k * ln_q).exp()
             total = (1 - lead) / d
-            for value, big_r, forcing in zip(row, table.growth, table.forcing):
-                den = (-D(big_r)).exp() * (lead + D(x0) * B * total) + D(x0) * D(forcing)
+            for value, decay, forcing in zip(row, table.decay, table.forcing):
+                den = D(decay) * (lead + D(x0) * B * total) + D(x0) * D(forcing)
                 rel = abs(D(value) / (D(x0) / den) - 1)
                 assert rel <= D(1e-15 + k * 2.0**-52), (k, value)
 
@@ -268,17 +302,21 @@ def test_trajectory_closed_form_matches_scalar_path():
     params = random_params(np.random.default_rng(11), 2)
     traj = integrate(params, 80.0, 3, 64)
     c = derive_constants(params)
-    closed, end = trajectory_closed_form(traj, c)
-    assert closed.shape == traj.values.shape
+    closed, gap = trajectory_closed_form(traj, c)
+    # simulate's row order: the samples row by row, then the end
+    assert closed.shape == gap.shape == (traj.values.size + 1,)
+    rows, end = closed[:-1].reshape(traj.values.shape), float(closed[-1])
     keep = 1.0 - params.E
     # the pre column: post / (1 - E), post the next row's first value or the end's
-    assert closed[:, -1].tolist() == [v / keep for v in [*closed[1:, 0].tolist(), end]]
-    for k, row in enumerate(closed[:, :-1].tolist()):
+    assert rows[:, -1].tolist() == [v / keep for v in [*rows[1:, 0].tolist(), end]]
+    for k, row in enumerate(rows[:, :-1].tolist()):
         for s, value in zip(traj.offsets.tolist(), row):
             alone = solution_grid(c, 80.0, [k], period_table(params, [s]))
             assert value == pytest.approx(alone[0, 0], rel=1e-13)
-    alone = solution_grid(c, 80.0, [len(closed)], period_table(params, [0.0]))
+    alone = solution_grid(c, 80.0, [len(rows)], period_table(params, [0.0]))
     assert end == pytest.approx(alone[0, 0], rel=1e-13)
+    numeric = [*traj.values.ravel().tolist(), traj.end]
+    assert gap.tolist() == [abs(x - y) / y for x, y in zip(numeric, closed.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +425,32 @@ def test_periodicity_check_catches_a_corrupted_table(monkeypatch, params):
     report = verify_periodicity(params)
     failed = {rec.location for rec in report.records if not rec.passed}
     assert failed == {f"k={k} offset=0.5" for k in range(5)}
+
+
+def test_oracle_check_catches_a_corrupted_table(monkeypatch, capsys):
+    # C(1/256) is a sample of every period at the default step, but not one
+    # of 64 evenly spaced per period: scaled by 1.1 it moves simulate's
+    # rel_diff to 1.35e-4, which only a check of every sample sees
+    argv = ["verify", "--config", str(CONFIG_DIR / "golden_constant.json"), "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    corrupt_period_table(monkeypatch, 1 / 256, lambda c: c * 1.1)
+    assert cli.main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "closed form vs numerical oracle" in {c["check"] for c in checks if not c["passed"]}
+
+
+@pytest.mark.parametrize(
+    "name", ["golden_constant", "overharvest", "piecewise_mixed", "sinusoid_r"]
+)
+def test_oracle_record_is_the_largest_rel_diff_of_simulate(capsys, name):
+    config = str(CONFIG_DIR / f"{name}.json")
+    assert cli.main(["simulate", "--config", config]) == 0
+    rel_diff = [float(row.split(",")[4]) for row in capsys.readouterr().out.splitlines()[1:]]
+    cli.main(["verify", "--config", config, "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    (oracle,) = [c for c in checks if c["check"] == "closed form vs numerical oracle"]
+    assert oracle["records"][0]["residual"] == max(rel_diff)
 
 
 @pytest.mark.parametrize("params", [golden_params(), SINUSOID_R], ids=["golden", "sinusoid"])

@@ -56,13 +56,13 @@ DIGESTS = {
     ("periodic", "piecewise_mixed", "json"): "7c5eec4eedd2c62f8110b45da959c719d0378dc2edebe08418449d0ce7477874",
     ("periodic", "sinusoid_r", "csv"): "b15abbfcf9a3a12fb38b1febf18833d1e34f1a8c4c4869761aeee383ce518487",
     ("periodic", "sinusoid_r", "json"): "60fc74f97633906b8ccd69448517b1ec42891b4c1f7ca8d846f9cc6f00f47752",
-    ("verify", "golden_constant", "json"): "d419b70c4f34e0c7a58c3b180a6428d69308820a4cab262814f4b67bf258d8db",
-    ("verify", "golden_constant", "text"): "5d78da54f2369cdab9888997aa38ce92f58a5b83963eb92088ae84ebb2c4b636",
-    ("verify", "overharvest", "json"): "69c0b5460231f227f5a3003f50b2465e61bbab0b51cb266f2c6839b94d0a984e",
+    ("verify", "golden_constant", "json"): "d87868820fcbe1de0c63238e98be754a21e699f06cd4a38ae802a70cc1469bd9",
+    ("verify", "golden_constant", "text"): "07b99f6d2c38da0d8fe16b5f687b228ceb1db9b1d9fbad71edd4b86c07d5ee85",
+    ("verify", "overharvest", "json"): "7ee4eb1aff9546cdecd510a8f1ae2102f51f44bfa67f591c9d72c762e3d4e698",
     ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
-    ("verify", "piecewise_mixed", "json"): "415a25a087afd86f304d2ec3b94fde9af05e4f5d987e9a347a0d3244bee64602",
-    ("verify", "piecewise_mixed", "text"): "a397b9b55364cec7e58f201d4447a7c5e108070eef2595c2a88c96b4e9576381",
-    ("verify", "sinusoid_r", "json"): "204c8364f7c8f80e08350f3741c331c4f77fd773185cda2abf26f6f0d0a0e2fe",
+    ("verify", "piecewise_mixed", "json"): "29f4915f23bccdae35d63728c23562e9289cba0b70fdfc457a630f0d0f4155a0",
+    ("verify", "piecewise_mixed", "text"): "6187b7fb48f333978ff72b53bdd0c6429b468ab97a56524f20a3a40ada81557b",
+    ("verify", "sinusoid_r", "json"): "2e7e600fd48a08e62e22f9eda56bacd20c5b6e219db782271018f493400f85b5",
     ("verify", "sinusoid_r", "text"): "64d9c946e7f13362f3661b1f4532709e918658dc22b800c592fbb1a3418ca9fc",
     ("counterexample", "golden_constant", "json"): "64e064e1029b8cbc0ee4db692af92ac814f6e11965821e954985df849b067364",
     ("counterexample", "golden_constant", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
@@ -117,22 +117,22 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "periods40", "json"): "f64455bba42012dd61bf04dd81b4d495a4581793e28ed6134defe5548d74d179",
     ("periodic", "sinusoid_r", "step1024", "csv"): "3fc0d328b597c6b92508900c128e5e48af02f6514257538b291c17affbae2306",
     ("periodic", "sinusoid_r", "step1024", "json"): "20d9003b2dc65dca1fa3a7ec981616faf11c7f79a0aaa27a5d9cc5387d615c83",
-    ("verify", "golden_constant", "periods40", "json"): "e787b0e805e1e24840175ebc19b93c48cbd0ff70a47bf9b98b9dc22732a0d93d",
+    ("verify", "golden_constant", "periods40", "json"): "d0e44e444da3a6d46dfaa21d6d1f094637b7a0f3f0140b421c879124ff36f83c",
     ("verify", "golden_constant", "periods40", "text"): "013a23416130161c09a3a1b5841d1655ed1d07f2cd979359875f3d87cb78d28b",
-    ("verify", "golden_constant", "step1024", "json"): "f030a3a9cfc2a94bbd864c89b26c96e162d9127a825fe86ce653056608fc532d",
-    ("verify", "golden_constant", "step1024", "text"): "b49ca7f7d98df98de6b690213d904c1db5ca8016a4afd9dc8309223757bb785f",
-    ("verify", "overharvest", "periods40", "json"): "fa74c6c1f0a8c1d33d4be09689a1714798dc77a09f8385d3d17a40816e43f888",
+    ("verify", "golden_constant", "step1024", "json"): "bb2131003ea95ef4ed16c3b518e5e1f4930204d2d48e29adadcc707c91818a88",
+    ("verify", "golden_constant", "step1024", "text"): "9675466ad85088c833af623d6fb20d770ffc29522240639ff4af33c5de882321",
+    ("verify", "overharvest", "periods40", "json"): "0dc04286b2e3ba1075c32b03919ec833b4c58b1d87d516d5f8d973625287267f",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
-    ("verify", "overharvest", "step1024", "json"): "238040ad0731d8f7329f2af2315c6fc161ad4fc54791002d7f8cdafc20af6901",
-    ("verify", "overharvest", "step1024", "text"): "a8f8c4b00287fdb58cf105c081e34af1140d8a6544f3460fdc4a35ad152903b5",
-    ("verify", "piecewise_mixed", "periods40", "json"): "07a5805dd6ea9ce707901860bd0a3d3b0b4a2c29865846e59a525aa91dc5bca3",
-    ("verify", "piecewise_mixed", "periods40", "text"): "a09f46143a0cb075d882669d1f08e7be71893f9c16708037a5267860472ebe39",
-    ("verify", "piecewise_mixed", "step1024", "json"): "65ebe44f3d85ce352a1283837d14ea69a558c0d1295ea12c1d1aaa2c1b118a08",
+    ("verify", "overharvest", "step1024", "json"): "ebbe6c2ba0657828ad5ad616f8b7bb7dd9ad59c3b3cba7b62201712777e59905",
+    ("verify", "overharvest", "step1024", "text"): "2242a7bacae29e86ac7f219bf0578d02e3edc2730dbc111e40b6e9d9c205d241",
+    ("verify", "piecewise_mixed", "periods40", "json"): "b91e898bae187e3936384c79e1e96c076e0de8e359a7313ef33545bfe73e3140",
+    ("verify", "piecewise_mixed", "periods40", "text"): "2c2f8168d4dc13ca7b23a9f8b13c6aee35b42fe2d8f5a742d69d07b49d000a50",
+    ("verify", "piecewise_mixed", "step1024", "json"): "88f3c85fa7b5ed10f86e696b18425127f37c2370c33e0ee03b96cb9d537af573",
     ("verify", "piecewise_mixed", "step1024", "text"): "4948992197a729b906f9140afa71e97261f6e03ad120797ebf2e833e3d1a5b75",
-    ("verify", "sinusoid_r", "periods40", "json"): "7e454cd43dd89c8d496d0cd311a40741a8b29d59abea3e6789dc387b3bfd5c8c",
+    ("verify", "sinusoid_r", "periods40", "json"): "d6f196aed14bf0ce52c89d0920fc2aafdc3cd93aff8dc8336629b2a2b88f042d",
     ("verify", "sinusoid_r", "periods40", "text"): "c315914c4bc84c9077f0ecc50bf591963c0fa6097ba63bf00559dba7410980a0",
-    ("verify", "sinusoid_r", "step1024", "json"): "e000fb020e8fe5025c28e490f65fed154e36a66797ab4c64ba814f7ec6898674",
-    ("verify", "sinusoid_r", "step1024", "text"): "e640331212f07ac3216c4a5b80b4671c75f3ffd254975de1ec63c4a9bb8a3c47",
+    ("verify", "sinusoid_r", "step1024", "json"): "25f025def4c1e64c358b532e73790726cd918ae8e7c790fd2d47fcc3923fffd4",
+    ("verify", "sinusoid_r", "step1024", "text"): "a8fcfea1b25c935a7b66e34424bb03968ce2680cbc7732a92388aaf6a6378f60",
 }
 
 # scenarios whose time column takes each path of the time-cell rule: times
@@ -346,7 +346,7 @@ ARGV_DIGESTS = {
     "option-equals": "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
-    "run-verify-overrides": "9b92750571f70a2d7eadcc29ed147598149bf1e3bd2d110464dbf4628db1eefa",
+    "run-verify-overrides": "e1f9de05eea5b8124d4516d8ed07e991a5b093d0330377b90fa1da620fd365e3",
     "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
     "periods-with-a-space": "4005c6b1d249f8dcfd05bda844c3174dc83c1dd5537d9279fd48bca007959547",
     "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",

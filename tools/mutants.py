@@ -71,8 +71,14 @@ MUTATIONS = {
     ),
     "reference-at-64-panels": (
         ANALYSIS,
-        "REFERENCE_PANELS_PER_UNIT = 2 * DEFAULT_PANELS_PER_UNIT",
-        "REFERENCE_PANELS_PER_UNIT = DEFAULT_PANELS_PER_UNIT",
+        "[*offsets, 1.0], 2 * forcing_panels(params.pair)",
+        "[*offsets, 1.0], forcing_panels(params.pair)",
+    ),
+    "sinusoid-K-at-64-panels": (
+        COEFFICIENTS,
+        "return max(DEFAULT_PANELS_PER_UNIT, math.ceil(pair.r.mean / 4))",
+        "return DEFAULT_PANELS_PER_UNIT",
+        ("tests/test_kernel.py::test_B_of_a_sinusoid_K_holds_at_large_growth",),
     ),
     "geometric-sum-times-1+1e-7": (
         CLOSED_FORM,
@@ -117,8 +123,15 @@ MUTATIONS = {
     ),
     "worst-deviation-skips-the-pre-values": (
         ANALYSIS,
-        "values[:, :-1:stride].ravel(), [end], values[:, -1]",
-        "values[:, :-1:stride].ravel(), [end], values[:, 0]",
+        "worst = int(np.argmax(gap))",
+        "worst = int(np.argmax(np.where("
+        "np.arange(gap.size) % traj.offsets.size == traj.offsets.size - 1, 0.0, gap)))",
+    ),
+    "oracle-reads-every-second-sample": (
+        ANALYSIS,
+        "worst = int(np.argmax(gap))",
+        "worst = int(np.argmax(np.where(np.arange(gap.size) % traj.offsets.size % 2, 0.0, gap)))",
+        ("tests/test_kernel.py::test_oracle_check_catches_a_corrupted_table",),
     ),
     "margin-always-e-star-minus-E": (
         CLOSED_FORM,
