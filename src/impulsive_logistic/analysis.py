@@ -29,7 +29,8 @@ Which side of each check is independent of the code it checks:
     evaluated in one ``forcing_integrals`` call that also takes the unit
     window, whose integral is the reference's own B; it reads no period
     table, no cumulative pass, no k and not the kernel's B, only its margin
-    d.  For a sinusoid K it shares with the kernel the partition rule
+    d, and it shares no function with the kernel's B (``compute_B``).  For
+    a sinusoid K it shares with the kernel the partition rule
     (``CoefficientPair.period_grid``) at twice the resolution, not the
     panels or the sum; where K is constant on pieces the kernel lays no
     panel, and the two share only the coefficients' readings.  Each

@@ -867,7 +867,8 @@ def _apply_overrides(config: ScenarioConfig, args) -> tuple[ScenarioConfig, str]
         )
     if getattr(args, "e_values", None) is not None:  # sweep's flag only
         fields["e_values"] = _parse_e_values(args.e_values)
-    config = dataclasses.replace(config, **fields)
+    if fields:  # a copy costs microseconds on every plain command line
+        config = dataclasses.replace(config, **fields)
     if budgeted:
         _require_sample_budget(config)
     return config, fmt

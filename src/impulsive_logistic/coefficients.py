@@ -37,14 +37,14 @@ d/du exp(R(u)) = r(u) exp(R(u)), the integrand (r/K) exp(R) is
 (1/K) d(exp(R)) wherever K is constant.  B is its C(1), and the period
 table of :mod:`impulsive_logistic.closed_form` reads the same sum.
 
-The forcing quadrature is ``forcing_integrals``: any number of windows
-[start, start + s] from one start, each with its own decay and sum, and
-r/K and the growth R evaluated in one pass,
-``CoefficientPair.ratio_and_growth``, at the nodes and ends of all of them.
-B of a sinusoid K is its one-window case s = 1; the reference side of the
-periodicity check takes its 16 windows and its own B from one call.  Both
-lay ``forcing_panels(pair)`` panels per unit (the reference twice that):
-64, and more once the growth integral passes 256.
+B of a sinusoid K is one order-10 Gauss-Legendre sum over the unit
+window, r/K and the growth R read in one pass,
+``CoefficientPair.ratio_and_growth``, at its nodes and at offset 1.  The
+window quadrature ``forcing_integrals`` is the periodicity reference's: any
+number of windows [start, start + s] from one start, each with its own
+decay and sum, from one such pass; its window s = 1 is B's sum, bit for
+bit.  B lays ``forcing_panels(pair)`` panels per unit, the reference twice
+that: 64, and more once the growth integral passes 256.
 
 A period is cut one way, in the offset s from an impulse, by
 ``CoefficientPair.period_grid(phase, n)``: every RK4 step and every order-10
@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
+from itertools import accumulate
 from typing import ClassVar, Union
 
 import numpy as np
@@ -270,13 +271,14 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
             )
         if any(not (math.isfinite(v) and v > 0.0) for v in vals):
             raise ValueError(f"piecewise values must be positive finite numbers, got {vals!r}")
-        bp_arr = np.asarray(bp)
-        # the second period's pieces have the first period's widths
-        steps = np.tile(np.diff(bp_arr) * vals, 2)
-        object.__setattr__(self, "_bp", bp_arr)
-        object.__setattr__(self, "_bp2", np.concatenate((bp_arr[:-1], bp_arr + 1.0)))
-        object.__setattr__(self, "_vals2", np.tile(vals, 2))
-        object.__setattr__(self, "_cum2", np.concatenate(([0.0], np.cumsum(steps))))
+        # in plain floats, in numpy's order: the second period's pieces have
+        # the first period's widths, and a running sum past the float range
+        # ends in inf without a warning
+        steps = [(b1 - b0) * v for b0, b1, v in zip(bp, bp[1:], vals)] * 2
+        object.__setattr__(self, "_bp", np.array(bp))
+        object.__setattr__(self, "_bp2", np.array(bp[:-1] + tuple(b + 1.0 for b in bp)))
+        object.__setattr__(self, "_vals2", np.array(vals * 2))
+        object.__setattr__(self, "_cum2", np.array(list(accumulate(steps, initial=0.0))))
 
     @property
     def mean(self) -> float:
@@ -319,6 +321,8 @@ _KINDS = {
     cls.kind: cls
     for cls in (ConstantCoefficient, SinusoidCoefficient, PiecewiseConstantCoefficient)
 }
+# a kind's fields are its constructor's; those without a default are required
+_KIND_FIELDS = {kind: [f for f in fields(cls) if f.init] for kind, cls in _KINDS.items()}
 
 def coefficient_from_dict(data: dict) -> PeriodicCoefficient:
     """Build a coefficient from its ``to_dict`` form (also the CLI schema)."""
@@ -329,8 +333,7 @@ def coefficient_from_dict(data: dict) -> PeriodicCoefficient:
         raise ValueError(
             f"unknown coefficient kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
-    # a kind's fields are its constructor's; those without a default are required
-    kind_fields = [f for f in fields(_KINDS[kind]) if f.init]
+    kind_fields = _KIND_FIELDS[kind]
     unknown = set(data) - {f.name for f in kind_fields} - {"kind"}
     if unknown:
         raise ValueError(f"unknown field(s) {sorted(unknown)} for kind {kind!r}")
@@ -363,7 +366,7 @@ class CoefficientPair:
         """The partition of a period that starts at coefficient time phase:
         the sorted union of the grid offsets i/n, i = 0..n, and the offsets
         at which r or K may jump, the starts of their ``pieces`` after the
-        first.
+        first; the grid offsets themselves when neither jumps.
 
         Every RK4 step and every quadrature panel is one of its intervals,
         so each lies inside one smooth piece of r and K.
@@ -373,7 +376,8 @@ class CoefficientPair:
             pieces = c.pieces(phase)
             if pieces is not None:
                 jumps += pieces[0][1:]
-        return sorted_union(np.arange(n + 1) / n, jumps)
+        grid = np.arange(n + 1) / n
+        return sorted_union(grid, jumps) if jumps else grid
 
     def ratio_and_growth(
         self, phase: float, s: np.ndarray, key: np.ndarray
@@ -422,9 +426,10 @@ def forcing_integrals(
     Gauss-Legendre panel (``panel_rule``) from each point of
     ``pair.period_grid(start, panels_per_unit)`` below s to the next, the
     last one ending at s; s == 0 is one panel of width zero, and gives 0.0
-    and 0.0.  It takes no account of the kind of K: a sinusoid K's B reads
-    it, and so does the reference side of the periodicity check, for every
-    kind.  A node can round onto its panel's end, and so onto a jump, so
+    and 0.0.  It takes no account of the kind of K: the reference side of
+    the periodicity check reads it for every kind, and its window s = 1 is
+    ``compute_B``'s sum for a sinusoid K, bit for bit.  A node can round
+    onto its panel's end, and so onto a jump, so
     a coefficient with jumps is read at the panel's midpoint.  Windows are
     prefixes of one grid, so r, K and R are evaluated in one
     ``CoefficientPair.ratio_and_growth`` pass; each window keeps its own
@@ -505,8 +510,8 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
     period, so phase lies in [0, 1): shifting the window by a whole number
     of periods leaves B unchanged (periodicity of r and K).  Where K is
     constant on pieces, B is the C(1) of ``piece_forcing``; for a sinusoid
-    K, the one-window quadrature of ``forcing_integrals`` at
-    ``forcing_panels`` per unit.  Cached per
+    K, one Gauss-Legendre sum at ``forcing_panels`` per unit, on the panels
+    and nodes of the window s = 1 of ``forcing_integrals``.  Cached per
     (pair, phase), the package's one cache: B does not depend on E, so
     the CLI's config check and every harvest fraction share it.
     B > 0 in exact arithmetic; in floats it can overflow to inf (a tiny K)
@@ -515,6 +520,12 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
     forcing = piece_forcing(pair, phase, (1.0,))
-    if forcing is None:
-        return forcing_integrals(pair, phase, (1.0,), forcing_panels(pair))[0][0]
-    return float(forcing[0])
+    if forcing is not None:
+        return float(forcing[0])
+    grid = pair.period_grid(phase, forcing_panels(pair))
+    nodes, weights, mid = panel_rule(grid[:-1], grid[1:])
+    n = nodes.size
+    ratio, big_r = pair.ratio_and_growth(
+        phase, np.append(nodes, 1.0), np.append(np.repeat(mid, _GL_NODES.size), 1.0)
+    )
+    return float(np.dot(weights.ravel(), ratio[:n] * np.exp(big_r[:n] - big_r[n])))

@@ -255,6 +255,25 @@ def test_huge_growth_over_a_small_capacity_runs(tmp_path, capsys):
     assert consts.x0_star == consts.d / consts.B
 
 
+def test_a_capacity_near_the_float_maximum_runs_quietly(tmp_path, capsys):
+    # K's running sum over two periods passes the float range, but only its
+    # first period, the mean, is ever read: no command may print numpy's
+    # overflow warning, which is an error here
+    cfg = tmp_path / "huge_capacity.json"
+    scenario = _json_config(
+        r={"kind": "constant", "value": 1.0},
+        K={"kind": "piecewise", "breakpoints": [0.0, 0.9, 1.0], "values": [1.7e308, 1.0]},
+        E=0.2,
+        e_values=[0.0, 0.2],
+    )
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    for command in COMMANDS:
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), command
+    assert load_config(cfg).params.pair.K.mean == 1.53e308
+
+
 def test_subnormal_anchor_simulates_quietly(tmp_path, capsys):
     # E one ulp below E* = 1/2 puts the anchor d / B at 2.2e-309, below the
     # normal range: the closed form never inverts it.

@@ -535,6 +535,67 @@ def test_forcing_integral_empty_interval():
         forcing_integrals(pair, 1.0, (-0.5,), 64)
 
 
+@st.composite
+def _rate_and_sinusoid_capacity(draw, r_kind: str) -> CoefficientPair:
+    """r of the given kind, its growth integral small or past 256 (where
+    ``forcing_panels`` grows), and a sinusoid K."""
+    G = draw(st.one_of(st.floats(0.01, 5.0), st.floats(256.0, 709.0)))
+    if r_kind == "constant":
+        r = ConstantCoefficient(G)
+    elif r_kind == "sinusoid":
+        frac, phase = draw(st.floats(-0.99, 0.99)), draw(st.floats(-10.0, 10.0))
+        r = SinusoidCoefficient(mean=G, amp=frac * G, phase=phase)
+    else:
+        shape = draw(_KIND_STRATEGIES["piecewise"])
+        r = PiecewiseConstantCoefficient(shape.breakpoints, tuple(G * v for v in shape.values))
+    return _pair(r, draw(_KIND_STRATEGIES["sinusoid"]))
+
+
+@pytest.mark.parametrize("r_kind", KINDS)
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_B_of_a_sinusoid_K_is_the_unit_forcing_window(r_kind, data):
+    # B is its own one-window sum: the panels, nodes and single dot of the
+    # window s = 1 of forcing_integrals, without its multi-window bookkeeping
+    pair = data.draw(_rate_and_sinusoid_capacity(r_kind))
+    phase = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    panels = coefficients.forcing_panels(pair)
+    assert compute_B(pair, phase) == forcing_integrals(pair, phase, (1.0,), panels)[0][0]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    inner=st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4, unique=True
+    ),
+    data=st.data(),
+)
+def test_piecewise_tables_match_the_numpy_construction(inner, data):
+    # built in plain floats, every table and the mean keep numpy's floats
+    bp = (0.0, *sorted(inner), 1.0)
+    vals = data.draw(st.tuples(*[st.floats(1e-300, 1e300)] * (len(bp) - 1)))
+    c = PiecewiseConstantCoefficient(bp, vals)
+    bp_arr = np.asarray(bp)
+    cum2 = np.concatenate(([0.0], np.cumsum(np.tile(np.diff(bp_arr) * vals, 2))))
+    expected = {
+        "_bp2": np.concatenate((bp_arr[:-1], bp_arr + 1.0)),
+        "_vals2": np.tile(vals, 2),
+        "_cum2": cum2,
+    }
+    for name, want in expected.items():
+        got = getattr(c, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+    assert c.mean == float(cum2[len(vals)])
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 256, 1000])
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_period_grid_without_a_jump_is_the_plain_grid(n, phase):
+    pair = _pair(SinusoidCoefficient(mean=0.7, amp=0.2), ConstantCoefficient(100.0))
+    grid = pair.period_grid(phase, n)
+    assert grid.tolist() == coefficients.sorted_union(np.arange(n + 1) / n, []).tolist()
+
+
 @pytest.mark.parametrize("k_kind", KINDS)
 @pytest.mark.parametrize("r_kind", KINDS)
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

@@ -671,6 +671,30 @@ def test_counterexample_builds_one_period_table(monkeypatch, name):
     assert code == 0 and tables[0] == 1
 
 
+def test_periodicity_reference_lays_its_own_panels(monkeypatch):
+    # the reference cuts the period by the kernel's rule at twice its panel
+    # count, so B's quadrature nodes are almost never reference nodes: on
+    # piecewise_mixed 10 of 650, from a panel beside a jump of r that both
+    # partitions cut alike; at the kernel's own count all 650 would be
+    params = cli.load_config(CONFIG_DIR / "piecewise_mixed.json").params
+    consts = derive_constants(params)
+    passes = []
+    real = CoefficientPair.ratio_and_growth
+
+    def recorded(self, phase, s, key):
+        passes.append(np.asarray(s))
+        return real(self, phase, s, key)
+
+    monkeypatch.setattr(CoefficientPair, "ratio_and_growth", recorded)
+    compute_B.cache_clear()
+    compute_B(params.pair, params.phase)
+    analysis._orbit_by_quadrature(params, consts, analysis._PERIODICITY_OFFSETS)
+    kernel, reference = passes
+    nodes = kernel[:-1]  # the last is offset 1, the end of the window
+    assert nodes.size == 650
+    assert np.isin(nodes, reference).sum() <= nodes.size // 32
+
+
 def test_periodicity_reference_is_one_quadrature_call(monkeypatch, evaluated_nodes):
     # the 16 reference windows and the unit window of the reference's own B
     # share one evaluation of r and K, and cost no more nodes than the same

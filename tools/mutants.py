@@ -66,13 +66,32 @@ MUTATIONS = {
     ),
     "period-grid-drops-a-jump": (
         COEFFICIENTS,
-        "return sorted_union(np.arange(n + 1) / n, jumps)",
-        "return sorted_union(np.arange(n + 1) / n, jumps[1:])",
+        "return sorted_union(grid, jumps) if jumps else grid",
+        "return sorted_union(grid, jumps[1:]) if jumps else grid",
+    ),
+    "period-grid-plain-when-something-jumps": (
+        COEFFICIENTS,
+        "return sorted_union(grid, jumps) if jumps else grid",
+        "return grid",
+        ("tests/test_coefficients.py::test_steps_and_panels_are_intervals_of_one_partition",),
     ),
     "reference-at-64-panels": (
         ANALYSIS,
         "[*offsets, 1.0], 2 * forcing_panels(params.pair)",
         "[*offsets, 1.0], forcing_panels(params.pair)",
+        ("tests/test_kernel.py::test_periodicity_reference_lays_its_own_panels",),
+    ),
+    "sinusoid-K-B-without-its-last-panel": (
+        COEFFICIENTS,
+        "nodes, weights, mid = panel_rule(grid[:-1], grid[1:])",
+        "nodes, weights, mid = panel_rule(grid[:-2], grid[1:-1])",
+        ("tests/test_coefficients.py::test_B_of_a_sinusoid_K_is_the_unit_forcing_window",),
+    ),
+    "piecewise-tables-for-one-period": (
+        COEFFICIENTS,
+        "for b0, b1, v in zip(bp, bp[1:], vals)] * 2",
+        "for b0, b1, v in zip(bp, bp[1:], vals)]",
+        ("tests/test_coefficients.py::test_piecewise_tables_match_the_numpy_construction",),
     ),
     "sinusoid-K-at-64-panels": (
         COEFFICIENTS,
