@@ -71,8 +71,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .closed_form import (
     ModelParams,
     PeriodTable,

@@ -31,7 +31,9 @@ forcing integral B that overflows a float (K too small) or underflows
 below the smallest normal float (r/K too small), an orbit anchor d / B
 that underflows to 0.0, and a ``simulate``, ``verify`` or ``periodic``
 run of more than 2**20 samples (steps per unit times horizon periods,
-after the flags).
+after the flags).  That check of B reads its bracket first, so reading a
+scenario loads no numpy, nor does ``constants`` where K is constant on
+pieces; every other command loads it on its first array operation.
 
 A plain command line (a command, then ``--name value`` pairs) is read
 without loading argparse; see ``_plain_args``.  Every other line, help and
@@ -51,8 +53,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
+from ._lazy import np
 from .analysis import (
     DEFAULT_FIXED_POINT_TOL,
     DEFAULT_IMPULSE_TOL,
@@ -271,13 +272,33 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     return ScenarioConfig(params, steps, x0, horizon, tolerances, e_values)
 
 
+def _forcing_in_range(pair: CoefficientPair) -> bool:
+    """Whether B is surely a normal float, from its bracket alone.
+
+    B is the integral of (1/K) d(exp(R - G)), so E*/max K <= B <= E*/min K,
+    and E* <= G <= max r: max r / min K bounds B and every r/K that a
+    quadrature of B reads.  A sinusoid K's quadrature can read as little as
+    0.00225 of B (all of G = 709.78 on one panel), hence the floor's margin.
+    """
+    # the least and the greatest value of each are among these, exactly
+    k_values, r_values = (
+        (c.mean - abs(c.amp), c.mean + abs(c.amp)) if c.kind == "sinusoid" else c.pieces(0.0)[1]
+        for c in (pair.K, pair.r)
+    )
+    floor, ceiling = 2048.0 * sys.float_info.min, sys.float_info.max / 4.0
+    least = -math.expm1(-pair.r.mean) / max(k_values)
+    return least >= floor and max(r_values) / min(k_values) <= ceiling
+
+
 def _require_forcing_scale(params: ModelParams, where: str) -> None:
     """B, the denominator of the orbit anchor x0_star = d / B, must be a
     normal float, as a given x0 must: a subnormal B carries fewer than 53
     significant bits, and the anchor would inherit the loss.
 
-    B is cached per (pair, phase), so the commands reuse it.
+    B is formed here only where its bracket (``_forcing_in_range``) cannot tell.
     """
+    if _forcing_in_range(params.pair):
+        return
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         forcing = compute_B(params.pair, params.phase)
     if not math.isfinite(forcing):

@@ -55,8 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .coefficients import (
     DEFAULT_PANELS_PER_UNIT,
     CoefficientPair,

@@ -34,8 +34,9 @@ Derived constants (see also :mod:`impulsive_logistic.closed_form`):
 Where K is constant on pieces, ``piece_forcing`` sums the forcing
 integral C(s) over [phase, phase + s] piece by piece: since
 d/du exp(R(u)) = r(u) exp(R(u)), the integrand (r/K) exp(R) is
-(1/K) d(exp(R)) wherever K is constant.  B is its C(1), and the period
-table of :mod:`impulsive_logistic.closed_form` reads the same sum.
+(1/K) d(exp(R)) wherever K is constant.  B is its C(1), in plain floats,
+which load no numpy (bound lazily, ``_lazy``), and the period table of
+:mod:`impulsive_logistic.closed_form` reads the same sum.
 
 B of a sinusoid K is one order-10 Gauss-Legendre sum over the unit
 window, r/K and the growth R read in one pass,
@@ -58,12 +59,13 @@ at offset 1 read the same nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
+from bisect import bisect_left, bisect_right
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import ClassVar, Union
+from typing import ClassVar
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "DEFAULT_PANELS_PER_UNIT",
@@ -80,8 +82,6 @@ __all__ = [
     "piece_forcing",
     "sorted_union",
 ]
-
-ArrayLike = Union[float, np.ndarray]
 
 #: Quadrature panels per unit of integration length for B and the period
 #: table, below a growth integral of 256 (``forcing_panels``).
@@ -101,20 +101,22 @@ def forcing_panels(pair: CoefficientPair) -> int:
 
 _TWO_PI = 2.0 * math.pi
 # Order-10 Gauss-Legendre rule on [-1, 1], exactly as
-# numpy.polynomial.legendre.leggauss(10) returns it; written out so that
-# importing the package does not load numpy.polynomial.
-_GL_NODES = np.array([float.fromhex(x) for x in (
+# numpy.polynomial.legendre.leggauss(10) returns it; written out as floats,
+# made arrays on the first ``panel_rule`` call, so that importing the
+# package loads no numpy.
+_GL_NODES = tuple(float.fromhex(x) for x in (
     "-0x1.f2a3e062af2d8p-1", "-0x1.bae995e9cb2f3p-1", "-0x1.5bdb9228de198p-1",
     "-0x1.bbcc009016adcp-2", "-0x1.30e507891e27ap-3", "0x1.30e507891e27ap-3",
     "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f3p-1",
     "0x1.f2a3e062af2d8p-1",
-)])
-_GL_WEIGHTS = np.array([float.fromhex(x) for x in (
+))
+_GL_WEIGHTS = tuple(float.fromhex(x) for x in (
     "0x1.1115f8b62dc1fp-4", "0x1.32138c878efdep-3", "0x1.c0b059d00bc30p-3",
     "0x1.13baa7a559c01p-2", "0x1.2e9de7014d6eep-2", "0x1.2e9de7014d6eep-2",
     "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3", "0x1.32138c878efdep-3",
     "0x1.1115f8b62dc1fp-4",
-)])
+))
+_GL_ARRAYS: list = []
 
 
 class PeriodicCoefficient:
@@ -130,7 +132,7 @@ class PeriodicCoefficient:
 
     kind: ClassVar[str] = ""
 
-    def piece_values(self, t: ArrayLike, key: ArrayLike) -> np.ndarray:
+    def piece_values(self, t: float | np.ndarray, key: float | np.ndarray) -> np.ndarray:
         """Values at the times t, each on the smooth piece around key[i];
         with key = t, the function itself.
 
@@ -141,12 +143,13 @@ class PeriodicCoefficient:
         """
         raise NotImplementedError
 
-    def growth(self, phase: ArrayLike, s: ArrayLike) -> np.ndarray:
+    def growth(self, phase: float | np.ndarray, s: float | np.ndarray) -> np.ndarray:
         """Exact integral over each window [phase, phase + s], s in [0, 1].
 
         Formed in the offset s, so that a short window keeps its relative
         accuracy wherever it starts; phase and s broadcast against each
-        other.
+        other.  ``float_growth`` is one window in plain floats, operation
+        for operation.
         """
         raise NotImplementedError
 
@@ -190,6 +193,9 @@ class ConstantCoefficient(PeriodicCoefficient):
     def growth(self, phase, s):
         return float(self.value) * np.asarray(s, dtype=float)
 
+    def float_growth(self, phase, s):
+        return float(self.value) * s
+
     def pieces(self, phase):
         return [0.0], [float(self.value)]
 
@@ -232,6 +238,11 @@ class SinusoidCoefficient(PeriodicCoefficient):
         osc = half_turn * np.sin(self._angle(phase) + math.pi * s)
         return self.mean * s + (self.amp / math.pi) * osc
 
+    def float_growth(self, phase, s):
+        angle = _TWO_PI * (phase - math.floor(phase)) + self.phase
+        osc = math.sin(math.pi * min(s, 1.0 - s)) * math.sin(angle + math.pi * s)
+        return self.mean * s + (self.amp / math.pi) * osc
+
 
 @dataclass(frozen=True)
 class PiecewiseConstantCoefficient(PeriodicCoefficient):
@@ -247,11 +258,11 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
 
     kind: ClassVar[str] = "piecewise"
 
-    # derived lookup tables over two periods, excluded from comparison/hash
-    _bp: np.ndarray = field(init=False, repr=False, compare=False)
-    _bp2: np.ndarray = field(init=False, repr=False, compare=False)
-    _vals2: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum2: np.ndarray = field(init=False, repr=False, compare=False)
+    # lookup tables over two periods, from __post_init__'s floats on first use
+    _bp = cached_property(lambda self: np.array(self.breakpoints))
+    _bp2 = cached_property(lambda self: np.array(self._starts2))
+    _vals2 = cached_property(lambda self: np.array(self.values * 2))
+    _cum2 = cached_property(lambda self: np.array(self._sums2))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
@@ -275,14 +286,12 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         # the first period's widths, and a running sum past the float range
         # ends in inf without a warning
         steps = [(b1 - b0) * v for b0, b1, v in zip(bp, bp[1:], vals)] * 2
-        object.__setattr__(self, "_bp", np.array(bp))
-        object.__setattr__(self, "_bp2", np.array(bp[:-1] + tuple(b + 1.0 for b in bp)))
-        object.__setattr__(self, "_vals2", np.array(vals * 2))
-        object.__setattr__(self, "_cum2", np.array(list(accumulate(steps, initial=0.0))))
+        object.__setattr__(self, "_starts2", bp[:-1] + tuple(b + 1.0 for b in bp))
+        object.__setattr__(self, "_sums2", list(accumulate(steps, initial=0.0)))
 
     @property
     def mean(self) -> float:
-        return float(self._cum2[len(self.values)])
+        return self._sums2[len(self.values)]
 
     def piece_values(self, t, key):
         # constant on each piece: the value at key serves every time on it.
@@ -308,6 +317,16 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         body = self._cum2[last] - self._cum2[first + 1]
         tail = self._vals2[last] * (s - (self._bp2[last] - u))
         return np.where(last == first, self._vals2[first] * s, head + body + tail)
+
+    def float_growth(self, phase, s):
+        u = phase - math.floor(phase)
+        first = min(bisect_right(self.breakpoints, u) - 1, len(self.values) - 1)
+        last = max(bisect_left(self._starts2, u + s) - 1, first)
+        if last == first:
+            return self.values[first] * s
+        head = self.values[first] * min(s, self._starts2[first + 1] - u)
+        body = self._sums2[last] - self._sums2[first + 1]
+        return head + body + self.values[last % len(self.values)] * (s - (self._starts2[last] - u))
 
     def pieces(self, phase):
         # piece i starts at offset (breakpoints[i] - phase) % 1, the jump
@@ -408,9 +427,11 @@ def panel_rule(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     Returns nodes and weights, each of shape (intervals, 10), and each
     interval's midpoint.
     """
+    if not _GL_ARRAYS:
+        _GL_ARRAYS.extend((np.array(_GL_NODES), np.array(_GL_WEIGHTS)))
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS, mid
+    return mid[:, None] + half[:, None] * _GL_ARRAYS[0], half[:, None] * _GL_ARRAYS[1], mid
 
 
 def forcing_integrals(
@@ -451,7 +472,7 @@ def forcing_integrals(
     ratio, big_r = pair.ratio_and_growth(
         start,
         np.concatenate((nodes.ravel(), offsets)),
-        np.concatenate((np.repeat(mid, _GL_NODES.size), offsets)),
+        np.concatenate((np.repeat(mid, len(_GL_NODES)), offsets)),
     )
     # the rows of each window's panels, in order
     count = last + 1
@@ -470,6 +491,16 @@ def forcing_integrals(
     return forcing, big_r[n:].tolist()
 
 
+def _forcing_at_starts(pair: CoefficientPair, phase: float, starts, values) -> list[float]:
+    """C at the start of each piece of K (``K.pieces``) and, last, at offset
+    1: ``piece_forcing``'s step over each whole piece, in plain floats."""
+    at_start = [0.0]
+    for a, b, value in zip(starts, starts[1:] + [1.0], values):
+        dr = pair.r.float_growth(phase + a, b - a)
+        at_start.append(at_start[-1] * math.exp(-dr) - math.expm1(-dr) / value)
+    return at_start
+
+
 def piece_forcing(pair: CoefficientPair, phase: float, offsets) -> np.ndarray | None:
     """C(s), the forcing integral over [phase, phase + s], at each offset s
     in [0, 1], when K is constant on pieces; None when it is not.
@@ -479,27 +510,25 @@ def piece_forcing(pair: CoefficientPair, phase: float, offsets) -> np.ndarray | 
 
         C(b) = C(a) exp(-dR) - expm1(-dR) / K.
 
-    That step runs once over each whole piece of K (``K.pieces``), and then
-    once from the start of the piece each offset lies on.  So C(s) reads
-    only the pieces before s and its own, and no other offset: the C(1) of
-    any table that holds offset 1 is ``compute_B``'s B, bit for bit.  Every
-    term is at most 1/K, so C overflows only where 1/K does; no quadrature.
+    That step runs over each whole piece of K up to offset 1, in floats
+    (``_forcing_at_starts``), then in one array pass from the start of the
+    piece each offset lies on.  So C(s) reads only the pieces before s and
+    its own; offset 1 reads the last whole-piece value, ``compute_B``'s B.
+    Every term is at most 1/K, so C overflows only where 1/K does.
     """
     pieces = pair.K.pieces(phase)
     if pieces is None:
         return None
     starts, values = pieces
+    at_start = _forcing_at_starts(pair, phase, starts, values)
     s = np.asarray(offsets, dtype=float)
     piece = np.searchsorted(starts, s, side="right") - 1
-    # one growth call: each whole piece, then each offset from its piece's start
-    begin = np.concatenate((starts[:-1], np.asarray(starts)[piece]))
-    rise = pair.r.growth(phase + begin, np.concatenate((starts[1:], s)) - begin)
-    whole, step = rise[: len(values) - 1].tolist(), rise[len(values) - 1 :]
-    at_start = [0.0]
-    for dr, value in zip(whole, values):
-        at_start.append(at_start[-1] * math.exp(-dr) - math.expm1(-dr) / value)
+    begin = np.asarray(starts)[piece]
+    step = pair.r.growth(phase + begin, s - begin)
     carried = np.asarray(at_start)[piece] * np.exp(-step)
-    return carried - np.expm1(-step) / np.asarray(values)[piece]
+    forcing = carried - np.expm1(-step) / np.asarray(values)[piece]
+    forcing[s == 1.0] = at_start[-1]
+    return forcing
 
 
 @lru_cache(maxsize=256)
@@ -509,9 +538,9 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
     The window starts at an impulse instant reduced to the fundamental
     period, so phase lies in [0, 1): shifting the window by a whole number
     of periods leaves B unchanged (periodicity of r and K).  Where K is
-    constant on pieces, B is the C(1) of ``piece_forcing``; for a sinusoid
-    K, one Gauss-Legendre sum at ``forcing_panels`` per unit, on the panels
-    and nodes of the window s = 1 of ``forcing_integrals``.  Cached per
+    constant on pieces, B is the C(1) of ``piece_forcing``, in floats; for
+    a sinusoid K, one Gauss-Legendre sum at ``forcing_panels`` per unit, on
+    the panels and nodes of the window s = 1 of ``forcing_integrals``.  Cached per
     (pair, phase), the package's one cache: B does not depend on E, so
     the CLI's config check and every harvest fraction share it.
     B > 0 in exact arithmetic; in floats it can overflow to inf (a tiny K)
@@ -519,13 +548,13 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
-    forcing = piece_forcing(pair, phase, (1.0,))
-    if forcing is not None:
-        return float(forcing[0])
+    pieces = pair.K.pieces(phase)
+    if pieces is not None:
+        return _forcing_at_starts(pair, phase, *pieces)[-1]
     grid = pair.period_grid(phase, forcing_panels(pair))
     nodes, weights, mid = panel_rule(grid[:-1], grid[1:])
     n = nodes.size
     ratio, big_r = pair.ratio_and_growth(
-        phase, np.append(nodes, 1.0), np.append(np.repeat(mid, _GL_NODES.size), 1.0)
+        phase, np.append(nodes, 1.0), np.append(np.repeat(mid, len(_GL_NODES)), 1.0)
     )
     return float(np.dot(weights.ravel(), ratio[:n] * np.exp(big_r[:n] - big_r[n])))

@@ -23,8 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-import numpy as np
-
+from ._lazy import np
 from .closed_form import ModelParams
 from .coefficients import CoefficientPair
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from impulsive_logistic.cli import (
 )
 from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
-from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
+from impulsive_logistic.coefficients import CoefficientPair, coefficient_from_dict, compute_B
 
 from helpers import corrupt_period_table, exact_B, reference_integral
 
@@ -211,6 +212,105 @@ def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
         assert captured.err.count("\n") == 1
 
 
+def _magnitudes(low: float, high: float):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _extreme_coefficient(draw, kind: str, rate: bool) -> dict:
+    """A coefficient at the edges of the float range: a rate with its growth
+    integral from 1e-320 to 709.78, a capacity with values from 1e-310 to
+    1e308; a sinusoid down to 1e-12 of its mean, pieces down to slivers of
+    1e-300 at offset 0 and of a few ulps elsewhere, their values 300
+    decades apart, so that r/K reaches past the float range."""
+    if rate:
+        scale = draw(st.one_of(_magnitudes(-320.0, 2.8), st.floats(700.0, 709.78)))
+    else:  # and often near either end, where the bracket decides
+        edges = (_magnitudes(-310.0, 308.0), _magnitudes(300.0, 308.2), _magnitudes(-310.0, -295.0))
+        scale = draw(st.one_of(*edges))
+    if kind == "constant":
+        return {"kind": "constant", "value": scale}
+    if kind == "sinusoid":
+        frac = draw(st.one_of(st.floats(-0.99, 0.99), st.sampled_from([1 - 1e-12, 1e-12 - 1])))
+        return {"kind": "sinusoid", "mean": scale, "amp": frac * scale, "phase": 0.25}
+    cuts = draw(st.lists(st.one_of(st.floats(0.01, 0.99), _magnitudes(-300.0, -3.0)), max_size=3))
+    cuts += [math.nextafter(c, 1.0) for c in cuts[:1] if draw(st.booleans())]
+    bp = [0.0, *sorted(set(cuts)), 1.0]
+    shape = draw(st.lists(_magnitudes(-150.0, 150.0), min_size=len(bp) - 1, max_size=len(bp) - 1))
+    if rate:  # values whose growth integral is the scale
+        total = math.fsum((b - a) * v for a, b, v in zip(bp, bp[1:], shape))
+        shape = [v / total for v in shape]
+    return {"kind": "piecewise", "breakpoints": bp, "values": [scale * v for v in shape]}
+
+
+def _config_outcome(scenario: dict):
+    try:
+        parse_config(scenario)
+    except ConfigError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_the_bracket_is_sound(scenario: dict) -> None:
+    # where the bracket passes a scenario, its B is a normal float, formed
+    # without a warning, and the scenario parses as the exact check parses it
+    compute_B.cache_clear()
+    with mock.patch.object(cli, "_forcing_in_range", lambda pair: False):
+        exact = _config_outcome(scenario)
+    compute_B.cache_clear()
+    assert _config_outcome(scenario) == exact
+    if exact is None:
+        params = parse_config(scenario).params
+        if cli._forcing_in_range(params.pair):
+            B = compute_B(params.pair, params.phase)
+            assert math.isfinite(B) and B >= sys.float_info.min
+
+
+BRACKET_KINDS = ("constant", "sinusoid", "piecewise")
+
+
+@pytest.mark.parametrize("k_kind", BRACKET_KINDS)
+@pytest.mark.parametrize("r_kind", BRACKET_KINDS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_the_forcing_bracket_is_sound(r_kind, k_kind, data):
+    scenario = {
+        "r": data.draw(_extreme_coefficient(r_kind, rate=True)),
+        "K": data.draw(_extreme_coefficient(k_kind, rate=False)),
+        "E": data.draw(st.sampled_from([0.0, 0.5])),
+        "t0": data.draw(st.floats(0.01, 3.0)),
+    }
+    _assert_the_bracket_is_sound(scenario)
+
+
+@pytest.mark.parametrize(
+    "r, K",
+    [
+        # a sinusoid K's quadrature, with all of G = 709.78 on one panel,
+        # reads 0.00225 of E*/max K = 1e-307: a subnormal B
+        (
+            {"kind": "piecewise", "breakpoints": [0.0, 0.5, 0.500001, 1.0],
+             "values": [1e-300, 709.78e6, 1e-300]},
+            {"kind": "sinusoid", "mean": 1e307, "amp": 0.0},
+        ),
+        # r/K = 7e302 / 1e-6 overflows at the nodes of the sliver's panel,
+        # while E*/min K is 1e6
+        (
+            {"kind": "piecewise", "breakpoints": [0.0, 1e-300, 1.0], "values": [7e302, 1.0]},
+            {"kind": "sinusoid", "mean": 1e-6, "amp": 0.0},
+        ),
+    ],
+    ids=["quadrature-below-the-bracket", "r/K-past-the-float-range"],
+)
+def test_the_forcing_bracket_refuses_its_edge_cases(r, K):
+    # both scenarios are refused, by the exact check
+    scenario = {"r": r, "K": K, "E": 0.0, "t0": 1.0}
+    pair = CoefficientPair(coefficient_from_dict(r), coefficient_from_dict(K))
+    assert not cli._forcing_in_range(pair)
+    _assert_the_bracket_is_sound(scenario)
+    assert _config_outcome(scenario) is not None
+
+
 def test_a_constant_written_as_a_big_integer_runs_as_its_float(tmp_path, capsys):
     # 10**20 is past the int64 range, where numpy would hold it in an object
     # array that no ufunc of the period table takes
@@ -339,6 +439,59 @@ def test_importing_the_cli_does_not_load_scipy():
     )
     assert result.stdout.startswith("A            ")
     assert result.stderr == "0 []\n"
+
+
+# a module counts as loaded once it is in sys.modules as a plain module: the
+# package binds numpy as a lazy module, which becomes one on its first use
+_NUMPY_PROBE = (
+    "import sys, types\n"
+    "from impulsive_logistic import cli\n"
+    "{work}\n"
+    "print(type(sys.modules.get('numpy')) is types.ModuleType, file=sys.stderr)\n"
+)
+
+
+def _fresh_interpreter(work: str) -> subprocess.CompletedProcess:
+    import impulsive_logistic
+
+    src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", _NUMPY_PROBE.format(work=work)],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def _constants_line(path: Path, fmt: str = "text") -> str:
+    return f"assert cli.main(['constants', '--config', {str(path)!r}, '--format', {fmt!r}]) == 0"
+
+
+# name -> a fresh interpreter's work, and whether it loads numpy
+START_UP_WORK = {
+    **{f"load-{path.stem}": (f"cli.load_config({str(path)!r})", False) for path in ALL_CONFIGS},
+    **{
+        f"constants-{path.stem}-{fmt}": (_constants_line(path, fmt), False)
+        for path in (GOLDEN, OVERHARVEST, SINUSOID)
+        for fmt in ("text", "json")
+    },
+    "simulate-past-the-sample-budget": (
+        f"assert cli.main(['simulate', '--config', {str(GOLDEN)!r}, '--step', '1e-9']) == 2",
+        False,
+    ),
+    # a sinusoid K's B is a quadrature: numpy loads on its first use, and works
+    "constants-piecewise_mixed-text": (_constants_line(PIECEWISE), True),
+}
+
+
+@pytest.mark.parametrize("work, loads", START_UP_WORK.values(), ids=START_UP_WORK.keys())
+def test_start_up_loads_numpy_only_for_an_array(work, loads):
+    # importing the CLI and checking any scenario use the standard library
+    # only, and so does `constants` wherever K is constant on pieces
+    result = _fresh_interpreter(work)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == str(loads)
+    if loads:
+        assert "\nB            0.004653232565510155\n" in result.stdout
 
 
 def test_every_exported_name_resolves():

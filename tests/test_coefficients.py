@@ -588,6 +588,24 @@ def test_piecewise_tables_match_the_numpy_construction(inner, data):
     assert c.mean == float(cum2[len(vals)])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_float_growth_is_the_array_growth_bit_for_bit(kind, data):
+    # B where K is constant on pieces reads r's growth one piece at a time
+    # in plain floats; it must be the float that the array form gives, at
+    # any window and at windows that end exactly on a jump
+    pair, start, offsets = data.draw(_pair_and_times(kind, "constant"))
+    c = pair.r
+    u = start - math.floor(start)
+    jumps = [b + m for b in _jumps(c) for m in (0.0, 1.0, 2.0)]
+    ends = [b - u for b in jumps if 0.0 <= b - u <= 1.0]
+    windows = [*offsets, 0.0, 1.0, *ends]
+    array_growth = c.growth(start, np.array(windows)).tolist()
+    assert [c.float_growth(start, s) for s in windows] == array_growth
+    assert all(type(c.float_growth(start, s)) is float for s in windows)
+
+
 @pytest.mark.parametrize("n", [1, 3, 64, 256, 1000])
 @pytest.mark.parametrize("phase", [0.0, 0.3])
 def test_period_grid_without_a_jump_is_the_plain_grid(n, phase):

@@ -485,11 +485,13 @@ class _ScaledGeometricSum:
 def test_verify_catches_a_scaled_geometric_sum(monkeypatch, capsys, name):
     # the sum is 0 at k = 0, so only records computed at their own k >= 1
     # can see it: the periodicity residuals read about 8e-8 against 1e-8
-    argv = ["verify", "--config", str(CONFIG_DIR / f"{name}.json")]
+    argv = ["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--format", "json"]
     assert cli.main(argv) == 0
+    capsys.readouterr()
     monkeypatch.setattr(closed_form, "np", _ScaledGeometricSum())
     assert cli.main(argv) == 1
-    capsys.readouterr()
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert "periodicity" in {check["check"] for check in checks if not check["passed"]}
 
 
 @pytest.mark.parametrize("name", ORBIT_CONFIGS)
@@ -530,9 +532,9 @@ def test_solution_from_the_anchor_holds_the_orbit_at_k_one_million(name):
 @pytest.fixture
 def evaluated_nodes(monkeypatch):
     """Count every node at which a coefficient or its growth is evaluated:
-    by each kind's own methods, at RK4 stages, in the sums over the pieces
-    of K, or in the pair's one pass, which counts its nodes once for the
-    three calls it makes."""
+    by each kind's own methods, the scalar ``float_growth`` among them, at
+    RK4 stages, in the sums over the pieces of K, or in the pair's one
+    pass, which counts its nodes once for the three calls it makes."""
     count = [0]
     inside = [False]
 
@@ -552,7 +554,11 @@ def evaluated_nodes(monkeypatch):
         return wrapper
 
     for owner, name in [
-        *((kind, name) for kind in KINDS for name in ("piece_values", "growth")),
+        *(
+            (kind, name)
+            for kind in KINDS
+            for name in ("piece_values", "growth", "float_growth")
+        ),
         (CoefficientPair, "ratio_and_growth"),
     ]:
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))

@@ -50,6 +50,11 @@ ANALYSIS = "src/impulsive_logistic/analysis.py"
 INTEGRATOR = "src/impulsive_logistic/integrator.py"
 CLI = "src/impulsive_logistic/cli.py"
 
+BRACKET_TESTS = (
+    "tests/test_cli.py::test_the_forcing_bracket_is_sound",
+    "tests/test_cli.py::test_the_forcing_bracket_refuses_its_edge_cases",
+)
+
 # name -> (file, snippet, replacement[, tests to run in place of all])
 MUTATIONS = {
     "B-times-1+1e-7": (
@@ -103,6 +108,7 @@ MUTATIONS = {
         CLOSED_FORM,
         "total = -np.expm1(-k * consts.ln_q) / consts.d",
         "total = -np.expm1(-k * consts.ln_q) / consts.d * (1.0 + 1e-7)",
+        ("tests/test_kernel.py::test_verify_catches_a_scaled_geometric_sum",),
     ),
     "C(1)-times-1+1e-4": (
         CLOSED_FORM,
@@ -194,6 +200,30 @@ MUTATIONS = {
         "pieces[-7] = k[-1]",
         "pieces[-7] = k[-2]",
         ("tests/test_emitter.py::test_tiled_tables_match_the_row_by_row_reference",),
+    ),
+    "bracket-floor-without-margin": (
+        CLI,
+        "floor, ceiling = 2048.0 * sys.float_info.min, sys.float_info.max / 4.0",
+        "floor, ceiling = sys.float_info.min, sys.float_info.max / 4.0",
+        BRACKET_TESTS,
+    ),
+    "bracket-without-max-r-over-min-K": (
+        CLI,
+        "return least >= floor and max(r_values) / min(k_values) <= ceiling",
+        "return least >= floor",
+        BRACKET_TESTS,
+    ),
+    "float-growth-end-on-the-right-piece": (
+        COEFFICIENTS,
+        "last = max(bisect_left(self._starts2, u + s) - 1, first)",
+        "last = max(bisect_right(self._starts2, u + s) - 1, first)",
+        ("tests/test_coefficients.py::test_float_growth_is_the_array_growth_bit_for_bit",),
+    ),
+    "piece-sum-stops-before-the-last-piece": (
+        COEFFICIENTS,
+        "zip(starts, starts[1:] + [1.0], values)",
+        "zip(starts, starts[1:], values)",
+        ("tests/test_decimal_reference.py", "tests/test_outputs.py"),
     ),
     "scan-drops-a-zero-gap-at-the-last-point": (
         ANALYSIS,
