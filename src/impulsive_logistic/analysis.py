@@ -27,7 +27,9 @@ Which side of each check is independent of the code it checks:
     each with its own decay and its own sum, on twice the kernel's panels
     per unit (``forcing_panels``, so 128 below a growth integral of 256),
     evaluated in one ``forcing_integrals`` call that also takes the unit
-    window, whose integral is the reference's own B; it reads no period
+    window, whose integral is the reference's own B, each a prefix of one
+    partition with every end j/16 on it (on the grid itself below a growth
+    integral of 256); it reads no period
     table, no cumulative pass, no k and not the kernel's B, only its margin
     d, and it shares no function with the kernel's B (``compute_B``).  For
     a sinusoid K it shares with the kernel the partition rule
@@ -176,8 +178,9 @@ def _orbit_by_quadrature(
     params: ModelParams, consts: SolutionConstants, offsets: Sequence[float]
 ) -> list[float]:
     """x* at each offset s into any period, from the forcing quadrature over
-    the phase window [phase, phase + s], each window with its own decay
-    and sum, and the growth integral over it from the same pass.
+    the phase window [phase, phase + s], each window a prefix of one
+    partition with its own decay and sum, and the growth integral over it
+    from the same pass.
 
     The unit window, one more window of the same call, gives the reference
     its own B in place of ``consts.B``, so a fault in the kernel's B shows
@@ -342,12 +345,24 @@ def trajectory_closed_form(
 
 def _worst_deviation(traj: Trajectory, gap: np.ndarray) -> tuple[float, float]:
     """The largest gap of ``trajectory_closed_form``, and the time of the
-    first sample that reaches it: sample i is offset j of period k, with
+    first sample whose gap reads as it: sample i is offset j of period k,
     (k, j) = divmod(i, len(traj.offsets)), and the end is offset 0 of the
-    period after the last."""
+    period after the last.
+
+    On the orbit the x and the closed form y of a sample repeat period after
+    period, each within an ulp (2**-52 of it) of a shared value, so two
+    repeats differ by up to 2 * 2**-52.  A gap g = |x - y| / y moves by
+    (x / y) (dx - dy), x / y <= 1 + g, and each quotient rounds by 2**-53 g:
+    two repeats of one gap differ by up to 2**-52 (4 (1 + g) + g), and the
+    label takes the first gap that near the largest; an inf or nan takes
+    the first maximum.
+    """
     worst = int(np.argmax(gap))
+    residual = float(gap[worst])
+    if math.isfinite(residual):
+        worst = int(np.argmax(gap >= residual - 2**-52 * (4.0 + 5.0 * residual)))
     k, j = divmod(worst, traj.offsets.size)
-    return float(gap[worst]), traj.params.time(k, float(traj.offsets[j]))
+    return residual, traj.params.time(k, float(traj.offsets[j]))
 
 
 def compare_solutions(

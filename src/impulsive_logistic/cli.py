@@ -157,11 +157,11 @@ def _require_number(
     return v
 
 
-def _require_int(value, where: str, *, minimum: int = 1) -> int:
+def _require_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{where}: must be >= 1, got {value!r}")
     return value
 
 

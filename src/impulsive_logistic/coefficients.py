@@ -42,10 +42,11 @@ B of a sinusoid K is one order-10 Gauss-Legendre sum over the unit
 window, r/K and the growth R read in one pass,
 ``CoefficientPair.ratio_and_growth``, at its nodes and at offset 1.  The
 window quadrature ``forcing_integrals`` is the periodicity reference's: any
-number of windows [start, start + s] from one start, each with its own
-decay and sum, from one such pass; its window s = 1 is B's sum, bit for
-bit.  B lays ``forcing_panels(pair)`` panels per unit, the reference twice
-that: 64, and more once the growth integral passes 256.
+number of windows [start, start + s] from one start, each a prefix of the
+period grid with every end added, with its own decay and sum, from one
+such pass; with every end on the grid, its window s = 1 is B's sum, bit
+for bit.  B lays ``forcing_panels(pair)`` panels per unit, the reference
+twice that: 64, and more once the growth integral passes 256.
 
 A period is cut one way, in the offset s from an impulse, by
 ``CoefficientPair.period_grid(phase, n)``: every RK4 step and every order-10
@@ -259,7 +260,6 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
     kind: ClassVar[str] = "piecewise"
 
     # lookup tables over two periods, from __post_init__'s floats on first use
-    _bp = cached_property(lambda self: np.array(self.breakpoints))
     _bp2 = cached_property(lambda self: np.array(self._starts2))
     _vals2 = cached_property(lambda self: np.array(self.values * 2))
     _cum2 = cached_property(lambda self: np.array(self._sums2))
@@ -298,7 +298,9 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         # side="left" puts a key on a breakpoint into the segment on its
         # left, and one on a whole number onto the last segment (index -1):
         # the left limit of the periodic extension at the period boundary.
-        idx = np.searchsorted(self._bp, key - np.floor(key), side="left") - 1
+        # _bp2 opens with the breakpoints, so a reduced time in [0, 1] finds
+        # the same index in it as among the breakpoints alone
+        idx = np.searchsorted(self._bp2, key - np.floor(key), side="left") - 1
         return self._vals2[idx]
 
     def growth(self, phase, s):
@@ -310,7 +312,7 @@ class PiecewiseConstantCoefficient(PeriodicCoefficient):
         u = phase - np.floor(phase)
         # u >= 0 always, but it rounds up to 1.0 for a phase in (-2**-54,
         # 0), the one case whose index falls past the last piece
-        first = np.minimum(np.searchsorted(self._bp, u, side="right") - 1, len(self.values) - 1)
+        first = np.minimum(np.searchsorted(self._bp2, u, side="right") - 1, len(self.values) - 1)
         # an end on a jump lies on the piece to its left
         last = np.maximum(np.searchsorted(self._bp2, u + s, side="left") - 1, first)
         head = self._vals2[first] * np.minimum(s, self._bp2[first + 1] - u)
@@ -443,50 +445,32 @@ def forcing_integrals(
 
     The first is the forced response of the reciprocal form y = 1/x: the
     inhomogeneous term in y(b) = y(a) exp(-(R(b) - R(a))) + (this integral)
-    for the window [a, b] = [start, start + s].  Window s has one order-10
-    Gauss-Legendre panel (``panel_rule``) from each point of
-    ``pair.period_grid(start, panels_per_unit)`` below s to the next, the
-    last one ending at s; s == 0 is one panel of width zero, and gives 0.0
-    and 0.0.  It takes no account of the kind of K: the reference side of
-    the periodicity check reads it for every kind, and its window s = 1 is
-    ``compute_B``'s sum for a sinusoid K, bit for bit.  A node can round
-    onto its panel's end, and so onto a jump, so
-    a coefficient with jumps is read at the panel's midpoint.  Windows are
-    prefixes of one grid, so r, K and R are evaluated in one
-    ``CoefficientPair.ratio_and_growth`` pass; each window keeps its own
-    decay and dot product, so each value is the window computed alone, bit
-    for bit.
+    for the window [a, b] = [start, start + s].  One order-10 Gauss-Legendre
+    panel (``panel_rule``) lies on each interval of one partition,
+    ``pair.period_grid(start, panels_per_unit)`` with every s added, and
+    window s sums those below s with its own decay and dot product (none for
+    s == 0: 0.0 and 0.0).  Where s lies on ``period_grid``, its window is the
+    window computed alone, bit for bit; an s off it splits a panel of every
+    longer window.  r, K and R are read in one
+    ``CoefficientPair.ratio_and_growth`` pass, a coefficient with jumps at
+    the panel's midpoint, since a node can round onto its panel's end.  It
+    takes no account of the kind of K: the periodicity reference reads it
+    for every kind, and at ``forcing_panels`` with every s on the grid its
+    window s = 1 is ``compute_B``'s sum for a sinusoid K, bit for bit.
     """
     offsets = [float(s) for s in offsets]
     if not all(0.0 <= s <= 1.0 for s in offsets):
         raise ValueError(f"window offsets must lie in [0, 1], got {offsets!r}")
-    grid = pair.period_grid(start, panels_per_unit)
-    # window j: the grid's first last[j] panels, then panel shared + j, from
-    # its last grid point below s (0.0 when s == 0) to s
-    last = np.searchsorted(grid[1:], offsets)
-    shared = int(last.max(initial=0))
-    nodes, weights, mid = panel_rule(
-        np.concatenate((grid[:shared], grid[last])), np.concatenate((grid[1 : shared + 1], offsets))
-    )
-    n = nodes.size
+    grid = sorted_union(pair.period_grid(start, panels_per_unit), offsets)
+    nodes, weights, mid = panel_rule(grid[:-1], grid[1:])
+    n, keys = nodes.size, np.repeat(mid, len(_GL_NODES))
     ratio, big_r = pair.ratio_and_growth(
-        start,
-        np.concatenate((nodes.ravel(), offsets)),
-        np.concatenate((np.repeat(mid, len(_GL_NODES)), offsets)),
+        start, np.concatenate((nodes.ravel(), offsets)), np.concatenate((keys, offsets))
     )
-    # the rows of each window's panels, in order
-    count = last + 1
-    bounds = np.cumsum(count)
-    rows = np.arange(count.sum()) - np.repeat(bounds - count, count)
-    rows[bounds - 1] = shared + np.arange(count.size)
-    lift = np.repeat(big_r[n:], count)[:, None]
-    integrand = ratio[:n].reshape(nodes.shape)[rows] * np.exp(
-        big_r[:n].reshape(nodes.shape)[rows] - lift
-    )
-    weights = weights[rows]
+    ratio, growth = ratio[:n].reshape(nodes.shape), big_r[:n].reshape(nodes.shape)
     forcing = [
-        float(np.dot(weights[lo:hi].ravel(), integrand[lo:hi].ravel()))
-        for lo, hi in zip((bounds - count).tolist(), bounds.tolist())
+        float(np.dot(weights[:end].ravel(), (ratio[:end] * np.exp(growth[:end] - lift)).ravel()))
+        for end, lift in zip(np.searchsorted(grid, offsets).tolist(), big_r[n:].tolist())
     ]
     return forcing, big_r[n:].tolist()
 

@@ -466,12 +466,12 @@ def _partition(pair, start, n):
     return sorted({i / n for i in range(n + 1)} | {(b - start) % 1.0 for b in _breaks(pair)})
 
 
-def _window_alone(pair, start, s, panels_per_unit):
+def _window_alone(pair, start, s, partition):
     """One forcing window [start, start + s] and its growth integral, through
     its own panels (one from each partition point below s to the next, the
     last one ending at s) and numpy calls; a piecewise coefficient is read at
     each panel's midpoint."""
-    edges = np.array([u for u in _partition(pair, start, panels_per_unit) if u < s] or [0.0])
+    edges = np.array([u for u in partition if u < s] or [0.0])
     lo, hi = edges, np.append(edges[1:], s)
     gl_nodes, gl_weights = leggauss(10)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -487,11 +487,10 @@ def _window_alone(pair, start, s, panels_per_unit):
 KINDS = ("constant", "sinusoid", "piecewise")
 
 
-@pytest.mark.parametrize("r_kind", KINDS)
-@pytest.mark.parametrize("k_kind", KINDS)
-def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
-    # one evaluation of r and K for all windows, and still every value bit
-    # for bit what its window gives alone
+def _window_batches(r_kind, k_kind):
+    """Pairs of the given kinds, each with a start, the panels per unit and
+    the generator to draw window ends from: a random start, and 5e-13 past
+    each jump, so that a 5e-13 piece ends the unit window."""
     rng = np.random.default_rng(sum(map(ord, r_kind + k_kind)))
     for trial in range(4):
         pair = _pair(
@@ -500,18 +499,40 @@ def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
         )
         a = float(rng.uniform(0.0, 3.0))
         jumps = [beta + math.floor(a) + 1.0 for beta in _breaks(pair)]
-        panels = (64, 128)[trial % 2]
-        # windows from a, and from 5e-13 past a jump: a 5e-13 piece ends the
-        # unit window
         for start in [a, *(jump + 5e-13 for jump in jumps)]:
-            offsets = [float(s) for s in rng.uniform(0.0, 1.0, size=12)]
-            offsets += [0.0, 1.0, 1e-9]  # empty, unit, a sliver
-            # ends 5e-13 from a jump, on either side
-            cuts = [(beta - start) % 1.0 for beta in _breaks(pair)]
-            offsets += [s for u in cuts for s in (u - 5e-13, u + 5e-13) if 0.0 <= s <= 1.0]
-            forcing, growth = forcing_integrals(pair, start, offsets, panels)
-            alone = [_window_alone(pair, start, s, panels) for s in offsets]
-            assert list(zip(forcing, growth)) == alone
+            yield pair, start, (64, 128)[trial % 2], rng
+
+
+@pytest.mark.parametrize("r_kind", KINDS)
+@pytest.mark.parametrize("k_kind", KINDS)
+def test_forcing_integrals_match_each_window_alone(r_kind, k_kind):
+    # one evaluation of r and K for all windows, and still every window
+    # whose end lies on the period grid bit for bit what it gives alone:
+    # the periodicity reference's ends j/16 and 1
+    for pair, start, panels, rng in _window_batches(r_kind, k_kind):
+        partition = _partition(pair, start, panels)
+        offsets = [0.0, 1.0, *rng.choice(partition, size=12).tolist()]
+        offsets += [j / 16 for j in range(16)]
+        forcing, growth = forcing_integrals(pair, start, offsets, panels)
+        alone = [_window_alone(pair, start, s, partition) for s in offsets]
+        assert list(zip(forcing, growth)) == alone
+
+
+@pytest.mark.parametrize("r_kind", KINDS)
+@pytest.mark.parametrize("k_kind", KINDS)
+def test_forcing_windows_are_prefixes_of_the_grid_and_their_ends(r_kind, k_kind):
+    # for any ends, window s is its prefix of the period grid with every
+    # end added, with its own decay and sum, bit for bit
+    for pair, start, panels, rng in _window_batches(r_kind, k_kind):
+        offsets = [float(s) for s in rng.uniform(0.0, 1.0, size=12)]
+        offsets += [0.0, 1.0, 1e-9]  # empty, unit, a sliver
+        # ends 5e-13 from a jump, on either side
+        cuts = [(beta - start) % 1.0 for beta in _breaks(pair)]
+        offsets += [s for u in cuts for s in (u - 5e-13, u + 5e-13) if 0.0 <= s <= 1.0]
+        partition = sorted(set(_partition(pair, start, panels)) | set(offsets))
+        forcing, growth = forcing_integrals(pair, start, offsets, panels)
+        alone = [_window_alone(pair, start, s, partition) for s in offsets]
+        assert list(zip(forcing, growth)) == alone
 
 
 def test_forcing_integrals_reject_a_reversed_window():
@@ -556,7 +577,7 @@ def _rate_and_sinusoid_capacity(draw, r_kind: str) -> CoefficientPair:
 @given(data=st.data())
 def test_B_of_a_sinusoid_K_is_the_unit_forcing_window(r_kind, data):
     # B is its own one-window sum: the panels, nodes and single dot of the
-    # window s = 1 of forcing_integrals, without its multi-window bookkeeping
+    # window s = 1 of forcing_integrals, in a function of its own
     pair = data.draw(_rate_and_sinusoid_capacity(r_kind))
     phase = data.draw(st.floats(0.0, 1.0, exclude_max=True))
     panels = coefficients.forcing_panels(pair)

@@ -178,8 +178,11 @@ def test_B_of_a_sinusoid_K_holds_at_large_growth(r_kind, G):
     # exp(R) rises by exp(G) over the period: at 64 panels per unit B was
     # up to 1.9e-7 off a 16384-panel quadrature (piecewise r at G = 709);
     # at the panel rule's ceil(G / 4) it stays within 1e-13, and so does
-    # the C(1) of a table, which lays the same panels
+    # the C(1) of a table, which lays the same panels; so do the periodicity
+    # reference's 17 windows at twice that, whose ends j/16 cut its panels
+    # wherever 16 does not divide them
     rng = np.random.default_rng([int(G), len(r_kind)])
+    offsets = [*analysis._PERIODICITY_OFFSETS, 1.0]
     for _ in range(10):
         K = SinusoidCoefficient(
             float(rng.uniform(50.0, 150.0)), float(rng.uniform(-40.0, 40.0)),
@@ -187,10 +190,12 @@ def test_B_of_a_sinusoid_K_holds_at_large_growth(r_kind, G):
         )
         pair = CoefficientPair(r=_rate_with_mean(rng, r_kind, G), K=K)
         params = ModelParams(pair=pair, E=0.0, t0=float(rng.uniform(0.05, 0.95)))
-        fine = forcing_integrals(pair, params.phase, (1.0,), 16384)[0][0]
-        assert compute_B(pair, params.phase) == pytest.approx(fine, rel=1e-12, abs=0.0)
+        fine = forcing_integrals(pair, params.phase, offsets, 16384)[0]
+        assert compute_B(pair, params.phase) == pytest.approx(fine[-1], rel=1e-12, abs=0.0)
         table = period_table(params, [0.5, 1.0])
-        assert table.forcing[-1] == pytest.approx(fine, rel=1e-12, abs=0.0)
+        assert table.forcing[-1] == pytest.approx(fine[-1], rel=1e-12, abs=0.0)
+        reference = forcing_integrals(pair, params.phase, offsets, 2 * forcing_panels(pair))[0]
+        np.testing.assert_allclose(reference, fine, rtol=1e-12, atol=0.0)
 
 
 @PROPERTY
@@ -451,6 +456,26 @@ def test_oracle_record_is_the_largest_rel_diff_of_simulate(capsys, name):
     checks = json.loads(capsys.readouterr().out)["checks"]
     (oracle,) = [c for c in checks if c["check"] == "closed form vs numerical oracle"]
     assert oracle["records"][0]["residual"] == max(rel_diff)
+
+
+def test_oracle_label_holds_under_a_last_ulp_change(monkeypatch, capsys):
+    # on the orbit the largest gap repeats period after period: C(62/128)
+    # two ulps lower moves the solution record by one ulp of x, from
+    # 5.493134002266222e-11, and its label by no period at all
+    argv = ["verify", "--config", str(CONFIG_DIR / "piecewise_mixed.json"), "--periods", "40"]
+
+    def oracle_records():
+        cli.main([*argv, "--format", "json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        (oracle,) = [c for c in checks if c["check"] == "closed form vs numerical oracle"]
+        return oracle["records"]
+
+    before = oracle_records()
+    corrupt_period_table(monkeypatch, 62 / 128, lambda c: np.nextafter(np.nextafter(c, 0), 0))
+    after = oracle_records()
+    assert before[0]["residual"] == 5.493134002266222e-11
+    assert after[0]["residual"] == 5.4931549217967417e-11
+    assert [r["location"] for r in after] == [r["location"] for r in before]
 
 
 @pytest.mark.parametrize("params", [golden_params(), SINUSOID_R], ids=["golden", "sinusoid"])

@@ -56,14 +56,14 @@ DIGESTS = {
     ("periodic", "piecewise_mixed", "json"): "7c5eec4eedd2c62f8110b45da959c719d0378dc2edebe08418449d0ce7477874",
     ("periodic", "sinusoid_r", "csv"): "b15abbfcf9a3a12fb38b1febf18833d1e34f1a8c4c4869761aeee383ce518487",
     ("periodic", "sinusoid_r", "json"): "60fc74f97633906b8ccd69448517b1ec42891b4c1f7ca8d846f9cc6f00f47752",
-    ("verify", "golden_constant", "json"): "d87868820fcbe1de0c63238e98be754a21e699f06cd4a38ae802a70cc1469bd9",
-    ("verify", "golden_constant", "text"): "07b99f6d2c38da0d8fe16b5f687b228ceb1db9b1d9fbad71edd4b86c07d5ee85",
-    ("verify", "overharvest", "json"): "7ee4eb1aff9546cdecd510a8f1ae2102f51f44bfa67f591c9d72c762e3d4e698",
-    ("verify", "overharvest", "text"): "0140e70084179e6100612552431150a77908ff80867de2b87a2fd923e376d308",
+    ("verify", "golden_constant", "json"): "99706b6e28da3794eccec3b543b1f66593636dadef457c492d4d771c8edef172",
+    ("verify", "golden_constant", "text"): "d8474f6422ff6ab61c06e1d1d438674cedcd3cb37f21c300b8dae2c5bf208f53",
+    ("verify", "overharvest", "json"): "99ae6716377106a03d27ae72b6f06cc0da86fa0efbbf8b5f4653067abc911df7",
+    ("verify", "overharvest", "text"): "468533a3107dd85af665020aa2e2c65650c0d56be0ec7422d518d8de4f630c28",
     ("verify", "piecewise_mixed", "json"): "29f4915f23bccdae35d63728c23562e9289cba0b70fdfc457a630f0d0f4155a0",
     ("verify", "piecewise_mixed", "text"): "6187b7fb48f333978ff72b53bdd0c6429b468ab97a56524f20a3a40ada81557b",
-    ("verify", "sinusoid_r", "json"): "2e7e600fd48a08e62e22f9eda56bacd20c5b6e219db782271018f493400f85b5",
-    ("verify", "sinusoid_r", "text"): "64d9c946e7f13362f3661b1f4532709e918658dc22b800c592fbb1a3418ca9fc",
+    ("verify", "sinusoid_r", "json"): "5a4099285ec479c4ad74645f0fe8d65b84f966bf0e4e8ed4745d48a35644f9df",
+    ("verify", "sinusoid_r", "text"): "2fbdddf305b0d22e24cf70ee8695d23916ae802585a0542da0531856b4c5aab8",
     ("counterexample", "golden_constant", "json"): "64e064e1029b8cbc0ee4db692af92ac814f6e11965821e954985df849b067364",
     ("counterexample", "golden_constant", "text"): "168acbb303605e29ba570b5f58f7584b15aaf9bd02272143cebbe0dd168f57c9",
     ("counterexample", "overharvest", "json"): "4d159b150ab0aeff72cc6a767f8591e2ef146b920c0c89609901c1bc966f272d",
@@ -117,22 +117,22 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "periods40", "json"): "f64455bba42012dd61bf04dd81b4d495a4581793e28ed6134defe5548d74d179",
     ("periodic", "sinusoid_r", "step1024", "csv"): "3fc0d328b597c6b92508900c128e5e48af02f6514257538b291c17affbae2306",
     ("periodic", "sinusoid_r", "step1024", "json"): "20d9003b2dc65dca1fa3a7ec981616faf11c7f79a0aaa27a5d9cc5387d615c83",
-    ("verify", "golden_constant", "periods40", "json"): "d0e44e444da3a6d46dfaa21d6d1f094637b7a0f3f0140b421c879124ff36f83c",
-    ("verify", "golden_constant", "periods40", "text"): "013a23416130161c09a3a1b5841d1655ed1d07f2cd979359875f3d87cb78d28b",
-    ("verify", "golden_constant", "step1024", "json"): "bb2131003ea95ef4ed16c3b518e5e1f4930204d2d48e29adadcc707c91818a88",
-    ("verify", "golden_constant", "step1024", "text"): "9675466ad85088c833af623d6fb20d770ffc29522240639ff4af33c5de882321",
+    ("verify", "golden_constant", "periods40", "json"): "4f562527447b8ae5757921932423807c2d35256781409997fe8d1f46a8239c60",
+    ("verify", "golden_constant", "periods40", "text"): "4139daa35ae86ee6acfaf56d1814b2817a73c42efa603fc5f050b98ede28f94e",
+    ("verify", "golden_constant", "step1024", "json"): "2e35f0ed22b9c6ff5f37772aa207023303a019e3cd2294f1c330ec4945341dca",
+    ("verify", "golden_constant", "step1024", "text"): "16cfa6399d42bf2e21bc0ab3e99f9bf4330ae7e285c930ef78898a4aa24c35bd",
     ("verify", "overharvest", "periods40", "json"): "0dc04286b2e3ba1075c32b03919ec833b4c58b1d87d516d5f8d973625287267f",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
-    ("verify", "overharvest", "step1024", "json"): "ebbe6c2ba0657828ad5ad616f8b7bb7dd9ad59c3b3cba7b62201712777e59905",
-    ("verify", "overharvest", "step1024", "text"): "2242a7bacae29e86ac7f219bf0578d02e3edc2730dbc111e40b6e9d9c205d241",
-    ("verify", "piecewise_mixed", "periods40", "json"): "b91e898bae187e3936384c79e1e96c076e0de8e359a7313ef33545bfe73e3140",
-    ("verify", "piecewise_mixed", "periods40", "text"): "2c2f8168d4dc13ca7b23a9f8b13c6aee35b42fe2d8f5a742d69d07b49d000a50",
-    ("verify", "piecewise_mixed", "step1024", "json"): "88f3c85fa7b5ed10f86e696b18425127f37c2370c33e0ee03b96cb9d537af573",
-    ("verify", "piecewise_mixed", "step1024", "text"): "4948992197a729b906f9140afa71e97261f6e03ad120797ebf2e833e3d1a5b75",
-    ("verify", "sinusoid_r", "periods40", "json"): "d6f196aed14bf0ce52c89d0920fc2aafdc3cd93aff8dc8336629b2a2b88f042d",
-    ("verify", "sinusoid_r", "periods40", "text"): "c315914c4bc84c9077f0ecc50bf591963c0fa6097ba63bf00559dba7410980a0",
-    ("verify", "sinusoid_r", "step1024", "json"): "25f025def4c1e64c358b532e73790726cd918ae8e7c790fd2d47fcc3923fffd4",
-    ("verify", "sinusoid_r", "step1024", "text"): "a8fcfea1b25c935a7b66e34424bb03968ce2680cbc7732a92388aaf6a6378f60",
+    ("verify", "overharvest", "step1024", "json"): "d48cf864281c036c08e09ad036a8350bb7999d81716e55d5169b72d697fe0afe",
+    ("verify", "overharvest", "step1024", "text"): "4644c47ad8691e65b44f92346609733a9ef0170ced49f531471f89772b342f6f",
+    ("verify", "piecewise_mixed", "periods40", "json"): "7025fd37cbb0fecb36f54fad4edf6b700e70aaa033b2ad88276dbbf1134a0358",
+    ("verify", "piecewise_mixed", "periods40", "text"): "c15a1229d446f4ecddd86ce494184e67358599efaefb6bdecb39a776f1cf5a19",
+    ("verify", "piecewise_mixed", "step1024", "json"): "3e535c869e26be2f99e20b0e0202f2a3f00bc05197962ed8964ec0a7e33ff9d4",
+    ("verify", "piecewise_mixed", "step1024", "text"): "ecfc0e04b52147cab6e7fd354ce0abbb9458f2b24bdbbc6a9ff291e5ec40423e",
+    ("verify", "sinusoid_r", "periods40", "json"): "0411d0a66803c5ba9b083cfe42ebcc39447e156e4371d9ee5c73be39ea67123e",
+    ("verify", "sinusoid_r", "periods40", "text"): "297b2850a2626a279072d13b84e4e7e7ab700b335a28d1d504130c09d65f7bab",
+    ("verify", "sinusoid_r", "step1024", "json"): "0305ce1abcb78294396a200437869f7b98d46213e5c970752fb7fb3a0b46e371",
+    ("verify", "sinusoid_r", "step1024", "text"): "e31854fc45983f72335b7f07f55c514d7330fb62da2818048dfd03d2f5d5f0f4",
 }
 
 # scenarios whose time column takes each path of the time-cell rule: times
@@ -346,7 +346,7 @@ ARGV_DIGESTS = {
     "option-equals": "e52fc67bb54c96df0173dff3306cc4a0427501af0438d1bbed52104c8de8fbd9",
     "repeated-option": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
     "run-constants": "c81f77df1c23747aabc848fc3dc742ef398837608c3534b4b9afa5f7fcdd3384",
-    "run-verify-overrides": "e1f9de05eea5b8124d4516d8ed07e991a5b093d0330377b90fa1da620fd365e3",
+    "run-verify-overrides": "3b8a8be63f20519868f6b35026cbc23fab66119424f747f965db052d736a718f",
     "format-is-a-command": "cc70f7b44c9a86fef7fcbd8374a9dcb90e01e1efbda7d1d7f6d343e7ea3b9d00",
     "periods-with-a-space": "4005c6b1d249f8dcfd05bda844c3174dc83c1dd5537d9279fd48bca007959547",
     "tol-nan": "d37bede097bbc2ca393e760377fe1854a4a8d74c28be64d0f069a08def5a0864",

@@ -86,10 +86,16 @@ MUTATIONS = {
         "[*offsets, 1.0], forcing_panels(params.pair)",
         ("tests/test_kernel.py::test_periodicity_reference_lays_its_own_panels",),
     ),
+    "reference-window-one-panel-short": (
+        COEFFICIENTS,
+        "zip(np.searchsorted(grid, offsets).tolist()",
+        "zip(np.maximum(np.searchsorted(grid, offsets) - 1, 0).tolist()",
+        ("tests/test_analysis.py::test_periodicity_golden",),
+    ),
     "sinusoid-K-B-without-its-last-panel": (
         COEFFICIENTS,
-        "nodes, weights, mid = panel_rule(grid[:-1], grid[1:])",
-        "nodes, weights, mid = panel_rule(grid[:-2], grid[1:-1])",
+        "forcing_panels(pair))\n    nodes, weights, mid = panel_rule(grid[:-1], grid[1:])",
+        "forcing_panels(pair))\n    nodes, weights, mid = panel_rule(grid[:-2], grid[1:-1])",
         ("tests/test_coefficients.py::test_B_of_a_sinusoid_K_is_the_unit_forcing_window",),
     ),
     "piecewise-tables-for-one-period": (
@@ -118,8 +124,8 @@ MUTATIONS = {
     ),
     "piecewise-piece-values-reads-t": (
         COEFFICIENTS,
-        'np.searchsorted(self._bp, key - np.floor(key), side="left")',
-        'np.searchsorted(self._bp, t - np.floor(t), side="left")',
+        'np.searchsorted(self._bp2, key - np.floor(key), side="left")',
+        'np.searchsorted(self._bp2, t - np.floor(t), side="left")',
     ),
     "sinusoid-growth-without-its-phase": (
         COEFFICIENTS,
