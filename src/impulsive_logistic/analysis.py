@@ -343,11 +343,11 @@ def trajectory_closed_form(
     return closed, gap
 
 
-def _worst_deviation(traj: Trajectory, gap: np.ndarray) -> tuple[float, float]:
+def _worst_deviation(traj: Trajectory, gap: np.ndarray) -> tuple[float, float | None]:
     """The largest gap of ``trajectory_closed_form``, and the time of the
-    first sample whose gap reads as it: sample i is offset j of period k,
-    (k, j) = divmod(i, len(traj.offsets)), and the end is offset 0 of the
-    period after the last.
+    first sample whose gap reads as it (None where every sample does):
+    sample i is offset j of period k, (k, j) = divmod(i, len(traj.offsets)),
+    and the end is offset 0 of the period after the last.
 
     On the orbit the x and the closed form y of a sample repeat period after
     period, each within an ulp (2**-52 of it) of a shared value, so two
@@ -355,14 +355,23 @@ def _worst_deviation(traj: Trajectory, gap: np.ndarray) -> tuple[float, float]:
     (x / y) (dx - dy), x / y <= 1 + g, and each quotient rounds by 2**-53 g:
     two repeats of one gap differ by up to 2**-52 (4 (1 + g) + g), and the
     label takes the first gap that near the largest; an inf or nan takes
-    the first maximum.
+    the first maximum.  A largest gap that near 0 is rounding: no time.
     """
     worst = int(np.argmax(gap))
     residual = float(gap[worst])
     if math.isfinite(residual):
-        worst = int(np.argmax(gap >= residual - 2**-52 * (4.0 + 5.0 * residual)))
+        slack = 2**-52 * (4.0 + 5.0 * residual)
+        if residual <= slack:
+            return residual, None
+        worst = int(np.argmax(gap >= residual - slack))
     k, j = divmod(worst, traj.offsets.size)
     return residual, traj.params.time(k, float(traj.offsets[j]))
+
+
+def _oracle_record(name: str, traj: Trajectory, gap: np.ndarray, tol: float) -> CheckRecord:
+    worst, at = _worst_deviation(traj, gap)
+    where = "at rounding level" if at is None else f"worst at t={at:.6g}"
+    return CheckRecord(f"{name} ({where})", worst, tol)
 
 
 def compare_solutions(
@@ -388,8 +397,8 @@ def compare_solutions(
     traj = integrate(params, x0, horizon_periods, steps_per_unit)
     # the orbit's trajectory below runs on the same step grid
     table = period_table(params, traj.offsets)
-    worst, worst_t = _worst_deviation(traj, trajectory_closed_form(traj, consts, table=table)[1])
-    records = [CheckRecord(f"solution vs oracle (worst at t={worst_t:.6g})", worst, tol)]
+    gap = trajectory_closed_form(traj, consts, table=table)[1]
+    records = [_oracle_record("solution vs oracle", traj, gap, tol)]
     metadata = {
         "params": params.to_dict(),
         "x0": float(x0),
@@ -406,10 +415,7 @@ def compare_solutions(
         else:
             orbit_traj = integrate(params, consts.x0_star, horizon_periods, steps_per_unit)
         gap = trajectory_closed_form(orbit_traj, consts, periodic=True, table=table)[1]
-        worst_p, worst_pt = _worst_deviation(orbit_traj, gap)
-        records.append(
-            CheckRecord(f"periodic orbit vs oracle (worst at t={worst_pt:.6g})", worst_p, tol)
-        )
+        records.append(_oracle_record("periodic orbit vs oracle", orbit_traj, gap, tol))
     return VerificationReport(
         check="closed form vs numerical oracle", records=tuple(records), metadata=metadata
     )

@@ -21,18 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from impulsive_logistic import (
+from impulsive_logistic import analysis, cli, closed_form
+from impulsive_logistic.closed_form import ModelParams
+from impulsive_logistic.coefficients import (
     CoefficientPair,
     ConstantCoefficient,
-    IntegrationError,
-    ModelParams,
     PeriodicCoefficient,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    analysis,
-    cli,
-    closed_form,
 )
+from impulsive_logistic.integrator import IntegrationError
 
 LN2 = math.log(2.0)
 

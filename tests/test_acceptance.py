@@ -14,20 +14,22 @@ from pathlib import Path
 
 import numpy as np
 
-from impulsive_logistic import (
-    NoPeriodicSolutionError,
-    analysis,
+from impulsive_logistic import analysis
+from impulsive_logistic.analysis import (
     compare_solutions,
-    derive_constants,
     fixed_point_scan,
-    period_table,
-    periodic_grid,
-    poincare_map,
-    solution_grid,
     verify_impulse_condition,
     verify_periodicity,
 )
 from impulsive_logistic.cli import cmd_sweep, load_config, main
+from impulsive_logistic.closed_form import (
+    NoPeriodicSolutionError,
+    derive_constants,
+    period_table,
+    periodic_grid,
+    poincare_map,
+    solution_grid,
+)
 
 from helpers import (
     LN2,
@@ -42,10 +44,10 @@ ALL_CONFIGS = tuple(sorted(CONFIG_DIR.glob("*.json")))
 
 
 def _sinusoid_params():
-    from impulsive_logistic import (
+    from impulsive_logistic.closed_form import ModelParams
+    from impulsive_logistic.coefficients import (
         CoefficientPair,
         ConstantCoefficient,
-        ModelParams,
         SinusoidCoefficient,
     )
 
@@ -187,7 +189,7 @@ def test_criterion_5_exponent_sign_regression():
         k = math.floor(t - params.t0 + 1e-9)
         anchor = params.t0 + k
         big_r = reference_integral(params.pair.r, anchor, t)
-        from impulsive_logistic import forcing_integrals
+        from impulsive_logistic.coefficients import forcing_integrals
 
         s_k = k if abs(c.q - 1.0) < 1e-12 else (1.0 - c.q ** (-k)) / (c.q - 1.0)
         recip = (

@@ -13,23 +13,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from impulsive_logistic import (
-    AnchorUnderflowError,
+from impulsive_logistic import analysis
+from impulsive_logistic.analysis import (
     CheckRecord,
-    CoefficientPair,
-    ConstantCoefficient,
-    ModelParams,
-    NoPeriodicSolutionError,
-    PiecewiseConstantCoefficient,
-    SinusoidCoefficient,
     VerificationReport,
-    analysis,
     compare_solutions,
-    derive_constants,
     fixed_point_scan,
-    poincare_map,
     verify_impulse_condition,
     verify_periodicity,
+)
+from impulsive_logistic.closed_form import (
+    AnchorUnderflowError,
+    ModelParams,
+    NoPeriodicSolutionError,
+    derive_constants,
+    poincare_map,
+)
+from impulsive_logistic.coefficients import (
+    CoefficientPair,
+    ConstantCoefficient,
+    PiecewiseConstantCoefficient,
+    SinusoidCoefficient,
 )
 
 from helpers import (
@@ -309,6 +313,30 @@ def test_worst_deviation_labels_the_first_worst_sample(bent):
     assert analysis._worst_deviation(bent_traj, gap) == (worst, label)
     if bent != "none":
         assert worst > 1e-4
+
+
+@pytest.mark.parametrize("largest, named", [(0.0, False), (8e-16, False), (1e-15, True)])
+def test_worst_deviation_names_no_time_for_a_rounding_level_gap(largest, named):
+    # every sample qualifies once the largest gap g is within 2**-52 (4 + 5 g)
+    # (8.9e-16 at g = 0) of 0, and then no sample is the worst
+    traj = analysis.integrate(golden_params(), 50.0, 2, 16)
+    gap = np.zeros(traj.values.size + 1)
+    gap[traj.offsets.size + 7] = largest
+    at = traj.params.time(1, float(traj.offsets[7])) if named else None
+    assert analysis._worst_deviation(traj, gap) == (largest, at)
+
+
+def test_oracle_records_on_the_orbit_at_1024_steps_are_at_rounding_level():
+    # verify golden_constant --step 0.0009765625: the oracle meets the closed
+    # form within rounding at every sample
+    params = golden_params()
+    report = compare_solutions(params, 50.0, 10, 1024)
+    assert report.passed
+    assert [record.location for record in report.records] == [
+        "solution vs oracle (at rounding level)",
+        "periodic orbit vs oracle (at rounding level)",
+    ]
+    assert [record.residual for record in report.records] == [pytest.approx(8.746216e-16)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -451,13 +451,13 @@ _NUMPY_PROBE = (
 )
 
 
-def _fresh_interpreter(work: str) -> subprocess.CompletedProcess:
+def _fresh_interpreter(work: str, probe: str = _NUMPY_PROBE) -> subprocess.CompletedProcess:
     import impulsive_logistic
 
     src = str(Path(impulsive_logistic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-W", "error", "-c", _NUMPY_PROBE.format(work=work)],
+        [sys.executable, "-W", "error", "-c", probe.format(work=work)],
         env=env, capture_output=True, text=True,
     )
 
@@ -494,11 +494,40 @@ def test_start_up_loads_numpy_only_for_an_array(work, loads):
         assert "\nB            0.004653232565510155\n" in result.stdout
 
 
+# the package modules an import loads besides the root: each module loads only
+# what it imports, and the root none of them
+IMPORT_GRAPH = {
+    "impulsive_logistic": [],
+    "impulsive_logistic.coefficients": ["_lazy", "coefficients"],
+    "impulsive_logistic.closed_form": ["_lazy", "closed_form", "coefficients"],
+}
+
+_IMPORT_PROBE = (
+    "import json, sys\n"
+    "import {work}\n"
+    "root = sys.modules['impulsive_logistic']\n"
+    "loaded = [m.partition('.')[2] for m in sys.modules if m.startswith('impulsive_logistic.')]\n"
+    "public = [name for name in vars(root) if not name.startswith('_')]\n"
+    "print(json.dumps([sorted(loaded), sorted(public), root.__version__]), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("module, loads", IMPORT_GRAPH.items(), ids=IMPORT_GRAPH.keys())
+def test_each_module_loads_only_the_package_modules_it_imports(module, loads):
+    result = _fresh_interpreter(module, _IMPORT_PROBE)
+    assert result.returncode == 0, result.stderr
+    loaded, public, version = json.loads(result.stderr.splitlines()[-1])
+    assert loaded == loads
+    # the root binds __version__ and, as any package does, its loaded submodules
+    assert public == [name for name in loads if not name.startswith("_")]
+    assert version == "0.1.0"
+
+
 def test_every_exported_name_resolves():
     import importlib
 
-    for name in ("", ".analysis", ".cli", ".closed_form", ".coefficients", ".integrator"):
-        module = importlib.import_module(f"impulsive_logistic{name}")
+    for name in ("analysis", "cli", "closed_form", "coefficients", "integrator"):
+        module = importlib.import_module(f"impulsive_logistic.{name}")
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert missing == [], f"{module.__name__}.__all__ names missing {missing}"
 

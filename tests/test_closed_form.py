@@ -9,14 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impulsive_logistic import (
-    CoefficientPair,
-    ConstantCoefficient,
+from impulsive_logistic.analysis import verify_impulse_condition
+from impulsive_logistic.cli import load_config
+from impulsive_logistic.closed_form import (
     ModelParams,
     NoPeriodicSolutionError,
-    PiecewiseConstantCoefficient,
-    SinusoidCoefficient,
-    compute_B,
     derive_constants,
     legacy_grid,
     period_table,
@@ -25,9 +22,14 @@ from impulsive_logistic import (
     poincare_map,
     require_orbit,
     solution_grid,
-    verify_impulse_condition,
 )
-from impulsive_logistic.cli import load_config
+from impulsive_logistic.coefficients import (
+    CoefficientPair,
+    ConstantCoefficient,
+    PiecewiseConstantCoefficient,
+    SinusoidCoefficient,
+    compute_B,
+)
 
 from helpers import (
     LN2,

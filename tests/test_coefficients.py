@@ -9,21 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impulsive_logistic import (
+from impulsive_logistic import closed_form, coefficients
+from impulsive_logistic.closed_form import ModelParams, derive_constants, period_table
+from impulsive_logistic.coefficients import (
     CoefficientPair,
     ConstantCoefficient,
-    ModelParams,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    closed_form,
     coefficient_from_dict,
     compute_B,
-    derive_constants,
-    integrate,
-    period_table,
+    forcing_integrals,
 )
-from impulsive_logistic import coefficients
-from impulsive_logistic.coefficients import forcing_integrals
+from impulsive_logistic.integrator import integrate
 from numpy.polynomial.legendre import leggauss
 
 from helpers import exact_B, random_coefficient, reference_integral, reference_value

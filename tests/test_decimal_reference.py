@@ -17,15 +17,14 @@ from hypothesis import given, settings
 
 from decimal_reference import Reference, ulps
 from helpers import exact_B
-from impulsive_logistic import (
+from impulsive_logistic import cli
+from impulsive_logistic.closed_form import derive_constants, period_table
+from impulsive_logistic.coefficients import (
     CoefficientPair,
     ConstantCoefficient,
     PiecewiseConstantCoefficient,
     SinusoidCoefficient,
-    cli,
     compute_B,
-    derive_constants,
-    period_table,
 )
 from test_coefficients import slivers
 

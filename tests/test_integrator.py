@@ -9,18 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from impulsive_logistic import (
-    CoefficientPair,
-    ConstantCoefficient,
-    IntegrationError,
+from impulsive_logistic.closed_form import (
     ModelParams,
-    PiecewiseConstantCoefficient,
-    SinusoidCoefficient,
     derive_constants,
-    integrate,
     period_table,
     solution_grid,
 )
+from impulsive_logistic.coefficients import (
+    CoefficientPair,
+    ConstantCoefficient,
+    PiecewiseConstantCoefficient,
+    SinusoidCoefficient,
+)
+from impulsive_logistic.integrator import IntegrationError, integrate
 
 from helpers import (
     LN2,

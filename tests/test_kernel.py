@@ -14,28 +14,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from impulsive_logistic import (
-    CoefficientPair,
-    ConstantCoefficient,
+from impulsive_logistic import analysis, cli, closed_form
+from impulsive_logistic.analysis import (
+    trajectory_closed_form,
+    verify_impulse_condition,
+    verify_periodicity,
+)
+from impulsive_logistic.closed_form import (
     ModelParams,
-    PiecewiseConstantCoefficient,
-    SinusoidCoefficient,
-    analysis,
-    cli,
-    closed_form,
-    compute_B,
     derive_constants,
-    integrate,
     legacy_grid,
     period_table,
     periodic_grid,
     periodic_orbit_mean,
     solution_grid,
-    trajectory_closed_form,
-    verify_impulse_condition,
-    verify_periodicity,
 )
-from impulsive_logistic.coefficients import forcing_integrals, forcing_panels
+from impulsive_logistic.coefficients import (
+    CoefficientPair,
+    ConstantCoefficient,
+    PiecewiseConstantCoefficient,
+    SinusoidCoefficient,
+    compute_B,
+    forcing_integrals,
+    forcing_panels,
+)
+from impulsive_logistic.integrator import integrate
 
 from helpers import corrupt_period_table, golden_params, random_params, reference_integral
 
@@ -533,6 +536,18 @@ def test_periodicity_check_catches_a_scaled_B(monkeypatch, capsys, name):
     assert cli.main(argv) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert "periodicity" in {check["check"] for check in checks if not check["passed"]}
+    # with B right and the anchor d / B moved by 1e-7, the solution from it
+    # misses the reference orbit by 1e-7, and periodicity alone fails
+    monkeypatch.undo()
+    constants = closed_form.SolutionConstants
+
+    def moved_anchor(**fields):
+        return constants(**fields | {"x0_star": fields["x0_star"] * (1.0 + 1e-7)})
+
+    monkeypatch.setattr(closed_form, "SolutionConstants", moved_anchor)
+    assert cli.main(argv) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {check["check"] for check in checks if not check["passed"]} == {"periodicity"}
 
 
 @pytest.mark.parametrize("name", ORBIT_CONFIGS)

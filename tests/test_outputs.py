@@ -119,8 +119,8 @@ SCALED_DIGESTS = {
     ("periodic", "sinusoid_r", "step1024", "json"): "20d9003b2dc65dca1fa3a7ec981616faf11c7f79a0aaa27a5d9cc5387d615c83",
     ("verify", "golden_constant", "periods40", "json"): "4f562527447b8ae5757921932423807c2d35256781409997fe8d1f46a8239c60",
     ("verify", "golden_constant", "periods40", "text"): "4139daa35ae86ee6acfaf56d1814b2817a73c42efa603fc5f050b98ede28f94e",
-    ("verify", "golden_constant", "step1024", "json"): "2e35f0ed22b9c6ff5f37772aa207023303a019e3cd2294f1c330ec4945341dca",
-    ("verify", "golden_constant", "step1024", "text"): "16cfa6399d42bf2e21bc0ab3e99f9bf4330ae7e285c930ef78898a4aa24c35bd",
+    ("verify", "golden_constant", "step1024", "json"): "048f61e332a7e8ba4c6dfa4e9f5023c8ef619da3f257a98d5c73e75b3ca6a4a8",
+    ("verify", "golden_constant", "step1024", "text"): "f3e5eb679cfdf5384f59a224f321146c3815607a8813a995abf370710c496aa4",
     ("verify", "overharvest", "periods40", "json"): "0dc04286b2e3ba1075c32b03919ec833b4c58b1d87d516d5f8d973625287267f",
     ("verify", "overharvest", "periods40", "text"): "426219f478b335ffccc47d693d7403b19cf67b700e0513bb7013326e2ad3e885",
     ("verify", "overharvest", "step1024", "json"): "d48cf864281c036c08e09ad036a8350bb7999d81716e55d5169b72d697fe0afe",

@@ -63,6 +63,12 @@ MUTATIONS = {
         "G, B = params.pair.r.mean, compute_B(params.pair, params.phase) * (1.0 + 1e-7)",
         ("tests/test_kernel.py::test_periodicity_check_catches_a_scaled_B",),
     ),
+    "anchor-times-1+1e-7": (
+        CLOSED_FORM,
+        "x0_star = d / B if d > 0.0 else None",
+        "x0_star = d / B * (1.0 + 1e-7) if d > 0.0 else None",
+        ("tests/test_kernel.py::test_periodicity_check_catches_a_scaled_B",),
+    ),
     "piece-sum-reads-the-previous-K": (
         COEFFICIENTS,
         "np.expm1(-step) / np.asarray(values)[piece]",
