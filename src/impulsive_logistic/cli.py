@@ -31,9 +31,11 @@ forcing integral B that overflows a float (K too small) or underflows
 below the smallest normal float (r/K too small), an orbit anchor d / B
 that underflows to 0.0, and a ``simulate``, ``verify`` or ``periodic``
 run of more than 2**20 samples (steps per unit times horizon periods,
-after the flags).  That check of B reads its bracket first, so reading a
-scenario loads no numpy, nor does ``constants`` where K is constant on
-pieces; every other command loads it on its first array operation.
+after the flags).  Reading a scenario forms no B: a command checks it
+where it derives the constants (``derive_constants``), after the flags and
+before any table.  So reading a scenario loads no numpy, nor does
+``constants`` where K is constant on pieces; every other command loads it
+on its first array operation.
 
 A plain command line (a command, then ``--name value`` pairs) is read
 without loading argparse; see ``_plain_args``.  Every other line, help and
@@ -67,6 +69,7 @@ from .analysis import (
 )
 from .closed_form import (
     AnchorUnderflowError,
+    ForcingRangeError,
     ModelParams,
     NoPeriodicSolutionError,
     SolutionConstants,
@@ -79,7 +82,6 @@ from .coefficients import (
     CoefficientPair,
     PeriodicCoefficient,
     coefficient_from_dict,
-    compute_B,
 )
 from .integrator import DEFAULT_STEPS_PER_UNIT, IntegrationError, integrate
 
@@ -268,51 +270,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             for i, v in enumerate(raw)
         )
     params = ModelParams(pair=CoefficientPair(r=r, K=big_k), E=e_hold, t0=t0)
-    _require_forcing_scale(params, f"{source}.K")
     return ScenarioConfig(params, steps, x0, horizon, tolerances, e_values)
-
-
-def _forcing_in_range(pair: CoefficientPair) -> bool:
-    """Whether B is surely a normal float, from its bracket alone.
-
-    B is the integral of (1/K) d(exp(R - G)), so E*/max K <= B <= E*/min K,
-    and E* <= G <= max r: max r / min K bounds B and every r/K that a
-    quadrature of B reads.  A sinusoid K's quadrature can read as little as
-    0.00225 of B (all of G = 709.78 on one panel), hence the floor's margin.
-    """
-    # the least and the greatest value of each are among these, exactly
-    k_values, r_values = (
-        (c.mean - abs(c.amp), c.mean + abs(c.amp)) if c.kind == "sinusoid" else c.pieces(0.0)[1]
-        for c in (pair.K, pair.r)
-    )
-    floor, ceiling = 2048.0 * sys.float_info.min, sys.float_info.max / 4.0
-    least = -math.expm1(-pair.r.mean) / max(k_values)
-    return least >= floor and max(r_values) / min(k_values) <= ceiling
-
-
-def _require_forcing_scale(params: ModelParams, where: str) -> None:
-    """B, the denominator of the orbit anchor x0_star = d / B, must be a
-    normal float, as a given x0 must: a subnormal B carries fewer than 53
-    significant bits, and the anchor would inherit the loss.
-
-    B is formed here only where its bracket (``_forcing_in_range``) cannot tell.
-    """
-    if _forcing_in_range(params.pair):
-        return
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        forcing = compute_B(params.pair, params.phase)
-    if not math.isfinite(forcing):
-        raise ConfigError(
-            f"{where}: the forcing integral B of r/K overflows the float range "
-            "(K is too small for r)"
-        )
-    if forcing == 0.0:
-        raise ConfigError(f"{where}: the forcing integral B of r/K underflows to 0.0")
-    if forcing < sys.float_info.min:
-        raise ConfigError(
-            f"{where}: the forcing integral B of r/K is {forcing!r}, below the smallest "
-            f"normal float {sys.float_info.min!r}: it carries fewer than 53 significant bits"
-        )
 
 
 def load_config(path: Path | str) -> ScenarioConfig:
@@ -614,8 +572,9 @@ def cmd_periodic(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     """The periodic orbit over one period, tiled across the horizon."""
     params = config.params
     n = config.steps_per_unit
+    consts = config.constants()
     offsets = np.arange(n) / n
-    orbit = periodic_grid(config.constants(), period_table(params, offsets)).tolist()
+    orbit = periodic_grid(consts, period_table(params, offsets)).tolist()
     periods = config.horizon_periods
     sep, end = _SEPARATORS[fmt]
     heads, tails = _time_cells(params, range(periods), offsets, sep)
@@ -651,13 +610,15 @@ def _verify_reports(config: ScenarioConfig) -> tuple[list, bool]:
         compare_solutions(params, x0, horizon, config.steps_per_unit, tol=tol.oracle)
     )
     mean_capacity = params.pair.K.mean
-    # the scan must reach below an anchor however small it is; a tenth of a
-    # subnormal anchor can round to 0.0, so the smallest float bounds it
-    x_min = 1e-3 * mean_capacity
+    # the scan must reach past an anchor however small or large it is, and
+    # only min K and max K bound it; a tenth of a subnormal anchor can round
+    # to 0.0, so the smallest float bounds it, and ten times a value above
+    # about 1.8e307 overflows to inf, so the largest float does
+    x_min, x_max = 1e-3 * mean_capacity, 10.0 * mean_capacity
     if consts.x0_star is not None:
         x_min = min(x_min, max(consts.x0_star / 10.0, math.ulp(0.0)))
-    # ten times a K mean above about 1.8e307 overflows to inf
-    x_max = min(10.0 * mean_capacity, sys.float_info.max)
+        x_max = max(x_max, 10.0 * consts.x0_star)
+    x_max = min(x_max, sys.float_info.max)
     reports.append(fixed_point_scan(params, x_min, x_max, tol=tol.fixed_point))
     reports.sort(key=lambda rep: rep.check)
     return reports, consts.x0_star is not None
@@ -692,6 +653,7 @@ def cmd_counterexample(config: ScenarioConfig, fmt: str) -> tuple[str, int]:
     params = config.params
     tol = config.tolerances
     ks = tuple(range(1, min(5, config.horizon_periods) + 1))
+    config.constants()  # refuses a B out of range before the table forms one
     table = period_table(params, [0.0, 1.0])  # both checks read offsets 0 and 1
     corrected = verify_impulse_condition("corrected", params, ks=ks, tol=tol.jump, table=table)
     legacy = verify_impulse_condition(
@@ -847,10 +809,9 @@ def _parse_e_values(text: str) -> tuple[float, ...]:
             values.append(float(tok))
         except ValueError as exc:
             raise ConfigError(f"--e-values: {tok!r} is not a number") from exc
-    for v in values:
-        if not (0.0 <= v < 1.0):
-            raise ConfigError(f"--e-values: {v!r} outside [0, 1)")
-    return tuple(values)
+    return tuple(
+        _require_number(v, f"--e-values[{i}]", unit_interval=True) for i, v in enumerate(values)
+    )
 
 
 # samples (steps per unit x horizon periods) that a command the budget holds
@@ -905,6 +866,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = globals()[f"cmd_{args.command}"](config, fmt)
     except (ConfigError, AnchorUnderflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ForcingRangeError as exc:  # B is r/K's: name the scenario's K
+        print(f"config error: {Path(args.config)}.K: {exc}", file=sys.stderr)
         return 2
     except (NoPeriodicSolutionError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

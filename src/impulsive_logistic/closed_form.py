@@ -52,6 +52,7 @@ absolute time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -68,6 +69,7 @@ from .coefficients import (
 
 __all__ = [
     "AnchorUnderflowError",
+    "ForcingRangeError",
     "ModelParams",
     "NoPeriodicSolutionError",
     "PeriodTable",
@@ -88,6 +90,12 @@ class NoPeriodicSolutionError(ValueError):
 
 class AnchorUnderflowError(ValueError):
     """Raised when d > 0 but the orbit anchor d / B underflows to 0.0."""
+
+
+class ForcingRangeError(ValueError):
+    """Raised when the forcing integral B is not a normal float: it
+    overflows (K too small for r), underflows to 0.0 or is subnormal (r/K
+    too small)."""
 
 
 @dataclass(frozen=True)
@@ -172,15 +180,26 @@ def derive_constants(params: ModelParams) -> SolutionConstants:
     """Compute G, B, E*, the margin d, ln q and (when d > 0) the anchor x0_star.
 
     G is the period mean of r and B comes from ``compute_B``, cached per
-    (pair, phase); the rest is scalar arithmetic in E.  Raises
-    ``ValueError`` when B is 0.0 (the forcing quadrature underflows), and
+    (pair, phase); the rest is scalar arithmetic in E.  B is the
+    denominator of the anchor d / B, so it must be a normal float, as a
+    given x0 must: ``ForcingRangeError`` when it is not finite, is 0.0, or
+    is subnormal and carries fewer than 53 significant bits.  Raises
     ``AnchorUnderflowError`` when the orbit exists but its anchor d / B
     rounds to 0.0, which no computation can start from.
     """
     E = params.E
     G, B = params.pair.r.mean, compute_B(params.pair, params.phase)
+    if not math.isfinite(B):
+        raise ForcingRangeError(
+            "the forcing integral B of r/K overflows the float range (K is too small for r)"
+        )
     if B == 0.0:
-        raise ValueError("the forcing integral B of r/K underflows to 0.0 (r/K is too small)")
+        raise ForcingRangeError("the forcing integral B of r/K underflows to 0.0")
+    if B < sys.float_info.min:
+        raise ForcingRangeError(
+            f"the forcing integral B of r/K is {B!r}, below the smallest normal float "
+            f"{sys.float_info.min!r}: it carries fewer than 53 significant bits"
+        )
     e_star = -math.expm1(-G)
     # d = E* - E = (1 - E) - exp(-G).  For E >= 1/2, 1 - E is exact and the
     # second form carries only the rounding of exp(-G), while E* - E carries

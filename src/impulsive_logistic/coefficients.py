@@ -526,9 +526,9 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
     a sinusoid K, one Gauss-Legendre sum at ``forcing_panels`` per unit, on
     the panels and nodes of the window s = 1 of ``forcing_integrals``.  Cached per
     (pair, phase), the package's one cache: B does not depend on E, so
-    the CLI's config check and every harvest fraction share it.
-    B > 0 in exact arithmetic; in floats it can overflow to inf (a tiny K)
-    or underflow to a subnormal or 0.0 (a tiny r/K).
+    every harvest fraction shares it.  B > 0 in exact arithmetic; in
+    floats it can overflow to inf (a tiny K) or underflow to a subnormal or
+    0.0 (a tiny r/K), without a warning: ``derive_constants`` refuses it.
     """
     if not 0.0 <= phase < 1.0:
         raise ValueError(f"phase must lie in [0, 1), got {phase!r}")
@@ -538,7 +538,8 @@ def compute_B(pair: CoefficientPair, phase: float) -> float:
     grid = pair.period_grid(phase, forcing_panels(pair))
     nodes, weights, mid = panel_rule(grid[:-1], grid[1:])
     n = nodes.size
-    ratio, big_r = pair.ratio_and_growth(
-        phase, np.append(nodes, 1.0), np.append(np.repeat(mid, len(_GL_NODES)), 1.0)
-    )
-    return float(np.dot(weights.ravel(), ratio[:n] * np.exp(big_r[:n] - big_r[n])))
+    with np.errstate(over="ignore", invalid="ignore"):  # derive_constants refuses an inf B
+        ratio, big_r = pair.ratio_and_growth(
+            phase, np.append(nodes, 1.0), np.append(np.repeat(mid, len(_GL_NODES)), 1.0)
+        )
+        return float(np.dot(weights.ravel(), ratio[:n] * np.exp(big_r[:n] - big_r[n])))

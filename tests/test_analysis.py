@@ -423,8 +423,9 @@ def test_fixed_point_scan_at_huge_growth_is_quiet():
 
 def test_fixed_point_scan_reaches_the_largest_float():
     # the grid's last step overflows inside geomspace, which puts the bound
-    # itself there
-    pair = CoefficientPair(r=ConstantCoefficient(1.0), K=ConstantCoefficient(1e308))
+    # itself there; at K 1e307, B = 6.3e-308 is still a normal float and the
+    # anchor, 6.0e306, lies inside the scan
+    pair = CoefficientPair(r=ConstantCoefficient(1.0), K=ConstantCoefficient(1e307))
     p = ModelParams(pair=pair, E=0.25, t0=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from impulsive_logistic.cli import (
 )
 from impulsive_logistic import analysis, cli, closed_form
 from impulsive_logistic.closed_form import derive_constants
-from impulsive_logistic.coefficients import CoefficientPair, coefficient_from_dict, compute_B
+from impulsive_logistic.coefficients import coefficient_from_dict, compute_B
 
 from helpers import corrupt_period_table, exact_B, reference_integral
 
@@ -134,11 +133,6 @@ def test_defaults_applied():
             ),
             ".K: piecewise values must be an array of numbers, got [False]",
         ),
-        # B, the forcing integral of r/K, must fit a float
-        (
-            lambda d: d.__setitem__("K", {"kind": "constant", "value": 1e-320}),
-            ".K: the forcing integral B of r/K overflows the float range",
-        ),
     ],
 )
 def test_field_precise_errors(mutate, fragment):
@@ -184,6 +178,23 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
             "K": {"kind": "constant", "value": 1e308},
             "E": 0.0,
         },
+        # a sinusoid K's quadrature, with all of G = 709.78 on one panel,
+        # reads 0.00225 of E*/max K = 1e-307: a subnormal B
+        {
+            "r": {"kind": "piecewise", "breakpoints": [0.0, 0.5, 0.500001, 1.0],
+                  "values": [1e-300, 709.78e6, 1e-300]},
+            "K": {"kind": "sinusoid", "mean": 1e307, "amp": 0.0},
+            "E": 0.0,
+            "t0": 1.0,
+        },
+        # r/K = 7e302 / 1e-6 overflows at the nodes of the sliver's panel,
+        # while E*/min K is 1e6
+        {
+            "r": {"kind": "piecewise", "breakpoints": [0.0, 1e-300, 1.0], "values": [7e302, 1.0]},
+            "K": {"kind": "sinusoid", "mean": 1e-6, "amp": 0.0},
+            "E": 0.0,
+            "t0": 1.0,
+        },
     ],
     ids=[
         "r/K overflows",
@@ -193,6 +204,8 @@ def test_growth_integral_past_float_range_is_a_config_error(tmp_path, capsys):
         "r/K underflows on pieces",
         "subnormal B of a sinusoid r",
         "subnormal B at K 1e308",
+        "quadrature below E*/max K",
+        "r/K past the float range on a sliver",
     ],
 )
 def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
@@ -200,16 +213,30 @@ def test_forcing_overflow_is_a_config_error(tmp_path, capsys, overrides):
     # positive), or a subnormal one (the anchor would lose its low bits: the
     # last two printed x0_star 1.0541666666666667 and 1.000802280939431e+308
     # where the true anchors are 1 and 1e308) leaves no usable orbit anchor:
-    # refuse the scenario
+    # refuse the scenario, with one line and no warning, in every command
     cfg = tmp_path / "tiny_k.json"
     cfg.write_text(json.dumps(_json_config(**overrides)), encoding="utf-8")
     for command in COMMANDS:
         argv = [command, "--config", str(cfg)]
-        code = main(argv + ["--e-values", "0.0,0.5"] if command == "sweep" else argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--e-values", "0.0,0.5"] if command == "sweep" else argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"config error: {cfg}.K: the forcing integral B of r/K ")
         assert captured.err.count("\n") == 1
+
+
+def test_a_flag_error_comes_before_the_forcing_error(tmp_path, capsys):
+    # reading a scenario forms no B: a command checks it where it derives
+    # the constants, after the flags
+    cfg = tmp_path / "tiny_k.json"
+    cfg.write_text(json.dumps(_json_config(K={"kind": "constant", "value": 1e-320})))
+    assert main(["verify", "--config", str(cfg), "--step", "0.3"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --step: step h=0.3 must divide the unit interval into a whole "
+        "number of steps\n"
+    )
 
 
 def _magnitudes(low: float, high: float):
@@ -232,7 +259,9 @@ def _extreme_coefficient(draw, kind: str, rate: bool) -> dict:
         return {"kind": "constant", "value": scale}
     if kind == "sinusoid":
         frac = draw(st.one_of(st.floats(-0.99, 0.99), st.sampled_from([1 - 1e-12, 1e-12 - 1])))
-        return {"kind": "sinusoid", "mean": scale, "amp": frac * scale, "phase": 0.25}
+        # below the smallest normal float, frac * scale can round to scale
+        amp = math.copysign(min(abs(frac) * scale, math.nextafter(scale, 0.0)), frac)
+        return {"kind": "sinusoid", "mean": scale, "amp": amp, "phase": 0.25}
     cuts = draw(st.lists(st.one_of(st.floats(0.01, 0.99), _magnitudes(-300.0, -3.0)), max_size=3))
     cuts += [math.nextafter(c, 1.0) for c in cuts[:1] if draw(st.booleans())]
     bp = [0.0, *sorted(set(cuts)), 1.0]
@@ -240,30 +269,9 @@ def _extreme_coefficient(draw, kind: str, rate: bool) -> dict:
     if rate:  # values whose growth integral is the scale
         total = math.fsum((b - a) * v for a, b, v in zip(bp, bp[1:], shape))
         shape = [v / total for v in shape]
-    return {"kind": "piecewise", "breakpoints": bp, "values": [scale * v for v in shape]}
-
-
-def _config_outcome(scenario: dict):
-    try:
-        parse_config(scenario)
-    except ConfigError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def _assert_the_bracket_is_sound(scenario: dict) -> None:
-    # where the bracket passes a scenario, its B is a normal float, formed
-    # without a warning, and the scenario parses as the exact check parses it
-    compute_B.cache_clear()
-    with mock.patch.object(cli, "_forcing_in_range", lambda pair: False):
-        exact = _config_outcome(scenario)
-    compute_B.cache_clear()
-    assert _config_outcome(scenario) == exact
-    if exact is None:
-        params = parse_config(scenario).params
-        if cli._forcing_in_range(params.pair):
-            B = compute_B(params.pair, params.phase)
-            assert math.isfinite(B) and B >= sys.float_info.min
+    # a value past the float range is the scenario's error, not B's
+    values = [min(max(scale * v, math.ulp(0.0)), sys.float_info.max) for v in shape]
+    return {"kind": "piecewise", "breakpoints": bp, "values": values}
 
 
 BRACKET_KINDS = ("constant", "sinusoid", "piecewise")
@@ -274,41 +282,28 @@ BRACKET_KINDS = ("constant", "sinusoid", "piecewise")
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_the_forcing_bracket_is_sound(r_kind, k_kind, data):
+    # the bracket is the range of normal floats: every draw parses, since
+    # parsing forms no B, and derive_constants refuses B exactly when it
+    # falls outside, without a warning
     scenario = {
         "r": data.draw(_extreme_coefficient(r_kind, rate=True)),
         "K": data.draw(_extreme_coefficient(k_kind, rate=False)),
         "E": data.draw(st.sampled_from([0.0, 0.5])),
         "t0": data.draw(st.floats(0.01, 3.0)),
     }
-    _assert_the_bracket_is_sound(scenario)
-
-
-@pytest.mark.parametrize(
-    "r, K",
-    [
-        # a sinusoid K's quadrature, with all of G = 709.78 on one panel,
-        # reads 0.00225 of E*/max K = 1e-307: a subnormal B
-        (
-            {"kind": "piecewise", "breakpoints": [0.0, 0.5, 0.500001, 1.0],
-             "values": [1e-300, 709.78e6, 1e-300]},
-            {"kind": "sinusoid", "mean": 1e307, "amp": 0.0},
-        ),
-        # r/K = 7e302 / 1e-6 overflows at the nodes of the sliver's panel,
-        # while E*/min K is 1e6
-        (
-            {"kind": "piecewise", "breakpoints": [0.0, 1e-300, 1.0], "values": [7e302, 1.0]},
-            {"kind": "sinusoid", "mean": 1e-6, "amp": 0.0},
-        ),
-    ],
-    ids=["quadrature-below-the-bracket", "r/K-past-the-float-range"],
-)
-def test_the_forcing_bracket_refuses_its_edge_cases(r, K):
-    # both scenarios are refused, by the exact check
-    scenario = {"r": r, "K": K, "E": 0.0, "t0": 1.0}
-    pair = CoefficientPair(coefficient_from_dict(r), coefficient_from_dict(K))
-    assert not cli._forcing_in_range(pair)
-    _assert_the_bracket_is_sound(scenario)
-    assert _config_outcome(scenario) is not None
+    params = parse_config(scenario).params
+    compute_B.cache_clear()
+    refused = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            derive_constants(params)
+        except closed_form.ForcingRangeError:
+            refused = True
+        except closed_form.AnchorUnderflowError:  # a normal B, too large for d
+            pass
+        B = compute_B(params.pair, params.phase)
+    assert refused == (not sys.float_info.min <= B <= sys.float_info.max)
 
 
 def test_a_constant_written_as_a_big_integer_runs_as_its_float(tmp_path, capsys):
@@ -397,6 +392,30 @@ def test_verify_scans_below_a_small_anchor():
     assert code == 0, text
 
 
+def test_verify_scans_above_an_anchor_past_ten_mean_capacities(tmp_path, capsys):
+    # K is 1 on most of the period and 100 around the impulse, so its mean
+    # is 5.95, while the anchor, which only max K bounds, is 74.66: the scan
+    # must reach above the anchor, not stop at ten times the mean of K; at
+    # h = 2**-17 every other check passes too
+    cfg = tmp_path / "tall_k.json"
+    scenario = _json_config(
+        r={"kind": "constant", "value": 250.0},
+        K={"kind": "piecewise", "breakpoints": [0, 0.01, 0.96, 1], "values": [100.0, 1.0, 100.0]},
+        t0=1.0,
+        horizon_periods=1,
+        step=2.0**-17,
+    )
+    cfg.write_text(json.dumps(scenario), encoding="utf-8")
+    x0_star = derive_constants(load_config(cfg).params).x0_star
+    assert x0_star > 10.0 * 5.95
+    assert main(["verify", "--config", str(cfg)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    (scan,) = [c for c in checks if c["check"].startswith("fixed-point")]
+    assert scan["passed"], scan["records"]
+    assert scan["metadata"]["x_max"] == 10.0 * x0_star
+    assert scan["metadata"]["crossings"] == [pytest.approx(x0_star, rel=1e-6)]
+
+
 def test_verify_reports_on_an_anchor_at_the_float_floor(tmp_path, capsys):
     # d / B rounds to the smallest subnormal, 5e-324: the scan's lower edge
     # must stay positive and verify must end in a report
@@ -419,7 +438,7 @@ def test_constants_threshold_is_correctly_rounded():
 def test_importing_the_cli_does_not_load_scipy():
     # scipy is no dependency, and the Gauss-Legendre rule is written out
     # rather than taken from numpy.polynomial; start-up must pay for neither.
-    # Loading a config with jumps computes B, whose partition must not pay
+    # The constants of a config with jumps compute B, whose partition must not pay
     # for numpy.ma either (np.union1d imports it on its first call).  A
     # plain command line does not load argparse.
     import impulsive_logistic
@@ -480,12 +499,18 @@ START_UP_WORK = {
     ),
     # a sinusoid K's B is a quadrature: numpy loads on its first use, and works
     "constants-piecewise_mixed-text": (_constants_line(PIECEWISE), True),
+    # parsing forms no B, even one that only its quadrature shows out of range
+    "parse-a-sinusoid-K-whose-B-overflows": (
+        "cli.parse_config({'r': {'kind': 'piecewise', 'breakpoints': [0.0, 1e-300, 1.0], "
+        "'values': [7e302, 1.0]}, 'K': {'kind': 'sinusoid', 'mean': 1e-6, 'amp': 0.0}, 'E': 0.0})",
+        False,
+    ),
 }
 
 
 @pytest.mark.parametrize("work, loads", START_UP_WORK.values(), ids=START_UP_WORK.keys())
 def test_start_up_loads_numpy_only_for_an_array(work, loads):
-    # importing the CLI and checking any scenario use the standard library
+    # importing the CLI and reading any scenario use the standard library
     # only, and so does `constants` wherever K is constant on pieces
     result = _fresh_interpreter(work)
     assert result.returncode == 0, result.stderr
@@ -940,10 +965,15 @@ def test_main_sweep_flag_overrides_config(capsys):
 
 
 def test_main_sweep_rejects_bad_e_values(capsys):
-    assert main(["sweep", "--config", str(GOLDEN), "--e-values", "0.1,goose"]) == 2
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(GOLDEN), "--e-values", "1.25"]) == 2
-    capsys.readouterr()
+    # a fraction by flag is held to the rule of the scenario's e_values
+    for text, message in (
+        ("0.1,goose", "--e-values: 'goose' is not a number"),
+        ("0.1,1.25", "--e-values[1]: must satisfy 0 <= value < 1, got 1.25"),
+        ("nan", "--e-values[0]: must be finite, got nan"),
+        (",", "--e-values: expected a comma-separated list of numbers"),
+    ):
+        assert main(["sweep", "--config", str(GOLDEN), "--e-values", text]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 def test_main_runs_the_command_bound_when_it_is_called(monkeypatch, capsys):

@@ -12,6 +12,7 @@ import pytest
 from impulsive_logistic.analysis import verify_impulse_condition
 from impulsive_logistic.cli import load_config
 from impulsive_logistic.closed_form import (
+    ForcingRangeError,
     ModelParams,
     NoPeriodicSolutionError,
     derive_constants,
@@ -83,13 +84,32 @@ def test_derive_constants_without_harvest():
     assert c.x0_star == pytest.approx(100.0, rel=1e-12)
 
 
+def _capacities(value: float):
+    """K of each kind, constant at ``value``."""
+    return (
+        ConstantCoefficient(value),
+        SinusoidCoefficient(mean=value, amp=0.0),
+        PiecewiseConstantCoefficient(breakpoints=(0.0, 0.5, 1.0), values=(value, value)),
+    )
+
+
 @pytest.mark.parametrize("E", [0.0, 0.25])
 def test_derive_constants_refuses_a_forcing_integral_of_zero(E):
-    # r/K = 1e-325 makes B underflow to 0.0, on either side of E* = 1e-320;
-    # the anchor d / B would divide by it
-    pair = CoefficientPair(r=ConstantCoefficient(1e-320), K=ConstantCoefficient(1e5))
-    with pytest.raises(ValueError, match="forcing integral B"):
-        derive_constants(ModelParams(pair=pair, E=E, t0=0.5))
+    # B is the anchor's denominator, so it must be a normal float: refused
+    # where r/K = 1e-325 makes it underflow to 0.0 (on either side of E* =
+    # 1e-320), where r/K = 1e320 makes it overflow, and where r/K = 1e-318
+    # leaves it subnormal, for each kind of K, with no warning
+    cases = (
+        (1e-320, 1e5, "underflows to 0.0"),
+        (1.0, 1e-320, "overflows the float range"),
+        (1e-10, 1e308, "below the smallest normal float"),
+    )
+    for rate, capacity, message in cases:
+        for K in _capacities(capacity):
+            pair = CoefficientPair(r=ConstantCoefficient(rate), K=K)
+            params = ModelParams(pair=pair, E=E, t0=0.5)
+            with pytest.raises(ForcingRangeError, match=f"B of r/K .*{message}"):
+                derive_constants(params)
 
 
 @pytest.mark.parametrize("G", [0.05, 0.7, 5.0, 20.0, 30.0])

@@ -50,11 +50,6 @@ ANALYSIS = "src/impulsive_logistic/analysis.py"
 INTEGRATOR = "src/impulsive_logistic/integrator.py"
 CLI = "src/impulsive_logistic/cli.py"
 
-BRACKET_TESTS = (
-    "tests/test_cli.py::test_the_forcing_bracket_is_sound",
-    "tests/test_cli.py::test_the_forcing_bracket_refuses_its_edge_cases",
-)
-
 # name -> (file, snippet, replacement[, tests to run in place of all])
 MUTATIONS = {
     "B-times-1+1e-7": (
@@ -145,8 +140,14 @@ MUTATIONS = {
     ),
     "fixed-point-cap-removed": (
         CLI,
-        "x_max = min(10.0 * mean_capacity, sys.float_info.max)",
-        "x_max = 10.0 * mean_capacity",
+        "    x_max = min(x_max, sys.float_info.max)\n",
+        "",
+    ),
+    "fixed-point-scan-stops-at-ten-mean-capacities": (
+        CLI,
+        "        x_max = max(x_max, 10.0 * consts.x0_star)\n",
+        "",
+        ("tests/test_cli.py::test_verify_scans_above_an_anchor_past_ten_mean_capacities",),
     ),
     "legacy-grid-with-d-for-E*": (
         CLOSED_FORM,
@@ -213,17 +214,17 @@ MUTATIONS = {
         "pieces[-7] = k[-2]",
         ("tests/test_emitter.py::test_tiled_tables_match_the_row_by_row_reference",),
     ),
-    "bracket-floor-without-margin": (
-        CLI,
-        "floor, ceiling = 2048.0 * sys.float_info.min, sys.float_info.max / 4.0",
-        "floor, ceiling = sys.float_info.min, sys.float_info.max / 4.0",
-        BRACKET_TESTS,
+    "subnormal-B-passes": (
+        CLOSED_FORM,
+        "    if B < sys.float_info.min:\n",
+        "    if False:\n",
+        ("tests/test_closed_form.py::test_derive_constants_refuses_a_forcing_integral_of_zero",),
     ),
-    "bracket-without-max-r-over-min-K": (
-        CLI,
-        "return least >= floor and max(r_values) / min(k_values) <= ceiling",
-        "return least >= floor",
-        BRACKET_TESTS,
+    "sinusoid-K-B-warns-on-overflow": (
+        COEFFICIENTS,
+        'with np.errstate(over="ignore", invalid="ignore"):  # derive_constants refuses an inf B',
+        "if True:",
+        ("tests/test_cli.py::test_forcing_overflow_is_a_config_error",),
     ),
     "float-growth-end-on-the-right-piece": (
         COEFFICIENTS,
